@@ -9,17 +9,19 @@ The synchronization protocol is SimBricks-style conservative lookahead:
   horizon**: the largest stamp it has seen on each input queue (minimum
   across queues).
 * A sender that advances its clock without sending data must periodically
-  send :class:`~repro.channels.messages.SyncMsg` markers so its peer's
-  horizon keeps growing.  Positive latency on every channel guarantees
-  deadlock freedom: each sync round grows horizons by at least the channel
-  latency.
+  publish a sync promise so its peer's horizon keeps growing.  Positive
+  latency on every channel guarantees deadlock freedom: each sync round
+  grows horizons by at least the channel latency.
 
 Two transports implement the directed queues:
 
 * :class:`FifoQueue` — an in-process deque, used by the cooperative
-  coordinator (both its strict-sync and fast modes).
+  coordinator's strict mode.  The promise travels as an integer field of
+  the queue; no message object is built for it.
 * the shared-memory ring in :mod:`repro.parallel.shm_ring` — used when each
-  component runs as a real OS process.
+  component runs as a real OS process.  The promise rides every frame
+  header; an idle sender emits :class:`~repro.channels.messages.SyncMsg`
+  marker frames.
 
 Channel ends also maintain the profiler's raw counters (messages and cycles
 spent waiting / sending / receiving); see :mod:`repro.profiler`.
@@ -64,30 +66,25 @@ def transport_batching() -> bool:
 
 
 class FifoQueue:
-    """In-process directed message queue (single producer, single consumer)."""
+    """In-process directed message queue (single producer, single consumer).
+
+    Besides data messages it carries the sender's latest sync ``promise``
+    and the number of promises published since the receiver last polled
+    (``syncs``) — the in-process mirror of the promise field in the shm
+    ring's frame header.  The receiver folds both in at its next poll.
+    """
+
+    __slots__ = ("_q", "promise", "syncs")
 
     def __init__(self) -> None:
         self._q: deque[Msg] = deque()
+        self.promise = 0
+        self.syncs = 0
 
     def push(self, msg: Msg) -> bool:
         """Append a message (always succeeds in-process)."""
         self._q.append(msg)
         return True
-
-    def pop(self) -> Optional[Msg]:
-        """Remove and return the oldest message, or None."""
-        if not self._q:
-            return None
-        return self._q.popleft()
-
-    def peek_stamp(self) -> Optional[int]:
-        """Stamp of the oldest message without consuming it."""
-        if not self._q:
-            return None
-        return self._q[0].stamp
-
-    def __len__(self) -> int:
-        return len(self._q)
 
 
 class ChannelEnd:
@@ -126,6 +123,10 @@ class ChannelEnd:
         self._out_last_stamp = -1
         self._in_horizon = 0
 
+        #: the in-process transport queues, ``None`` over any other transport
+        self._out_fifo: Optional[FifoQueue] = None
+        self._in_fifo: Optional[FifoQueue] = None
+
         # Batched-transport state (active only over batch-capable queues,
         # i.e. the shm rings; see :meth:`wire`).
         self._out_batched = False
@@ -161,6 +162,8 @@ class ChannelEnd:
         self.out_q = out_q
         self.in_q = in_q
         self.peer_name = peer_name
+        self._out_fifo = out_q if isinstance(out_q, FifoQueue) else None
+        self._in_fifo = in_q if isinstance(in_q, FifoQueue) else None
         batching = _BATCHING[0]
         self._out_batched = batching and hasattr(out_q, "send_batch")
         self._in_batched = batching and hasattr(in_q, "recv_batch")
@@ -205,8 +208,9 @@ class ChannelEnd:
 
         ``commit`` is the sender's guaranteed lower bound on any future send
         time; the promise covers delivery stamps ``>= commit + latency``.
-        On legacy (unbatched) transports this immediately emits a
-        :class:`SyncMsg` exactly as before.  On batched transports the
+        In process the stamp is stored on the queue, visible to the peer at
+        its next poll.  On the unbatched shm transport this immediately
+        emits a :class:`SyncMsg`.  On batched transports the
         promise piggybacks on pending data frames when there are any; when
         the sender is idle, small promise increments are deferred (adaptive
         threshold) until either the increment grows past the threshold or
@@ -218,6 +222,12 @@ class ChannelEnd:
         if stamp <= self._out_last_stamp:
             return
         self._out_last_stamp = stamp
+        fifo = self._out_fifo
+        if fifo is not None:
+            self.tx_syncs += 1
+            fifo.promise = stamp
+            fifo.syncs += 1
+            return
         batch = self._out_batch
         if batch is None:
             self.tx_syncs += 1
@@ -284,8 +294,26 @@ class ChannelEnd:
     def poll(self) -> Iterable[Msg]:
         """Drain the input queue, returning data messages in stamp order.
 
-        Sync markers only raise the input horizon and are consumed here.
+        Sync markers and promises only raise the input horizon and are
+        consumed here.
         """
+        fifo = self._in_fifo
+        if fifo is not None:
+            out = ()
+            if fifo._q:
+                out = list(fifo._q)
+                fifo._q.clear()
+                self.rx_msgs += len(out)
+                if out[-1].stamp > self._in_horizon:
+                    self._in_horizon = out[-1].stamp
+            # after the data: a promise becomes visible at this poll, never
+            # between two polls
+            if fifo.syncs:
+                self.rx_syncs += fifo.syncs
+                fifo.syncs = 0
+                if fifo.promise > self._in_horizon:
+                    self._in_horizon = fifo.promise
+            return out
         if self.in_q is None:
             return ()  # not wired (yet): no input
         out = []

@@ -91,6 +91,11 @@ class Component:
         self.work_cycles = 0.0
         self.recorder: Optional[WorkRecorder] = None
         self._started = False
+        #: input horizon and the ends limiting it, as of the last poll
+        self._horizon = TIME_INFINITY
+        self._limiting: List[ChannelEnd] = []
+        #: last commitment published to the output ends
+        self._synced_commit = -1
         #: bound-method caches: avoid re-creating bound method objects on
         #: every delivery/schedule.  ``_schedule_at`` must be refreshed if
         #: ``self.queue`` is ever replaced (the fast-mode coordinator does).
@@ -160,40 +165,52 @@ class Component:
         deliveries in send order.  Send time is recovered as ``stamp -
         latency`` (per-channel latency is fixed), so only ``msg.seq`` travels
         on the wire.
+
+        The same pass over the ends records the input horizon and the ends
+        limiting it; :meth:`input_horizon` and :meth:`blocking_ends` report
+        that record (horizons only move when an end is polled).
         """
-        schedule_at = self._schedule_at
-        dispatch = self._dispatch_cached
         now = self.now
-        batch = []
+        batch = None
+        horizon = TIME_INFINITY
+        limiting = []
         for end in self.ends:
-            latency = end.latency
-            for msg in end.poll():
-                stamp = msg.stamp
-                if stamp < now:
-                    raise AssertionError(
-                        f"{self.name}: stale message stamp {stamp} < now {now}"
-                    )
-                batch.append((stamp, stamp - latency, msg.seq, end, msg))
-        if len(batch) > 1:
-            batch.sort(key=_delivery_order)
-        for stamp, _send_ts, _seq, end, msg in batch:
-            schedule_at(self, stamp, dispatch, end, msg)
+            msgs = end.poll()
+            if msgs:
+                if batch is None:
+                    batch = []
+                latency = end.latency
+                for msg in msgs:
+                    stamp = msg.stamp
+                    if stamp < now:
+                        raise AssertionError(
+                            f"{self.name}: stale message stamp {stamp} < now {now}"
+                        )
+                    batch.append((stamp, stamp - latency, msg.seq, end, msg))
+            hz = end.horizon()
+            if hz < horizon:
+                horizon = hz
+                limiting = [end]
+            elif hz == horizon and hz < TIME_INFINITY:
+                limiting.append(end)
+        self._horizon = horizon
+        self._limiting = limiting
+        if batch is not None:
+            if len(batch) > 1:
+                batch.sort(key=_delivery_order)
+            schedule_at = self._schedule_at
+            dispatch = self._dispatch_cached
+            for stamp, _send_ts, _seq, end, msg in batch:
+                schedule_at(self, stamp, dispatch, end, msg)
 
     def blocking_ends(self) -> List[ChannelEnd]:
-        """Channel ends currently limiting this component's progress."""
-        hz = self.input_horizon()
-        if hz >= TIME_INFINITY:
-            return []
-        return [e for e in self.ends if e.synchronized and e.horizon() == hz]
+        """Channel ends limiting this component's progress at its last poll."""
+        return self._limiting
 
     def input_horizon(self) -> int:
-        """Minimum horizon over all synchronized input channels."""
-        hz = TIME_INFINITY
-        for end in self.ends:
-            h = end.horizon()
-            if h < hz:
-                hz = h
-        return hz
+        """Minimum horizon over all synchronized input channels, as of the
+        last :meth:`poll_inputs`."""
+        return self._horizon
 
     def advance(self, target: int) -> int:
         """Run all currently-permitted events and return the new commitment.
@@ -207,19 +224,26 @@ class Component:
             self._started = True
             self.start()
         self.poll_inputs()
-        horizon = self.input_horizon()
+        horizon = self._horizon
         # Events may run at ts <= target and strictly below the horizon; the
-        # fused drain does the whole loop with one cancelled-scan per event.
+        # fused drain does the whole loop with one cancelled-scan per event
+        # and leaves the heap alone when nothing is due.  Every event left
+        # lies beyond the bound, so the commitment is the bound's own limit.
         # (Inputs arriving meanwhile only matter in multi-process mode, where
         # the runner re-polls between advance calls.)
-        bound = target if target < horizon else horizon - 1
+        if target < horizon:
+            commit = bound = target
+        else:
+            commit = horizon
+            bound = horizon - 1
         self.queue.run_until(bound)
-        nxt = self.queue.peek_ts()
-        commit = min(nxt if nxt is not None else TIME_INFINITY, horizon, target)
         if commit > self.now:
             self.now = commit
-        for end in self.ends:
-            end.maybe_sync(commit)
+        # an unchanged commitment cannot grow any end's promise
+        if commit > self._synced_commit:
+            self._synced_commit = commit
+            for end in self.ends:
+                end.maybe_sync(commit)
         return commit
 
     def _run_event(self, ev: Event) -> None:

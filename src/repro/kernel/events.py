@@ -256,6 +256,11 @@ class EventQueue:
         component (the coordinator and :meth:`Component.advance` guarantee
         this); ownerless events are executed without accounting.
         """
+        # nothing due: leave the heap as it is (cancelled heads are still
+        # recycled), so an idle drain costs no pop + push-back
+        nxt = self.peek_ts()
+        if nxt is None or nxt > until_ps:
+            return 0
         obs = self.obs
         if obs is not None:
             return self._run_until_traced(until_ps, obs)
@@ -266,7 +271,7 @@ class EventQueue:
         steps = 0
         while heap:
             # pop-first: cheaper than peek-then-pop per event; overshooting
-            # the bound costs a single push-back per drain instead
+            # the bound costs a single push-back per non-empty drain instead
             entry = pop(heap)
             ev = entry[2]
             if ev.cancelled:

@@ -120,6 +120,8 @@ class Simulation:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.components: List[Component] = []
+        #: component name -> position in ``components``
+        self._index: Dict[str, int] = {}
         self.channels: List[Tuple[ChannelEnd, ChannelEnd]] = []
         self.recorder: Optional[WorkRecorder] = None
         if work_window_ps is not None:
@@ -146,8 +148,9 @@ class Simulation:
 
     def add(self, comp: Component) -> Component:
         """Register a component simulator."""
-        if any(c.name == comp.name for c in self.components):
+        if comp.name in self._index:
             raise ValueError(f"duplicate component name {comp.name!r}")
+        self._index[comp.name] = len(self.components)
         self.components.append(comp)
         return comp
 
@@ -159,10 +162,7 @@ class Simulation:
 
     def component(self, name: str) -> Component:
         """Look up a component by name."""
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return self.components[self._index[name]]
 
     # -- execution ---------------------------------------------------------
 
@@ -262,7 +262,8 @@ class Simulation:
 
     def _run_strict(self, until_ps: int) -> int:
         comps = self.components
-        commits = {c.name: -1 for c in comps}
+        #: last commitment of each component, by position in ``comps``
+        commits = [-1] * len(comps)
         rounds = 0
         obs = self.obs
         if obs is not None:
@@ -278,17 +279,20 @@ class Simulation:
         while True:
             progressed = False
             done = True
-            for c in comps:
+            for i, c in enumerate(comps):
                 before_events = c.events_processed
+                # through the instance: callers may shadow ``advance`` on it
                 commit = c.advance(until_ps)
-                if commit > commits[c.name] or c.events_processed > before_events:
+                if commit > commits[i] or c.events_processed > before_events:
                     progressed = True
-                commits[c.name] = commit
+                commits[i] = commit
                 if commit < until_ps:
                     done = False
-                    # Attribute a poll's worth of waiting to the limiting ends.
+                    # Attribute a poll's worth of waiting to the ends that
+                    # limited this step (recorded by the component's poll).
                     for end in c.blocking_ends():
-                        end.note_wait(POLL_COST_CYCLES)
+                        end.wait_polls += 1
+                        end.wait_cycles += POLL_COST_CYCLES
             rounds += 1
             if self.round_hook is not None:
                 self.round_hook()
@@ -305,6 +309,6 @@ class Simulation:
                 return rounds
             if not progressed:
                 detail = ", ".join(
-                    f"{c.name}@{commits[c.name]} hz={c.input_horizon()}" for c in comps
-                )
+                    f"{c.name}@{commit} hz={c.input_horizon()}"
+                    for c, commit in zip(comps, commits))
                 raise DeadlockError(f"no progress after round {rounds}: {detail}")

@@ -129,6 +129,31 @@ def test_run_until_inclusive_bound_and_owner_accounting():
     assert q.executed == 2
 
 
+def test_idle_run_until_leaves_heap_and_stats_untouched():
+    """Nothing due: no pop + push-back (which reorders the heap array)."""
+    q = EventQueue()
+    for ts in (10, 20, 15, 30, 25):
+        q.schedule(ts, lambda: None)
+    heap, stats = list(q._heap), q.stats()
+    for _ in range(3):
+        assert q.run_until(9) == 0
+    assert q._heap == heap
+    assert q.stats() == stats
+    assert len(q) == 5
+    assert EventQueue().run_until(9) == 0
+
+
+def test_idle_run_until_still_recycles_cancelled_heads():
+    q = EventQueue()
+    dead = q.schedule(5, lambda: None)
+    live = q.schedule(10, lambda: None)
+    q.cancel(dead)
+    assert q.run_until(9) == 0
+    assert [entry[2] for entry in q._heap] == [live]
+    assert q._pool == [dead]
+    assert len(q) == 1 and q.executed == 0
+
+
 def test_stats_dict_consistency():
     q = EventQueue()
     evs = [q.schedule(i, lambda: None) for i in range(8)]

@@ -15,15 +15,20 @@ observe.  The equality property therefore quantifies over workloads without
 such cross-sender timestamp collisions (``assume`` below discards the rest).
 """
 
+from contextlib import contextmanager
 from itertools import groupby
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.channels.channel import ChannelEnd
+from repro.channels.channel import (ChannelEnd, connect,
+                                    set_transport_batching,
+                                    transport_batching)
 from repro.channels.messages import RawMsg
 from repro.kernel.component import Component
 from repro.kernel.rng import make_rng
 from repro.kernel.simtime import NS, US
+from repro.parallel.shm_ring import ShmRing
 from repro.parallel.simulation import Simulation
 
 
@@ -180,3 +185,63 @@ def test_strict_sync_stamps_monotonic(wl):
     total_tx = sum(e.tx_msgs for e in ends)
     total_rx = sum(e.rx_msgs for e in ends)
     assert total_tx == total_rx
+
+
+# -- the contract every transport shares ---------------------------------------
+
+@contextmanager
+def wired_pair(transport, latency):
+    """A ``ChannelEnd`` pair over the in-process queue or real shm rings."""
+    a = ChannelEnd("a", latency=latency)
+    b = ChannelEnd("b", latency=latency)
+    if transport == "fifo":
+        connect(a, b)
+        yield a, b
+        return
+    batching = transport_batching()
+    set_transport_batching(transport == "shm-batched")
+    try:
+        with ShmRing.create(1 << 16) as ab, ShmRing.create(1 << 16) as ba:
+            a.wire(out_q=ab, in_q=ba, peer_name="b")
+            b.wire(out_q=ba, in_q=ab, peer_name="a")
+            yield a, b
+    finally:
+        set_transport_batching(batching)
+
+
+@pytest.mark.parametrize("transport", ["fifo", "shm-unbatched", "shm-batched"])
+@given(ops=st.lists(st.tuples(st.sampled_from(["send", "sync", "poll"]),
+                              st.integers(min_value=0, max_value=3_000)),
+                    max_size=60),
+       latency=st.integers(min_value=1, max_value=2_000))
+@settings(max_examples=40, deadline=None)
+def test_any_interleaving_of_send_sync_poll_keeps_the_contract(
+        transport, ops, latency):
+    """Whatever the transport does with a promise (queue field, frame
+    header, marker frame, deferral), after a final poll the receiver has
+    every data message in send order, a horizon equal to the largest stamp
+    the sender produced, and as many syncs counted as the sender emitted."""
+    with wired_pair(transport, latency) as (a, b):
+        now = 0
+        sent, got, top = [], [], 0
+        for op, gap in ops:
+            now += gap
+            if op == "send":
+                a.send(RawMsg(payload=len(sent)), now=now)
+                sent.append(now + latency)
+                top = now + latency
+            elif op == "sync":
+                a.maybe_sync(commit=now)
+                top = max(top, now + latency)
+            else:
+                a.flush()
+                before = b.horizon()
+                got.extend(b.poll())
+                assert before <= b.horizon() <= top
+        a.flush(blocked=True)  # batched transports may defer idle promises
+        got.extend(b.poll())
+        assert b.horizon() == top
+        assert b.rx_syncs == a.tx_syncs
+        assert [m.payload for m in got] == list(range(len(sent)))
+        assert [m.stamp for m in got] == sent
+        assert (a.tx_msgs, b.rx_msgs) == (len(sent), len(sent))
