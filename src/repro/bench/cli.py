@@ -181,7 +181,6 @@ def _run_obs(scale: float, repeat: int, trace_alloc: bool) -> List[BenchResult]:
     def variant(traced: bool, flow_sample=None, timeline: bool = False,
                 audit: bool = False):
         def workload():
-            from ..obs.flows import uninstall_flow_recorder
             from ..orchestration.instantiate import Instantiation
             exp = Instantiation(build_mixed_system(), mode="strict",
                                 trace=traced, timeline=timeline,
@@ -189,21 +188,25 @@ def _run_obs(scale: float, repeat: int, trace_alloc: bool) -> List[BenchResult]:
                                 flow_sample=flow_sample).build()
             state: Dict[str, int] = {}
 
+            recorders = exp.recorders
+
             def run():
                 try:
                     result = exp.run(duration)
                 finally:
-                    if exp.flow_recorder is not None:
-                        state["flow_hops"] = exp.flow_recorder.emitted
-                        uninstall_flow_recorder()
+                    if flow_sample is not None:
+                        state["flow_hops"] = recorders["trace"].flows.emitted
+                        exp.disable_flow_tracing()
                 state["events"] = result.stats.events
-                if exp.tracer is not None:
-                    state["trace_records"] = len(exp.tracer)
-                    state["trace_dropped"] = exp.tracer.dropped
-                if exp.timeline is not None:
-                    state["timeline_rows"] = len(exp.timeline.rows)
-                if exp.audit is not None:
-                    state["audit_rows"] = len(exp.audit.sorted_rows())
+                if "trace" in recorders:
+                    tracer = recorders["trace"].tracer
+                    state["trace_records"] = len(tracer)
+                    state["trace_dropped"] = tracer.dropped
+                if "timeline" in recorders:
+                    state["timeline_rows"] = len(recorders["timeline"].rows)
+                if "audit" in recorders:
+                    state["audit_rows"] = len(
+                        recorders["audit"].sorted_rows())
 
             return run, lambda: dict(state)
         return workload
@@ -263,7 +266,7 @@ def _run_mp(scale: float, repeat: int, trace_alloc: bool) -> List[BenchResult]:
             f"mp_events_{n}p", {"processes": n, "duration_ps": until},
             mp_events_workload(n, until, batch=True),
             repeat=repeat, trace_alloc=trace_alloc))
-    # unbatched pickle baseline at the smallest count: on a single-core
+    # unbatched pickle baseline at the smallest count: on this two-core
     # host larger counts measure scheduler contention, not the transport
     smallest = proc_counts[0]
     results.append(measure(

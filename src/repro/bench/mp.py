@@ -136,13 +136,13 @@ AUDIT_WINDOW_PS = 5 * US
 def inproc_audit_ledger(n: int, until_ps: int, tokens: int = TOKENS,
                         window_ps: int = AUDIT_WINDOW_PS):
     """Audit ledger of the strict in-process pipeline run."""
-    from ..obs.audit import AuditRecorder
-    sim, comps = _build_inproc(n, tokens)
-    sim._wire()
-    recorder = AuditRecorder(comps, window_ps=window_ps)
-    sim.audit = recorder
-    sim._run_strict(until_ps)
-    return recorder.to_ledger(mode="strict")
+    from ..obs.audit import AuditCollector
+    from ..obs.recorder import ProbeDriver
+    sim, _ = _build_inproc(n, tokens)
+    collector = AuditCollector(window_ps=window_ps)
+    sim.observers.append(ProbeDriver(collector))
+    sim.run(until_ps)
+    return collector.to_ledger()
 
 
 def mp_audit_ledger(n: int, until_ps: int, tokens: int = TOKENS,
@@ -151,12 +151,12 @@ def mp_audit_ledger(n: int, until_ps: int, tokens: int = TOKENS,
     """Audit ledger of the real multiprocess pipeline run."""
     import os
 
-    from ..obs.audit import load_audit
+    from ..obs.audit import AuditCollector, load_audit
     specs, channels = pipeline_specs(n, tokens)
     path = os.path.join(tmpdir, "audit.jsonl")
-    ProcessRunner(specs, channels).run(
-        until_ps, timeout_s=timeout_s, audit_path=path,
-        audit_window_ps=window_ps)
+    runner = ProcessRunner(specs, channels)
+    runner.recorders.append(AuditCollector(path, window_ps))
+    runner.run(until_ps, timeout_s=timeout_s)
     return load_audit(path)
 
 

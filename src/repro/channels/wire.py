@@ -29,15 +29,13 @@ failures from out-of-range field values (negative addresses, huge ints)
 transparently fall back to the pickle frame, so the codec never restricts
 what a message may carry — it only accelerates the common case.
 
-The codec can be disabled globally (``SPLITSIM_WIRE_PICKLE=1`` or
-:func:`set_codec_enabled`), which forces every frame through the pickle
-tag; the determinism tests run the multiprocess transport both ways and
+The codec can be disabled globally (:func:`set_codec_enabled`), which
+forces every frame through the pickle tag; the determinism tests run the multiprocess transport both ways and
 pin identical event timelines.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 from struct import Struct
@@ -102,7 +100,7 @@ _TAIL_BYTES = b"\x01"
 _TAIL_PICKLE = b"\x02"
 
 #: Codec switch, shared with forked children (mutate, don't rebind).
-_CODEC = [os.environ.get("SPLITSIM_WIRE_PICKLE", "") not in ("1", "true")]
+_CODEC = [True]
 
 # Fallback counters (per process; children report them via ProcResult).
 _msg_pickles = 0

@@ -246,13 +246,6 @@ class Component:
                 end.maybe_sync(commit)
         return commit
 
-    def _run_event(self, ev: Event) -> None:
-        self.events_processed += 1
-        self.work_cycles += self.cycles_per_event
-        if self.recorder is not None:
-            self.recorder.note_work(self.name, ev.ts, self.cycles_per_event)
-        ev.fn(*ev.args)
-
     def _dispatch(self, end: ChannelEnd, msg: Msg) -> None:
         rec = _FLOWS[0]
         if rec is not None:

@@ -84,9 +84,9 @@ class EventQueue:
         self.trace: Optional[Callable[[Any, int], None]] = None
         #: observability hook: ``None`` (tracing disabled; one pointer test
         #: per *drain*) or a ``(Tracer, tid)`` pair installed by
-        #: :mod:`repro.obs.install`.  The traced drain emits one span per
-        #: drain plus sampled queue-health counter tracks; it never changes
-        #: event order, so the determinism guard holds with tracing on.
+        #: :mod:`repro.obs.install`.  A traced drain emits one span plus
+        #: sampled queue-health counter tracks; it never changes event
+        #: order, so the determinism guard holds with tracing on.
         self.obs: Optional[tuple] = None
         # -- lifetime statistics (surfaced through SimStats) --
         self.peak_heap = 0
@@ -110,37 +110,13 @@ class EventQueue:
     def schedule(self, ts: int, fn: Callable[..., None], *args: Any,
                  owner: Any = None) -> Event:
         """Insert a callback at absolute time ``ts`` and return its handle."""
-        if ts < 0:
-            raise ValueError(f"cannot schedule event at negative time {ts}")
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.ts = ts
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.owner = owner
-        else:
-            ev = Event(ts, seq, fn, args, owner=owner, queue=self)
-            self.allocations += 1
-        self._live += 1
-        heap = self._heap
-        heapq.heappush(heap, (ts, seq, ev))
-        # sampled high-water mark: every 256th schedule, cheap on the hot path
-        if not seq & 255 and len(heap) > self.peak_heap:
-            self.peak_heap = len(heap)
-        return ev
+        return self.schedule_at(owner, ts, fn, *args)
 
     def schedule_at(self, owner: Any, ts: int, fn: Callable[..., None],
                     *args: Any) -> Event:
-        """Positional-owner mirror of :meth:`schedule` for hot callers.
-
-        Identical semantics; exists because keyword passing of ``owner`` is
-        measurably slower on the per-message path (``call_after``,
-        ``poll_inputs``, fast-mode channel delivery).
+        """:meth:`schedule` with a positional owner, for hot callers:
+        keyword passing of ``owner`` is measurably slower on the per-message
+        path (``call_after``, ``poll_inputs``, fast-mode channel delivery).
         """
         if ts < 0:
             raise ValueError(f"cannot schedule event at negative time {ts}")
@@ -261,14 +237,12 @@ class EventQueue:
         nxt = self.peek_ts()
         if nxt is None or nxt > until_ps:
             return 0
-        obs = self.obs
-        if obs is not None:
-            return self._run_until_traced(until_ps, obs)
         heap = self._heap
         pop = heapq.heappop
         pool = self._pool
         trace = self.trace
         steps = 0
+        last_ts = nxt
         while heap:
             # pop-first: cheaper than peek-then-pop per event; overshooting
             # the bound costs a single push-back per non-empty drain instead
@@ -285,6 +259,7 @@ class EventQueue:
                 heapq.heappush(heap, entry)
                 break
             steps += 1
+            last_ts = ts
             owner = ev.owner
             if owner is not None:
                 owner.now = ts
@@ -307,68 +282,21 @@ class EventQueue:
         # live-count is settled once per drain, not per event; ``len()`` is
         # only meaningful at drain boundaries (nothing reads it mid-drain)
         self._live -= steps
-        self.executed += steps
-        return steps
-
-    def _run_until_traced(self, until_ps: int, obs: tuple) -> int:
-        """Traced mirror of :meth:`run_until` (identical event order).
-
-        Duplicated rather than branch-instrumented so the untraced drain
-        pays nothing per event.  Emits one ``kernel.drain`` span covering
-        the drained interval and, every 8192 events, a queue-health counter
-        sample (heap depth, free-list size).
-        """
-        tracer, tid = obs
-        counter = tracer.counter
-        heap = self._heap
-        pop = heapq.heappop
-        pool = self._pool
-        trace = self.trace
-        steps = 0
-        first_ts = -1
-        last_ts = 0
-        while heap:
-            entry = pop(heap)
-            ev = entry[2]
-            if ev.cancelled:
-                ev.fn = _released
-                ev.args = ()
-                ev.owner = None
-                pool.append(ev)
-                continue
-            ts = entry[0]
-            if ts > until_ps:
-                heapq.heappush(heap, entry)
-                break
-            if first_ts < 0:
-                first_ts = ts
-            last_ts = ts
-            steps += 1
-            if not steps & 8191:
-                counter(tid, "kernel", "kernel.queue", ts / 1_000_000,
-                        {"heap": len(heap), "pool": len(pool)})
-            owner = ev.owner
-            if owner is not None:
-                owner.now = ts
-                owner.events_processed += 1
-                cycles = owner.cycles_per_event
-                owner.work_cycles += cycles
-                recorder = owner.recorder
-                if recorder is not None:
-                    recorder.note_work(owner.name, ts, cycles)
-            if trace is not None:
-                trace(owner, ts)
-            ev.fn(*ev.args)
-            ev.fn = _released
-            ev.args = ()
-            ev.cancelled = True
-            pool.append(ev)
-        self._live -= steps
-        self.executed += steps
-        if steps:
-            start_us = first_ts / 1_000_000
+        executed = self.executed + steps
+        obs = self.obs
+        if obs is not None:
+            # one span per drain, first -> last executed timestamp; emitted
+            # after the loop so the drain pays one local store per event
+            tracer, tid = obs
+            start_us = nxt / 1_000_000
             tracer.span(tid, "kernel", "drain", start_us,
                         last_ts / 1_000_000 - start_us, {"events": steps})
+            if (executed ^ self.executed) >> 13:
+                # queue-health sample, about every 8192 executed events
+                tracer.counter(tid, "kernel", "kernel.queue",
+                               last_ts / 1_000_000,
+                               {"heap": len(heap), "pool": len(pool)})
+        self.executed = executed
         return steps
 
     # -- statistics --------------------------------------------------------

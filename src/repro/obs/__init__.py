@@ -25,6 +25,10 @@ measures against.  It has four pieces:
   provenance (flow/hop ids carried in the wire header), per-hop latency
   records, and the post-processor that reconstructs flow trees, latency
   attribution, and the critical-path bottleneck.
+* :mod:`repro.obs.recorder` — the recorder seam: the probe / collector /
+  observer contracts through which every recorder plugs into fast,
+  strict and multiprocess runs, and the shared columnar-JSONL document
+  reader/writer.
 * :mod:`repro.obs.timeline` — the epoch-resolved metrics timeline:
   per-sync-epoch compute/wait/comm cycles, per-edge message and sync
   counts, and selected registry counters, recorded at round boundaries
@@ -55,53 +59,54 @@ from .telemetry import (HEALTH_DONE, HEALTH_FAILED, HEALTH_OK, HEALTH_STALE,
                         HealthMonitor, MAX_ALERTS, MAX_HEARTBEATS,
                         RUN_REPORT_SCHEMA, TelemetryAggregator,
                         build_run_report, write_run_report)
-from .trace import (ORCH_PID, PhaseClock, TRACE_SCHEMA, Tracer, chrome_doc,
+from .trace import (ORCH_PID, TRACE_SCHEMA, Tracer, chrome_doc,
                     load_trace, merge_trace_jsonl, us_from_ps,
                     validate_chrome_doc)
-from .flows import (FLOW_SAMPLE_ENV, Flow, FlowHop, FlowRecorder, FlowReport,
+from .flows import (Flow, FlowHop, FlowRecorder, FlowReport,
                     analyze_doc, extract_flows, flow_origin, flow_serial,
-                    install_flow_recorder, retune_sample, sample_from_env,
+                    install_flow_recorder, retune_sample,
                     uninstall_flow_recorder)
 from .live import (CONTROL_FILE, CONTROL_SCHEMA, ChildMailbox, ControlClient,
                    ControlError, ControlPlane, read_control_file,
                    wait_for_control)
-from .install import (install_component_tracer, install_network_tracer,
-                      install_tracer, wire_tracer)
-from .timeline import (EpochRow, EpochTracker, MpTimelineCollector,
-                       TIMELINE_FILE, TIMELINE_SCHEMA, Timeline,
-                       TimelineRecorder, detect_phases, load_timeline,
-                       resolve_timeline_path, save_timeline)
-from .audit import (AUDIT_FILE, AUDIT_SCHEMA, AuditDiff, AuditDivergence,
-                    AuditLedger, AuditRecorder, AuditRow, ComponentAuditor,
-                    DEFAULT_WINDOW_PS, MpAuditCollector, diff_ledgers,
-                    fold_root, load_audit, resolve_audit_path)
+from .install import (TraceRecorder, TracerSampler, install_network_tracer,
+                      install_tracer)
+from .recorder import ProbeDriver
+from .timeline import (EpochRow, EpochTracker, TIMELINE_FILE,
+                       TIMELINE_SCHEMA, Timeline, TimelineCollector,
+                       detect_phases, load_timeline, resolve_timeline_path,
+                       save_timeline)
+from .audit import (AUDIT_FILE, AUDIT_SCHEMA, AuditCollector, AuditDiff,
+                    AuditDivergence, AuditLedger, AuditRow, ComponentAuditor,
+                    DEFAULT_WINDOW_PS, diff_ledgers, fold_root, load_audit,
+                    resolve_audit_path)
 from .schema import ALL_SCHEMAS
 from . import names
 
 __all__ = [
-    "Tracer", "PhaseClock", "chrome_doc", "load_trace", "merge_trace_jsonl",
+    "Tracer", "chrome_doc", "load_trace", "merge_trace_jsonl",
     "us_from_ps", "validate_chrome_doc", "TRACE_SCHEMA", "ORCH_PID",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS_SCHEMA",
     "collect_simulation", "collect_experiment", "collect_live_children",
-    "install_tracer", "wire_tracer", "install_component_tracer",
-    "install_network_tracer",
+    "install_tracer", "install_network_tracer",
+    "TracerSampler", "TraceRecorder",
+    "ProbeDriver",
     "Heartbeat", "TelemetryAggregator", "HealthMonitor", "build_run_report",
     "write_run_report", "RUN_REPORT_SCHEMA", "MAX_HEARTBEATS", "MAX_ALERTS",
     "HEALTH_STARTING", "HEALTH_OK", "HEALTH_STALLED", "HEALTH_STALE",
     "HEALTH_DONE", "HEALTH_FAILED",
-    "FlowRecorder", "FlowReport", "Flow", "FlowHop", "FLOW_SAMPLE_ENV",
+    "FlowRecorder", "FlowReport", "Flow", "FlowHop",
     "install_flow_recorder", "uninstall_flow_recorder", "analyze_doc",
-    "extract_flows", "flow_origin", "flow_serial", "sample_from_env",
-    "retune_sample",
+    "extract_flows", "flow_origin", "flow_serial", "retune_sample",
     "ControlPlane", "ControlClient", "ChildMailbox", "ControlError",
     "CONTROL_SCHEMA", "CONTROL_FILE", "read_control_file",
     "wait_for_control",
-    "Timeline", "TimelineRecorder", "EpochRow", "EpochTracker",
-    "MpTimelineCollector", "TIMELINE_SCHEMA", "TIMELINE_FILE",
+    "Timeline", "TimelineCollector", "EpochRow", "EpochTracker",
+    "TIMELINE_SCHEMA", "TIMELINE_FILE",
     "save_timeline", "load_timeline", "resolve_timeline_path",
     "detect_phases",
-    "AuditRecorder", "AuditLedger", "AuditRow", "AuditDiff",
-    "AuditDivergence", "ComponentAuditor", "MpAuditCollector",
+    "AuditCollector", "AuditLedger", "AuditRow", "AuditDiff",
+    "AuditDivergence", "ComponentAuditor",
     "diff_ledgers", "fold_root", "load_audit", "resolve_audit_path",
     "AUDIT_SCHEMA", "AUDIT_FILE", "DEFAULT_WINDOW_PS", "ALL_SCHEMAS",
     "names",

@@ -33,13 +33,13 @@ events" semantics.  Auditing is observation only (one list-append per
 event on an already-existing kernel trace hook), so the root equals
 ``GOLDEN_DIGEST`` with auditing on or off.
 
-Sampling points mirror the epoch timeline (:mod:`repro.obs.timeline`):
-the strict in-process coordinator flushes closed windows at sync-round
-boundaries (:meth:`AuditRecorder.on_round`); multiprocess children flush
-on telemetry heartbeats, piggyback the closed rows on the
-:class:`~repro.obs.telemetry.Heartbeat`, and ship their final digest plus
-zlib-compressed payload in the :class:`~repro.parallel.procrunner.ProcResult`
-so the parent's :class:`MpAuditCollector` can fold the exact root.
+One probe, one collector (see :mod:`repro.obs.recorder` for who drives
+them): a :class:`ComponentAuditor` per component closes complete windows
+on every beat — sync-round boundaries in process, telemetry heartbeats in
+multiprocess children — and hands the freshly closed rows over; its result
+carries the authoritative rows, the component digest and the full payload
+(zlib-compressed when it crosses a process boundary) so the
+:class:`AuditCollector` can fold the exact root.
 
 Persistence is columnar JSONL (``audit.jsonl``): a header object, one
 ``{"c": comp_index, "e": epoch, "n": events, "d": digest, "t0": .., "t1": ..}``
@@ -51,14 +51,13 @@ references the ledger (schema 4's ``audit`` field).
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..kernel.simtime import US, fmt_time
+from .recorder import Collector, JsonlDoc
 from .schema import AUDIT_SCHEMA
 
 #: The header's ``kind`` marker (guards against loading arbitrary JSONL).
@@ -70,9 +69,13 @@ AUDIT_FILE = "audit.jsonl"
 #: Default epoch width in simulated picoseconds (64 us).
 DEFAULT_WINDOW_PS = 64 * US
 
-#: Name bucket for events executed without an owning component (matches
-#: the determinism guard's defensive ``"?"`` bucket).
-UNOWNED = "?"
+#: In-process beat period in strict sync rounds.  The probes' results carry
+#: every row anyway; in-process beats only bound the pending-timestamp
+#: buffers, so they can be sparse (each flush has a fixed cost).
+INPROC_BEAT_ROUNDS = 1024
+
+_DOC = JsonlDoc(AUDIT_KIND, AUDIT_SCHEMA, AUDIT_FILE, "audit",
+                "an audit ledger")
 
 
 def chunk_digest(prev: str, epoch: int, chunk: str) -> str:
@@ -115,36 +118,83 @@ class AuditRow:
                    t0=w["t0"], t1=w["t1"])
 
 
-class ComponentAuditor:
-    """Streaming per-component window state.
+def _owner_hook(prev):
+    """A ``queue.trace`` hook appending each executed timestamp to its
+    owner's probe buffer (``hook.appends[owner]``), then chaining ``prev``
+    — so the determinism guard's own tracer keeps working with auditing
+    on.  By-owner dispatch serves private (strict, mp) and shared (fast)
+    queues alike."""
+    appends: Dict[object, object] = {}
+    if prev is None:
+        def hook(owner, ts):
+            appends[owner](ts)
+    else:
+        def hook(owner, ts):
+            appends[owner](ts)
+            prev(owner, ts)
+    hook.appends = appends
+    hook.prev = prev
+    return hook
 
-    The hot path is :attr:`buf` ``.append`` — installed directly as (or
-    chained into) the kernel's per-event ``queue.trace`` hook, so auditing
-    costs exactly what the multiprocess ``digest=True`` path already
-    costs.  Window splitting, digest chaining, and payload accumulation
-    all happen in batch at flush points (sync rounds / heartbeats / run
-    end) over the buffered, already-sorted timestamps.
+
+class _Payload(str):
+    """A component payload that zlib-compresses itself when pickled, i.e.
+    only when it crosses a process boundary on the result queue."""
+
+    def __reduce__(self):
+        return _unpack_payload, (zlib.compress(self.encode()),)
+
+
+def _unpack_payload(blob: bytes) -> str:
+    return zlib.decompress(blob).decode()
+
+
+class ComponentAuditor:
+    """The audit probe: streaming per-component window state.
+
+    The hot path is :attr:`buf` ``.append``, reached from the kernel's
+    per-event ``queue.trace`` hook (:meth:`attach` installs it).  Window
+    splitting, digest chaining, and payload accumulation all happen in
+    batch at flush points (beats / run end) over the buffered,
+    already-sorted timestamps.
     """
 
-    __slots__ = ("name", "window_ps", "buf", "rows", "chunks", "_prev",
-                 "_taken")
+    name = "audit"
 
-    def __init__(self, name: str, window_ps: int = DEFAULT_WINDOW_PS) -> None:
+    __slots__ = ("comp", "window_ps", "buf", "rows", "chunks", "_prev",
+                 "_taken", "_hooked")
+
+    def __init__(self, comp: str, window_ps: int = DEFAULT_WINDOW_PS) -> None:
         if window_ps <= 0:
             raise ValueError("window_ps must be positive")
-        self.name = name
+        self.comp = comp               # component name
         self.window_ps = window_ps
         self.buf: List[int] = []       # pending timestamps (nondecreasing)
         self.rows: List[AuditRow] = []
         self.chunks: List[str] = []    # closed-window timestamp text
         self._prev = ""                # chain seed for the next window
         self._taken = 0                # rows already shipped via take_rows
+        self._hooked = None            # (queue, hook) while installed
+
+    @classmethod
+    def attach(cls, comp, window_ps: int = DEFAULT_WINDOW_PS
+               ) -> "ComponentAuditor":
+        """Audit a live component: hook its queue's per-event trace
+        (call after wiring, before the run; :meth:`result` unhooks)."""
+        probe = cls(comp.name, window_ps)
+        queue = comp.queue
+        hook = queue.trace
+        if getattr(hook, "appends", None) is None:
+            hook = queue.trace = _owner_hook(hook)
+        hook.appends[comp] = probe.buf.append
+        probe._hooked = (queue, hook)
+        return probe
 
     def _flush_below(self, limit: Optional[int]) -> None:
         """Close every complete window strictly below ``limit`` (None=all).
 
-        ``buf`` is trimmed in place — installed trace hooks hold a bound
-        ``buf.append``, so the list's identity must never change.
+        ``buf`` is trimmed in place — the installed trace hook holds a
+        bound ``buf.append``, so the list's identity must never change.
         """
         buf = self.buf
         if not buf:
@@ -162,14 +212,11 @@ class ComponentAuditor:
         i, n = 0, len(closed)
         while i < n:
             epoch = closed[i] // w
-            upper = (epoch + 1) * w
-            j = i
-            while j < n and closed[j] < upper:
-                j += 1
+            j = bisect_left(closed, (epoch + 1) * w, i)
             group = closed[i:j]
             chunk = ",".join(map(str, group))
             self._prev = chunk_digest(self._prev, epoch, chunk)
-            self.rows.append(AuditRow(self.name, epoch, j - i, self._prev,
+            self.rows.append(AuditRow(self.comp, epoch, j - i, self._prev,
                                       group[0], group[-1]))
             self.chunks.append(chunk)
             i = j
@@ -198,13 +245,32 @@ class ComponentAuditor:
         self._taken = len(rows)
         return fresh
 
+    def beat(self, commit_ps: int) -> Optional[List[dict]]:
+        """Close complete windows; the freshly closed rows, if any."""
+        self.flush_closed()
+        return self.take_rows() or None
+
+    def result(self) -> dict:
+        """Close the trailing window, unhook, and ship the final state:
+        every row, the component digest and the full payload."""
+        self.finalize()
+        if self._hooked is not None:
+            queue, hook = self._hooked
+            self._hooked = None
+            if queue.trace is hook:  # a shared queue's first result unhooks
+                queue.trace = hook.prev
+        return {"rows": [r.to_wire() for r in self.rows],
+                "digest": self.digest(),
+                "payload": _Payload(self.payload()),
+                "events": self.events}
+
     @property
     def events(self) -> int:
         return sum(r.n for r in self.rows) + len(self.buf)
 
     def payload(self) -> str:
         """The exact golden-fold payload: ``name:ts,ts,...;``."""
-        return self.name + ":" + ",".join(self.chunks) + ";"
+        return self.comp + ":" + ",".join(self.chunks) + ";"
 
     def digest(self) -> Optional[str]:
         """Component timeline digest (None when no events executed).
@@ -217,262 +283,99 @@ class ComponentAuditor:
         return hashlib.sha256(self.payload().encode()).hexdigest()
 
 
-class AuditRecorder:
-    """In-process auditor over a :class:`~repro.parallel.simulation.Simulation`.
+class AuditCollector(Collector):
+    """Assembles the probes' rows and results into the ledger.
 
-    Attach via :meth:`Experiment.enable_audit` (which sets
-    ``Simulation.audit``); :meth:`start` installs a per-event trace hook
-    on every distinct event queue — one ``list.append`` per component in
-    strict mode (private queues), a dict-dispatch in fast mode (shared
-    queue) — *chaining* any pre-installed hook so the determinism guard's
-    own tracer keeps working with auditing on.  The strict coordinator
-    calls :meth:`on_round` every ``interval_rounds`` sync rounds to close
-    complete windows; :meth:`finish` restores the hooks and closes the
-    trailing windows.
+    Beat rows keep the ledger partially populated when a component never
+    delivers its result (a crashed mp child); the result's row list is
+    authoritative.  The root is computed — exactly the golden fold — only
+    when every component's full payload arrived; otherwise the ledger is
+    marked partial with a ``null`` root.
     """
 
-    def __init__(self, components, window_ps: int = DEFAULT_WINDOW_PS,
-                 interval_rounds: int = 64,
+    name = "audit"
+
+    def __init__(self, path: Optional[str] = None,
+                 window_ps: Optional[int] = None,
                  meta: Optional[dict] = None) -> None:
-        if interval_rounds <= 0:
-            raise ValueError("interval_rounds must be positive")
-        self.components = list(components)
-        self.window_ps = window_ps
-        self.interval_rounds = interval_rounds
-        self.meta = dict(meta or {})
-        self.until_ps = 0
-        self.auditors: Dict[str, ComponentAuditor] = {
-            c.name: ComponentAuditor(c.name, window_ps)
-            for c in self.components}
-        self._installed: List[Tuple[object, Optional[Callable]]] = []
-        self.finished = False
-
-    # -- hook management ---------------------------------------------------
-
-    def _chain(self, fn: Callable, prev: Optional[Callable]) -> Callable:
-        if prev is None:
-            return fn
-        def hook(owner, ts, _fn=fn, _prev=prev):
-            _fn(owner, ts)
-            _prev(owner, ts)
-        return hook
-
-    def _shared_hook(self, comps) -> Callable:
-        """Dispatch-by-owner hook for a queue serving many components."""
-        appends = {c: self.auditors[c.name].buf.append for c in comps}
-        def hook(owner, ts, _appends=appends):
-            append = _appends.get(owner)
-            if append is None:
-                name = owner.name if owner is not None else UNOWNED
-                auditor = self.auditors.setdefault(
-                    name, ComponentAuditor(name, self.window_ps))
-                append = _appends[owner] = auditor.buf.append
-            append(ts)
-        return hook
-
-    def start(self, until_ps: int) -> None:
-        """Install trace hooks (call after wiring, before the run)."""
-        self.until_ps = until_ps
-        by_queue: Dict[int, Tuple[object, list]] = {}
-        for c in self.components:
-            by_queue.setdefault(id(c.queue), (c.queue, []))[1].append(c)
-        for queue, comps in by_queue.values():
-            prev = queue.trace
-            if len(comps) == 1:
-                append = self.auditors[comps[0].name].buf.append
-                fn = lambda owner, ts, _a=append: _a(ts)
-            else:
-                fn = self._shared_hook(comps)
-            queue.trace = self._chain(fn, prev)
-            self._installed.append((queue, prev))
-
-    def on_round(self) -> None:
-        """Strict-coordinator flush point: close complete windows."""
-        for auditor in self.auditors.values():
-            auditor.flush_closed()
-
-    def finish(self) -> None:
-        """Restore hooks and close the trailing windows."""
-        if self.finished:
-            return
-        self.finished = True
-        for queue, prev in self._installed:
-            queue.trace = prev
-        self._installed = []
-        for auditor in self.auditors.values():
-            auditor.finalize()
-
-    # -- results -----------------------------------------------------------
-
-    def _active(self) -> Dict[str, ComponentAuditor]:
-        return {n: a for n, a in self.auditors.items() if a.chunks}
-
-    def root_digest(self) -> str:
-        """The golden fold over every audited component's payload."""
-        return fold_root({n: a.payload() for n, a in self._active().items()})
-
-    def component_digests(self) -> Dict[str, str]:
-        return {n: a.digest() for n, a in self._active().items()}
-
-    def sorted_rows(self) -> List[AuditRow]:
-        comp_index = {n: i for i, n in enumerate(sorted(self.auditors))}
-        rows = [r for a in self.auditors.values() for r in a.rows]
-        rows.sort(key=lambda r: (r.epoch, comp_index[r.comp]))
-        return rows
-
-    def to_ledger(self, mode: str = "strict") -> "AuditLedger":
-        """In-memory ledger (no file round trip) for diffing in tests."""
-        header, rows, final = self._document(mode)
-        return AuditLedger(header, rows, final)
-
-    def _document(self, mode: str):
-        rows = self.sorted_rows()
-        final = {"final": True, "root": self.root_digest(),
-                 "components": self.component_digests(),
-                 "events": sum(a.events for a in self.auditors.values())}
-        header = make_header(mode=mode, until_ps=self.until_ps,
-                             window_ps=self.window_ps,
-                             components=sorted(self.auditors),
-                             meta=self.meta)
-        return header, rows, final
-
-    def save(self, path: str, mode: str = "strict") -> dict:
-        """Persist as columnar JSONL; returns the header."""
-        header, rows, final = self._document(mode)
-        write_audit(path, header, rows, final)
-        return header
-
-
-# -- multiprocess collection ---------------------------------------------------
-
-def pack_payload(payload: str) -> bytes:
-    """Compress a component payload for the result queue."""
-    return zlib.compress(payload.encode())
-
-
-def unpack_payload(blob: bytes) -> str:
-    return zlib.decompress(blob).decode()
-
-
-class MpAuditCollector:
-    """Parent-side ledger assembly for multiprocess runs.
-
-    Children flush closed windows on telemetry heartbeats
-    (:meth:`note` consumes the ``Heartbeat.audit`` piggyback) and ship
-    the authoritative full row list, component digest, and compressed
-    payload in their result (:meth:`note_result`); heartbeat rows keep
-    the ledger partially populated when a child crashes before its
-    result.  The root is computed — exactly the in-process golden fold —
-    only when every component's full payload arrived; otherwise the
-    ledger is marked partial with a ``null`` root.
-    """
-
-    def __init__(self, components: List[str], until_ps: int,
-                 window_ps: int = DEFAULT_WINDOW_PS,
-                 meta: Optional[dict] = None) -> None:
-        self.components = list(components)
-        self.until_ps = until_ps
-        self.window_ps = window_ps
-        self.meta = dict(meta or {})
+        super().__init__(path, meta)
+        self.window_ps = DEFAULT_WINDOW_PS if window_ps is None else window_ps
         self._rows: Dict[Tuple[str, int], AuditRow] = {}
-        self._digests: Dict[str, str] = {}
-        self._payloads: Dict[str, str] = {}
-        self._events: Dict[str, int] = {}
-        self._complete: Set[str] = set()
+        self._results: Dict[str, dict] = {}  # final probe payloads
 
-    def note(self, hb) -> None:
-        """Consume one heartbeat's piggybacked closed-window rows."""
-        payload = getattr(hb, "audit", None)
-        if not payload:
-            return
+    def probe(self, comp) -> ComponentAuditor:
+        return ComponentAuditor.attach(comp, self.window_ps)
+
+    def begin(self, components: List[str], until_ps: int, mode: str) -> None:
+        # sorted in every mode: readers index rows by name
+        super().begin(sorted(components), until_ps, mode)
+
+    def note(self, comp: str, beat, payload: List[dict]) -> None:
+        """Consume freshly closed rows (a later copy of a row wins)."""
         for w in payload:
-            row = AuditRow.from_wire(hb.comp, w)
-            self._rows[(row.comp, row.epoch)] = row
+            row = AuditRow.from_wire(comp, w)
+            self._rows[(comp, row.epoch)] = row
 
-    def note_result(self, res) -> None:
-        """Consume one child's authoritative audit result (if any)."""
-        aud = getattr(res, "audit", None)
-        if aud is None:
-            return
-        for w in aud.get("rows", ()):
-            row = AuditRow.from_wire(res.name, w)
-            self._rows[(row.comp, row.epoch)] = row
-        if aud.get("partial"):
-            return
-        self._complete.add(res.name)
-        self._events[res.name] = aud.get("events", 0)
-        if aud.get("digest") is None:
-            # zero executed events: the guard's fold skips this component
-            # entirely, so its empty "name:;" payload must not fold either
-            return
-        self._digests[res.name] = aud["digest"]
-        blob = aud.get("payload_z")
-        if blob is not None:
-            self._payloads[res.name] = unpack_payload(blob)
+    def note_result(self, comp: str, payload: Optional[dict]) -> None:
+        """Consume one component's authoritative final state (``None``:
+        it never got there; its beat rows stay, the ledger is partial)."""
+        if payload is not None:
+            self.note(comp, None, payload["rows"])
+            self._results[comp] = payload
 
     @property
     def partial(self) -> bool:
-        return bool(set(self.components) - self._complete)
+        return bool(set(self.components) - set(self._results))
+
+    def _executed(self) -> Dict[str, dict]:
+        """Results of the components that executed events: the guard's
+        fold skips the others entirely, so their empty ``name:;`` payload
+        must not fold (or get a digest) either."""
+        return {c: p for c, p in self._results.items()
+                if p["digest"] is not None}
 
     def root_digest(self) -> Optional[str]:
         """The golden fold, or None while any component's payload is
         missing (crashed child / undelivered result)."""
         if self.partial:
             return None
-        return fold_root(dict(self._payloads))
+        return fold_root({c: p["payload"]
+                          for c, p in self._executed().items()})
+
+    def component_digests(self) -> Dict[str, str]:
+        return {c: p["digest"] for c, p in self._executed().items()}
 
     def sorted_rows(self) -> List[AuditRow]:
-        comp_index = {n: i for i, n in enumerate(self.components)}
-        return sorted(self._rows.values(),
-                      key=lambda r: (r.epoch, comp_index.get(r.comp, 1 << 30),
-                                     r.comp))
+        return sorted(self._rows.values(), key=lambda r: (r.epoch, r.comp))
 
     def to_ledger(self) -> "AuditLedger":
-        header, rows, final = self._document()
-        return AuditLedger(header, rows, final)
-
-    def _document(self):
+        """In-memory ledger (no file round trip) for diffing in tests."""
         rows = self.sorted_rows()
-        root = self.root_digest()
-        final = {"final": True, "root": root,
-                 "components": dict(self._digests),
-                 "events": sum(self._events.values()) if not self.partial
-                 else sum(r.n for r in rows)}
+        final = {"final": True, "root": self.root_digest(),
+                 "components": self.component_digests(),
+                 "events": sum(r.n for r in rows) if self.partial
+                 else sum(p["events"] for p in self._results.values())}
         if self.partial:
             final["partial"] = True
-        header = make_header(mode="mp", until_ps=self.until_ps,
-                             window_ps=self.window_ps,
-                             components=list(self.components),
-                             meta=self.meta)
-        return header, rows, final
+        header = {"kind": AUDIT_KIND, "schema": AUDIT_SCHEMA,
+                  "mode": self.mode, "until_ps": self.until_ps,
+                  "window_ps": self.window_ps,
+                  "components": list(self.components),
+                  "meta": dict(self.meta)}
+        return AuditLedger(header, rows, final)
 
-    def save(self, path: str) -> dict:
-        header, rows, final = self._document()
-        write_audit(path, header, rows, final)
-        return header
+    def write(self, path: str) -> dict:
+        """Persist as columnar JSONL — header, one row per non-empty
+        (component, window), the final trailer; returns the header."""
+        ledger = self.to_ledger()
+        index = {c: i for i, c in enumerate(self.components)}
+        _DOC.write(path, ledger.header,
+                   [{"c": index[row.comp], **row.to_wire()}
+                    for row in ledger.rows] + [ledger.final])
+        return ledger.header
 
 
 # -- persistence ---------------------------------------------------------------
-
-def make_header(*, mode: str, until_ps: int, window_ps: int,
-                components: List[str], meta: Optional[dict] = None) -> dict:
-    return {"kind": AUDIT_KIND, "schema": AUDIT_SCHEMA, "mode": mode,
-            "until_ps": until_ps, "window_ps": window_ps,
-            "components": list(components), "meta": dict(meta or {})}
-
-
-def write_audit(path: str, header: dict, rows: List[AuditRow],
-                final: dict) -> None:
-    """Write header, columnar rows, and the final trailer as JSONL."""
-    comp_index = {c: i for i, c in enumerate(header["components"])}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for row in rows:
-            fh.write(json.dumps({
-                "c": comp_index[row.comp], "e": row.epoch, "n": row.n,
-                "d": row.digest, "t0": row.t0, "t1": row.t1}) + "\n")
-        fh.write(json.dumps(final) + "\n")
-
 
 class AuditLedger:
     """A loaded (or in-memory) audit document."""
@@ -524,44 +427,21 @@ def load_audit(path: str) -> AuditLedger:
     Raises :class:`ValueError` on a malformed or wrong-kind document and
     propagates :class:`OSError` for unreadable paths.
     """
-    with open(path) as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty audit document")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: bad audit header: {exc}") from None
-    if header.get("kind") != AUDIT_KIND:
-        raise ValueError(f"{path}: not an audit ledger "
-                         f"(kind={header.get('kind')!r})")
-    if header.get("schema") != AUDIT_SCHEMA:
-        raise ValueError(f"{path}: audit schema "
-                         f"{header.get('schema')!r} != {AUDIT_SCHEMA}")
-    comps = header.get("components", [])
-    rows: List[AuditRow] = []
-    final = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            doc = json.loads(line)
-            if doc.get("final"):
-                final = doc
-                continue
-            rows.append(AuditRow(
-                comp=comps[doc["c"]], epoch=doc["e"], n=doc["n"],
-                digest=doc["d"], t0=doc["t0"], t1=doc["t1"]))
-        except (json.JSONDecodeError, KeyError, IndexError,
-                TypeError) as exc:
-            raise ValueError(
-                f"{path}:{lineno}: corrupt audit row: {exc}") from None
-    return AuditLedger(header, rows, final)
+    finals: List[dict] = []
+
+    def parse(header: dict, doc: dict) -> Optional[AuditRow]:
+        if doc.get("final"):
+            finals.append(doc)
+            return None
+        return AuditRow.from_wire(header["components"][doc["c"]], doc)
+
+    header, rows = _DOC.read(path, parse)
+    return AuditLedger(header, rows, finals[-1] if finals else None)
 
 
 def resolve_audit_path(path: str) -> str:
     """Map a run directory to its ``audit.jsonl`` (files pass through)."""
-    if os.path.isdir(path):
-        return os.path.join(path, AUDIT_FILE)
-    return path
+    return _DOC.resolve(path)
 
 
 # -- cross-run diff ------------------------------------------------------------

@@ -50,12 +50,8 @@ and the aggregate attribution histogram from this report.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
-
-#: Environment knob: sample 1-in-N flows (0/unset = flow tracing off).
-FLOW_SAMPLE_ENV = "SPLITSIM_FLOW_SAMPLE"
 
 #: Bits of the per-origin serial inside a flow id.
 _SERIAL_BITS = 24
@@ -215,17 +211,6 @@ def env_track(env) -> tuple:
     if host is not None:
         return host.name, host.name
     return getattr(env, "name", "?"), ""
-
-
-def sample_from_env(default: int = 0) -> int:
-    """Flow sampling divisor from :data:`FLOW_SAMPLE_ENV` (0 = off)."""
-    raw = os.environ.get(FLOW_SAMPLE_ENV, "")
-    if not raw:
-        return default
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return default
 
 
 # -- analysis -----------------------------------------------------------------

@@ -15,12 +15,12 @@ multiprocess runner's ``trace_dir``)::
     splitsim-inspect diff runA runB                # localize a divergence
 
 The ``flows`` subcommand post-processes causal flow-hop records
-(``splitsim-run --flows N`` / ``SPLITSIM_FLOW_SAMPLE``) into per-flow
+(``splitsim-run --flows N`` / ``Instantiation(flow_sample=N)``) into per-flow
 latency waterfalls, an aggregate attribution histogram, and the
 flow-derived bottleneck (see :mod:`repro.obs.flows`).
 
 The ``timeline`` subcommand renders the epoch-resolved metrics timeline
-(``splitsim-run --timeline`` / ``Experiment.enable_timeline``): per-epoch
+(``splitsim-run --timeline`` / ``Instantiation(timeline=True)``): per-epoch
 work activity with warmup/steady/drain phase detection and a
 stall/backpressure overlay.  ``recommend`` runs the partition advisor
 (:mod:`repro.parallel.advisor`) over the same file and writes
@@ -325,8 +325,8 @@ def _flows_main(argv: List[str]) -> int:
     rep = analyze_doc(doc)
     if not rep.flows:
         print(f"error: {args.trace} has no flow-hop records — run with "
-              "flow tracing on (splitsim-run --flows N, "
-              "Instantiation(flow_sample=N), or SPLITSIM_FLOW_SAMPLE=N)",
+              "flow tracing on (splitsim-run --flows N or "
+              "Instantiation(flow_sample=N))",
               file=sys.stderr)
         return 1
     print(render_flow_report(rep, top=args.top))

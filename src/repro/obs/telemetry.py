@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from ..kernel.simtime import fmt_time
@@ -71,24 +71,19 @@ class Heartbeat:
     sim_ps: int            # simulated time reached (last commit)
     events: int            # events executed so far
     events_per_sec: float  # instantaneous rate since the previous beat
-    ring_fill: float       # max input-ring occupancy across ends, 0..1
+    #: max input-ring occupancy across ends, 0..1 (``None`` in process:
+    #: there are no rings)
+    ring_fill: Optional[float]
     waiting: bool = False  # currently blocked on a channel
-    #: piggybacked epoch-timeline delta payload (see
-    #: :class:`repro.obs.timeline.EpochTracker`); ``None`` when the run
-    #: records no timeline
-    epoch: Optional[dict] = None
-    #: piggybacked closed audit-ledger rows (see
-    #: :class:`repro.obs.audit.ComponentAuditor`); ``None`` when the run
-    #: is not audited
-    audit: Optional[list] = None
+    #: piggybacked probe payloads, keyed by recorder name (see
+    #: :mod:`repro.obs.recorder`)
+    extras: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        # the epoch/audit payloads live in timeline.jsonl / audit.jsonl,
-        # not in the report's heartbeat history — history rows keep their
-        # v2 shape
-        d = asdict(self)
-        d.pop("epoch", None)
-        d.pop("audit", None)
+        # probe payloads live in their recorders' own artifacts, not in
+        # the report's heartbeat history — history rows keep their v2 shape
+        d = dict(vars(self))
+        del d["extras"]
         return d
 
 
@@ -306,9 +301,13 @@ def build_run_report(until_ps: int, wall_seconds: float, results: dict,
                      aggregator: Optional[TelemetryAggregator] = None,
                      trace: Optional[str] = None,
                      health: Optional[dict] = None,
-                     timeline: Optional[str] = None,
-                     audit: Optional[str] = None) -> dict:
-    """Assemble the versioned ``run_report.json`` document."""
+                     fields: Optional[Dict[str, str]] = None) -> dict:
+    """Assemble the versioned ``run_report.json`` document.
+
+    ``fields`` are the collectors' ``report_field()`` entries — the
+    schema-3/4 ``timeline`` / ``audit`` artifact references, ``null`` when
+    the run did not record them.
+    """
     components = {}
     for name, res in sorted(results.items()):
         components[name] = {
@@ -320,7 +319,7 @@ def build_run_report(until_ps: int, wall_seconds: float, results: dict,
             "outputs": res.outputs,
             "transport": getattr(res, "transport", {}),
         }
-    return {
+    report = {
         "schema": RUN_REPORT_SCHEMA,
         "until_ps": until_ps,
         "wall_seconds": wall_seconds,
@@ -329,9 +328,11 @@ def build_run_report(until_ps: int, wall_seconds: float, results: dict,
         else [],
         "trace": trace,
         "health": health,
-        "timeline": timeline,
-        "audit": audit,
+        "timeline": None,
+        "audit": None,
     }
+    report.update(fields or {})
+    return report
 
 
 def write_run_report(path: str, report: dict) -> None:

@@ -9,16 +9,17 @@ row — events executed, work/wait/comm cycles, per-edge message and sync
 counts, and selected registry counters (batched-drain and fluid-tier
 activity for network partitions).
 
-Sampling points:
+One probe, one collector (see :mod:`repro.obs.recorder` for who drives
+them): an :class:`EpochTracker` per component turns cumulative counters
+into a delta payload on every beat, and the :class:`TimelineCollector`
+turns payloads into rows.
 
-* **in-process strict mode** — :class:`TimelineRecorder` attached to a
-  :class:`~repro.parallel.simulation.Simulation`; the coordinator samples
-  every ``interval_rounds`` sync rounds (and once at completion), so all
-  components share one epoch counter.
-* **multiprocess** — each child owns an :class:`EpochTracker` whose delta
-  payload piggybacks on the telemetry heartbeats (plus one forced final
-  beat); the parent's :class:`MpTimelineCollector` turns them into rows.
-  Epoch counters are per component (heartbeats are not synchronized).
+* **in-process strict mode** — beats happen every ``interval_rounds`` sync
+  rounds (and once at completion), for all components at the same
+  boundary, so their epoch counters advance together.
+* **multiprocess** — beats are the children's telemetry heartbeats (plus
+  one forced final beat); epoch counters are per component (heartbeats
+  are not synchronized).
 
 Both paths observe counters only — no event is scheduled or reordered, so
 the determinism digest is bit-identical with the timeline on or off.
@@ -34,13 +35,12 @@ on.
 
 from __future__ import annotations
 
-import json
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from . import names
+from .recorder import Collector, JsonlDoc
 
 #: Schema version of the timeline document (header ``schema`` field;
 #: re-exported from the central registry in :mod:`repro.obs.schema`).
@@ -51,6 +51,9 @@ TIMELINE_KIND = "splitsim-timeline"
 
 #: Conventional file name inside a run directory.
 TIMELINE_FILE = "timeline.jsonl"
+
+_DOC = JsonlDoc(TIMELINE_KIND, TIMELINE_SCHEMA, TIMELINE_FILE, "timeline",
+                "a timeline document")
 
 #: Default cap on retained rows (oldest dropped first, counted in header).
 MAX_EPOCH_ROWS = 65536
@@ -140,116 +143,16 @@ def _comp_state(comp) -> dict:
             "ctr": selected_counters(comp)}
 
 
-def _delta_row(comp_name: str, epoch: int, sim_ps: int, wall_s: float,
-               dt_s: float, prev: dict, cur: dict,
-               ring_fill: Optional[float] = None) -> EpochRow:
-    d_events = cur["events"] - prev["events"]
-    edges = {}
-    for peer, (msgs, syncs) in cur["edges"].items():
-        pm, ps = prev["edges"].get(peer, (0, 0))
-        edges[peer] = (msgs - pm, syncs - ps)
-    counters = {key: value - prev["ctr"].get(key, 0.0)
-                for key, value in cur["ctr"].items()}
-    return EpochRow(
-        comp=comp_name, epoch=epoch, sim_ps=sim_ps, wall_s=wall_s,
-        events=d_events,
-        work_cycles=cur["work"] - prev["work"],
-        wait_cycles=cur["wait"] - prev["wait"],
-        comm_cycles=cur["comm"] - prev["comm"],
-        events_per_sec=d_events / dt_s if dt_s > 0 else 0.0,
-        ring_fill=ring_fill, edges=edges, counters=counters)
-
-
-class _BoundedRows:
-    """Deque of rows with an explicit dropped-row count for the header."""
-
-    def __init__(self, max_rows: int) -> None:
-        if max_rows <= 0:
-            raise ValueError("max_rows must be positive")
-        self.rows: Deque[EpochRow] = deque(maxlen=max_rows)
-        self.dropped = 0
-
-    def append(self, row: EpochRow) -> None:
-        if len(self.rows) == self.rows.maxlen:
-            self.dropped += 1
-        self.rows.append(row)
-
-
-class TimelineRecorder:
-    """Strict-mode in-process epoch sampler.
-
-    Attach via :meth:`Experiment.enable_timeline` (which sets
-    ``Simulation.timeline``); the strict coordinator calls :meth:`start`
-    before its first round and :meth:`sample` every ``interval_rounds``
-    rounds plus once at completion.  All components share one epoch
-    counter because the coordinator samples them at the same boundary.
-    """
-
-    def __init__(self, components, interval_rounds: int = 64,
-                 max_rows: int = MAX_EPOCH_ROWS,
-                 meta: Optional[dict] = None) -> None:
-        if interval_rounds <= 0:
-            raise ValueError("interval_rounds must be positive")
-        self.components = list(components)
-        self.interval_rounds = interval_rounds
-        self.meta = dict(meta or {})
-        self.until_ps = 0
-        self.epoch = 0
-        self._store = _BoundedRows(max_rows)
-        self._prev: Dict[str, dict] = {}
-        self._t0 = 0.0
-        self._last_t = 0.0
-
-    @property
-    def rows(self) -> Deque[EpochRow]:
-        return self._store.rows
-
-    @property
-    def dropped(self) -> int:
-        return self._store.dropped
-
-    def start(self, until_ps: int) -> None:
-        """Baseline snapshot at t=0; deltas then cover exactly the run."""
-        self.until_ps = until_ps
-        self._t0 = self._last_t = time.perf_counter()
-        self._prev = {c.name: _comp_state(c) for c in self.components}
-
-    def sample(self) -> None:
-        """Emit one row per component for the epoch that just ended."""
-        now = time.perf_counter()
-        wall = now - self._t0
-        dt = now - self._last_t
-        self._last_t = now
-        epoch = self.epoch
-        self.epoch += 1
-        for comp in self.components:
-            cur = _comp_state(comp)
-            self._store.append(_delta_row(
-                comp.name, epoch, comp.now, wall, dt,
-                self._prev[comp.name], cur))
-            self._prev[comp.name] = cur
-
-    def save(self, path: str) -> dict:
-        """Persist as columnar JSONL (see :func:`save_timeline`)."""
-        return save_timeline(path, list(self.rows), mode="strict",
-                             until_ps=self.until_ps,
-                             components=[c.name for c in self.components],
-                             meta=self.meta, dropped=self.dropped)
-
-
 class EpochTracker:
-    """Child-side (multiprocess) epoch deltas, piggybacked on heartbeats.
+    """The timeline probe: one component's counter deltas per beat."""
 
-    :meth:`delta` returns a plain dict small enough to ride on every
-    :class:`~repro.obs.telemetry.Heartbeat`; the parent's
-    :class:`MpTimelineCollector` reassembles rows from them.
-    """
+    name = "timeline"
 
     def __init__(self, comp) -> None:
         self._comp = comp
         self._prev = _comp_state(comp)
 
-    def delta(self, commit_ps: int) -> dict:
+    def beat(self, commit_ps: int) -> dict:
         cur = _comp_state(self._comp)
         prev = self._prev
         self._prev = cur
@@ -266,46 +169,48 @@ class EpochTracker:
                 "cm": cur["comm"] - prev["comm"],
                 "edges": edges, "ctr": counters}
 
+    def result(self) -> None:
+        """Nothing beyond the beats: the forced final beat closes the run."""
 
-class MpTimelineCollector:
-    """Parent-side assembly of heartbeat epoch payloads into rows."""
 
-    def __init__(self, components: List[str], until_ps: int,
-                 max_rows: int = MAX_EPOCH_ROWS) -> None:
-        self.components = list(components)
-        self.until_ps = until_ps
-        self._store = _BoundedRows(max_rows)
+class TimelineCollector(Collector):
+    """Assembles the probes' beat payloads into epoch rows."""
+
+    name = "timeline"
+    probe = EpochTracker
+
+    def __init__(self, path: Optional[str] = None,
+                 max_rows: int = MAX_EPOCH_ROWS,
+                 meta: Optional[dict] = None) -> None:
+        super().__init__(path, meta)
+        #: bounded: the oldest rows are dropped first
+        self.rows: Deque[EpochRow] = deque(maxlen=max_rows)
         self._epochs: Dict[str, int] = {}
 
     @property
-    def rows(self) -> Deque[EpochRow]:
-        return self._store.rows
-
-    @property
     def dropped(self) -> int:
-        return self._store.dropped
+        """Rows pushed out of the bounded store (counted in the header)."""
+        return sum(self._epochs.values()) - len(self.rows)
 
-    def note(self, hb) -> None:
-        """Consume one heartbeat; no-op when it carries no epoch payload."""
-        payload = getattr(hb, "epoch", None)
-        if payload is None:
-            return
-        epoch = self._epochs.get(hb.comp, 0)
-        self._epochs[hb.comp] = epoch + 1
-        self._store.append(EpochRow(
-            comp=hb.comp, epoch=epoch, sim_ps=payload["ps"],
-            wall_s=hb.wall_s, events=payload["ev"],
+    def note(self, comp: str, beat, payload: dict) -> None:
+        """One beat of one component becomes its next epoch's row."""
+        epoch = self._epochs.get(comp, 0)
+        self._epochs[comp] = epoch + 1
+        self.rows.append(EpochRow(
+            comp=comp, epoch=epoch, sim_ps=payload["ps"],
+            wall_s=beat.wall_s, events=payload["ev"],
             work_cycles=payload["wk"], wait_cycles=payload["wt"],
-            comm_cycles=payload["cm"], events_per_sec=hb.events_per_sec,
-            ring_fill=hb.ring_fill,
+            comm_cycles=payload["cm"], events_per_sec=beat.events_per_sec,
+            ring_fill=beat.ring_fill,
             edges={p: (d[0], d[1]) for p, d in payload["edges"].items()},
             counters=dict(payload["ctr"])))
 
-    def save(self, path: str, meta: Optional[dict] = None) -> dict:
-        return save_timeline(path, list(self.rows), mode="mp",
+    def write(self, path: str) -> dict:
+        """Persist as columnar JSONL (see :func:`save_timeline`)."""
+        return save_timeline(path, list(self.rows), mode=self.mode,
                              until_ps=self.until_ps,
                              components=self.components,
-                             meta=meta, dropped=self.dropped)
+                             meta=self.meta, dropped=self.dropped)
 
 
 # -- persistence --------------------------------------------------------------
@@ -332,8 +237,8 @@ def save_timeline(path: str, rows: List[EpochRow], *, mode: str,
               "columns": list(ROW_COLUMNS), "components": comps,
               "edges": [list(pair) for pair in edge_pairs],
               "dropped": dropped, "meta": dict(meta or {})}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
+
+    def docs():
         for row in rows:
             doc: Dict[str, Any] = {
                 "c": comp_index[row.comp],
@@ -348,7 +253,9 @@ def save_timeline(path: str, rows: List[EpochRow], *, mode: str,
                 doc["e"] = edges
             if row.counters:
                 doc["k"] = {k: v for k, v in sorted(row.counters.items())}
-            fh.write(json.dumps(doc) + "\n")
+            yield doc
+
+    _DOC.write(path, header, docs())
     return header
 
 
@@ -425,53 +332,28 @@ class Timeline:
         return rows[lo:hi]
 
 
+def _parse_row(header: dict, doc: dict) -> EpochRow:
+    r = doc["r"]
+    row_edges = {}
+    for idx, (msgs, syncs) in (doc.get("e") or {}).items():
+        _, peer = header["edges"][int(idx)]
+        row_edges[peer] = (msgs, syncs)
+    return EpochRow(
+        comp=header["components"][doc["c"]], epoch=r[0], sim_ps=r[1],
+        wall_s=r[2], events=r[3], work_cycles=r[4], wait_cycles=r[5],
+        comm_cycles=r[6], events_per_sec=r[7], ring_fill=r[8],
+        edges=row_edges, counters=doc.get("k") or {})
+
+
 def load_timeline(path: str) -> Timeline:
     """Load and validate a ``timeline.jsonl`` document.
 
     Raises :class:`ValueError` on a malformed or wrong-kind document and
     propagates :class:`OSError` for unreadable paths.
     """
-    with open(path) as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty timeline document")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: bad timeline header: {exc}") from None
-    if header.get("kind") != TIMELINE_KIND:
-        raise ValueError(f"{path}: not a timeline document "
-                         f"(kind={header.get('kind')!r})")
-    if header.get("schema") != TIMELINE_SCHEMA:
-        raise ValueError(f"{path}: timeline schema "
-                         f"{header.get('schema')!r} != {TIMELINE_SCHEMA}")
-    comps = header.get("components", [])
-    edges = [tuple(pair) for pair in header.get("edges", [])]
-    rows: List[EpochRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            doc = json.loads(line)
-            r = doc["r"]
-            comp = comps[doc["c"]]
-            row_edges = {}
-            for idx, (msgs, syncs) in (doc.get("e") or {}).items():
-                _, peer = edges[int(idx)]
-                row_edges[peer] = (msgs, syncs)
-            rows.append(EpochRow(
-                comp=comp, epoch=r[0], sim_ps=r[1], wall_s=r[2],
-                events=r[3], work_cycles=r[4], wait_cycles=r[5],
-                comm_cycles=r[6], events_per_sec=r[7], ring_fill=r[8],
-                edges=row_edges, counters=doc.get("k") or {}))
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError,
-                ValueError) as exc:
-            raise ValueError(
-                f"{path}:{lineno}: corrupt timeline row: {exc}") from None
-    return Timeline(header, rows)
+    return Timeline(*_DOC.read(path, _parse_row))
 
 
 def resolve_timeline_path(path: str) -> str:
     """Map a run directory to its ``timeline.jsonl`` (files pass through)."""
-    import os
-    if os.path.isdir(path):
-        return os.path.join(path, TIMELINE_FILE)
-    return path
+    return _DOC.resolve(path)

@@ -360,42 +360,3 @@ def validate_chrome_doc(doc: dict) -> List[str]:
         if fid not in flow_starts:
             problems.append(f"event {n}: flow {fid!r} has no start (ph=s)")
     return problems
-
-
-class PhaseClock:
-    """Wall-clock phase spans on the dedicated orchestrator pid.
-
-    Usage::
-
-        phases = PhaseClock(tracer)
-        with phases("build"):
-            ...
-
-    Spans land on ``tid="phases"`` of :data:`ORCH_PID`-pid tracers (the
-    tracer passed in keeps its own pid; the orchestration layer creates a
-    dedicated wall-clock tracer for phases — see ``repro.obs.install``).
-    """
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-        self._tid = tracer.tid("phases")
-
-    def __call__(self, name: str) -> "_PhaseSpan":
-        return _PhaseSpan(self, name)
-
-
-class _PhaseSpan:
-    def __init__(self, clock: PhaseClock, name: str) -> None:
-        self._clock = clock
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_PhaseSpan":
-        self._start = self._clock.tracer.wall_us()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        tr = self._clock.tracer
-        end = tr.wall_us()
-        tr.span(self._clock._tid, "phase", self._name, self._start,
-                end - self._start)

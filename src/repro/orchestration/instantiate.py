@@ -67,23 +67,9 @@ class Experiment:
         self.hosts = hosts
         self.nics = nics
         self.model_channels = model_channels
-        #: set when the instantiation enabled profiling
-        self.sampler = None
-        #: sim-domain tracer (set by :meth:`enable_tracing`)
-        self.tracer = None
-        #: wall-domain tracer carrying orchestration phase spans (ORCH_PID)
-        self.phase_tracer = None
-        #: :class:`~repro.obs.trace.PhaseClock` over ``phase_tracer``
-        self.phases = None
-        #: :class:`~repro.obs.flows.FlowRecorder` (set by
-        #: :meth:`enable_flow_tracing`)
-        self.flow_recorder = None
-        #: :class:`~repro.obs.timeline.TimelineRecorder` (set by
-        #: :meth:`enable_timeline`)
-        self.timeline = None
-        #: :class:`~repro.obs.audit.AuditRecorder` (set by
-        #: :meth:`enable_audit`)
-        self.audit = None
+        #: attached recorders by name (``"trace"``, ``"profile"``,
+        #: ``"timeline"``, ``"audit"``); see :meth:`observe`
+        self.recorders: Dict[str, object] = {}
 
     # -- conveniences ------------------------------------------------------------
 
@@ -120,133 +106,55 @@ class Experiment:
 
     # -- execution -------------------------------------------------------------------
 
-    def enable_tracing(self, capacity: int = 1 << 16,
-                       interval_rounds: int = 64):
-        """Attach the observability layer to this experiment.
+    def observe(self, recorder, interval_rounds: int = 64):
+        """Attach a recorder to this experiment (before :meth:`run`).
 
-        Creates a sim-domain :class:`~repro.obs.trace.Tracer` over the
-        simulation (kernel drains, channel counter tracks, link busy
-        periods, strict-round stalls) plus a wall-domain phase tracer on
-        the dedicated orchestrator pid.  Call before :meth:`run`; export
-        afterwards with :meth:`save_trace`.  Returns the sim tracer.
+        A recorder has a ``name`` and ``save(path)``.  It is either a run
+        observer itself (:class:`~repro.obs.install.TraceRecorder`, the
+        profiler's :class:`~repro.profiler.instrument.StrictModeSampler`)
+        or a collector (:class:`~repro.obs.timeline.TimelineCollector`,
+        :class:`~repro.obs.audit.AuditCollector`) whose per-component
+        probes a :class:`~repro.obs.recorder.ProbeDriver` beats every
+        ``interval_rounds`` strict sync rounds.  Export afterwards with
+        :meth:`save`; reach the recorder itself through
+        ``experiment.recorders[name]``.  Returns the recorder.
         """
-        from ..obs.install import install_tracer
-        from ..obs.trace import ORCH_PID, PhaseClock, Tracer
-        if self.tracer is None:
-            self.tracer = Tracer(capacity=capacity, pid=1,
-                                 process_name="simulation", clock="sim")
-            install_tracer(self.sim, self.tracer, interval_rounds)
-        if self.phase_tracer is None:
-            self.phase_tracer = Tracer(pid=ORCH_PID,
-                                       process_name="orchestration",
-                                       clock="wall")
-            self.phases = PhaseClock(self.phase_tracer)
-        return self.tracer
+        if recorder.name == "timeline" and self.sim.mode != "strict":
+            # its probes read counters at the epochs the sync protocol defines
+            raise RuntimeError("the epoch timeline needs strict-sync "
+                               "execution (mode='strict', profile=True, "
+                               "or timeline=True at instantiation)")
+        observer = recorder
+        if hasattr(recorder, "probe"):
+            from ..obs.recorder import ProbeDriver
+            observer = ProbeDriver(recorder, interval_rounds)
+        self.recorders[recorder.name] = recorder
+        self.sim.observers.append(observer)
+        return recorder
 
-    def enable_flow_tracing(self, sample_n: int = 1):
-        """Record causal per-message flow hops into this experiment's trace.
-
-        Installs a :class:`~repro.obs.flows.FlowRecorder` over the sim
-        tracer (enabling tracing first if needed).  ``sample_n`` keeps one
-        flow in ``n``; 1 traces everything.  Pair with
-        :meth:`disable_flow_tracing` (the recorder is process-global) —
-        typically in a ``try/finally`` around :meth:`run`.
-        """
-        from ..obs.flows import install_flow_recorder
-        self.enable_tracing()
-        self.flow_recorder = install_flow_recorder(self.tracer,
-                                                   sample_n=sample_n)
-        return self.flow_recorder
+    def save(self, name: str, path: str):
+        """Write the artifact of the recorder called ``name`` to ``path``."""
+        recorder = self.recorders.get(name)
+        if recorder is None:
+            raise RuntimeError(f"no {name!r} recorder attached: observe() "
+                               f"one (or build with {name}=True) before "
+                               "running")
+        return recorder.save(path)
 
     def disable_flow_tracing(self) -> None:
-        """Detach the process-global flow recorder installed above."""
-        from ..obs.flows import uninstall_flow_recorder
-        uninstall_flow_recorder()
-        self.flow_recorder = None
-
-    def save_trace(self, path: str, extra_meta: Optional[dict] = None) -> dict:
-        """Write the merged Chrome-trace document; returns the document."""
-        if self.tracer is None:
-            raise RuntimeError("enable_tracing() before running "
-                               "to collect a trace")
-        import json
-        from ..obs.trace import chrome_doc
-        tracers = [self.tracer]
-        if self.phase_tracer is not None:
-            tr = self.phase_tracer
-            tr.instant(tr.tid("phases"), "phase", "teardown", tr.wall_us())
-            tracers.append(tr)
-        meta = {"mode": self.sim.mode}
-        if extra_meta:
-            meta.update(extra_meta)
-        doc = chrome_doc(tracers, extra_meta=meta)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-        return doc
+        """Detach the process-global flow recorder that
+        ``Instantiation(flow_sample=N)`` installed (no-op without one) —
+        typically in a ``try/finally`` around :meth:`run`."""
+        trace = self.recorders.get("trace")
+        if trace is not None and trace.flows is not None:
+            from ..obs.flows import uninstall_flow_recorder
+            uninstall_flow_recorder()
+            trace.flows = None
 
     def metrics(self, stats: Optional[SimStats] = None):
         """Unified metrics snapshot registry for this experiment."""
         from ..obs.metrics import collect_experiment
         return collect_experiment(self, stats=stats)
-
-    def enable_timeline(self, interval_rounds: int = 64,
-                        max_rows: Optional[int] = None):
-        """Attach the epoch-resolved metrics timeline to this experiment.
-
-        Samples every component's compute/wait/comm cycles, per-edge
-        message and sync counts, and selected registry counters at
-        sync-round boundaries (every ``interval_rounds`` rounds).  Strict
-        mode only — the sampler reads counters at the epochs the sync
-        protocol defines.  Call before :meth:`run`; export afterwards with
-        :meth:`save_timeline`.  Feed the file to
-        :func:`repro.parallel.advisor.recommend_partition` or
-        ``splitsim-inspect timeline``.  Returns the recorder.
-        """
-        from ..obs.timeline import TimelineRecorder
-        if self.sim.mode != "strict":
-            raise RuntimeError("the epoch timeline needs strict-sync "
-                               "execution (mode='strict', profile=True, "
-                               "or timeline=True at instantiation)")
-        if self.timeline is None:
-            kwargs = {} if max_rows is None else {"max_rows": max_rows}
-            self.timeline = TimelineRecorder(
-                self.sim.components, interval_rounds=interval_rounds,
-                meta={"net_switches": self._net_switches()}, **kwargs)
-            self.sim.timeline = self.timeline
-        return self.timeline
-
-    def enable_audit(self, window_ps: Optional[int] = None,
-                     interval_rounds: int = 64):
-        """Attach the per-epoch digest ledger to this experiment.
-
-        Folds every component's event timeline into per-epoch subdigests
-        over fixed simulated-time windows (``window_ps`` wide), chained so
-        ``splitsim-inspect diff`` can localize the first divergent
-        ``(epoch, component)`` between two runs.  The ledger's root digest
-        is bit-identical to the determinism guard's timeline fold.  Works
-        in both execution modes: strict runs flush closed windows every
-        ``interval_rounds`` sync rounds; fast runs flush at run end.  Call
-        before :meth:`run`; export with :meth:`save_audit`.
-        """
-        from ..obs.audit import DEFAULT_WINDOW_PS, AuditRecorder
-        if self.audit is None:
-            self.audit = AuditRecorder(
-                self.sim.components,
-                window_ps=DEFAULT_WINDOW_PS if window_ps is None
-                else window_ps,
-                interval_rounds=interval_rounds,
-                meta={"system": self.system.spec.name
-                      if hasattr(self.system, "spec")
-                      and hasattr(self.system.spec, "name") else None})
-            self.sim.audit = self.audit
-        return self.audit
-
-    def save_audit(self, path: str) -> dict:
-        """Write the recorded audit ledger; returns its header."""
-        if self.audit is None:
-            raise RuntimeError("enable_audit() before running "
-                               "to collect an audit ledger")
-        return self.audit.save(path, mode=self.sim.mode)
 
     def _net_switches(self) -> Dict[str, List[str]]:
         """Which topology switches each network component carries (for the
@@ -258,75 +166,64 @@ class Experiment:
                     for label, net in nb.parts.items()}
         return {nb.net.name: list(nb.spec.switches)}
 
-    def save_timeline(self, path: str) -> dict:
-        """Write the recorded epoch timeline; returns its header."""
-        if self.timeline is None:
-            raise RuntimeError("enable_timeline() before running "
-                               "to collect a timeline")
-        return self.timeline.save(path)
-
     def run(self, duration_ps: int) -> ExperimentResult:
         """Run the assembled simulation to ``duration_ps``."""
-        if self.phases is not None:
-            with self.phases("run"):
-                stats = self.sim.run(duration_ps)
-        else:
-            stats = self.sim.run(duration_ps)
-        return ExperimentResult(stats=stats, experiment=self)
+        return ExperimentResult(stats=self.sim.run(duration_ps),
+                                experiment=self)
 
     def profile_analysis(self, drop_head: int = 1,
                          drop_tail: int = 0) -> ProfileAnalysis:
         """Post-process the profiler samples collected during the run."""
-        if self.sampler is None:
+        sampler = self.recorders.get("profile")
+        if sampler is None:
             raise RuntimeError("build the instantiation with profile=True")
-        self.sampler.sample()  # final snapshot
-        return analyze(self.sampler.log, drop_head=drop_head,
+        sampler.sample()  # final snapshot
+        return analyze(sampler.log, drop_head=drop_head,
                        drop_tail=drop_tail)
 
     def run_mp(self, duration_ps: int, timeout_s: float = 300.0, *,
-               progress: bool = False, report_path: Optional[str] = None,
-               trace_dir: Optional[str] = None,
-               hb_interval_s: float = 0.25,
-               flow_sample: Optional[int] = None,
-               digest: bool = False,
-               control_dir: Optional[str] = None,
-               stall_intervals: int = 4,
-               stale_after_s: Optional[float] = None,
                timeline_path: Optional[str] = None,
                audit_path: Optional[str] = None,
-               audit_window_ps: Optional[int] = None):
+               audit_window_ps: Optional[int] = None, **run_options):
         """Run this experiment with one OS process per component simulator.
 
         This is the paper's actual deployment (shared-memory channels,
         busy-poll synchronization).  Components are inherited via fork, so
         the experiment must not have been run in-process already.  Returns
         the per-process results of :class:`~repro.parallel.procrunner`.
-        ``progress``/``report_path``/``trace_dir`` switch on live heartbeat
-        telemetry, the versioned ``run_report.json``, and per-child traces
-        merged into ``trace_dir/trace.json``.  ``control_dir`` serves the
-        live control plane (``splitsim-inspect attach``) from that run
-        directory; ``stall_intervals``/``stale_after_s`` tune its watchdog.
+
         ``timeline_path`` writes the epoch-resolved metrics timeline there
-        (children piggyback epoch deltas on heartbeats).  ``audit_path``
-        writes the per-epoch digest ledger there (``audit_window_ps``
-        sets the epoch width; see :mod:`repro.obs.audit`).
+        (``timeline.jsonl``; children piggyback per-epoch counter deltas on
+        their heartbeats).  ``audit_path`` writes the per-epoch digest
+        ledger there (``audit.jsonl``, see :mod:`repro.obs.audit`; root
+        bit-identical to the in-process golden fold); ``audit_window_ps``
+        sets its epoch width (default
+        :data:`repro.obs.audit.DEFAULT_WINDOW_PS`) — two ledgers are only
+        comparable at matching widths.  Both are pure observation (the
+        determinism digest is unchanged) and are referenced from the run
+        report when ``report_path`` is given.  Every other keyword
+        (``progress``, ``report_path``, ``trace_dir``, ``hb_interval_s``,
+        ``flow_sample``, ``digest``, ``control_dir``, ``stall_intervals``,
+        ``stale_after_s``) is an option of
+        :meth:`ProcessRunner.run <repro.parallel.procrunner.ProcessRunner.run>`,
+        documented there.
         """
+        if self.sim._wired:
+            raise RuntimeError("simulation already ran; build a fresh one")
         specs = [ProcSpec(c.name, component=c) for c in self.sim.components]
         channels = [
             ProcChannel(ea.owner.name, ea.name, eb.owner.name, eb.name)
             for ea, eb in self.sim.channels
         ]
         runner = ProcessRunner(specs, channels)
-        return runner.run(duration_ps, timeout_s=timeout_s,
-                          progress=progress, report_path=report_path,
-                          trace_dir=trace_dir, hb_interval_s=hb_interval_s,
-                          flow_sample=flow_sample, digest=digest,
-                          control_dir=control_dir,
-                          stall_intervals=stall_intervals,
-                          stale_after_s=stale_after_s,
-                          timeline_path=timeline_path,
-                          audit_path=audit_path,
-                          audit_window_ps=audit_window_ps)
+        if timeline_path is not None:
+            from ..obs.timeline import TimelineCollector
+            runner.recorders.append(TimelineCollector(timeline_path))
+        if audit_path is not None:
+            from ..obs.audit import AuditCollector
+            runner.recorders.append(
+                AuditCollector(audit_path, audit_window_ps))
+        return runner.run(duration_ps, timeout_s=timeout_s, **run_options)
 
     def execution_model(self, sim_time_ps: int) -> ParallelExecutionModel:
         """Virtual-time model over this experiment's recorded workload."""
@@ -362,8 +259,6 @@ class Instantiation:
     #: Enable the observability layer: a sim-domain tracer over the whole
     #: simulation plus wall-domain build/run/teardown phase spans.
     trace: bool = False
-    trace_capacity: int = 1 << 16
-    trace_interval_rounds: int = 64
     #: Causal flow tracing: keep 1-in-N flows (1 = every flow, ``None`` =
     #: off).  Implies ``trace``.  See ``repro.obs.flows``.
     flow_sample: Optional[int] = None
@@ -373,13 +268,13 @@ class Instantiation:
     fidelity: Optional["FidelityConfig"] = None
     #: Record the epoch-resolved metrics timeline (forces strict-sync
     #: execution, like ``profile``).  Export with
-    #: ``experiment.save_timeline(path)`` after the run.
+    #: ``experiment.save("timeline", path)`` after the run.
     timeline: bool = False
     timeline_interval_rounds: int = 64
     #: Record the per-epoch digest ledger (see :mod:`repro.obs.audit`).
     #: Works in any execution mode — epochs are fixed simulated-time
     #: windows, so ledgers from fast, strict, and multiprocess runs are
-    #: directly comparable.  Export with ``experiment.save_audit(path)``.
+    #: directly comparable.  Export with ``experiment.save("audit", path)``.
     audit: bool = False
     #: Audit epoch width in simulated picoseconds (``None`` = the module
     #: default, :data:`repro.obs.audit.DEFAULT_WINDOW_PS`).
@@ -391,16 +286,10 @@ class Instantiation:
 
     def build(self) -> Experiment:
         """Assemble all component simulators and channels per the choices."""
-        phase_tracer = None
-        build_start_us = 0.0
-        if self.flow_sample is not None:
-            self.trace = True
-        if self.trace:
-            from ..obs.trace import ORCH_PID, Tracer
-            phase_tracer = Tracer(pid=ORCH_PID,
-                                  process_name="orchestration",
-                                  clock="wall")
-            build_start_us = phase_tracer.wall_us()
+        trace = None
+        if self.trace or self.flow_sample is not None:
+            from ..obs.install import TraceRecorder
+            trace = TraceRecorder()  # created first: times the build phase
         system = self.system
         spec = system.spec
         mode = "strict" if self.profile or self.timeline else self.mode
@@ -498,28 +387,26 @@ class Instantiation:
             hosts[name] = host
 
         exp = Experiment(system, sim, nb, hosts, nics, model_channels)
-        if phase_tracer is not None:
-            from ..obs.trace import PhaseClock
-            exp.phase_tracer = phase_tracer
-            exp.phases = PhaseClock(phase_tracer)
-            exp.enable_tracing(self.trace_capacity,
-                               self.trace_interval_rounds)
+        if trace is not None:
+            exp.observe(trace)
             if self.flow_sample is not None:
-                exp.enable_flow_tracing(self.flow_sample)
-            phase_tracer.span(phase_tracer.tid("phases"), "phase", "build",
-                              build_start_us,
-                              phase_tracer.wall_us() - build_start_us,
-                              {"components": len(sim.components),
-                               "channels": len(sim.channels)})
+                trace.trace_flows(self.flow_sample)
+            trace.phase("build", 0.0, {"components": len(sim.components),
+                                       "channels": len(sim.channels)})
         if self.profile:
-            sampler = StrictModeSampler(sim.components,
-                                        interval=self.profile_interval_rounds)
-            sim.round_hook = sampler.tick
-            exp.sampler = sampler
+            exp.observe(StrictModeSampler(
+                sim.components, interval=self.profile_interval_rounds))
         if self.timeline:
-            exp.enable_timeline(self.timeline_interval_rounds)
+            from ..obs.timeline import TimelineCollector
+            exp.observe(
+                TimelineCollector(meta={"net_switches": exp._net_switches()}),
+                self.timeline_interval_rounds)
         if self.audit:
-            exp.enable_audit(self.audit_window_ps)
+            from ..obs.audit import INPROC_BEAT_ROUNDS, AuditCollector
+            exp.observe(AuditCollector(
+                window_ps=self.audit_window_ps,
+                meta={"system": getattr(spec, "name", None)}),
+                INPROC_BEAT_ROUNDS)
         if self.transparent_clocks:
             exp.install_transparent_clocks()
         return exp

@@ -7,9 +7,15 @@ protocol from :mod:`repro.channels.channel`; blocked components busy-poll
 their input rings, and the time they spend doing so is measured with real
 nanosecond timestamps — exactly the quantity the SplitSim profiler reports.
 
-On a single-core machine (like this sandbox) this runtime is *correct* but
-cannot exhibit wall-clock speedup; the virtual-time model
+With fewer cores than components (this sandbox has two) this runtime is
+*correct* but shows little wall-clock speedup; the virtual-time model
 (:mod:`repro.parallel.model`) covers the performance experiments.
+
+Recorders plug in through one list, ``ProcessRunner.recorders`` (see
+:mod:`repro.obs.recorder`): each child beats the recorders' probes on its
+telemetry heartbeats and ships their results; the parent fans both out to
+the recorders, saves them and references them from the run report —
+without knowing which recorders exist.
 
 Components are described by picklable factory callables so they can be
 constructed inside the child process::
@@ -96,10 +102,8 @@ class ProcResult:
     #: SHA-256 of this component's event timeline (``name:ts,ts,...;``),
     #: filled when the run was started with ``digest=True``
     timeline_digest: Optional[str] = None
-    #: per-epoch audit ledger payload (rows + component digest +
-    #: zlib-compressed timeline payload; see :mod:`repro.obs.audit`),
-    #: filled when the run was started with ``audit_path``
-    audit: Optional[dict] = None
+    #: the probes' final payloads, keyed by recorder name
+    extras: Dict[str, object] = field(default_factory=dict)
     error: Optional[str] = None
 
 
@@ -141,70 +145,42 @@ class _HeartbeatPump:
 
     One :meth:`maybe` call costs a single ``perf_counter`` read unless the
     heartbeat interval has elapsed; the advance loop calls it once per sync
-    round, the blocked spin loop once per spin batch.
+    round, the blocked spin loop once per spin batch.  Every heartbeat
+    carries one beat of each probe (``Heartbeat.extras``).
     """
 
-    def __init__(self, name: str, q, tracer, comp: Component,
+    def __init__(self, q, tracer, comp: Component, probes: list,
                  in_rings: List[ShmRing], t_start: float,
                  interval_s: float) -> None:
-        self._name = name
+        from ..obs.recorder import Beater
         self._q = q
         self._tracer = tracer
-        self._comp = comp
-        self._in_rings = in_rings
-        self._t_start = t_start
+        self._beater = Beater(comp, probes, t_start, in_rings)
         self._interval = interval_s
         self._next = t_start + interval_s
-        self._last_events = 0
-        self._last_t = t_start
-        #: epoch-timeline tracker (:class:`repro.obs.timeline.EpochTracker`)
-        #: whose delta payload piggybacks on every heartbeat; ``None`` when
-        #: the run records no timeline.
-        self.epoch_tracker = None
-        #: audit ledger state (:class:`repro.obs.audit.ComponentAuditor`)
-        #: whose newly closed rows piggyback on every heartbeat; ``None``
-        #: when the run is not audited.
-        self.auditor = None
 
     def maybe(self, commit: int, waiting: bool) -> None:
         now = time.perf_counter()
         if now < self._next:
             return
         self._next = now + self._interval
-        events = self._comp.events_processed
-        dt = now - self._last_t
-        eps = (events - self._last_events) / dt if dt > 0 else 0.0
-        self._last_events = events
-        self._last_t = now
-        fill = max((r.fill_fraction() for r in self._in_rings), default=0.0)
+        hb = self._beater.beat(now, commit, waiting)
         if self._q is not None:
-            from ..obs.telemetry import Heartbeat
-            epoch = None
-            if self.epoch_tracker is not None:
-                epoch = self.epoch_tracker.delta(commit)
-            audit_rows = None
-            if self.auditor is not None:
-                self.auditor.flush_closed()
-                audit_rows = self.auditor.take_rows() or None
             try:
-                self._q.put_nowait(Heartbeat(
-                    comp=self._name, wall_s=now - self._t_start,
-                    sim_ps=commit, events=events, events_per_sec=eps,
-                    ring_fill=fill, waiting=waiting, epoch=epoch,
-                    audit=audit_rows))
+                self._q.put_nowait(hb)
             except Exception:  # pragma: no cover - queue full/closed
                 pass
         tracer = self._tracer
         if tracer is not None:
             ts = tracer.wall_us()
             tracer.counter(tracer.tid("telemetry"), "telemetry", "progress",
-                           ts, {"sim_ps": commit, "events": events})
+                           ts, {"sim_ps": commit, "events": hb.events})
             tracer.counter(tracer.tid("telemetry"), "telemetry", "ring_fill",
-                           ts, {"in_fill": fill})
+                           ts, {"in_fill": hb.ring_fill})
 
     def flush(self, commit: int) -> None:
         """Force one final beat at run end: short runs still contribute at
-        least one epoch row, and totals cover exactly the run."""
+        least one beat, and the probes' totals cover exactly the run."""
         self._next = 0.0
         self.maybe(commit, waiting=False)
 
@@ -231,15 +207,14 @@ def _child_main(spec: ProcSpec,
                 until_ps: int, result_q, timeout_s: float,
                 telemetry_q=None, trace_dir: Optional[str] = None,
                 hb_interval_s: float = 0.25, index: int = 0,
-                digest: bool = False,
                 flow_sample: Optional[int] = None,
                 cmd_q=None, reply_q=None,
-                epoch_timeline: bool = False,
-                audit_window_ps: Optional[int] = None) -> None:
+                probe_factories: Tuple[Callable, ...] = ()) -> None:
     result = ProcResult(name=spec.name)
     rings: List[ShmRing] = []
     tracer = None
-    auditor = None
+    pump = None
+    last_commit = -1
     try:
         if trace_dir is not None:
             from ..obs.trace import Tracer
@@ -247,11 +222,10 @@ def _child_main(spec: ProcSpec,
                             clock="wall")
             # Causal flow tracing: hop records land in this child's ring
             # (args carry exact sim-ps), stitched across processes by the
-            # merged-trace analysis.  Explicit arg wins over the env knob.
-            from ..obs.flows import install_flow_recorder, sample_from_env
-            n = flow_sample if flow_sample is not None else sample_from_env(0)
-            if n:
-                install_flow_recorder(tracer, sample_n=n)
+            # merged-trace analysis.
+            if flow_sample:
+                from ..obs.flows import install_flow_recorder
+                install_flow_recorder(tracer, sample_n=flow_sample)
         comp = spec.make()
         in_rings: List[ShmRing] = []
         for end_name, out_name, in_name, peer, peer_comp in wiring:
@@ -263,23 +237,7 @@ def _child_main(spec: ProcSpec,
             end = _find_end(comp, end_name)
             end.wire(out_q=out_ring, in_q=in_ring, peer_name=peer)
             end.peer_comp_name = peer_comp
-        timeline: Optional[List[int]] = None
-        if audit_window_ps is not None:
-            from ..obs.audit import ComponentAuditor
-            auditor = ComponentAuditor(spec.name, audit_window_ps)
-        # Per-event hot path: bare list appends only; the auditor's window
-        # splitting happens in batch at heartbeat/run-end flush points.
-        if digest and auditor is not None:
-            timeline = []
-            tl_append, au_append = timeline.append, auditor.buf.append
-            comp.queue.trace = lambda owner, ts: (tl_append(ts),
-                                                  au_append(ts))
-        elif digest:
-            timeline = []
-            comp.queue.trace = lambda owner, ts: timeline.append(ts)
-        elif auditor is not None:
-            au_append = auditor.buf.append
-            comp.queue.trace = lambda owner, ts: au_append(ts)
+        probes = [make(comp) for make in probe_factories]
         t_start = time.perf_counter()
         run_start_us = 0.0
         if tracer is not None:
@@ -287,15 +245,11 @@ def _child_main(spec: ProcSpec,
             tracer.span(tracer.tid("lifecycle"), "proc", "setup",
                         0.0, run_start_us)
             _sample_counters(tracer, comp)  # baseline for trace diffs
-        pump = None
+        # probes beat on heartbeats, so only when someone receives them
+        beating = probes if telemetry_q is not None else []
         if telemetry_q is not None or tracer is not None:
-            pump = _HeartbeatPump(spec.name, telemetry_q, tracer, comp,
+            pump = _HeartbeatPump(telemetry_q, tracer, comp, beating,
                                   in_rings, t_start, hb_interval_s)
-            if epoch_timeline and telemetry_q is not None:
-                from ..obs.timeline import EpochTracker
-                pump.epoch_tracker = EpochTracker(comp)
-            if auditor is not None and telemetry_q is not None:
-                pump.auditor = auditor
         mailbox = None
         if cmd_q is not None:
             # Control-plane command mailbox, polled at sync-round
@@ -309,7 +263,6 @@ def _child_main(spec: ProcSpec,
         deadline = t_start + timeout_s
         ends = comp.ends
         wait_ns = 0
-        last_commit = -1
         while True:
             commit = comp.advance(until_ps)
             done = commit >= until_ps
@@ -371,26 +324,18 @@ def _child_main(spec: ProcSpec,
                 if stopping:
                     break
             last_commit = commit
-        if pump is not None and (pump.epoch_tracker is not None
-                                 or pump.auditor is not None):
+        if beating:
             pump.flush(commit)
-        if auditor is not None:
-            from ..obs.audit import pack_payload
-            auditor.finalize()
-            result.audit = {
-                "rows": [r.to_wire() for r in auditor.rows],
-                "digest": auditor.digest(),
-                "payload_z": pack_payload(auditor.payload()),
-                "events": auditor.events,
-            }
+        for probe in probes:
+            payload = probe.result()
+            if payload is not None:
+                result.extras[probe.name] = payload
         result.events = comp.events_processed
         result.wall_seconds = time.perf_counter() - t_start
         result.wait_seconds = wait_ns / 1e9
         result.work_cycles = comp.work_cycles
         result.end_counters = {e.name: e.counters() for e in comp.ends}
         result.transport = _transport_stats(rings)
-        if timeline is not None:
-            result.timeline_digest = timeline_digest(spec.name, timeline)
         collect = getattr(comp, "collect_outputs", None)
         if collect is not None:
             result.outputs = collect()
@@ -405,12 +350,10 @@ def _child_main(spec: ProcSpec,
                                            f"{spec.name}.trace.jsonl"))
     except Exception as exc:  # pragma: no cover - error path
         result.error = f"{type(exc).__name__}: {exc}"
-        if auditor is not None:
-            # ship what closed before the failure: the parent keeps a
-            # partial ledger (null root) instead of losing localization
-            auditor.flush_closed()
-            result.audit = {"rows": [r.to_wire() for r in auditor.rows],
-                            "partial": True}
+        if pump is not None:
+            # one last beat ships what the probes closed before the
+            # failure: recorders keep a partial document, not nothing
+            pump.flush(last_commit)
     finally:
         for ring in rings:
             ring.close()
@@ -428,6 +371,10 @@ class ProcessRunner:
         self.specs = specs
         self.channels = channels
         self.ring_bytes = ring_bytes
+        #: recorders (collectors, see :mod:`repro.obs.recorder`) of the
+        #: next :meth:`run`: children run their probes, the parent feeds,
+        #: saves (to each recorder's own ``path``) and reports them
+        self.recorders: list = []
 
     def run(self, until_ps: int, timeout_s: float = 120.0, *,
             progress: bool = False, report_path: Optional[str] = None,
@@ -437,10 +384,7 @@ class ProcessRunner:
             flow_sample: Optional[int] = None,
             control_dir: Optional[str] = None,
             stall_intervals: int = 4,
-            stale_after_s: Optional[float] = None,
-            timeline_path: Optional[str] = None,
-            audit_path: Optional[str] = None,
-            audit_window_ps: Optional[int] = None) -> Dict[str, ProcResult]:
+            stale_after_s: Optional[float] = None) -> Dict[str, ProcResult]:
         """Run all components to ``until_ps``; returns per-component results.
 
         Parameters
@@ -456,13 +400,14 @@ class ProcessRunner:
             merged ``trace.json`` Chrome-trace document.
         hb_interval_s:
             Child heartbeat period; heartbeats are only collected when
-            ``progress``, ``report_path`` or ``control_dir`` is requested.
+            ``progress``, ``report_path``, ``control_dir`` or a recorder
+            is requested.
         digest:
             Record each child's event timeline and return its SHA-256 in
             ``ProcResult.timeline_digest`` (determinism checks).
         flow_sample:
             Keep 1-in-N causal flows in the per-child traces (needs
-            ``trace_dir``); ``None`` defers to ``SPLITSIM_FLOW_SAMPLE``.
+            ``trace_dir``); ``None`` = flow tracing off.
         control_dir:
             Serve the live control plane from this run directory: a
             ``control.json`` discovery file plus a unix-socket endpoint
@@ -475,25 +420,6 @@ class ProcessRunner:
         stale_after_s:
             Age after which a silent component is flagged stale; default
             ``max(2.0, 8 * hb_interval_s)``.
-        timeline_path:
-            Write the epoch-resolved metrics timeline here
-            (``timeline.jsonl``): children piggyback per-epoch counter
-            deltas on their heartbeats (plus one forced final beat), the
-            parent assembles and persists them.  Referenced from the run
-            report's ``timeline`` field when ``report_path`` is given.
-            Pure counter reads — the determinism digest is unchanged.
-        audit_path:
-            Write the per-epoch digest ledger here (``audit.jsonl``, see
-            :mod:`repro.obs.audit`): children piggyback closed windows on
-            their heartbeats and ship the authoritative rows + payload in
-            their result; the parent assembles the ledger and folds the
-            root digest — bit-identical to the in-process golden fold.
-            Referenced from the run report's ``audit`` field when
-            ``report_path`` is given.
-        audit_window_ps:
-            Epoch width of the audit ledger in simulated picoseconds
-            (default :data:`repro.obs.audit.DEFAULT_WINDOW_PS`).  Two
-            ledgers are only comparable at matching widths.
         """
         ctx = mp.get_context("fork")
         rings: List[ShmRing] = []
@@ -502,34 +428,29 @@ class ProcessRunner:
             s.name: [] for s in self.specs
         }
         names = [s.name for s in self.specs]
+        collectors = list(self.recorders)
         want_telemetry = (progress or report_path is not None
-                          or control_dir is not None
-                          or timeline_path is not None
-                          or audit_path is not None)
+                          or control_dir is not None or bool(collectors))
         aggregator = None
         monitor = None
         telemetry_q = None
         parent_tracer = None
         control = None
-        collector = None
-        audit_collector = None
         if want_telemetry:
             from ..obs.telemetry import TelemetryAggregator, HealthMonitor
             aggregator = TelemetryAggregator(names)
             monitor = HealthMonitor(names, hb_interval_s=hb_interval_s,
                                     stall_intervals=stall_intervals,
                                     stale_after_s=stale_after_s)
-        if timeline_path is not None:
-            from ..obs.timeline import MpTimelineCollector
-            collector = MpTimelineCollector(names, until_ps)
-        if audit_path is not None:
-            from ..obs.audit import DEFAULT_WINDOW_PS, MpAuditCollector
-            if audit_window_ps is None:
-                audit_window_ps = DEFAULT_WINDOW_PS
-            audit_collector = MpAuditCollector(names, until_ps,
-                                               audit_window_ps)
-        else:
-            audit_window_ps = None
+        # one probe per recorder name per child (fork-inherited factories)
+        probes = {c.name: c.probe for c in collectors}
+        for collector in collectors:
+            collector.begin(names, until_ps, "mp")
+        if digest:
+            # the event digest is a probe result; reuse a recorder's probe
+            from ..obs.recorder import DIGEST_PROBE, digest_probe
+            probes.setdefault(DIGEST_PROBE, digest_probe)
+        probe_factories = tuple(probes.values())
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
             from ..obs.trace import Tracer
@@ -563,9 +484,9 @@ class ProcessRunner:
                     target=_child_main,
                     args=(spec, wiring[spec.name], until_ps, result_q,
                           timeout_s, telemetry_q, trace_dir, hb_interval_s,
-                          index, digest, flow_sample,
+                          index, flow_sample,
                           cmd_queues.get(spec.name), reply_q,
-                          timeline_path is not None, audit_window_ps),
+                          probe_factories),
                     name=f"splitsim-{spec.name}",
                 )
                 for index, spec in enumerate(self.specs)
@@ -601,7 +522,7 @@ class ProcessRunner:
                     timed_out = True
                     break
                 self._drain_telemetry(telemetry_q, aggregator, monitor,
-                                      progress, collector, audit_collector)
+                                      progress, collectors)
                 try:
                     res: ProcResult = result_q.get(
                         timeout=hb_interval_s if want_telemetry else 0.5)
@@ -612,10 +533,15 @@ class ProcessRunner:
                     monitor.note_done(res.name, res.error)
                 if control is not None:
                     control.note_done(res.name, res.error)
-                if audit_collector is not None:
-                    audit_collector.note_result(res)
+                for collector in collectors:
+                    collector.note_result(res.name,
+                                          res.extras.get(collector.name))
+                if digest and res.error is None:
+                    res.timeline_digest = (
+                        res.extras[DIGEST_PROBE]["digest"]
+                        or timeline_digest(res.name, []))
             self._drain_telemetry(telemetry_q, aggregator, monitor, progress,
-                                  collector, audit_collector)
+                                  collectors)
             if progress:
                 sys.stderr.write("\n")
                 sys.stderr.flush()
@@ -629,20 +555,20 @@ class ProcessRunner:
                 parent_tracer.span(parent_tracer.tid("phases"), "phase",
                                    "run", launch_us,
                                    parent_tracer.wall_us() - launch_us)
-                trace_path = self._merge_traces(trace_dir, parent_tracer)
-            timeline_rel = None
-            if collector is not None or audit_collector is not None:
+                from ..obs.trace import merge_trace_jsonl
+                trace_path = merge_trace_jsonl(trace_dir, names,
+                                               parent_tracer=parent_tracer)
+            if collectors:
                 # children are joined: their queue feeders have flushed, so
                 # one more drain picks up the forced final beats
                 self._drain_telemetry(telemetry_q, aggregator, monitor,
-                                      False, collector, audit_collector)
-            if collector is not None:
-                collector.save(timeline_path)
-                timeline_rel = self._report_rel(timeline_path, report_path)
-            audit_rel = None
-            if audit_collector is not None:
-                audit_collector.save(audit_path)
-                audit_rel = self._report_rel(audit_path, report_path)
+                                      False, collectors)
+            fields = {}
+            for collector in collectors:
+                key, path = collector.report_field()
+                if path is not None:
+                    collector.save()
+                    fields[key] = self._report_rel(path, report_path)
             if report_path is not None:
                 from ..obs.telemetry import (build_run_report,
                                              write_run_report)
@@ -650,7 +576,7 @@ class ProcessRunner:
                     until_ps, wall_total, results, aggregator,
                     trace=trace_path,
                     health=monitor.report() if monitor else None,
-                    timeline=timeline_rel, audit=audit_rel))
+                    fields=fields))
             if timed_out:
                 missing = sorted(set(names) - set(results))
                 raise TimeoutError(
@@ -677,17 +603,14 @@ class ProcessRunner:
         """Path as referenced from the run report (relative when possible)."""
         if report_path is None:
             return path
-        try:
-            return os.path.relpath(path, os.path.dirname(report_path) or ".")
-        except ValueError:  # pragma: no cover - cross-drive
-            return path
+        return os.path.relpath(path, os.path.dirname(report_path) or ".")
 
     def _drain_telemetry(self, telemetry_q, aggregator, monitor,
-                         progress: bool, collector=None,
-                         audit_collector=None) -> None:
+                         progress: bool, collectors=()) -> None:
         """Consume pending heartbeats; watchdog pass; refresh status line."""
         if telemetry_q is None:
             return
+        from ..obs.recorder import deliver
         noted = False
         while True:
             try:
@@ -695,10 +618,7 @@ class ProcessRunner:
             except Empty:
                 break
             aggregator.note(hb)
-            if collector is not None:
-                collector.note(hb)
-            if audit_collector is not None:
-                audit_collector.note(hb)
+            deliver(hb, collectors)
             noted = True
         if monitor is not None:
             monitor.observe(aggregator)
@@ -709,9 +629,3 @@ class ProcessRunner:
                 line += monitor.badge()
             sys.stderr.write("\r\x1b[K" + line)
             sys.stderr.flush()
-
-    def _merge_traces(self, trace_dir: str, parent_tracer) -> str:
-        """Merge per-child JSONL traces + runner phases into trace.json."""
-        from ..obs.trace import merge_trace_jsonl
-        return merge_trace_jsonl(trace_dir, [s.name for s in self.specs],
-                                 parent_tracer=parent_tracer)

@@ -38,6 +38,32 @@ class DeadlockError(RuntimeError):
     """Raised when no component can make progress before the end time."""
 
 
+class Observer:
+    """Run observer: the one seam the runtimes offer to recorders.
+
+    ``Simulation.observers`` is a plain list; the coordinator calls
+    :meth:`start` once after wiring, :meth:`on_round` after every
+    ``every``-th strict sync round and after the last one (``done`` is true
+    exactly once, on the last) — never in fast mode, which has no rounds —
+    and :meth:`finish` once after the run.  Each observer owns its cadence;
+    the runtime does not know which recorders exist (see
+    :mod:`repro.obs.recorder`).
+    """
+
+    #: rounds between :meth:`on_round` calls (the coordinator does the
+    #: modulo, so a sparse observer costs no call on the other rounds)
+    every = 1
+
+    def start(self, sim: "Simulation", until_ps: int) -> None:
+        """The simulation is wired and about to run to ``until_ps``."""
+
+    def on_round(self, rounds: int, done: bool) -> None:
+        """Strict sync round number ``rounds`` just completed."""
+
+    def finish(self) -> None:
+        """The run is over (components sit at the end time)."""
+
+
 class _DirectQueue:
     """Fast-mode transport: delivers straight into the peer's event queue.
 
@@ -126,22 +152,8 @@ class Simulation:
         self.recorder: Optional[WorkRecorder] = None
         if work_window_ps is not None:
             self.recorder = WorkRecorder(work_window_ps)
-        #: called once per strict-mode coordinator round (profiler sampling)
-        self.round_hook = None
-        #: observability tracer (``None`` = disabled); install via
-        #: :func:`repro.obs.install.install_tracer`, never directly.
-        self.obs = None
-        #: strict-mode counter-track sampling period, in coordinator rounds
-        self.obs_interval = 64
-        #: epoch-timeline recorder (``None`` = disabled); attach via
-        #: :meth:`Experiment.enable_timeline`.  Strict mode only: the
-        #: sampler reads counters at sync-round boundaries.
-        self.timeline = None
-        #: per-epoch digest ledger recorder (``None`` = disabled); attach
-        #: via :meth:`Experiment.enable_audit`.  Works in both modes:
-        #: epochs are fixed simulated-time windows, flushed at sync-round
-        #: boundaries in strict mode and at run end in fast mode.
-        self.audit = None
+        #: run observers (:class:`Observer`), driven in list order
+        self.observers: List[Observer] = []
         self._wired = False
 
     # -- assembly ----------------------------------------------------------
@@ -200,10 +212,6 @@ class Simulation:
                 connect(end_a, end_b, FifoQueue)
                 end_a.peer_comp_name = end_b.owner.name
                 end_b.peer_comp_name = end_a.owner.name
-        if self.obs is not None:
-            # lazy import: the obs layer costs nothing when disabled
-            from ..obs.install import wire_tracer
-            wire_tracer(self)
 
     def run(self, until_ps: int) -> SimStats:
         """Run the simulation to ``until_ps`` and return run statistics."""
@@ -244,9 +252,9 @@ class Simulation:
 
     def _run_fast(self, until_ps: int) -> int:
         queue = self._shared_queue
-        audit = self.audit
-        if audit is not None:
-            audit.start(until_ps)
+        observers = self.observers
+        for o in observers:
+            o.start(self, until_ps)
         for c in self.components:
             c._started = True
             c.start()
@@ -256,8 +264,8 @@ class Simulation:
         for c in self.components:
             if c.now < until_ps:
                 c.now = until_ps
-        if audit is not None:
-            audit.finish()
+        for o in observers:
+            o.finish()
         return steps
 
     def _run_strict(self, until_ps: int) -> int:
@@ -265,17 +273,9 @@ class Simulation:
         #: last commitment of each component, by position in ``comps``
         commits = [-1] * len(comps)
         rounds = 0
-        obs = self.obs
-        if obs is not None:
-            from ..obs.install import sample_strict_round
-            # t=0 baseline sample: trace-derived diffs then cover the run
-            sample_strict_round(self, obs, 0, until_ps)
-        timeline = self.timeline
-        if timeline is not None:
-            timeline.start(until_ps)
-        audit = self.audit
-        if audit is not None:
-            audit.start(until_ps)
+        observers = self.observers
+        for o in observers:
+            o.start(self, until_ps)
         while True:
             progressed = False
             done = True
@@ -294,18 +294,12 @@ class Simulation:
                         end.wait_polls += 1
                         end.wait_cycles += POLL_COST_CYCLES
             rounds += 1
-            if self.round_hook is not None:
-                self.round_hook()
-            if obs is not None and (done or not rounds % self.obs_interval):
-                sample_strict_round(self, obs, rounds, until_ps)
-            if timeline is not None and (done or not rounds
-                                         % timeline.interval_rounds):
-                timeline.sample()
-            if audit is not None and not rounds % audit.interval_rounds:
-                audit.on_round()
+            for o in observers:
+                if done or not rounds % o.every:
+                    o.on_round(rounds, done)
             if done:
-                if audit is not None:
-                    audit.finish()
+                for o in observers:
+                    o.finish()
                 return rounds
             if not progressed:
                 detail = ", ".join(

@@ -5,8 +5,9 @@ The counters themselves live on :class:`~repro.channels.channel.ChannelEnd`
 them.  Three sources produce :class:`~repro.profiler.records.ProfileLog`
 data:
 
-* :class:`StrictModeSampler` — hooks the in-process strict-sync coordinator
-  and snapshots counters every N rounds (modeled cycle counts).
+* :class:`StrictModeSampler` — a run observer of the in-process
+  strict-sync coordinator that snapshots counters every N rounds (modeled
+  cycle counts).
 * :func:`sample_component` — one snapshot of a live component; the
   multi-process runner calls this in each child (real nanosecond waits).
 * :func:`log_from_model` — converts a virtual-time
@@ -21,6 +22,7 @@ from typing import Optional
 
 from ..kernel.component import Component
 from ..parallel.model import ModelResult
+from ..parallel.simulation import Observer
 from .records import AdapterRecord, ProfileLog
 
 
@@ -46,18 +48,21 @@ def sample_component(comp: Component, log: ProfileLog,
         ))
 
 
-class StrictModeSampler:
+class StrictModeSampler(Observer):
     """Periodically samples all components of an in-process simulation.
 
-    Call :meth:`tick` from the driving loop; every ``interval`` ticks a
-    snapshot of every component is appended to the log.
+    As one of ``Simulation.observers`` (or with :meth:`tick` called once
+    per round from your own driving loop) it appends a snapshot of every
+    component to the log every ``interval`` strict sync rounds.
     """
+
+    name = "profile"
 
     def __init__(self, components, interval: int = 1000) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.components = list(components)
-        self.interval = interval
+        self.interval = self.every = interval
         self.log = ProfileLog()
         self._ticks = 0
 
@@ -67,11 +72,19 @@ class StrictModeSampler:
         if self._ticks % self.interval == 0:
             self.sample()
 
+    def on_round(self, rounds: int, done: bool) -> None:
+        if not rounds % self.interval:  # not for a final odd round
+            self.sample()
+
     def sample(self) -> None:
         """Take one snapshot of every component immediately."""
         ts = time.perf_counter_ns()
         for comp in self.components:
             sample_component(comp, self.log, tsc_ns=ts)
+
+    def save(self, path) -> None:
+        """Write the raw profiler log (``profile.jsonl``)."""
+        self.log.save(path)
 
 
 def log_from_model(result: ModelResult) -> ProfileLog:

@@ -165,6 +165,9 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
     if args.timeline is not None and not args.control:
         inst_kwargs["timeline"] = True
     if args.audit_window is not None:
+        if args.audit is None:
+            print("error: --audit-window needs --audit", file=sys.stderr)
+            return 1
         try:
             args.audit_window = parse_time(args.audit_window)
         except ValueError as exc:
@@ -199,8 +202,14 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
             return _run_mp(args, exp, duration, duration_text)
         return _run(args, exp, duration, duration_text)
     finally:
-        if exp.flow_recorder is not None:
-            exp.disable_flow_tracing()
+        exp.disable_flow_tracing()
+
+
+def _artifact_path(flag, default) -> Optional[str]:
+    """Where a ``--flag [PATH]`` artifact goes (``None`` = flag not given)."""
+    if flag is None:
+        return None
+    return str(default) if flag is True else flag
 
 
 def _run_mp(args, exp, duration: int, duration_text: str) -> int:
@@ -214,22 +223,13 @@ def _run_mp(args, exp, duration: int, duration_text: str) -> int:
           f"{duration_text}: {', '.join(components)}")
     print(f"control plane: {rundir}  "
           f"(attach with: splitsim-inspect attach {rundir})")
-    timeline_path = None
-    if args.timeline is not None:
-        timeline_path = str(rundir / "timeline.jsonl") \
-            if args.timeline is True else args.timeline
-    audit_path = None
-    if args.audit is not None:
-        audit_path = str(rundir / "audit.jsonl") \
-            if args.audit is True else args.audit
-    results = exp.run_mp(duration, progress=args.progress,
-                         report_path=str(report_path),
-                         trace_dir=str(trace_dir),
-                         control_dir=str(rundir),
-                         flow_sample=args.flows,
-                         timeline_path=timeline_path,
-                         audit_path=audit_path,
-                         audit_window_ps=args.audit_window)
+    results = exp.run_mp(
+        duration, progress=args.progress, report_path=str(report_path),
+        trace_dir=str(trace_dir), control_dir=str(rundir),
+        flow_sample=args.flows,
+        timeline_path=_artifact_path(args.timeline, rundir / "timeline.jsonl"),
+        audit_path=_artifact_path(args.audit, rundir / "audit.jsonl"),
+        audit_window_ps=args.audit_window)
     for name in sorted(results):
         res = results[name]
         print(f"  {name}: {res.events} events, "
@@ -268,29 +268,22 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
     if args.profile_out:
         outdir = Path(args.profile_out)
         outdir.mkdir(parents=True, exist_ok=True)
-        exp.sampler.log.save(outdir / "profile.jsonl")
+        exp.save("profile", outdir / "profile.jsonl")
         save_dot(build_wtpg(analysis), str(outdir / "wtpg.dot"),
                  title="SplitSim WTPG")
         written = ["profile.jsonl", "wtpg.dot"]
-        if exp.tracer is not None:
-            exp.save_trace(str(outdir / "trace.json"))
+        if "trace" in exp.recorders:
+            exp.save("trace", str(outdir / "trace.json"))
             written.append("trace.json")
         print(f"wrote {outdir}/{{{', '.join(written)}}}")
 
-    if args.timeline is not None:
-        timeline_path = "timeline.jsonl" if args.timeline is True \
-            else args.timeline
-        exp.save_timeline(timeline_path)
-        print(f"wrote {timeline_path}")
-
-    if args.audit is not None:
-        audit_path = "audit.jsonl" if args.audit is True else args.audit
-        exp.save_audit(audit_path)
-        print(f"wrote {audit_path}")
-
-    if args.trace:
-        exp.save_trace(args.trace)
-        print(f"wrote {args.trace}")
+    for name, path in (
+            ("timeline", _artifact_path(args.timeline, "timeline.jsonl")),
+            ("audit", _artifact_path(args.audit, "audit.jsonl")),
+            ("trace", args.trace)):
+        if path:
+            exp.save(name, path)
+            print(f"wrote {path}")
 
     if args.stats_json:
         snapshot = exp.metrics(stats).snapshot()

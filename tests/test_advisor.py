@@ -213,7 +213,7 @@ def test_recommend_beats_naive_and_agrees_with_profilers(tmp_path):
                         timeline_interval_rounds=16, trace=True,
                         work_window_ps=10 * US).build()
     exp.run(2 * MS)
-    header = exp.save_timeline(str(tmp_path / "timeline.jsonl"))
+    header = exp.save("timeline", str(tmp_path / "timeline.jsonl"))
     assert header["mode"] == "strict"
 
     from repro.obs.timeline import load_timeline
@@ -226,7 +226,7 @@ def test_recommend_beats_naive_and_agrees_with_profilers(tmp_path):
     profiled = exp.profile_analysis()
     assert plan.bottleneck == profiled.bottlenecks(1)[0]
 
-    doc = exp.save_trace(str(tmp_path / "trace.json"))
+    doc = exp.save("trace", str(tmp_path / "trace.json"))
     traced = analysis_from_trace(doc)
     assert plan.bottleneck == traced.bottlenecks(1)[0]
 

@@ -6,6 +6,7 @@ multiprocess runs — and a single perturbed event must be localized to
 exactly its (epoch, component) window.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -16,10 +17,11 @@ from repro.bench.mp import (AUDIT_WINDOW_PS, RingForwarder,
 from repro.bench.workloads import build_mixed_system
 from repro.kernel.simtime import US
 from repro.obs.audit import (AUDIT_FILE, AUDIT_KIND, AUDIT_SCHEMA,
-                             AuditRecorder, ComponentAuditor,
+                             AuditCollector, ComponentAuditor,
                              DIFF_DIVERGED, DIFF_IDENTICAL,
                              DIFF_INCOMPARABLE, chunk_digest, diff_ledgers,
                              fold_root, load_audit, resolve_audit_path)
+from repro.obs.recorder import ProbeDriver
 from repro.orchestration.instantiate import Instantiation
 from repro.parallel.procrunner import ProcessRunner, timeline_digest
 from repro.parallel.simulation import Simulation
@@ -139,25 +141,29 @@ def _audited_mixed(mode):
 
 def test_strict_audit_root_is_golden_digest():
     exp = _audited_mixed("strict")
-    rec = exp.audit
+    rec = exp.recorders["audit"]
     assert rec.root_digest() == GOLDEN_DIGEST
     assert rec.sorted_rows()
     # per-component digests equal the guard's per-component encoding
-    for name, auditor in rec.auditors.items():
-        if auditor.chunks:
-            assert auditor.digest() == rec.component_digests()[name]
+    digests = rec.component_digests()
+    assert digests
+    for name, result in rec._executed().items():
+        payload = result["payload"]
+        assert payload.startswith(name + ":") and payload.endswith(";")
+        assert hashlib.sha256(payload.encode()).hexdigest() == digests[name]
 
 
 def test_fast_audit_root_is_golden_digest():
     # epochs are simulated-time windows, so the fast-mode ledger is
     # row-identical to the strict one — same root, same golden fold
     exp = _audited_mixed("fast")
-    assert exp.audit.root_digest() == GOLDEN_DIGEST
+    assert exp.recorders["audit"].root_digest() == GOLDEN_DIGEST
 
 
 def test_fast_and_strict_ledgers_are_row_identical():
-    a = _audited_mixed("fast").audit.to_ledger(mode="fast")
-    b = _audited_mixed("strict").audit.to_ledger(mode="strict")
+    a = _audited_mixed("fast").recorders["audit"].to_ledger()
+    b = _audited_mixed("strict").recorders["audit"].to_ledger()
+    assert (a.mode, b.mode) == ("fast", "strict")
     diff = diff_ledgers(a, b)
     assert diff.status == DIFF_IDENTICAL
     assert diff.rows_compared == len(a.rows) == len(b.rows) > 0
@@ -181,7 +187,7 @@ def test_guard_digest_unchanged_with_audit_on():
     sim._run_strict(DURATION)
     assert fold_root({n: n + ":" + ",".join(map(str, t)) + ";"
                       for n, t in lines.items()}) == GOLDEN_DIGEST
-    assert exp.audit.root_digest() == GOLDEN_DIGEST
+    assert exp.recorders["audit"].root_digest() == GOLDEN_DIGEST
 
 
 # -- persistence --------------------------------------------------------------
@@ -201,24 +207,23 @@ def _pipeline_recorder(n=3, until_ps=UNTIL_PS, window_ps=WINDOW,
             _c.call_after(_ts, lambda: None)  # one extra no-op event
 
         comps[comp].start = start
-    sim._wire()
-    rec = AuditRecorder(comps, window_ps=window_ps)
-    sim.audit = rec
-    sim._run_strict(until_ps)
+    rec = AuditCollector(window_ps=window_ps)
+    sim.observers.append(ProbeDriver(rec))
+    sim.run(until_ps)
     return rec
 
 
 def test_save_load_round_trip(tmp_path):
     rec = _pipeline_recorder()
     path = tmp_path / AUDIT_FILE
-    header = rec.save(str(path), mode="strict")
+    header = rec.save(str(path))
     assert header["kind"] == AUDIT_KIND
     assert header["schema"] == AUDIT_SCHEMA
     led = load_audit(str(path))
     assert led.mode == "strict"
     assert led.until_ps == UNTIL_PS
     assert led.window_ps == WINDOW
-    assert led.components == sorted(c for c in rec.auditors)
+    assert led.components == sorted(rec.components) == ["s0", "s1", "s2"]
     assert led.root == rec.root_digest()
     assert not led.partial
     assert led.component_digests() == rec.component_digests()
@@ -370,9 +375,9 @@ def test_mp_crash_leaves_partial_ledger(tmp_path):
     specs[1].factory = make_crashing
     path = tmp_path / AUDIT_FILE
     with pytest.raises((RuntimeError, TimeoutError)):
-        ProcessRunner(specs, channels).run(
-            UNTIL_PS, timeout_s=3.0, hb_interval_s=0.0,
-            audit_path=str(path), audit_window_ps=WINDOW)
+        runner = ProcessRunner(specs, channels)
+        runner.recorders.append(AuditCollector(str(path), WINDOW))
+        runner.run(UNTIL_PS, timeout_s=3.0, hb_interval_s=0.0)
     led = load_audit(str(path))
     assert led.partial
     assert led.root is None

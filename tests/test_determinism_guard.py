@@ -64,7 +64,7 @@ def timeline_digest(mode: str, traced: bool = False,
 def _audited_ledger(mode: str):
     exp = Instantiation(build_mixed_system(), mode=mode, audit=True).build()
     exp.run(DURATION)
-    return exp.audit.to_ledger(mode=mode)
+    return exp.recorders["audit"].to_ledger()
 
 
 def assert_golden(mode: str, **kwargs) -> None:

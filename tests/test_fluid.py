@@ -79,7 +79,7 @@ def test_handoff_keeps_flow_id_across_promote_demote():
                         fidelity=FidelityConfig(fluid=True)).build()
     try:
         exp.run(40 * MS)
-        doc = chrome_doc([exp.tracer])
+        doc = chrome_doc([exp.recorders["trace"].tracer])
     finally:
         uninstall_flow_recorder()
     rep = analyze_doc(doc)

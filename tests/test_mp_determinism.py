@@ -82,22 +82,16 @@ def test_digest_depends_on_timeline():
 def test_mp_matches_inproc_strict_with_flow_recorder(tmp_path):
     """Flow tracing active in every child: the 4-proc timelines still pin.
 
-    Children install a flow recorder (via ``SPLITSIM_FLOW_SAMPLE``
-    inherited across fork) whenever tracing is on; the token pipeline's
-    timelines must stay bit-identical to the untraced strict oracle.
+    Children install a flow recorder (``flow_sample=1``) on their
+    tracers; the token pipeline's timelines must stay bit-identical to
+    the untraced strict oracle.
     """
-    import os
-
     from repro.bench.mp import pipeline_specs, TOKENS
     from repro.parallel.procrunner import ProcessRunner
 
     expected = inproc_strict_digests(N_PROCS, DURATION)
     specs, channels = pipeline_specs(N_PROCS, TOKENS)
-    os.environ["SPLITSIM_FLOW_SAMPLE"] = "1"
-    try:
-        results = ProcessRunner(specs, channels).run(
-            DURATION, timeout_s=120, digest=True,
-            trace_dir=str(tmp_path / "traces"))
-    finally:
-        del os.environ["SPLITSIM_FLOW_SAMPLE"]
+    results = ProcessRunner(specs, channels).run(
+        DURATION, timeout_s=120, digest=True, flow_sample=1,
+        trace_dir=str(tmp_path / "traces"))
     assert {n: r.timeline_digest for n, r in results.items()} == expected

@@ -23,10 +23,9 @@ import pytest
 
 from repro.kernel.simtime import MS, US
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
-from repro.obs.flows import (FLOW_SAMPLE_ENV, FlowRecorder, analyze_doc,
+from repro.obs.flows import (FlowRecorder, analyze_doc,
                              extract_flows, flow_origin, flow_serial,
-                             install_flow_recorder, sample_from_env,
-                             uninstall_flow_recorder)
+                             install_flow_recorder, uninstall_flow_recorder)
 from repro.obs.inspect_cli import analysis_from_trace, render_flow_report
 from repro.obs.trace import Tracer, chrome_doc, validate_chrome_doc
 from repro.orchestration.instantiate import Instantiation
@@ -60,7 +59,7 @@ def traced_flow_run(duration=2 * MS, sample_n=1, profile=False):
     try:
         exp.run(duration)
         doc = chrome_doc(
-            [exp.tracer], extra_meta={"mode": exp.sim.mode})
+            [exp.recorders["trace"].tracer], extra_meta={"mode": exp.sim.mode})
     finally:
         uninstall_flow_recorder()
     return exp, doc
@@ -105,15 +104,6 @@ def test_hop_records_carry_exact_ps_and_order(monkeypatch):
     assert [h["args"]["n"] for h in hops] == [0, 1, 2]
     phs = [e["ph"] for e in doc["traceEvents"] if e.get("ph") in "stf"]
     assert phs == ["s", "t", "f"]
-
-
-def test_sample_from_env(monkeypatch):
-    monkeypatch.delenv(FLOW_SAMPLE_ENV, raising=False)
-    assert sample_from_env(0) == 0
-    monkeypatch.setenv(FLOW_SAMPLE_ENV, "8")
-    assert sample_from_env(0) == 8
-    monkeypatch.setenv(FLOW_SAMPLE_ENV, "nope")
-    assert sample_from_env(3) == 3
 
 
 # -- case-study acceptance ----------------------------------------------------

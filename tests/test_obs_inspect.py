@@ -34,7 +34,7 @@ def traced_strict_run(tmp_path, duration=2 * MS):
                         trace=True).build()
     exp.run(duration)
     path = tmp_path / "trace.json"
-    doc = exp.save_trace(str(path))
+    doc = exp.save("trace", str(path))
     return exp, doc, path
 
 
@@ -189,7 +189,7 @@ def flow_traced_run(tmp_path):
     try:
         exp.run(2 * MS)
         path = tmp_path / "trace.json"
-        exp.save_trace(str(path))
+        exp.save("trace", str(path))
     finally:
         uninstall_flow_recorder()
     return path
@@ -238,7 +238,7 @@ def timeline_run(tmp_path, duration=2 * MS):
                         timeline_interval_rounds=16).build()
     exp.run(duration)
     path = tmp_path / "timeline.jsonl"
-    exp.save_timeline(str(path))
+    exp.save("timeline", str(path))
     return exp, path
 
 
@@ -315,7 +315,8 @@ def test_recommend_subcommand_fails_gracefully(tmp_path, capsys):
 
 def test_timeline_dropped_rows_surface_as_warning(tmp_path, capsys):
     from repro.bench.mp import RingForwarder
-    from repro.obs.timeline import TimelineRecorder, load_timeline
+    from repro.obs.recorder import ProbeDriver
+    from repro.obs.timeline import TimelineCollector, load_timeline
     from repro.parallel.simulation import Simulation
 
     sim = Simulation(mode="strict")
@@ -323,8 +324,8 @@ def test_timeline_dropped_rows_surface_as_warning(tmp_path, capsys):
     sim.connect(comps[0].next, comps[1].prev)
     sim.connect(comps[1].next, comps[0].prev)
     sim._wire()
-    rec = TimelineRecorder(comps, interval_rounds=1, max_rows=4)
-    sim.timeline = rec
+    rec = TimelineCollector(max_rows=4)
+    sim.observers.append(ProbeDriver(rec, interval_rounds=1))
     sim._run_strict(100 * US)
     assert rec.dropped > 0
     path = tmp_path / "timeline.jsonl"

@@ -7,8 +7,9 @@ import pytest
 from repro.bench.mp import RingForwarder, pipeline_specs
 from repro.kernel.simtime import MS, US
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
+from repro.obs.recorder import ProbeDriver
 from repro.obs.timeline import (EpochRow, ROW_COLUMNS, TIMELINE_KIND,
-                                TIMELINE_SCHEMA, TimelineRecorder,
+                                TIMELINE_SCHEMA, TimelineCollector,
                                 detect_phases, load_timeline,
                                 resolve_timeline_path, save_timeline)
 from repro.orchestration.instantiate import Instantiation
@@ -140,8 +141,8 @@ def test_load_rejects_malformed_documents(tmp_path):
 
 def test_recorder_bounds_rows_and_counts_drops(tmp_path):
     sim, comps = _pipeline_sim(2)
-    rec = TimelineRecorder(comps, interval_rounds=1, max_rows=4)
-    sim.timeline = rec
+    rec = TimelineCollector(max_rows=4)
+    sim.observers.append(ProbeDriver(rec, interval_rounds=1))
     sim._run_strict(UNTIL_PS)
     assert len(rec.rows) == 4
     assert rec.dropped > 0
@@ -168,8 +169,8 @@ def _strict_digests(with_timeline):
                          tl.append(ts))
     rec = None
     if with_timeline:
-        rec = TimelineRecorder(comps, interval_rounds=4)
-        sim.timeline = rec
+        rec = TimelineCollector()
+        sim.observers.append(ProbeDriver(rec, interval_rounds=4))
     sim._run_strict(UNTIL_PS)
     digests = {name: timeline_digest(name, tl)
                for name, tl in timelines.items()}
@@ -207,9 +208,9 @@ def test_mp_digest_identical_with_timeline_on_and_off(tmp_path):
 
     path = tmp_path / "timeline.jsonl"
     specs, channels = pipeline_specs(3)
-    timed = ProcessRunner(specs, channels).run(UNTIL_PS, timeout_s=120,
-                                               digest=True,
-                                               timeline_path=str(path))
+    runner = ProcessRunner(specs, channels)
+    runner.recorders.append(TimelineCollector(str(path)))
+    timed = runner.run(UNTIL_PS, timeout_s=120, digest=True)
     assert {n: r.timeline_digest for n, r in timed.items()} == base_digests
 
     tl = load_timeline(str(path))
@@ -255,9 +256,10 @@ def test_mp_child_crash_flushes_partial_timeline(tmp_path):
     tl_path = tmp_path / "timeline.jsonl"
     report_path = tmp_path / "run_report.json"
     with pytest.raises((RuntimeError, TimeoutError)):
-        ProcessRunner(specs, channels).run(
-            UNTIL_PS, timeout_s=3.0, hb_interval_s=0.0,
-            timeline_path=str(tl_path), report_path=str(report_path))
+        runner = ProcessRunner(specs, channels)
+        runner.recorders.append(TimelineCollector(str(tl_path)))
+        runner.run(UNTIL_PS, timeout_s=3.0, hb_interval_s=0.0,
+                   report_path=str(report_path))
 
     report = json.loads(report_path.read_text())
     states = report["health"]["components"]
@@ -280,18 +282,19 @@ def test_instantiation_timeline_forces_strict_and_records():
                         timeline_interval_rounds=8).build()
     assert exp.sim.mode == "strict"
     exp.run(1 * MS)
-    assert exp.timeline is not None and exp.timeline.rows
-    names = {r.comp for r in exp.timeline.rows}
+    rows = exp.recorders["timeline"].rows
+    assert rows
+    names = {r.comp for r in rows}
     assert names == {c.name for c in exp.sim.components}
 
 
-def test_enable_timeline_requires_strict_mode():
+def test_observing_timeline_requires_strict_mode():
     exp = Instantiation(kv_system(), mode="fast").build()
     with pytest.raises(RuntimeError, match="strict"):
-        exp.enable_timeline()
+        exp.observe(TimelineCollector())
 
 
 def test_save_timeline_without_recorder_raises():
     exp = Instantiation(kv_system()).build()
     with pytest.raises(RuntimeError):
-        exp.save_timeline("nowhere.jsonl")
+        exp.save("timeline", "nowhere.jsonl")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.trace import (ORCH_PID, PhaseClock, TRACE_SCHEMA, Tracer,
+from repro.obs.trace import (ORCH_PID, TRACE_SCHEMA, Tracer,
                              chrome_doc, load_trace, us_from_ps,
                              validate_chrome_doc)
 
@@ -131,11 +131,13 @@ def test_load_trace_bare_event_array(tmp_path):
     assert len(doc["traceEvents"]) == 1
 
 
-def test_phase_clock_emits_wall_spans():
-    tr = Tracer(pid=ORCH_PID, clock="wall")
-    phases = PhaseClock(tr)
-    with phases("build"):
-        pass
+def test_trace_recorder_phases_emit_wall_spans():
+    from repro.obs.install import TraceRecorder
+
+    rec = TraceRecorder()
+    tr = rec.phase_tracer
+    assert (tr.pid, tr.clock) == (ORCH_PID, "wall")
+    rec.phase("build", 0.0)
     evs = tr.events()
     assert len(evs) == 1
     assert evs[0]["ph"] == "X" and evs[0]["name"] == "build"

@@ -216,3 +216,24 @@ def test_cli_partition_file_missing_errors(tmp_path, capsys):
     assert main([path, "--partition-file",
                  str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# -- audit flags ---------------------------------------------------------------
+
+@pytest.mark.parametrize("extra", [[], ["--control", "rundir"]])
+def test_cli_audit_window_needs_audit(tmp_path, capsys, monkeypatch, extra):
+    # used to be silently ignored, in process and with --control alike
+    monkeypatch.chdir(tmp_path)
+    assert main([write_config(tmp_path), "--audit-window", "5us",
+                 *extra]) == 1
+    assert "error: --audit-window needs --audit" in capsys.readouterr().err
+    assert not (tmp_path / "rundir").exists()
+
+
+def test_cli_audit_window_sets_ledger_width(tmp_path, capsys):
+    from repro.obs.audit import load_audit
+
+    out_path = tmp_path / "audit.jsonl"
+    assert main([write_config(tmp_path), "--audit", str(out_path),
+                 "--audit-window", "5us"]) == 0
+    assert load_audit(str(out_path)).window_ps == 5 * US

@@ -39,3 +39,11 @@ def test_experiment_runs_multiprocess_and_matches_inproc():
     assert host_out["instructions"] > 0
     # real waiting was measured somewhere
     assert any(r.wait_seconds >= 0 for r in results.values())
+
+
+def test_run_mp_after_in_process_run_is_rejected():
+    # forking already-drained components used to return garbage silently
+    exp = Instantiation(kv_system()).build()
+    exp.run(100 * US)
+    with pytest.raises(RuntimeError, match="already ran; build a fresh one"):
+        exp.run_mp(2 * MS, timeout_s=10)
