@@ -131,15 +131,14 @@ class ChannelEnd:
         # i.e. the shm rings; see :meth:`wire`).
         self._out_batched = False
         self._in_batched = False
-        self._out_batch: Optional[list] = None
+        #: frames awaiting the next :meth:`flush` (``None`` on an unbatched
+        #: transport); one list for as long as the end stays wired, so the
+        #: runner can see that an end has nothing pending without a call
+        self.out_batch: Optional[list] = None
         #: promise to piggyback on the next flushed data frame
         self._flush_promise = 0
         #: largest promise the peer has definitely received
         self._promise_published = -1
-        #: adaptive idle-sync threshold: promise increments below it are
-        #: deferred until the next flush-on-block; backs off toward the
-        #: channel latency while no data flows, resets on every data send
-        self._sync_threshold = self.sync_interval
         #: pooled SyncMsg reused for every emitted marker on batched ends
         #: (the ring encodes at flush time, so mutating it later is safe)
         self._pool_sync: Optional[SyncMsg] = None
@@ -167,7 +166,7 @@ class ChannelEnd:
         batching = _BATCHING[0]
         self._out_batched = batching and hasattr(out_q, "send_batch")
         self._in_batched = batching and hasattr(in_q, "recv_batch")
-        self._out_batch = [] if self._out_batched else None
+        self.out_batch = [] if self._out_batched else None
 
     # -- sending ----------------------------------------------------------
 
@@ -195,13 +194,11 @@ class ChannelEnd:
                     at=self.name, hop=msg.hop)
         self.tx_msgs += 1
         self.tx_bytes += wire_size_of(msg)
-        batch = self._out_batch
+        batch = self.out_batch
         if batch is None:
             self.out_q.push(msg)
         else:
             batch.append(msg)
-            # data is flowing again: sync at the configured granularity
-            self._sync_threshold = self.sync_interval
 
     def maybe_sync(self, commit: int) -> None:
         """Publish a sync promise if the outgoing one has gone stale.
@@ -212,9 +209,9 @@ class ChannelEnd:
         its next poll.  On the unbatched shm transport this immediately
         emits a :class:`SyncMsg`.  On batched transports the
         promise piggybacks on pending data frames when there are any; when
-        the sender is idle, small promise increments are deferred (adaptive
-        threshold) until either the increment grows past the threshold or
-        the owner is about to block (:meth:`flush` with ``blocked=True``).
+        the sender is idle, the promise is deferred until it is a full
+        ``sync_interval`` ahead of the published one or the owner is about
+        to block (:meth:`flush` with ``blocked=True``).
         """
         if not self.synchronized or self.out_q is None:
             return
@@ -228,7 +225,7 @@ class ChannelEnd:
             fifo.promise = stamp
             fifo.syncs += 1
             return
-        batch = self._out_batch
+        batch = self.out_batch
         if batch is None:
             self.tx_syncs += 1
             self.out_q.push(SyncMsg(stamp=stamp))
@@ -236,22 +233,19 @@ class ChannelEnd:
         if batch:
             self._flush_promise = stamp  # rides the data frames for free
             return
-        if stamp - self._promise_published < self._sync_threshold:
+        if stamp - self._promise_published < self.sync_interval:
             return  # deferred; _out_last_stamp remembers the pending promise
         self._emit_sync(stamp)
 
     def _emit_sync(self, stamp: int) -> None:
-        """Queue a pooled sync marker and back off the idle threshold."""
+        """Queue a pooled sync marker."""
         self.tx_syncs += 1
         msg = self._pool_sync
         if msg is None:
             msg = self._pool_sync = SyncMsg()
         msg.stamp = stamp
         msg.seq = 0
-        self._out_batch.append(msg)
-        # consecutive idle syncs back off toward the latency bound
-        doubled = self._sync_threshold * 2
-        self._sync_threshold = doubled if doubled < self.latency else self.latency
+        self.out_batch.append(msg)
 
     def flush(self, blocked: bool = False,
               deadline: Optional[float] = None) -> None:
@@ -263,7 +257,7 @@ class ChannelEnd:
         the peer can keep advancing — this is what keeps the conservative
         protocol deadlock-free under sync coalescing.
         """
-        batch = self._out_batch
+        batch = self.out_batch
         if batch is None:
             return
         if not batch:

@@ -5,8 +5,9 @@ Every fixed-layout :class:`~repro.channels.messages.Msg` subclass gets a
 the shared-memory rings never pay ``pickle`` for protocol traffic — the
 same fixed-layout-frame property SimBricks gets from its C shared-memory
 queues.  Messages with variable payloads (``EthMsg`` packets, DMA data,
-``RawMsg``) carry a length-prefixed bytes tail; payload objects that are
-not raw bytes are pickled *inside* the tail, and message types without a
+``RawMsg``) carry a length-prefixed bytes tail; the KV case study's
+request/reply objects have a fixed tail layout of their own, any other
+payload object is pickled *inside* the tail, and message types without a
 registered codec (user-defined subclasses) fall back to pickling the whole
 message behind the distinct :data:`TAG_PICKLE` tag.  Both fallbacks are
 counted (:func:`stats`) so the observability layer can report how much of
@@ -45,6 +46,7 @@ from .messages import (DmaCompletionMsg, DmaReadMsg, DmaWriteMsg, EthMsg,
                        InterruptMsg, MemInvalidateMsg, MemReadMsg, MemRespMsg,
                        MemWriteMsg, MmioMsg, MmioRespMsg, Msg, RawMsg,
                        SyncMsg, TrunkMsg)
+from ..netsim.apps.kvproto import KvReply, KvRequest
 from ..netsim.packet import Packet
 
 _PROTO = pickle.HIGHEST_PROTOCOL
@@ -98,6 +100,13 @@ _S_PACKET = Struct("<QQIHHQQIIBQQQHQQ")
 _TAIL_NONE = b"\x00"
 _TAIL_BYTES = b"\x01"
 _TAIL_PICKLE = b"\x02"
+_TAIL_KV_REQUEST = b"\x03"
+_TAIL_KV_REPLY = b"\x04"
+# KV case-study payloads (repro.netsim.apps.kvproto), the one object
+# payload the packet workloads put on cut links in volume.  Both start
+# with op (one ASCII char), key, req_id.
+_S_KV_REQUEST = Struct("<cQQQQ")     # + client_addr, client_ts
+_S_KV_REPLY = Struct("<cQQqQ")       # + served_by (-1 = switch), value_bytes
 
 #: Codec switch, shared with forked children (mutate, don't rebind).
 _CODEC = [True]
@@ -135,6 +144,22 @@ def reset_stats() -> None:
 
 # -- tail / small-string helpers --------------------------------------------
 
+def _pack_kv_request(r: KvRequest) -> bytes:
+    return _TAIL_KV_REQUEST + _S_KV_REQUEST.pack(
+        r.op.encode("ascii"), r.key, r.req_id, r.client_addr, r.client_ts)
+
+
+def _pack_kv_reply(r: KvReply) -> bytes:
+    return _TAIL_KV_REPLY + _S_KV_REPLY.pack(
+        r.op.encode("ascii"), r.key, r.req_id, r.served_by, r.value_bytes)
+
+
+#: Object payloads with a fixed tail layout; anything else is pickled.
+_TAIL_PACKERS: Dict[type, Callable[[Any], bytes]] = {
+    KvRequest: _pack_kv_request, KvReply: _pack_kv_reply,
+}
+
+
 def _pack_tail(parts: list, obj: Any) -> None:
     global _payload_pickles
     if obj is None:
@@ -144,6 +169,13 @@ def _pack_tail(parts: list, obj: Any) -> None:
         parts.append(_LEN32.pack(len(obj)))
         parts.append(obj)
     else:
+        pack = _TAIL_PACKERS.get(type(obj))
+        if pack is not None:
+            try:
+                parts.append(pack(obj))
+                return
+            except (struct.error, OverflowError, UnicodeEncodeError):
+                pass  # a field outside its fixed layout: pickle this tail
         _payload_pickles += 1
         blob = pickle.dumps(obj, _PROTO)
         parts.append(_TAIL_PICKLE)
@@ -156,6 +188,16 @@ def _unpack_tail(buf: bytes, off: int) -> Tuple[Any, int]:
     off += 1
     if kind == 0:
         return None, off
+    if kind == 3:
+        op, key, req_id, client_addr, client_ts = \
+            _S_KV_REQUEST.unpack_from(buf, off)
+        return (KvRequest(op.decode("ascii"), key, req_id, client_addr,
+                          client_ts), off + _S_KV_REQUEST.size)
+    if kind == 4:
+        op, key, req_id, served_by, value_bytes = \
+            _S_KV_REPLY.unpack_from(buf, off)
+        return (KvReply(op.decode("ascii"), key, req_id, served_by,
+                        value_bytes), off + _S_KV_REPLY.size)
     (length,) = _LEN32.unpack_from(buf, off)
     off += 4
     blob = buf[off:off + length]

@@ -7,6 +7,11 @@ protocol from :mod:`repro.channels.channel`; blocked components busy-poll
 their input rings, and the time they spend doing so is measured with real
 nanosecond timestamps — exactly the quantity the SplitSim profiler reports.
 
+A child syncs every ``ChannelEnd.sync_interval`` of simulated progress
+(default: the channel latency): it advances that far, publishes its frames
+and promise, and goes on, so the peers of a cut execute the same window
+concurrently instead of taking turns.
+
 With fewer cores than components (this sandbox has two) this runtime is
 *correct* but shows little wall-clock speedup; the virtual-time model
 (:mod:`repro.parallel.model`) covers the performance experiments.
@@ -214,7 +219,7 @@ def _child_main(spec: ProcSpec,
     rings: List[ShmRing] = []
     tracer = None
     pump = None
-    last_commit = -1
+    commit = 0
     try:
         if trace_dir is not None:
             from ..obs.trace import Tracer
@@ -228,6 +233,7 @@ def _child_main(spec: ProcSpec,
                 install_flow_recorder(tracer, sample_n=flow_sample)
         comp = spec.make()
         in_rings: List[ShmRing] = []
+        ends = []
         for end_name, out_name, in_name, peer, peer_comp in wiring:
             out_ring = ShmRing.attach(out_name)
             rings.append(out_ring)  # appended one by one: a failed attach
@@ -237,6 +243,7 @@ def _child_main(spec: ProcSpec,
             end = _find_end(comp, end_name)
             end.wire(out_q=out_ring, in_q=in_ring, peer_name=peer)
             end.peer_comp_name = peer_comp
+            ends.append(end)
         probes = [make(comp) for make in probe_factories]
         t_start = time.perf_counter()
         run_start_us = 0.0
@@ -261,17 +268,27 @@ def _child_main(spec: ProcSpec,
                 trace_dir=trace_dir,
                 transport_stats=lambda: _transport_stats(rings))
         deadline = t_start + timeout_s
-        ends = comp.ends
+        # One sync round = one step of simulated progress, then a flush:
+        # the peers get this round's frames and promise while the rest of
+        # the input window still executes here, so both sides of a cut run
+        # the same window concurrently.  Running to the input horizon
+        # before publishing would make two symmetric peers take turns.
+        interval = min((e.sync_interval for e in ends), default=until_ps)
+        outs = [(e, e.out_batch) for e in ends if e.out_batch is not None]
         wait_ns = 0
         while True:
-            commit = comp.advance(until_ps)
+            target = min(until_ps, commit + interval)
+            commit = comp.advance(target)
             done = commit >= until_ps
-            blocked = commit == last_commit
-            # Publish this round's batched frames; when finished or about
-            # to block, also force out any deferred sync promise so the
-            # peer never stalls on a promise we computed but coalesced.
-            for e in ends:
-                e.flush(blocked=done or blocked, deadline=deadline)
+            # short of the target: the input horizon is in the way
+            blocked = commit < target
+            # Publish this round's frames; when finished or about to block,
+            # also force out any deferred sync promise so the peer never
+            # stalls on a promise we computed but coalesced.
+            force = done or blocked
+            for e, batch in outs:
+                if batch or force:
+                    e.flush(force, deadline)
             if pump is not None:
                 pump.maybe(commit, waiting=False)
             if mailbox is not None and mailbox.poll(commit):
@@ -282,31 +299,37 @@ def _child_main(spec: ProcSpec,
                 # Blocked: poll inputs with spin -> yield -> sleep
                 # escalation, measuring real wait time.
                 blocking = comp.blocking_ends()
-                if not blocking:
-                    continue
+                empties = [e.in_q.empty for e in blocking]
                 t0 = time.perf_counter_ns()
                 spins = 0
                 naps = 0
                 stopping = False
-                while all(e.in_q.empty() for e in blocking):
-                    spins += 1
-                    if spins % _SPIN_BATCH:
-                        continue
-                    if naps < _YIELD_ROUNDS:
-                        time.sleep(0)
+                while True:
+                    for empty in empties:
+                        if not empty():
+                            break  # input arrived
                     else:
-                        step = min(naps - _YIELD_ROUNDS, 6)
-                        time.sleep(min(_NAP_MAX_S, _NAP_BASE_S * (1 << step)))
-                    naps += 1
-                    if pump is not None:
-                        pump.maybe(commit, waiting=True)
-                    if mailbox is not None and mailbox.poll(commit):
-                        stopping = True  # commit is still quiescent here
-                        break
-                    if time.perf_counter() > deadline:
-                        raise TimeoutError(
-                            f"{spec.name} stuck at commit={commit}"
-                        )
+                        spins += 1
+                        if spins % _SPIN_BATCH:
+                            continue
+                        if naps < _YIELD_ROUNDS:
+                            time.sleep(0)
+                        else:
+                            step = min(naps - _YIELD_ROUNDS, 6)
+                            time.sleep(min(_NAP_MAX_S,
+                                           _NAP_BASE_S * (1 << step)))
+                        naps += 1
+                        if pump is not None:
+                            pump.maybe(commit, waiting=True)
+                        if mailbox is not None and mailbox.poll(commit):
+                            stopping = True  # commit is still quiescent here
+                            break
+                        if time.perf_counter() > deadline:
+                            raise TimeoutError(
+                                f"{spec.name} stuck at commit={commit}"
+                            )
+                        continue
+                    break
                 dt = time.perf_counter_ns() - t0
                 wait_ns += dt
                 share = dt / max(1, len(blocking))
@@ -323,7 +346,6 @@ def _child_main(spec: ProcSpec,
                                 for e in blocking]})
                 if stopping:
                     break
-            last_commit = commit
         if beating:
             pump.flush(commit)
         for probe in probes:
@@ -353,7 +375,7 @@ def _child_main(spec: ProcSpec,
         if pump is not None:
             # one last beat ships what the probes closed before the
             # failure: recorders keep a partial document, not nothing
-            pump.flush(last_commit)
+            pump.flush(commit)
     finally:
         for ring in rings:
             ring.close()

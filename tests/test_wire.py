@@ -19,15 +19,24 @@ from repro.channels.messages import (DmaCompletionMsg, DmaReadMsg,
                                      MemRespMsg, MemWriteMsg, MmioMsg,
                                      MmioRespMsg, Msg, RawMsg, SyncMsg,
                                      TrunkMsg)
+from repro.netsim.apps.kvproto import KvReply, KvRequest
 from repro.netsim.packet import Packet
 
 u64 = st.integers(min_value=0, max_value=2**64 - 1)
 u32 = st.integers(min_value=0, max_value=2**32 - 1)
 u16 = st.integers(min_value=0, max_value=2**16 - 1)
 small_bytes = st.binary(max_size=64)
+kv_ops = st.sampled_from(["r", "w"])
+kv_payloads = st.one_of(
+    st.builds(KvRequest, op=kv_ops, key=u64, req_id=u64, client_addr=u64,
+              client_ts=u64),
+    st.builds(KvReply, op=kv_ops, key=u64, req_id=u64,
+              served_by=st.integers(min_value=-1, max_value=2**63 - 1),
+              value_bytes=u64))
 payloads = st.one_of(st.none(), small_bytes,
                      st.integers(), st.text(max_size=16),
-                     st.tuples(st.integers(), st.text(max_size=8)))
+                     st.tuples(st.integers(), st.text(max_size=8)),
+                     kv_payloads)
 
 _PKT_FIELDS = ("src", "dst", "size_bytes", "proto", "src_port", "dst_port",
                "seq", "ack", "flags", "wnd", "data_len", "ect", "ce", "ece",
@@ -185,6 +194,41 @@ def test_eth_packet_struct_path_avoids_pickle():
     assert (got.src, got.dst, got.size_bytes, got.proto, got.src_port,
             got.dst_port, got.payload) == (1, 2, 1500, "udp", 10, 20,
                                            b"\x00" * 32)
+
+
+def _kv_packet(payload):
+    return EthMsg(stamp=3, packet=Packet(src=1, dst=2, size_bytes=96,
+                                         proto="udp", payload=payload))
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=kv_payloads)
+def test_kv_payloads_have_a_fixed_tail_layout(payload):
+    wire.reset_stats()
+    out, _ = wire.decode(wire.encode(_kv_packet(payload)))
+    s = wire.stats()
+    assert s["msg_pickle_fallbacks"] == 0 and s["payload_pickles"] == 0
+    assert out.packet.payload == payload
+    assert type(out.packet.payload) is type(payload)
+
+
+def test_kv_fields_outside_the_layout_pickle_the_tail_only():
+    cases = [
+        KvRequest(op="r", key=-1, req_id=1, client_addr=2),          # negative
+        KvRequest(op="w", key=1, req_id=1, client_addr=2,
+                  client_ts=2**64),                                  # > u64
+        KvRequest(op="read", key=1, req_id=1, client_addr=2),        # op > 1 char
+        KvReply(op="r", key=1, req_id=1, served_by=-2**63 - 1),      # < i64
+    ]
+    wire.reset_stats()
+    for payload in cases:
+        buf = wire.encode(_kv_packet(payload))
+        assert buf[0] == wire.TAGS[EthMsg]  # the message keeps its layout
+        out, _ = wire.decode(buf)
+        assert out.packet.payload == payload
+    s = wire.stats()
+    assert s["payload_pickles"] == len(cases)
+    assert s["msg_pickle_fallbacks"] == 0
 
 
 def test_nested_trunk_roundtrip():
