@@ -69,6 +69,10 @@ class SimOS:
         """Cancel a scheduled callback."""
         self.host.cancel(ev)
 
+    def postpone(self, ev, delay: int) -> bool:
+        """Re-arm a pending callback for ``delay`` from now, in place."""
+        return self.host.postpone(ev, delay)
+
     def charge(self, instructions: int) -> None:
         """Execute ``instructions`` on the (single) guest CPU."""
         if instructions <= 0:

@@ -143,6 +143,12 @@ class Component:
         """Cancel a previously scheduled event."""
         self.queue.cancel(ev)
 
+    def postpone(self, ev: Event, delay: int) -> bool:
+        """Re-arm a pending event for ``delay`` picoseconds from now, in
+        place; ``False`` (nothing changed) if it is no longer pending or
+        would have to move earlier (:meth:`EventQueue.postpone`)."""
+        return self.queue.postpone(ev, self.now + delay)
+
     def add_work(self, cycles: float) -> None:
         """Report extra modeled host cycles for the current event."""
         self.work_cycles += cycles

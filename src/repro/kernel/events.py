@@ -13,22 +13,35 @@ Hot-path design (this loop bounds overall simulator throughput):
 * ``Event`` is a ``__slots__`` class and instances are recycled through a
   per-queue free list: an event returns to the pool after its callback runs
   (or after its cancelled carcass is dropped from the heap top).
-* ``pop_until`` / ``run_until`` fuse the classic ``peek_ts`` + ``pop`` pair
-  into one scan over cancelled heap entries, and ``run_until`` additionally
-  inlines the per-event accounting of :class:`~repro.kernel.component.Component`.
+* ``run_until`` fuses the classic ``peek_ts`` + ``pop`` pair into one scan
+  over dead heap entries and inlines the per-event accounting of
+  :class:`~repro.kernel.component.Component`.
+* :meth:`EventQueue.postpone` re-arms a pending event for a later time in
+  place: the event takes the fresh ``(ts, seq)`` a ``cancel`` + ``schedule``
+  pair would have given its replacement, so execution order — ties included
+  — is the same, but the heap keeps one entry per timer instead of one
+  tombstone per re-arm.  The stale entry is re-pushed under the new key when
+  it surfaces, on the branch the drain already takes for cancelled entries.
 
 **Pooled-event lifetime rule:** a handle returned by :meth:`EventQueue.schedule`
-is only valid until the event fires or its cancellation is collected.  Do not
+is only valid until the event fires or its cancellation is collected; it
+stays valid across any number of :meth:`EventQueue.postpone` calls.  Do not
 retain handles after the callback has run; clear stored handles inside the
 callback (see ``TcpConnection._on_rto`` for the canonical pattern).
-Cancelling an already-fired handle is a safe no-op *only* until the pooled
-object is reused, so stale handles must not escape their callback's turn.
+Cancelling or postponing an already-fired handle is a safe no-op *only*
+until the pooled object is reused, so stale handles must not escape their
+callback's turn.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, List, Optional, Tuple
+
+#: ``Event.cancelled`` marker of a postponed event: truthy, so the drain's
+#: one ``if ev.cancelled:`` test catches it, and not ``True``, so it is told
+#: apart from a dead one inside that branch.
+_MOVED = 2
 
 
 class Event:
@@ -37,6 +50,11 @@ class Event:
     Events live in the heap inside ``(ts, seq, event)`` tuples; the object
     itself is never compared.  Use :meth:`cancel` rather than removing from
     the queue; cancelled events are skipped lazily when popped.
+
+    ``cancelled`` has three states: ``False`` (pending, the heap entry
+    carries this event's key), ``True`` (dead: cancelled, fired or pooled)
+    and the truthy marker ``_MOVED`` (pending, but postponed: the heap entry
+    is stale and ``ts`` / ``seq`` hold the key it is re-pushed under).
     """
 
     __slots__ = ("ts", "seq", "fn", "args", "cancelled", "owner", "_queue")
@@ -62,7 +80,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.fn, "__qualname__", repr(self.fn))
-        state = " cancelled" if self.cancelled else ""
+        state = " cancelled" if self.cancelled is True else ""
         return f"<Event ts={self.ts} seq={self.seq} fn={name}{state}>"
 
 
@@ -70,8 +88,10 @@ class EventQueue:
     """Deterministic min-heap of :class:`Event` objects with a free list.
 
     Cancellation is lazy: cancelled events stay in the heap until they reach
-    the top, at which point they are discarded (and recycled).  ``len()``
-    reports only live events.
+    the top, at which point they are discarded (and recycled).  Postponing
+    is lazy the same way: the entry stays under its old key until it reaches
+    the top and is re-pushed under the new one.  ``len()`` reports only live
+    events.
     """
 
     def __init__(self) -> None:
@@ -92,12 +112,13 @@ class EventQueue:
         self.peak_heap = 0
         self.allocations = 0  # fresh Event objects constructed
         self.cancelled_total = 0  # events cancelled before firing
+        self.postponed_total = 0  # postpone() calls that moved an event
         self.executed = 0  # events whose callback ran
 
     @property
     def pool_reuse(self) -> int:
         """Schedules served from the free list (derived, not hot-path kept)."""
-        return self._seq - self.allocations
+        return self._seq - self.postponed_total - self.allocations
 
     def __len__(self) -> int:
         return self._live
@@ -144,10 +165,31 @@ class EventQueue:
 
     def cancel(self, ev: Event) -> None:
         """Cancel an event previously returned by :meth:`schedule`."""
-        if not ev.cancelled:
+        if ev.cancelled is not True:
             ev.cancelled = True
             self._live -= 1
             self.cancelled_total += 1
+
+    def postpone(self, ev: Event, ts: int) -> bool:
+        """Move a pending event to the later (or equal) time ``ts``, in place.
+
+        Returns ``False`` and changes nothing when ``ev`` is no longer
+        pending or ``ts`` lies before its current time — the caller then
+        cancels and schedules as usual.  The event takes a fresh ``seq``,
+        the one the replacement of a ``cancel`` + ``schedule`` pair would
+        have been given, so it executes at exactly the same place in the
+        ``(ts, seq)`` order; no heap entry is added, the stale one is
+        re-keyed when it surfaces.
+        """
+        if ev.cancelled is True or ts < ev.ts:
+            return False
+        seq = self._seq
+        self._seq = seq + 1
+        ev.ts = ts
+        ev.seq = seq
+        ev.cancelled = _MOVED
+        self.postponed_total += 1
+        return True
 
     # -- pool --------------------------------------------------------------
 
@@ -162,9 +204,9 @@ class EventQueue:
     def release(self, ev: Event) -> None:
         """Explicitly return a popped event to the pool.
 
-        Only call this on events obtained from :meth:`pop` / :meth:`pop_until`
-        after their callback has completed; the handle must not be used
-        afterwards.  Idempotent for already-released events.
+        Only call this on events obtained from :meth:`pop` after their
+        callback has completed; the handle must not be used afterwards.
+        Idempotent for already-released events.
         """
         if ev.fn is not _released:
             self._recycle(ev)
@@ -172,15 +214,24 @@ class EventQueue:
     # -- consuming ---------------------------------------------------------
 
     def peek_ts(self) -> Optional[int]:
-        """Timestamp of the next live event, or ``None`` if empty."""
+        """Timestamp of the next live event, or ``None`` if empty.
+
+        Settles the heap top on the way: dead entries are recycled and a
+        postponed one is re-keyed, so afterwards ``heap[0]`` (if any) is
+        the next live event under its true key.
+        """
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2].cancelled:
-                heapq.heappop(heap)
-                self._recycle(entry[2])
-            else:
+            ev = entry[2]
+            if not ev.cancelled:
                 return entry[0]
+            if ev.cancelled is True:
+                heapq.heappop(heap)
+                self._recycle(ev)
+            else:
+                ev.cancelled = False
+                heapq.heapreplace(heap, (ev.ts, ev.seq, ev))
         return None
 
     def pop(self) -> Optional[Event]:
@@ -190,38 +241,10 @@ class EventQueue:
         :meth:`release` (optional — unreleased events are simply collected
         by the garbage collector, forgoing reuse).
         """
-        heap = self._heap
-        while heap:
-            ev = heapq.heappop(heap)[2]
-            if ev.cancelled:
-                self._recycle(ev)
-            else:
-                self._live -= 1
-                return ev
-        return None
-
-    def pop_until(self, until_ps: int) -> Optional[Event]:
-        """Pop the next live event with ``ts <= until_ps`` in a single scan.
-
-        Returns ``None`` when the queue is empty or the next live event lies
-        beyond ``until_ps`` — fusing the ``peek_ts`` + ``pop`` pair that
-        previously walked cancelled entries twice.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            ev = entry[2]
-            if ev.cancelled:
-                pop(heap)
-                self._recycle(ev)
-                continue
-            if entry[0] > until_ps:
-                return None
-            pop(heap)
-            self._live -= 1
-            return ev
-        return None
+        if self.peek_ts() is None:
+            return None
+        self._live -= 1
+        return heapq.heappop(self._heap)[2]
 
     def run_until(self, until_ps: int) -> int:
         """Execute every live event with ``ts <= until_ps``; return the count.
@@ -232,8 +255,9 @@ class EventQueue:
         component (the coordinator and :meth:`Component.advance` guarantee
         this); ownerless events are executed without accounting.
         """
-        # nothing due: leave the heap as it is (cancelled heads are still
-        # recycled), so an idle drain costs no pop + push-back
+        # nothing due: leave the heap as it is (dead heads are still
+        # recycled, a postponed one re-keyed), so an idle drain costs no
+        # pop + push-back
         nxt = self.peek_ts()
         if nxt is None or nxt > until_ps:
             return 0
@@ -249,10 +273,15 @@ class EventQueue:
             entry = pop(heap)
             ev = entry[2]
             if ev.cancelled:
-                ev.fn = _released
-                ev.args = ()
-                ev.owner = None
-                pool.append(ev)
+                if ev.cancelled is True:
+                    ev.fn = _released
+                    ev.args = ()
+                    ev.owner = None
+                    pool.append(ev)
+                else:
+                    # postponed: this entry is stale, re-key it
+                    ev.cancelled = False
+                    heapq.heappush(heap, (ev.ts, ev.seq, ev))
                 continue
             ts = entry[0]
             if ts > until_ps:
@@ -303,7 +332,8 @@ class EventQueue:
 
     def stats(self) -> dict:
         """Lifetime counters for :class:`~repro.parallel.simulation.SimStats`."""
-        scheduled = self._seq
+        # postpone() consumes a seq but is not a schedule
+        scheduled = self._seq - self.postponed_total
         return {
             "peak_heap": self.peak_heap,
             "allocations": self.allocations,
@@ -311,6 +341,7 @@ class EventQueue:
             "pool_reuse_rate": (self.pool_reuse / scheduled) if scheduled else 0.0,
             "cancelled_total": self.cancelled_total,
             "cancelled_ratio": (self.cancelled_total / scheduled) if scheduled else 0.0,
+            "postponed_total": self.postponed_total,
             "executed": self.executed,
         }
 

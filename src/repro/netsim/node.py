@@ -54,8 +54,8 @@ class NetHost(Node):
     """Protocol-level end host with a transport stack and applications.
 
     Implements the stack environment interface (``now``, ``call_after``,
-    ``tx``, ``charge``, ``rng``); ``charge`` is a no-op because protocol-
-    level host software is free, by definition.
+    ``cancel``, ``postpone``, ``tx``, ``charge``, ``rng``); ``charge`` is a
+    no-op because protocol-level host software is free, by definition.
     """
 
     def __init__(self, net: "NetworkSim", name: str, addr: int,
@@ -85,6 +85,10 @@ class NetHost(Node):
     def cancel(self, ev) -> None:
         """Cancel a previously scheduled callback."""
         self.net.cancel(ev)
+
+    def postpone(self, ev, delay: int) -> bool:
+        """Re-arm a pending callback for ``delay`` from now, in place."""
+        return self.net.postpone(ev, delay)
 
     def tx(self, pkt: Packet) -> None:
         """Transmit a packet out this host's (single) network port."""

@@ -11,20 +11,22 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
+#: The topology graph: node name -> neighbour names (undirected, so every
+#: link appears in both lists).
+Graph = Dict[str, List[str]]
 
 
 def build_graph(switch_names: List[str], host_names: List[str],
-                links: List[Tuple[str, str]]) -> nx.Graph:
-    """Assemble the topology graph with node-kind annotations."""
-    graph = nx.Graph()
-    graph.add_nodes_from(switch_names, kind="switch")
-    graph.add_nodes_from(host_names, kind="host")
-    graph.add_edges_from(links)
+                links: List[Tuple[str, str]]) -> Graph:
+    """Assemble the topology's adjacency mapping, switches first."""
+    graph: Graph = {name: [] for name in [*switch_names, *host_names]}
+    for a, b in links:
+        graph[a].append(b)
+        graph[b].append(a)
     return graph
 
 
-def compute_next_hops(graph: nx.Graph, dst: str) -> Dict[str, Set[str]]:
+def compute_next_hops(graph: Graph, dst: str) -> Dict[str, Set[str]]:
     """For destination node ``dst``: node -> set of shortest-path next hops.
 
     BFS from the destination; a neighbor at distance d-1 from a node at
@@ -34,7 +36,7 @@ def compute_next_hops(graph: nx.Graph, dst: str) -> Dict[str, Set[str]]:
     order = deque([dst])
     while order:
         cur = order.popleft()
-        for nb in graph.neighbors(cur):
+        for nb in graph[cur]:
             if nb not in dist:
                 dist[nb] = dist[cur] + 1
                 order.append(nb)
@@ -42,21 +44,22 @@ def compute_next_hops(graph: nx.Graph, dst: str) -> Dict[str, Set[str]]:
     for node, d in dist.items():
         if node == dst:
             continue
-        hops = {nb for nb in graph.neighbors(node) if dist.get(nb, 1 << 30) == d - 1}
+        hops = {nb for nb in graph[node] if dist.get(nb, 1 << 30) == d - 1}
         if hops:
             next_hops[node] = hops
     return next_hops
 
 
-def compute_fib(graph: nx.Graph, host_addr: Dict[str, int]
+def compute_fib(graph: Graph, host_addr: Dict[str, int]
                 ) -> Dict[str, Dict[int, Set[str]]]:
     """Full forwarding state: switch name -> {dst addr -> next-hop names}.
 
-    Host names map to their addresses via ``host_addr``; only switches get
-    FIB entries (hosts send everything out their single port).
+    ``host_addr`` maps every host name to its address; the remaining nodes
+    are the switches, and only they get FIB entries (hosts send everything
+    out their single port).
     """
     fib: Dict[str, Dict[int, Set[str]]] = {
-        n: {} for n, d in graph.nodes(data=True) if d.get("kind") == "switch"
+        n: {} for n in graph if n not in host_addr
     }
     for host, addr in host_addr.items():
         if host not in graph:

@@ -23,11 +23,9 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..kernel.simtime import US, NS
 from .network import ExternalAttachment, NetworkSim
-from .routing import build_graph, compute_fib
+from .routing import Graph, build_graph, compute_fib
 
 GBPS = 1e9
 DEFAULT_QUEUE_BYTES = 512 * 1024
@@ -124,8 +122,8 @@ class TopoSpec:
         """Network address assigned to a declared host."""
         return self.hosts[host].addr
 
-    def graph(self) -> nx.Graph:
-        """The topology as a networkx graph (for routing and analysis)."""
+    def graph(self) -> Graph:
+        """The topology as an adjacency mapping (for routing and analysis)."""
         return build_graph(
             list(self.switches), list(self.hosts),
             [l.endpoints() for l in self.links],

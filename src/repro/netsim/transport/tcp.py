@@ -234,7 +234,14 @@ class TcpConnection:
                         + int(costs.COPY_INSTR_PER_BYTE * length))
         self._last_pkt_ce = pkt.ce
         seq = pkt.seq
-        if seq + length > self.rcv_nxt:
+        if seq == self.rcv_nxt and not self._ooo:
+            # in order, nothing buffered: the reassembly below would insert
+            # this segment, find it and delete it again
+            self.rcv_nxt = seq + length
+            self.delivered_bytes += length
+            if self.on_delivered is not None:
+                self.on_delivered(self.delivered_bytes)
+        elif seq + length > self.rcv_nxt:
             self._ooo[seq] = max(self._ooo.get(seq, 0), length)
             advanced = False
             while True:
@@ -353,8 +360,13 @@ class TcpConnection:
     # ---------------------------------------------------------------- timers
 
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        self._rto_timer = self.env.call_after(self.rto, self._on_rto)
+        # Re-armed on every ACK and every segment sent: move the pending
+        # timer in place.  Only a first arm, or a deadline that moved
+        # *earlier* (the RTO shrank after an RTT sample), schedules afresh.
+        timer = self._rto_timer
+        if timer is None or not self.env.postpone(timer, self.rto):
+            self._cancel_rto()
+            self._rto_timer = self.env.call_after(self.rto, self._on_rto)
 
     def _cancel_rto(self) -> None:
         if self._rto_timer is not None:

@@ -118,6 +118,9 @@ class SimStats:
     cancelled_ratio: float = 0.0
     #: fresh Event objects constructed across the run
     event_allocations: int = 0
+    #: pending events re-armed in place (``EventQueue.postpone``); these are
+    #: not schedules and stay out of the two ratios above
+    postponed: int = 0
 
     @property
     def events_per_second(self) -> float:
@@ -237,15 +240,18 @@ class Simulation:
     def _fill_queue_stats(self, stats: SimStats) -> None:
         """Aggregate queue health counters (fast mode shares one queue)."""
         queues = {id(c.queue): c.queue for c in self.components}
-        scheduled = cancelled = reused = allocs = 0
+        scheduled = cancelled = reused = allocs = postponed = 0
         for q in queues.values():
             qs = q.stats()
             stats.peak_heap = max(stats.peak_heap, qs["peak_heap"])
             allocs += qs["allocations"]
             reused += qs["pool_reuse"]
             cancelled += qs["cancelled_total"]
+            postponed += qs["postponed_total"]
+            # every schedule is a fresh allocation or a pool hit
             scheduled += qs["allocations"] + qs["pool_reuse"]
         stats.event_allocations = allocs
+        stats.postponed = postponed
         if scheduled:
             stats.pool_reuse_rate = reused / scheduled
             stats.cancelled_ratio = cancelled / scheduled

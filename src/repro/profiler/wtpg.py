@@ -12,11 +12,12 @@ DOT text, and a plain-text rendering for terminals/logs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from .postprocess import ProfileAnalysis
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def _wait_to_color(wait_fraction: float) -> str:
@@ -38,6 +39,10 @@ def build_wtpg(analysis: ProfileAnalysis) -> nx.DiGraph:
     Node attributes: ``wait_fraction``, ``efficiency``, ``color``.
     Edge attributes: ``wait_fraction`` (source waiting on destination).
     """
+    # imported here: networkx is a third of a worker's import time and
+    # memory, and only a profiled run ever builds a WTPG
+    import networkx as nx
+
     graph = nx.DiGraph()
     for name, cm in analysis.components.items():
         graph.add_node(

@@ -252,6 +252,7 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
     print(f"engine: peak heap {stats.peak_heap}, "
           f"event pool reuse {stats.pool_reuse_rate:.1%}, "
           f"cancelled {stats.cancelled_ratio:.1%}, "
+          f"{stats.postponed} postponed, "
           f"{stats.event_allocations} allocations")
 
     app_stats = collect_app_stats(exp)
@@ -301,6 +302,7 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
                     "peak_heap": stats.peak_heap,
                     "pool_reuse_rate": stats.pool_reuse_rate,
                     "cancelled_ratio": stats.cancelled_ratio,
+                    "postponed": stats.postponed,
                     "event_allocations": stats.event_allocations,
                 },
                 "apps": app_stats,

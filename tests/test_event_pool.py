@@ -3,15 +3,19 @@
 These pin down the behaviours the tuple-heap/free-list kernel must keep:
 cancellation bookkeeping is identical through ``Event.cancel`` and
 ``EventQueue.cancel``, released events are recycled without changing
-execution order, and the fused ``pop_until``/``run_until`` drains match the
-classic peek/pop loop event for event.
+execution order, the fused ``run_until`` drain matches the classic peek/pop
+loop event for event, and ``postpone`` is indistinguishable — in executed
+order, ``_seq`` and ``len()`` — from the ``cancel`` + ``schedule`` pair it
+replaces.
 """
 
 import heapq
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel.events import Event, EventQueue
+from repro.kernel.component import Component
+from repro.kernel.events import EventQueue
+from repro.parallel.simulation import Simulation
 
 
 def test_len_counts_only_live_events():
@@ -93,17 +97,6 @@ def test_release_is_idempotent():
     q.release(ev)
     q.release(ev)
     assert len(q._pool) == 1
-
-
-def test_pop_until_respects_bound_and_order():
-    q = EventQueue()
-    for ts in (30, 10, 20):
-        q.schedule(ts, lambda: None)
-    assert q.pop_until(5) is None
-    assert q.pop_until(25).ts == 10
-    assert q.pop_until(25).ts == 20
-    assert q.pop_until(25) is None
-    assert q.peek_ts() == 30
 
 
 def test_run_until_inclusive_bound_and_owner_accounting():
@@ -214,21 +207,187 @@ def test_property_identical_timelines_vs_reference(ops, bound):
     scheduled event (exercising lazy-cancellation interleavings).
     """
     ref, opt = ReferenceQueue(), EventQueue()
+    executed = []
     ref_prev = opt_prev = None
     for ts, do_cancel in ops:
         r = ref.schedule(ts, lambda: None)
-        o = opt.schedule(ts, lambda: None)
+        o = opt.schedule(ts, executed.append, (ts, r["seq"]))
         if do_cancel and ref_prev is not None:
             ref.cancel(ref_prev)
             opt.cancel(opt_prev)
         ref_prev, opt_prev = r, o
 
     ref_exec = ref.run_until(bound)
-    executed = []
-    while True:
-        ev = opt.pop_until(bound)
-        if ev is None:
-            break
-        executed.append((ev.ts, ev.seq))
-        opt.release(ev)
+    assert opt.run_until(bound) == len(ref_exec)
     assert executed == ref_exec
+
+
+# -- postpone ---------------------------------------------------------------
+
+def test_postponed_event_fires_once_at_the_new_time():
+    q = EventQueue()
+    fired = []
+    q.trace = lambda owner, ts: fired.append(ts)
+    ev = q.schedule(10, fired.append, "timer")
+    q.schedule(15, fired.append, "other")
+    assert q.postpone(ev, 20) is True
+    assert q.postpone(ev, 30) is True
+    assert len(q) == 2 and len(q._heap) == 2
+    # the stale entry surfaces at 10: re-keyed, not executed, not traced
+    assert q.run_until(12) == 0
+    assert fired == [] and q.executed == 0 and len(q) == 2
+    assert q.run_until(29) == 1
+    assert q.run_until(100) == 1
+    assert fired == [15, "other", 30, "timer"]
+    assert len(q) == 0 and not q._heap and q.cancelled_total == 0
+
+
+def test_postpone_refusals_change_nothing():
+    q = EventQueue()
+    fired = []
+    ev = q.schedule(10, fired.append, "a")
+    q.postpone(ev, 20)
+    before = (q._seq, q.postponed_total, ev.ts, ev.seq, len(q))
+    assert q.postpone(ev, 19) is False  # earlier than the current deadline
+    assert (q._seq, q.postponed_total, ev.ts, ev.seq, len(q)) == before
+    dead = q.schedule(5, fired.append, "b")
+    q.cancel(dead)
+    assert q.postpone(dead, 50) is False  # cancelled
+    q.run_until(30)
+    assert fired == ["a"]
+    seq = q._seq
+    assert q.postpone(ev, 50) is False  # fired, and by now pooled
+    assert q.postpone(dead, 50) is False
+    assert q._seq == seq and len(q) == 0 and q.run_until(100) == 0
+
+
+def test_postpone_to_the_same_time_takes_the_later_place():
+    """Equal-time re-arm orders like cancel + schedule: behind its peers."""
+    q = EventQueue()
+    fired = []
+    ev = q.schedule(10, fired.append, "timer")
+    q.schedule(10, fired.append, "peer")
+    assert q.postpone(ev, 10) is True
+    q.run_until(10)
+    assert fired == ["peer", "timer"]
+
+
+def test_cancel_after_postpone_leaves_no_live_event():
+    q = EventQueue()
+    fired = []
+    ev = q.schedule(10, fired.append, "x")
+    assert q.postpone(ev, 20)
+    q.cancel(ev)
+    q.cancel(ev)  # idempotent, as for a plain event
+    assert len(q) == 0 and q.cancelled_total == 1
+    assert q.peek_ts() is None
+    assert q.run_until(100) == 0 and fired == []
+    assert not q._heap and q._pool == [ev]
+
+
+def test_postponed_head_through_peek_and_pop():
+    q = EventQueue()
+    ev = q.schedule(10, lambda: None)
+    other = q.schedule(15, lambda: None)
+    q.postpone(ev, 20)
+    assert q.peek_ts() == 15
+    assert q.pop() is other
+    assert q.peek_ts() == 20
+    assert q.pop() is ev and ev.ts == 20 and not ev.cancelled
+    assert q.pop() is None and len(q) == 0
+
+
+def test_fast_mode_migration_keeps_a_postponed_pre_run_event():
+    """``Simulation._wire`` moves pre-run events to the shared queue."""
+    comp = Component("c")
+    fired = []
+    ev = comp.schedule(10, lambda: fired.append(comp.now))
+    assert comp.postpone(ev, 25)
+    sim = Simulation(mode="fast")
+    sim.add(comp)
+    stats = sim.run(100)
+    assert fired == [25] and stats.events == 1
+
+
+def test_rearming_one_timer_keeps_one_heap_entry():
+    q = EventQueue()
+    fired = []
+    timer = q.schedule(100, fired.append, "rto")
+    deepest = 0
+    for now in range(1, 10_001):
+        q.schedule(now, fired.append, now)  # the ACK that re-arms
+        q.run_until(now)
+        assert q.postpone(timer, now + 100)
+        deepest = max(deepest, len(q._heap))
+    assert deepest <= 2 and q.allocations == 2
+    q.run_until(20_000)
+    assert fired[-2:] == [10_000, "rto"] and len(fired) == 10_001
+
+
+def test_postpones_stay_out_of_the_schedule_ratios():
+    q = EventQueue()
+    evs = [q.schedule(10 + i, lambda: None) for i in range(4)]
+    q.cancel(evs[0])
+    for _ in range(96):
+        q.postpone(evs[1], 50)
+    s = q.stats()
+    assert s["postponed_total"] == 96
+    assert s["allocations"] == 4 and s["pool_reuse"] == 0
+    assert s["cancelled_ratio"] == 0.25  # of 4 schedules, not of 100 seqs
+    q.run_until(100)
+    q.schedule(200, lambda: None)
+    assert q.stats()["pool_reuse_rate"] == 1 / 5
+
+
+class _TimerProgram:
+    """Runs a step program on one queue; ``use_postpone`` picks how a
+    pending timer is re-armed.  Handles follow the lifetime rule: a timer's
+    callback clears its own slot."""
+
+    def __init__(self, use_postpone):
+        self.q = EventQueue()
+        self.use_postpone = use_postpone
+        self.now = 0
+        self.handles = {}
+        self.log = []
+        self.q.trace = lambda owner, ts: self.log.append(ts)
+
+    def _fire(self, timer):
+        self.handles[timer] = None
+        self.log.append(("fired", timer))
+
+    def step(self, op, timer, delta):
+        q, ev = self.q, self.handles.get(timer)
+        if op == "run":
+            self.now += delta
+            self.log.append(("ran", q.run_until(self.now), len(q)))
+        elif op == "cancel":
+            if ev is not None:
+                q.cancel(ev)
+                self.handles[timer] = None
+        else:  # "arm": schedule, or re-arm if pending
+            ts = self.now + delta
+            if ev is not None:
+                if self.use_postpone and q.postpone(ev, ts):
+                    return
+                q.cancel(ev)
+            self.handles[timer] = q.schedule(ts, self._fire, timer)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["arm", "arm", "arm", "cancel", "run"]),
+                          st.integers(min_value=0, max_value=5),
+                          st.integers(min_value=0, max_value=12)),
+                min_size=1, max_size=120))
+@settings(max_examples=300, deadline=None)
+def test_property_postpone_equals_cancel_plus_schedule(program):
+    """The same program, re-arming by ``cancel`` + ``schedule`` on one queue
+    and by ``postpone`` on the other: same executed ``(ts, timer)`` sequence,
+    same count and ``len()`` at every drain boundary, same final ``_seq``."""
+    ref, opt = _TimerProgram(False), _TimerProgram(True)
+    for op, timer, delta in program + [("run", 0, 50)]:
+        ref.step(op, timer, delta)
+        opt.step(op, timer, delta)
+    assert opt.log == ref.log
+    assert opt.q._seq == ref.q._seq
+    assert opt.q.executed == ref.q.executed
+    assert len(opt.q) == len(ref.q) == 0
