@@ -1,26 +1,8 @@
-"""Microbenchmark harness for the DES kernel and the packet path.
+"""Workload builders and determinism fixtures shared by benchmarks and tests.
 
-The benchmarks here exist so the performance trajectory of the hot path is
-*measured*, not guessed: every run emits a machine-readable JSON document
-(events/sec, packets/sec, allocation footprint via ``tracemalloc``) that can
-be compared against a committed baseline with ``splitsim-bench ... --compare``.
-
-Entry points:
-
-* ``splitsim-bench`` console script (:mod:`repro.bench.cli`)
-* thin wrappers under ``benchmarks/perf/`` in the repository
-
-The committed results live at ``benchmarks/perf/BENCH_kernel.json`` and
-``benchmarks/perf/BENCH_netsim.json``.
+The repository's one benchmark is ``benchmarks/ladder`` (declared in
+``BENCHMARK.json``); it imports the kernel-rung components from
+:mod:`repro.bench.workloads`.  :mod:`repro.bench.mp` holds the token
+pipeline that pins multiprocess runs against the strict in-process
+coordinator.
 """
-
-from .harness import BenchResult, measure, results_doc, write_json
-from .workloads import (build_cancel_churn, build_mixed_system,
-                        build_netsim_flood, build_strict_pingpong,
-                        build_timer_wheel)
-
-__all__ = [
-    "BenchResult", "measure", "results_doc", "write_json",
-    "build_timer_wheel", "build_cancel_churn", "build_netsim_flood",
-    "build_strict_pingpong", "build_mixed_system",
-]

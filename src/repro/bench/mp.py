@@ -1,38 +1,26 @@
-"""Multiprocess transport benchmarks and determinism helpers.
+"""Multiprocess determinism fixtures: the token pipeline, both ways.
 
-Two benchmark tiers back the ``splitsim-bench mp`` family:
-
-* **Ring microbenchmarks** — raw messages/sec through one
-  :class:`~repro.parallel.shm_ring.ShmRing` in a single process, comparing
-  the seed transport (pickle per message, one cursor publish per message)
-  against the batched wire-codec fast path (struct frames, one cursor
-  publish per batch).
-* **End-to-end runs** — a token-pipeline topology under the real
-  :class:`~repro.parallel.procrunner.ProcessRunner` at 2/4/8 processes,
-  batched vs the unbatched pickle baseline, measured in events/sec.
-
-The pipeline topology (:func:`pipeline_specs`) doubles as the determinism
-fixture: :func:`inproc_strict_digests` and :func:`mp_digests` run the same
-model in-process (strict coordinator) and as real OS processes and return
-per-component event-timeline SHA-256 digests, which must be identical —
-with the wire codec on or off.  Token injections are staggered by a prime
-offset so no two events of one component ever share a timestamp; the
-digests are therefore exact, not merely statistically stable.
+The pipeline topology (:func:`pipeline_specs`) runs the same model
+in-process (strict coordinator) and as real OS processes over the batched
+shared-memory rings: :func:`inproc_strict_digests` and :func:`mp_digests`
+return per-component event-timeline SHA-256 digests, which must be
+identical — with the wire codec on or off.  Token injections are staggered
+by a prime offset so no two events of one component ever share a
+timestamp; the digests are therefore exact, not merely statistically
+stable.  :func:`inproc_audit_ledger` / :func:`mp_audit_ledger` return the
+per-epoch audit ledgers of the same two runs, to localize a mismatch.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..channels import wire
-from ..channels.channel import (ChannelEnd, set_transport_batching,
-                                transport_batching)
-from ..channels.messages import MmioMsg, RawMsg
+from ..channels.channel import ChannelEnd
+from ..channels.messages import RawMsg
 from ..kernel.component import Component
 from ..kernel.simtime import NS, US
 from ..parallel.procrunner import (ProcChannel, ProcSpec, ProcessRunner,
                                    timeline_digest)
-from ..parallel.shm_ring import ShmRing
 from ..parallel.simulation import Simulation
 
 #: Pipeline channel latency / per-stage forwarding delay.
@@ -158,86 +146,3 @@ def mp_audit_ledger(n: int, until_ps: int, tokens: int = TOKENS,
     runner.recorders.append(AuditCollector(path, window_ps))
     runner.run(until_ps, timeout_s=timeout_s)
     return load_audit(path)
-
-
-# -- bench workload factories ------------------------------------------------
-
-#: Messages per send_batch in the ring microbenchmark.
-RING_BATCH = 64
-
-
-def ring_workload(n_msgs: int, batched: bool):
-    """Workload factory: ``n_msgs`` MMIO messages through one shm ring.
-
-    ``batched=False`` reproduces the seed transport exactly: pickle per
-    message and one cursor publish per message.  ``batched=True`` is the
-    wire-codec fast path with ``RING_BATCH`` frames per cursor publish.
-    """
-    def workload():
-        msgs = [MmioMsg(stamp=i, addr=0x1000 + 8 * i, value=i,
-                        is_write=bool(i & 1), req_id=i)
-                for i in range(RING_BATCH)]
-        rounds = max(1, n_msgs // RING_BATCH)
-        total = rounds * RING_BATCH
-        state = {"frames_per_batch": RING_BATCH if batched else 1}
-
-        def run():
-            was_codec = wire.codec_enabled()
-            wire.set_codec_enabled(batched)
-            try:
-                with ShmRing.create(1 << 20) as ring:
-                    if batched:
-                        for _ in range(rounds):
-                            sent = ring.send_batch(msgs)
-                            assert sent == RING_BATCH
-                            ring.recv_batch()
-                    else:
-                        for i in range(total):
-                            ring.push(msgs[i % RING_BATCH])
-                            ring.pop()
-                    state["bytes_out"] = ring.bytes_out
-            finally:
-                wire.set_codec_enabled(was_codec)
-            state["events"] = total
-            state["messages"] = total
-
-        return run, lambda: dict(state)
-    return workload
-
-
-def mp_events_workload(n_procs: int, until_ps: int, batch: bool,
-                       codec: bool = True, timeout_s: float = 300.0):
-    """Workload factory: end-to-end pipeline run under ProcessRunner.
-
-    ``batch=False, codec=False`` is the seed baseline (pickle per message,
-    per-message cursor publishes, per-interval SyncMsg allocation).
-    """
-    def workload():
-        state: Dict[str, float] = {}
-
-        def run():
-            was_batch = transport_batching()
-            was_codec = wire.codec_enabled()
-            set_transport_batching(batch)
-            wire.set_codec_enabled(codec)
-            try:
-                specs, channels = pipeline_specs(n_procs)
-                results = ProcessRunner(specs, channels).run(
-                    until_ps, timeout_s=timeout_s)
-            finally:
-                set_transport_batching(was_batch)
-                wire.set_codec_enabled(was_codec)
-            state["events"] = sum(r.events for r in results.values())
-            state["messages"] = sum(
-                c["tx_msgs"] for r in results.values()
-                for c in r.end_counters.values())
-            state["syncs"] = sum(
-                c["tx_syncs"] for r in results.values()
-                for c in r.end_counters.values())
-            fpb = [r.transport.get("frames_per_batch", 0.0)
-                   for r in results.values() if r.transport]
-            if fpb:
-                state["frames_per_batch"] = round(sum(fpb) / len(fpb), 2)
-
-        return run, lambda: dict(state)
-    return workload

@@ -1,9 +1,9 @@
-"""Benchmark workloads: deterministic simulations that stress the hot path.
+"""Deterministic workloads shared by the ladder benchmark and the tests.
 
-Every builder returns a *fresh* simulation (and whatever handles the caller
-needs to read counters afterwards).  All workloads are seeded and
-deterministic so that throughput comparisons across commits measure the
-interpreter, not the workload.
+``TimerWheelComponent`` and ``CancelChurnComponent`` are the event-kernel
+rung of ``benchmarks/ladder`` (``kernel_timers``).  The ``build_*``
+functions return a *fresh* seeded :class:`System`, so two runs of one
+builder execute the same event timeline.
 
 ``build_mixed_system`` doubles as the determinism-guard workload: it mixes
 UDP request/response traffic, TCP bulk transfers (exercising timer
@@ -15,16 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..channels.channel import ChannelEnd
-from ..channels.messages import RawMsg
 from ..kernel.component import Component
-from ..kernel.simtime import MS, NS, US
+from ..kernel.simtime import US
 from ..netsim.apps.base import App
 from ..netsim.apps.bulk import BulkSender, BulkSink
 from ..netsim.apps.kv import KVClientApp, KVServerApp
 from ..netsim.topology import dumbbell
 from ..orchestration.system import System
-from ..parallel.simulation import Simulation
 
 GBPS = 1e9
 
@@ -82,65 +79,6 @@ class CancelChurnComponent(Component):
         # guard far enough out that the next tick always cancels it
         self._guards[i] = self.call_after(self.period_ps * 8, self._noop, i)
         self.call_after(self.period_ps + (i % 13), self._tick, i)
-
-
-def build_timer_wheel(n_components: int = 4, n_timers: int = 64,
-                      base_period_ps: int = 2 * NS) -> Simulation:
-    """Fast-mode simulation of pure timer churn across several components."""
-    sim = Simulation(mode="fast")
-    for k in range(n_components):
-        sim.add(TimerWheelComponent(f"wheel{k}", n_timers, base_period_ps))
-    return sim
-
-
-def build_cancel_churn(n_components: int = 2, n_streams: int = 64,
-                       period_ps: int = 2 * NS) -> Simulation:
-    """Fast-mode simulation dominated by cancel + re-arm traffic."""
-    sim = Simulation(mode="fast")
-    for k in range(n_components):
-        sim.add(CancelChurnComponent(f"churn{k}", n_streams, period_ps))
-    return sim
-
-
-# -- strict-mode sync workload ------------------------------------------------
-
-class PingPongComponent(Component):
-    """Bounces ``RawMsg`` payloads over a synchronized channel."""
-
-    def __init__(self, name: str, latency_ps: int, initiate: bool,
-                 n_flows: int = 8) -> None:
-        super().__init__(name)
-        self.initiate = initiate
-        self.n_flows = n_flows
-        self.msgs = 0
-        self.end = self.attach_end(ChannelEnd(f"{name}.end", latency=latency_ps),
-                                   self._on_msg)
-
-    def start(self) -> None:
-        if self.initiate:
-            for i in range(self.n_flows):
-                self.call_after(1 + i, self._send, i)
-
-    def _send(self, i: int) -> None:
-        self.msgs += 1
-        self.end.send(RawMsg(payload=i), self.now)
-
-    def _on_msg(self, msg: RawMsg) -> None:
-        # reply after a short think time, keeping the channel busy forever
-        self.call_after(5 * NS, self._send, msg.payload)
-
-
-def build_strict_pingpong(n_pairs: int = 2, latency_ps: int = 100 * NS
-                          ) -> Simulation:
-    """Strict-mode simulation exercising the full sync protocol."""
-    sim = Simulation(mode="strict")
-    for k in range(n_pairs):
-        a = PingPongComponent(f"ping{k}", latency_ps, initiate=True)
-        b = PingPongComponent(f"pong{k}", latency_ps, initiate=False)
-        sim.add(a)
-        sim.add(b)
-        sim.connect(a.end, b.end)
-    return sim
 
 
 # -- netsim packet-path workload ----------------------------------------------
@@ -268,7 +206,7 @@ def build_fluid_longflows(k: int = 15, pairs: int = 2,
     return system
 
 
-# -- mixed workload (determinism guard + strict bench) ------------------------
+# -- mixed workload (determinism guard + overhead guards) ---------------------
 
 def build_mixed_system(seed: int = 11) -> System:
     """UDP KV + TCP bulk + one detailed host: the determinism-guard workload.

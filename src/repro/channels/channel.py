@@ -19,9 +19,10 @@ Two transports implement the directed queues:
   coordinator's strict mode.  The promise travels as an integer field of
   the queue; no message object is built for it.
 * the shared-memory ring in :mod:`repro.parallel.shm_ring` — used when each
-  component runs as a real OS process.  The promise rides every frame
-  header; an idle sender emits :class:`~repro.channels.messages.SyncMsg`
-  marker frames.
+  component runs as a real OS process.  Sends collect in a batch that
+  :meth:`ChannelEnd.flush` publishes with one cursor store; the promise
+  rides every frame header, and an idle sender emits pooled
+  :class:`~repro.channels.messages.SyncMsg` marker frames.
 
 Channel ends also maintain the profiler's raw counters (messages and cycles
 spent waiting / sending / receiving); see :mod:`repro.profiler`.
@@ -47,23 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: send order — the order the fast-mode shared queue would have used — instead
 #: of channel attach order.
 _send_seq = count(1)
-
-#: Batched fast path over batch-capable transports (the shm rings).  Shared
-#: with forked children: mutate via :func:`set_transport_batching` *before*
-#: the runner forks.  The in-process ``FifoQueue`` transport is never
-#: batched, so the cooperative coordinator's behavior is unaffected.
-_BATCHING = [True]
-
-
-def set_transport_batching(enabled: bool) -> None:
-    """Enable/disable the batched shm fast path for subsequently wired ends."""
-    _BATCHING[0] = bool(enabled)
-
-
-def transport_batching() -> bool:
-    """Whether newly wired batch-capable transports use the batched path."""
-    return _BATCHING[0]
-
 
 class FifoQueue:
     """In-process directed message queue (single producer, single consumer).
@@ -127,19 +111,17 @@ class ChannelEnd:
         self._out_fifo: Optional[FifoQueue] = None
         self._in_fifo: Optional[FifoQueue] = None
 
-        # Batched-transport state (active only over batch-capable queues,
-        # i.e. the shm rings; see :meth:`wire`).
-        self._out_batched = False
-        self._in_batched = False
-        #: frames awaiting the next :meth:`flush` (``None`` on an unbatched
-        #: transport); one list for as long as the end stays wired, so the
-        #: runner can see that an end has nothing pending without a call
+        # Ring-transport state (active only over the shm rings, the one
+        # transport with ``send_batch``; see :meth:`wire`).
+        #: frames awaiting the next :meth:`flush` (``None`` in process); one
+        #: list for as long as the end stays wired, so the runner can see
+        #: that an end has nothing pending without a call
         self.out_batch: Optional[list] = None
         #: promise to piggyback on the next flushed data frame
         self._flush_promise = 0
         #: largest promise the peer has definitely received
         self._promise_published = -1
-        #: pooled SyncMsg reused for every emitted marker on batched ends
+        #: pooled SyncMsg reused for every emitted marker on ring ends
         #: (the ring encodes at flush time, so mutating it later is safe)
         self._pool_sync: Optional[SyncMsg] = None
 
@@ -163,10 +145,7 @@ class ChannelEnd:
         self.peer_name = peer_name
         self._out_fifo = out_q if isinstance(out_q, FifoQueue) else None
         self._in_fifo = in_q if isinstance(in_q, FifoQueue) else None
-        batching = _BATCHING[0]
-        self._out_batched = batching and hasattr(out_q, "send_batch")
-        self._in_batched = batching and hasattr(in_q, "recv_batch")
-        self.out_batch = [] if self._out_batched else None
+        self.out_batch = [] if hasattr(out_q, "send_batch") else None
 
     # -- sending ----------------------------------------------------------
 
@@ -206,12 +185,11 @@ class ChannelEnd:
         ``commit`` is the sender's guaranteed lower bound on any future send
         time; the promise covers delivery stamps ``>= commit + latency``.
         In process the stamp is stored on the queue, visible to the peer at
-        its next poll.  On the unbatched shm transport this immediately
-        emits a :class:`SyncMsg`.  On batched transports the
-        promise piggybacks on pending data frames when there are any; when
-        the sender is idle, the promise is deferred until it is a full
-        ``sync_interval`` ahead of the published one or the owner is about
-        to block (:meth:`flush` with ``blocked=True``).
+        its next poll.  Over a ring the promise piggybacks on pending data
+        frames when there are any; when the sender is idle, the promise is
+        deferred until it is a full ``sync_interval`` ahead of the published
+        one or the owner is about to block (:meth:`flush` with
+        ``blocked=True``).
         """
         if not self.synchronized or self.out_q is None:
             return
@@ -225,12 +203,7 @@ class ChannelEnd:
             fifo.promise = stamp
             fifo.syncs += 1
             return
-        batch = self.out_batch
-        if batch is None:
-            self.tx_syncs += 1
-            self.out_q.push(SyncMsg(stamp=stamp))
-            return
-        if batch:
+        if self.out_batch:
             self._flush_promise = stamp  # rides the data frames for free
             return
         if stamp - self._promise_published < self.sync_interval:
@@ -249,10 +222,11 @@ class ChannelEnd:
 
     def flush(self, blocked: bool = False,
               deadline: Optional[float] = None) -> None:
-        """Publish batched frames (and any deferred promise) to the transport.
+        """Publish batched frames (and any deferred promise) to the ring.
 
         Called by the per-process runner after every advance round; a no-op
-        on legacy transports.  ``blocked=True`` means the owner is about to
+        in process, where :meth:`send` and :meth:`maybe_sync` act on the
+        queue directly.  ``blocked=True`` means the owner is about to
         block (or has finished): any deferred promise is force-published so
         the peer can keep advancing — this is what keeps the conservative
         protocol deadlock-free under sync coalescing.
@@ -310,34 +284,21 @@ class ChannelEnd:
             return out
         if self.in_q is None:
             return ()  # not wired (yet): no input
+        # one cursor read/store covers the whole drain; piggybacked promises
+        # raise the horizon exactly like sync markers do
         out = []
-        if self._in_batched:
-            # one cursor read/store covers the whole drain; piggybacked
-            # promises raise the horizon exactly like sync markers do
-            hz = self._in_horizon
-            for msg, promise in self.in_q.recv_batch():
-                if msg.stamp > hz:
-                    hz = msg.stamp
-                if promise > hz:
-                    hz = promise
-                if isinstance(msg, SyncMsg):
-                    self.rx_syncs += 1
-                else:
-                    self.rx_msgs += 1
-                    out.append(msg)
-            self._in_horizon = hz
-            return out
-        while True:
-            msg = self.in_q.pop()
-            if msg is None:
-                break
-            if msg.stamp > self._in_horizon:
-                self._in_horizon = msg.stamp
+        hz = self._in_horizon
+        for msg, promise in self.in_q.recv_batch():
+            if msg.stamp > hz:
+                hz = msg.stamp
+            if promise > hz:
+                hz = promise
             if isinstance(msg, SyncMsg):
                 self.rx_syncs += 1
             else:
                 self.rx_msgs += 1
                 out.append(msg)
+        self._in_horizon = hz
         return out
 
     def horizon(self) -> int:

@@ -11,8 +11,8 @@ totals.  The registry unifies them behind three primitives —
                                         #      netsim.net.link.tor->server.drops
 
 :func:`collect_simulation` walks a finished (or live) simulation and fills a
-registry from every layer; ``splitsim-run --stats-json`` and the bench
-harness consume :meth:`MetricsRegistry.snapshot` directly, and
+registry from every layer; ``splitsim-run --stats-json`` consumes
+:meth:`MetricsRegistry.snapshot` directly, and
 ``splitsim-inspect`` reuses :class:`Histogram` for its per-edge wait
 histograms.
 """

@@ -12,8 +12,9 @@ type tag, the sender's piggybacked sync promise, then struct-packed fields
 — pickle is only paid for unregistered message types.  The batched API
 (:meth:`send_batch`/:meth:`recv_batch`) amortizes the shared cursor
 traffic: one cursor publish covers a whole batch of frames on the producer
-side, and one cursor store covers everything drained on the consumer side.
-The single-message :meth:`push`/:meth:`pop` calls are thin wrappers.
+side, and one cursor store covers everything drained on the consumer side;
+it is the only API channel ends use.  The single-message
+:meth:`push`/:meth:`pop` calls are thin wrappers kept for tests.
 
 Cursor updates are 8-byte aligned stores; on x86-64 these are atomic in
 practice, which is the same assumption SimBricks' C implementation makes.
@@ -207,11 +208,6 @@ class ShmRing:
         """Remove and return the next message, or ``None`` if empty."""
         got = self.recv_batch(max_msgs=1)
         return got[0][0] if got else None
-
-    def peek_stamp(self) -> Optional[int]:
-        """Stamp of the next message without consuming it (best effort)."""
-        head = self._read_u64(0)
-        return head if head > self._local_tail else None
 
     def empty(self) -> bool:
         """True when the consumer has drained everything published."""

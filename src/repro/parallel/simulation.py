@@ -91,12 +91,6 @@ class _DirectQueue:
         self._schedule_at(self.peer_comp, msg.stamp, self._dispatch, end, msg)
         return True
 
-    def pop(self):  # pragma: no cover - fast mode never polls
-        return None
-
-    def peek_stamp(self):  # pragma: no cover
-        return None
-
 
 @dataclass
 class SimStats:

@@ -1,13 +1,13 @@
 """Multiprocess determinism pin: mp event timelines == strict in-process.
 
-The strongest correctness property of the batched transport: running the
-token pipeline as real OS processes over shared-memory rings — with frame
+The strongest correctness property of the shm transport: running the token
+pipeline as real OS processes over shared-memory rings — with frame
 batching, sync coalescing, and the struct wire codec all active — produces
 *bit-identical* per-component event timelines (SHA-256 over every executed
 event's timestamp) to the strict in-process coordinator.  And it must stay
 identical with the codec forced off (everything pickled), proving the
-codec and the batching are pure transport optimizations with zero effect
-on simulated behaviour.
+codec is a pure transport optimization with zero effect on simulated
+behaviour.
 
 On a digest mismatch these tests don't just fail: they record per-epoch
 audit ledgers (:mod:`repro.obs.audit`) of both runs and report the first
@@ -19,7 +19,6 @@ import pytest
 from repro.bench.mp import (inproc_audit_ledger, inproc_strict_digests,
                             mp_audit_ledger, mp_digests)
 from repro.channels import wire
-from repro.channels.channel import set_transport_batching
 from repro.kernel.simtime import US
 
 DURATION = 50 * US
@@ -27,10 +26,9 @@ N_PROCS = 4
 
 
 @pytest.fixture(autouse=True)
-def _restore_toggles():
+def _restore_codec():
     yield
     wire.set_codec_enabled(True)
-    set_transport_batching(True)
 
 
 def assert_mp_matches(expected, got, n_procs, tmpdir) -> None:
@@ -65,14 +63,6 @@ def test_mp_matches_inproc_strict(codec, tmp_path):
     assert all(d for d in expected.values())
 
 
-def test_mp_matches_inproc_strict_unbatched(tmp_path):
-    # legacy per-message transport path (no send_batch/recv_batch use)
-    set_transport_batching(False)
-    expected = inproc_strict_digests(N_PROCS, DURATION)
-    got = mp_digests(N_PROCS, DURATION)
-    assert_mp_matches(expected, got, N_PROCS, str(tmp_path))
-
-
 def test_digest_depends_on_timeline():
     a = inproc_strict_digests(2, DURATION)
     b = inproc_strict_digests(2, DURATION // 2)
@@ -95,3 +85,6 @@ def test_mp_matches_inproc_strict_with_flow_recorder(tmp_path):
         DURATION, timeout_s=120, digest=True, flow_sample=1,
         trace_dir=str(tmp_path / "traces"))
     assert {n: r.timeline_digest for n, r in results.items()} == expected
+    # the rings really batch: more than one frame per cursor publish
+    assert all(r.transport["frames_per_batch"] > 1.0
+               for r in results.values())

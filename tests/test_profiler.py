@@ -191,27 +191,10 @@ def test_sampler_with_no_components_is_a_noop():
     assert sampler.log.components() == []
 
 
-def test_sampler_snapshot_overhead_is_bounded():
-    """A snapshot is append-only bookkeeping; pin it well under 1 ms/comp.
-
-    Uses the bench harness micro-timer so the measurement style matches
-    the committed perf baselines (best-of-N, fresh state per repeat).
-    """
-    from repro.bench.harness import measure
-
+def test_sampler_logs_one_entry_per_component_per_snapshot():
+    """Every snapshot appends exactly one record per component."""
     comps = [_one_end_component(f"c{i}") for i in range(10)]
-
-    def workload():
-        sampler = StrictModeSampler(comps, interval=1)
-
-        def run():
-            for _ in range(100):
-                sampler.sample()
-
-        return run, lambda: {"events": len(sampler.log)}
-
-    result = measure("sampler-overhead", {"comps": 10}, workload,
-                     repeat=3, trace_alloc=False)
-    assert result.events == 10 * 100
-    # generous bound: 1000 snapshots of 10 one-end components in < 1 s
-    assert result.wall_seconds < 1.0
+    sampler = StrictModeSampler(comps, interval=1)
+    for _ in range(100):
+        sampler.sample()
+    assert len(sampler.log) == 10 * 100

@@ -21,9 +21,7 @@ from itertools import groupby
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.channels.channel import (ChannelEnd, connect,
-                                    set_transport_batching,
-                                    transport_batching)
+from repro.channels.channel import ChannelEnd, connect
 from repro.channels.messages import RawMsg
 from repro.kernel.component import Component
 from repro.kernel.rng import make_rng
@@ -198,18 +196,13 @@ def wired_pair(transport, latency):
         connect(a, b)
         yield a, b
         return
-    batching = transport_batching()
-    set_transport_batching(transport == "shm-batched")
-    try:
-        with ShmRing.create(1 << 16) as ab, ShmRing.create(1 << 16) as ba:
-            a.wire(out_q=ab, in_q=ba, peer_name="b")
-            b.wire(out_q=ba, in_q=ab, peer_name="a")
-            yield a, b
-    finally:
-        set_transport_batching(batching)
+    with ShmRing.create(1 << 16) as ab, ShmRing.create(1 << 16) as ba:
+        a.wire(out_q=ab, in_q=ba, peer_name="b")
+        b.wire(out_q=ba, in_q=ab, peer_name="a")
+        yield a, b
 
 
-@pytest.mark.parametrize("transport", ["fifo", "shm-unbatched", "shm-batched"])
+@pytest.mark.parametrize("transport", ["fifo", "shm-batched"])
 @given(ops=st.lists(st.tuples(st.sampled_from(["send", "sync", "poll"]),
                               st.integers(min_value=0, max_value=3_000)),
                     max_size=60),

@@ -27,7 +27,6 @@ from repro.orchestration.strategies import strategy_rs
 from repro.orchestration.system import System
 from repro.parallel.simulation import DeadlockError, Simulation
 
-from .test_properties_sync import wired_pair
 
 GOLDEN = Path(__file__).with_name("golden_strict_coordinator.json")
 GBPS = 1e9
@@ -107,17 +106,6 @@ def test_in_process_strict_run_builds_no_sync_messages(sync_msgs_built):
     ends = [e for c in exp.sim.components for e in c.ends]
     assert sum(e.rx_syncs for e in ends) > 100
     assert not sync_msgs_built
-
-
-def test_unbatched_shm_transport_still_sends_sync_messages(sync_msgs_built):
-    with wired_pair("shm-unbatched", 10 * NS) as (a, b):
-        a.maybe_sync(commit=0)
-        a.send(RawMsg(payload=1), now=5 * NS)
-        a.maybe_sync(commit=30 * NS)
-        assert [m.payload for m in b.poll()] == [1]
-    assert (a.tx_syncs, b.rx_syncs) == (2, 2)
-    assert b.horizon() == 40 * NS
-    assert len(sync_msgs_built) >= 2  # built by the sender, again by decode
 
 
 def test_promise_after_data_is_invisible_until_the_receiver_polls():
