@@ -18,13 +18,18 @@ For the virtual-time parallel execution model, every executed event accrues
 *host cycles* — the modeled cost of executing it on the machine running the
 simulation.  The default per-event cost is ``cycles_per_event``; handlers can
 report additional work via :meth:`add_work` (e.g. a host simulator charges
-cycles per simulated instruction).  Work is accumulated per simulated-time
-window by a :class:`WorkRecorder` so the execution model can replay the
-parallel schedule.
+cycles per simulated instruction).  The event drain keeps no work at all:
+:attr:`Component.work_cycles` is derived, ``events_processed *
+cycles_per_event`` plus the :meth:`add_work` total — equal to a running sum
+bit for bit, since every cost constant is an integer-valued float.  Work is
+accumulated per simulated-time window by a :class:`WorkRecorder` (hooked
+onto the event queue's ``trace`` by :meth:`WorkRecorder.watch`) so the
+execution model can replay the parallel schedule.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional
 
@@ -63,6 +68,34 @@ class WorkRecorder:
         """All recorded cycles of one component."""
         return sum(self.work.get(comp, {}).values())
 
+    def watch(self, queue: EventQueue) -> None:
+        """Note every event ``queue`` executes: its owner's
+        ``cycles_per_event`` in the window of its timestamp.
+
+        Installed as the queue's per-event ``trace`` hook, chaining the hook
+        already there (as the audit probe's hook does), so the drain pays
+        for per-window work only in runs that record it.
+        """
+        work = self.work
+        window = self.window_ps
+        prev = queue.trace
+
+        def note(owner, ts):
+            # note_work inlined, so a modeled run pays one frame per event
+            buckets = work.get(owner.name)
+            if buckets is None:
+                buckets = work[owner.name] = {}
+            win = ts // window
+            buckets[win] = buckets.get(win, 0.0) + owner.cycles_per_event
+
+        if prev is None:
+            queue.trace = note
+        else:
+            def chained(owner, ts):
+                note(owner, ts)
+                prev(owner, ts)
+            queue.trace = chained
+
 
 #: Sort key for one poll round's deliveries: (stamp, send time, send order).
 #: Keyed on the leading ints only — ends/messages are never compared.
@@ -83,12 +116,12 @@ class Component:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.queue = EventQueue()
         self.now = 0
         self.ends: List[ChannelEnd] = []
         self._handlers: Dict[int, Callable[[Msg], None]] = {}
         self.events_processed = 0
-        self.work_cycles = 0.0
+        #: :meth:`add_work` total (the per-event part of the work is derived)
+        self._extra_work = 0.0
         self.recorder: Optional[WorkRecorder] = None
         self._started = False
         #: input horizon and the ends limiting it, as of the last poll
@@ -96,11 +129,28 @@ class Component:
         self._limiting: List[ChannelEnd] = []
         #: last commitment published to the output ends
         self._synced_commit = -1
-        #: bound-method caches: avoid re-creating bound method objects on
-        #: every delivery/schedule.  ``_schedule_at`` must be refreshed if
-        #: ``self.queue`` is ever replaced (the fast-mode coordinator does).
+        #: bound-method cache: avoids re-creating a bound method object on
+        #: every delivery
         self._dispatch_cached = self._dispatch
-        self._schedule_at = self.queue.schedule_at
+        self.bind_queue(EventQueue())
+
+    def bind_queue(self, queue: EventQueue) -> None:
+        """Make ``queue`` this component's event queue.
+
+        Besides ``self.queue`` this refreshes the two callables the hot
+        paths bind to the queue: ``_schedule_at`` and the per-instance
+        :meth:`call_after`.  Whoever replaces a component's queue (the
+        fast-mode coordinator does) must come through here.
+        """
+        self.queue = queue
+        self._schedule_at = queue.schedule_at
+        self.call_after = partial(queue.schedule_after, self)
+
+    @property
+    def work_cycles(self) -> float:
+        """Modeled host cycles so far: ``cycles_per_event`` per executed
+        event plus everything reported via :meth:`add_work`."""
+        return self.events_processed * self.cycles_per_event + self._extra_work
 
     # -- wiring -----------------------------------------------------------
 
@@ -130,14 +180,12 @@ class Component:
     def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` picoseconds from now.
 
-        Calls straight into the queue (bypassing :meth:`schedule`) — this is
-        the hottest scheduling entry point in the simulator.
+        The hottest scheduling entry point in the simulator, so every
+        instance shadows this method with ``partial(queue.schedule_after,
+        self)`` (:meth:`bind_queue`): a call runs one Python frame, the
+        queue's.  This body is the same call, for calls through the class.
         """
-        if delay < 0:
-            raise ValueError(
-                f"{self.name}: scheduling into the past (delay {delay})"
-            )
-        return self._schedule_at(self, self.now + delay, fn, *args)
+        return self.queue.schedule_after(self, delay, fn, *args)
 
     def cancel(self, ev: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -151,7 +199,7 @@ class Component:
 
     def add_work(self, cycles: float) -> None:
         """Report extra modeled host cycles for the current event."""
-        self.work_cycles += cycles
+        self._extra_work += cycles
         if self.recorder is not None:
             self.recorder.note_work(self.name, self.now, cycles)
 

@@ -14,8 +14,17 @@ Hot-path design (this loop bounds overall simulator throughput):
   per-queue free list: an event returns to the pool after its callback runs
   (or after its cancelled carcass is dropped from the heap top).
 * ``run_until`` fuses the classic ``peek_ts`` + ``pop`` pair into one scan
-  over dead heap entries and inlines the per-event accounting of
-  :class:`~repro.kernel.component.Component`.
+  over dead heap entries and does the only per-event bookkeeping of
+  :class:`~repro.kernel.component.Component` inline: the owner's clock and
+  event count.  Modeled work is derived from the count
+  (``Component.work_cycles``); per-window work reaches a ``WorkRecorder``
+  through the :attr:`EventQueue.trace` hook, installed only when a run
+  records it.
+* :meth:`EventQueue.schedule_after` is what ``Component.call_after`` is
+  bound to (a per-instance ``functools.partial``), so scheduling relative
+  to now costs one Python frame.  It draws the same ``seq`` at the same
+  moment ``schedule_at(owner, now + delay)`` would, so ``(ts, seq)`` order
+  is unchanged.
 * :meth:`EventQueue.postpone` re-arms a pending event for a later time in
   place: the event takes the fresh ``(ts, seq)`` a ``cancel`` + ``schedule``
   pair would have given its replacement, so execution order — ties included
@@ -25,7 +34,8 @@ Hot-path design (this loop bounds overall simulator throughput):
 
 **Pooled-event lifetime rule:** a handle returned by :meth:`EventQueue.schedule`
 is only valid until the event fires or its cancellation is collected; it
-stays valid across any number of :meth:`EventQueue.postpone` calls.  Do not
+stays valid across any number of :meth:`EventQueue.postpone` calls and
+across :meth:`EventQueue.adopt` (the fast-mode queue swap).  Do not
 retain handles after the callback has run; clear stored handles inside the
 callback (see ``TcpConnection._on_rto`` for the canonical pattern).
 Cancelling or postponing an already-fired handle is a safe no-op *only*
@@ -99,8 +109,10 @@ class EventQueue:
         self._seq = 0
         self._live = 0
         self._pool: List[Event] = []
-        #: optional per-executed-event hook ``trace(owner, ts)`` — used by
-        #: the determinism guard; ``None`` costs one pointer test per event.
+        #: optional per-executed-event hook ``trace(owner, ts)``, called
+        #: before the callback — the determinism guard, the audit probe and
+        #: the work recorder chain onto it; ``None`` costs one pointer test
+        #: per event.
         self.trace: Optional[Callable[[Any, int], None]] = None
         #: observability hook: ``None`` (tracing disabled; one pointer test
         #: per *drain*) or a ``(Tracer, tid)`` pair installed by
@@ -137,10 +149,44 @@ class EventQueue:
                     *args: Any) -> Event:
         """:meth:`schedule` with a positional owner, for hot callers:
         keyword passing of ``owner`` is measurably slower on the per-message
-        path (``call_after``, ``poll_inputs``, fast-mode channel delivery).
+        path (``poll_inputs``, fast-mode channel delivery, netsim links).
         """
         if ts < 0:
             raise ValueError(f"cannot schedule event at negative time {ts}")
+        seq = self._seq
+        self._seq = seq + 1
+        pool = self._pool
+        if pool:
+            ev = pool.pop()
+            ev.ts = ts
+            ev.seq = seq
+            ev.fn = fn
+            ev.args = args
+            ev.cancelled = False
+            ev.owner = owner
+        else:
+            ev = Event(ts, seq, fn, args, owner=owner, queue=self)
+            self.allocations += 1
+        self._live += 1
+        heap = self._heap
+        heapq.heappush(heap, (ts, seq, ev))
+        # sampled high-water mark: every 256th schedule, cheap on the hot path
+        if not seq & 255 and len(heap) > self.peak_heap:
+            self.peak_heap = len(heap)
+        return ev
+
+    def schedule_after(self, owner: Any, delay: int, fn: Callable[..., None],
+                       *args: Any) -> Event:
+        """Insert ``fn(*args)`` ``delay`` picoseconds after ``owner.now``.
+
+        :meth:`schedule_at` at ``owner.now + delay``, written out rather
+        than delegated: every ``Component.call_after`` is a partial of this
+        method, so the hottest scheduling entry point runs one Python frame.
+        """
+        if delay < 0:
+            raise ValueError(
+                f"{owner.name}: scheduling into the past (delay {delay})")
+        ts = owner.now + delay
         seq = self._seq
         self._seq = seq + 1
         pool = self._pool
@@ -190,6 +236,33 @@ class EventQueue:
         ev.cancelled = _MOVED
         self.postponed_total += 1
         return True
+
+    def adopt(self, other: "EventQueue", owner: Any) -> None:
+        """Move every pending event of ``other`` into this queue, for ``owner``.
+
+        Events leave ``other`` in its execution order and each draws a
+        fresh ``seq`` here, so their order among themselves is kept and
+        they follow everything this queue already holds at equal
+        timestamps.  The :class:`Event` objects themselves move, so a handle
+        taken before the move still controls its event (``cancel``,
+        ``postpone``).  They count as allocations of this queue: once a
+        component's queue is replaced, the run's statistics read this one.
+        """
+        heap = self._heap
+        while True:
+            ev = other.pop()
+            if ev is None:
+                return
+            seq = self._seq
+            self._seq = seq + 1
+            ev.seq = seq
+            ev.owner = owner
+            ev._queue = self
+            self._live += 1
+            self.allocations += 1
+            heapq.heappush(heap, (ev.ts, seq, ev))
+            if not seq & 255 and len(heap) > self.peak_heap:
+                self.peak_heap = len(heap)
 
     # -- pool --------------------------------------------------------------
 
@@ -249,11 +322,13 @@ class EventQueue:
     def run_until(self, until_ps: int) -> int:
         """Execute every live event with ``ts <= until_ps``; return the count.
 
-        The fused fast drain: one heap scan per event, owner clock update,
-        default per-event work accounting, callback invocation, and recycling
-        all inlined with hoisted lookups.  Events must carry an ``owner``
-        component (the coordinator and :meth:`Component.advance` guarantee
-        this); ownerless events are executed without accounting.
+        The fused fast drain: one heap scan per event, owner clock and
+        event count, callback invocation, and recycling all inlined with
+        hoisted lookups.  Events must carry an ``owner`` component (the
+        coordinator and :meth:`Component.advance` guarantee this); ownerless
+        events are executed without accounting.  Modeled work is not kept
+        here: ``Component.work_cycles`` is derived from the event count, and
+        a ``WorkRecorder`` that wants per-window work hooks :attr:`trace`.
         """
         # nothing due: leave the heap as it is (dead heads are still
         # recycled, a postponed one re-keyed), so an idle drain costs no
@@ -293,11 +368,6 @@ class EventQueue:
             if owner is not None:
                 owner.now = ts
                 owner.events_processed += 1
-                cycles = owner.cycles_per_event
-                owner.work_cycles += cycles
-                recorder = owner.recorder
-                if recorder is not None:
-                    recorder.note_work(owner.name, ts, cycles)
             if trace is not None:
                 trace(owner, ts)
             ev.fn(*ev.args)

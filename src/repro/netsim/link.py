@@ -24,7 +24,10 @@ per-run completion event at all.  Packets stay accounted in the egress
 queue until their serialization start has passed
 (:meth:`LinkDirection._settle`), so concurrent enqueues observe the same
 instantaneous occupancy — ECN marks and capacity drops are preserved
-bit-for-bit against the per-packet path.  Off by default; enabled per
+bit-for-bit against the per-packet path.  Likewise a packet enters
+``tx_packets`` / ``tx_bytes`` only once its serialization has ended, as on
+the per-packet path, not when its slot is assigned
+(:meth:`LinkDirection.count_sent`).  Off by default; enabled per
 direction via :class:`~repro.netsim.fidelity.FidelityConfig`.
 """
 
@@ -100,6 +103,10 @@ class LinkDirection:
         #: a serialization slot (delivery scheduled) but still accounted in
         #: the egress queue until their serialization start passes.
         self._run: deque = deque()
+        #: ``(ser_end_ps, nbytes)`` of assigned packets not yet counted in
+        #: ``tx_packets`` / ``tx_bytes``: like the per-packet path, a packet
+        #: counts once its serialization has ended (:meth:`count_sent`).
+        self._sending: deque = deque()
         #: picosecond at which the line goes idle (end of the last assigned
         #: packet's serialization); the batched path's busy test.
         self._run_end = 0
@@ -250,11 +257,26 @@ class LinkDirection:
         while run and run[0][0] <= now:
             run.popleft()
             queue.dequeue()
+        if self._sending:
+            self.count_sent(now)
         if not run and self.busy and now >= self._run_end:
             self._close_period()
             if len(queue):
                 # unassigned packets (per-packet path took over mid-period)
                 self._tx_next()
+
+    def count_sent(self, now: int) -> None:
+        """Batched path: count the packets whose serialization has ended by
+        ``now`` into ``tx_packets`` / ``tx_bytes``.
+
+        Delivery events settle this as they go; readers of the counters
+        (:meth:`NetworkSim.total_tx_packets`, the metrics registry) call it
+        for the packets still on the wire at the end of a run.
+        """
+        sending = self._sending
+        while sending and sending[0][0] <= now:
+            self.tx_bytes += sending.popleft()[1]
+            self.tx_packets += 1
 
     def _close_period(self) -> None:
         """Flush one finished busy period (cost model + counters + obs).
@@ -318,8 +340,7 @@ class LinkDirection:
             self._period_pkts = 0
         end = start + -(-pkt.size_bits * SEC // self._bw_int)
         self._run_end = end
-        self.tx_packets += 1
-        self.tx_bytes += pkt.size_bytes
+        self._sending.append((end, pkt.size_bytes))
         self._period_pkts += 1
         pkt.hops += 1
         if rec is not None and pkt.flow:

@@ -225,4 +225,8 @@ class NetworkSim(Component):
 
     def total_tx_packets(self) -> int:
         """Packets transmitted across all links and external attachments."""
-        return sum(d.tx_packets for d, _ in self._all_directions())
+        total = 0
+        for d, _ in self._all_directions():
+            d.count_sent(self.now)
+            total += d.tx_packets
+        return total

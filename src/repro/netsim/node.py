@@ -67,9 +67,10 @@ class NetHost(Node):
         self.apps: list = []
         self._rng = make_rng(net.seed_root, f"host.{name}")
         # hot-path cache: the per-packet receive path skips two attribute
-        # traversals per delivery
+        # traversals per delivery.  ``net.call_after`` is not cached: it is
+        # bound to the network's queue, which the fast-mode coordinator
+        # replaces after construction.
         self._handle_packet = self.stack.handle_packet
-        self._call_after = net.call_after
 
     # -- stack environment interface ---------------------------------------
 
@@ -114,7 +115,7 @@ class NetHost(Node):
     def receive(self, pkt: Packet, port: Port) -> None:
         """Deliver a received packet to the transport stack."""
         if self.rx_proc_delay_ps > 0:
-            self._call_after(self.rx_proc_delay_ps, self._handle_packet, pkt)
+            self.net.call_after(self.rx_proc_delay_ps, self._handle_packet, pkt)
         else:
             self._handle_packet(pkt)
 

@@ -243,6 +243,7 @@ def _collect_network(reg: MetricsRegistry, net) -> None:
 
 
 def _collect_direction(reg: MetricsRegistry, base: str, direction) -> None:
+    direction.count_sent(direction.net.now)
     reg.counter(f"{base}.tx_packets").value = float(direction.tx_packets)
     reg.counter(f"{base}.tx_bytes").value = float(direction.tx_bytes)
     qs = direction.queue.stats

@@ -133,8 +133,10 @@ class Simulation:
         ``"fast"`` or ``"strict"`` (see module docstring).
     work_window_ps:
         When set, a :class:`WorkRecorder` with this window granularity is
-        attached to every component; required input for the virtual-time
-        parallel execution model.
+        attached to every component and hooked onto their event queues
+        (:meth:`WorkRecorder.watch`); required input for the virtual-time
+        parallel execution model.  Unset, the drain does no work
+        bookkeeping at all.
     """
 
     def __init__(self, mode: str = "fast",
@@ -179,20 +181,12 @@ class Simulation:
         if self._wired:
             raise RuntimeError("simulation already ran; build a fresh one")
         self._wired = True
-        if self.recorder is not None:
-            for c in self.components:
-                c.recorder = self.recorder
         if self.mode == "fast":
             shared = EventQueue()
             for c in self.components:
-                # Preserve events scheduled before the run started.
-                while True:
-                    ev = c.queue.pop()
-                    if ev is None:
-                        break
-                    shared.schedule(ev.ts, ev.fn, *ev.args, owner=c)
-                c.queue = shared
-                c._schedule_at = shared.schedule_at
+                # events scheduled before the run move over, handles and all
+                shared.adopt(c.queue, c)
+                c.bind_queue(shared)
             for end_a, end_b in self.channels:
                 q_ab, q_ba = _DirectQueue(), _DirectQueue()
                 q_ab.bind(end_b.owner, end_b)
@@ -209,6 +203,11 @@ class Simulation:
                 connect(end_a, end_b, FifoQueue)
                 end_a.peer_comp_name = end_b.owner.name
                 end_b.peer_comp_name = end_a.owner.name
+        if self.recorder is not None:
+            for c in self.components:
+                c.recorder = self.recorder
+            for queue in {id(c.queue): c.queue for c in self.components}.values():
+                self.recorder.watch(queue)
 
     def run(self, until_ps: int) -> SimStats:
         """Run the simulation to ``until_ps`` and return run statistics."""

@@ -55,6 +55,26 @@ def test_dctcp_longflows_queue_decisions_identical():
     assert base == fast
 
 
+def test_batched_tx_counters_equal_per_packet():
+    """Two DCTCP flows over a dumbbell: batching counts a packet when its
+    serialization ends, like the per-packet path, not when it is given its
+    slot — so no packet still on the wire at the horizon is counted."""
+    from repro.orchestration.instantiate import Instantiation
+    runs = []
+    for fidelity in (None, BATCHED):
+        exp = Instantiation(build_fluid_longflows(k=15), mode="fast",
+                            fidelity=fidelity).build()
+        exp.run(3 * MS)
+        (net,) = exp.network_components()
+        total = net.total_tx_packets()
+        dirs = list(net._all_directions())
+        runs.append((total,
+                     [(d.tx_packets, d.tx_bytes) for d, _ in dirs],
+                     [(d.queue.stats.dropped, d.queue.stats.ecn_marked)
+                      for d, _ in dirs]))
+    assert runs[1] == runs[0]
+
+
 def test_default_instantiation_unbatched():
     system = build_burst_flood()
     _, counters = run_system(system, 1 * MS, mode="fast")
@@ -79,7 +99,15 @@ def test_batch_counters_account_runs():
     for net in exp.network_components():
         stats = net.batch_stats()
     assert stats["runs"] > 0
-    assert stats["packets"] == sum(
+    # every batched packet has either finished serializing (counted in
+    # tx_packets once the counters are settled to now) or is still on the
+    # line: a burst starts at the 2 ms horizon
+    on_line = 0
+    for net in exp.network_components():
+        net.total_tx_packets()
+        on_line += sum(len(d._sending) for d, _ in net._all_directions())
+    assert on_line > 0
+    assert stats["packets"] == on_line + sum(
         d.tx_packets for net in exp.network_components()
         for d, _ in net._all_directions() if d.batched)
     # bursts of 32 serialize back-to-back: runs must amortize many packets

@@ -115,9 +115,13 @@ def test_work_recorder_rejects_bad_window():
 
 
 def test_component_records_event_work():
+    # per-event work reaches the recorder through the queue hook ``watch``
+    # installs (Simulation does this when given work_window_ps); add_work
+    # goes to it directly; work_cycles is derived from both
     rec = WorkRecorder(window_ps=1000)
     c = Component("c")
     c.recorder = rec
+    rec.watch(c.queue)
     c.cycles_per_event = 7.0
     c.call_after(10, lambda: None)
     c.call_after(20, c.add_work, 3.0)

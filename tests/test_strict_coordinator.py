@@ -32,9 +32,10 @@ GOLDEN = Path(__file__).with_name("golden_strict_coordinator.json")
 GBPS = 1e9
 
 
-def fig9_ci_experiment():
+def fig9_ci_experiment(**options):
     """``datacenter(4,3,4)``, two qemu hosts running KV, four paced bulk
-    pairs, ``rs`` partition: 21 components under the strict coordinator."""
+    pairs, ``rs`` partition: 21 components under the strict coordinator.
+    ``options`` go to :class:`Instantiation`."""
     spec = datacenter(aggs=4, racks_per_agg=3, hosts_per_rack=4,
                       core_bw=40 * GBPS, agg_bw=40 * GBPS, host_bw=10 * GBPS,
                       external_hosts=2)
@@ -50,7 +51,7 @@ def fig9_ci_experiment():
             d, 5001, variant="newreno", burst_bytes=1 << 15,
             burst_interval_ps=100 * US))
     return Instantiation(system, mode="strict",
-                         network_partition=strategy_rs).build()
+                         network_partition=strategy_rs, **options).build()
 
 
 def mixed_experiment():
