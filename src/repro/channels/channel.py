@@ -55,7 +55,9 @@ class FifoQueue:
     Besides data messages it carries the sender's latest sync ``promise``
     and the number of promises published since the receiver last polled
     (``syncs``) — the in-process mirror of the promise field in the shm
-    ring's frame header.  The receiver folds both in at its next poll.
+    ring's frame header.  The receiver folds both in at its next poll:
+    its owner's step (``Component.advance``), which reads and writes these
+    fields inline, or :meth:`ChannelEnd.poll`.
     """
 
     __slots__ = ("_q", "promise", "syncs")
@@ -77,7 +79,11 @@ class ChannelEnd:
     The owning component calls :meth:`send` from its event handlers,
     :meth:`poll` to drain incoming messages, :meth:`horizon` to bound how far
     it may advance, and :meth:`maybe_sync` after advancing to keep its peer
-    unblocked.
+    unblocked.  For a synchronized end wired to a :class:`FifoQueue` the
+    owner's step (``Component.advance``) does the in-process branches of
+    :meth:`poll` and :meth:`maybe_sync` inline, without the calls; ring and
+    unwired ends go through the methods.  ``tests/test_sync_step.py`` and
+    ``tests/test_properties_sync.py`` hold the inline copy equal to them.
     """
 
     def __init__(self, name: str, latency: int, sync_interval: Optional[int] = None) -> None:

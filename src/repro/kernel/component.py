@@ -7,10 +7,11 @@ a private event queue and clock, and talks to other components *only*
 through its channel ends (:mod:`repro.channels`).
 
 Components advance under the conservative synchronization protocol: a call
-to :meth:`advance` polls inputs, executes local events strictly below the
-input horizon, then publishes the new commitment via sync markers.  The
-coordinator (:mod:`repro.parallel.simulation`) or the per-process runner
-drives this loop.
+to :meth:`advance` is one sync step, in one Python frame — it receives
+inputs, executes local events strictly below the input horizon, then
+publishes the new commitment as sync promises.  The coordinator
+(:mod:`repro.parallel.simulation`) and the per-process runner drive this
+same step.
 
 Work accounting
 ---------------
@@ -210,29 +211,64 @@ class Component:
 
     # -- advance loop -------------------------------------------------------
 
-    def poll_inputs(self) -> None:
-        """Drain all input queues, scheduling data messages as local events.
+    def blocking_ends(self) -> List[ChannelEnd]:
+        """Channel ends limiting this component's progress at its last step."""
+        return self._limiting
 
-        Messages polled in one round are dispatched in ``(stamp, send time,
-        send order)`` order, not channel attach order: two channels can carry
-        equal delivery stamps, and the fast-mode oracle executes those
-        deliveries in send order.  Send time is recovered as ``stamp -
-        latency`` (per-channel latency is fixed), so only ``msg.seq`` travels
-        on the wire.
+    def input_horizon(self) -> int:
+        """Minimum horizon over all synchronized input channels, as of the
+        last :meth:`advance`."""
+        return self._horizon
 
-        The same pass over the ends records the input horizon and the ends
-        limiting it; :meth:`input_horizon` and :meth:`blocking_ends` report
-        that record (horizons only move when an end is polled).
+    def advance(self, target: int) -> int:
+        """One sync step: receive, drain, publish; returns the new commitment.
+
+        Executes local events with timestamp ``<= target`` and strictly below
+        the input horizon, then publishes sync promises.  The returned
+        commitment is the simulated time below which this component is
+        guaranteed to send no further messages (given current inputs).
+
+        The step is one Python frame:
+
+        * *receive* — one pass over the ends.  A synchronized in-process
+          end (``FifoQueue``) is read inline: the deque only when it holds
+          data, then the peer's ``syncs`` and ``promise`` folded in *after*
+          the data, as :meth:`ChannelEnd.poll` does.  Ring and unwired ends
+          go through ``poll()`` and ``horizon()``.  The pass records the
+          input horizon and the ends limiting it (:meth:`input_horizon`,
+          :meth:`blocking_ends`).  The step's messages are dispatched in
+          ``(stamp, send time, send order)`` order, not channel attach
+          order: two channels can carry equal delivery stamps, and the
+          fast-mode oracle executes those deliveries in send order.  Send
+          time is ``stamp - latency`` (per-channel latency is fixed), so
+          only ``msg.seq`` travels on the wire.
+        * *drain* — ``EventQueue.run_until`` is entered only when something
+          may be due: a live heap head beyond the bound means nothing is,
+          while a dead or postponed head is left to ``run_until`` to settle.
+        * *publish* — an in-process end's promise is stored on its
+          ``FifoQueue`` inline (:meth:`ChannelEnd.maybe_sync`'s in-process
+          branch); other ends call ``maybe_sync``.
         """
-        now = self.now
-        batch = None
-        horizon = TIME_INFINITY
+        if not self._started:
+            self._started = True
+            self.start()
+        ends = self.ends
+        inf = TIME_INFINITY
+        horizon = inf
         limiting = []
-        for end in self.ends:
-            msgs = end.poll()
+        batch = None
+        for end in ends:
+            fifo = end._in_fifo if end.synchronized else None
+            if fifo is None:
+                msgs = end.poll()
+                hz = end.horizon()
+            else:
+                msgs = fifo._q
+                hz = end._in_horizon
             if msgs:
                 if batch is None:
                     batch = []
+                now = self.now
                 latency = end.latency
                 for msg in msgs:
                     stamp = msg.stamp
@@ -241,11 +277,26 @@ class Component:
                             f"{self.name}: stale message stamp {stamp} < now {now}"
                         )
                     batch.append((stamp, stamp - latency, msg.seq, end, msg))
-            hz = end.horizon()
+                if fifo is not None:
+                    end.rx_msgs += len(msgs)
+                    msgs.clear()
+                    # a directed queue's stamps never fall below anything
+                    # its sender sent or promised before, so the newest one
+                    # is the horizon
+                    hz = end._in_horizon = stamp
+            if fifo is not None:
+                # after the data: a promise becomes visible at this step,
+                # never between two steps
+                syncs = fifo.syncs
+                if syncs:
+                    end.rx_syncs += syncs
+                    fifo.syncs = 0
+                    if fifo.promise > hz:
+                        hz = end._in_horizon = fifo.promise
             if hz < horizon:
                 horizon = hz
                 limiting = [end]
-            elif hz == horizon and hz < TIME_INFINITY:
+            elif hz == horizon and hz < inf:
                 limiting.append(end)
         self._horizon = horizon
         self._limiting = limiting
@@ -256,48 +307,37 @@ class Component:
             dispatch = self._dispatch_cached
             for stamp, _send_ts, _seq, end, msg in batch:
                 schedule_at(self, stamp, dispatch, end, msg)
-
-    def blocking_ends(self) -> List[ChannelEnd]:
-        """Channel ends limiting this component's progress at its last poll."""
-        return self._limiting
-
-    def input_horizon(self) -> int:
-        """Minimum horizon over all synchronized input channels, as of the
-        last :meth:`poll_inputs`."""
-        return self._horizon
-
-    def advance(self, target: int) -> int:
-        """Run all currently-permitted events and return the new commitment.
-
-        Executes local events with timestamp ``<= target`` and strictly below
-        the input horizon, then emits sync markers.  The returned commitment
-        is the simulated time below which this component is guaranteed to
-        send no further messages (given current inputs).
-        """
-        if not self._started:
-            self._started = True
-            self.start()
-        self.poll_inputs()
-        horizon = self._horizon
-        # Events may run at ts <= target and strictly below the horizon; the
-        # fused drain does the whole loop with one cancelled-scan per event
-        # and leaves the heap alone when nothing is due.  Every event left
-        # lies beyond the bound, so the commitment is the bound's own limit.
-        # (Inputs arriving meanwhile only matter in multi-process mode, where
-        # the runner re-polls between advance calls.)
+        # Events may run at ts <= target and strictly below the horizon.
+        # Every event left lies beyond the bound, so the commitment is the
+        # bound's own limit.  (Inputs arriving meanwhile only matter in
+        # multi-process mode, where the runner re-polls between steps.)
         if target < horizon:
             commit = bound = target
         else:
             commit = horizon
             bound = horizon - 1
-        self.queue.run_until(bound)
+        queue = self.queue
+        heap = queue._heap
+        if heap:
+            head = heap[0]
+            if head[0] <= bound or head[2].cancelled:
+                queue.run_until(bound)
         if commit > self.now:
             self.now = commit
         # an unchanged commitment cannot grow any end's promise
         if commit > self._synced_commit:
             self._synced_commit = commit
-            for end in self.ends:
-                end.maybe_sync(commit)
+            for end in ends:
+                fifo = end._out_fifo
+                if fifo is not None and end.synchronized:
+                    stamp = commit + end.latency
+                    if stamp > end._out_last_stamp:
+                        end._out_last_stamp = stamp
+                        end.tx_syncs += 1
+                        fifo.promise = stamp
+                        fifo.syncs += 1
+                else:
+                    end.maybe_sync(commit)
         return commit
 
     def _dispatch(self, end: ChannelEnd, msg: Msg) -> None:

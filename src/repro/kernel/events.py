@@ -149,7 +149,7 @@ class EventQueue:
                     *args: Any) -> Event:
         """:meth:`schedule` with a positional owner, for hot callers:
         keyword passing of ``owner`` is measurably slower on the per-message
-        path (``poll_inputs``, fast-mode channel delivery, netsim links).
+        path (``Component.advance``, fast-mode channel delivery, netsim links).
         """
         if ts < 0:
             raise ValueError(f"cannot schedule event at negative time {ts}")

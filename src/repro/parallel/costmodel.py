@@ -1,12 +1,15 @@
 """Host-cycle cost model for the virtual-time parallel execution model.
 
-This sandbox has a single CPU core, so real parallel wall-clock speedups are
-physically impossible here.  Instead, the performance experiments model the
-paper's testbed (2x Intel Xeon Gold 6336Y, 48 physical cores) explicitly:
-every component simulator charges *modeled host cycles* for the work it does
-(events executed, messages moved, synchronization), and
-:mod:`repro.parallel.model` replays the synchronization schedule to compute
-the wall-clock time a real parallel run would take.
+The performance experiments model the paper's testbed (2x Intel Xeon Gold
+6336Y, 48 physical cores) explicitly: every component simulator charges
+*modeled host cycles* for the work it does (events executed, messages
+moved, synchronization), and :mod:`repro.parallel.model` replays the
+synchronization schedule to compute the wall-clock time a real parallel run
+on that machine would take.  Real multi-process runs
+(:mod:`repro.parallel.procrunner`) do execute in parallel, but their
+speedup is bounded by the cores of the machine they run on: on a 2-vCPU
+x86-64 VM the benchmark ladder's ``mp.speedup_vs_strict`` reads about 1.2
+for two processes, far from the 48-core regime the figures are about.
 
 The constants below are calibrated so absolute magnitudes land in the
 regime the paper reports (e.g. qemu-icount hosts simulating at roughly

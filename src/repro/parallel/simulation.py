@@ -288,8 +288,8 @@ class Simulation:
                 if commit < until_ps:
                     done = False
                     # Attribute a poll's worth of waiting to the ends that
-                    # limited this step (recorded by the component's poll).
-                    for end in c.blocking_ends():
+                    # limited this step (the list the step recorded).
+                    for end in c._limiting:
                         end.wait_polls += 1
                         end.wait_cycles += POLL_COST_CYCLES
             rounds += 1

@@ -68,6 +68,17 @@ def test_horizon_blocks_progress():
     assert commit > 50 * NS
 
 
+def test_unsynchronized_in_process_end_neither_blocks_nor_publishes():
+    a, b = Component("a"), Component("b")
+    ea = a.attach_end(ChannelEnd("a.e", latency=10 * NS), lambda m: None)
+    eb = b.attach_end(ChannelEnd("b.e", latency=10 * NS), lambda m: None)
+    connect(ea, eb)
+    ea.synchronized = False
+    a.call_after(50 * NS, lambda: None)
+    assert a.advance(1 * US) == 1 * US and a.events_processed == 1
+    assert a.blocking_ends() == [] and ea.tx_syncs == 0
+
+
 def test_component_without_ends_is_unconstrained():
     c = Component("c")
     assert c.input_horizon() == TIME_INFINITY

@@ -6,7 +6,7 @@ timeline as the oracle (fast-mode) execution — blocking only ever delays
 *host* time, never changes simulated behaviour.
 
 Scope of the guarantee: timestamps, per-channel FIFO order, and (via the
-global send-order tie-break in ``ChannelEnd.send`` / ``poll_inputs``)
+global send-order tie-break in ``ChannelEnd.send`` / ``Component.advance``)
 per-*sender* order are exact, even across a receiver's multiple input
 channels.  Deliveries with identical stamps from *different* senders are
 concurrent in the PDES sense — no causal order exists, and the fast oracle
@@ -25,7 +25,7 @@ from repro.channels.channel import ChannelEnd, connect
 from repro.channels.messages import RawMsg
 from repro.kernel.component import Component
 from repro.kernel.rng import make_rng
-from repro.kernel.simtime import NS, US
+from repro.kernel.simtime import NS, TIME_INFINITY, US
 from repro.parallel.shm_ring import ShmRing
 from repro.parallel.simulation import Simulation
 
@@ -238,3 +238,50 @@ def test_any_interleaving_of_send_sync_poll_keeps_the_contract(
         assert [m.payload for m in got] == list(range(len(sent)))
         assert [m.stamp for m in got] == sent
         assert (a.tx_msgs, b.rx_msgs) == (len(sent), len(sent))
+
+
+@pytest.mark.parametrize("transport", ["fifo", "shm-batched"])
+@given(ops=st.lists(st.tuples(st.sampled_from(["send", "sync", "poll"]),
+                              st.integers(min_value=0, max_value=3_000)),
+                    max_size=60),
+       latency=st.integers(min_value=1, max_value=2_000))
+@settings(max_examples=40, deadline=None)
+def test_the_step_reads_an_interleaving_like_poll(transport, ops, latency):
+    """``Component.advance`` reads an in-process end inline (and a ring end
+    through ``poll()``).  Two twin channels see the same interleaving; one
+    receiver calls ``ChannelEnd.poll``, the other is stepped by its owner.
+    After every poll both have the same horizon and counters, and the data
+    the step scheduled executes in the order ``poll`` returned it."""
+    with wired_pair(transport, latency) as (a, b), \
+            wired_pair(transport, latency) as (a2, b2):
+        rx = Component("rx")
+        stepped = []
+        rx.attach_end(b2, stepped.append)
+        polled = []
+        now = sent = 0
+
+        def poll_both():
+            polled.extend(b.poll())
+            rx.advance(0)  # receive only: every stamp is >= latency > 0
+            assert rx.input_horizon() == b2.horizon() == b.horizon()
+            assert (b2.rx_msgs, b2.rx_syncs) == (b.rx_msgs, b.rx_syncs)
+
+        for op, gap in ops:
+            now += gap
+            for sender in (a, a2):
+                if op == "send":
+                    sender.send(RawMsg(payload=sent), now=now)
+                elif op == "sync":
+                    sender.maybe_sync(commit=now)
+                else:
+                    sender.flush()
+            sent += op == "send"
+            if op == "poll":
+                poll_both()
+        a.flush(blocked=True)
+        a2.flush(blocked=True)
+        poll_both()
+        rx.queue.run_until(TIME_INFINITY)
+        assert [(m.stamp, m.payload) for m in stepped] == \
+            [(m.stamp, m.payload) for m in polled]
+        assert len(polled) == sent

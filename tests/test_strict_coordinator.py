@@ -142,7 +142,8 @@ class _Stuck(Component):
     stops growing."""
 
     def advance(self, target: int) -> int:
-        self.poll_inputs()
+        # a step to -1 receives, but can neither run an event nor publish
+        super().advance(-1)
         return 0
 
 
