@@ -2,25 +2,24 @@
 
 The pipeline topology (:func:`pipeline_specs`) runs the same model
 in-process (strict coordinator) and as real OS processes over the batched
-shared-memory rings: :func:`inproc_strict_digests` and :func:`mp_digests`
-return per-component event-timeline SHA-256 digests, which must be
-identical — with the wire codec on or off.  Token injections are staggered
-by a prime offset so no two events of one component ever share a
-timestamp; the digests are therefore exact, not merely statistically
-stable.  :func:`inproc_audit_ledger` / :func:`mp_audit_ledger` return the
-per-epoch audit ledgers of the same two runs, to localize a mismatch.
+shared-memory rings: :func:`inproc_audit_ledger` and
+:func:`mp_audit_ledger` return the per-epoch audit ledgers
+(:mod:`repro.obs.audit`) of the two runs, whose roots must be identical —
+with the wire codec on or off — and whose rows localize a mismatch.  Token
+injections are staggered by a prime offset so no two events of one
+component ever share a timestamp; the ledgers are therefore exact, not
+merely statistically stable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..channels.channel import ChannelEnd
 from ..channels.messages import RawMsg
 from ..kernel.component import Component
 from ..kernel.simtime import NS, US
-from ..parallel.procrunner import (ProcChannel, ProcSpec, ProcessRunner,
-                                   timeline_digest)
+from ..parallel.procrunner import ProcChannel, ProcSpec, ProcessRunner
 from ..parallel.simulation import Simulation
 
 #: Pipeline channel latency / per-stage forwarding delay.
@@ -85,37 +84,6 @@ def pipeline_specs(n: int, tokens: int = TOKENS
     return specs, channels
 
 
-def _build_inproc(n: int, tokens: int) -> Tuple[Simulation, list]:
-    sim = Simulation(mode="strict")
-    comps = [sim.add(RingForwarder(f"s{i}", i, n, tokens)) for i in range(n)]
-    for i in range(n):
-        sim.connect(comps[i].next, comps[(i + 1) % n].prev)
-    return sim, comps
-
-
-def inproc_strict_digests(n: int, until_ps: int,
-                          tokens: int = TOKENS) -> Dict[str, str]:
-    """Per-component timeline digests of the strict in-process run."""
-    sim, comps = _build_inproc(n, tokens)
-    timelines: Dict[str, List[int]] = {c.name: [] for c in comps}
-    sim._wire()
-    for c in comps:
-        c.queue.trace = (lambda owner, ts, tl=timelines[c.name]:
-                         tl.append(ts))
-    sim._run_strict(until_ps)
-    return {name: timeline_digest(name, tl)
-            for name, tl in timelines.items()}
-
-
-def mp_digests(n: int, until_ps: int, tokens: int = TOKENS,
-               timeout_s: float = 120.0) -> Dict[str, str]:
-    """Per-component timeline digests of the real multiprocess run."""
-    specs, channels = pipeline_specs(n, tokens)
-    results = ProcessRunner(specs, channels).run(
-        until_ps, timeout_s=timeout_s, digest=True)
-    return {name: res.timeline_digest for name, res in results.items()}
-
-
 #: Audit epoch width for the pipeline determinism fixture (the 50 us
 #: smoke run then spans ten windows).
 AUDIT_WINDOW_PS = 5 * US
@@ -126,7 +94,10 @@ def inproc_audit_ledger(n: int, until_ps: int, tokens: int = TOKENS,
     """Audit ledger of the strict in-process pipeline run."""
     from ..obs.audit import AuditCollector
     from ..obs.recorder import ProbeDriver
-    sim, _ = _build_inproc(n, tokens)
+    sim = Simulation(mode="strict")
+    comps = [sim.add(RingForwarder(f"s{i}", i, n, tokens)) for i in range(n)]
+    for i in range(n):
+        sim.connect(comps[i].next, comps[(i + 1) % n].prev)
     collector = AuditCollector(window_ps=window_ps)
     sim.observers.append(ProbeDriver(collector))
     sim.run(until_ps)
@@ -135,14 +106,13 @@ def inproc_audit_ledger(n: int, until_ps: int, tokens: int = TOKENS,
 
 def mp_audit_ledger(n: int, until_ps: int, tokens: int = TOKENS,
                     window_ps: int = AUDIT_WINDOW_PS,
-                    timeout_s: float = 120.0, tmpdir: str = "."):
-    """Audit ledger of the real multiprocess pipeline run."""
-    import os
-
-    from ..obs.audit import AuditCollector, load_audit
+                    timeout_s: float = 120.0):
+    """Audit ledger of the real multiprocess pipeline run (in memory: a
+    collector with no path is never saved)."""
+    from ..obs.audit import AuditCollector
     specs, channels = pipeline_specs(n, tokens)
-    path = os.path.join(tmpdir, "audit.jsonl")
     runner = ProcessRunner(specs, channels)
-    runner.recorders.append(AuditCollector(path, window_ps))
+    collector = AuditCollector(window_ps=window_ps)
+    runner.recorders.append(collector)
     runner.run(until_ps, timeout_s=timeout_s)
-    return load_audit(path)
+    return collector.to_ledger()

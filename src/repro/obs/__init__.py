@@ -37,9 +37,9 @@ measures against.  Its modules:
   (:mod:`repro.parallel.advisor`).
 * :mod:`repro.obs.audit` — the divergence auditor: a streaming ledger of
   per-component, per-epoch timeline subdigests (fixed simulated-time
-  windows, chained digests, columnar ``audit.jsonl``) whose root is
-  bit-identical to the determinism guard's golden fold, plus the
-  cross-run diff behind ``splitsim-inspect diff``.
+  windows, chained digests, columnar ``audit.jsonl``) whose root is the
+  repo's one determinism digest (the determinism guard pins it to its
+  golden fold), plus the cross-run diff behind ``splitsim-inspect diff``.
 * :mod:`repro.obs.schema` — the single source of every versioned document
   schema constant (``run_report.json``, ``timeline.jsonl``,
   ``audit.jsonl``, traces, metric snapshots, control, partition).

@@ -1,12 +1,13 @@
-"""Divergence auditor: a hierarchical per-epoch digest ledger.
+"""Divergence auditor: the determinism digest and its per-epoch ledger.
 
-The determinism guard pins one SHA-256 over the *entire* event timeline
-(per-component ``name:ts,ts,...;`` payloads folded in sorted-name order —
-the ``GOLDEN_DIGEST`` of ``tests/test_determinism_guard.py`` and the
-per-component :func:`repro.parallel.procrunner.timeline_digest`).  That
-single hash proves *that* two runs diverged; this module records *where*:
-a streaming ledger of per-component, per-epoch subdigests that
-``splitsim-inspect diff`` walks to the first divergent
+This module is the one place the event timeline is hashed.  A run's
+*root* is one SHA-256 over the *entire* event timeline (per-component
+``name:ts,ts,...;`` payloads folded in sorted-name order); every
+fast == strict == mp and recorder-on == off check compares roots, and
+``tests/test_determinism_guard.py`` pins the golden workload's root to
+``GOLDEN_DIGEST``.  The root proves *that* two runs diverged; the ledger
+records *where*: a streaming ledger of per-component, per-epoch
+subdigests that ``splitsim-inspect diff`` walks to the first divergent
 ``(epoch, component)``.
 
 **Epochs are fixed simulated-time windows** (``window_ps`` wide, recorded
@@ -26,12 +27,14 @@ row in a walk is exactly the first divergent window.
 
 **The root is the golden fold, bit for bit**: each component's closed
 window chunks concatenate (comma-joined) back into the exact
-``name:ts,ts,...;`` payload the guard hashes, and :func:`fold_root`
-feeds those payloads sha256 in sorted-name order — components with zero
-events are skipped, matching the guard's "only components that executed
-events" semantics.  Auditing is observation only (one list-append per
-event on an already-existing kernel trace hook), so the root equals
-``GOLDEN_DIGEST`` with auditing on or off.
+``name:ts,ts,...;`` payload, and :func:`fold_root` feeds those payloads
+sha256 in sorted-name order — components with zero events are skipped
+("only components that executed events").  ``GOLDEN_DIGEST`` was
+captured by an independent hook before this module existed, so a root
+equal to it proves both that the encoding is unchanged and that auditing
+(one list append per event through the kernel's ``queue.trace`` hook,
+which :meth:`ComponentAuditor.attach` installs in front of any hook
+already there) moves no event.
 
 One probe, one collector (see :mod:`repro.obs.recorder` for who drives
 them): a :class:`ComponentAuditor` per component closes complete windows
@@ -117,9 +120,9 @@ class AuditRow:
 def _owner_hook(prev):
     """A ``queue.trace`` hook appending each executed timestamp to its
     owner's probe buffer (``hook.appends[owner]``), then chaining ``prev``
-    — so the determinism guard's own tracer keeps working with auditing
-    on.  By-owner dispatch serves private (strict, mp) and shared (fast)
-    queues alike."""
+    — so a hook installed before it (``WorkRecorder.watch``) keeps
+    working with auditing on.  By-owner dispatch serves private (strict,
+    mp) and shared (fast) queues alike."""
     appends: Dict[object, object] = {}
     if prev is None:
         def hook(owner, ts):
@@ -176,12 +179,19 @@ class ComponentAuditor:
     def attach(cls, comp, window_ps: int = DEFAULT_WINDOW_PS
                ) -> "ComponentAuditor":
         """Audit a live component: hook its queue's per-event trace
-        (call after wiring, before the run; :meth:`result` unhooks)."""
+        (call after wiring, before the run; :meth:`result` unhooks).
+
+        Raises :class:`ValueError` when ``comp`` is already audited on
+        its queue: a second probe would take over the first one's events
+        and leave it a complete-looking ledger of nothing.
+        """
         probe = cls(comp.name, window_ps)
         queue = comp.queue
         hook = queue.trace
         if getattr(hook, "appends", None) is None:
             hook = queue.trace = _owner_hook(hook)
+        elif comp in hook.appends:
+            raise ValueError(f"{comp.name} is already audited on its queue")
         hook.appends[comp] = probe.buf.append
         probe._hooked = (queue, hook)
         return probe
@@ -269,11 +279,9 @@ class ComponentAuditor:
         return self.comp + ":" + ",".join(self.chunks) + ";"
 
     def digest(self) -> Optional[str]:
-        """Component timeline digest (None when no events executed).
-
-        Equals :func:`repro.parallel.procrunner.timeline_digest` over the
-        component's full timestamp list.
-        """
+        """Component timeline digest (None when no events executed): the
+        SHA-256 of :meth:`payload`, i.e. :func:`fold_root` over this
+        component alone."""
         if not self.chunks:
             return None
         return hashlib.sha256(self.payload().encode()).hexdigest()

@@ -35,16 +35,6 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .telemetry import Heartbeat
 
-#: ``extras`` key of the probe whose result carries a component's
-#: event-timeline digest (``ProcessRunner.run(digest=True)`` reads it).
-DIGEST_PROBE = "audit"
-
-
-def digest_probe(comp):
-    """The probe ``digest=True`` runs add when no recorder brought one."""
-    from .audit import ComponentAuditor
-    return ComponentAuditor.attach(comp)
-
 
 class Beater:
     """Builds one component's heartbeats: progress counters + probe beats."""

@@ -205,7 +205,7 @@ class Experiment:
         determinism digest is unchanged) and are referenced from the run
         report when ``report_path`` is given.  Every other keyword
         (``progress``, ``report_path``, ``trace_dir``, ``hb_interval_s``,
-        ``flow_sample``, ``digest``, ``control_dir``, ``stall_intervals``,
+        ``flow_sample``, ``control_dir``, ``stall_intervals``,
         ``stale_after_s``) is an option of
         :meth:`ProcessRunner.run <repro.parallel.procrunner.ProcessRunner.run>`,
         documented there.

@@ -33,7 +33,6 @@ constructed inside the child process::
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing as mp
 import os
 import sys
@@ -104,23 +103,9 @@ class ProcResult:
     #: shm transport counters (frames/batches/bytes per direction, summed
     #: over this component's rings) plus the wire codec's fallback counts
     transport: dict = field(default_factory=dict)
-    #: SHA-256 of this component's event timeline (``name:ts,ts,...;``),
-    #: filled when the run was started with ``digest=True``
-    timeline_digest: Optional[str] = None
     #: the probes' final payloads, keyed by recorder name
     extras: Dict[str, object] = field(default_factory=dict)
     error: Optional[str] = None
-
-
-def timeline_digest(name: str, timestamps: List[int]) -> str:
-    """SHA-256 of one component's event timeline (``name:ts,ts,...;``).
-
-    Matches the encoding of the in-process determinism guard so strict
-    in-process runs and multiprocess runs can be compared component by
-    component.
-    """
-    payload = name + ":" + ",".join(map(str, timestamps)) + ";"
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _transport_stats(rings: List[ShmRing]) -> dict:
@@ -387,7 +372,6 @@ class ProcessRunner:
             progress: bool = False, report_path: Optional[str] = None,
             trace_dir: Optional[str] = None,
             hb_interval_s: float = 0.25,
-            digest: bool = False,
             flow_sample: Optional[int] = None,
             control_dir: Optional[str] = None,
             stall_intervals: int = 4,
@@ -409,9 +393,6 @@ class ProcessRunner:
             Child heartbeat period; heartbeats are only collected when
             ``progress``, ``report_path``, ``control_dir`` or a recorder
             is requested.
-        digest:
-            Record each child's event timeline and return its SHA-256 in
-            ``ProcResult.timeline_digest`` (determinism checks).
         flow_sample:
             Keep 1-in-N causal flows in the per-child traces (needs
             ``trace_dir``); ``None`` = flow tracing off.
@@ -453,10 +434,6 @@ class ProcessRunner:
         probes = {c.name: c.probe for c in collectors}
         for collector in collectors:
             collector.begin(names, until_ps, "mp")
-        if digest:
-            # the event digest is a probe result; reuse a recorder's probe
-            from ..obs.recorder import DIGEST_PROBE, digest_probe
-            probes.setdefault(DIGEST_PROBE, digest_probe)
         probe_factories = tuple(probes.values())
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
@@ -541,10 +518,6 @@ class ProcessRunner:
                 for collector in collectors:
                     collector.note_result(res.name,
                                           res.extras.get(collector.name))
-                if digest and res.error is None:
-                    res.timeline_digest = (
-                        res.extras[DIGEST_PROBE]["digest"]
-                        or timeline_digest(res.name, []))
             self._drain_telemetry(telemetry_q, aggregator, monitor, progress,
                                   collectors)
             if progress:

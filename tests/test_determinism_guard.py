@@ -1,22 +1,25 @@
 """Determinism guard: the event timeline is bit-exact across optimizations.
 
-Hashes the full per-component timestamp timeline of a mixed workload (UDP
-KV + TCP bulk + one detailed host) and pins it to a golden digest captured
-before the tuple-heap/pooling kernel rework.  Any hot-path change that
-reorders or retimes even one event — in either execution mode — fails here.
+Every run here records the audit ledger (:mod:`repro.obs.audit`) of a
+mixed workload (UDP KV + TCP bulk + one detailed host) and pins its root —
+one SHA-256 over the full per-component timestamp timeline — to a golden
+digest captured before the tuple-heap/pooling kernel rework, by a hook
+independent of the auditor.  Any hot-path change that reorders or retimes
+even one event — in either execution mode, with any recorder on — fails
+here.  ``assert_same_timeline`` is the same check between two runs; every
+fast == strict == mp and recorder-on == off pin goes through it.
 
-On a mismatch the guard doesn't just fail: it records per-epoch audit
-ledgers (:mod:`repro.obs.audit`) for both modes and reports *where* the
-timeline moved — the first divergent (epoch, component) when the modes
+On a mismatch neither check just fails: the ledgers localize *where* the
+timeline moved — the first divergent (epoch, component) when the runs
 disagree, or the per-component digests when both moved together.
 """
-
-import hashlib
 
 import pytest
 
 from repro.bench.workloads import build_mixed_system
-from repro.kernel.simtime import MS
+from repro.kernel.simtime import MS, US
+from repro.obs.audit import diff_ledgers
+from repro.obs.inspect.diff import render_audit_diff
 from repro.orchestration.instantiate import Instantiation
 
 #: SHA-256 over "name:ts,ts,...;" per component (sorted by name), captured
@@ -25,118 +28,112 @@ GOLDEN_DIGEST = "141c2979831836787e308a6a0b00dcb51ecee797f2c31a3e79de4fffe58e413
 DURATION = 2 * MS
 
 
-def timeline_digest(mode: str, traced: bool = False,
-                    flow_sample: int = 0, audited: bool = False) -> str:
-    exp = Instantiation(build_mixed_system(), mode=mode,
-                        audit=audited).build()
-    sim = exp.sim
-    if traced:
-        from repro.obs import Tracer, install_tracer
-        install_tracer(sim, Tracer())
-    if flow_sample:
-        from repro.obs import Tracer, install_flow_recorder
-        install_flow_recorder(Tracer(), sample_n=flow_sample)
-    lines = {}
-
-    def trace(owner, ts):
-        lines.setdefault(owner.name if owner is not None else "?", []).append(ts)
-
-    sim._wire()
-    try:
-        if mode == "fast":
-            sim._shared_queue.trace = trace
-            sim._run_fast(DURATION)
-        else:
-            for c in sim.components:
-                c.queue.trace = trace
-            sim._run_strict(DURATION)
-    finally:
-        if flow_sample:
-            from repro.obs import uninstall_flow_recorder
-            uninstall_flow_recorder()
-    digest = hashlib.sha256()
-    for name in sorted(lines):
-        digest.update(
-            (name + ":" + ",".join(map(str, lines[name])) + ";").encode())
-    return digest.hexdigest()
-
-
-def _audited_ledger(mode: str):
-    exp = Instantiation(build_mixed_system(), mode=mode, audit=True).build()
-    exp.run(DURATION)
-    return exp.recorders["audit"].to_ledger()
-
-
-def assert_golden(mode: str, **kwargs) -> None:
-    """The guard assertion, with audit-ledger localization on failure."""
-    got = timeline_digest(mode, **kwargs)
-    if got == GOLDEN_DIGEST:
+def assert_same_timeline(ref, got) -> None:
+    """The determinism assertion: two audit ledgers share one root and
+    agree row for row; on a mismatch, fail with the diff that localizes
+    it."""
+    diff = diff_ledgers(ref, got)
+    if ref.root is not None and got.root == ref.root and diff.identical \
+            and diff.rows_compared:
         return
-    from repro.obs.audit import diff_ledgers
-    other = "strict" if mode == "fast" else "fast"
-    lines = [f"{mode} timeline digest diverged from golden:",
-             f"  got    {got}", f"  golden {GOLDEN_DIGEST}"]
+    pytest.fail("event timelines differ:\n" + render_audit_diff(
+        diff, ref, got, "reference", "got"))
+
+
+def audited(mode: str, **options):
+    """The golden workload, built with the audit ledger plus ``options``
+    and run to ``DURATION``."""
+    exp = Instantiation(build_mixed_system(), mode=mode, audit=True,
+                        **options).build()
     try:
-        mine = _audited_ledger(mode)
-        ref = _audited_ledger(other)
-        diff = diff_ledgers(ref, mine)
-        if diff.identical:
-            lines.append(f"both modes produce the same (wrong) timeline — "
-                         f"the change retimed events everywhere; "
-                         f"per-component digests:")
-            for name, d in sorted(mine.component_digests().items()):
-                lines.append(f"  {name}: {d[:16]}...")
-        else:
-            lines.append(f"audit diff ({other} vs {mode}) localizes it:")
-            if diff.divergence is not None:
-                lines.append(diff.divergence.describe())
-            if diff.mismatched_components:
-                lines.append("components whose digests differ: "
-                             + ", ".join(diff.mismatched_components))
-    except Exception as exc:  # localization is best-effort
-        lines.append(f"(audit localization unavailable: {exc})")
+        exp.run(DURATION)
+    finally:
+        exp.disable_flow_tracing()
+    return exp
+
+
+def assert_golden(exp) -> None:
+    """The guard assertion, with audit-ledger localization on failure."""
+    ledger = exp.recorders["audit"].to_ledger()
+    if ledger.root == GOLDEN_DIGEST:
+        return
+    other = "strict" if ledger.mode == "fast" else "fast"
+    lines = [f"{ledger.mode} audit root diverged from golden:",
+             f"  got    {ledger.root}", f"  golden {GOLDEN_DIGEST}"]
+    ref = audited(other, audit_window_ps=ledger.window_ps
+                  ).recorders["audit"].to_ledger()
+    diff = diff_ledgers(ref, ledger)
+    if diff.identical:
+        lines.append("both modes produce the same (wrong) timeline — the "
+                     "change moved events in both; per-component digests:")
+        digests = ledger.component_digests()
+        for name in ledger.components:
+            d = digests.get(name)
+            lines.append(f"  {name}: {d[:16] + '...' if d else '(no events)'}")
+    else:
+        lines.append(f"audit diff ({other} vs {ledger.mode}) localizes it:")
+        lines.append(render_audit_diff(diff, ref, ledger, other,
+                                       ledger.mode))
     pytest.fail("\n".join(lines))
 
 
 def test_fast_mode_timeline_matches_golden():
-    assert_golden("fast")
+    assert_golden(audited("fast"))
 
 
 def test_strict_mode_timeline_matches_golden():
-    assert_golden("strict")
+    assert_golden(audited("strict"))
 
 
 def test_fast_mode_timeline_unchanged_with_tracing():
     # observability is observation only: the traced kernel drain must
     # execute the exact same event timeline as the untraced one
-    assert_golden("fast", traced=True)
+    assert_golden(audited("fast", trace=True))
 
 
 def test_strict_mode_timeline_unchanged_with_tracing():
-    assert_golden("strict", traced=True)
+    assert_golden(audited("strict", trace=True))
 
 
 def test_fast_mode_timeline_unchanged_with_flow_tracing():
     # causal flow tagging rides existing messages; tracing every flow
     # must not move a single event
-    assert_golden("fast", flow_sample=1)
+    assert_golden(audited("fast", flow_sample=1))
 
 
 def test_strict_mode_timeline_unchanged_with_flow_tracing():
-    assert_golden("strict", flow_sample=1)
+    assert_golden(audited("strict", flow_sample=1))
 
 
 def test_timeline_unchanged_with_sampled_flow_tracing():
     # the sampling decision (keep 1-in-N at the origin) is metadata only
-    assert_golden("fast", flow_sample=7)
-    assert_golden("strict", flow_sample=7)
+    assert_golden(audited("fast", flow_sample=7))
+    assert_golden(audited("strict", flow_sample=7))
 
 
 def test_fast_mode_timeline_unchanged_with_auditing():
-    # the divergence auditor is observation only too: its per-event list
-    # append (chained into the guard's own trace hook) moves nothing
-    assert_golden("fast", audited=True)
+    # the root is a fold over whole timelines: 1 us epochs (hundreds of
+    # rows and flushes) fold to the same root as the default 64 us ones
+    assert_golden(audited("fast", audit_window_ps=1 * US))
 
 
 def test_strict_mode_timeline_unchanged_with_auditing():
-    assert_golden("strict", audited=True)
+    assert_golden(audited("strict", audit_window_ps=1 * US))
+
+
+def test_strict_mode_timeline_unchanged_with_timeline():
+    assert_golden(audited("strict", timeline=True))
+
+
+def test_strict_mode_timeline_unchanged_with_profiler():
+    assert_golden(audited("strict", profile=True))
+
+
+@pytest.mark.parametrize("mode", ["fast", "strict"])
+def test_timeline_unchanged_with_work_window(mode):
+    exp = audited(mode, work_window_ps=10 * US)
+    assert_golden(exp)
+    # the work recorder's hook, chained under the audit hook, still sees
+    # every event
+    for c in exp.sim.components:
+        assert exp.sim.recorder.total_work(c.name) == c.work_cycles, c.name

@@ -22,10 +22,13 @@ from repro.kernel.simtime import MS, US
 from repro.netsim.apps.bulk import BulkSender, BulkSink
 from repro.netsim.fidelity import FidelityConfig
 from repro.netsim.topology import TopoSpec, dumbbell
+from repro.obs.audit import load_audit
 from repro.obs.flows import analyze_doc, uninstall_flow_recorder
 from repro.obs.trace import chrome_doc
 from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.system import System
+
+from .test_determinism_guard import assert_same_timeline
 
 GBPS = 1e9
 
@@ -206,33 +209,23 @@ RACK_SPLIT = {"sw0": "p0", "sw1": "p1"}
 MP_DURATION = 3 * MS
 
 
-def _inproc_strict_digests(fidelity):
-    from repro.parallel.procrunner import timeline_digest
-    exp = Instantiation(two_rack_system(), mode="strict",
-                        network_partition=RACK_SPLIT,
-                        fidelity=fidelity).build()
-    sim = exp.sim
-    sim._wire()
-    timelines = {c.name: [] for c in sim.components}
-    for c in sim.components:
-        c.queue.trace = (lambda owner, ts, tl=timelines[c.name]:
-                         tl.append(ts))
-    sim._run_strict(MP_DURATION)
-    fluid_stats = {net.name: (net.fluid.stats() if net.fluid else None)
-                   for net in exp.network_components()}
-    return ({name: timeline_digest(name, tl)
-             for name, tl in timelines.items()}, fluid_stats)
+def _rack_experiment(fidelity, **options):
+    return Instantiation(two_rack_system(), mode="strict",
+                         network_partition=RACK_SPLIT, fidelity=fidelity,
+                         **options).build()
 
 
-def test_mp_run_with_fluid_matches_inproc():
+def test_mp_run_with_fluid_matches_inproc(tmp_path):
     """Fluid state is partition-local: mp timelines == in-process strict."""
     fid = FidelityConfig(fluid=True)
-    expected, fluid_stats = _inproc_strict_digests(fid)
+    ref = _rack_experiment(fid, audit=True)
+    ref.run(MP_DURATION)
     # the oracle run must actually exercise the tier in both partitions
-    assert all(st and st["promoted"] >= 1 for st in fluid_stats.values())
+    assert all(net.fluid and net.fluid.stats()["promoted"] >= 1
+               for net in ref.network_components())
 
-    exp = Instantiation(two_rack_system(), mode="strict",
-                        network_partition=RACK_SPLIT, fidelity=fid).build()
-    results = exp.run_mp(MP_DURATION, timeout_s=180, digest=True)
-    got = {name: res.timeline_digest for name, res in results.items()}
-    assert got == expected
+    path = str(tmp_path / "audit.jsonl")
+    _rack_experiment(fid).run_mp(MP_DURATION, timeout_s=180,
+                                 audit_path=path)
+    assert_same_timeline(ref.recorders["audit"].to_ledger(),
+                         load_audit(path))

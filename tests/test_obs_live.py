@@ -16,11 +16,12 @@ import time
 
 import pytest
 
-from repro.bench.mp import pipeline_specs
+from repro.bench.mp import AUDIT_WINDOW_PS, mp_audit_ledger, pipeline_specs
 from repro.channels.channel import ChannelEnd
 from repro.channels.messages import RawMsg
 from repro.kernel.component import Component
 from repro.kernel.simtime import MS, NS, SEC, US
+from repro.obs.audit import AuditCollector
 from repro.obs.inspect.attach import render_status, _parse_commands
 from repro.obs.live import (CONTROL_FILE, CONTROL_SCHEMA, ChildMailbox,
                             ControlClient, ControlError, ControlPlane,
@@ -33,6 +34,8 @@ from repro.obs.telemetry import (HEALTH_DONE, HEALTH_FAILED, HEALTH_OK,
                                  build_run_report, write_run_report)
 from repro.obs.trace import load_trace, validate_chrome_doc
 from repro.parallel.procrunner import ProcResult, ProcessRunner
+
+from .test_determinism_guard import assert_same_timeline
 
 
 def hb(comp, sim_ps=0, wall_s=0.0, eps=1000.0, fill=0.1, waiting=False,
@@ -550,10 +553,7 @@ def test_control_commands_do_not_perturb_digest(tmp_path):
     """Determinism pin: a control-plane run, with commands landing
     mid-run, produces bit-identical event timelines to a control-free
     run of the same model."""
-    specs, channels = pipeline_specs(4)
-    base = ProcessRunner(specs, channels).run(2 * MS, timeout_s=120,
-                                              digest=True)
-    base_digests = {n: r.timeline_digest for n, r in base.items()}
+    base = mp_audit_ledger(4, 2 * MS)
 
     rundir = tmp_path / "run"
     trace_dir = rundir / "traces"
@@ -577,18 +577,21 @@ def test_control_commands_do_not_perturb_digest(tmp_path):
                     return
                 time.sleep(0.02)
 
+    specs, channels = pipeline_specs(4)
+    runner = ProcessRunner(specs, channels)
+    audit = AuditCollector(window_ps=AUDIT_WINDOW_PS)
+    runner.recorders.append(audit)
     t = threading.Thread(target=poke)
     t.start()
     try:
-        specs2, channels2 = pipeline_specs(4)
-        results = ProcessRunner(specs2, channels2).run(
-            2 * MS, timeout_s=120, digest=True, control_dir=str(rundir),
-            trace_dir=str(trace_dir), flow_sample=1, hb_interval_s=0.05)
+        runner.run(2 * MS, timeout_s=120, control_dir=str(rundir),
+                   trace_dir=str(trace_dir), flow_sample=1,
+                   hb_interval_s=0.05)
     finally:
         stop_poking.set()
         t.join(timeout=30)
     assert issued["n"] >= 4, "no control commands landed during the run"
-    assert {n: r.timeline_digest for n, r in results.items()} == base_digests
+    assert_same_timeline(base, audit.to_ledger())
 
 
 class Wedge(Component):

@@ -97,22 +97,24 @@ def test_run_mp_emits_report_and_merged_trace(tmp_path):
 def test_run_mp_flow_records_stitch_across_processes(tmp_path):
     """Flow tracing in the real deployment: per-child hop records merge.
 
-    The same timeline digest as a flow-free mp run pins that provenance
-    is observation-only in the multiprocess transport too, and the merged
+    The same audit root as a flow-free mp run pins that provenance is
+    observation-only in the multiprocess transport too, and the merged
     trace stitches hops from different OS processes into complete flows
     whose per-hop durations sum exactly to the end-to-end latency.
     """
+    from repro.obs.audit import load_audit
     from repro.obs.flows import analyze_doc
 
-    plain = Instantiation(kv_system()).build()
-    base = plain.run_mp(2 * MS, timeout_s=120, digest=True)
-    base_digests = {n: r.timeline_digest for n, r in base.items()}
+    from .test_determinism_guard import assert_same_timeline
 
+    base, traced = tmp_path / "base.jsonl", tmp_path / "traced.jsonl"
+    Instantiation(kv_system()).build().run_mp(
+        2 * MS, timeout_s=120, audit_path=str(base))
     exp = Instantiation(kv_system()).build()
     trace_dir = tmp_path / "traces"
-    results = exp.run_mp(2 * MS, timeout_s=120, trace_dir=str(trace_dir),
-                         flow_sample=1, digest=True)
-    assert {n: r.timeline_digest for n, r in results.items()} == base_digests
+    exp.run_mp(2 * MS, timeout_s=120, trace_dir=str(trace_dir),
+               flow_sample=1, audit_path=str(traced))
+    assert_same_timeline(load_audit(str(base)), load_audit(str(traced)))
 
     doc = load_trace(str(trace_dir / "trace.json"))
     assert validate_chrome_doc(doc) == []

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from repro.bench.mp import RingForwarder, pipeline_specs
+from repro.bench.mp import (AUDIT_WINDOW_PS, RingForwarder, mp_audit_ledger,
+                            pipeline_specs)
 from repro.kernel.simtime import MS, US
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
+from repro.obs.audit import AuditCollector
 from repro.obs.recorder import ProbeDriver
 from repro.obs.rundir import locate
 from repro.obs.timeline import (EpochRow, ROW_COLUMNS, TIMELINE_KIND,
@@ -14,8 +16,10 @@ from repro.obs.timeline import (EpochRow, ROW_COLUMNS, TIMELINE_KIND,
                                 detect_phases, load_timeline, save_timeline)
 from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.system import System
-from repro.parallel.procrunner import ProcessRunner, timeline_digest
+from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Simulation
+
+from .test_determinism_guard import assert_same_timeline
 
 GBPS = 1e9
 UNTIL_PS = 100 * US
@@ -142,7 +146,7 @@ def test_recorder_bounds_rows_and_counts_drops(tmp_path):
     sim, comps = _pipeline_sim(2)
     rec = TimelineCollector(max_rows=4)
     sim.observers.append(ProbeDriver(rec, interval_rounds=1))
-    sim._run_strict(UNTIL_PS)
+    sim.run(UNTIL_PS)
     assert len(rec.rows) == 4
     assert rec.dropped > 0
     header = rec.save(str(tmp_path / "t.jsonl"))
@@ -156,28 +160,23 @@ def _pipeline_sim(n):
     comps = [sim.add(RingForwarder(f"s{i}", i, n)) for i in range(n)]
     for i in range(n):
         sim.connect(comps[i].next, comps[(i + 1) % n].prev)
-    sim._wire()
     return sim, comps
 
 
-def _strict_digests(with_timeline):
+def _strict_ledger(with_timeline):
     sim, comps = _pipeline_sim(3)
-    timelines = {c.name: [] for c in comps}
-    for c in comps:
-        c.queue.trace = (lambda owner, ts, tl=timelines[c.name]:
-                         tl.append(ts))
+    audit = AuditCollector(window_ps=AUDIT_WINDOW_PS)
+    sim.observers.append(ProbeDriver(audit))
     rec = None
     if with_timeline:
         rec = TimelineCollector()
         sim.observers.append(ProbeDriver(rec, interval_rounds=4))
-    sim._run_strict(UNTIL_PS)
-    digests = {name: timeline_digest(name, tl)
-               for name, tl in timelines.items()}
-    return digests, rec, comps
+    sim.run(UNTIL_PS)
+    return audit.to_ledger(), rec, comps
 
 
 def test_strict_recorder_rows_account_for_all_events():
-    _, rec, comps = _strict_digests(True)
+    _, rec, comps = _strict_ledger(True)
     assert rec.rows
     for comp in comps:
         total = sum(r.events for r in rec.rows if r.comp == comp.name)
@@ -190,31 +189,29 @@ def test_strict_recorder_rows_account_for_all_events():
 
 
 def test_strict_digest_identical_with_timeline_on_and_off():
-    base, _, _ = _strict_digests(False)
-    timed, rec, _ = _strict_digests(True)
+    base, _, _ = _strict_ledger(False)
+    timed, rec, _ = _strict_ledger(True)
     assert rec.rows
-    assert timed == base
+    assert_same_timeline(base, timed)
 
 
 # -- multiprocess sampling ----------------------------------------------------
 
 @pytest.mark.slow
 def test_mp_digest_identical_with_timeline_on_and_off(tmp_path):
-    specs, channels = pipeline_specs(3)
-    base = ProcessRunner(specs, channels).run(UNTIL_PS, timeout_s=120,
-                                              digest=True)
-    base_digests = {n: r.timeline_digest for n, r in base.items()}
+    base = mp_audit_ledger(3, UNTIL_PS)
 
     path = tmp_path / "timeline.jsonl"
     specs, channels = pipeline_specs(3)
     runner = ProcessRunner(specs, channels)
-    runner.recorders.append(TimelineCollector(str(path)))
-    timed = runner.run(UNTIL_PS, timeout_s=120, digest=True)
-    assert {n: r.timeline_digest for n, r in timed.items()} == base_digests
+    audit = AuditCollector(window_ps=AUDIT_WINDOW_PS)
+    runner.recorders += [TimelineCollector(str(path)), audit]
+    timed = runner.run(UNTIL_PS, timeout_s=120)
+    assert_same_timeline(base, audit.to_ledger())
 
     tl = load_timeline(str(path))
     assert tl.mode == "mp"
-    assert set(tl.components) == set(base)
+    assert set(tl.components) == set(timed)
     for name, res in timed.items():
         total = sum(r.events for r in tl.by_component()[name])
         assert total == res.events
