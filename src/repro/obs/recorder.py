@@ -17,9 +17,10 @@ The runtimes never look inside the payloads.  In a multiprocess run the
 child's heartbeat pump beats the probes of ``ProcessRunner.recorders``
 through a :class:`Beater` and the parent hands heartbeats to
 :func:`deliver`; in process a :class:`ProbeDriver` (one of
-``Simulation.observers``) stands in for the pump and calls the same two.
-Recorders with no per-component half (tracer sampling, the profiler
-sampler) are plain :class:`~repro.parallel.simulation.Observer` s.
+``Simulation.observers``) stands in for the pump and calls the same two,
+so an experiment's collectors serve ``Experiment.run`` and ``run_mp``
+alike.  Recorders with no per-component half (tracer sampling) are plain
+:class:`~repro.parallel.simulation.Observer` s.
 DESIGN.md, "Recorder seam", has the full contract and a worked example.
 
 Also here: what the columnar JSONL artifacts share — the format

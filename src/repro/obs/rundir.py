@@ -46,7 +46,8 @@ class RunDirError(Exception):
 
 
 def control_layout(rundir: str) -> Dict[str, str]:
-    """Where a ``splitsim-run --control DIR`` run writes its artifacts."""
+    """Where a ``splitsim-run --control DIR`` run writes its artifacts
+    (``rundir=""``: where an in-process ``splitsim-run`` writes them)."""
     return {"report": os.path.join(rundir, REPORT_FILE),
             "trace_dir": os.path.join(rundir, TRACES_DIR),
             "timeline": os.path.join(rundir, TIMELINE_FILE),
@@ -137,9 +138,8 @@ def _load_jsonl(path: str, artifact: str, read: Callable[[str], Any],
         if os.path.isdir(path):
             raise RunDirError(
                 f"error: {path} has no {os.path.basename(found)} — rerun "
-                f"with {recorder} on (splitsim-run --{artifact}, "
-                f"Instantiation({artifact}=True), or "
-                f"run_mp({artifact}_path=...))") from None
+                f"with {recorder} on (splitsim-run --{artifact} or "
+                f"Instantiation({artifact}=True))") from None
         raise RunDirError(f"error reading {found}: {exc}") from None
     except ValueError as exc:
         raise RunDirError(f"error: {exc}") from None

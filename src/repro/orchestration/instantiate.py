@@ -14,21 +14,20 @@ profiler).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from ..channels.channel import ChannelEnd
 from ..hostsim.driver import DirectEthDriver, I40eDriver
 from ..hostsim.host import HostSim, gem5_host, qemu_host
 from ..kernel.rng import derive_seed
-from ..kernel.simtime import NS, US
+from ..kernel.simtime import NS
 from ..netsim.fidelity import FidelityConfig
 from ..netsim.network import NetworkSim
-from ..netsim.partition import (PartitionedBuild, assign_all,
-                                assign_hosts_with_switch,
+from ..netsim.partition import (PartitionedBuild, assign_hosts_with_switch,
                                 instantiate_partitioned)
 from ..netsim.ptp_tc import install_transparent_clocks
-from ..netsim.topology import NetBuild, TopoSpec, instantiate as build_single
+from ..netsim.topology import NetBuild, instantiate as build_single
 from ..nicsim.i40e import I40eNic
 from ..parallel.model import ModelChannel, ParallelExecutionModel
 from ..parallel.procrunner import ProcChannel, ProcessRunner, ProcSpec
@@ -71,6 +70,8 @@ class Experiment:
         #: attached recorders by name (``"trace"``, ``"profile"``,
         #: ``"timeline"``, ``"audit"``); see :meth:`observe`
         self.recorders: Dict[str, object] = {}
+        #: set by the one run (:meth:`run` or :meth:`run_mp`) it gets
+        self.ran = False
 
     # -- conveniences ------------------------------------------------------------
 
@@ -108,7 +109,7 @@ class Experiment:
     # -- execution -------------------------------------------------------------------
 
     def observe(self, recorder, interval_rounds: int = 64):
-        """Attach a recorder to this experiment (before :meth:`run`).
+        """Attach a recorder to this experiment (before it runs).
 
         A recorder has a ``name`` and ``save(path)``.  It is either a run
         observer itself (:class:`~repro.obs.install.TraceRecorder`) or a
@@ -117,7 +118,8 @@ class Experiment:
         :class:`~repro.obs.timeline.TimelineCollector`,
         :class:`~repro.obs.audit.AuditCollector`) whose per-component
         probes a :class:`~repro.obs.recorder.ProbeDriver` beats every
-        ``interval_rounds`` strict sync rounds.  Export afterwards with
+        ``interval_rounds`` strict sync rounds — or, under :meth:`run_mp`,
+        the children beat on their heartbeats.  Export afterwards with
         :meth:`save`; reach the recorder itself through
         ``experiment.recorders[name]``.  Returns the recorder.
         """
@@ -135,12 +137,17 @@ class Experiment:
         return recorder
 
     def save(self, name: str, path: str):
-        """Write the artifact of the recorder called ``name`` to ``path``."""
+        """Write the artifact of the recorder called ``name`` to ``path``
+        (after :meth:`run` or :meth:`run_mp` alike)."""
         recorder = self.recorders.get(name)
         if recorder is None:
             raise RuntimeError(f"no {name!r} recorder attached: observe() "
                                f"one (or build with {name}=True) before "
                                "running")
+        if not self.ran:
+            # an unrun recorder would write an empty, complete-looking file
+            raise RuntimeError(f"nothing to save: run the experiment "
+                               f"before saving its {name!r} recorder")
         return recorder.save(path)
 
     def disable_flow_tracing(self) -> None:
@@ -168,8 +175,15 @@ class Experiment:
                     for label, net in nb.parts.items()}
         return {nb.net.name: list(nb.spec.switches)}
 
+    def _claim_run(self) -> None:
+        """An experiment runs once: its recorders hold exactly one run."""
+        if self.ran or self.sim._wired:
+            raise RuntimeError("simulation already ran; build a fresh one")
+        self.ran = True
+
     def run(self, duration_ps: int) -> ExperimentResult:
         """Run the assembled simulation to ``duration_ps``."""
+        self._claim_run()
         return ExperimentResult(stats=self.sim.run(duration_ps),
                                 experiment=self)
 
@@ -183,48 +197,33 @@ class Experiment:
         return analyze(profile.log, drop_head=drop_head,
                        drop_tail=drop_tail)
 
-    def run_mp(self, duration_ps: int, timeout_s: float = 300.0, *,
-               timeline_path: Optional[str] = None,
-               audit_path: Optional[str] = None,
-               audit_window_ps: Optional[int] = None, **run_options):
+    def run_mp(self, duration_ps: int, timeout_s: float = 300.0,
+               **run_options):
         """Run this experiment with one OS process per component simulator.
 
         This is the paper's actual deployment (shared-memory channels,
         busy-poll synchronization).  Components are inherited via fork, so
-        the experiment must not have been run in-process already.  Returns
-        the per-process results of :class:`~repro.parallel.procrunner`.
+        an experiment runs once, here or in process.  Returns the
+        per-process results of :class:`~repro.parallel.procrunner`.
 
-        ``timeline_path`` writes the epoch-resolved metrics timeline there
-        (``timeline.jsonl``; children piggyback per-epoch counter deltas on
-        their heartbeats).  ``audit_path`` writes the per-epoch digest
-        ledger there (``audit.jsonl``, see :mod:`repro.obs.audit`; root
-        bit-identical to the in-process golden fold); ``audit_window_ps``
-        sets its epoch width (default
-        :data:`repro.obs.audit.DEFAULT_WINDOW_PS`) — two ledgers are only
-        comparable at matching widths.  Both are pure observation (the
-        determinism digest is unchanged) and are referenced from the run
-        report when ``report_path`` is given.  Every other keyword
-        (``progress``, ``report_path``, ``trace_dir``, ``hb_interval_s``,
-        ``flow_sample``, ``control_dir``, ``stall_intervals``,
-        ``stale_after_s``) is an option of
-        :meth:`ProcessRunner.run <repro.parallel.procrunner.ProcessRunner.run>`,
-        documented there.
+        The children run this experiment's own collectors (profile,
+        timeline, audit: whatever ``Instantiation`` or :meth:`observe`
+        attached), so :meth:`save` afterwards writes what this run
+        collected, and a collector given a ``path`` is saved there and
+        referenced from the run report.  The keywords (``progress``,
+        ``report_path``, ``trace_dir``, ``control_dir``) are where the run
+        is deployed and reported: options of
+        :meth:`ProcessRunner.run <repro.parallel.procrunner.ProcessRunner.run>`.
         """
-        if self.sim._wired:
-            raise RuntimeError("simulation already ran; build a fresh one")
+        self._claim_run()
         specs = [ProcSpec(c.name, component=c) for c in self.sim.components]
         channels = [
             ProcChannel(ea.owner.name, ea.name, eb.owner.name, eb.name)
             for ea, eb in self.sim.channels
         ]
         runner = ProcessRunner(specs, channels)
-        if timeline_path is not None:
-            from ..obs.timeline import TimelineCollector
-            runner.recorders.append(TimelineCollector(timeline_path))
-        if audit_path is not None:
-            from ..obs.audit import AuditCollector
-            runner.recorders.append(
-                AuditCollector(audit_path, audit_window_ps))
+        runner.recorders = [r for r in self.recorders.values()
+                            if hasattr(r, "probe")]
         return runner.run(duration_ps, timeout_s=timeout_s, **run_options)
 
     def execution_model(self, sim_time_ps: int) -> ParallelExecutionModel:
@@ -240,7 +239,9 @@ class Experiment:
 
 @dataclass
 class Instantiation:
-    """Implementation choices for simulating a :class:`System`."""
+    """Implementation choices for simulating a :class:`System` — the
+    recorder flags included, for every runtime (see
+    :meth:`Experiment.run_mp`)."""
 
     system: System
     mode: str = "fast"
@@ -257,7 +258,6 @@ class Instantiation:
     #: samples every adapter's counters periodically (the paper's
     #: "add the flag to enable profiling").
     profile: bool = False
-    profile_interval_rounds: int = 200
     #: Enable the observability layer: a sim-domain tracer over the whole
     #: simulation plus wall-domain build/run/teardown phase spans.
     trace: bool = False
@@ -272,7 +272,6 @@ class Instantiation:
     #: execution, like ``profile``).  Export with
     #: ``experiment.save("timeline", path)`` after the run.
     timeline: bool = False
-    timeline_interval_rounds: int = 64
     #: Record the per-epoch digest ledger (see :mod:`repro.obs.audit`).
     #: Works in any execution mode — epochs are fixed simulated-time
     #: windows, so ledgers from fast, strict, and multiprocess runs are
@@ -396,13 +395,13 @@ class Instantiation:
             trace.phase("build", 0.0, {"components": len(sim.components),
                                        "channels": len(sim.channels)})
         if self.profile:
-            from ..profiler.instrument import ProfileCollector
-            exp.observe(ProfileCollector(), self.profile_interval_rounds)
+            from ..profiler.instrument import (PROFILE_INTERVAL_ROUNDS,
+                                               ProfileCollector)
+            exp.observe(ProfileCollector(), PROFILE_INTERVAL_ROUNDS)
         if self.timeline:
             from ..obs.timeline import TimelineCollector
             exp.observe(
-                TimelineCollector(meta={"net_switches": exp._net_switches()}),
-                self.timeline_interval_rounds)
+                TimelineCollector(meta={"net_switches": exp._net_switches()}))
         if self.audit:
             from ..obs.audit import INPROC_BEAT_ROUNDS, AuditCollector
             exp.observe(AuditCollector(

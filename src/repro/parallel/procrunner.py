@@ -42,7 +42,18 @@ from queue import Empty
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..kernel.component import Component
+from ..obs.flows import (active_recorder, install_flow_recorder,
+                         uninstall_flow_recorder)
 from .shm_ring import ShmRing
+
+#: Child heartbeat period in seconds.  Heartbeats flow only when the run
+#: collects them (progress, a run report, the control plane or a recorder).
+#: Children read this and the two watchdog knobs below at fork.
+HB_INTERVAL_S = 0.25
+#: Heartbeats without sim-time progress before the watchdog flags a stall.
+STALL_INTERVALS = 4
+#: Seconds without a heartbeat before the watchdog flags a component stale.
+STALE_AFTER_S = 2.0
 
 #: Spin iterations between backoff steps while blocked.
 _SPIN_BATCH = 200
@@ -140,20 +151,18 @@ class _HeartbeatPump:
     """
 
     def __init__(self, q, tracer, comp: Component, probes: list,
-                 in_rings: List[ShmRing], t_start: float,
-                 interval_s: float) -> None:
+                 in_rings: List[ShmRing], t_start: float) -> None:
         from ..obs.recorder import Beater
         self._q = q
         self._tracer = tracer
         self._beater = Beater(comp, probes, t_start, in_rings)
-        self._interval = interval_s
-        self._next = t_start + interval_s
+        self._next = t_start + HB_INTERVAL_S
 
     def maybe(self, commit: int, waiting: bool) -> None:
         now = time.perf_counter()
         if now < self._next:
             return
-        self._next = now + self._interval
+        self._next = now + HB_INTERVAL_S
         hb = self._beater.beat(now, commit, waiting)
         if self._q is not None:
             try:
@@ -179,9 +188,7 @@ def _child_main(spec: ProcSpec,
                 wiring: List[Tuple[str, str, str, str, str]],
                 until_ps: int, result_q, timeout_s: float,
                 telemetry_q=None, trace_dir: Optional[str] = None,
-                hb_interval_s: float = 0.25, index: int = 0,
-                flow_sample: Optional[int] = None,
-                cmd_q=None, reply_q=None,
+                index: int = 0, cmd_q=None, reply_q=None,
                 probe_factories: Tuple[Callable, ...] = ()) -> None:
     result = ProcResult(name=spec.name)
     rings: List[ShmRing] = []
@@ -189,6 +196,7 @@ def _child_main(spec: ProcSpec,
     pump = None
     commit = 0
     try:
+        flows = active_recorder()  # the parent's, inherited through fork
         if trace_dir is not None:
             from ..obs.install import sample_counter_tracks
             from ..obs.trace import Tracer
@@ -197,9 +205,10 @@ def _child_main(spec: ProcSpec,
             # Causal flow tracing: hop records land in this child's ring
             # (args carry exact sim-ps), stitched across processes by the
             # merged-trace analysis.
-            if flow_sample:
-                from ..obs.flows import install_flow_recorder
-                install_flow_recorder(tracer, sample_n=flow_sample)
+            if flows is not None:
+                install_flow_recorder(tracer, sample_n=flows.sample_n)
+        elif flows is not None:
+            uninstall_flow_recorder()  # no trace here to hold the hops
         comp = spec.make()
         in_rings: List[ShmRing] = []
         ends = []
@@ -226,7 +235,7 @@ def _child_main(spec: ProcSpec,
         beating = probes if telemetry_q is not None else []
         if telemetry_q is not None or tracer is not None:
             pump = _HeartbeatPump(telemetry_q, tracer, comp, beating,
-                                  in_rings, t_start, hb_interval_s)
+                                  in_rings, t_start)
         mailbox = None
         if cmd_q is not None:
             # Control-plane command mailbox, polled at sync-round
@@ -371,12 +380,11 @@ class ProcessRunner:
     def run(self, until_ps: int, timeout_s: float = 120.0, *,
             progress: bool = False, report_path: Optional[str] = None,
             trace_dir: Optional[str] = None,
-            hb_interval_s: float = 0.25,
-            flow_sample: Optional[int] = None,
-            control_dir: Optional[str] = None,
-            stall_intervals: int = 4,
-            stale_after_s: Optional[float] = None) -> Dict[str, ProcResult]:
+            control_dir: Optional[str] = None) -> Dict[str, ProcResult]:
         """Run all components to ``until_ps``; returns per-component results.
+
+        What the run records is :attr:`recorders`; the keywords are where
+        it is deployed and reported.
 
         Parameters
         ----------
@@ -388,26 +396,16 @@ class ProcessRunner:
             before raising).
         trace_dir:
             Directory for per-child wall-clock traces (JSONL) and the
-            merged ``trace.json`` Chrome-trace document.
-        hb_interval_s:
-            Child heartbeat period; heartbeats are only collected when
-            ``progress``, ``report_path``, ``control_dir`` or a recorder
-            is requested.
-        flow_sample:
-            Keep 1-in-N causal flows in the per-child traces (needs
-            ``trace_dir``); ``None`` = flow tracing off.
+            merged ``trace.json`` Chrome-trace document.  A flow recorder
+            installed in this process (``Instantiation(flow_sample=N)``)
+            writes each child's causal flow hops into that child's trace,
+            at the same 1-in-N; without ``trace_dir`` children detach it.
         control_dir:
             Serve the live control plane from this run directory: a
             ``control.json`` discovery file plus a unix-socket endpoint
             that ``splitsim-inspect attach`` connects to.  Children poll
             a command mailbox at sync-round boundaries, so commands never
             perturb event order (the determinism digest is unchanged).
-        stall_intervals:
-            Heartbeat intervals without sim-time progress before the
-            watchdog flags a component as stalled.
-        stale_after_s:
-            Age after which a silent component is flagged stale; default
-            ``max(2.0, 8 * hb_interval_s)``.
         """
         ctx = mp.get_context("fork")
         rings: List[ShmRing] = []
@@ -427,9 +425,9 @@ class ProcessRunner:
         if want_telemetry:
             from ..obs.telemetry import TelemetryAggregator, HealthMonitor
             aggregator = TelemetryAggregator(names)
-            monitor = HealthMonitor(names, hb_interval_s=hb_interval_s,
-                                    stall_intervals=stall_intervals,
-                                    stale_after_s=stale_after_s)
+            monitor = HealthMonitor(names, hb_interval_s=HB_INTERVAL_S,
+                                    stall_intervals=STALL_INTERVALS,
+                                    stale_after_s=STALE_AFTER_S)
         # one probe per recorder name per child (fork-inherited factories)
         probes = {c.name: c.probe for c in collectors}
         for collector in collectors:
@@ -468,8 +466,7 @@ class ProcessRunner:
                 ctx.Process(
                     target=_child_main,
                     args=(spec, wiring[spec.name], until_ps, result_q,
-                          timeout_s, telemetry_q, trace_dir, hb_interval_s,
-                          index, flow_sample,
+                          timeout_s, telemetry_q, trace_dir, index,
                           cmd_queues.get(spec.name), reply_q,
                           probe_factories),
                     name=f"splitsim-{spec.name}",
@@ -507,7 +504,7 @@ class ProcessRunner:
                                       progress, collectors)
                 try:
                     res: ProcResult = result_q.get(
-                        timeout=hb_interval_s if want_telemetry else 0.5)
+                        timeout=HB_INTERVAL_S if want_telemetry else 0.5)
                 except Empty:
                     continue
                 results[res.name] = res

@@ -9,9 +9,10 @@ The counters themselves live on :class:`~repro.channels.channel.ChannelEnd`
   component's adapter counters (monotonic totals);
 * :class:`ProfileCollector` — the collector: turns beats into a
   :class:`~repro.profiler.records.ProfileLog`.
-  ``Instantiation(profile=True)`` drives it in process (modeled cycles);
-  in ``ProcessRunner.recorders`` the children beat it on their heartbeats
-  (real-nanosecond waits next to modeled work cycles).
+  ``Instantiation(profile=True)`` attaches it: in process it is beaten
+  every :data:`PROFILE_INTERVAL_ROUNDS` (modeled cycles); under
+  ``run_mp`` the children beat it on their heartbeats (real-nanosecond
+  waits next to modeled work cycles).
 
 Two converters render other sources as the same records, so
 post-processing and WTPG generation are one code path for every view:
@@ -31,6 +32,9 @@ from .records import AdapterRecord, ProfileLog
 #: The per-adapter counters of an :class:`AdapterRecord`, in field order.
 ADAPTER_COUNTERS = ("wait_cycles", "tx_cycles", "rx_cycles", "tx_msgs",
                     "rx_msgs", "tx_syncs", "rx_syncs")
+
+#: In-process sampling period in strict sync rounds.
+PROFILE_INTERVAL_ROUNDS = 200
 
 
 class AdapterSampler:

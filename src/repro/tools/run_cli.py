@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..kernel.simtime import SEC, parse_time
-from ..obs.rundir import AUDIT_FILE, TIMELINE_FILE, TRACE_FILE, control_layout
+from ..kernel.simtime import parse_time
+from ..obs.rundir import TRACE_FILE, control_layout
 from ..orchestration.instantiate import Instantiation
 from ..orchestration.strategies import STRATEGIES
 from ..orchestration.system import System
@@ -163,7 +163,7 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
         inst_kwargs["partition_file"] = args.partition_file
     if args.profile or args.profile_out:
         inst_kwargs["profile"] = True
-    if args.timeline is not None and not args.control:
+    if args.timeline is not None:
         inst_kwargs["timeline"] = True
     if args.audit_window is not None:
         if args.audit is None:
@@ -174,7 +174,7 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(f"error: --audit-window: {exc}", file=sys.stderr)
             return 1
-    if args.audit is not None and not args.control:
+    if args.audit is not None:
         inst_kwargs["audit"] = True
         if args.audit_window is not None:
             inst_kwargs["audit_window_ps"] = args.audit_window
@@ -198,23 +198,25 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
         # e.g. a missing/malformed --partition-file document
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # --timeline / --audit [PATH]: the given file, else the conventional
+    # name in the run directory (DIR with --control, the working directory
+    # in process); an mp run saves them itself, an in-process one in _run
+    layout = control_layout(args.control or "")
+    for name in ("timeline", "audit"):
+        flag = getattr(args, name)
+        if flag is not None:
+            exp.recorders[name].path = layout[name] if flag is True else flag
     try:
         if args.control:
-            return _run_mp(args, exp, duration, duration_text)
+            return _run_mp(args, exp, duration, duration_text, layout)
         return _run(args, exp, duration, duration_text)
     finally:
         exp.disable_flow_tracing()
 
 
-def _artifact_path(flag, default: str) -> Optional[str]:
-    """Where a ``--flag [PATH]`` artifact goes (``None`` = flag not given)."""
-    return default if flag is True else flag
-
-
-def _run_mp(args, exp, duration: int, duration_text: str) -> int:
+def _run_mp(args, exp, duration: int, duration_text: str, layout) -> int:
     """Multiprocess run serving the live control plane from a run dir."""
     rundir = args.control
-    layout = control_layout(rundir)
     components = [c.name for c in exp.sim.components]
     print(f"running {len(components)} component processes for "
           f"{duration_text}: {', '.join(components)}")
@@ -222,11 +224,7 @@ def _run_mp(args, exp, duration: int, duration_text: str) -> int:
           f"(attach with: splitsim-inspect attach {rundir})")
     results = exp.run_mp(
         duration, progress=args.progress, report_path=layout["report"],
-        trace_dir=layout["trace_dir"], control_dir=rundir,
-        flow_sample=args.flows,
-        timeline_path=_artifact_path(args.timeline, layout["timeline"]),
-        audit_path=_artifact_path(args.audit, layout["audit"]),
-        audit_window_ps=args.audit_window)
+        trace_dir=layout["trace_dir"], control_dir=rundir)
     for name in sorted(results):
         res = results[name]
         print(f"  {name}: {res.events} events, "
@@ -275,10 +273,9 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
             written.append(TRACE_FILE)
         print(f"wrote {outdir}/{{{', '.join(written)}}}")
 
-    for name, path in (
-            ("timeline", _artifact_path(args.timeline, TIMELINE_FILE)),
-            ("audit", _artifact_path(args.audit, AUDIT_FILE)),
-            ("trace", args.trace)):
+    artifacts = [(name, exp.recorders[name].path)
+                 for name in ("timeline", "audit") if name in exp.recorders]
+    for name, path in artifacts + [("trace", args.trace)]:
         if path:
             exp.save(name, path)
             print(f"wrote {path}")

@@ -209,8 +209,7 @@ def test_recommend_beats_naive_and_agrees_with_profilers(tmp_path):
     from repro.obs.inspect.summary import analysis_from_trace
 
     exp = Instantiation(fig9_system(), network_partition=strategy_rs,
-                        profile=True, timeline=True,
-                        timeline_interval_rounds=16, trace=True,
+                        profile=True, timeline=True, trace=True,
                         work_window_ps=10 * US).build()
     exp.run(2 * MS)
     header = exp.save("timeline", str(tmp_path / "timeline.jsonl"))

@@ -20,6 +20,7 @@ from repro.obs.audit import (AUDIT_KIND, AUDIT_SCHEMA, AuditCollector,
                              fold_root, load_audit)
 from repro.obs.recorder import ProbeDriver
 from repro.obs.rundir import AUDIT_FILE, locate
+from repro.parallel import procrunner
 from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Simulation
 
@@ -338,17 +339,18 @@ def make_crashing(name, index, n, tokens):
 
 
 @pytest.mark.slow
-def test_mp_crash_leaves_partial_ledger(tmp_path):
+def test_mp_crash_leaves_partial_ledger(tmp_path, monkeypatch):
     # a child that dies before its result still contributes the windows
     # it closed (heartbeat piggyback + crash-path flush); the parent
     # keeps a partial ledger with a null root instead of losing it all
+    monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.0)
     specs, channels = pipeline_specs(2)
     specs[1].factory = make_crashing
     path = tmp_path / AUDIT_FILE
     with pytest.raises((RuntimeError, TimeoutError)):
         runner = ProcessRunner(specs, channels)
         runner.recorders.append(AuditCollector(str(path), WINDOW))
-        runner.run(UNTIL_PS, timeout_s=3.0, hb_interval_s=0.0)
+        runner.run(UNTIL_PS, timeout_s=3.0)
     led = load_audit(str(path))
     assert led.partial
     assert led.root is None

@@ -22,7 +22,6 @@ from repro.kernel.simtime import MS, US
 from repro.netsim.apps.bulk import BulkSender, BulkSink
 from repro.netsim.fidelity import FidelityConfig
 from repro.netsim.topology import TopoSpec, dumbbell
-from repro.obs.audit import load_audit
 from repro.obs.flows import analyze_doc, uninstall_flow_recorder
 from repro.obs.trace import chrome_doc
 from repro.orchestration.instantiate import Instantiation
@@ -215,7 +214,7 @@ def _rack_experiment(fidelity, **options):
                          **options).build()
 
 
-def test_mp_run_with_fluid_matches_inproc(tmp_path):
+def test_mp_run_with_fluid_matches_inproc():
     """Fluid state is partition-local: mp timelines == in-process strict."""
     fid = FidelityConfig(fluid=True)
     ref = _rack_experiment(fid, audit=True)
@@ -224,8 +223,7 @@ def test_mp_run_with_fluid_matches_inproc(tmp_path):
     assert all(net.fluid and net.fluid.stats()["promoted"] >= 1
                for net in ref.network_components())
 
-    path = str(tmp_path / "audit.jsonl")
-    _rack_experiment(fid).run_mp(MP_DURATION, timeout_s=180,
-                                 audit_path=path)
+    exp = _rack_experiment(fid, audit=True)
+    exp.run_mp(MP_DURATION, timeout_s=180)
     assert_same_timeline(ref.recorders["audit"].to_ledger(),
-                         load_audit(path))
+                         exp.recorders["audit"].to_ledger())

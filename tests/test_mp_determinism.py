@@ -18,6 +18,8 @@ from repro.bench.mp import (AUDIT_WINDOW_PS, inproc_audit_ledger,
 from repro.channels import wire
 from repro.kernel.simtime import US
 from repro.obs.audit import AuditCollector
+from repro.obs.flows import install_flow_recorder, uninstall_flow_recorder
+from repro.obs.trace import Tracer
 from repro.parallel.procrunner import ProcessRunner
 
 from .test_determinism_guard import assert_same_timeline
@@ -50,16 +52,21 @@ def test_mp_matches_inproc_strict(codec, inproc):
 def test_mp_matches_inproc_strict_with_flow_recorder(inproc, tmp_path):
     """Flow tracing active in every child: the 4-proc timelines still pin.
 
-    Children install a flow recorder (``flow_sample=1``) on their
-    tracers; the token pipeline's timelines must stay bit-identical to
-    the untraced strict oracle.
+    Children re-point the flow recorder installed here (1-in-1, as
+    ``Instantiation(flow_sample=1)`` would) at their own tracers; the
+    token pipeline's timelines must stay bit-identical to the untraced
+    strict oracle.
     """
     specs, channels = pipeline_specs(N_PROCS)
     runner = ProcessRunner(specs, channels)
     audit = AuditCollector(window_ps=AUDIT_WINDOW_PS)
     runner.recorders.append(audit)
-    results = runner.run(DURATION, timeout_s=120, flow_sample=1,
-                         trace_dir=str(tmp_path / "traces"))
+    install_flow_recorder(Tracer(), sample_n=1)
+    try:
+        results = runner.run(DURATION, timeout_s=120,
+                             trace_dir=str(tmp_path / "traces"))
+    finally:
+        uninstall_flow_recorder()
     assert_same_timeline(inproc, audit.to_ledger())
     # the rings really batch: more than one frame per cursor publish
     assert all(r.transport["frames_per_batch"] > 1.0

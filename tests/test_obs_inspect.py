@@ -249,8 +249,7 @@ def timeline_run(tmp_path, duration=2 * MS):
     system.app("server", lambda h: KVServerApp())
     addr = system.addr_of("server")
     system.app("client", lambda h: KVClientApp([addr], closed_loop_window=4))
-    exp = Instantiation(system, timeline=True,
-                        timeline_interval_rounds=16).build()
+    exp = Instantiation(system, timeline=True).build()
     exp.run(duration)
     path = tmp_path / "timeline.jsonl"
     exp.save("timeline", str(path))
@@ -286,8 +285,7 @@ def test_timeline_subcommand_fails_gracefully(tmp_path, capsys):
     assert main(["timeline", str(empty)]) == 1
     assert capsys.readouterr().err == (
         f"error: {empty} has no timeline.jsonl — rerun with the timeline "
-        "on (splitsim-run --timeline, Instantiation(timeline=True), or "
-        "run_mp(timeline_path=...))\n")
+        "on (splitsim-run --timeline or Instantiation(timeline=True))\n")
     # corrupt document
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{not json\n")
@@ -413,8 +411,7 @@ def test_diff_subcommand_fails_gracefully(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     hint = (f"error: {empty} has no audit.jsonl — rerun with auditing on "
-            "(splitsim-run --audit, Instantiation(audit=True), or "
-            "run_mp(audit_path=...))\n")
+            "(splitsim-run --audit or Instantiation(audit=True))\n")
     assert main(["diff", str(a), str(empty)]) == 2
     assert capsys.readouterr().err == hint
     assert main(["diff", str(empty), str(empty)]) == 2
@@ -445,8 +442,7 @@ def test_views_follow_run_report_references(tmp_path, capsys):
     addr = system.addr_of("server")
     system.app("client", lambda h: KVClientApp([addr], closed_loop_window=4))
     exp = Instantiation(system, mode="strict", trace=True, flow_sample=1,
-                        timeline=True, timeline_interval_rounds=16,
-                        audit=True).build()
+                        timeline=True, audit=True).build()
     try:
         exp.run(1 * MS)
     finally:

@@ -32,7 +32,9 @@ from repro.obs.telemetry import (HEALTH_DONE, HEALTH_FAILED, HEALTH_OK,
                                  HEALTH_STARTING, Heartbeat, HealthMonitor,
                                  RUN_REPORT_SCHEMA, TelemetryAggregator,
                                  build_run_report, write_run_report)
-from repro.obs.trace import load_trace, validate_chrome_doc
+from repro.obs.flows import install_flow_recorder, uninstall_flow_recorder
+from repro.obs.trace import Tracer, load_trace, validate_chrome_doc
+from repro.parallel import procrunner
 from repro.parallel.procrunner import ProcResult, ProcessRunner
 
 from .test_determinism_guard import assert_same_timeline
@@ -483,13 +485,14 @@ def test_render_status_handles_starting_components():
 # -- end to end against real child processes ----------------------------------
 
 @pytest.mark.slow
-def test_attach_status_dump_trace_and_graceful_stop(tmp_path):
+def test_attach_status_dump_trace_and_graceful_stop(tmp_path, monkeypatch):
     """Attach to a live 4-process run: status, partial trace dump, stop.
 
     The horizon is far beyond what the run could cover in the test
     budget, so a clean finish proves the graceful-stop path (children
     break at their next quiescent horizon and report results normally).
     """
+    monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.05)
     specs, channels = pipeline_specs(4)
     runner = ProcessRunner(specs, channels)
     rundir = tmp_path / "run"
@@ -500,8 +503,7 @@ def test_attach_status_dump_trace_and_graceful_stop(tmp_path):
     def drive():
         out["results"] = runner.run(
             1 * SEC, timeout_s=120, control_dir=str(rundir),
-            trace_dir=str(trace_dir), report_path=str(report_path),
-            hb_interval_s=0.05)
+            trace_dir=str(trace_dir), report_path=str(report_path))
 
     t = threading.Thread(target=drive)
     t.start()
@@ -549,10 +551,11 @@ def test_attach_status_dump_trace_and_graceful_stop(tmp_path):
 
 
 @pytest.mark.slow
-def test_control_commands_do_not_perturb_digest(tmp_path):
+def test_control_commands_do_not_perturb_digest(tmp_path, monkeypatch):
     """Determinism pin: a control-plane run, with commands landing
     mid-run, produces bit-identical event timelines to a control-free
     run of the same model."""
+    monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.05)
     base = mp_audit_ledger(4, 2 * MS)
 
     rundir = tmp_path / "run"
@@ -582,12 +585,15 @@ def test_control_commands_do_not_perturb_digest(tmp_path):
     audit = AuditCollector(window_ps=AUDIT_WINDOW_PS)
     runner.recorders.append(audit)
     t = threading.Thread(target=poke)
+    # every child traces every flow, so set-flow-sample has a recorder
+    # to retune
+    install_flow_recorder(Tracer(), sample_n=1)
     t.start()
     try:
         runner.run(2 * MS, timeout_s=120, control_dir=str(rundir),
-                   trace_dir=str(trace_dir), flow_sample=1,
-                   hb_interval_s=0.05)
+                   trace_dir=str(trace_dir))
     finally:
+        uninstall_flow_recorder()
         stop_poking.set()
         t.join(timeout=30)
     assert issued["n"] >= 4, "no control commands landed during the run"
@@ -638,20 +644,21 @@ def make_chatter(name):
 
 
 @pytest.mark.slow
-def test_wedged_child_detected_and_reported_in_health(tmp_path):
+def test_wedged_child_detected_and_reported_in_health(tmp_path, monkeypatch):
     """Stalled-worker injection: a deliberately wedged child turns up in
     the ``health`` section of ``run_report.json`` within the watchdog
     window — the silent child as *stale*, its blocked partner as
     *stalled* — and the run still completes once the wedge clears."""
     from repro.parallel.procrunner import ProcChannel, ProcSpec
+    monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.05)
+    monkeypatch.setattr(procrunner, "STALL_INTERVALS", 3)
+    monkeypatch.setattr(procrunner, "STALE_AFTER_S", 0.4)
     runner = ProcessRunner(
         [ProcSpec("wedge", make_wedge, ("wedge", 1.5)),
          ProcSpec("chatter", make_chatter, ("chatter",))],
         [ProcChannel("wedge", "wedge.e", "chatter", "chatter.e")])
     report_path = tmp_path / "run_report.json"
-    results = runner.run(50 * US, timeout_s=60, hb_interval_s=0.05,
-                         stall_intervals=3, stale_after_s=0.4,
-                         report_path=str(report_path))
+    results = runner.run(50 * US, timeout_s=60, report_path=str(report_path))
     assert all(r.error is None for r in results.values())
     report = json.loads(report_path.read_text())
     assert report["schema"] == RUN_REPORT_SCHEMA

@@ -102,19 +102,20 @@ def test_run_mp_flow_records_stitch_across_processes(tmp_path):
     trace stitches hops from different OS processes into complete flows
     whose per-hop durations sum exactly to the end-to-end latency.
     """
-    from repro.obs.audit import load_audit
     from repro.obs.flows import analyze_doc
 
     from .test_determinism_guard import assert_same_timeline
 
-    base, traced = tmp_path / "base.jsonl", tmp_path / "traced.jsonl"
-    Instantiation(kv_system()).build().run_mp(
-        2 * MS, timeout_s=120, audit_path=str(base))
-    exp = Instantiation(kv_system()).build()
+    base = Instantiation(kv_system(), audit=True).build()
+    base.run_mp(2 * MS, timeout_s=120)
+    exp = Instantiation(kv_system(), audit=True, flow_sample=1).build()
     trace_dir = tmp_path / "traces"
-    exp.run_mp(2 * MS, timeout_s=120, trace_dir=str(trace_dir),
-               flow_sample=1, audit_path=str(traced))
-    assert_same_timeline(load_audit(str(base)), load_audit(str(traced)))
+    try:
+        exp.run_mp(2 * MS, timeout_s=120, trace_dir=str(trace_dir))
+    finally:
+        exp.disable_flow_tracing()
+    assert_same_timeline(base.recorders["audit"].to_ledger(),
+                         exp.recorders["audit"].to_ledger())
 
     doc = load_trace(str(trace_dir / "trace.json"))
     assert validate_chrome_doc(doc) == []

@@ -16,6 +16,7 @@ from repro.obs.timeline import (EpochRow, ROW_COLUMNS, TIMELINE_KIND,
                                 detect_phases, load_timeline, save_timeline)
 from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.system import System
+from repro.parallel import procrunner
 from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Simulation
 
@@ -221,11 +222,12 @@ def test_mp_digest_identical_with_timeline_on_and_off(tmp_path):
 def test_run_mp_report_references_timeline(tmp_path):
     from repro.obs.telemetry import RUN_REPORT_SCHEMA
 
-    exp = Instantiation(kv_system()).build()
+    exp = Instantiation(kv_system(), timeline=True).build()
+    # a collector given a path is saved there and referenced
+    exp.recorders["timeline"].path = str(tmp_path / "timeline.jsonl")
     report_path = tmp_path / "run_report.json"
     results = exp.run_mp(2 * MS, timeout_s=120,
-                         report_path=str(report_path),
-                         timeline_path=str(tmp_path / "timeline.jsonl"))
+                         report_path=str(report_path))
     report = json.loads(report_path.read_text())
     assert report["schema"] == RUN_REPORT_SCHEMA
     assert report["timeline"] == "timeline.jsonl"
@@ -238,7 +240,7 @@ def test_run_mp_report_references_timeline(tmp_path):
 
 
 @pytest.mark.slow
-def test_mp_child_crash_flushes_partial_timeline(tmp_path):
+def test_mp_child_crash_flushes_partial_timeline(tmp_path, monkeypatch):
     # a child that dies before its forced final beat must not take the
     # whole timeline with it: rows piggybacked on earlier heartbeats are
     # kept, the run report is still written (health: failed), and the
@@ -247,6 +249,7 @@ def test_mp_child_crash_flushes_partial_timeline(tmp_path):
 
     from .test_audit import make_crashing
 
+    monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.0)
     specs, channels = pipeline_specs(2)
     specs[1].factory = make_crashing
     tl_path = tmp_path / "timeline.jsonl"
@@ -254,8 +257,7 @@ def test_mp_child_crash_flushes_partial_timeline(tmp_path):
     with pytest.raises((RuntimeError, TimeoutError)):
         runner = ProcessRunner(specs, channels)
         runner.recorders.append(TimelineCollector(str(tl_path)))
-        runner.run(UNTIL_PS, timeout_s=3.0, hb_interval_s=0.0,
-                   report_path=str(report_path))
+        runner.run(UNTIL_PS, timeout_s=3.0, report_path=str(report_path))
 
     report = json.loads(report_path.read_text())
     states = report["health"]["components"]
@@ -274,8 +276,7 @@ def test_mp_child_crash_flushes_partial_timeline(tmp_path):
 # -- experiment integration ---------------------------------------------------
 
 def test_instantiation_timeline_forces_strict_and_records():
-    exp = Instantiation(kv_system(), timeline=True,
-                        timeline_interval_rounds=8).build()
+    exp = Instantiation(kv_system(), timeline=True).build()
     assert exp.sim.mode == "strict"
     exp.run(1 * MS)
     rows = exp.recorders["timeline"].rows

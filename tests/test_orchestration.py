@@ -135,8 +135,7 @@ def test_from_topospec_moves_factories_once():
 def test_profile_flag_collects_and_analyzes():
     """The paper's workflow: add the profiling flag, run, post-process."""
     from repro.profiler.wtpg import build_wtpg
-    exp = Instantiation(kv_system(), profile=True,
-                        profile_interval_rounds=50).build()
+    exp = Instantiation(kv_system(), profile=True).build()
     assert exp.sim.mode == "strict"
     exp.run(1 * MS)
     analysis = exp.profile_analysis(drop_head=0)

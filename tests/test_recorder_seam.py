@@ -17,6 +17,7 @@ from repro.kernel.simtime import US
 from repro.obs.audit import AuditCollector, load_audit
 from repro.obs.recorder import ProbeDriver
 from repro.obs.timeline import TimelineCollector, load_timeline
+from repro.parallel import procrunner
 from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Observer, Simulation
 from repro.profiler.instrument import ProfileCollector
@@ -92,12 +93,13 @@ def test_toy_recorder_runs_in_process(mode):
 
 
 @pytest.mark.slow
-def test_toy_recorder_runs_multiprocess():
+def test_toy_recorder_runs_multiprocess(monkeypatch):
+    monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.001)
     specs, channels = pipeline_specs(2)
     runner = ProcessRunner(specs, channels)
     toy = CountCollector()
     runner.recorders.append(toy)
-    results = runner.run(UNTIL_PS, timeout_s=120, hb_interval_s=0.001)
+    results = runner.run(UNTIL_PS, timeout_s=120)
     assert toy.mode == "mp"
     events = {name: res.events for name, res in results.items()}
     assert sum(events.values()) > 0
@@ -192,8 +194,9 @@ def _profile_totals(log):
      lambda c: _profile_totals(c.log),
      lambda p: _profile_totals(ProfileLog.load(p))),
 ], ids=["timeline", "profile"])
-def test_inproc_and_mp_timelines_agree(tmp_path, collector, file, totals,
-                                       load):
+def test_inproc_and_mp_timelines_agree(tmp_path, monkeypatch, collector,
+                                       file, totals, load):
+    monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.001)
     sim = pipeline_sim(2, "strict")
     inproc = collector()
     sim.observers.append(ProbeDriver(inproc, interval_rounds=16))
@@ -203,7 +206,7 @@ def test_inproc_and_mp_timelines_agree(tmp_path, collector, file, totals,
     runner = ProcessRunner(specs, channels)
     mp = collector(str(tmp_path / file))
     runner.recorders.append(mp)
-    runner.run(UNTIL_PS, timeout_s=120, hb_interval_s=0.001)
+    runner.run(UNTIL_PS, timeout_s=120)
 
     assert (inproc.mode, mp.mode) == ("strict", "mp")
     want = totals(inproc)

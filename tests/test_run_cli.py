@@ -206,6 +206,49 @@ def test_cli_timeline_explicit_path(tmp_path, capsys):
     assert load_timeline(str(out_path)).rows
 
 
+DC_CONFIG = '''
+from repro import System
+from repro.netsim.apps.kv import KVClientApp, KVServerApp
+from repro.netsim.topology import datacenter
+
+
+def build():
+    spec = datacenter(aggs=1, racks_per_agg=2, hosts_per_rack=1)
+    system = System.from_topospec(spec, seed=7)
+    system.app("a0r0h0", lambda h: KVServerApp())
+    addr = system.addr_of("a0r0h0")
+    system.app("a0r1h0", lambda h: KVClientApp([addr], closed_loop_window=4))
+    return system
+'''
+
+
+@pytest.mark.slow
+def test_cli_mp_timeline_drives_the_advisor_loop(tmp_path, capsys):
+    """measure -> place with a multiprocess measurement: the --control run
+    writes its timeline and ledger into the run dir, the timeline carries
+    the switch map, so ``recommend`` emits a switch assignment that
+    ``--partition-file`` applies."""
+    from repro.obs.inspect import main as inspect_main
+    from repro.parallel.advisor import load_partition
+
+    config = write_config(tmp_path, DC_CONFIG)
+    rundir = tmp_path / "runM"
+    assert main([config, "--duration", "500us", "--partition", "ac",
+                 "--control", str(rundir), "--timeline", "--audit"]) == 0
+    report = json.loads((rundir / "run_report.json").read_text())
+    assert (report["timeline"], report["audit"]) == \
+        ("timeline.jsonl", "audit.jsonl")
+
+    assert inspect_main(["recommend", str(rundir)]) == 0
+    doc = load_partition(str(rundir / "partition.json"))
+    assert doc["switch_assignment"]
+    assert set(doc["switch_assignment"]) == \
+        {"core", "agg0", "a0r0tor", "a0r1tor"}
+    capsys.readouterr()
+    assert main([config, "--duration", "500us", "--partition-file",
+                 str(rundir / "partition.json")]) == 0
+
+
 def test_cli_partition_file_mutually_exclusive(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main([path, "--partition", "rs",
