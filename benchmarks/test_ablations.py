@@ -5,8 +5,9 @@
   sync-message volume (paper §3.2.1's motivation).
 * **Synchronization discipline**: peer-to-peer SplitSim sync vs a global
   barrier on the *identical* partitioning and workload.
-* **Profiler overhead**: periodic counter sampling is cheap (the paper
-  compiles instrumentation in by default).
+* **Profiler overhead**: periodic counter sampling (the epoch timeline
+  the profiler reads) is cheap (the paper compiles instrumentation in by
+  default).
 * **Lookahead (channel latency) sensitivity**: smaller lookahead means
   more sync rounds in strict mode.
 """
@@ -22,7 +23,7 @@ from repro.netsim.topology import dumbbell
 from repro.parallel.model import ParallelExecutionModel
 from repro.parallel.simulation import Simulation
 from repro.obs.recorder import ProbeDriver
-from repro.profiler.instrument import ProfileCollector
+from repro.obs.timeline import TimelineCollector
 
 from common import print_table, run_once, save_results
 
@@ -55,7 +56,7 @@ def run_partitioned(use_trunk: bool, mode="strict", sampler=False,
     for ea, eb in pb.channels:
         sim.connect(ea, eb)
     if sampler:
-        sim.observers.append(ProbeDriver(ProfileCollector(), 500))
+        sim.observers.append(ProbeDriver(TimelineCollector(), 500))
     t0 = time.perf_counter()
     stats = sim.run(until)
     wall = time.perf_counter() - t0

@@ -16,7 +16,7 @@ Graphviz, matching the paper's automatically generated graphs.
 import pytest
 
 from repro.kernel.simtime import MS, US
-from repro.profiler.instrument import log_from_model
+from repro.profiler.instrument import rows_from_model
 from repro.profiler.postprocess import analyze
 from repro.profiler.wtpg import build_wtpg, save_dot, to_text
 
@@ -50,14 +50,14 @@ def profile_graphs(tmp_path_factory):
             else:
                 groups[cname] = cname
         res = model.run("splitsim", groups=groups)
-        analysis = analyze(log_from_model(res))
+        analysis = analyze(rows_from_model(res))
         out[name] = (res, analysis, build_wtpg(analysis))
     return out
 
 
 def test_fig10_wtpg_locates_bottlenecks(benchmark, profile_graphs):
     run_once(benchmark,
-             lambda: analyze(log_from_model(profile_graphs["ac"][0])))
+             lambda: analyze(rows_from_model(profile_graphs["ac"][0])))
 
     rows = []
     for name, (res, analysis, graph) in profile_graphs.items():

@@ -6,7 +6,10 @@ Python — loops, functions, and modules generate the simulated system —
 and execution is fully automatic:
 
     splitsim-run examples/config_kv.py --duration 10ms
-    splitsim-run examples/config_kv.py --profile
+    splitsim-run examples/config_kv.py --profile             # + WTPG
+    splitsim-run examples/config_kv.py --profile-out prof    # a run dir
+    splitsim-profile prof --dot wtpg.dot                     # re-analyze
+    splitsim-run examples/config_kv.py --control run --profile   # mp
 """
 
 from repro import System

@@ -15,7 +15,7 @@ from repro.netsim.apps.bulk import BulkSender, BulkSink
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
 from repro.netsim.topology import datacenter
 from repro.orchestration.strategies import STRATEGIES, strategy_rs
-from repro.profiler.instrument import log_from_model
+from repro.profiler.instrument import rows_from_model
 from repro.profiler.postprocess import analyze
 from repro.profiler.wtpg import build_wtpg, to_text
 
@@ -65,7 +65,7 @@ def main() -> None:
         print(f"strategy {name:>4}: {res.n_procs:>2} procs, "
               f"sim speed {res.sim_speed:.2e} sim-s/wall-s")
         if name in ("ac", "cr3"):
-            analysis = analyze(log_from_model(res))
+            analysis = analyze(rows_from_model(res))
             print(to_text(build_wtpg(analysis), title=f"strategy {name}"))
             print()
 

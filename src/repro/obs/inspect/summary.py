@@ -9,8 +9,8 @@ multiprocess runner's ``trace_dir``).  It reports:
 * **per-edge wait histogram** — distribution of wait increments per channel
   direction (exponential buckets);
 * **WTPG** — the wait-time profile graph of the trace's ``comp|``/``chan|``
-  counter tracks, fed through the profiler's ``analyze``; it matches
-  :mod:`repro.profiler`'s counter view of the same run.
+  counter tracks, fed through the profiler's ``analyze``; it equals the
+  profiler's timeline view of the same run.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import sys
 from typing import Any, Dict, List, Tuple
 
-from ...profiler.instrument import log_from_trace
+from ...profiler.instrument import rows_from_trace
 from ...profiler.postprocess import ProfileAnalysis, analyze
 from ...profiler.wtpg import build_wtpg, save_dot, to_text
 from .. import rundir
@@ -30,10 +30,9 @@ from .render import intensity_bar, write_json
 def analysis_from_trace(doc: dict) -> ProfileAnalysis:
     """The profiler's analysis of a trace's ``comp|``/``chan|`` counter
     tracks — :func:`~repro.profiler.postprocess.analyze` over
-    :func:`~repro.profiler.instrument.log_from_trace`, so wait fractions
-    and the bottleneck ranking agree with the counter profiler on the
-    same run."""
-    return analyze(log_from_trace(doc))
+    :func:`~repro.profiler.instrument.rows_from_trace`, so wait fractions
+    and the bottleneck ranking equal the timeline's on the same run."""
+    return analyze(rows_from_trace(doc))
 
 
 def top_spans(events: List[dict], top: int = 10) -> List[dict]:
@@ -85,18 +84,16 @@ def stall_timeline(events: List[dict], buckets: int = 48) -> str:
 
 
 def edge_wait_histograms(doc: dict) -> Dict[str, Histogram]:
-    """Per channel-direction histograms of wait-cycle increments, over the
-    records the WTPG is built from (:func:`log_from_trace`)."""
+    """Per channel-direction histograms of per-epoch wait-cycle increments,
+    over the rows the WTPG is built from (:func:`rows_from_trace`)."""
     out: Dict[str, Histogram] = {}
-    prev: Dict[Tuple[str, str, str], float] = {}
-    for rec in sorted(log_from_trace(doc).records, key=lambda r: r.tsc_ns):
-        edge = f"{rec.comp} -> {rec.peer}"
-        hist = out.setdefault(edge, Histogram(edge, start=1.0, factor=4.0,
-                                              buckets=16))
-        track = (rec.comp, rec.adapter, rec.peer)
-        if rec.wait_cycles > prev.get(track, 0.0):
-            hist.observe(rec.wait_cycles - prev.get(track, 0.0))
-        prev[track] = rec.wait_cycles
+    for row in rows_from_trace(doc):
+        for peer, wait in row.edge_wait.items():
+            edge = f"{row.comp} -> {peer}"
+            hist = out.setdefault(edge, Histogram(edge, start=1.0,
+                                                  factor=4.0, buckets=16))
+            if wait > 0:
+                hist.observe(wait)
     return out
 
 

@@ -94,7 +94,7 @@ def sample_counter_tracks(tracer: Tracer, comp, ts_us: float) -> int:
     ``chan|<comp>|<end>|<peer component>`` track per channel end carries
     its adapter counters.  The track name encodes the edge, so the WTPG
     can be rebuilt from the trace alone
-    (:func:`repro.profiler.instrument.log_from_trace`).  Called by the
+    (:func:`repro.profiler.instrument.rows_from_trace`).  Called by the
     strict coordinator's sampler and by multiprocess children; never
     from a per-message hot path.  Returns the component's track id.
     """

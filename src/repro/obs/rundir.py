@@ -1,7 +1,7 @@
 """The run directory: where a run's artifacts live and how to find them.
 
-A run directory (``splitsim-run --control DIR``, or any directory a run
-saved its artifacts into) holds some of::
+A run directory (``splitsim-run --control DIR``, ``--profile-out DIR``,
+or any directory a run saved its artifacts into) holds some of::
 
     run_report.json     the versioned run report (multiprocess runs)
     traces/             per-child traces; trace.json is the merged one

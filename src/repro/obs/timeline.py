@@ -5,9 +5,14 @@ End-of-run aggregates (registry snapshot, WTPG, profiler counters) say
 imbalance is a warmup artifact, a steady-state property, or a drain tail.
 This module records a per-sync-epoch time series instead: at every sampling
 boundary each component contributes one row of *deltas* since its previous
-row — events executed, work/wait/comm cycles, per-edge message and sync
-counts, and selected registry counters (batched-drain and fluid-tier
+row — events executed, work/wait/comm cycles, per-edge message, sync and
+wait counts, and selected registry counters (batched-drain and fluid-tier
 activity for network partitions).
+
+The row is also the profiler's record: the profiler's ``analyze``
+(:mod:`repro.profiler.postprocess`) sums a window of each component's
+epochs into the paper's speed, efficiency and wait-time profile graph,
+ranked by :func:`wait_fraction`.
 
 One probe, one collector (see :mod:`repro.obs.recorder` for who drives
 them): an :class:`EpochTracker` per component turns cumulative counters
@@ -27,7 +32,9 @@ the determinism digest is bit-identical with the timeline on or off.
 Persistence is columnar JSONL (``timeline.jsonl``): a header object naming
 the schema, component and edge index tables, and the fixed column order,
 then one object per (component, epoch) whose ``"r"`` value vector follows
-:data:`ROW_COLUMNS`.  :func:`load_timeline` restores a :class:`Timeline`
+:data:`ROW_COLUMNS`.  The per-edge wait (``"w"``) is an optional key, so
+the schema stays 1: older readers skip it, and rows without it read as no
+edge wait.  :func:`load_timeline` restores a :class:`Timeline`
 with per-component phase detection (warmup / steady / drain) — the input
 the partition advisor (:mod:`repro.parallel.advisor`) fits its cost model
 on.
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from . import names
 from .recorder import Collector, JsonlDoc, LoadedDoc
@@ -67,6 +74,19 @@ STALL_FRACTION = 0.5
 BACKPRESSURE_FILL = 0.9
 
 
+def wait_fraction(work_cycles: float, wait_cycles: float,
+                  comm_cycles: float) -> float:
+    """Share of attributable cycles spent blocked on synchronization,
+    ``wait / (work + wait + comm)`` (0 when nothing was attributed).
+
+    The one definition of the WTPG's node metric: the profiler's analysis
+    (and with it the partition advisor's ranking) and the timeline view
+    all rank bottlenecks by it.
+    """
+    total = work_cycles + wait_cycles + comm_cycles
+    return wait_cycles / total if total > 0 else 0.0
+
+
 @dataclass
 class EpochRow:
     """One component's deltas over one sampling epoch."""
@@ -85,12 +105,12 @@ class EpochRow:
     edges: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: selected registry counter deltas (``batch.*`` / ``fluid.*`` / ...)
     counters: Dict[str, float] = field(default_factory=dict)
+    #: per-peer sync-wait cycles this epoch (the WTPG's edges)
+    edge_wait: Dict[str, float] = field(default_factory=dict)
 
     @property
     def wait_fraction(self) -> float:
         """Share of this epoch's cycles spent blocked on synchronization."""
-        # imported here: a run without a profiler never loads the package
-        from ..profiler.postprocess import wait_fraction
         return wait_fraction(self.work_cycles, self.wait_cycles,
                              self.comm_cycles)
 
@@ -121,20 +141,61 @@ def selected_counters(comp) -> Dict[str, float]:
     return out
 
 
-def _comp_state(comp) -> dict:
-    """Snapshot of one component's cumulative counters."""
+def counter_state(events: int, work: float, ends: Iterable[tuple],
+                  ctr: Optional[Dict[str, float]] = None) -> dict:
+    """One component's cumulative counters; ``ends`` yields ``(peer,
+    counters)`` per channel end, with the keys of
+    :meth:`~repro.channels.channel.ChannelEnd.counters`."""
     wait = comm = 0.0
-    edges: Dict[str, Tuple[int, int]] = {}
-    for end in comp.ends:
-        c = end.counters()
+    edges: Dict[str, Tuple[int, int, float]] = {}
+    for peer, c in ends:
         wait += c["wait_cycles"]
         comm += c["tx_cycles"] + c["rx_cycles"]
-        peer = end.peer_comp_name or end.peer_name
-        msgs, syncs = edges.get(peer, (0, 0))
-        edges[peer] = (msgs + c["tx_msgs"], syncs + c["tx_syncs"])
-    return {"events": comp.events_processed, "work": comp.work_cycles,
-            "wait": wait, "comm": comm, "edges": edges,
-            "ctr": selected_counters(comp)}
+        msgs, syncs, waited = edges.get(peer, (0, 0, 0))
+        edges[peer] = (msgs + c["tx_msgs"], syncs + c["tx_syncs"],
+                       waited + c["wait_cycles"])
+    return {"events": events, "work": work, "wait": wait, "comm": comm,
+            "edges": edges, "ctr": ctr or {}}
+
+
+def state_delta(prev: dict, cur: dict, commit_ps: int) -> dict:
+    """What changed between two :func:`counter_state` snapshots: one beat
+    payload, per peer ``[messages, syncs, wait cycles]``."""
+    edges = {}
+    for peer, (msgs, syncs, waited) in cur["edges"].items():
+        pm, ps, pw = prev["edges"].get(peer, (0, 0, 0))
+        edges[peer] = [msgs - pm, syncs - ps, waited - pw]
+    counters = {key: value - prev["ctr"].get(key, 0.0)
+                for key, value in cur["ctr"].items()}
+    return {"ps": commit_ps,
+            "ev": cur["events"] - prev["events"],
+            "wk": cur["work"] - prev["work"],
+            "wt": cur["wait"] - prev["wait"],
+            "cm": cur["comm"] - prev["comm"],
+            "edges": edges, "ctr": counters}
+
+
+def epoch_row(comp: str, epoch: int, wall_s: float, payload: dict,
+              events_per_sec: float = 0.0,
+              ring_fill: Optional[float] = None) -> EpochRow:
+    """The row of one :func:`state_delta` payload."""
+    edges = payload["edges"]
+    return EpochRow(
+        comp=comp, epoch=epoch, sim_ps=payload["ps"], wall_s=wall_s,
+        events=payload["ev"], work_cycles=payload["wk"],
+        wait_cycles=payload["wt"], comm_cycles=payload["cm"],
+        events_per_sec=events_per_sec, ring_fill=ring_fill,
+        edges={p: (d[0], d[1]) for p, d in edges.items()},
+        counters=dict(payload["ctr"]),
+        edge_wait={p: d[2] for p, d in edges.items()})
+
+
+def _comp_state(comp) -> dict:
+    """Snapshot of one live component's cumulative counters."""
+    return counter_state(
+        comp.events_processed, comp.work_cycles,
+        ((end.peer_comp_name or end.peer_name, end.counters())
+         for end in comp.ends), selected_counters(comp))
 
 
 class EpochTracker:
@@ -148,20 +209,8 @@ class EpochTracker:
 
     def beat(self, commit_ps: int) -> dict:
         cur = _comp_state(self._comp)
-        prev = self._prev
-        self._prev = cur
-        edges = {}
-        for peer, (msgs, syncs) in cur["edges"].items():
-            pm, ps = prev["edges"].get(peer, (0, 0))
-            edges[peer] = [msgs - pm, syncs - ps]
-        counters = {key: value - prev["ctr"].get(key, 0.0)
-                    for key, value in cur["ctr"].items()}
-        return {"ps": commit_ps,
-                "ev": cur["events"] - prev["events"],
-                "wk": cur["work"] - prev["work"],
-                "wt": cur["wait"] - prev["wait"],
-                "cm": cur["comm"] - prev["comm"],
-                "edges": edges, "ctr": counters}
+        prev, self._prev = self._prev, cur
+        return state_delta(prev, cur, commit_ps)
 
     def result(self) -> None:
         """Nothing beyond the beats: the forced final beat closes the run."""
@@ -190,14 +239,8 @@ class TimelineCollector(Collector):
         """One beat of one component becomes its next epoch's row."""
         epoch = self._epochs.get(comp, 0)
         self._epochs[comp] = epoch + 1
-        self.rows.append(EpochRow(
-            comp=comp, epoch=epoch, sim_ps=payload["ps"],
-            wall_s=beat.wall_s, events=payload["ev"],
-            work_cycles=payload["wk"], wait_cycles=payload["wt"],
-            comm_cycles=payload["cm"], events_per_sec=beat.events_per_sec,
-            ring_fill=beat.ring_fill,
-            edges={p: (d[0], d[1]) for p, d in payload["edges"].items()},
-            counters=dict(payload["ctr"])))
+        self.rows.append(epoch_row(comp, epoch, beat.wall_s, payload,
+                                   beat.events_per_sec, beat.ring_fill))
 
     def write(self, path: str) -> dict:
         """Persist as columnar JSONL (see :func:`save_timeline`)."""
@@ -218,13 +261,14 @@ def save_timeline(path: str, rows: List[EpochRow], *, mode: str,
 
     The header indexes component and edge names so rows stay compact:
     ``{"c": comp_index, "r": [<ROW_COLUMNS values>], "e": {edge_index:
-    [d_msgs, d_syncs]}, "k": {counter: delta}}`` with ``"e"``/``"k"``
-    omitted when empty.
+    [d_msgs, d_syncs]}, "k": {counter: delta}, "w": {edge_index:
+    d_wait_cycles}}`` with ``"e"``/``"k"``/``"w"`` omitted when empty.
     """
     comps = list(components) if components is not None else \
         sorted({r.comp for r in rows})
     comp_index = {c: i for i, c in enumerate(comps)}
-    edge_pairs = sorted({(r.comp, peer) for r in rows for peer in r.edges})
+    edge_pairs = sorted({(r.comp, peer) for r in rows
+                         for peer in (*r.edges, *r.edge_wait)})
     edge_index = {pair: i for i, pair in enumerate(edge_pairs)}
     header = {"schema": TIMELINE_SCHEMA, "kind": TIMELINE_KIND,
               "mode": mode, "until_ps": until_ps,
@@ -247,6 +291,9 @@ def save_timeline(path: str, rows: List[EpochRow], *, mode: str,
                 doc["e"] = edges
             if row.counters:
                 doc["k"] = {k: v for k, v in sorted(row.counters.items())}
+            if row.edge_wait:
+                doc["w"] = {str(edge_index[(row.comp, peer)]): wait
+                            for peer, wait in sorted(row.edge_wait.items())}
             yield doc
 
     _DOC.write(path, header, docs())
@@ -311,15 +358,16 @@ class Timeline(LoadedDoc):
 
 def _parse_row(header: dict, doc: dict) -> EpochRow:
     r = doc["r"]
-    row_edges = {}
-    for idx, (msgs, syncs) in (doc.get("e") or {}).items():
-        _, peer = header["edges"][int(idx)]
-        row_edges[peer] = (msgs, syncs)
+    peers = [peer for _, peer in header["edges"]]
     return EpochRow(
         comp=header["components"][doc["c"]], epoch=r[0], sim_ps=r[1],
         wall_s=r[2], events=r[3], work_cycles=r[4], wait_cycles=r[5],
         comm_cycles=r[6], events_per_sec=r[7], ring_fill=r[8],
-        edges=row_edges, counters=doc.get("k") or {})
+        edges={peers[int(i)]: (msgs, syncs)
+               for i, (msgs, syncs) in (doc.get("e") or {}).items()},
+        counters=doc.get("k") or {},
+        edge_wait={peers[int(i)]: wait
+                   for i, wait in (doc.get("w") or {}).items()})
 
 
 def load_timeline(path: str) -> Timeline:

@@ -8,8 +8,10 @@ component simulators and channels into a ready
 
 The resulting experiment exposes the pieces the evaluation needs: the apps
 (for workload metrics), per-component work recordings and model channels
-(for the virtual-time performance model), and counters/ends (for the
-profiler).
+(for the virtual-time performance model), and the recorders the
+instantiation declared — among them the epoch timeline, which
+:meth:`Experiment.profile_analysis` post-processes into the profiler's
+speed, efficiency and wait-time profile graph.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class Experiment:
         self.hosts = hosts
         self.nics = nics
         self.model_channels = model_channels
-        #: attached recorders by name (``"trace"``, ``"profile"``,
-        #: ``"timeline"``, ``"audit"``); see :meth:`observe`
+        #: attached recorders by name (``"trace"``, ``"timeline"``,
+        #: ``"audit"``); see :meth:`observe`
         self.recorders: Dict[str, object] = {}
         #: set by the one run (:meth:`run` or :meth:`run_mp`) it gets
         self.ran = False
@@ -113,9 +115,7 @@ class Experiment:
 
         A recorder has a ``name`` and ``save(path)``.  It is either a run
         observer itself (:class:`~repro.obs.install.TraceRecorder`) or a
-        collector (the profiler's
-        :class:`~repro.profiler.instrument.ProfileCollector`,
-        :class:`~repro.obs.timeline.TimelineCollector`,
+        collector (:class:`~repro.obs.timeline.TimelineCollector`,
         :class:`~repro.obs.audit.AuditCollector`) whose per-component
         probes a :class:`~repro.obs.recorder.ProbeDriver` beats every
         ``interval_rounds`` strict sync rounds — or, under :meth:`run_mp`,
@@ -126,8 +126,8 @@ class Experiment:
         if recorder.name == "timeline" and self.sim.mode != "strict":
             # its probes read counters at the epochs the sync protocol defines
             raise RuntimeError("the epoch timeline needs strict-sync "
-                               "execution (mode='strict', profile=True, "
-                               "or timeline=True at instantiation)")
+                               "execution (mode='strict', or timeline=True "
+                               "at instantiation)")
         observer = recorder
         if hasattr(recorder, "probe"):
             from ..obs.recorder import ProbeDriver
@@ -189,12 +189,14 @@ class Experiment:
 
     def profile_analysis(self, drop_head: int = 1,
                          drop_tail: int = 0) -> "ProfileAnalysis":
-        """Post-process the profiler records collected during the run."""
-        profile = self.recorders.get("profile")
-        if profile is None:
-            raise RuntimeError("build the instantiation with profile=True")
+        """The profiler's analysis of the run's epoch timeline, leaving
+        out ``drop_head`` warm-up and ``drop_tail`` cool-down epochs (after
+        :meth:`run` or :meth:`run_mp` alike)."""
+        timeline = self.recorders.get("timeline")
+        if timeline is None:
+            raise RuntimeError("build the instantiation with timeline=True")
         from ..profiler.postprocess import analyze
-        return analyze(profile.log, drop_head=drop_head,
+        return analyze(timeline.rows, drop_head=drop_head,
                        drop_tail=drop_tail)
 
     def run_mp(self, duration_ps: int, timeout_s: float = 300.0,
@@ -206,8 +208,8 @@ class Experiment:
         an experiment runs once, here or in process.  Returns the
         per-process results of :class:`~repro.parallel.procrunner`.
 
-        The children run this experiment's own collectors (profile,
-        timeline, audit: whatever ``Instantiation`` or :meth:`observe`
+        The children run this experiment's own collectors (timeline,
+        audit: whatever ``Instantiation`` or :meth:`observe`
         attached), so :meth:`save` afterwards writes what this run
         collected, and a collector given a ``path`` is saved there and
         referenced from the run report.  The keywords (``progress``,
@@ -254,10 +256,6 @@ class Instantiation:
     eth_latency_ps: int = DEFAULT_ETH_LATENCY_PS
     pci_latency_ps: int = DEFAULT_PCI_LATENCY_PS
     transparent_clocks: bool = False
-    #: Enable the SplitSim profiler: forces strict-sync execution and
-    #: samples every adapter's counters periodically (the paper's
-    #: "add the flag to enable profiling").
-    profile: bool = False
     #: Enable the observability layer: a sim-domain tracer over the whole
     #: simulation plus wall-domain build/run/teardown phase spans.
     trace: bool = False
@@ -268,8 +266,10 @@ class Instantiation:
     #: model); ``None`` = pure packet-level, exactly as before.  See
     #: :class:`~repro.netsim.fidelity.FidelityConfig`.
     fidelity: Optional["FidelityConfig"] = None
-    #: Record the epoch-resolved metrics timeline (forces strict-sync
-    #: execution, like ``profile``).  Export with
+    #: Record the epoch-resolved metrics timeline: every component's
+    #: channel-adapter counters, sampled periodically — the paper's "add
+    #: the flag to enable profiling" (forces strict-sync execution).
+    #: Analyze with ``experiment.profile_analysis()``; export with
     #: ``experiment.save("timeline", path)`` after the run.
     timeline: bool = False
     #: Record the per-epoch digest ledger (see :mod:`repro.obs.audit`).
@@ -293,7 +293,7 @@ class Instantiation:
             trace = TraceRecorder()  # created first: times the build phase
         system = self.system
         spec = system.spec
-        mode = "strict" if self.profile or self.timeline else self.mode
+        mode = "strict" if self.timeline else self.mode
         sim = Simulation(mode=mode, work_window_ps=self.work_window_ps)
         model_channels: List[ModelChannel] = []
 
@@ -394,10 +394,6 @@ class Instantiation:
                 trace.trace_flows(self.flow_sample)
             trace.phase("build", 0.0, {"components": len(sim.components),
                                        "channels": len(sim.channels)})
-        if self.profile:
-            from ..profiler.instrument import (PROFILE_INTERVAL_ROUNDS,
-                                               ProfileCollector)
-            exp.observe(ProfileCollector(), PROFILE_INTERVAL_ROUNDS)
         if self.timeline:
             from ..obs.timeline import TimelineCollector
             exp.observe(

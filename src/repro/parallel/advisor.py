@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.timeline import Timeline
-from ..profiler.postprocess import wait_fraction
+from ..profiler.postprocess import analyze
 from .costmodel import CommCosts, Machine, PAPER_MACHINE
 
 #: Schema version of ``partition.json``
@@ -56,25 +56,11 @@ class FittedCosts:
     #: components in timeline order (the tie-break order for rankings)
     components: List[str]
     work: Dict[str, float]      # work cycles / epoch
-    wait: Dict[str, float]      # sync-wait cycles / epoch
-    comm: Dict[str, float]      # tx+rx cycles / epoch
     events: Dict[str, float]    # events / epoch
     #: directed edge -> (messages, syncs) per epoch
     edges: Dict[Tuple[str, str], Tuple[float, float]]
     #: per-component warmup/steady/drain epoch counts
     phases: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    def wait_fraction(self, comp: str) -> float:
-        """Blocked share of attributable cycles — the profiler's formula
-        (:func:`repro.profiler.postprocess.wait_fraction`), so bottleneck
-        rankings agree with the counter profiler."""
-        return wait_fraction(self.work.get(comp, 0.0),
-                             self.wait.get(comp, 0.0),
-                             self.comm.get(comp, 0.0))
-
-    def bottleneck_ranking(self) -> List[str]:
-        """Components least-waiting first (the bottleneck leads)."""
-        return sorted(self.components, key=self.wait_fraction)
 
 
 def fit_costs(timeline: Timeline) -> FittedCosts:
@@ -83,8 +69,6 @@ def fit_costs(timeline: Timeline) -> FittedCosts:
     components = [c for c in timeline.components if by_comp.get(c)] or \
         sorted(by_comp)
     work: Dict[str, float] = {}
-    wait: Dict[str, float] = {}
-    comm: Dict[str, float] = {}
     events: Dict[str, float] = {}
     edges: Dict[Tuple[str, str], Tuple[float, float]] = {}
     phases = timeline.phases()
@@ -92,8 +76,6 @@ def fit_costs(timeline: Timeline) -> FittedCosts:
         steady = timeline.steady_rows(comp)
         n = max(1, len(steady))
         work[comp] = sum(r.work_cycles for r in steady) / n
-        wait[comp] = sum(r.wait_cycles for r in steady) / n
-        comm[comp] = sum(r.comm_cycles for r in steady) / n
         events[comp] = sum(r.events for r in steady) / n
         acc: Dict[str, Tuple[float, float]] = {}
         for row in steady:
@@ -102,8 +84,8 @@ def fit_costs(timeline: Timeline) -> FittedCosts:
                 acc[peer] = (m + msgs, s + syncs)
         for peer, (m, s) in acc.items():
             edges[(comp, peer)] = (m / n, s / n)
-    return FittedCosts(components=components, work=work, wait=wait,
-                       comm=comm, events=events, edges=edges,
+    return FittedCosts(components=components, work=work, events=events,
+                       edges=edges,
                        phases={c: phases.get(c, {}) for c in components})
 
 
@@ -259,7 +241,11 @@ def recommend_partition(timeline: Timeline, discipline: str = "splitsim",
         assignment = dict(naive)
     predicted_cycles, per_proc = predict_epoch_cycles(costs, assignment,
                                                       comm)
-    ranking = costs.bottleneck_ranking()
+    # least-waiting first (the bottleneck leads): the profiler's analysis
+    # of the same steady rows, so the ranking is the WTPG's
+    steady = [row for comp in costs.components
+              for row in timeline.steady_rows(comp)]
+    ranking = analyze(steady).bottlenecks(len(costs.components))
     net_switches = (timeline.meta or {}).get("net_switches") or {}
     return PartitionPlan(
         assignment=assignment,

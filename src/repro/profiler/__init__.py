@@ -1,12 +1,8 @@
-"""SplitSim profiler: instrumentation, post-processing, and the WTPG."""
+"""SplitSim profiler: post-processing of epoch rows, and the WTPG."""
 
-from .instrument import (AdapterSampler, ProfileCollector, log_from_model,
-                         log_from_trace)
-from .postprocess import ProfileAnalysis, analyze, wait_fraction
-from .records import AdapterRecord, ProfileLog
+from .instrument import rows_from_model, rows_from_trace
+from .postprocess import ProfileAnalysis, analyze
 from .wtpg import bottleneck_nodes, build_wtpg, save_dot, to_dot, to_text
 
-__all__ = ["AdapterRecord", "ProfileLog", "analyze", "ProfileAnalysis",
-           "wait_fraction", "AdapterSampler", "ProfileCollector",
-           "log_from_model", "log_from_trace",
+__all__ = ["analyze", "ProfileAnalysis", "rows_from_model", "rows_from_trace",
            "build_wtpg", "bottleneck_nodes", "to_dot", "to_text", "save_dot"]

@@ -1,13 +1,16 @@
 """Command-line profiler post-processor.
 
-The paper's workflow: run the simulation with profiling enabled (each
-simulator periodically appends counter records), then run the
-post-processing script to get simulation speed, per-component efficiency,
-and the wait-time profile graph.  This CLI is that script::
+The paper's workflow: run the simulation with profiling enabled (every
+simulator's adapter counters are sampled per epoch into the run's
+timeline), then run the post-processing script to get simulation speed,
+per-component efficiency, and the wait-time profile graph.  This CLI is
+that script::
 
-    splitsim-profile run1.jsonl run2.jsonl --drop-head 2 --dot wtpg.dot
+    splitsim-profile run1/ --drop-head 2 --dot wtpg.dot
 
-Multiple log files (one per simulator process) are simply concatenated.
+Its input is one ``timeline.jsonl`` or the run directory holding it
+(``splitsim-run --timeline``, ``--profile-out DIR``, ``--control DIR
+--timeline``).
 """
 
 from __future__ import annotations
@@ -16,21 +19,23 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..obs.inspect.timeline import timeline_warnings
+from ..obs.rundir import RunDirError, load_timeline
 from .postprocess import analyze
-from .records import ProfileLog
 from .wtpg import build_wtpg, save_dot, to_text
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitsim-profile",
-        description="Post-process SplitSim profiler logs into metrics and a "
-                    "wait-time profile graph.")
-    parser.add_argument("logs", nargs="+", help="profiler JSONL log files")
+        description="Post-process a SplitSim run's epoch timeline into "
+                    "profiler metrics and a wait-time profile graph.")
+    parser.add_argument("timeline",
+                        help="timeline.jsonl file or run directory")
     parser.add_argument("--drop-head", type=int, default=1,
-                        help="warm-up records to drop per adapter")
+                        help="warm-up epochs to drop per component")
     parser.add_argument("--drop-tail", type=int, default=0,
-                        help="cool-down records to drop per adapter")
+                        help="cool-down epochs to drop per component")
     parser.add_argument("--dot", metavar="PATH",
                         help="write the WTPG as Graphviz DOT to PATH")
     parser.add_argument("--bottlenecks", type=int, default=3,
@@ -40,18 +45,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    log = ProfileLog()
-    for path in args.logs:
-        try:
-            log.extend(ProfileLog.load(path).records)
-        except (OSError, ValueError) as exc:
-            print(f"error reading {path}: {exc}", file=sys.stderr)
-            return 1
-    if not log.records:
-        print("no profiler records found", file=sys.stderr)
+    try:
+        timeline = load_timeline(args.timeline)
+    except RunDirError as exc:
+        print(exc, file=sys.stderr)
         return 1
+    if not timeline.rows:
+        print(f"{args.timeline}: no epoch rows", file=sys.stderr)
+        return 1
+    for warning in timeline_warnings(timeline):
+        print(f"warning: {warning}")
 
-    analysis = analyze(log, drop_head=args.drop_head,
+    analysis = analyze(timeline.rows, drop_head=args.drop_head,
                        drop_tail=args.drop_tail)
     print(analysis.summary())
     print()

@@ -1,60 +1,26 @@
-"""Profiler post-processing: from raw records to metrics.
+"""Profiler post-processing: from epoch rows to metrics.
 
-Mirrors the paper's §3.3.2: records hold monotonic totals, so the
-post-processor takes the difference between a late record and an early
-record (optionally dropping warm-up / cool-down samples), yielding:
+Mirrors the paper's §3.3.2.  The profiler's record is the epoch-timeline
+row (:class:`~repro.obs.timeline.EpochRow`): one component's counter
+deltas over one sampling epoch.  The post-processor sums a window of each
+component's epochs (optionally dropping warm-up / cool-down epochs),
+yielding:
 
 * **simulation speed** — simulated seconds advanced per wall-clock second
   (identical across components since they are synchronized);
 * per-component **efficiency** — fraction of host cycles spent on actual
   simulation work rather than waiting/sending/receiving in the adapters;
-* per-adapter **wait fractions** — the "who waits for whom" data that the
+* per-edge **wait fractions** — the "who waits for whom" data that the
   wait-time profile graph (:mod:`repro.profiler.wtpg`) visualizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from ..kernel.simtime import SEC
-from ..parallel.costmodel import Machine, PAPER_MACHINE
-from .records import AdapterRecord, ProfileLog
-
-
-def wait_fraction(work_cycles: float, wait_cycles: float,
-                  comm_cycles: float) -> float:
-    """Share of attributable cycles spent blocked on synchronization,
-    ``wait / (work + wait + comm)`` (0 when nothing was attributed).
-
-    The one definition of the WTPG's node metric: the profiler, the
-    epoch timeline and the partition advisor all rank bottlenecks by it.
-    """
-    total = work_cycles + wait_cycles + comm_cycles
-    return wait_cycles / total if total > 0 else 0.0
-
-
-@dataclass
-class AdapterMetrics:
-    """Differenced counters for one adapter over the analysis interval."""
-
-    comp: str
-    adapter: str
-    peer: str
-    wall_ns: float = 0.0
-    sim_ps: int = 0
-    wait_cycles: float = 0.0
-    tx_cycles: float = 0.0
-    rx_cycles: float = 0.0
-    tx_msgs: int = 0
-    rx_msgs: int = 0
-    tx_syncs: int = 0
-    rx_syncs: int = 0
-
-    @property
-    def comm_cycles(self) -> float:
-        """Cycles spent sending plus receiving on this adapter."""
-        return self.tx_cycles + self.rx_cycles
+from ..obs.timeline import EpochRow, wait_fraction
 
 
 @dataclass
@@ -62,11 +28,9 @@ class ComponentMetrics:
     """Aggregated per-component view."""
 
     comp: str
-    wall_ns: float = 0.0
     work_cycles: float = 0.0
     wait_cycles: float = 0.0
     comm_cycles: float = 0.0
-    adapters: List[AdapterMetrics] = field(default_factory=list)
 
     @property
     def accounted_cycles(self) -> float:
@@ -117,76 +81,53 @@ class ProfileAnalysis:
         return "\n".join(lines)
 
 
-def _trimmed(records: List[AdapterRecord], drop_head: int,
-             drop_tail: int) -> Optional[Tuple[AdapterRecord, AdapterRecord]]:
-    if len(records) < 2:
-        return None
-    records = sorted(records, key=lambda r: r.tsc_ns)
-    lo = drop_head
-    hi = len(records) - 1 - drop_tail
-    if hi <= lo:
-        lo, hi = 0, len(records) - 1
-    return records[lo], records[hi]
+def analyze(rows: Iterable[EpochRow], drop_head: int = 0,
+            drop_tail: int = 0) -> ProfileAnalysis:
+    """Post-process epoch rows into metrics.
 
-
-def analyze(log: ProfileLog, drop_head: int = 0, drop_tail: int = 0,
-            machine: Machine = PAPER_MACHINE) -> ProfileAnalysis:
-    """Post-process a profile log into metrics.
-
-    ``drop_head``/``drop_tail`` discard warm-up and cool-down records per
-    adapter, as in the paper.  ``machine`` converts wall nanoseconds into
-    cycles for the efficiency computation.
+    Each component's rows, in epoch order, are summed over the epochs
+    ``[drop_head, n - drop_tail)`` (all of them when that window is
+    empty), as in the paper's dropping of warm-up and cool-down samples.
+    Every component with rows is a WTPG node; its edges are its rows'
+    per-peer waits.  Components keep the order of their first row, which
+    breaks ties in :meth:`ProfileAnalysis.bottlenecks`.
     """
-    by_adapter: Dict[Tuple[str, str], List[AdapterRecord]] = {}
-    for rec in log.records:
-        by_adapter.setdefault((rec.comp, rec.adapter), []).append(rec)
+    by_comp: Dict[str, List[EpochRow]] = {}
+    for row in rows:
+        by_comp.setdefault(row.comp, []).append(row)
 
     comps: Dict[str, ComponentMetrics] = {}
     edge_wait: Dict[Tuple[str, str], float] = {}
-    wall_ns = 0.0
+    wall_s = 0.0
     sim_ps = 0
-    work_seen: Dict[str, float] = {}
-
-    for (comp, adapter), recs in sorted(by_adapter.items()):
-        pair = _trimmed(recs, drop_head, drop_tail)
-        if pair is None:
-            continue
-        first, last = pair
-        am = AdapterMetrics(
-            comp=comp, adapter=adapter, peer=last.peer,
-            wall_ns=last.tsc_ns - first.tsc_ns,
-            sim_ps=last.sim_ps - first.sim_ps,
-            wait_cycles=last.wait_cycles - first.wait_cycles,
-            tx_cycles=last.tx_cycles - first.tx_cycles,
-            rx_cycles=last.rx_cycles - first.rx_cycles,
-            tx_msgs=last.tx_msgs - first.tx_msgs,
-            rx_msgs=last.rx_msgs - first.rx_msgs,
-            tx_syncs=last.tx_syncs - first.tx_syncs,
-            rx_syncs=last.rx_syncs - first.rx_syncs,
-        )
-        cm = comps.setdefault(comp, ComponentMetrics(comp=comp))
-        cm.adapters.append(am)
-        cm.wait_cycles += am.wait_cycles
-        cm.comm_cycles += am.comm_cycles
-        cm.wall_ns = max(cm.wall_ns, am.wall_ns)
-        work_seen[comp] = last.work_cycles - first.work_cycles
-        wall_ns = max(wall_ns, am.wall_ns)
-        sim_ps = max(sim_ps, am.sim_ps)
-
-    for comp, cm in comps.items():
-        cm.work_cycles = work_seen.get(comp, 0.0)
+    for comp, series in by_comp.items():
+        lo, hi = drop_head, len(series) - drop_tail
+        if hi <= lo:
+            lo, hi = 0, len(series)
+        window = series[lo:hi]
+        cm = comps[comp] = ComponentMetrics(
+            comp, work_cycles=sum(r.work_cycles for r in window),
+            wait_cycles=sum(r.wait_cycles for r in window),
+            comm_cycles=sum(r.comm_cycles for r in window))
+        waits: Dict[str, float] = {}
+        for row in window:
+            for peer, wait in row.edge_wait.items():
+                waits[peer] = waits.get(peer, 0) + wait
         total = cm.accounted_cycles
-        for am in cm.adapters:
-            if total > 0 and am.peer:
-                key = (comp, am.peer)
-                edge_wait[key] = edge_wait.get(key, 0.0) + am.wait_cycles / total
+        if total > 0:
+            for peer, wait in waits.items():
+                if peer:
+                    edge_wait[(comp, peer)] = wait / total
+        # rows carry wall and simulated time since the run started
+        start, last = (series[lo - 1] if lo else None), window[-1]
+        wall_s = max(wall_s, last.wall_s - (start.wall_s if start else 0.0))
+        sim_ps = max(sim_ps, last.sim_ps - (start.sim_ps if start else 0))
 
     sim_seconds = sim_ps / SEC
-    wall_seconds = wall_ns / 1e9
-    speed = sim_seconds / wall_seconds if wall_seconds > 0 else float("inf")
+    speed = sim_seconds / wall_s if wall_s > 0 else float("inf")
     return ProfileAnalysis(
         sim_speed=speed,
-        wall_seconds=wall_seconds,
+        wall_seconds=wall_s,
         sim_seconds=sim_seconds,
         components=comps,
         edge_wait_fraction=edge_wait,

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..kernel.simtime import parse_time
-from ..obs.rundir import TRACE_FILE, control_layout
+from ..obs.rundir import TIMELINE_FILE, TRACE_FILE, control_layout
 from ..orchestration.instantiate import Instantiation
 from ..orchestration.strategies import STRATEGIES
 from ..orchestration.system import System
@@ -58,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"network partition strategy "
                              f"({', '.join(sorted(STRATEGIES))})")
     parser.add_argument("--profile", action="store_true",
-                        help="enable the SplitSim profiler (implies strict)")
+                        help="print the SplitSim profiler's analysis and "
+                             "WTPG of the run (records the epoch timeline, "
+                             "so implies strict mode in-process)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write run outputs as JSON")
     parser.add_argument("--trace", metavar="PATH", default=None,
@@ -73,9 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the unified metrics snapshot "
                              "(subsystem.component.metric) as JSON")
     parser.add_argument("--profile-out", metavar="DIR", default=None,
-                        help="write the raw profiler log (profile.jsonl), "
+                        help="write the epoch timeline (timeline.jsonl), "
                              "the WTPG (wtpg.dot) and the trace "
-                             "(trace.json) into DIR; implies --profile")
+                             "(trace.json) into DIR, a run directory for "
+                             "splitsim-profile and splitsim-inspect; "
+                             "implies --profile; in-process runs only")
     parser.add_argument("--control", metavar="DIR", default=None,
                         help="run multiprocess (one OS process per "
                              "component) and serve the live control plane "
@@ -161,9 +165,14 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
                   "exclusive", file=sys.stderr)
             return 1
         inst_kwargs["partition_file"] = args.partition_file
-    if args.profile or args.profile_out:
-        inst_kwargs["profile"] = True
-    if args.timeline is not None:
+    if args.profile_out:
+        if args.control:
+            print("error: --profile-out is for in-process runs; with "
+                  "--control, --timeline writes DIR/timeline.jsonl for "
+                  "splitsim-profile", file=sys.stderr)
+            return 1
+        args.profile = True
+    if args.profile or args.timeline is not None:
         inst_kwargs["timeline"] = True
     if args.audit_window is not None:
         if args.audit is None:
@@ -232,8 +241,19 @@ def _run_mp(args, exp, duration: int, duration_text: str, layout) -> int:
               f"({res.wait_seconds:.2f}s blocked)")
         for key, value in sorted(res.outputs.items()):
             print(f"    {key}: {value}")
+    if args.profile:
+        _print_profile(exp)
     print(f"wrote {layout['report']}")
     return 0
+
+
+def _print_profile(exp):
+    """Print the profiler's analysis and WTPG of the run's timeline."""
+    analysis = exp.profile_analysis()
+    print()
+    print(analysis.summary())
+    print(to_text(build_wtpg(analysis), title="wait-time profile"))
+    return analysis
 
 
 def _run(args, exp, duration: int, duration_text: str) -> int:
@@ -254,27 +274,24 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
     for key in sorted(app_stats):
         print(f"  {key}: {app_stats[key]}")
 
-    analysis = None
-    if args.profile or args.profile_out:
-        analysis = exp.profile_analysis()
-        print()
-        print(analysis.summary())
-        print(to_text(build_wtpg(analysis), title="wait-time profile"))
-
+    # the --timeline/--audit paths, before --profile-out saves the timeline
+    artifacts = [(name, exp.recorders[name].path)
+                 for name in ("timeline", "audit") if name in exp.recorders]
+    if args.profile:
+        analysis = _print_profile(exp)
     if args.profile_out:
+        # a run directory: splitsim-profile and splitsim-inspect open it
         outdir = Path(args.profile_out)
         outdir.mkdir(parents=True, exist_ok=True)
-        exp.save("profile", outdir / "profile.jsonl")
+        exp.save("timeline", str(outdir / TIMELINE_FILE))
         save_dot(build_wtpg(analysis), str(outdir / "wtpg.dot"),
                  title="SplitSim WTPG")
-        written = ["profile.jsonl", "wtpg.dot"]
+        written = [TIMELINE_FILE, "wtpg.dot"]
         if "trace" in exp.recorders:
             exp.save("trace", str(outdir / TRACE_FILE))
             written.append(TRACE_FILE)
         print(f"wrote {outdir}/{{{', '.join(written)}}}")
 
-    artifacts = [(name, exp.recorders[name].path)
-                 for name in ("timeline", "audit") if name in exp.recorders]
     for name, path in artifacts + [("trace", args.trace)]:
         if path:
             exp.save(name, path)

@@ -16,6 +16,7 @@ from repro.parallel.advisor import (FittedCosts, PARTITION_KIND,
                                     load_partition, predict_epoch_cycles,
                                     recommend_partition, write_partition)
 from repro.parallel.costmodel import CommCosts
+from repro.profiler.postprocess import analyze
 
 
 def synthetic_timeline(rows, components, meta=None):
@@ -44,7 +45,6 @@ def test_fit_costs_averages_steady_phase_only():
     costs = fit_costs(synthetic_timeline(rows, ["a"]))
     assert costs.components == ["a"]
     assert costs.work["a"] == pytest.approx(110.0)
-    assert costs.wait["a"] == pytest.approx(11.0)
     assert costs.events["a"] == pytest.approx(110.0)
     assert costs.edges[("a", "b")][0] == pytest.approx(110.0)
     assert costs.phases["a"] == {"warmup": 2, "steady": 3, "drain": 1}
@@ -57,23 +57,24 @@ def test_fit_costs_keeps_timeline_component_order():
 
 
 def test_wait_fraction_matches_profiler_formula():
-    costs = FittedCosts(components=["a", "b"],
-                        work={"a": 600.0, "b": 100.0},
-                        wait={"a": 300.0, "b": 800.0},
-                        comm={"a": 100.0, "b": 100.0},
-                        events={"a": 1.0, "b": 1.0}, edges={})
-    assert costs.wait_fraction("a") == pytest.approx(0.3)
-    assert costs.wait_fraction("b") == pytest.approx(0.8)
-    # least-waiting component leads the ranking (it is the bottleneck)
-    assert costs.bottleneck_ranking() == ["a", "b"]
+    # the plan ranks by the profiler's analysis of the steady rows
+    rows = [make_row(comp, epoch, work, wait=wait, comm=100.0)
+            for epoch in range(2)
+            for comp, work, wait in (("c", 100.0, 800.0), ("b", 100.0, 800.0),
+                                     ("a", 600.0, 300.0))]
+    plan = recommend_partition(synthetic_timeline(rows, ["c", "b", "a"]))
+    assert analyze(rows).components["a"].wait_fraction == pytest.approx(0.3)
+    # least-waiting component leads the ranking (it is the bottleneck);
+    # ties keep the timeline's component order
+    assert plan.ranking == ["a", "c", "b"]
+    assert plan.bottleneck == "a"
 
 
 # -- makespan prediction ------------------------------------------------------
 
 def two_comp_costs(msgs=10.0, syncs=4.0):
     return FittedCosts(components=["a", "b"],
-                       work={"a": 1000.0, "b": 800.0},
-                       wait={}, comm={}, events={},
+                       work={"a": 1000.0, "b": 800.0}, events={},
                        edges={("a", "b"): (msgs, syncs)})
 
 
@@ -205,11 +206,12 @@ def fig9_system(seed=7):
 def test_recommend_beats_naive_and_agrees_with_profilers(tmp_path):
     """Acceptance pin: on a fig9-style workload the advisor's plan beats
     the naive single-process assignment, and its bottleneck agrees with
-    both the counter profiler and the trace-derived WTPG ranking."""
+    both the profiler's whole-run analysis and the trace-derived WTPG
+    ranking."""
     from repro.obs.inspect.summary import analysis_from_trace
 
     exp = Instantiation(fig9_system(), network_partition=strategy_rs,
-                        profile=True, timeline=True, trace=True,
+                        timeline=True, trace=True,
                         work_window_ps=10 * US).build()
     exp.run(2 * MS)
     header = exp.save("timeline", str(tmp_path / "timeline.jsonl"))

@@ -122,11 +122,8 @@ def test_strict_mode_timeline_unchanged_with_auditing():
 
 
 def test_strict_mode_timeline_unchanged_with_timeline():
+    # the timeline is also the profiler's record
     assert_golden(audited("strict", timeline=True))
-
-
-def test_strict_mode_timeline_unchanged_with_profiler():
-    assert_golden(audited("strict", profile=True))
 
 
 @pytest.mark.parametrize("mode", ["fast", "strict"])

@@ -54,8 +54,8 @@ def kv_system(seed=3):
     return system
 
 
-def traced_flow_run(duration=2 * MS, sample_n=1, profile=False):
-    exp = Instantiation(kv_system(), mode="strict", profile=profile,
+def traced_flow_run(duration=2 * MS, sample_n=1, timeline=False):
+    exp = Instantiation(kv_system(), mode="strict", timeline=timeline,
                         flow_sample=sample_n).build()
     try:
         exp.run(duration)
@@ -130,7 +130,7 @@ def test_flow_latency_matches_application_measurement():
 
 
 def test_bottleneck_agrees_with_profiler_ranking():
-    exp, doc = traced_flow_run(profile=True)
+    exp, doc = traced_flow_run(timeline=True)
     rep = analyze_doc(doc)
     profiler_ranking = exp.profile_analysis().bottlenecks(3)
     trace_ranking = analysis_from_trace(doc).bottlenecks(3)

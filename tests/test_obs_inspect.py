@@ -2,14 +2,13 @@
 
 The acceptance criterion for the observability layer: a strict traced run
 produces a Chrome-trace from which :func:`analysis_from_trace` reconstructs
-a WTPG whose bottleneck ranking matches the counter-based profiler on the
-very same run.
+exactly the profiler's analysis of the very same run's epoch timeline.
 """
 
 import json
+from pathlib import Path
 
 from repro.kernel.simtime import MS, US
-from repro.netsim.apps.kv import KVClientApp, KVServerApp
 from repro.obs.inspect import main
 from repro.obs.inspect.summary import (analysis_from_trace,
                                       edge_wait_histograms, stall_points,
@@ -17,28 +16,26 @@ from repro.obs.inspect.summary import (analysis_from_trace,
 from repro.obs.inspect.timeline import timeline_warnings
 from repro.obs.trace import validate_chrome_doc
 from repro.orchestration.instantiate import Instantiation
-from repro.orchestration.system import System
 from repro.profiler.wtpg import build_wtpg
 
-GBPS = 1e9
+from .test_obs_flows import kv_system
 
 
 def traced_strict_run(tmp_path, duration=2 * MS):
-    system = System(seed=3)
-    system.switch("tor")
-    system.host("server", simulator="qemu")
-    system.host("client")
-    system.link("server", "tor", 10 * GBPS, 1 * US)
-    system.link("client", "tor", 10 * GBPS, 1 * US)
-    system.app("server", lambda h: KVServerApp())
-    addr = system.addr_of("server")
-    system.app("client", lambda h: KVClientApp([addr], closed_loop_window=4))
-    exp = Instantiation(system, mode="strict", profile=True,
-                        trace=True).build()
+    exp = Instantiation(kv_system(), timeline=True, trace=True).build()
     exp.run(duration)
     path = tmp_path / "trace.json"
     doc = exp.save("trace", str(path))
     return exp, doc, path
+
+
+def _view(analysis):
+    """Per-component wait fraction and efficiency, per-edge wait fraction:
+    everything of an analysis but its wall clock."""
+    return ({c: {"wait_fraction": m.wait_fraction, "efficiency": m.efficiency}
+             for c, m in analysis.components.items()},
+            {f"{a}->{b}": f for (a, b), f in
+             analysis.edge_wait_fraction.items()})
 
 
 def test_trace_ranking_matches_profiler(tmp_path):
@@ -46,18 +43,26 @@ def test_trace_ranking_matches_profiler(tmp_path):
     assert validate_chrome_doc(doc) == []
 
     from_trace = analysis_from_trace(doc)
-    from_counters = exp.profile_analysis(drop_head=0)
-    n = len(from_counters.components)
+    from_timeline = exp.profile_analysis(drop_head=0)
+    n = len(from_timeline.components)
     assert n >= 3  # net + host + nic
-    assert set(from_trace.components) == set(from_counters.components)
     # the headline guarantee: identical bottleneck ranking
-    assert from_trace.bottlenecks(n) == from_counters.bottlenecks(n)
-    # the wait fractions agree closely (windows differ by < one sampling
-    # interval: the trace baseline is at t=0, the profiler's first sample
-    # lands after its first interval)
-    for name, cm in from_counters.components.items():
-        assert abs(from_trace.components[name].wait_fraction
-                   - cm.wait_fraction) < 1e-2
+    assert from_trace.bottlenecks(n) == from_timeline.bottlenecks(n)
+    # both views difference the same counters at the same beats
+    assert _view(from_trace) == _view(from_timeline)
+
+
+def test_timeline_analysis_reproduces_parent_profiler(tmp_path):
+    """The analysis of the profiler's former per-adapter records (sampled
+    every 64 rounds on this run, before the timeline row replaced them) at
+    ``drop_head=h`` equals the timeline's at ``h + 1``: those records had
+    no sample at t=0."""
+    data = Path(__file__).parent / "data" / "parent_profile_analysis.json"
+    parent = json.loads(data.read_text())
+    exp, _, _ = traced_strict_run(tmp_path)
+    for head, want in parent.items():
+        got = _view(exp.profile_analysis(drop_head=int(head) + 1))
+        assert got == (want["components"], want["edges"]), head
 
 
 def test_profiler_and_trace_wtpg_have_the_same_graph(tmp_path):
@@ -68,7 +73,7 @@ def test_profiler_and_trace_wtpg_have_the_same_graph(tmp_path):
     traced = build_wtpg(analysis_from_trace(doc))
     assert set(profiled.nodes) == comps == set(traced.nodes)
     assert set(profiled.edges) == set(traced.edges)
-    # post-processing only: a second call analyzes the same records
+    # post-processing only: a second call analyzes the same rows
     assert exp.profile_analysis() == exp.profile_analysis()
 
 
@@ -191,16 +196,7 @@ def test_cli_resolves_run_directory_to_merged_trace(tmp_path, capsys):
 
 def flow_traced_run(tmp_path):
     from repro.obs.flows import uninstall_flow_recorder
-    system = System(seed=3)
-    system.switch("tor")
-    system.host("server", simulator="qemu")
-    system.host("client")
-    system.link("server", "tor", 10 * GBPS, 1 * US)
-    system.link("client", "tor", 10 * GBPS, 1 * US)
-    system.app("server", lambda h: KVServerApp())
-    addr = system.addr_of("server")
-    system.app("client", lambda h: KVClientApp([addr], closed_loop_window=4))
-    exp = Instantiation(system, mode="strict", flow_sample=1).build()
+    exp = Instantiation(kv_system(), mode="strict", flow_sample=1).build()
     try:
         exp.run(2 * MS)
         path = tmp_path / "trace.json"
@@ -239,18 +235,8 @@ def test_flows_subcommand_fails_gracefully_on_missing(tmp_path, capsys):
 
 # -- timeline & recommend subcommands -----------------------------------------
 
-def timeline_run(tmp_path, duration=2 * MS):
-    system = System(seed=3)
-    system.switch("tor")
-    system.host("server", simulator="qemu")
-    system.host("client")
-    system.link("server", "tor", 10 * GBPS, 1 * US)
-    system.link("client", "tor", 10 * GBPS, 1 * US)
-    system.app("server", lambda h: KVServerApp())
-    addr = system.addr_of("server")
-    system.app("client", lambda h: KVClientApp([addr], closed_loop_window=4))
-    exp = Instantiation(system, timeline=True).build()
-    exp.run(duration)
+def timeline_run(tmp_path):
+    exp, _, _ = traced_strict_run(tmp_path)
     path = tmp_path / "timeline.jsonl"
     exp.save("timeline", str(path))
     return exp, path
@@ -432,16 +418,7 @@ def test_views_follow_run_report_references(tmp_path, capsys):
 
     from repro.obs.flows import uninstall_flow_recorder
 
-    system = System(seed=3)
-    system.switch("tor")
-    system.host("server", simulator="qemu")
-    system.host("client")
-    system.link("server", "tor", 10 * GBPS, 1 * US)
-    system.link("client", "tor", 10 * GBPS, 1 * US)
-    system.app("server", lambda h: KVServerApp())
-    addr = system.addr_of("server")
-    system.app("client", lambda h: KVClientApp([addr], closed_loop_window=4))
-    exp = Instantiation(system, mode="strict", trace=True, flow_sample=1,
+    exp = Instantiation(kv_system(), mode="strict", trace=True, flow_sample=1,
                         timeline=True, audit=True).build()
     try:
         exp.run(1 * MS)

@@ -135,7 +135,7 @@ def test_from_topospec_moves_factories_once():
 def test_profile_flag_collects_and_analyzes():
     """The paper's workflow: add the profiling flag, run, post-process."""
     from repro.profiler.wtpg import build_wtpg
-    exp = Instantiation(kv_system(), profile=True).build()
+    exp = Instantiation(kv_system(), timeline=True).build()
     assert exp.sim.mode == "strict"
     exp.run(1 * MS)
     analysis = exp.profile_analysis(drop_head=0)
@@ -147,5 +147,5 @@ def test_profile_flag_collects_and_analyzes():
 def test_profile_analysis_requires_flag():
     exp = Instantiation(kv_system()).build()
     exp.run(1 * MS)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="timeline=True"):
         exp.profile_analysis()

@@ -1,41 +1,40 @@
 """Tests for the splitsim-profile command-line post-processor."""
 
-import pytest
-
+from repro.obs.timeline import EpochRow, save_timeline
 from repro.profiler.cli import main
-from repro.profiler.records import AdapterRecord, ProfileLog
 
 
-def write_log(path, comp="net", peer="host", n=4):
-    log = ProfileLog()
-    for i in range(n):
-        log.append(AdapterRecord(
-            comp=comp, adapter=f"{comp}.e", peer=peer,
-            tsc_ns=i * 1e9, sim_ps=i * 10**10,
-            wait_cycles=i * 100.0, work_cycles=i * 5e6))
-    log.save(path)
+def write_timeline(path, comps=(("net", "host"), ("host", "net")), n=4,
+                   dropped=0):
+    rows = [EpochRow(comp=comp, epoch=i, sim_ps=(i + 1) * 10**10,
+                     wall_s=i + 1.0, events=1, work_cycles=5e6,
+                     wait_cycles=100.0, comm_cycles=0.0, events_per_sec=1.0,
+                     edge_wait={peer: 100.0})
+            for i in range(n) for comp, peer in comps]
+    save_timeline(str(path), rows, mode="strict", until_ps=n * 10**10,
+                  dropped=dropped)
     return path
 
 
 def test_cli_prints_analysis(tmp_path, capsys):
-    path = write_log(tmp_path / "a.jsonl")
+    path = write_timeline(tmp_path / "timeline.jsonl")
     assert main([str(path)]) == 0
     out = capsys.readouterr().out
     assert "sim speed" in out
     assert "wait-time profile" in out
     assert "likely bottlenecks" in out
-
-
-def test_cli_merges_multiple_logs(tmp_path, capsys):
-    p1 = write_log(tmp_path / "a.jsonl", comp="net")
-    p2 = write_log(tmp_path / "b.jsonl", comp="host", peer="net")
-    assert main([str(p1), str(p2)]) == 0
-    out = capsys.readouterr().out
     assert "net" in out and "host" in out
+    assert "warning" not in out
+
+
+def test_cli_reads_run_directory_and_warns_on_drops(tmp_path, capsys):
+    write_timeline(tmp_path / "timeline.jsonl", dropped=3)
+    assert main([str(tmp_path)]) == 0
+    assert "warning: 3 of 11 epoch rows dropped" in capsys.readouterr().out
 
 
 def test_cli_writes_dot(tmp_path):
-    path = write_log(tmp_path / "a.jsonl")
+    path = write_timeline(tmp_path / "timeline.jsonl")
     dot = tmp_path / "g.dot"
     assert main([str(path), "--dot", str(dot)]) == 0
     assert dot.read_text().startswith("digraph wtpg")
@@ -44,9 +43,15 @@ def test_cli_writes_dot(tmp_path):
 def test_cli_missing_file_errors(tmp_path, capsys):
     assert main([str(tmp_path / "missing.jsonl")]) == 1
     assert "error reading" in capsys.readouterr().err
+    assert main([str(tmp_path)]) == 1
+    assert "has no timeline.jsonl" in capsys.readouterr().err
 
 
 def test_cli_empty_log_errors(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert main([str(empty)]) == 1
+    assert "empty timeline document" in capsys.readouterr().err
+    no_rows = write_timeline(tmp_path / "timeline.jsonl", n=0)
+    assert main([str(no_rows)]) == 1
+    assert "no epoch rows" in capsys.readouterr().err

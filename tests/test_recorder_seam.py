@@ -3,8 +3,8 @@
 A toy recorder defined *here* — not in ``repro`` — goes through all three
 runtimes unmodified, which is the point of the seam: adding a recorder
 needs no runtime edit.  Also pins the observer call protocol and that the
-in-process and multiprocess timelines and profiles come out of the same
-collector classes.
+in-process and multiprocess timelines, and the profiler's WTPG of them,
+come out of the same collector class.
 """
 
 import json
@@ -20,9 +20,7 @@ from repro.obs.timeline import TimelineCollector, load_timeline
 from repro.parallel import procrunner
 from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Observer, Simulation
-from repro.profiler.instrument import ProfileCollector
 from repro.profiler.postprocess import analyze
-from repro.profiler.records import ProfileLog
 from repro.profiler.wtpg import build_wtpg
 
 UNTIL_PS = 50 * US
@@ -165,7 +163,9 @@ def test_observer_base_class_is_a_no_op():
 
 # -- (c) one collector class for in-process and mp ----------------------------
 
-def _timeline_totals(rows):
+def _totals(rows):
+    """Per-component events, work and messages per peer, and the profiler's
+    WTPG nodes and edges."""
     out = {}
     for row in rows:
         tot = out.setdefault(row.comp, {"events": 0, "work": 0.0, "msgs": {}})
@@ -173,29 +173,13 @@ def _timeline_totals(rows):
         tot["work"] += row.work_cycles
         for peer, (msgs, _syncs) in row.edges.items():
             tot["msgs"][peer] = tot["msgs"].get(peer, 0) + msgs
-    return out
-
-
-def _profile_totals(log):
-    """WTPG nodes and edges, and each adapter's final ``tx_msgs``."""
-    graph = build_wtpg(analyze(log))
-    last = {}
-    for rec in sorted(log.records, key=lambda r: r.tsc_ns):
-        last[(rec.comp, rec.adapter)] = rec.tx_msgs
-    return set(graph.nodes), set(graph.edges), last
+    graph = build_wtpg(analyze(rows))
+    return out, set(graph.nodes), set(graph.edges)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("collector,file,totals,load", [
-    (TimelineCollector, "timeline.jsonl",
-     lambda c: _timeline_totals(c.rows),
-     lambda p: _timeline_totals(load_timeline(p).rows)),
-    (ProfileCollector, "profile.jsonl",
-     lambda c: _profile_totals(c.log),
-     lambda p: _profile_totals(ProfileLog.load(p))),
-], ids=["timeline", "profile"])
-def test_inproc_and_mp_timelines_agree(tmp_path, monkeypatch, collector,
-                                       file, totals, load):
+@pytest.mark.parametrize("collector", [TimelineCollector], ids=["timeline"])
+def test_inproc_and_mp_timelines_agree(tmp_path, monkeypatch, collector):
     monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.001)
     sim = pipeline_sim(2, "strict")
     inproc = collector()
@@ -204,19 +188,18 @@ def test_inproc_and_mp_timelines_agree(tmp_path, monkeypatch, collector,
 
     specs, channels = pipeline_specs(2)
     runner = ProcessRunner(specs, channels)
-    mp = collector(str(tmp_path / file))
+    mp = collector(str(tmp_path / "timeline.jsonl"))
     runner.recorders.append(mp)
     runner.run(UNTIL_PS, timeout_s=120)
 
     assert (inproc.mode, mp.mode) == ("strict", "mp")
-    want = totals(inproc)
-    if collector is TimelineCollector:
-        assert {c: t["events"] for c, t in want.items()} == \
-            stats.per_component_events
-    else:
-        assert want[0] == set(stats.per_component_events)
-    assert totals(mp) == want
-    assert load(mp.path) == want
+    want = _totals(inproc.rows)
+    assert {c: t["events"] for c, t in want[0].items()} == \
+        stats.per_component_events
+    assert want[1] == set(stats.per_component_events)
+    assert want[2] == {("s0", "s1"), ("s1", "s0")}
+    assert _totals(mp.rows) == want
+    assert _totals(load_timeline(mp.path).rows) == want
 
 
 # -- artifacts written by the parent commit still load, and are still written --
@@ -267,8 +250,14 @@ def test_parent_timeline_loads_and_is_reproduced(tmp_path):
 
     assert [simulated(r) for r in new.rows] == \
         [simulated(r) for r in old.rows]
-    # same keys per line, in the same order
+    # rows written before the per-edge wait existed read as none
+    assert all(r.edge_wait == {} for r in old.rows)
+    assert all(r.edge_wait for r in new.rows)
+    # same keys per line, in the same order; the per-edge wait ("w") comes
+    # after them, where the parent's reader skips it
     old_lines = (DATA / "parent_timeline.jsonl").read_text().splitlines()
     new_lines = path.read_text().splitlines()
-    assert [list(json.loads(line)) for line in new_lines] == \
-        [list(json.loads(line)) for line in old_lines]
+    assert len(new_lines) == len(old_lines)
+    for new_line, old_line in zip(new_lines, old_lines):
+        old_keys = list(json.loads(old_line))
+        assert list(json.loads(new_line)) in (old_keys, old_keys + ["w"])

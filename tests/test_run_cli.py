@@ -113,24 +113,39 @@ def test_cli_stats_json_snapshot(tmp_path):
 
 
 def test_cli_profile_out_writes_bundle(tmp_path, capsys):
+    from repro.obs.inspect import main as inspect_main
+    from repro.obs.rundir import load_timeline
     from repro.obs.trace import load_trace, validate_chrome_doc
-    from repro.profiler.records import ProfileLog
+    from repro.profiler.cli import main as profile_main
 
     path = write_config(tmp_path)
     outdir = tmp_path / "profile"
     assert main([path, "--duration", "1ms",
                  "--profile-out", str(outdir)]) == 0
-    # ProfileLog JSONL reloads with records for every component
-    log = ProfileLog.load(str(outdir / "profile.jsonl"))
-    assert log.records
-    comps = {r.comp for r in log.records}
-    assert {"net", "server.host", "server.nic"} <= comps
+    assert "wait-time profile" in capsys.readouterr().out
+    # the bundle is a run directory: its timeline has every component
+    tl = load_timeline(str(outdir))
+    assert {r.comp for r in tl.rows} == {"net", "server.host", "server.nic"}
     # WTPG DOT and the trace ride along
     dot = (outdir / "wtpg.dot").read_text()
     assert dot.startswith("digraph wtpg {")
     doc = load_trace(str(outdir / "trace.json"))
     assert validate_chrome_doc(doc) == []
-    assert "wait-time profile" in capsys.readouterr().out
+    # and every post-processor opens the directory
+    assert profile_main([str(outdir)]) == 0
+    assert inspect_main(["timeline", str(outdir)]) == 0
+    assert inspect_main(["recommend", str(outdir)]) == 0
+    assert (outdir / "partition.json").exists()
+
+
+def test_cli_profile_out_needs_in_process_run(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([write_config(tmp_path), "--control", "rundir",
+                 "--profile-out", "prof"]) == 1
+    assert "--timeline writes DIR/timeline.jsonl" in capsys.readouterr().err
+    assert not (tmp_path / "rundir").exists()
+    assert not (tmp_path / "prof").exists()
 
 
 def test_cli_missing_config_errors(tmp_path, capsys):
@@ -225,19 +240,26 @@ def build():
 @pytest.mark.slow
 def test_cli_mp_timeline_drives_the_advisor_loop(tmp_path, capsys):
     """measure -> place with a multiprocess measurement: the --control run
-    writes its timeline and ledger into the run dir, the timeline carries
-    the switch map, so ``recommend`` emits a switch assignment that
-    ``--partition-file`` applies."""
+    writes its timeline and ledger into the run dir and prints the
+    profiler's analysis of it, the timeline carries the switch map, so
+    ``recommend`` emits a switch assignment that ``--partition-file``
+    applies."""
     from repro.obs.inspect import main as inspect_main
+    from repro.obs.rundir import load_timeline
     from repro.parallel.advisor import load_partition
 
     config = write_config(tmp_path, DC_CONFIG)
     rundir = tmp_path / "runM"
     assert main([config, "--duration", "500us", "--partition", "ac",
-                 "--control", str(rundir), "--timeline", "--audit"]) == 0
+                 "--control", str(rundir), "--timeline", "--audit",
+                 "--profile"]) == 0
     report = json.loads((rundir / "run_report.json").read_text())
     assert (report["timeline"], report["audit"]) == \
         ("timeline.jsonl", "audit.jsonl")
+    out = capsys.readouterr().out
+    assert "sim speed" in out and "wait-time profile" in out
+    for comp in load_timeline(str(rundir)).components:
+        assert f"  {comp}: efficiency=" in out
 
     assert inspect_main(["recommend", str(rundir)]) == 0
     doc = load_partition(str(rundir / "partition.json"))

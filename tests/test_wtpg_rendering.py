@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.profiler.postprocess import (AdapterMetrics, ComponentMetrics,
-                                        ProfileAnalysis)
+from repro.profiler.postprocess import ComponentMetrics, ProfileAnalysis
 from repro.profiler.wtpg import (_wait_to_color, bottleneck_nodes, build_wtpg,
                                  to_dot, to_text)
 
