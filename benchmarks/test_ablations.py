@@ -20,7 +20,7 @@ from repro.kernel.simtime import MS, NS, US
 from repro.netsim.apps.bulk import BulkSender, BulkSink
 from repro.netsim.partition import assign_hosts_with_switch, instantiate_partitioned
 from repro.netsim.topology import dumbbell
-from repro.parallel.model import ParallelExecutionModel
+from repro.parallel.model import ParallelExecutionModel, WorkRecorder
 from repro.parallel.simulation import Simulation
 from repro.obs.recorder import ProbeDriver
 from repro.obs.timeline import TimelineCollector
@@ -50,11 +50,13 @@ def run_partitioned(use_trunk: bool, mode="strict", sampler=False,
         for i in range(3):
             assignment[f"snd{i}"] = "SND"
     pb = instantiate_partitioned(spec, assignment, use_trunk=use_trunk)
-    sim = Simulation(mode=mode, work_window_ps=100 * US)
+    sim = Simulation(mode=mode)
     for comp in pb.all_components():
         sim.add(comp)
     for ea, eb in pb.channels:
         sim.connect(ea, eb)
+    work = WorkRecorder(100 * US)
+    sim.observers.append(ProbeDriver(work))
     if sampler:
         sim.observers.append(ProbeDriver(TimelineCollector(), 500))
     t0 = time.perf_counter()
@@ -64,7 +66,7 @@ def run_partitioned(use_trunk: bool, mode="strict", sampler=False,
                 for end in comp.ends)
     delivered = [pb.host(f"rcv{i}").apps[0].delivered for i in range(3)]
     return dict(stats=stats, wall=wall, syncs=syncs, delivered=delivered,
-                pb=pb, sim=sim)
+                pb=pb, sim=sim, work=work)
 
 
 def test_ablation_trunk_adapter(benchmark):
@@ -94,7 +96,7 @@ def test_ablation_sync_discipline_same_partitioning(benchmark):
     sim = out["sim"]
     pb = out["pb"]
     names = [c.name for c in sim.components]
-    model = ParallelExecutionModel(sim.recorder, 6 * MS, pb.model_channels,
+    model = ParallelExecutionModel(out["work"], 6 * MS, pb.model_channels,
                                    components=names)
     split = model.run("splitsim")
     barrier = model.run("barrier")

@@ -27,7 +27,9 @@ from repro.netsim.partition import assign_hosts_with_switch, instantiate_partiti
 from repro.netsim.topology import fat_tree
 from repro.orchestration.strategies import partition_fat_tree
 from repro.parallel.costmodel import NS3_EVENT_CYCLES, OMNET_EVENT_CYCLES
-from repro.parallel.model import ParallelExecutionModel, scale_recorder
+from repro.obs.recorder import ProbeDriver
+from repro.parallel.model import (ParallelExecutionModel, WorkRecorder,
+                                  scale_recorder)
 from repro.parallel.simulation import Simulation
 
 from common import paper_scale, print_table, run_once, save_results
@@ -91,14 +93,16 @@ def run_partitioning(k_parts: int):
     traffic(spec)
     assignment = assign_hosts_with_switch(spec, partition_fat_tree(spec, k_parts))
     pb = instantiate_partitioned(spec, assignment)
-    sim = Simulation(mode="fast", work_window_ps=WORK_WINDOW)
+    sim = Simulation(mode="fast")
     for comp in pb.all_components():
         sim.add(comp)
     for ea, eb in pb.channels:
         sim.connect(ea, eb)
+    work = WorkRecorder(WORK_WINDOW)
+    sim.observers.append(ProbeDriver(work))
     sim.run(RUN)
     names = [c.name for c in sim.components]
-    return sim.recorder, pb.model_channels, names
+    return work, pb.model_channels, names
 
 
 def model_disciplines(k_parts: int):

@@ -86,7 +86,7 @@ def build_system(host_sim: str):
 def scaled_model(exp):
     """Execution model with network work scaled by BG_REPRESENTATION."""
     from repro.parallel.model import ParallelExecutionModel, scale_recorder
-    rec = scale_recorder(exp.sim.recorder, BG_REPRESENTATION,
+    rec = scale_recorder(exp.recorders["work"], BG_REPRESENTATION,
                          only=lambda name: name.startswith("net."))
     return ParallelExecutionModel(
         rec, RUN, exp.model_channels,

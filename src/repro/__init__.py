@@ -32,11 +32,12 @@ paper-figure reproduction index.
 """
 
 from .kernel.simtime import MS, NS, PS, SEC, US, fmt_time
-from .kernel.component import Component, WorkRecorder
+from .kernel.component import Component
 from .channels.channel import ChannelEnd, connect
 from .channels.trunk import TrunkEnd
 from .parallel.simulation import Simulation, SimStats
-from .parallel.model import ModelChannel, ModelResult, ParallelExecutionModel
+from .parallel.model import (ModelChannel, ModelResult,
+                             ParallelExecutionModel, WorkRecorder)
 from .parallel.costmodel import Machine, PAPER_MACHINE
 from .orchestration.system import System
 from .orchestration.instantiate import Experiment, Instantiation

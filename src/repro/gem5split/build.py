@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..kernel.simtime import NS, US
-from ..parallel.model import ModelChannel, ParallelExecutionModel
+from ..obs.recorder import ProbeDriver
+from ..parallel.model import ModelChannel, ParallelExecutionModel, WorkRecorder
 from ..parallel.simulation import Simulation
 from .core import CoreSim, MEM_CHANNEL_LATENCY_PS
 from .memory import MemorySim
@@ -38,13 +39,12 @@ class MulticoreBuild:
 
 
 def build_multicore(n_cores: int, spec: Optional[WorkloadSpec] = None,
-                    seed: int = 0, mode: str = "fast",
-                    work_window_ps: Optional[int] = 100 * NS) -> MulticoreBuild:
+                    seed: int = 0, mode: str = "fast") -> MulticoreBuild:
     """Assemble an ``n_cores``-core decomposed simulation."""
     if n_cores <= 0:
         raise ValueError("need at least one core")
     spec = spec or WorkloadSpec()
-    sim = Simulation(mode=mode, work_window_ps=work_window_ps)
+    sim = Simulation(mode=mode)
     memory = MemorySim("mem", n_cores, seed=seed)
     sim.add(memory)
     cores: List[CoreSim] = []
@@ -81,9 +81,11 @@ def measure_multicore(n_cores: int, sim_time_ps: int,
                       seed: int = 0) -> MulticoreTimes:
     """Run once, model sequential vs decomposed-parallel wall time."""
     build = build_multicore(n_cores, spec=spec, seed=seed)
+    work = WorkRecorder(100 * NS)
+    build.sim.observers.append(ProbeDriver(work))
     build.sim.run(sim_time_ps)
     model = ParallelExecutionModel(
-        build.sim.recorder, sim_time_ps, build.model_channels,
+        work, sim_time_ps, build.model_channels,
         components=[c.name for c in build.sim.components])
     names = [c.name for c in build.sim.components]
     sequential = model.run("splitsim", groups={n: "gem5" for n in names})
@@ -98,8 +100,7 @@ def measure_multicore(n_cores: int, sim_time_ps: int,
 def run_traces(n_cores: int, sim_time_ps: int, mode: str,
                seed: int = 0) -> Dict[str, list]:
     """Per-core iteration traces for the validation comparison."""
-    build = build_multicore(n_cores, seed=seed, mode=mode,
-                            work_window_ps=None)
+    build = build_multicore(n_cores, seed=seed, mode=mode)
     build.sim.run(sim_time_ps)
     return {c.name: list(c.trace) for c in build.cores}
 

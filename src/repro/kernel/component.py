@@ -22,10 +22,10 @@ report additional work via :meth:`add_work` (e.g. a host simulator charges
 cycles per simulated instruction).  The event drain keeps no work at all:
 :attr:`Component.work_cycles` is derived, ``events_processed *
 cycles_per_event`` plus the :meth:`add_work` total — equal to a running sum
-bit for bit, since every cost constant is an integer-valued float.  Work is
-accumulated per simulated-time window by a :class:`WorkRecorder` (hooked
-onto the event queue's ``trace`` by :meth:`WorkRecorder.watch`) so the
-execution model can replay the parallel schedule.
+bit for bit, since every cost constant is an integer-valued float.  The
+execution model's per-window work is recorded by a probe
+(:mod:`repro.parallel.model`) that shadows :meth:`add_work` and the end
+handlers on the instance for one run: a component knows no recorder.
 """
 
 from __future__ import annotations
@@ -39,63 +39,6 @@ from .simtime import TIME_INFINITY
 from ..channels.channel import ChannelEnd
 from ..channels.messages import Msg
 from ..obs.flows import _ACTIVE as _FLOWS
-
-
-class WorkRecorder:
-    """Accumulates modeled host cycles per (component, sim-time window)."""
-
-    def __init__(self, window_ps: int) -> None:
-        if window_ps <= 0:
-            raise ValueError("window must be positive")
-        self.window_ps = window_ps
-        #: component name -> {window index -> cycles}
-        self.work: Dict[str, Dict[int, float]] = {}
-        #: (src component, dst component) -> {window index -> messages}
-        self.msgs: Dict[tuple, Dict[int, int]] = {}
-
-    def note_work(self, comp: str, ts: int, cycles: float) -> None:
-        """Account ``cycles`` of host work at simulated time ``ts``."""
-        win = ts // self.window_ps
-        buckets = self.work.setdefault(comp, {})
-        buckets[win] = buckets.get(win, 0.0) + cycles
-
-    def note_msg(self, src: str, dst: str, ts: int) -> None:
-        """Account one cross-component message delivery."""
-        win = ts // self.window_ps
-        buckets = self.msgs.setdefault((src, dst), {})
-        buckets[win] = buckets.get(win, 0) + 1
-
-    def total_work(self, comp: str) -> float:
-        """All recorded cycles of one component."""
-        return sum(self.work.get(comp, {}).values())
-
-    def watch(self, queue: EventQueue) -> None:
-        """Note every event ``queue`` executes: its owner's
-        ``cycles_per_event`` in the window of its timestamp.
-
-        Installed as the queue's per-event ``trace`` hook, chaining the hook
-        already there (as the audit probe's hook does), so the drain pays
-        for per-window work only in runs that record it.
-        """
-        work = self.work
-        window = self.window_ps
-        prev = queue.trace
-
-        def note(owner, ts):
-            # note_work inlined, so a modeled run pays one frame per event
-            buckets = work.get(owner.name)
-            if buckets is None:
-                buckets = work[owner.name] = {}
-            win = ts // window
-            buckets[win] = buckets.get(win, 0.0) + owner.cycles_per_event
-
-        if prev is None:
-            queue.trace = note
-        else:
-            def chained(owner, ts):
-                note(owner, ts)
-                prev(owner, ts)
-            queue.trace = chained
 
 
 #: Sort key for one poll round's deliveries: (stamp, send time, send order).
@@ -123,7 +66,6 @@ class Component:
         self.events_processed = 0
         #: :meth:`add_work` total (the per-event part of the work is derived)
         self._extra_work = 0.0
-        self.recorder: Optional[WorkRecorder] = None
         self._started = False
         #: input horizon and the ends limiting it, as of the last poll
         self._horizon = TIME_INFINITY
@@ -201,8 +143,6 @@ class Component:
     def add_work(self, cycles: float) -> None:
         """Report extra modeled host cycles for the current event."""
         self._extra_work += cycles
-        if self.recorder is not None:
-            self.recorder.note_work(self.name, self.now, cycles)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -353,20 +293,12 @@ class Component:
             self.handle_message(end, msg)
         else:
             handler(msg)
-        if self.recorder is not None and end.peer_comp_name:
-            self.recorder.note_msg(end.peer_comp_name, self.name, self.now)
 
     def handle_message(self, end: ChannelEnd, msg: Msg) -> None:
         """Fallback message handler; override or register per-end handlers."""
         raise NotImplementedError(
             f"{self.name}: no handler for {type(msg).__name__} on end {end.name}"
         )
-
-    # -- introspection ------------------------------------------------------
-
-    def pending_events(self) -> int:
-        """Number of live events in this component's queue."""
-        return len(self.queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} now={self.now}>"

@@ -17,9 +17,9 @@ Hot-path design (this loop bounds overall simulator throughput):
   over dead heap entries and does the only per-event bookkeeping of
   :class:`~repro.kernel.component.Component` inline: the owner's clock and
   event count.  Modeled work is derived from the count
-  (``Component.work_cycles``); per-window work reaches a ``WorkRecorder``
-  through the :attr:`EventQueue.trace` hook, installed only when a run
-  records it.
+  (``Component.work_cycles``); per-window work reaches the execution
+  model's work probe through the :attr:`EventQueue.trace` hook, installed
+  only when a run records it.
 * :meth:`EventQueue.schedule_after` is what ``Component.call_after`` is
   bound to (a per-instance ``functools.partial``), so scheduling relative
   to now costs one Python frame.  It draws the same ``seq`` at the same
@@ -328,7 +328,7 @@ class EventQueue:
         coordinator and :meth:`Component.advance` guarantee this); ownerless
         events are executed without accounting.  Modeled work is not kept
         here: ``Component.work_cycles`` is derived from the event count, and
-        a ``WorkRecorder`` that wants per-window work hooks :attr:`trace`.
+        a probe that wants per-window work hooks :attr:`trace`.
         """
         # nothing due: leave the heap as it is (dead heads are still
         # recycled, a postponed one re-keyed), so an idle drain costs no

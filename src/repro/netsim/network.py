@@ -146,13 +146,6 @@ class NetworkSim(Component):
             EthMsg(packet=pkt, flow=pkt.flow), self.now))
         self.attach_end(end, lambda msg: att.inject(msg.packet))
 
-    def bind_external_to_trunk_port(self, label: str, trunk_port) -> None:
-        """Bind an external attachment to one sub-link of a trunk channel."""
-        att = self.externals[label]
-        att.bind_send(lambda pkt: trunk_port.send(
-            EthMsg(packet=pkt, flow=pkt.flow), self.now))
-        trunk_port.on_receive(lambda msg: att.inject(msg.packet))
-
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:

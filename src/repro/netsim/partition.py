@@ -17,7 +17,7 @@ so a partitioned simulation delivers packets along identical paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..channels.channel import ChannelEnd
 from ..channels.trunk import TrunkEnd
@@ -87,9 +87,6 @@ def instantiate_partitioned(spec: TopoSpec, assignment: Dict[str, str],
     port_map: Dict[Tuple[str, str], object] = {}
     #: (part_a, part_b) -> list of cut links, a-side in part_a
     cuts: Dict[Tuple[str, str], List[LinkSpec]] = {}
-
-    def part_of(node: str) -> Optional[str]:
-        return assignment.get(node)
 
     for ls in spec.links:
         ext_a = ls.a in spec.hosts and spec.hosts[ls.a].external

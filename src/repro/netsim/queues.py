@@ -96,15 +96,6 @@ class DropTailQueue:
         """The head packet without removing it."""
         return self._q[0] if self._q else None
 
-    def iter_queued(self):
-        """Iterate the queued packets head-first without removing them.
-
-        Used by the batched link drain to compute the full serialization
-        schedule of a busy run in one pass.  The caller must not enqueue
-        or dequeue while iterating.
-        """
-        return iter(self._q)
-
 
 class RedQueue(DropTailQueue):
     """Random Early Detection on the EWMA queue depth (Floyd/Jacobson).

@@ -120,8 +120,8 @@ class AuditRow:
 def _owner_hook(prev):
     """A ``queue.trace`` hook appending each executed timestamp to its
     owner's probe buffer (``hook.appends[owner]``), then chaining ``prev``
-    — so a hook installed before it (``WorkRecorder.watch``) keeps
-    working with auditing on.  By-owner dispatch serves private (strict,
+    — so a hook installed before it (the work probe's) keeps working with
+    auditing on.  By-owner dispatch serves private (strict,
     mp) and shared (fast) queues alike."""
     appends: Dict[object, object] = {}
     if prev is None:

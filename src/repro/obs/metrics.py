@@ -268,28 +268,6 @@ def _fill_transport(reg: MetricsRegistry, base: str,
             reg.counter(f"{base}.{key}").value = float(wire[key])
 
 
-def collect_mp_transport(results,
-                         registry: Optional[MetricsRegistry] = None
-                         ) -> MetricsRegistry:
-    """Registry over a multiprocess run's per-component transport counters.
-
-    ``results`` is the ``{name: ProcResult}`` mapping returned by
-    :class:`~repro.parallel.procrunner.ProcessRunner`.  Exposes the shm
-    fast-path health numbers — frames per cursor publish, bytes moved, and
-    how often the wire codec fell back to pickle — under
-    ``transport.<component>.*``.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    for name, res in sorted(results.items()):
-        transport = getattr(res, "transport", None) or {}
-        base = f"{names.TRANSPORT_PREFIX}.{name}"
-        _fill_transport(reg, base, transport)
-        if res.wall_seconds > 0 and "bytes_out" in transport:
-            reg.gauge(names.transport(name, "bytes_per_sec")).set(
-                transport["bytes_out"] / res.wall_seconds)
-    return reg
-
-
 def collect_live_children(payloads: Dict[str, dict],
                           registry: Optional[MetricsRegistry] = None
                           ) -> MetricsRegistry:
@@ -299,8 +277,7 @@ def collect_live_children(payloads: Dict[str, dict],
     ``commit_ps``, ``events``, ``work_cycles``, per-end counter dicts
     under ``ends``, and optionally ``transport``.  Mirrors the
     :func:`collect_simulation` namespace (``component.*``, ``channel.*``)
-    plus :func:`collect_mp_transport`'s ``transport.*``, so one consumer
-    reads post-hoc and live snapshots identically.
+    plus the children's shm-transport counters under ``transport.*``.
     """
     reg = registry if registry is not None else MetricsRegistry()
     for name, p in sorted(payloads.items()):

@@ -90,19 +90,9 @@ def netsim_fluid(net: str, key: str) -> str:
     return f"{NETSIM_PREFIX}.{net}.fluid.{key}"
 
 
-def netsim_link(net: str, label: str, key: str) -> str:
-    """``netsim.<net>.link.<label>.<key>``"""
-    return f"{NETSIM_PREFIX}.{net}.link.{label}.{key}"
-
-
 def netsim_ext(net: str, label: str, key: str) -> str:
     """``netsim.<net>.ext.<label>.<key>``"""
     return f"{NETSIM_PREFIX}.{net}.ext.{label}.{key}"
-
-
-def transport(comp: str, key: str) -> str:
-    """``transport.<comp>.<key>``"""
-    return f"{TRANSPORT_PREFIX}.{comp}.{key}"
 
 
 def run(key: str) -> str:

@@ -186,8 +186,8 @@ class JsonlDoc:
         if not lines:
             raise ValueError(f"{path}: empty {self.noun} document")
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+            header = _object(json.loads(lines[0]))
+        except (json.JSONDecodeError, TypeError) as exc:
             raise ValueError(
                 f"{path}: bad {self.noun} header: {exc}") from None
         if header.get("kind") != self.kind:
@@ -199,7 +199,7 @@ class JsonlDoc:
         rows = []
         for lineno, line in enumerate(lines[1:], start=2):
             try:
-                row = parse(header, json.loads(line))
+                row = parse(header, _object(json.loads(line)))
             except (json.JSONDecodeError, KeyError, IndexError, TypeError,
                     ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: corrupt {self.noun} "
@@ -207,6 +207,12 @@ class JsonlDoc:
             if row is not None:
                 rows.append(row)
         return header, rows
+
+
+def _object(doc):  # every line of a document is a JSON object
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 class LoadedDoc:

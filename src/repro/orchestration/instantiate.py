@@ -31,7 +31,8 @@ from ..netsim.partition import (PartitionedBuild, assign_hosts_with_switch,
 from ..netsim.ptp_tc import install_transparent_clocks
 from ..netsim.topology import NetBuild, instantiate as build_single
 from ..nicsim.i40e import I40eNic
-from ..parallel.model import ModelChannel, ParallelExecutionModel
+from ..parallel.model import (ModelChannel, ParallelExecutionModel,
+                              WorkRecorder)
 from ..parallel.procrunner import ProcChannel, ProcessRunner, ProcSpec
 from ..parallel.simulation import SimStats, Simulation
 from .system import System
@@ -69,8 +70,8 @@ class Experiment:
         self.hosts = hosts
         self.nics = nics
         self.model_channels = model_channels
-        #: attached recorders by name (``"trace"``, ``"timeline"``,
-        #: ``"audit"``); see :meth:`observe`
+        #: attached recorders by name (``"trace"``, ``"work"``,
+        #: ``"timeline"``, ``"audit"``); see :meth:`observe`
         self.recorders: Dict[str, object] = {}
         #: set by the one run (:meth:`run` or :meth:`run_mp`) it gets
         self.ran = False
@@ -115,7 +116,8 @@ class Experiment:
 
         A recorder has a ``name`` and ``save(path)``.  It is either a run
         observer itself (:class:`~repro.obs.install.TraceRecorder`) or a
-        collector (:class:`~repro.obs.timeline.TimelineCollector`,
+        collector (:class:`~repro.parallel.model.WorkRecorder`,
+        :class:`~repro.obs.timeline.TimelineCollector`,
         :class:`~repro.obs.audit.AuditCollector`) whose per-component
         probes a :class:`~repro.obs.recorder.ProbeDriver` beats every
         ``interval_rounds`` strict sync rounds — or, under :meth:`run_mp`,
@@ -208,11 +210,11 @@ class Experiment:
         an experiment runs once, here or in process.  Returns the
         per-process results of :class:`~repro.parallel.procrunner`.
 
-        The children run this experiment's own collectors (timeline,
-        audit: whatever ``Instantiation`` or :meth:`observe`
-        attached), so :meth:`save` afterwards writes what this run
-        collected, and a collector given a ``path`` is saved there and
-        referenced from the run report.  The keywords (``progress``,
+        The children run this experiment's own collectors (work,
+        timeline, audit: whatever ``Instantiation`` or :meth:`observe`
+        attached), so :meth:`save` and :meth:`execution_model` afterwards
+        read what this run collected, and a collector given a ``path`` is
+        saved there and referenced from the run report.  The keywords (``progress``,
         ``report_path``, ``trace_dir``, ``control_dir``) are where the run
         is deployed and reported: options of
         :meth:`ProcessRunner.run <repro.parallel.procrunner.ProcessRunner.run>`.
@@ -229,11 +231,13 @@ class Experiment:
         return runner.run(duration_ps, timeout_s=timeout_s, **run_options)
 
     def execution_model(self, sim_time_ps: int) -> ParallelExecutionModel:
-        """Virtual-time model over this experiment's recorded workload."""
-        if self.sim.recorder is None:
+        """Virtual-time model over the work :meth:`run` or :meth:`run_mp`
+        recorded."""
+        work = self.recorders.get("work")
+        if work is None:
             raise RuntimeError("build the instantiation with work_window_ps")
         return ParallelExecutionModel(
-            self.sim.recorder, sim_time_ps, self.model_channels,
+            work, sim_time_ps, self.model_channels,
             components=[c.name for c in self.sim.components],
             baselines={c.name: getattr(c, "baseline_cycles_per_ps", 0.0)
                        for c in self.sim.components})
@@ -252,6 +256,7 @@ class Instantiation:
     #: or a callable (TopoSpec) -> switch-level assignment.
     network_partition: Optional[Union[Dict[str, str], Callable]] = None
     use_trunk: bool = True
+    #: Record the execution model's input at this window granularity.
     work_window_ps: Optional[int] = None
     eth_latency_ps: int = DEFAULT_ETH_LATENCY_PS
     pci_latency_ps: int = DEFAULT_PCI_LATENCY_PS
@@ -294,7 +299,7 @@ class Instantiation:
         system = self.system
         spec = system.spec
         mode = "strict" if self.timeline else self.mode
-        sim = Simulation(mode=mode, work_window_ps=self.work_window_ps)
+        sim = Simulation(mode=mode)
         model_channels: List[ModelChannel] = []
 
         network_partition = self.network_partition
@@ -394,6 +399,8 @@ class Instantiation:
                 trace.trace_flows(self.flow_sample)
             trace.phase("build", 0.0, {"components": len(sim.components),
                                        "channels": len(sim.channels)})
+        if self.work_window_ps is not None:
+            exp.observe(WorkRecorder(self.work_window_ps))
         if self.timeline:
             from ..obs.timeline import TimelineCollector
             exp.observe(

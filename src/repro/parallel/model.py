@@ -28,11 +28,135 @@ total work divided by the core count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..kernel.component import WorkRecorder
 from ..kernel.simtime import SEC
+from ..obs.recorder import Collector
 from .costmodel import CommCosts, Machine, PAPER_MACHINE, barrier_cost_cycles
+
+
+class WorkRecorder(Collector):
+    """The model's input, the recorder-seam collector ``"work"``: modeled
+    host cycles per (component, sim-time window) and message deliveries
+    per (src, dst component, window).  Its probes beat nothing and ship
+    their buckets as results; it writes no artifact."""
+
+    name = "work"
+
+    def __init__(self, window_ps: int) -> None:
+        if window_ps <= 0:
+            raise ValueError("window must be positive")
+        super().__init__()
+        self.window_ps = window_ps
+        #: component name -> {window index -> cycles}
+        self.work: Dict[str, Dict[int, float]] = {}
+        #: (src component, dst component) -> {window index -> messages}
+        self.msgs: Dict[tuple, Dict[int, int]] = {}
+
+    def probe(self, comp) -> "_WorkProbe":
+        return _WorkProbe(comp, self)
+
+    def note_result(self, comp: str, payload) -> None:
+        """One component's buckets: ``(work, {src: msgs})``."""
+        work, msgs = payload or ({}, {})
+        if work:
+            self.work[comp] = work
+        self.msgs.update(((src, comp), n) for src, n in msgs.items())
+
+    def note_work(self, comp: str, ts: int, cycles: float) -> None:
+        """Account ``cycles`` of host work at simulated time ``ts``."""
+        win = ts // self.window_ps
+        buckets = self.work.setdefault(comp, {})
+        buckets[win] = buckets.get(win, 0.0) + cycles
+
+    def note_msg(self, src: str, dst: str, ts: int) -> None:
+        """Account one cross-component message delivery."""
+        win = ts // self.window_ps
+        buckets = self.msgs.setdefault((src, dst), {})
+        buckets[win] = buckets.get(win, 0) + 1
+
+    def total_work(self, comp: str) -> float:
+        """All recorded cycles of one component."""
+        return sum(self.work.get(comp, {}).values())
+
+
+def _work_hook(collector: WorkRecorder, prev):
+    """A ``queue.trace`` hook adding the owner's ``cycles_per_event`` to the
+    event's window in ``hook.owners[owner]``, then calling ``prev``: one
+    frame and no allocation per event, for every owner of the queue."""
+    owners: Dict[object, Dict[int, float]] = {}
+    window = collector.window_ps
+
+    def hook(owner, ts):
+        buckets = owners[owner]
+        win = ts // window
+        buckets[win] = buckets.get(win, 0.0) + owner.cycles_per_event
+        if prev is not None:
+            prev(owner, ts)
+    hook.owners, hook.collector, hook.prev = owners, collector, prev
+    return hook
+
+
+class _WorkProbe:
+    """One component's per-window work and received messages, through
+    three sinks installed for the run and removed by :meth:`result`: the
+    collector's hook on the component's queue, ``add_work`` shadowed on the
+    instance, and a counting wrapper around each wired end's handler (both
+    charge the window of ``comp.now``)."""
+
+    name = "work"
+
+    def __init__(self, comp, collector: WorkRecorder) -> None:
+        self.comp = comp
+        self.work: Dict[int, float] = {}
+        #: peer component -> {window index -> deliveries}
+        self.msgs: Dict[str, Dict[int, int]] = {}
+        work, window = self.work, collector.window_ps
+        hook = comp.queue.trace
+        if getattr(hook, "collector", None) is not collector:
+            hook = comp.queue.trace = _work_hook(collector, hook)
+        hook.owners[comp] = work
+        self._hooked = comp.queue, hook
+        inner = comp.add_work
+
+        def add_work(cycles):
+            inner(cycles)
+            win = comp.now // window
+            work[win] = work.get(win, 0.0) + cycles
+
+        def counted(handler, buckets):
+            def deliver(msg):
+                win = comp.now // window
+                buckets[win] = buckets.get(win, 0) + 1
+                handler(msg)
+            return deliver
+
+        self._saved = vars(comp).get("add_work"), comp._handlers
+        comp.add_work = add_work
+        comp._handlers = handlers = dict(comp._handlers)
+        for end in comp.ends:
+            if end.peer_comp_name:
+                handler = handlers.get(id(end)) or \
+                    partial(comp.handle_message, end)
+                handlers[id(end)] = counted(
+                    handler, self.msgs.setdefault(end.peer_comp_name, {}))
+
+    def beat(self, commit_ps: int) -> None:
+        return None
+
+    def result(self) -> tuple:
+        """Remove the three sinks; ship ``(work, {peer: msgs})``."""
+        queue, hook = self._hooked
+        if queue.trace is hook:  # a shared queue's first result unhooks
+            queue.trace = hook.prev
+        comp = self.comp
+        add_work, comp._handlers = self._saved
+        if add_work is None:
+            del comp.add_work
+        else:
+            comp.add_work = add_work
+        return self.work, {peer: n for peer, n in self.msgs.items() if n}
 
 
 @dataclass(frozen=True)
@@ -52,11 +176,6 @@ class ComponentModelStats:
     comm_cycles: float = 0.0
     wait_cycles: float = 0.0
     finish_cycles: float = 0.0
-
-    @property
-    def busy_cycles(self) -> float:
-        """Cycles doing anything at all (work plus communication)."""
-        return self.work_cycles + self.comm_cycles
 
     @property
     def efficiency(self) -> float:
@@ -283,14 +402,6 @@ class ParallelExecutionModel:
         )
 
 
-def sequential_makespan(recorder: WorkRecorder, names: Optional[Iterable[str]] = None,
-                        machine: Machine = PAPER_MACHINE) -> float:
-    """Wall seconds if all recorded work ran in a single process."""
-    names = list(names) if names is not None else list(recorder.work)
-    total = sum(recorder.total_work(n) for n in names)
-    return machine.cycles_to_seconds(total)
-
-
 def scale_recorder(recorder: WorkRecorder, factor: float,
                    only=None) -> WorkRecorder:
     """A copy of ``recorder`` with work scaled by ``factor``.
@@ -302,7 +413,6 @@ def scale_recorder(recorder: WorkRecorder, factor: float,
     components for which ``only(name)`` is true.
     """
     out = WorkRecorder(recorder.window_ps)
-    out.work = {}
     for comp, buckets in recorder.work.items():
         f = factor if (only is None or only(comp)) else 1.0
         out.work[comp] = {w: cyc * f for w, cyc in buckets.items()}

@@ -327,7 +327,7 @@ def _child_main(spec: ProcSpec,
                     break
         if beating:
             pump.flush(commit)
-        for probe in probes:
+        for probe in reversed(probes):  # what they installed unwinds
             payload = probe.result()
             if payload is not None:
                 result.extras[probe.name] = payload

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..channels.channel import ChannelEnd, FifoQueue, connect
-from ..kernel.component import Component, WorkRecorder
+from ..kernel.component import Component
 from ..kernel.events import EventQueue
 from ..kernel.simtime import TIME_INFINITY, US
 
@@ -45,9 +45,10 @@ class Observer:
     :meth:`start` once after wiring, :meth:`on_round` after every
     ``every``-th strict sync round and after the last one (``done`` is true
     exactly once, on the last) — never in fast mode, which has no rounds —
-    and :meth:`finish` once after the run.  Each observer owns its cadence;
-    the runtime does not know which recorders exist (see
-    :mod:`repro.obs.recorder`).
+    and :meth:`finish` once after the run, last started first, so what
+    observers install on the components unwinds like a stack.  Each
+    observer owns its cadence; the runtime does not know which recorders
+    exist (see :mod:`repro.obs.recorder`).
     """
 
     #: rounds between :meth:`on_round` calls (the coordinator does the
@@ -131,16 +132,9 @@ class Simulation:
     ----------
     mode:
         ``"fast"`` or ``"strict"`` (see module docstring).
-    work_window_ps:
-        When set, a :class:`WorkRecorder` with this window granularity is
-        attached to every component and hooked onto their event queues
-        (:meth:`WorkRecorder.watch`); required input for the virtual-time
-        parallel execution model.  Unset, the drain does no work
-        bookkeeping at all.
     """
 
-    def __init__(self, mode: str = "fast",
-                 work_window_ps: Optional[int] = None) -> None:
+    def __init__(self, mode: str = "fast") -> None:
         if mode not in ("fast", "strict"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -148,9 +142,6 @@ class Simulation:
         #: component name -> position in ``components``
         self._index: Dict[str, int] = {}
         self.channels: List[Tuple[ChannelEnd, ChannelEnd]] = []
-        self.recorder: Optional[WorkRecorder] = None
-        if work_window_ps is not None:
-            self.recorder = WorkRecorder(work_window_ps)
         #: run observers (:class:`Observer`), driven in list order
         self.observers: List[Observer] = []
         self._wired = False
@@ -203,11 +194,6 @@ class Simulation:
                 connect(end_a, end_b, FifoQueue)
                 end_a.peer_comp_name = end_b.owner.name
                 end_b.peer_comp_name = end_a.owner.name
-        if self.recorder is not None:
-            for c in self.components:
-                c.recorder = self.recorder
-            for queue in {id(c.queue): c.queue for c in self.components}.values():
-                self.recorder.watch(queue)
 
     def run(self, until_ps: int) -> SimStats:
         """Run the simulation to ``until_ps`` and return run statistics."""
@@ -263,7 +249,7 @@ class Simulation:
         for c in self.components:
             if c.now < until_ps:
                 c.now = until_ps
-        for o in observers:
+        for o in reversed(observers):
             o.finish()
         return steps
 
@@ -297,7 +283,7 @@ class Simulation:
                 if done or not rounds % o.every:
                     o.on_round(rounds, done)
             if done:
-                for o in observers:
+                for o in reversed(observers):
                     o.finish()
                 return rounds
             if not progressed:

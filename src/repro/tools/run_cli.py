@@ -165,12 +165,20 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
                   "exclusive", file=sys.stderr)
             return 1
         inst_kwargs["partition_file"] = args.partition_file
+    if args.control:  # an mp run writes into the run directory instead
+        for flag, value, hint in (
+                ("--profile-out", args.profile_out, "--timeline writes "
+                 "DIR/timeline.jsonl for splitsim-profile"),
+                ("--json", args.json, "per-component outputs are in "
+                 "DIR/run_report.json"),
+                ("--stats-json", args.stats_json, "transport counters are "
+                 "in DIR/run_report.json"),
+                ("--trace", args.trace, "the trace is DIR/traces/trace.json")):
+            if value:
+                print(f"error: {flag} is for in-process runs; with "
+                      f"--control, {hint}", file=sys.stderr)
+                return 1
     if args.profile_out:
-        if args.control:
-            print("error: --profile-out is for in-process runs; with "
-                  "--control, --timeline writes DIR/timeline.jsonl for "
-                  "splitsim-profile", file=sys.stderr)
-            return 1
         args.profile = True
     if args.profile or args.timeline is not None:
         inst_kwargs["timeline"] = True

@@ -4,8 +4,9 @@ import pytest
 
 from repro.channels.channel import ChannelEnd, connect
 from repro.channels.messages import RawMsg
-from repro.kernel.component import Component, WorkRecorder
+from repro.kernel.component import Component
 from repro.kernel.simtime import NS, TIME_INFINITY, US
+from repro.parallel.model import WorkRecorder
 
 
 def test_schedule_into_past_rejected():
@@ -126,16 +127,17 @@ def test_work_recorder_rejects_bad_window():
 
 
 def test_component_records_event_work():
-    # per-event work reaches the recorder through the queue hook ``watch``
-    # installs (Simulation does this when given work_window_ps); add_work
-    # goes to it directly; work_cycles is derived from both
+    # per-event work reaches the work probe through its queue hook, and
+    # add_work through the probe's shadow on the instance; work_cycles is
+    # derived from both, and the component itself knows no recorder
     rec = WorkRecorder(window_ps=1000)
     c = Component("c")
-    c.recorder = rec
-    rec.watch(c.queue)
+    probe = rec.probe(c)
     c.cycles_per_event = 7.0
     c.call_after(10, lambda: None)
-    c.call_after(20, c.add_work, 3.0)
+    c.call_after(20, lambda: c.add_work(3.0))
     c.advance(100)
-    assert rec.total_work("c") == pytest.approx(2 * 7.0 + 3.0)
+    rec.note_result("c", probe.result())
+    assert rec.work == {"c": {0: 2 * 7.0 + 3.0}}
     assert c.work_cycles == pytest.approx(17.0)
+    assert c.queue.trace is None and "add_work" not in vars(c)

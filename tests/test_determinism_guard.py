@@ -130,7 +130,8 @@ def test_strict_mode_timeline_unchanged_with_timeline():
 def test_timeline_unchanged_with_work_window(mode):
     exp = audited(mode, work_window_ps=10 * US)
     assert_golden(exp)
-    # the work recorder's hook, chained under the audit hook, still sees
-    # every event
+    # the work probe's hook, chained with the audit hook, still sees every
+    # event
+    work = exp.recorders["work"]
     for c in exp.sim.components:
-        assert exp.sim.recorder.total_work(c.name) == c.work_cycles, c.name
+        assert work.total_work(c.name) == c.work_cycles, c.name

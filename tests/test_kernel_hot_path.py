@@ -8,7 +8,7 @@ tests pin that neither moves an event or a cycle:
   delay)`` would, also across the fast-mode queue swap;
 * handles taken before the run still control their events in fast mode
   (the swap moves events instead of copying them);
-* ``work_cycles`` and the ``WorkRecorder`` windows equal the running sums
+* ``work_cycles`` and the work collector's windows equal the running sums
   the drain used to keep, event by event, on two fixed systems;
 * a protocol host's delayed receive path follows the swap too.
 """
@@ -179,7 +179,7 @@ def test_derived_work_equals_the_running_sum(name, monkeypatch):
     # exact equality: every cost constant is an integer-valued float
     assert stats.per_component_work == {
         c.name: ref.total.get(c.name, 0.0) for c in comps}
-    assert exp.sim.recorder.work == ref.windows
+    assert exp.recorders["work"].work == ref.windows
     # the qemu hosts report extra work: the derived value is not just a count
     assert any(c.work_cycles != c.events_processed * c.cycles_per_event
                for c in comps)

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.kernel.component import WorkRecorder
 from repro.kernel.simtime import NS, US
 from repro.parallel.costmodel import CommCosts, Machine, barrier_cost_cycles
 from repro.parallel.model import (ModelChannel, ParallelExecutionModel,
-                                  scale_recorder, sequential_makespan)
+                                  WorkRecorder, scale_recorder)
 
 SIM_TIME = 100 * US
 WINDOW = 1 * US
@@ -132,9 +131,12 @@ def test_sim_speed_and_core_seconds():
 
 
 def test_sequential_makespan_sums_work():
+    # one process for every component: the work serializes
     rec = uniform_recorder(["a", "b"], 1_000, n_windows=10)
-    total = sequential_makespan(rec)
-    assert total == pytest.approx(2 * 10 * 1_000 / 2.4e9)
+    model = ParallelExecutionModel(rec, 10 * WINDOW,
+                                   chain_channels(["a", "b"]))
+    res = model.run("splitsim", groups={"a": "seq", "b": "seq"})
+    assert res.wall_seconds == pytest.approx(2 * 10 * 1_000 / 2.4e9)
 
 
 def test_scale_recorder():

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.kernel.component import WorkRecorder
 from repro.kernel.simtime import MS, US
 from repro.parallel.costmodel import (GEM5_BASELINE_CYCLES_PER_PS,
                                       QEMU_BASELINE_CYCLES_PER_PS, Machine)
-from repro.parallel.model import ModelChannel, ParallelExecutionModel
+from repro.parallel.model import (ModelChannel, ParallelExecutionModel,
+                                  WorkRecorder)
 
 SIM = 1 * MS
 WINDOW = 10 * US

@@ -161,21 +161,20 @@ def test_experiment_metrics_convenience():
     assert reg.value("run.sim_ps") == float(1 * MS)
 
 
-def test_collect_mp_transport_counters():
-    from repro.obs.metrics import collect_mp_transport
-    from repro.parallel.procrunner import ProcResult
+def test_collect_live_children_maps_transport_counters():
+    from repro.obs.metrics import collect_live_children
 
-    res = ProcResult(name="nic", wall_seconds=2.0)
-    res.transport = {
+    transport = {
         "frames_out": 100, "batches_out": 10, "bytes_out": 5000,
         "frames_in": 90, "batches_in": 9, "bytes_in": 4500,
         "frames_per_batch": 10.0,
         "wire": {"msg_pickle_fallbacks": 3, "payload_pickles": 7},
     }
-    reg = collect_mp_transport({"nic": res})
+    reg = collect_live_children({"nic": {"events": 4,
+                                         "transport": transport}})
+    assert reg.value("component.nic.events") == 4.0
     assert reg.value("transport.nic.frames_out") == 100.0
     assert reg.value("transport.nic.frames_per_batch") == 10.0
-    assert reg.value("transport.nic.bytes_per_sec") == 2500.0
     assert reg.value("transport.nic.msg_pickle_fallbacks") == 3.0
     assert reg.value("transport.nic.payload_pickles") == 7.0
 

@@ -111,7 +111,7 @@ def test_partitioned_instantiation():
 
 def test_execution_model_requires_recorder():
     exp = Instantiation(kv_system()).build()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="work_window_ps"):
         exp.execution_model(1 * MS)
 
 

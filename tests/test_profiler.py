@@ -7,9 +7,10 @@ import pytest
 
 from repro.bench.mp import RingForwarder
 from repro.channels.channel import ChannelEnd
-from repro.kernel.component import Component, WorkRecorder
+from repro.kernel.component import Component
 from repro.kernel.simtime import NS, SEC, US
-from repro.parallel.model import ModelChannel, ParallelExecutionModel
+from repro.parallel.model import (ModelChannel, ParallelExecutionModel,
+                                  WorkRecorder)
 from repro.obs.recorder import ProbeDriver
 from repro.obs.timeline import (EpochRow, EpochTracker, TimelineCollector,
                                 load_timeline, save_timeline)

@@ -8,6 +8,7 @@ come out of the same collector class.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from repro.obs.audit import AuditCollector, load_audit
 from repro.obs.recorder import ProbeDriver
 from repro.obs.timeline import TimelineCollector, load_timeline
 from repro.parallel import procrunner
+from repro.parallel.model import WorkRecorder
 from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Observer, Simulation
 from repro.profiler.postprocess import analyze
@@ -177,29 +179,49 @@ def _totals(rows):
     return out, set(graph.nodes), set(graph.edges)
 
 
+def _timeline_view(timeline, stats):
+    view = _totals(timeline.rows)
+    assert {c: t["events"] for c, t in view[0].items()} == \
+        stats.per_component_events
+    assert view[1] == set(stats.per_component_events)
+    assert view[2] == {("s0", "s1"), ("s1", "s0")}
+    if timeline.path is not None:
+        assert _totals(load_timeline(timeline.path).rows) == view
+    return view
+
+
+def _work_view(work, stats):
+    assert {c: work.total_work(c) for c in work.work} == \
+        stats.per_component_work
+    assert set(work.msgs) == {("s0", "s1"), ("s1", "s0")}
+    return work.work, work.msgs
+
+
+#: name -> (collector for an artifact path, its comparable view)
+AGREEING = {
+    "timeline": (TimelineCollector, _timeline_view),
+    "work": (lambda path=None: WorkRecorder(AUDIT_WINDOW_PS), _work_view),
+}
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("collector", [TimelineCollector], ids=["timeline"])
-def test_inproc_and_mp_timelines_agree(tmp_path, monkeypatch, collector):
+@pytest.mark.parametrize("name", sorted(AGREEING))
+def test_inproc_and_mp_timelines_agree(tmp_path, monkeypatch, name):
+    make, view = AGREEING[name]
     monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.001)
     sim = pipeline_sim(2, "strict")
-    inproc = collector()
+    inproc = make()
     sim.observers.append(ProbeDriver(inproc, interval_rounds=16))
     stats = sim.run(UNTIL_PS)
 
     specs, channels = pipeline_specs(2)
     runner = ProcessRunner(specs, channels)
-    mp = collector(str(tmp_path / "timeline.jsonl"))
+    mp = make(str(tmp_path / f"{name}.jsonl"))
     runner.recorders.append(mp)
     runner.run(UNTIL_PS, timeout_s=120)
 
     assert (inproc.mode, mp.mode) == ("strict", "mp")
-    want = _totals(inproc.rows)
-    assert {c: t["events"] for c, t in want[0].items()} == \
-        stats.per_component_events
-    assert want[1] == set(stats.per_component_events)
-    assert want[2] == {("s0", "s1"), ("s1", "s0")}
-    assert _totals(mp.rows) == want
-    assert _totals(load_timeline(mp.path).rows) == want
+    assert view(mp, stats) == view(inproc, stats)
 
 
 # -- artifacts written by the parent commit still load, and are still written --
@@ -261,3 +283,51 @@ def test_parent_timeline_loads_and_is_reproduced(tmp_path):
     for new_line, old_line in zip(new_lines, old_lines):
         old_keys = list(json.loads(old_line))
         assert list(json.loads(new_line)) in (old_keys, old_keys + ["w"])
+
+
+# -- the shared JSONL reader: every line must be a JSON object ---------------
+
+def _inspect_timeline(path):
+    from repro.obs.inspect import main
+    return main(["timeline", path])
+
+
+def _profile(path):
+    from repro.profiler.cli import main
+    return main([path])
+
+
+def _inspect_diff(path):
+    from repro.obs.inspect import main
+    return main(["diff", path, path])
+
+
+#: noun -> (loader, the parent's document, the CLIs that open one with
+#: their exit status for a broken input: ``diff``'s is "not comparable")
+DOCS = {
+    "timeline": (load_timeline, "parent_timeline.jsonl",
+                 ((_inspect_timeline, 1), (_profile, 1))),
+    "audit": (load_audit, "parent_audit.jsonl", ((_inspect_diff, 2),)),
+}
+
+
+@pytest.mark.parametrize("noun", sorted(DOCS))
+@pytest.mark.parametrize("lines,error", [
+    (['[1, 2]'], "{path}: bad {noun} header"),
+    (['"a string"'], "{path}: bad {noun} header"),
+    ([None, '[1]'], "{path}:2: corrupt {noun} row"),
+    ([None, '"row"'], "{path}:2: corrupt {noun} row"),
+], ids=["list-header", "string-header", "list-row", "string-row"])
+def test_a_line_that_is_not_an_object_is_a_clean_error(tmp_path, capsys,
+                                                       noun, lines, error):
+    load, parent, clis = DOCS[noun]
+    header = (DATA / parent).read_text().splitlines()[0]
+    path = str(tmp_path / f"{noun}.jsonl")
+    Path(path).write_text(
+        "\n".join(header if line is None else line for line in lines) + "\n")
+    want = error.format(path=path, noun=noun)
+    with pytest.raises(ValueError, match="^" + re.escape(want)):
+        load(path)
+    for cli, status in clis:
+        assert cli(path) == status
+        assert want in capsys.readouterr().err

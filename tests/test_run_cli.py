@@ -148,6 +148,35 @@ def test_cli_profile_out_needs_in_process_run(tmp_path, capsys,
     assert not (tmp_path / "prof").exists()
 
 
+@pytest.mark.parametrize("flag,hint", [
+    ("--json", "per-component outputs are in DIR/run_report.json"),
+    ("--stats-json", "transport counters are in DIR/run_report.json"),
+    ("--trace", "the trace is DIR/traces/trace.json"),
+], ids=["json", "stats-json", "trace"])
+def test_cli_in_process_outputs_are_rejected_with_control(
+        tmp_path, capsys, monkeypatch, flag, hint):
+    # used to exit 0 without writing the file
+    monkeypatch.chdir(tmp_path)
+    assert main([write_config(tmp_path), "--duration", "1ms",
+                 "--control", "rundir", flag, "out.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag} is for in-process runs" in err and hint in err
+    assert not (tmp_path / "rundir").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.slow
+def test_cli_control_with_flows_writes_the_run_dir_trace(tmp_path, capsys,
+                                                          monkeypatch):
+    # --flows sets the trace itself: it is not a user --trace
+    monkeypatch.chdir(tmp_path)
+    assert main([write_config(tmp_path), "--duration", "1ms",
+                 "--control", "rundir", "--flows", "1"]) == 0
+    report = json.loads((tmp_path / "rundir" / "run_report.json").read_text())
+    assert report["trace"] == "traces/trace.json"
+    assert (tmp_path / "rundir" / "traces" / "trace.json").exists()
+
+
 def test_cli_missing_config_errors(tmp_path, capsys):
     assert main([str(tmp_path / "nope.py")]) == 1
     assert "error" in capsys.readouterr().err

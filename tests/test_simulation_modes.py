@@ -6,6 +6,8 @@ from repro.channels.channel import ChannelEnd
 from repro.channels.messages import RawMsg
 from repro.kernel.component import Component
 from repro.kernel.simtime import NS, US
+from repro.obs.recorder import ProbeDriver
+from repro.parallel.model import WorkRecorder
 from repro.parallel.simulation import DeadlockError, Simulation
 
 
@@ -109,15 +111,22 @@ def test_component_lookup():
 
 
 def test_work_recorder_attached_to_all_components():
-    sim = Simulation(work_window_ps=1 * US)
-    a = sim.add(Pinger("a", initiator=True))
-    b = sim.add(Pinger("b"))
-    sim.connect(a.end, b.end)
-    sim.run(50 * US)
-    assert sim.recorder.total_work("a") > 0
-    assert sim.recorder.total_work("b") > 0
-    # message flow recorded with component names
-    assert ("a", "b") in sim.recorder.msgs
+    recorded = []
+    for mode in ("fast", "strict"):
+        sim = Simulation(mode=mode)
+        a = sim.add(Pinger("a", initiator=True))
+        b = sim.add(Pinger("b"))
+        sim.connect(a.end, b.end)
+        rec = WorkRecorder(1 * US)
+        sim.observers.append(ProbeDriver(rec))
+        sim.run(50 * US)
+        assert rec.total_work("a") > 0
+        assert rec.total_work("b") > 0
+        # message flow recorded with component names
+        assert {pair: sum(n.values()) for pair, n in rec.msgs.items()} == \
+            {("a", "b"): 11, ("b", "a"): 10}
+        recorded.append((rec.work, rec.msgs))
+    assert recorded[0] == recorded[1]
 
 
 def test_idle_simulation_completes():
