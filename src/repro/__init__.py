@@ -27,32 +27,18 @@ Quick start::
     result = experiment.run(20 * MS)
     print(experiment.app("client").stats.completed)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-figure reproduction index.
+The package exports the quick-start names of the core build path only:
+the time units, :class:`System`, :class:`Instantiation` and
+:class:`Experiment`.  Import everything else from the module that defines
+it.  See DESIGN.md for the system inventory and what loads when, and
+EXPERIMENTS.md for the paper-figure reproduction index.
 """
 
-from .kernel.simtime import MS, NS, PS, SEC, US, fmt_time
-from .kernel.component import Component
-from .channels.channel import ChannelEnd, connect
-from .channels.trunk import TrunkEnd
-from .parallel.simulation import Simulation, SimStats
-from .parallel.model import (ModelChannel, ModelResult,
-                             ParallelExecutionModel, WorkRecorder)
-from .parallel.costmodel import Machine, PAPER_MACHINE
-from .orchestration.system import System
 from .orchestration.instantiate import Experiment, Instantiation
-from .obs import MetricsRegistry, Tracer, install_tracer
+from .orchestration.system import System
+from .kernel.simtime import MS, NS, PS, SEC, US, fmt_time
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MS", "NS", "PS", "SEC", "US", "fmt_time",
-    "Component", "WorkRecorder",
-    "ChannelEnd", "TrunkEnd", "connect",
-    "Simulation", "SimStats",
-    "ModelChannel", "ModelResult", "ParallelExecutionModel",
-    "Machine", "PAPER_MACHINE",
-    "System", "Instantiation", "Experiment",
-    "Tracer", "MetricsRegistry", "install_tracer",
-    "__version__",
-]
+__all__ = ["MS", "NS", "PS", "SEC", "US", "fmt_time",
+           "System", "Instantiation", "Experiment", "__version__"]

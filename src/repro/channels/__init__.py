@@ -1,13 +1,5 @@
-"""SplitSim channels: synchronized message links between simulators."""
+"""SplitSim channels: synchronized message links between simulators.
 
-from .channel import ChannelEnd, FifoQueue, connect
-from .messages import (DmaCompletionMsg, DmaReadMsg, DmaWriteMsg, EthMsg,
-                       InterruptMsg, MemReadMsg, MemRespMsg, MemWriteMsg,
-                       MmioMsg, MmioRespMsg, Msg, RawMsg, SyncMsg, TrunkMsg)
-from .trunk import TrunkEnd, TrunkPort
-
-__all__ = ["ChannelEnd", "FifoQueue", "connect", "TrunkEnd", "TrunkPort",
-           "Msg", "SyncMsg", "RawMsg", "EthMsg", "TrunkMsg",
-           "MmioMsg", "MmioRespMsg", "DmaReadMsg", "DmaWriteMsg",
-           "DmaCompletionMsg", "InterruptMsg",
-           "MemReadMsg", "MemWriteMsg", "MemRespMsg"]
+The package imports none of its modules; :mod:`~repro.channels.wire`, the
+multiprocess codec, loads only with the multiprocess runtime.
+"""

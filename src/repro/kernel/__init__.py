@@ -1,9 +1,6 @@
-"""Discrete-event kernel: time, events, components, deterministic RNG."""
+"""Discrete-event kernel: time, events, components, deterministic RNG.
 
-from .component import Component
-from .events import Event, EventQueue
-from .simtime import MS, NS, PS, SEC, US, TIME_INFINITY, bits_time, fmt_time
-
-__all__ = ["Component", "Event", "EventQueue",
-           "MS", "NS", "PS", "SEC", "US", "TIME_INFINITY",
-           "bits_time", "fmt_time"]
+The package imports none of its modules: ``channels`` imports
+:mod:`~repro.kernel.simtime` and :mod:`~repro.kernel.component` imports
+``channels``, so a re-export here would close an import cycle.
+"""

@@ -54,63 +54,12 @@ measures against.  Its modules:
   subcommand (trace summary, flows, timeline + recommend, diff, attach),
   each reading through the loader.
 
-The last two are tools, not run-time code: this package does not import
-them, so a simulation never loads them.
+The package itself imports none of them: import a name from the module
+that defines it.  A simulation loads :mod:`~repro.obs.flows` (the
+flow-recorder slot its hot paths read) and :mod:`~repro.obs.recorder`
+(the collector contract, with the :mod:`~repro.obs.telemetry` heartbeat
+and :mod:`~repro.obs.schema` it builds on).  Every other module loads
+when a recorder is observed or a tool runs, so a simulation never loads
+the tracer, the metrics registry, the control plane, the timeline, the
+auditor, the run-directory loader or the CLI.
 """
-
-from .metrics import (Counter, Gauge, Histogram, METRICS_SCHEMA,
-                      MetricsRegistry, collect_experiment,
-                      collect_live_children, collect_simulation)
-from .telemetry import (HEALTH_DONE, HEALTH_FAILED, HEALTH_OK, HEALTH_STALE,
-                        HEALTH_STALLED, HEALTH_STARTING, Heartbeat,
-                        HealthMonitor, MAX_ALERTS, MAX_HEARTBEATS,
-                        RUN_REPORT_SCHEMA, TelemetryAggregator,
-                        build_run_report, write_run_report)
-from .trace import (ORCH_PID, TRACE_SCHEMA, Tracer, chrome_doc,
-                    load_trace, merge_trace_jsonl, us_from_ps,
-                    validate_chrome_doc)
-from .flows import (Flow, FlowHop, FlowRecorder, FlowReport,
-                    analyze_doc, extract_flows, flow_origin, flow_serial,
-                    install_flow_recorder, retune_sample,
-                    uninstall_flow_recorder)
-from .live import (CONTROL_FILE, CONTROL_SCHEMA, ChildMailbox, ControlClient,
-                   ControlError, ControlPlane, read_control_file,
-                   wait_for_control)
-from .install import (TraceRecorder, TracerSampler, install_network_tracer,
-                      install_tracer)
-from .recorder import ProbeDriver
-from .timeline import (EpochRow, EpochTracker, TIMELINE_SCHEMA, Timeline,
-                       TimelineCollector, detect_phases, load_timeline,
-                       save_timeline)
-from .audit import (AUDIT_SCHEMA, AuditCollector, AuditDiff, AuditDivergence,
-                    AuditLedger, AuditRow, ComponentAuditor,
-                    DEFAULT_WINDOW_PS, diff_ledgers, fold_root, load_audit)
-from .schema import ALL_SCHEMAS
-from . import names
-
-__all__ = [
-    "Tracer", "chrome_doc", "load_trace", "merge_trace_jsonl",
-    "us_from_ps", "validate_chrome_doc", "TRACE_SCHEMA", "ORCH_PID",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS_SCHEMA",
-    "collect_simulation", "collect_experiment", "collect_live_children",
-    "install_tracer", "install_network_tracer",
-    "TracerSampler", "TraceRecorder",
-    "ProbeDriver",
-    "Heartbeat", "TelemetryAggregator", "HealthMonitor", "build_run_report",
-    "write_run_report", "RUN_REPORT_SCHEMA", "MAX_HEARTBEATS", "MAX_ALERTS",
-    "HEALTH_STARTING", "HEALTH_OK", "HEALTH_STALLED", "HEALTH_STALE",
-    "HEALTH_DONE", "HEALTH_FAILED",
-    "FlowRecorder", "FlowReport", "Flow", "FlowHop",
-    "install_flow_recorder", "uninstall_flow_recorder", "analyze_doc",
-    "extract_flows", "flow_origin", "flow_serial", "retune_sample",
-    "ControlPlane", "ControlClient", "ChildMailbox", "ControlError",
-    "CONTROL_SCHEMA", "CONTROL_FILE", "read_control_file",
-    "wait_for_control",
-    "Timeline", "TimelineCollector", "EpochRow", "EpochTracker",
-    "TIMELINE_SCHEMA", "save_timeline", "load_timeline", "detect_phases",
-    "AuditCollector", "AuditLedger", "AuditRow", "AuditDiff",
-    "AuditDivergence", "ComponentAuditor",
-    "diff_ledgers", "fold_root", "load_audit",
-    "AUDIT_SCHEMA", "DEFAULT_WINDOW_PS", "ALL_SCHEMAS",
-    "names",
-]

@@ -33,7 +33,6 @@ from ..netsim.topology import NetBuild, instantiate as build_single
 from ..nicsim.i40e import I40eNic
 from ..parallel.model import (ModelChannel, ParallelExecutionModel,
                               WorkRecorder)
-from ..parallel.procrunner import ProcChannel, ProcessRunner, ProcSpec
 from ..parallel.simulation import SimStats, Simulation
 from .system import System
 
@@ -219,6 +218,8 @@ class Experiment:
         is deployed and reported: options of
         :meth:`ProcessRunner.run <repro.parallel.procrunner.ProcessRunner.run>`.
         """
+        # the multiprocess runtime loads only for a multiprocess run
+        from ..parallel.procrunner import ProcChannel, ProcessRunner, ProcSpec
         self._claim_run()
         specs = [ProcSpec(c.name, component=c) for c in self.sim.components]
         channels = [

@@ -1,13 +1,9 @@
-"""Execution runtimes: coordinator, multi-process runner, performance model."""
+"""Execution runtimes: coordinator, multi-process runner, performance model.
 
-from .costmodel import Machine, PAPER_MACHINE
-from .model import ModelChannel, ModelResult, ParallelExecutionModel, scale_recorder
-from .procrunner import ProcChannel, ProcSpec, ProcessRunner
-from .proxy import Proxy, ProxyPair
-from .simulation import DeadlockError, SimStats, Simulation
-
-__all__ = ["Simulation", "SimStats", "DeadlockError",
-           "ProcessRunner", "ProcSpec", "ProcChannel",
-           "ParallelExecutionModel", "ModelChannel", "ModelResult",
-           "scale_recorder", "Machine", "PAPER_MACHINE",
-           "Proxy", "ProxyPair"]
+The package imports none of its modules.  An in-process run loads the
+coordinator (:mod:`~repro.parallel.simulation`) and the execution model
+(:mod:`~repro.parallel.model`, :mod:`~repro.parallel.costmodel`) only;
+``Experiment.run_mp`` loads the multiprocess runtime
+(:mod:`~repro.parallel.procrunner`, :mod:`~repro.parallel.shm_ring`, and
+with them ``multiprocessing`` and the wire codec) when it runs.
+"""

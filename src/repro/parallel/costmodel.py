@@ -28,6 +28,19 @@ discipline              mechanism                                cost basis
 ``barrier`` (ns-3 MPI)  global MPI Allgather per lookahead       ~10us x
                         window                                   log2(procs)
 ======================  =======================================  ============
+
+The rows model the paper's C implementations, and the model keeps them.
+The ring this repository runs is Python (:mod:`repro.parallel.shm_ring`
+plus the :mod:`repro.channels.wire` codec); measured on a 2-vCPU x86-64
+VM (DESIGN.md §7, "Measured cost"):
+
+======================  =======================================  ============
+measured, not modelled  mechanism                                cost
+======================  =======================================  ============
+``splitsim``, Python    ``send_batch`` + ``recv_batch`` round    ~9us/msg
+ring                    trip of a trunked 174-byte TCP-segment
+                        frame; encode ~2us, decode ~3us of it
+======================  =======================================  ============
 """
 
 from __future__ import annotations

@@ -227,8 +227,9 @@ def test_schema_registry_is_single_source():
     # every versioned document constant re-exports the central registry
     from repro.obs.schema import (ALL_SCHEMAS, AUDIT_SCHEMA,
                                   RUN_REPORT_SCHEMA as CENTRAL)
-    from repro.obs import (CONTROL_SCHEMA, METRICS_SCHEMA, TIMELINE_SCHEMA,
-                           TRACE_SCHEMA)
+    from repro.obs.metrics import METRICS_SCHEMA
+    from repro.obs.timeline import TIMELINE_SCHEMA
+    from repro.obs.trace import TRACE_SCHEMA
     from repro.obs.audit import AUDIT_SCHEMA as AUDIT_REEXPORT
     from repro.parallel.advisor import PARTITION_SCHEMA
 
