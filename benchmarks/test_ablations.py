@@ -20,7 +20,8 @@ from repro.kernel.simtime import MS, NS, US
 from repro.netsim.apps.bulk import BulkSender, BulkSink
 from repro.netsim.partition import assign_hosts_with_switch, instantiate_partitioned
 from repro.netsim.topology import dumbbell
-from repro.parallel.model import ParallelExecutionModel, WorkRecorder
+from repro.parallel.model import (ParallelExecutionModel, WorkRecorder,
+                                  model_channels)
 from repro.parallel.simulation import Simulation
 from repro.obs.recorder import ProbeDriver
 from repro.obs.timeline import TimelineCollector
@@ -94,9 +95,9 @@ def test_ablation_sync_discipline_same_partitioning(benchmark):
     out = run_once(benchmark,
                    lambda: run_partitioned(use_trunk=True, mode="fast"))
     sim = out["sim"]
-    pb = out["pb"]
     names = [c.name for c in sim.components]
-    model = ParallelExecutionModel(out["work"], 6 * MS, pb.model_channels,
+    model = ParallelExecutionModel(out["work"], 6 * MS,
+                                   model_channels(sim.channels),
                                    components=names)
     split = model.run("splitsim")
     barrier = model.run("barrier")

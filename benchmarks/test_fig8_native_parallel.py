@@ -29,7 +29,7 @@ from repro.orchestration.strategies import partition_fat_tree
 from repro.parallel.costmodel import NS3_EVENT_CYCLES, OMNET_EVENT_CYCLES
 from repro.obs.recorder import ProbeDriver
 from repro.parallel.model import (ParallelExecutionModel, WorkRecorder,
-                                  scale_recorder)
+                                  model_channels, scale_recorder)
 from repro.parallel.simulation import Simulation
 
 from common import paper_scale, print_table, run_once, save_results
@@ -102,7 +102,7 @@ def run_partitioning(k_parts: int):
     sim.observers.append(ProbeDriver(work))
     sim.run(RUN)
     names = [c.name for c in sim.components]
-    return work, pb.model_channels, names
+    return work, model_channels(sim.channels), names
 
 
 def model_disciplines(k_parts: int):

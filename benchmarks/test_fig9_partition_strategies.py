@@ -85,11 +85,12 @@ def build_system(host_sim: str):
 
 def scaled_model(exp):
     """Execution model with network work scaled by BG_REPRESENTATION."""
-    from repro.parallel.model import ParallelExecutionModel, scale_recorder
+    from repro.parallel.model import (ParallelExecutionModel, model_channels,
+                                      scale_recorder)
     rec = scale_recorder(exp.recorders["work"], BG_REPRESENTATION,
                          only=lambda name: name.startswith("net."))
     return ParallelExecutionModel(
-        rec, RUN, exp.model_channels,
+        rec, RUN, model_channels(exp.sim.channels),
         components=[c.name for c in exp.sim.components],
         baselines={c.name: getattr(c, "baseline_cycles_per_ps", 0.0)
                    for c in exp.sim.components})

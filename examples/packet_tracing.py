@@ -3,7 +3,7 @@
 
 Runs a small KV simulation with causal flow tracing on for every flow
 (``Instantiation(flow_sample=1)``), then reads the hop records back with
-:func:`repro.obs.flows.analyze_doc`: hops per link, one request's journey
+:func:`repro.obs.inspect.flows.analyze_doc`: hops per link, one request's journey
 end to end, and the client->switch hop split into serialization and
 propagation — the "inspection of simulation logs" the paper uses to
 explain its NetCache/Pegasus result.  ``splitsim-run --flows 1 --trace``
@@ -17,7 +17,7 @@ from collections import Counter
 from repro import MS, US, Instantiation, System
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
 from repro.netsim.topology import single_switch_rack
-from repro.obs.flows import analyze_doc
+from repro.obs.inspect.flows import analyze_doc
 from repro.obs.trace import chrome_doc
 
 LINK_HOPS = ("enq", "deq", "txdone")

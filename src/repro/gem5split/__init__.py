@@ -1,8 +1,7 @@
-"""Decomposed multi-core architectural simulation (the gem5 split)."""
+"""Decomposed multi-core architectural simulation (the gem5 split).
 
-from .build import (build_multicore, measure_multicore,
-                    validate_against_sequential)
-from .workload import CoreProgram, WorkloadSpec
-
-__all__ = ["build_multicore", "measure_multicore",
-           "validate_against_sequential", "WorkloadSpec", "CoreProgram"]
+The package imports none of its modules: import from
+:mod:`~repro.gem5split.build` (``build_multicore``, ``measure_multicore``,
+``validate_against_sequential``) and :mod:`~repro.gem5split.workload`
+(``WorkloadSpec``, ``CoreProgram``).
+"""

@@ -21,9 +21,10 @@ from typing import Dict, List, Optional
 
 from ..kernel.simtime import NS, US
 from ..obs.recorder import ProbeDriver
-from ..parallel.model import ModelChannel, ParallelExecutionModel, WorkRecorder
+from ..parallel.model import (ParallelExecutionModel, WorkRecorder,
+                              model_channels)
 from ..parallel.simulation import Simulation
-from .core import CoreSim, MEM_CHANNEL_LATENCY_PS
+from .core import CoreSim
 from .memory import MemorySim
 from .workload import WorkloadSpec
 
@@ -35,7 +36,6 @@ class MulticoreBuild:
     sim: Simulation
     cores: List[CoreSim]
     memory: MemorySim
-    model_channels: List[ModelChannel]
 
 
 def build_multicore(n_cores: int, spec: Optional[WorkloadSpec] = None,
@@ -48,16 +48,12 @@ def build_multicore(n_cores: int, spec: Optional[WorkloadSpec] = None,
     memory = MemorySim("mem", n_cores, seed=seed)
     sim.add(memory)
     cores: List[CoreSim] = []
-    model_channels: List[ModelChannel] = []
     for core_id in range(n_cores):
         core = CoreSim(f"core{core_id}", core_id, spec, seed=seed)
         sim.add(core)
         sim.connect(core.mem, memory.ends_by_core[core_id])
         cores.append(core)
-        model_channels.append(
-            ModelChannel(core.name, memory.name, MEM_CHANNEL_LATENCY_PS))
-    return MulticoreBuild(sim=sim, cores=cores, memory=memory,
-                          model_channels=model_channels)
+    return MulticoreBuild(sim=sim, cores=cores, memory=memory)
 
 
 @dataclass
@@ -85,7 +81,7 @@ def measure_multicore(n_cores: int, sim_time_ps: int,
     build.sim.observers.append(ProbeDriver(work))
     build.sim.run(sim_time_ps)
     model = ParallelExecutionModel(
-        work, sim_time_ps, build.model_channels,
+        work, sim_time_ps, model_channels(build.sim.channels),
         components=[c.name for c in build.sim.components])
     names = [c.name for c in build.sim.components]
     sequential = model.run("splitsim", groups={n: "gem5" for n in names})

@@ -1,11 +1,6 @@
-"""Detailed host simulators (qemu / gem5 fidelity) and the simulated OS."""
+"""Detailed host simulators (qemu / gem5 fidelity) and the simulated OS.
 
-from .clock import DriftingClock
-from .cpu import CpuModel, Gem5Cpu, QemuCpu
-from .driver import DirectEthDriver, I40eDriver
-from .host import HostSim, gem5_host, qemu_host
-from .os_model import SimOS
-
-__all__ = ["HostSim", "qemu_host", "gem5_host", "SimOS",
-           "CpuModel", "QemuCpu", "Gem5Cpu", "DriftingClock",
-           "I40eDriver", "DirectEthDriver"]
+The package imports none of its modules: import a name from the module
+that defines it.  ``Instantiation.build`` loads them only for a system
+with a detailed host.
+"""

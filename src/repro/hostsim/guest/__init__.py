@@ -1,9 +1,5 @@
-"""Guest applications for detailed hosts (daemons and workloads)."""
+"""Guest applications for detailed hosts (daemons and workloads).
 
-from .clocksync import (ChronyNtpApp, ChronyPhcApp, NtpServerApp,
-                        PtpMasterApp, Ptp4lApp, SyncStats)
-from .crdb import CrdbClientApp, CrdbServerApp, chrony_bound_fn
-
-__all__ = ["NtpServerApp", "ChronyNtpApp", "PtpMasterApp", "Ptp4lApp",
-           "ChronyPhcApp", "SyncStats",
-           "CrdbServerApp", "CrdbClientApp", "chrony_bound_fn"]
+The package imports none of its modules: import an app from
+:mod:`~repro.hostsim.guest.clocksync` or :mod:`~repro.hostsim.guest.crdb`.
+"""

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence
+from bisect import bisect_left
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 
 def derive_seed(root_seed: int, label: str) -> int:
@@ -24,12 +26,28 @@ def make_rng(root_seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(root_seed, label))
 
 
+@lru_cache(maxsize=None)
+def zipf_cdf(n: int, theta: float) -> Tuple[float, ...]:
+    """Cumulative normalized harmonic weights of ranks ``0..n-1`` (the last
+    one exactly 1.0), built once per ``(n, theta)``."""
+    weights = [1.0 / float(rank + 1) ** theta for rank in range(n)]
+    total = sum(weights)
+    cdf: list[float] = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    return tuple(cdf)
+
+
 class ZipfGenerator:
     """Sample integers ``0..n-1`` from a Zipf distribution with skew ``theta``.
 
     Uses the inverse-CDF method over the precomputed normalized harmonic
-    weights.  ``theta=0`` degenerates to uniform; the NetCache/Pegasus case
-    study uses ``theta=1.8`` over the key space, matching the paper.
+    weights (:func:`zipf_cdf`, shared by every generator of one shape).
+    ``theta=0`` degenerates to uniform; the NetCache/Pegasus case study uses
+    ``theta=1.8`` over the key space, matching the paper.
     """
 
     def __init__(self, n: int, theta: float, rng: random.Random) -> None:
@@ -40,26 +58,13 @@ class ZipfGenerator:
         self.n = n
         self.theta = theta
         self._rng = rng
-        weights = [1.0 / float(rank + 1) ** theta for rank in range(n)]
-        total = sum(weights)
-        self._cdf: list[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            self._cdf.append(acc)
-        self._cdf[-1] = 1.0
+        self._cdf = zipf_cdf(n, theta)
 
     def sample(self) -> int:
         """Return one sample; rank 0 is the most popular item."""
-        u = self._rng.random()
-        lo, hi = 0, self.n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # the first rank whose CDF reaches u; the search stops at the last
+        # rank, whose CDF is 1.0 > u
+        return bisect_left(self._cdf, self._rng.random(), 0, self.n - 1)
 
     def popularity(self, rank: int) -> float:
         """Probability mass of the item at ``rank`` (0-based)."""

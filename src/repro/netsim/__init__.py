@@ -1,11 +1,12 @@
-"""Packet-level network simulator (the reproduction\'s ns-3/OMNeT++)."""
+"""Packet-level network simulator (the reproduction's ns-3/OMNeT++).
 
-from .network import NetworkSim
-from .packet import Packet
-from .topology import (TopoSpec, datacenter, dumbbell, fat_tree, instantiate,
-                       single_switch_rack)
-from .partition import instantiate_partitioned
-
-__all__ = ["NetworkSim", "Packet", "TopoSpec", "instantiate",
-           "instantiate_partitioned", "dumbbell", "fat_tree",
-           "single_switch_rack", "datacenter"]
+The package imports none of its modules: import a name from the module
+that defines it.  A network build loads the topology, the network
+simulator and what it runs (:mod:`~repro.netsim.topology`,
+:mod:`~repro.netsim.network`, links, queues, switches, the transport and
+the apps).  The partitioner (:mod:`~repro.netsim.partition`), PTP
+transparent clocks (:mod:`~repro.netsim.ptp_tc`), the fidelity tiers
+(:mod:`~repro.netsim.fidelity`, :mod:`~repro.netsim.fluid`) and the
+in-network programs (:mod:`~repro.netsim.inp`) load when a build uses
+them.
+"""

@@ -1,8 +1,6 @@
-"""Protocol-level applications (usable on detailed hosts too)."""
+"""Protocol-level applications (usable on detailed hosts too).
 
-from .base import App
-from .bulk import BulkSender, BulkSink
-from .kv import KVClientApp, KVServerApp, KVStats
-
-__all__ = ["App", "BulkSender", "BulkSink",
-           "KVServerApp", "KVClientApp", "KVStats"]
+The package imports none of its modules: import an app from the module
+that defines it (:mod:`~repro.netsim.apps.kv`,
+:mod:`~repro.netsim.apps.bulk`, :mod:`~repro.netsim.apps.base`).
+"""

@@ -5,9 +5,10 @@ A :class:`FidelityConfig` attached to an
 direction and per flow, how much detail the network spends:
 
 ``batching``
-    The packet tier's batched fast path — busy links drain runs of
-    back-to-back packets with one run-completion event instead of one
-    ``tx_done`` per packet, preserving ECN/drop decisions bit-for-bit
+    The packet tier's batched fast path — a link assigns each packet its
+    serialization slot at enqueue and schedules only its delivery: no
+    ``tx_done`` per packet and no completion event (idleness is ``now``
+    against the busy horizon), preserving ECN/drop decisions bit-for-bit
     (see :mod:`repro.netsim.link`).
 ``fluid``
     The flow-level tier — eligible long-lived DCTCP flows are promoted out

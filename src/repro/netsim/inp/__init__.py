@@ -1,6 +1,5 @@
-"""In-network processing pipelines (programmable switch data planes)."""
+"""In-network processing pipelines (programmable switch data planes).
 
-from .netcache import NetCachePipeline
-from .pegasus import PegasusPipeline
-
-__all__ = ["NetCachePipeline", "PegasusPipeline"]
+The package imports none of its modules: import a pipeline from
+:mod:`~repro.netsim.inp.netcache` or :mod:`~repro.netsim.inp.pegasus`.
+"""

@@ -16,13 +16,12 @@ so a partitioned simulation delivers packets along identical paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..channels.channel import ChannelEnd
 from ..channels.trunk import TrunkEnd
 from ..kernel.simtime import US
-from ..parallel.model import ModelChannel
 from .network import ExternalAttachment, NetworkSim
 from .topology import LinkSpec, TopoSpec, _install_fib
 
@@ -38,8 +37,6 @@ class PartitionedBuild:
     attachments: Dict[str, ExternalAttachment]
     #: channel end pairs to pass to ``Simulation.connect``
     channels: List[Tuple[ChannelEnd, ChannelEnd]]
-    #: channel descriptions for the virtual-time execution model
-    model_channels: List[ModelChannel] = field(default_factory=list)
 
     def host(self, name: str):
         """Look up an instantiated host across all partitions."""
@@ -49,6 +46,12 @@ class PartitionedBuild:
     def all_components(self) -> List[NetworkSim]:
         """Every network-simulator partition, for Simulation.add."""
         return list(self.parts.values())
+
+    def net_switches(self) -> Dict[str, List[str]]:
+        """Which topology switches each partition carries."""
+        return {net.name: [sw for sw in self.spec.switches
+                           if self.assignment.get(sw) == label]
+                for label, net in self.parts.items()}
 
 
 def instantiate_partitioned(spec: TopoSpec, assignment: Dict[str, str],
@@ -116,7 +119,6 @@ def instantiate_partitioned(spec: TopoSpec, assignment: Dict[str, str],
             cuts.setdefault(key, []).append(ls)
 
     channels: List[Tuple[ChannelEnd, ChannelEnd]] = []
-    model_channels: List[ModelChannel] = []
 
     for (pa, pb), links in sorted(cuts.items()):
         links = sorted(links, key=lambda l: (l.a, l.b))
@@ -127,8 +129,6 @@ def instantiate_partitioned(spec: TopoSpec, assignment: Dict[str, str],
             parts[pa].attach_end(trunk_a, trunk_a.dispatch)
             parts[pb].attach_end(trunk_b, trunk_b.dispatch)
             channels.append((trunk_a, trunk_b))
-            model_channels.append(ModelChannel(parts[pa].name, parts[pb].name,
-                                               base_latency))
             for sub_id, ls in enumerate(links):
                 _bind_cut_link(spec, parts, assignment, port_map, ls, pa,
                                trunk_a.port(sub_id), trunk_b.port(sub_id),
@@ -140,9 +140,6 @@ def instantiate_partitioned(spec: TopoSpec, assignment: Dict[str, str],
                 end_b = ChannelEnd(f"{parts[pb].name}:{ls.b}-{ls.a}",
                                    latency=ls.latency_ps)
                 channels.append((end_a, end_b))
-                model_channels.append(ModelChannel(parts[pa].name,
-                                                   parts[pb].name,
-                                                   ls.latency_ps))
                 _bind_cut_link_plain(spec, parts, assignment, port_map, ls,
                                      pa, end_a, end_b)
 
@@ -156,8 +153,7 @@ def instantiate_partitioned(spec: TopoSpec, assignment: Dict[str, str],
                 host.add_app(factory(host))
 
     return PartitionedBuild(parts=parts, spec=spec, assignment=assignment,
-                            attachments=attachments, channels=channels,
-                            model_channels=model_channels)
+                            attachments=attachments, channels=channels)
 
 
 def _bind_cut_link(spec, parts, assignment, port_map, ls: LinkSpec, part_a,

@@ -148,6 +148,14 @@ class NetBuild:
         """Look up an instantiated (protocol-level) host by name."""
         return self.net.nodes[name]
 
+    def all_components(self) -> List[NetworkSim]:
+        """The one network simulator, for Simulation.add."""
+        return [self.net]
+
+    def net_switches(self) -> Dict[str, List[str]]:
+        """Which topology switches the network simulator carries (all)."""
+        return {self.net.name: list(self.spec.switches)}
+
 
 def instantiate(spec: TopoSpec, name: str = "net", flavor: str = "ns3",
                 seed: int = 0) -> NetBuild:

@@ -1,6 +1,6 @@
-"""Transport protocols shared by every host fidelity."""
+"""Transport protocols shared by every host fidelity.
 
-from .stack import Stack, UdpSocket
-from .tcp import TcpConnection
-
-__all__ = ["Stack", "UdpSocket", "TcpConnection"]
+The package imports none of its modules: import from
+:mod:`~repro.netsim.transport.stack` (``Stack``, ``UdpSocket``) and
+:mod:`~repro.netsim.transport.tcp` (``TcpConnection``).
+"""

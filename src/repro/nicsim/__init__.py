@@ -1,5 +1,5 @@
-"""Behavioral NIC models (Intel X710 / i40e)."""
+"""Behavioral NIC models (Intel X710 / i40e).
 
-from .i40e import I40eNic
-
-__all__ = ["I40eNic"]
+The package imports none of its modules: ``Instantiation.build`` loads
+:mod:`~repro.nicsim.i40e` only for a detailed host behind an i40e NIC.
+"""

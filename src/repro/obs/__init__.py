@@ -22,9 +22,10 @@ measures against.  Its modules:
   per-child command mailboxes polled at sync-round boundaries, and the
   :class:`ControlClient` behind ``splitsim-inspect attach``.
 * :mod:`repro.obs.flows` — end-to-end causal flow tracing: per-message
-  provenance (flow/hop ids carried in the wire header), per-hop latency
-  records, and the post-processor that reconstructs flow trees, latency
-  attribution, and the critical-path bottleneck.
+  provenance (flow/hop ids carried in the wire header) and per-hop latency
+  records.  The post-processor that reconstructs flow trees, latency
+  attribution and the critical-path bottleneck is
+  :mod:`repro.obs.inspect.flows`.
 * :mod:`repro.obs.recorder` — the recorder seam: the probe / collector /
   observer contracts through which every recorder plugs into fast,
   strict and multiprocess runs, and the shared columnar-JSONL document
@@ -56,10 +57,11 @@ measures against.  Its modules:
 
 The package itself imports none of them: import a name from the module
 that defines it.  A simulation loads :mod:`~repro.obs.flows` (the
-flow-recorder slot its hot paths read) and :mod:`~repro.obs.recorder`
-(the collector contract, with the :mod:`~repro.obs.telemetry` heartbeat
-and :mod:`~repro.obs.schema` it builds on).  Every other module loads
-when a recorder is observed or a tool runs, so a simulation never loads
-the tracer, the metrics registry, the control plane, the timeline, the
-auditor, the run-directory loader or the CLI.
+flow-recorder slot its hot paths read) and nothing else from here.
+Every other module loads when a recorder is observed or a tool runs:
+:mod:`~repro.obs.recorder` (the collector contract, with the
+:mod:`~repro.obs.telemetry` heartbeat and :mod:`~repro.obs.schema` it
+builds on) with the first collector, so a simulation without one never
+loads it, the tracer, the metrics registry, the control plane, the
+timeline, the auditor, the run-directory loader or the CLI.
 """

@@ -1,8 +1,7 @@
-"""Configuration and orchestration: System -> Instantiation -> Experiment."""
+"""Configuration and orchestration: System -> Instantiation -> Experiment.
 
-from .instantiate import Experiment, ExperimentResult, Instantiation
-from .strategies import STRATEGIES, partition_fat_tree
-from .system import HostChoice, System
-
-__all__ = ["System", "HostChoice", "Instantiation", "Experiment",
-           "ExperimentResult", "STRATEGIES", "partition_fat_tree"]
+The package imports none of its modules: import a name from the module
+that defines it (:mod:`~repro.orchestration.system`,
+:mod:`~repro.orchestration.instantiate`,
+:mod:`~repro.orchestration.strategies`).
+"""

@@ -7,8 +7,9 @@ component simulators and channels into a ready
 :class:`~repro.orchestration.instantiate.Experiment`.
 
 The resulting experiment exposes the pieces the evaluation needs: the apps
-(for workload metrics), per-component work recordings and model channels
-(for the virtual-time performance model), and the recorders the
+(for workload metrics), per-component work recordings (for the
+virtual-time performance model, which reads its channel graph off the
+simulation), and the recorders the
 instantiation declared — among them the epoch timeline, which
 :meth:`Experiment.profile_analysis` post-processes into the profiler's
 speed, efficiency and wait-time profile graph.
@@ -20,23 +21,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from ..channels.channel import ChannelEnd
-from ..hostsim.driver import DirectEthDriver, I40eDriver
-from ..hostsim.host import HostSim, gem5_host, qemu_host
 from ..kernel.rng import derive_seed
 from ..kernel.simtime import NS
-from ..netsim.fidelity import FidelityConfig
 from ..netsim.network import NetworkSim
-from ..netsim.partition import (PartitionedBuild, assign_hosts_with_switch,
-                                instantiate_partitioned)
-from ..netsim.ptp_tc import install_transparent_clocks
 from ..netsim.topology import NetBuild, instantiate as build_single
-from ..nicsim.i40e import I40eNic
-from ..parallel.model import (ModelChannel, ParallelExecutionModel,
-                              WorkRecorder)
 from ..parallel.simulation import SimStats, Simulation
 from .system import System
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..hostsim.host import HostSim
+    from ..netsim.fidelity import FidelityConfig
+    from ..netsim.partition import PartitionedBuild
+    from ..nicsim.i40e import I40eNic
+    from ..parallel.model import ParallelExecutionModel
     from ..profiler.postprocess import ProfileAnalysis
 
 DEFAULT_ETH_LATENCY_PS = 500 * NS
@@ -60,15 +57,14 @@ class Experiment:
     """An assembled simulation, ready to run once."""
 
     def __init__(self, system: System, sim: Simulation,
-                 netbuild: Union[NetBuild, PartitionedBuild],
-                 hosts: Dict[str, HostSim], nics: Dict[str, I40eNic],
-                 model_channels: List[ModelChannel]) -> None:
+                 netbuild: Union[NetBuild, "PartitionedBuild"],
+                 hosts: Dict[str, "HostSim"],
+                 nics: Dict[str, "I40eNic"]) -> None:
         self.system = system
         self.sim = sim
         self.netbuild = netbuild
         self.hosts = hosts
         self.nics = nics
-        self.model_channels = model_channels
         #: attached recorders by name (``"trace"``, ``"work"``,
         #: ``"timeline"``, ``"audit"``); see :meth:`observe`
         self.recorders: Dict[str, object] = {}
@@ -94,12 +90,11 @@ class Experiment:
 
     def network_components(self) -> List[NetworkSim]:
         """Every network-simulator partition of this experiment."""
-        if isinstance(self.netbuild, PartitionedBuild):
-            return self.netbuild.all_components()
-        return [self.netbuild.net]
+        return self.netbuild.all_components()
 
     def install_transparent_clocks(self) -> int:
         """Enable PTP transparent clocks on every switch egress queue."""
+        from ..netsim.ptp_tc import install_transparent_clocks
         return sum(install_transparent_clocks(net)
                    for net in self.network_components())
 
@@ -166,16 +161,6 @@ class Experiment:
         from ..obs.metrics import collect_experiment
         return collect_experiment(self, stats=stats)
 
-    def _net_switches(self) -> Dict[str, List[str]]:
-        """Which topology switches each network component carries (for the
-        advisor's switch-level assignment output)."""
-        nb = self.netbuild
-        if isinstance(nb, PartitionedBuild):
-            return {net.name: [sw for sw in nb.spec.switches
-                               if nb.assignment.get(sw) == label]
-                    for label, net in nb.parts.items()}
-        return {nb.net.name: list(nb.spec.switches)}
-
     def _claim_run(self) -> None:
         """An experiment runs once: its recorders hold exactly one run."""
         if self.ran or self.sim._wired:
@@ -231,14 +216,15 @@ class Experiment:
                             if hasattr(r, "probe")]
         return runner.run(duration_ps, timeout_s=timeout_s, **run_options)
 
-    def execution_model(self, sim_time_ps: int) -> ParallelExecutionModel:
+    def execution_model(self, sim_time_ps: int) -> "ParallelExecutionModel":
         """Virtual-time model over the work :meth:`run` or :meth:`run_mp`
-        recorded."""
+        recorded, on the simulation's channel graph."""
         work = self.recorders.get("work")
         if work is None:
             raise RuntimeError("build the instantiation with work_window_ps")
+        from ..parallel.model import ParallelExecutionModel, model_channels
         return ParallelExecutionModel(
-            work, sim_time_ps, self.model_channels,
+            work, sim_time_ps, model_channels(self.sim.channels),
             components=[c.name for c in self.sim.components],
             baselines={c.name: getattr(c, "baseline_cycles_per_ps", 0.0)
                        for c in self.sim.components})
@@ -301,7 +287,6 @@ class Instantiation:
         spec = system.spec
         mode = "strict" if self.timeline else self.mode
         sim = Simulation(mode=mode)
-        model_channels: List[ModelChannel] = []
 
         network_partition = self.network_partition
         if self.partition_file is not None:
@@ -316,8 +301,10 @@ class Instantiation:
             nb = build_single(spec, name="net", flavor=self.network_flavor,
                               seed=system.seed)
             sim.add(nb.net)
-            attachments = nb.attachments
         else:
+            # the partitioner loads only for a partitioned network
+            from ..netsim.partition import (assign_hosts_with_switch,
+                                            instantiate_partitioned)
             part = network_partition
             switch_part = part(spec) if callable(part) else part
             assignment = assign_hosts_with_switch(spec, switch_part)
@@ -328,16 +315,12 @@ class Instantiation:
                 sim.add(comp)
             for end_a, end_b in nb.channels:
                 sim.connect(end_a, end_b)
-            model_channels.extend(nb.model_channels)
-            attachments = nb.attachments
+        attachments = nb.attachments
 
         # -- fidelity tiers -------------------------------------------------
         if self.fidelity is not None:
-            if isinstance(nb, PartitionedBuild):
-                for comp in nb.all_components():
-                    self.fidelity.apply(comp)
-            else:
-                self.fidelity.apply(nb.net)
+            for comp in nb.all_components():
+                self.fidelity.apply(comp)
 
         # -- protocol-level apps -------------------------------------------
         for name, choice in system.hosts.items():
@@ -348,11 +331,16 @@ class Instantiation:
                 host.add_app(factory(host))
 
         # -- detailed hosts + NICs -----------------------------------------
-        hosts: Dict[str, HostSim] = {}
-        nics: Dict[str, I40eNic] = {}
-        for name, choice in system.hosts.items():
-            if not choice.detailed:
-                continue
+        hosts: Dict[str, "HostSim"] = {}
+        nics: Dict[str, "I40eNic"] = {}
+        detailed = [(name, choice) for name, choice in system.hosts.items()
+                    if choice.detailed]
+        if detailed:
+            # host and NIC simulators load only for a system that has them
+            from ..hostsim.driver import DirectEthDriver, I40eDriver
+            from ..hostsim.host import gem5_host, qemu_host
+            from ..nicsim.i40e import I40eNic
+        for name, choice in detailed:
             att = attachments.get(name)
             if att is None:
                 raise RuntimeError(f"detailed host {name} has no attachment "
@@ -360,40 +348,34 @@ class Instantiation:
             link_bw = att.ext.direction.bandwidth_bps
             seed = derive_seed(system.seed, f"host.{name}") & 0x7FFFFFFF
             addr = spec.addr_of(name)
-            net = att.net
-
             if choice.nic == "direct":
                 driver = DirectEthDriver(eth_latency_ps=self.eth_latency_ps)
-                host = self._make_host(name, addr, choice, driver, seed)
-                sim.add(host)
-                net_end = ChannelEnd(f"net:{name}", latency=self.eth_latency_ps)
-                net.bind_external_to_end(name, net_end)
-                sim.connect(driver.eth, net_end)
-                model_channels.append(
-                    ModelChannel(host.name, net.name, self.eth_latency_ps))
             else:
                 driver = I40eDriver(pci_latency_ps=self.pci_latency_ps)
-                host = self._make_host(name, addr, choice, driver, seed)
+            maker = gem5_host if choice.simulator == "gem5" else qemu_host
+            host = maker(f"{name}.host", addr, seed=seed,
+                         freq_ghz=choice.freq_ghz,
+                         clock_drift_ppm=choice.clock_drift_ppm, driver=driver)
+            sim.add(host)
+            if choice.nic == "direct":
+                eth = driver.eth
+            else:
                 nic = I40eNic(f"{name}.nic", line_rate_bps=link_bw,
                               eth_latency_ps=self.eth_latency_ps,
                               pci_latency_ps=self.pci_latency_ps,
                               phc_drift_ppm=choice.phc_drift_ppm, seed=seed)
-                sim.add(host)
                 sim.add(nic)
                 sim.connect(driver.pci, nic.pci)
-                net_end = ChannelEnd(f"net:{name}", latency=self.eth_latency_ps)
-                net.bind_external_to_end(name, net_end)
-                sim.connect(nic.eth, net_end)
                 nics[name] = nic
-                model_channels.append(
-                    ModelChannel(host.name, nic.name, self.pci_latency_ps))
-                model_channels.append(
-                    ModelChannel(nic.name, net.name, self.eth_latency_ps))
+                eth = nic.eth
+            net_end = ChannelEnd(f"net:{name}", latency=self.eth_latency_ps)
+            att.net.bind_external_to_end(name, net_end)
+            sim.connect(eth, net_end)
             for factory in choice.app_factories:
                 host.add_app(factory(host.os))
             hosts[name] = host
 
-        exp = Experiment(system, sim, nb, hosts, nics, model_channels)
+        exp = Experiment(system, sim, nb, hosts, nics)
         if trace is not None:
             exp.observe(trace)
             if self.flow_sample is not None:
@@ -401,11 +383,12 @@ class Instantiation:
             trace.phase("build", 0.0, {"components": len(sim.components),
                                        "channels": len(sim.channels)})
         if self.work_window_ps is not None:
+            from ..parallel.model import WorkRecorder
             exp.observe(WorkRecorder(self.work_window_ps))
         if self.timeline:
             from ..obs.timeline import TimelineCollector
-            exp.observe(
-                TimelineCollector(meta={"net_switches": exp._net_switches()}))
+            exp.observe(TimelineCollector(
+                meta={"net_switches": nb.net_switches()}))
         if self.audit:
             from ..obs.audit import INPROC_BEAT_ROUNDS, AuditCollector
             exp.observe(AuditCollector(
@@ -415,10 +398,3 @@ class Instantiation:
         if self.transparent_clocks:
             exp.install_transparent_clocks()
         return exp
-
-    def _make_host(self, name: str, addr: int, choice, driver,
-                   seed: int) -> HostSim:
-        maker = gem5_host if choice.simulator == "gem5" else qemu_host
-        return maker(f"{name}.host", addr, seed=seed,
-                     freq_ghz=choice.freq_ghz,
-                     clock_drift_ppm=choice.clock_drift_ppm, driver=driver)

@@ -168,6 +168,13 @@ class ModelChannel:
     latency_ps: int
 
 
+def model_channels(channels) -> List[ModelChannel]:
+    """The model's channel graph: one record per connected end pair
+    (``Simulation.channels``), named by the components owning the ends."""
+    return [ModelChannel(a.owner.name, b.owner.name, a.latency)
+            for a, b in channels]
+
+
 @dataclass
 class ComponentModelStats:
     """Per-component outcome of the execution model."""

@@ -22,7 +22,8 @@ from repro.kernel.simtime import MS, US
 from repro.netsim.apps.bulk import BulkSender, BulkSink
 from repro.netsim.fidelity import FidelityConfig
 from repro.netsim.topology import TopoSpec, dumbbell
-from repro.obs.flows import analyze_doc, uninstall_flow_recorder
+from repro.obs.flows import uninstall_flow_recorder
+from repro.obs.inspect.flows import analyze_doc
 from repro.obs.trace import chrome_doc
 from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.system import System

@@ -83,6 +83,65 @@ def test_an_in_process_run_loads_the_core_only():
     assert ran_mp == "True"
 
 
+#: What a build of a protocol-level network must not load: the layers it
+#: does not build (hosts, NICs, the partitioner, PTP clocks, the fidelity
+#: tiers), the execution model with its collector contract, and the flow
+#: post-processor.  A name covers its submodules.
+NOT_IN_A_PROTOCOL_BUILD = (
+    "repro.hostsim", "repro.nicsim", "repro.netsim.partition",
+    "repro.netsim.ptp_tc", "repro.netsim.fidelity", "repro.parallel.model",
+    "repro.obs.recorder", "repro.obs.telemetry", "repro.obs.inspect")
+
+PROTOCOL_BUILDS = """
+import sys
+from repro import US, Instantiation, System
+from repro.netsim.apps.bulk import BulkSender, BulkSink
+from repro.netsim.apps.kv import KVClientApp, KVServerApp
+from repro.netsim.topology import fat_tree
+from repro.orchestration.strategies import partition_fat_tree
+
+
+def fat_tree_kv_bulk():
+    system = System.from_topospec(fat_tree(k=4), seed=5)
+    server, *clients = system.protocol_hosts()[:4]
+    src, dst = system.protocol_hosts()[-2:]
+    system.app(server, lambda h: KVServerApp())
+    addr = system.addr_of(server)
+    for name in clients:
+        system.app(name, lambda h: KVClientApp([addr], closed_loop_window=4))
+    system.app(dst, lambda h: BulkSink(port=5001))
+    system.app(src, lambda h, d=system.addr_of(dst): BulkSender(d, 5001))
+    return system
+
+
+def loaded():
+    return sorted(m for m in sys.modules for p in sys.argv[1:]
+                  if m == p or m.startswith(p + "."))
+
+
+exp = Instantiation(fat_tree_kv_bulk()).build()
+exp.run(200 * US)
+print(loaded())
+system = fat_tree_kv_bulk()
+exp = Instantiation(system, mode="strict",
+                    network_partition=partition_fat_tree(system.spec, 2)).build()
+exp.run(200 * US)
+print(loaded(), len(exp.sim.components))
+"""
+
+
+def test_a_protocol_level_build_loads_only_its_layers():
+    """A fast fat-tree build with KV and bulk apps loads no host or NIC
+    simulator, partitioner, PTP clock, fidelity tier, execution model or
+    flow post-processor; its strict 2-way partitioned twin adds the
+    partitioner and nothing else from that list."""
+    proc = fresh(PROTOCOL_BUILDS, *NOT_IN_A_PROTOCOL_BUILD)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    fast, partitioned = proc.stdout.splitlines()[-2:]
+    assert fast == "[]", f"a fast protocol-level build loaded {fast}"
+    assert partitioned == "['repro.netsim.partition'] 2", partitioned
+
+
 def test_public_names_resolve():
     """Every name ``repro`` exports, and every ``from repro... import``
     line of the quick starts."""

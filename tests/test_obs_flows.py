@@ -23,10 +23,10 @@ import pytest
 
 from repro.kernel.simtime import MS, US
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
-from repro.obs.flows import (FlowRecorder, analyze_doc,
-                             extract_flows, flow_origin, flow_serial,
+from repro.obs.flows import (FlowRecorder, flow_origin, flow_serial,
                              install_flow_recorder, uninstall_flow_recorder)
-from repro.obs.inspect.flows import render_flow_report
+from repro.obs.inspect.flows import (analyze_doc, extract_flows,
+                                     render_flow_report)
 from repro.obs.inspect.summary import analysis_from_trace
 from repro.obs.trace import Tracer, chrome_doc, validate_chrome_doc
 from repro.orchestration.instantiate import Instantiation

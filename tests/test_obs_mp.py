@@ -102,7 +102,7 @@ def test_run_mp_flow_records_stitch_across_processes(tmp_path):
     trace stitches hops from different OS processes into complete flows
     whose per-hop durations sum exactly to the end-to-end latency.
     """
-    from repro.obs.flows import analyze_doc
+    from repro.obs.inspect.flows import analyze_doc
 
     from .test_determinism_guard import assert_same_timeline
 

@@ -50,7 +50,7 @@ def test_instantiation_counts_components():
     assert exp.core_count() == 3
     assert set(exp.hosts) == {"server"}
     assert set(exp.nics) == {"server"}
-    assert len(exp.model_channels) == 2  # host-nic PCI + nic-net Eth
+    assert len(exp.sim.channels) == 2  # host-nic PCI + nic-net Eth
 
 
 def test_direct_nic_omits_nic_component():
@@ -102,7 +102,7 @@ def test_partitioned_instantiation():
     exp = inst.build()
     # core + 2 agg blocks = 3 network components
     assert exp.core_count() == 3
-    assert len(exp.model_channels) == 2
+    assert len(exp.sim.channels) == 2
     exp.run(1 * MS)
     model = exp.execution_model(1 * MS)
     res = model.run("splitsim")

@@ -75,12 +75,13 @@ def test_per_link_channels_equivalent_to_trunk():
 
 
 def test_partition_build_exposes_model_channels():
+    from repro.parallel.model import model_channels
     spec = bulk_spec()
     assignment = assign_hosts_with_switch(spec, SPLIT)
     pb = instantiate_partitioned(spec, assignment)
-    assert len(pb.model_channels) == len(pb.channels) == 1
-    mc = pb.model_channels[0]
+    (mc,) = model_channels(pb.channels)
     assert mc.latency_ps == 2 * US  # the dumbbell bottleneck latency
+    assert pb.net_switches() == {"net.L": ["swL"], "net.R": ["swR"]}
 
 
 def test_unassigned_node_rejected():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.rng import (ZipfGenerator, derive_seed, exponential_ps,
-                              make_rng, shuffled)
+                              make_rng, shuffled, zipf_cdf)
 
 
 def test_derive_seed_stable_and_label_sensitive():
@@ -63,6 +63,50 @@ def test_zipf_theta_zero_is_uniform():
     gen = ZipfGenerator(10, 0.0, make_rng(0, "zipf5"))
     for r in range(10):
         assert abs(gen.popularity(r) - 0.1) < 1e-9
+
+
+def _reference_cdf(n, theta):
+    """The per-generator CDF loop the shared table replaced."""
+    weights = [1.0 / float(rank + 1) ** theta for rank in range(n)]
+    total = sum(weights)
+    cdf = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _reference_sample(cdf, u):
+    """The hand-written bisection the C bisect replaced."""
+    lo, hi = 0, len(cdf) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cdf[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.99, 1.8])
+def test_zipf_table_and_search_equal_the_reference(theta):
+    """Same CDF element for element, same rank for every draw."""
+    n = 10_000
+    cdf = _reference_cdf(n, theta)
+    assert list(zipf_cdf(n, theta)) == cdf
+    gen = ZipfGenerator(n, theta, make_rng(0, f"zref{theta}"))
+    draws = make_rng(0, f"zref{theta}")
+    for _ in range(10_000):
+        assert gen.sample() == _reference_sample(cdf, draws.random())
+
+
+def test_zipf_table_is_shared_per_shape():
+    a = ZipfGenerator(1000, 1.2, make_rng(0, "a"))
+    b = ZipfGenerator(1000, 1.2, make_rng(0, "b"))
+    assert a._cdf is b._cdf
+    assert ZipfGenerator(1000, 1.3, make_rng(0, "c"))._cdf is not a._cdf
 
 
 @given(st.integers(min_value=1, max_value=500))

@@ -201,7 +201,8 @@ def test_cli_unknown_partition_errors(tmp_path, capsys):
 
 
 def test_cli_flows_flag_records_and_cleans_up(tmp_path, capsys, monkeypatch):
-    from repro.obs.flows import active_recorder, analyze_doc
+    from repro.obs.flows import active_recorder
+    from repro.obs.inspect.flows import analyze_doc
     from repro.obs.trace import load_trace
 
     monkeypatch.chdir(tmp_path)
