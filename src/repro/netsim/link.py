@@ -4,6 +4,9 @@ A :class:`Link` joins two ports with a pair of independent
 :class:`LinkDirection` objects.  Each direction owns its egress queue
 (:mod:`repro.netsim.queues`) and models store-and-forward transmission:
 serialization at the configured bandwidth followed by propagation latency.
+Per packet that is one event at serialization end (``_tx_done``), which
+schedules the receiving node's ``receive(pkt, rx_port)`` itself as the
+delivery event, then starts the next queued packet or marks the line idle.
 
 External links (:class:`ExternalLink`) carry packets out of this network
 partition — to another partition or to a detailed NIC simulator — via a
@@ -70,8 +73,8 @@ class LinkDirection:
     """One direction of a link: egress queue -> serialization -> propagation."""
 
     def __init__(self, net: "NetworkSim", bandwidth_bps: float, latency_ps: int,
-                 queue: DropTailQueue,
-                 deliver: Callable[[Packet], None],
+                 queue: DropTailQueue, rx_port: Optional[Port] = None,
+                 send_fn: Optional[Callable[[Packet], None]] = None,
                  label: str = "") -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -79,7 +82,10 @@ class LinkDirection:
         self.bandwidth_bps = bandwidth_bps
         self.latency_ps = latency_ps
         self.queue = queue
-        self.deliver = deliver
+        #: receiving port; ``None`` on an external direction, which hands
+        #: each packet to ``send_fn`` when its serialization ends
+        self.rx_port = rx_port
+        self.send_fn = send_fn
         self.busy = False
         # hot-path cache: integer bandwidth for the inline ceil-division
         # (identical math to simtime.bits_time)
@@ -117,7 +123,6 @@ class LinkDirection:
         #: receiving :class:`~.node.NetHost` with zero rx processing delay —
         #: its stack entry can be invoked straight from the delivery event
         self._rx_host = None
-        self._rx_port = None
         #: precomputed delivery offsets from serialization end
         self._lat = latency_ps
         self._lat_fused = latency_ps
@@ -127,7 +132,7 @@ class LinkDirection:
         self.batch_pkts = 0
         self.batch_max_run = 0
 
-    def enable_batching(self, rx_port: Optional[Port] = None) -> None:
+    def enable_batching(self) -> None:
         """Switch this direction onto the batched drain fast path.
 
         When the receiving node is a non-pipelined :class:`~.switch.Switch`
@@ -138,7 +143,7 @@ class LinkDirection:
         from .switch import Switch  # runtime import: switch.py imports link
 
         self.batched = True
-        self._rx_port = rx_port
+        rx_port = self.rx_port
         node = rx_port.node if rx_port is not None else None
         self._fused = None
         self._rx_host = None
@@ -180,25 +185,8 @@ class LinkDirection:
             self._tx_next()
 
     def _tx_next(self) -> None:
+        """Start serializing the head of the (non-empty) egress queue."""
         pkt = self.queue.dequeue()
-        if pkt is None:
-            self.busy = False
-            obs = self.obs
-            if obs is not None:
-                tracer, tid = obs
-                now = self.net.now
-                start_us = self._busy_since / 1_000_000
-                tracer.span(tid, "netsim", f"busy|{self.label}", start_us,
-                            now / 1_000_000 - start_us,
-                            {"pkts": self.tx_packets - self._busy_pkts})
-                queue = self.queue
-                tracer.counter(tid, "netsim", f"q|{self.label}",
-                               now / 1_000_000,
-                               {"depth_pkts": len(queue),
-                                "depth_bytes": queue.bytes_queued,
-                                "dropped": queue.stats.dropped,
-                                "ecn_marked": queue.stats.ecn_marked})
-            return
         self.busy = True
         net = self.net
         rec = _FLOWS[0]
@@ -230,12 +218,32 @@ class LinkDirection:
         if rec is not None and pkt.flow:
             rec.hop(pkt.flow, "txdone", self.net.name, self.net.now,
                     at=self.label)
-        if self.latency_ps > 0:
+        rx = self.rx_port
+        if rx is None:
+            self.send_fn(pkt)
+        elif self.latency_ps > 0:
             net = self.net
-            net._schedule_at(net, net.now + self.latency_ps, self.deliver, pkt)
+            net._schedule_at(net, net.now + self.latency_ps, rx.node.receive,
+                             pkt, rx)
         else:
-            self.deliver(pkt)
-        self._tx_next()
+            rx.node.receive(pkt, rx)
+        queue = self.queue
+        if queue._q:  # the deque itself: ``len(queue)`` would add a frame
+            self._tx_next()
+            return
+        self.busy = False
+        if obs is not None:
+            tracer, tid = obs
+            now = self.net.now
+            start_us = self._busy_since / 1_000_000
+            tracer.span(tid, "netsim", f"busy|{self.label}", start_us,
+                        now / 1_000_000 - start_us,
+                        {"pkts": self.tx_packets - self._busy_pkts})
+            tracer.counter(tid, "netsim", f"q|{self.label}", now / 1_000_000,
+                           {"depth_pkts": len(queue),
+                            "depth_bytes": queue.bytes_queued,
+                            "dropped": queue.stats.dropped,
+                            "ecn_marked": queue.stats.ecn_marked})
 
     # ------------------------------------------------------------------
     # batched fast path
@@ -357,14 +365,17 @@ class LinkDirection:
     def _deliver_one(self, pkt: Packet) -> None:
         """Delivery event for a batched packet (non-fused receive side)."""
         self._settle(self.net.now)
-        self.deliver(pkt)
+        rx = self.rx_port
+        if rx is None:
+            self.send_fn(pkt)
+        else:
+            rx.node.receive(pkt, rx)
 
     def _deliver_host(self, pkt: Packet) -> None:
         """Delivery event fused with a zero-rx-delay protocol host's stack.
 
-        Skips the generic ``deliver`` closure and ``NetHost.receive``
-        dispatch; ``_handle_packet`` is read at fire time so per-delivery
-        instrumentation (e.g. the packet-digest tap) still intercepts.
+        Skips ``NetHost.receive``; ``_handle_packet`` is read at fire time
+        so per-delivery instrumentation (the packet-digest tap) intercepts.
         """
         self._settle(self.net.now)
         self._rx_host._handle_packet(pkt)
@@ -393,12 +404,10 @@ class Link:
         self.port_a = port_a
         self.port_b = port_b
         self.dir_ab = LinkDirection(
-            net, bandwidth_bps, latency_ps, queue_a,
-            lambda pkt: port_b.node.receive(pkt, port_b),
+            net, bandwidth_bps, latency_ps, queue_a, port_b,
             label=f"{port_a.node.name}->{port_b.node.name}")
         self.dir_ba = LinkDirection(
-            net, bandwidth_bps, latency_ps, queue_b,
-            lambda pkt: port_a.node.receive(pkt, port_a),
+            net, bandwidth_bps, latency_ps, queue_b, port_a,
             label=f"{port_b.node.name}->{port_a.node.name}")
         port_a.egress = self.dir_ab
         port_b.egress = self.dir_ba
@@ -417,7 +426,7 @@ class ExternalLink:
     def __init__(self, net: "NetworkSim", port: Port, bandwidth_bps: float,
                  queue: DropTailQueue, send_fn: Callable[[Packet], None]) -> None:
         self.direction = LinkDirection(net, bandwidth_bps, 0, queue,
-                                       lambda pkt: send_fn(pkt),
+                                       send_fn=send_fn,
                                        label=f"{port.node.name}->ext")
         port.egress = self.direction
         port.peer = None

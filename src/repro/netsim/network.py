@@ -172,10 +172,10 @@ class NetworkSim(Component):
         batches everything.  Returns the number of directions batched.
         """
         n = 0
-        for direction, rx_port in self._all_directions():
+        for direction, _ in self._all_directions():
             if link_filter is not None and not link_filter(direction.label):
                 continue
-            direction.enable_batching(rx_port)
+            direction.enable_batching()
             n += 1
         return n
 

@@ -89,14 +89,18 @@ class NetHost(Node):
 
     def postpone(self, ev, delay: int) -> bool:
         """Re-arm a pending callback for ``delay`` from now, in place."""
-        return self.net.postpone(ev, delay)
+        net = self.net
+        return net.queue.postpone(ev, net.now + delay)
 
     def tx(self, pkt: Packet) -> None:
         """Transmit a packet out this host's (single) network port."""
         if not self.ports:
             raise RuntimeError(f"{self.name}: host has no network port")
         pkt.create_ts = pkt.create_ts or self.net.now
-        self.ports[0].send(pkt)
+        egress = self.ports[0].egress
+        if egress is None:
+            self.ports[0].send(pkt)  # raises: not linked
+        egress.transmit(pkt)
 
     def charge(self, instructions: int) -> None:
         """Protocol-level hosts model no software execution cost."""

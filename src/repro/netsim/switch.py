@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Protocol, TYPE_CHECKING
 
 from ..kernel.simtime import NS
-from .link import Port
+from .link import LinkDirection, Port
 from .node import Node
 from .packet import Packet
 
@@ -36,7 +36,14 @@ class Pipeline(Protocol):
 
 
 class Switch(Node):
-    """An output-queued L2/L3 switch."""
+    """An output-queued L2/L3 switch.
+
+    Per packet, :meth:`receive` schedules one event ``proc_delay_ps`` after
+    arrival: :meth:`forward` itself, or ``_process`` when a pipeline is
+    attached (read per packet: topologies attach it after construction).
+    ``forward`` hands the packet to the egress direction ``_route_cache``
+    holds for its destination, filled from single-port FIB entries only.
+    """
 
     def __init__(self, net: "NetworkSim", name: str,
                  proc_delay_ps: int = DEFAULT_PROC_DELAY_PS,
@@ -46,14 +53,10 @@ class Switch(Node):
         self.pipeline = pipeline
         #: destination address -> candidate output ports (ECMP set)
         self.fib: Dict[int, List[Port]] = {}
-        #: lazily-filled ``dst -> port`` cache for single-port FIB entries;
-        #: ECMP destinations are never cached (the per-packet flow hash must
-        #: run).  Invalidated by :meth:`add_route` / :meth:`invalidate_routes`.
-        self._route_cache: Dict[int, Port] = {}
-        #: single-entry ``(dst, port)`` memo for the batched fast path —
-        #: back-to-back runs overwhelmingly share a destination, so the
-        #: common case is one tuple compare instead of a dict probe.
-        self._fwd_memo: Optional[tuple] = None
+        #: ``dst -> egress`` for single-port FIB entries (ECMP destinations
+        #: never: the per-packet flow hash must run); flushed by
+        #: :meth:`add_route` / :meth:`invalidate_routes`
+        self._route_cache: Dict[int, LinkDirection] = {}
         self.rx_packets = 0
         self.tx_packets = 0
         self.no_route_drops = 0
@@ -66,17 +69,10 @@ class Switch(Node):
         if port not in self.fib[dst_addr]:
             self.fib[dst_addr].append(port)
         self._route_cache.pop(dst_addr, None)
-        self._fwd_memo = None
 
     def invalidate_routes(self) -> None:
-        """Drop all cached route decisions (topology changed).
-
-        Flushes both the per-destination cache and the batched fast path's
-        last-forward memo, so a mid-run route change can never forward a
-        stale-batched run of packets out the old port.
-        """
+        """Drop all cached route decisions (topology changed)."""
         self._route_cache.clear()
-        self._fwd_memo = None
 
     # -- datapath --------------------------------------------------------------
 
@@ -84,13 +80,15 @@ class Switch(Node):
         """Ingress: note arrival, run the pipeline after the lookup delay."""
         self.rx_packets += 1
         net = self.net
-        now = net.now
-        pkt.arrival_ts = now
-        if self.proc_delay_ps > 0:
+        pkt.arrival_ts = now = net.now
+        delay = self.proc_delay_ps
+        if delay > 0:
             # direct queue insert; _schedule_at is read through ``net`` so
             # the fast-mode queue swap stays visible
-            net._schedule_at(net, now + self.proc_delay_ps, self._process,
-                             pkt, port)
+            if self.pipeline is None:
+                net._schedule_at(net, now + delay, self.forward, pkt)
+            else:
+                net._schedule_at(net, now + delay, self._process, pkt, port)
         else:
             self._process(pkt, port)
 
@@ -106,33 +104,23 @@ class Switch(Node):
 
     def forward(self, pkt: Packet) -> None:
         """Send a packet out the FIB-selected port for its destination."""
-        dst = pkt.dst
-        memo = self._fwd_memo
-        if memo is not None and memo[0] == dst:
-            self.tx_packets += 1
-            memo[1].transmit(pkt)
-            return
-        port = self._route_cache.get(dst)
-        if port is None:
-            ports = self.fib.get(dst)
+        egress = self._route_cache.get(pkt.dst)
+        if egress is None:
+            ports = self.fib.get(pkt.dst)
             if not ports:
                 self.no_route_drops += 1
                 return
-            if len(ports) == 1:
-                port = ports[0]
-                self._route_cache[dst] = port
-            else:
-                # ECMP: the per-packet flow hash must run; never memoized
-                port = ports[hash(pkt.flow_key()) % len(ports)]
+            if len(ports) > 1:
+                # ECMP: the per-packet flow hash must run; never cached
                 self.tx_packets += 1
-                port.send(pkt)
+                ports[hash(pkt.flow_key()) % len(ports)].send(pkt)
                 return
-        if port.egress is not None:
-            # memoize the egress direction itself: repeat forwards to the
-            # same destination skip both the dict probe and the Port hop
-            self._fwd_memo = (dst, port.egress)
+            egress = ports[0].egress
+            if egress is None:
+                ports[0].send(pkt)  # raises: not linked
+            self._route_cache[pkt.dst] = egress
         self.tx_packets += 1
-        port.send(pkt)
+        egress.transmit(pkt)
 
     def send_from_switch(self, pkt: Packet) -> None:
         """Emit a switch-originated packet (e.g. a NetCache cache hit reply)."""

@@ -167,7 +167,11 @@ class Stack:
             track, at = env_track(env)
             rec.hop(pkt.flow, "deliver", track, env.now, at=at)
         if pkt.proto == "tcp":
-            self._handle_tcp(pkt)
+            conn = self._tcp.get((pkt.src, pkt.src_port, pkt.dst_port))
+            if conn is not None:
+                conn.on_packet(pkt)
+            else:
+                self._accept_tcp(pkt)
             return
         sock = self._udp.get(pkt.dst_port)
         if sock is None:
@@ -175,12 +179,8 @@ class Stack:
             return
         sock._deliver(pkt)
 
-    def _handle_tcp(self, pkt: Packet) -> None:
-        key = (pkt.src, pkt.src_port, pkt.dst_port)
-        conn = self._tcp.get(key)
-        if conn is not None:
-            conn.on_packet(pkt)
-            return
+    def _accept_tcp(self, pkt: Packet) -> None:
+        """A TCP segment no connection owns: a SYN to a listener opens one."""
         if "S" in pkt.flags and "A" not in pkt.flags:
             listener = self._tcp_listeners.get(pkt.dst_port)
             if listener is None:

@@ -109,14 +109,12 @@ class TcpConnection:
 
     def _emit(self, flags: str, seq: int = 0, ack: int = 0,
               length: int = 0, ece: bool = False) -> None:
-        pkt = Packet(
-            src=self.stack.addr, dst=self.peer,
-            size_bytes=length + HEADER_BYTES + 14,
-            proto="tcp", src_port=self.local_port, dst_port=self.peer_port,
-            seq=seq, ack=ack, flags=flags, ece=ece, data_len=length,
-            ect=self.ect and length > 0,
-            create_ts=self.env.now,
-        )
+        # positional: src dst size proto sport dport seq ack flags wnd
+        # data_len ect ce ece residence_ps arrival_ts payload create_ts
+        pkt = Packet(self.stack.addr, self.peer, length + HEADER_BYTES + 14,
+                     "tcp", self.local_port, self.peer_port, seq, ack, flags,
+                     0, length, self.ect and length > 0, False, ece, 0, 0,
+                     None, self.env.now)
         rec = _FLOWS[0]
         if rec is not None:
             # Segment birth: every TCP segment is its own traced flow.

@@ -227,7 +227,7 @@ def test_invalidate_routes_flushes_batching_memo():
     assert l3.dir_ab.tx_packets == 1
 
 
-def test_add_route_flushes_batching_memo():
+def test_add_route_flushes_route_cache():
     net, h1, h2, h3, sw, l2, l3 = _star_with_two_egresses()
     net.enable_batching(None)
     h2.stack.udp_socket(9, lambda pkt: None)
@@ -237,9 +237,11 @@ def test_add_route_flushes_batching_memo():
     sim.add(net)
 
     def check_and_add():
-        assert sw._fwd_memo is not None
+        assert sw._route_cache == {2: l2.dir_ab}
         sw.add_route(3, l3.port_a)
-        assert sw._fwd_memo is None
+        assert 3 not in sw._route_cache
+        sw.add_route(2, l3.port_a)
+        assert 2 not in sw._route_cache
 
     net.schedule(10 * US, check_and_add)
     sim.run(1000 * US)

@@ -64,7 +64,7 @@ def test_route_cache_fills_on_forward_and_matches_fib():
     net, sw, hosts = _star()
     pkt = Packet(src=1, dst=2, size_bytes=100)
     sw.forward(pkt)
-    assert sw._route_cache[2] is sw.fib[2][0]
+    assert sw._route_cache[2] is sw.fib[2][0].egress
     assert sw.tx_packets == 1
 
 
