@@ -86,7 +86,7 @@ class SimOS:
     def tx(self, pkt: Packet) -> None:
         """Hand a packet to the NIC once the CPU has executed the tx path."""
         at = max(self.now, self.cpu_free_at)
-        self.host.schedule(at, self._do_tx, pkt)
+        self.host._schedule_at(self.host, at, self._do_tx, pkt)
 
     def _do_tx(self, pkt: Packet) -> None:
         cb = self._sw_tx_cbs.pop(pkt.uid, None)
@@ -122,7 +122,8 @@ class SimOS:
         if len(self._sw_rx_ts) > 4096:
             self._sw_rx_ts.pop(next(iter(self._sw_rx_ts)))
         deliver_at = max(self.now, self.cpu_free_at)
-        self.host.schedule(deliver_at, self.stack.handle_packet, pkt)
+        host = self.host
+        host._schedule_at(host, deliver_at, self.stack.handle_packet, pkt)
 
     def pop_hw_rx_ts(self, pkt: Packet) -> Optional[int]:
         """Retrieve (and clear) the PHC rx timestamp of a packet."""

@@ -81,12 +81,13 @@ class Component:
         """Make ``queue`` this component's event queue.
 
         Besides ``self.queue`` this refreshes the two callables the hot
-        paths bind to the queue: ``_schedule_at`` and the per-instance
-        :meth:`call_after`.  Whoever replaces a component's queue (the
-        fast-mode coordinator does) must come through here.
+        paths bind to the queue: ``_schedule_at`` (``queue.post_at``, for
+        events nobody cancels) and the per-instance :meth:`call_after`.
+        Whoever replaces a component's queue (the fast-mode coordinator
+        does) must come through here.
         """
         self.queue = queue
-        self._schedule_at = queue.schedule_at
+        self._schedule_at = queue.post_at
         self.call_after = partial(queue.schedule_after, self)
 
     @property
@@ -113,12 +114,13 @@ class Component:
     # -- scheduling API (used by subclasses) -------------------------------
 
     def schedule(self, ts: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated time ``ts``."""
+        """Schedule ``fn(*args)`` at absolute time ``ts``; return its handle
+        (``_schedule_at``, with the same arguments, posts without one)."""
         if ts < self.now:
             raise ValueError(
                 f"{self.name}: scheduling into the past ({ts} < now {self.now})"
             )
-        return self._schedule_at(self, ts, fn, *args)
+        return self.queue.schedule_at(self, ts, fn, *args)
 
     def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` picoseconds from now.
@@ -183,8 +185,9 @@ class Component:
           time is ``stamp - latency`` (per-channel latency is fixed), so
           only ``msg.seq`` travels on the wire.
         * *drain* — ``EventQueue.run_until`` is entered only when something
-          may be due: a live heap head beyond the bound means nothing is,
-          while a dead or postponed head is left to ``run_until`` to settle.
+          may be due: a post or live handle at the heap head beyond the
+          bound means nothing is, while a dead or postponed head is left to
+          ``run_until`` to settle.
         * *publish* — an in-process end's promise is stored on its
           ``FifoQueue`` inline (:meth:`ChannelEnd.maybe_sync`'s in-process
           branch); other ends call ``maybe_sync``.
@@ -243,10 +246,10 @@ class Component:
         if batch is not None:
             if len(batch) > 1:
                 batch.sort(key=_delivery_order)
-            schedule_at = self._schedule_at
+            post_at = self._schedule_at
             dispatch = self._dispatch_cached
             for stamp, _send_ts, _seq, end, msg in batch:
-                schedule_at(self, stamp, dispatch, end, msg)
+                post_at(self, stamp, dispatch, end, msg)
         # Events may run at ts <= target and strictly below the horizon.
         # Every event left lies beyond the bound, so the commitment is the
         # bound's own limit.  (Inputs arriving meanwhile only matter in
@@ -260,7 +263,7 @@ class Component:
         heap = queue._heap
         if heap:
             head = heap[0]
-            if head[0] <= bound or head[2].cancelled:
+            if head[0] <= bound or (head[4] is None and head[3].cancelled):
                 queue.run_until(bound)
         if commit > self.now:
             self.now = commit

@@ -1,9 +1,13 @@
 """Discrete-event machinery: events, the event queue, and cancellation.
 
-The queue is a binary heap of ``(timestamp, sequence, event)`` tuples.  The
+The queue is a binary heap of ``(ts, seq, owner, fn, args)`` tuples.  The
 sequence number breaks timestamp ties in insertion order, which makes
 simulations deterministic: two events scheduled for the same picosecond
-always execute in the order they were scheduled.
+always execute in the order they were scheduled.  An event nobody cancels
+is *posted* (:meth:`EventQueue.post_at`): that tuple alone, no ``Event``, no
+pool traffic.  A handle's entry is ``(ts, seq, None, event, None)``, ``args
+is None`` marking it; only it takes the drain's cancel, postpone and
+recycling branches.  Both kinds draw ``seq`` from one counter at the call.
 
 Hot-path design (this loop bounds overall simulator throughput):
 
@@ -32,7 +36,8 @@ Hot-path design (this loop bounds overall simulator throughput):
   tombstone per re-arm.  The stale entry is re-pushed under the new key when
   it surfaces, on the branch the drain already takes for cancelled entries.
 
-**Pooled-event lifetime rule:** a handle returned by :meth:`EventQueue.schedule`
+**Pooled-event lifetime rule:** handles come only from ``schedule``,
+``schedule_at`` and ``schedule_after`` (``post_at`` returns none).  A handle
 is only valid until the event fires or its cancellation is collected; it
 stays valid across any number of :meth:`EventQueue.postpone` calls and
 across :meth:`EventQueue.adopt` (the fast-mode queue swap).  Do not
@@ -57,9 +62,9 @@ _MOVED = 2
 class Event:
     """A single scheduled callback.
 
-    Events live in the heap inside ``(ts, seq, event)`` tuples; the object
-    itself is never compared.  Use :meth:`cancel` rather than removing from
-    the queue; cancelled events are skipped lazily when popped.
+    Events live in the heap inside ``(ts, seq, None, event, None)``
+    tuples; the object itself is never compared.  Use :meth:`cancel` rather
+    than removing from the queue; cancelled events are skipped lazily.
 
     ``cancelled`` has three states: ``False`` (pending, the heap entry
     carries this event's key), ``True`` (dead: cancelled, fired or pooled)
@@ -105,7 +110,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Tuple[int, int, Any, Any, Optional[tuple]]] = []
         self._seq = 0
         self._live = 0
         self._pool: List[Event] = []
@@ -129,7 +134,8 @@ class EventQueue:
 
     @property
     def pool_reuse(self) -> int:
-        """Schedules served from the free list (derived, not hot-path kept)."""
+        """Schedules that constructed no :class:`Event` — pool hits and
+        posts (derived, not hot-path kept)."""
         return self._seq - self.postponed_total - self.allocations
 
     def __len__(self) -> int:
@@ -169,7 +175,7 @@ class EventQueue:
             self.allocations += 1
         self._live += 1
         heap = self._heap
-        heapq.heappush(heap, (ts, seq, ev))
+        heapq.heappush(heap, (ts, seq, None, ev, None))
         # sampled high-water mark: every 256th schedule, cheap on the hot path
         if not seq & 255 and len(heap) > self.peak_heap:
             self.peak_heap = len(heap)
@@ -203,11 +209,26 @@ class EventQueue:
             self.allocations += 1
         self._live += 1
         heap = self._heap
-        heapq.heappush(heap, (ts, seq, ev))
+        heapq.heappush(heap, (ts, seq, None, ev, None))
         # sampled high-water mark: every 256th schedule, cheap on the hot path
         if not seq & 255 and len(heap) > self.peak_heap:
             self.peak_heap = len(heap)
         return ev
+
+    def post_at(self, owner: Any, ts: int, fn: Callable[..., None],
+                *args: Any) -> None:
+        """:meth:`schedule_at` without a handle: the entry is ``(ts, seq,
+        owner, fn, args)``, under the ``seq`` ``schedule_at`` would draw.
+        ``owner`` must be a component (the drain does not test for None)."""
+        if ts < 0:
+            raise ValueError(f"cannot schedule event at negative time {ts}")
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heap = self._heap
+        heapq.heappush(heap, (ts, seq, owner, fn, args))
+        if not seq & 255 and len(heap) > self.peak_heap:
+            self.peak_heap = len(heap)
 
     def cancel(self, ev: Event) -> None:
         """Cancel an event previously returned by :meth:`schedule`."""
@@ -247,20 +268,22 @@ class EventQueue:
         taken before the move still controls its event (``cancel``,
         ``postpone``).  They count as allocations of this queue: once a
         component's queue is replaced, the run's statistics read this one.
+        A post moves as its entry, under the new ``seq``.
         """
         heap = self._heap
-        while True:
-            ev = other.pop()
-            if ev is None:
-                return
+        while other.peek_ts() is not None:
+            other._live -= 1
+            ts, _, _, fn, args = heapq.heappop(other._heap)
             seq = self._seq
             self._seq = seq + 1
-            ev.seq = seq
-            ev.owner = owner
-            ev._queue = self
+            if args is None:
+                fn.seq = seq
+                fn.owner = owner
+                fn._queue = self
+                self.allocations += 1
             self._live += 1
-            self.allocations += 1
-            heapq.heappush(heap, (ev.ts, seq, ev))
+            heapq.heappush(heap, (ts, seq, None if args is None else owner,
+                                  fn, args))
             if not seq & 255 and len(heap) > self.peak_heap:
                 self.peak_heap = len(heap)
 
@@ -296,15 +319,15 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            ev = entry[2]
-            if not ev.cancelled:
+            ev = entry[3]
+            if entry[4] is not None or not ev.cancelled:
                 return entry[0]
             if ev.cancelled is True:
                 heapq.heappop(heap)
                 self._recycle(ev)
             else:
                 ev.cancelled = False
-                heapq.heapreplace(heap, (ev.ts, ev.seq, ev))
+                heapq.heapreplace(heap, (ev.ts, ev.seq, None, ev, None))
         return None
 
     def pop(self) -> Optional[Event]:
@@ -312,12 +335,17 @@ class EventQueue:
 
         The caller owns the returned event until it hands it back via
         :meth:`release` (optional — unreleased events are simply collected
-        by the garbage collector, forgoing reuse).
+        by the garbage collector, forgoing reuse).  A post has no
+        :class:`Event`; popping one builds it.
         """
         if self.peek_ts() is None:
             return None
         self._live -= 1
-        return heapq.heappop(self._heap)[2]
+        ts, seq, owner, fn, args = heapq.heappop(self._heap)
+        if args is None:
+            return fn
+        self.allocations += 1
+        return Event(ts, seq, fn, args, owner=owner, queue=self)
 
     def run_until(self, until_ps: int) -> int:
         """Execute every live event with ``ts <= until_ps``; return the count.
@@ -346,7 +374,21 @@ class EventQueue:
             # pop-first: cheaper than peek-then-pop per event; overshooting
             # the bound costs a single push-back per non-empty drain instead
             entry = pop(heap)
-            ev = entry[2]
+            ts, _, owner, fn, args = entry
+            if args is not None:
+                # a post: no handle, so nothing to test or recycle
+                if ts > until_ps:
+                    heapq.heappush(heap, entry)
+                    break
+                steps += 1
+                last_ts = ts
+                owner.now = ts
+                owner.events_processed += 1
+                if trace is not None:
+                    trace(owner, ts)
+                fn(*args)
+                continue
+            ev = fn
             if ev.cancelled:
                 if ev.cancelled is True:
                     ev.fn = _released
@@ -356,9 +398,8 @@ class EventQueue:
                 else:
                     # postponed: this entry is stale, re-key it
                     ev.cancelled = False
-                    heapq.heappush(heap, (ev.ts, ev.seq, ev))
+                    heapq.heappush(heap, (ev.ts, ev.seq, None, ev, None))
                 continue
-            ts = entry[0]
             if ts > until_ps:
                 heapq.heappush(heap, entry)
                 break

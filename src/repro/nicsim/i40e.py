@@ -81,7 +81,8 @@ class I40eNic(Component):
                 self._dma_pending[req_id] = msg.value
                 if msg.flow:
                     self._dma_flow[req_id] = msg.flow
-                self.call_after(TX_PROC_PS, self._fetch_descriptor, req_id)
+                self._schedule_at(self, self.now + TX_PROC_PS,
+                                  self._fetch_descriptor, req_id)
             elif msg.addr == REG_PHC_TIME and not msg.is_write:
                 self.pci.send(MmioRespMsg(value=self.phc.read(self.now),
                                           req_id=msg.req_id), self.now)
@@ -107,7 +108,7 @@ class I40eNic(Component):
         start = max(self.now, self._tx_busy_until)
         done = start + bits_time(pkt.size_bits, self.line_rate_bps)
         self._tx_busy_until = done
-        self.schedule(done, self._wire_out, slot, pkt)
+        self._schedule_at(self, done, self._wire_out, slot, pkt)
 
     def _wire_out(self, slot: int, pkt: Packet) -> None:
         self.tx_packets += 1
@@ -125,7 +126,8 @@ class I40eNic(Component):
         pkt = msg.packet
         self.rx_packets += 1
         hw_ts = self.phc.read(self.now) if is_ptp_event(pkt) else None
-        self.call_after(RX_PROC_PS, self._rx_dma, pkt, hw_ts)
+        self._schedule_at(self, self.now + RX_PROC_PS, self._rx_dma, pkt,
+                          hw_ts)
 
     def _rx_dma(self, pkt: Packet, hw_ts: Optional[int]) -> None:
         self.pci.send(DmaWriteMsg(data=RxEntry(pkt, hw_ts),

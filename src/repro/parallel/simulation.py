@@ -68,7 +68,7 @@ class Observer:
 class _DirectQueue:
     """Fast-mode transport: delivers straight into the peer's event queue.
 
-    ``bind`` caches the receiver's ``queue.schedule`` and dispatch bound
+    ``bind`` caches the receiver's ``queue.post_at`` and dispatch bound
     methods so the per-message ``push`` does no attribute traversal at all.
     """
 
@@ -82,7 +82,7 @@ class _DirectQueue:
         """Point this queue at the receiving component and end."""
         self.peer_comp = comp
         self.peer_end = end
-        self._schedule_at = comp.queue.schedule_at
+        self._schedule_at = comp.queue.post_at
         self._dispatch = comp._dispatch_cached
 
     def push(self, msg) -> bool:
@@ -107,11 +107,12 @@ class SimStats:
     # -- event-queue/engine health (aggregated over all queues of the run) --
     #: largest heap length observed (live + lazily-cancelled entries)
     peak_heap: int = 0
-    #: fraction of schedules served from the event free list
+    #: fraction of schedules that built no ``Event``: pool hits and, mostly,
+    #: posts (``EventQueue.post_at``)
     pool_reuse_rate: float = 0.0
     #: fraction of scheduled events cancelled before firing
     cancelled_ratio: float = 0.0
-    #: fresh Event objects constructed across the run
+    #: fresh ``Event`` objects constructed across the run (posts build none)
     event_allocations: int = 0
     #: pending events re-armed in place (``EventQueue.postpone``); these are
     #: not schedules and stay out of the two ratios above
@@ -227,7 +228,7 @@ class Simulation:
             reused += qs["pool_reuse"]
             cancelled += qs["cancelled_total"]
             postponed += qs["postponed_total"]
-            # every schedule is a fresh allocation or a pool hit
+            # every schedule is a fresh allocation, a pool hit or a post
             scheduled += qs["allocations"] + qs["pool_reuse"]
         stats.event_allocations = allocs
         stats.postponed = postponed

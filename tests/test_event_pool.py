@@ -139,7 +139,9 @@ def test_idle_run_until_still_recycles_cancelled_heads():
     live = q.schedule(10, lambda: None)
     q.cancel(dead)
     assert q.run_until(9) == 0
-    assert [entry[2] for entry in q._heap] == [live]
+    # a handle's heap entry is ``(ts, seq, None, event, None)``
+    assert [entry[3] for entry in q._heap] == [live]
+    assert all(entry[4] is None for entry in q._heap)
     assert q._pool == [dead]
     assert len(q) == 1 and q.executed == 0
 
@@ -192,31 +194,48 @@ class ReferenceQueue:
         return order
 
 
+class _Owner:
+    now = events_processed = 0
+
+
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=50),
-                          st.booleans()),
+                          st.sampled_from(["schedule", "cancel", "post"])),
                 min_size=1, max_size=60),
        st.integers(min_value=0, max_value=60))
 @settings(max_examples=200, deadline=None)
 def test_property_identical_timelines_vs_reference(ops, bound):
     """Optimized queue and the reference execute identical (ts, seq) orders.
 
-    Each op schedules an event; ops flagged True cancel the previously
-    scheduled event (exercising lazy-cancellation interleavings).
+    Each op inserts an event: ``schedule`` and ``cancel`` through a handle,
+    ``cancel`` then cancelling the previous handle (exercising
+    lazy-cancellation interleavings), ``post`` through the handle-free
+    ``post_at``.  A post is never cancellable: it yields no handle and a
+    cancel of the handle scheduled before or after it leaves it to fire.
     """
-    ref, opt = ReferenceQueue(), EventQueue()
+    ref, opt, owner = ReferenceQueue(), EventQueue(), _Owner()
     executed = []
+    posted = set()
     ref_prev = opt_prev = None
-    for ts, do_cancel in ops:
+    for ts, op in ops:
         r = ref.schedule(ts, lambda: None)
-        o = opt.schedule(ts, executed.append, (ts, r["seq"]))
-        if do_cancel and ref_prev is not None:
+        key = (ts, r["seq"])
+        if op == "post":
+            assert opt._seq == r["seq"]
+            assert opt.post_at(owner, ts, executed.append, key) is None
+            posted.add(key)
+            continue
+        o = opt.schedule(ts, executed.append, key)
+        if op == "cancel" and ref_prev is not None:
             ref.cancel(ref_prev)
             opt.cancel(opt_prev)
         ref_prev, opt_prev = r, o
+    assert len(opt) == sum(1 for *_, e in ref._heap if not e["cancelled"])
 
     ref_exec = ref.run_until(bound)
     assert opt.run_until(bound) == len(ref_exec)
     assert executed == ref_exec
+    assert posted & set(ref_exec) == {k for k in posted if k[0] <= bound}
+    assert len(opt) == sum(1 for *_, e in ref._heap if not e["cancelled"])
 
 
 # -- postpone ---------------------------------------------------------------
@@ -304,6 +323,24 @@ def test_fast_mode_migration_keeps_a_postponed_pre_run_event():
     sim.add(comp)
     stats = sim.run(100)
     assert fired == [25] and stats.events == 1
+
+
+def test_pre_run_posts_move_in_fast_mode_and_pop_builds_their_event():
+    comp = Component("c")
+    fired = []
+    comp._schedule_at(comp, 10, fired.append, "post")
+    comp.schedule(10, fired.append, "handle")
+    comp._schedule_at(comp, 20, fired.append, "late post")
+    sim = Simulation(mode="fast")
+    sim.add(comp)
+    stats = sim.run(100)
+    assert fired == ["post", "handle", "late post"] and stats.events == 3
+    assert stats.event_allocations == 1  # the handle's, moved by adopt
+    q = EventQueue()
+    q.post_at(comp, 5, fired.append, "popped")
+    ev = q.pop()
+    assert (ev.ts, ev.seq, ev.owner, ev.args) == (5, 0, comp, ("popped",))
+    assert len(q) == 0 and q.allocations == 1
 
 
 def test_rearming_one_timer_keeps_one_heap_entry():

@@ -37,13 +37,13 @@ class _EventTimes(Observer):
             comp.queue.trace = lambda owner, ts: self.times.append(ts)
 
 
-def _line():
+def _line(latency=1 * US):
     net = NetworkSim("n")
     h1 = net.add_host("h1", addr=1)
     h2 = net.add_host("h2", addr=2)
     sw = net.add_switch("sw")
-    l1 = net.add_link(h1, sw, 10e9, 1 * US)
-    l2 = net.add_link(sw, h2, 10e9, 1 * US)
+    l1 = net.add_link(h1, sw, 10e9, latency)
+    l2 = net.add_link(sw, h2, 10e9, latency)
     sw.add_route(1, l1.port_b)
     sw.add_route(2, l2.port_a)
     return net, h1, h2, sw
@@ -65,6 +65,38 @@ def test_one_switch_hop_costs_six_events(mode):
         == HOP_EVENTS
     assert net.events_processed == len(HOP_EVENTS)
     assert arrivals == [3_173_600]
+
+
+def _event_objects(mode, datagrams):
+    """``Event`` objects a run of ``datagrams`` paced datagrams builds.
+
+    1 ms links keep every datagram of a run in flight at once, so a kernel
+    event per packet would need one ``Event`` per datagram in flight; the
+    sender's own timer is one handle, re-armed from the pool."""
+    net, h1, h2, sw = _line(latency=1000 * US)
+    arrivals = []
+    h2.stack.udp_socket(9, lambda pkt: arrivals.append(net.now))
+    sock = h1.stack.udp_socket(8)
+
+    def send(left):
+        sock.sendto(2, 9, 500)
+        if left > 1:
+            net.call_after(500 * NS, send, left - 1)
+
+    net.schedule(0, send, datagrams)
+    sim = Simulation(mode=mode)
+    sim.add(net)
+    stats = sim.run(3000 * US)
+    assert len(arrivals) == datagrams
+    assert stats.event_allocations == net.queue.allocations
+    return net.queue.allocations
+
+
+@pytest.mark.parametrize("mode", ["fast", "strict"])
+def test_no_event_object_per_packet(mode):
+    """A packet's hop events are posts: 100x the datagrams, same
+    ``Event`` count."""
+    assert _event_objects(mode, 10) == _event_objects(mode, 1000)
 
 
 def _star(batched):

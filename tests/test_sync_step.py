@@ -73,8 +73,8 @@ class Scripted(Component):
     dead or postponed heap head: a drain always leaves a live one).  A
     firing timer runs its op (send, arm a plain timer, cancel or postpone
     a pending one), and a delivery sometimes answers.  Every executed event
-    logs ``(now, seq)``: a timer reads its handle, a delivery the event the
-    step scheduled for it."""
+    logs ``(now, seq)``: a timer reads its handle, a delivery the seq the
+    step's post drew for it (a post returns no handle)."""
 
     def __init__(self, name, script):
         super().__init__(name)
@@ -88,8 +88,9 @@ class Scripted(Component):
         schedule_at = self._schedule_at
 
         def scheduling_deliveries(owner, ts, fn, end, msg):
-            ev = self.deliveries[id(msg)] = schedule_at(owner, ts, fn, end, msg)
-            return ev
+            # a delivery is posted (no handle): record the seq it draws
+            self.deliveries[id(msg)] = owner.queue._seq
+            schedule_at(owner, ts, fn, end, msg)
 
         self._schedule_at = scheduling_deliveries
 
@@ -129,7 +130,7 @@ class Scripted(Component):
             self._meddle(op, arg)
 
     def on_msg(self, msg):
-        self.log.append((self.now, self.deliveries.pop(id(msg)).seq,
+        self.log.append((self.now, self.deliveries.pop(id(msg)),
                          msg.payload))
         _src, n, hops = msg.payload
         if hops < 2 and n % 2 == 0:
