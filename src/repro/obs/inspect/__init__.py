@@ -4,7 +4,7 @@ One view per subcommand, every one reading its input through the run-dir
 loader (:mod:`repro.obs.rundir`), so an argument may be an artifact file
 or the run directory holding it::
 
-    splitsim-inspect RUN                           # trace summary
+    splitsim-inspect RUN                           # spans + wait analysis
     splitsim-inspect RUN --dot wtpg.dot --json summary.json
     splitsim-inspect flows RUN --top 5             # causal flow waterfalls
     splitsim-inspect timeline RUN                  # per-epoch view
@@ -13,6 +13,11 @@ or the run directory holding it::
     splitsim-inspect attach RUN                    # live status view
     splitsim-inspect attach RUN --json             # one-shot status JSON
     splitsim-inspect attach RUN dump-trace stop    # scripted commands
+
+The summary reads spans from the run's trace and its stall timeline,
+wait histograms and WTPG from the run's epoch timeline, the one record of
+channel and component counters; without a timeline it prints the
+loader's hint in their place and still exits 0.
 
 Views: :mod:`.summary`, :mod:`.flows`, :mod:`.timeline` (``timeline`` and
 ``recommend``), :mod:`.diff`, :mod:`.attach`.  A view whose input is

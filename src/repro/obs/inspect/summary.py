@@ -1,38 +1,38 @@
-"""``splitsim-inspect RUN``: summarize a run's Chrome trace.
+"""``splitsim-inspect RUN``: summarize a run's trace and epoch timeline.
 
 Works on the structured traces written by ``splitsim-run --trace`` (or the
-multiprocess runner's ``trace_dir``).  It reports:
+multiprocess runner's ``trace_dir``).  From the trace it reports:
 
 * **top spans** — where simulated/wall time went (kernel drains, link busy
   periods, waits), ranked by total duration;
-* **stall timeline** — when each simulator was blocked on synchronization;
-* **per-edge wait histogram** — distribution of wait increments per channel
-  direction (exponential buckets);
-* **WTPG** — the wait-time profile graph of the trace's ``comp|``/``chan|``
-  counter tracks, fed through the profiler's ``analyze``; it equals the
-  profiler's timeline view of the same run.
+* **fidelity tiers** — batched-drain runs and fluid-tier counters.
+
+The wait analysis reads the epoch timeline in the trace's run directory
+(``splitsim-run --timeline`` / ``--profile-out DIR``), the profiler's one
+counter record:
+
+* **stall timeline** — when each simulator was blocked on synchronization
+  (epochs above :data:`~repro.obs.timeline.STALL_FRACTION` wait, plus the
+  multiprocess children's ``wait|`` spans);
+* **per-edge wait histogram** — distribution of per-epoch wait increments
+  per channel direction (exponential buckets);
+* **WTPG** — the profiler's ``analyze`` over every epoch, the same
+  analysis as ``splitsim-profile --drop-head 0``.
+
+Without a timeline those sections print the loader's hint instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Any, Dict, List, Tuple
 
-from ...profiler.instrument import rows_from_trace
 from ...profiler.postprocess import ProfileAnalysis, analyze
 from ...profiler.wtpg import build_wtpg, save_dot, to_text
 from .. import rundir
 from ..metrics import Histogram
+from ..timeline import STALL_FRACTION, EpochRow
 from .render import intensity_bar, write_json
-
-
-def analysis_from_trace(doc: dict) -> ProfileAnalysis:
-    """The profiler's analysis of a trace's ``comp|``/``chan|`` counter
-    tracks — :func:`~repro.profiler.postprocess.analyze` over
-    :func:`~repro.profiler.instrument.rows_from_trace`, so wait fractions
-    and the bottleneck ranking equal the timeline's on the same run."""
-    return analyze(rows_from_trace(doc))
 
 
 def top_spans(events: List[dict], top: int = 10) -> List[dict]:
@@ -51,21 +51,23 @@ def top_spans(events: List[dict], top: int = 10) -> List[dict]:
     return sorted(agg.values(), key=lambda e: -e["total_us"])[:top]
 
 
-def stall_points(events: List[dict]) -> List[Tuple[str, float]]:
-    """(component, ts_us) stall observations from instants and wait spans."""
-    points: List[Tuple[str, float]] = []
+def stall_points(events: List[dict],
+                 rows: List[EpochRow]) -> List[Tuple[str, float]]:
+    """(component, wall us) stall observations: epochs spent mostly
+    waiting, at their end, and the trace's ``wait|`` spans."""
+    points = [(row.comp, row.wall_s * 1e6) for row in rows
+              if row.wait_fraction > STALL_FRACTION]
     for ev in events:
         name = ev.get("name", "")
-        if ev.get("ph") == "i" and name.startswith("stall|"):
-            points.append((name.split("|", 1)[1], ev["ts"]))
-        elif ev.get("ph") == "X" and name.startswith("wait|"):
+        if ev.get("ph") == "X" and name.startswith("wait|"):
             points.append((name.split("|")[1], ev["ts"]))
     return points
 
 
-def stall_timeline(events: List[dict], buckets: int = 48) -> str:
+def stall_timeline(events: List[dict], rows: List[EpochRow],
+                   buckets: int = 48) -> str:
     """Per-component text timeline of synchronization stalls."""
-    points = stall_points(events)
+    points = stall_points(events, rows)
     if not points:
         return "  (no stalls recorded)"
     t_lo = min(ts for _, ts in points)
@@ -83,11 +85,11 @@ def stall_timeline(events: List[dict], buckets: int = 48) -> str:
     return "\n".join(lines)
 
 
-def edge_wait_histograms(doc: dict) -> Dict[str, Histogram]:
+def edge_wait_histograms(rows: List[EpochRow]) -> Dict[str, Histogram]:
     """Per channel-direction histograms of per-epoch wait-cycle increments,
-    over the rows the WTPG is built from (:func:`rows_from_trace`)."""
+    over the rows the WTPG is built from."""
     out: Dict[str, Histogram] = {}
-    for row in rows_from_trace(doc):
+    for row in rows:
         for peer, wait in row.edge_wait.items():
             edge = f"{row.comp} -> {peer}"
             hist = out.setdefault(edge, Histogram(edge, start=1.0,
@@ -118,11 +120,39 @@ def fidelity_summary(events: List[dict]) -> Dict[str, Any]:
     return {"batch": batch, "fluid": fluid}
 
 
+def _wtpg_section(analysis: ProfileAnalysis, dot: str) -> dict:
+    """Print the WTPG and bottleneck ranking (and write ``dot``); returns
+    the summary's ``bottlenecks`` and ``edges``."""
+    if not analysis.components:
+        print("\n(no epoch rows recorded)")
+        return {}
+    graph = build_wtpg(analysis)
+    print()
+    print(to_text(graph, title="wait-time profile"))
+    ranking = analysis.bottlenecks(len(analysis.components))
+    print("\nbottleneck ranking:", ", ".join(ranking))
+    if dot:
+        save_dot(graph, dot, title="SplitSim WTPG")
+        print(f"wrote {dot}")
+    return {"bottlenecks": ranking,
+            "edges": {f"{src}->{dst}": frac for (src, dst), frac
+                      in sorted(analysis.edge_wait_fraction.items())}}
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="splitsim-inspect",
-        description="Summarize a SplitSim trace: top spans, stall timeline, "
-                    "per-edge wait histograms, and the trace-derived WTPG. "
+        description="Summarize a SplitSim run: top spans from its trace; "
+                    "stall timeline, per-edge wait histograms and the WTPG "
+                    "from its epoch timeline. "
                     "Use the 'flows' subcommand for causal flow analysis, "
                     "'attach' to inspect a running simulation live, "
                     "'timeline' for the epoch-resolved metrics view, "
@@ -130,12 +160,12 @@ def main(argv: List[str]) -> int:
                     "'diff' to localize a divergence between two audited "
                     "runs.")
     parser.add_argument("trace", help="Chrome-trace JSON file or run dir")
-    parser.add_argument("--top", type=int, default=10,
+    parser.add_argument("--top", type=_count, default=10,
                         help="span groups to list (default 10)")
-    parser.add_argument("--buckets", type=int, default=48,
+    parser.add_argument("--buckets", type=_count, default=48,
                         help="stall-timeline width in buckets")
     parser.add_argument("--dot", metavar="PATH",
-                        help="write the trace-derived WTPG as Graphviz DOT")
+                        help="write the WTPG as Graphviz DOT")
     parser.add_argument("--json", metavar="PATH",
                         help="write the machine-readable summary as JSON")
     args = parser.parse_args(argv)
@@ -155,9 +185,6 @@ def main(argv: List[str]) -> int:
     if not spans:
         print("  (no spans recorded)")
 
-    print("\nstall timeline:")
-    print(stall_timeline(events, buckets=args.buckets))
-
     fid = fidelity_summary(events)
     if fid["batch"] or fid["fluid"]:
         print("\nfidelity tiers:")
@@ -172,32 +199,24 @@ def main(argv: List[str]) -> int:
                   f"{sample.get('demoted', 0)} demoted, "
                   f"{sample.get('bytes_modeled', 0):,} bytes modeled")
 
-    hists = edge_wait_histograms(doc)
-    print("\nper-edge wait histogram (cycle increments per sample):")
-    for edge in sorted(hists):
-        h = hists[edge]
-        print(f"  {edge:<32} n={h.count:<6} mean={h.mean:,.0f} "
-              f"p95={h.quantile(0.95):,.0f} max={h.max:,.0f}")
-    if not hists:
-        print("  (no channel tracks recorded)")
-
-    analysis = analysis_from_trace(doc)
     summary: dict = {"top_spans": spans, "edges": {}, "bottlenecks": [],
                      "fidelity": fid}
-    if analysis.components:
-        graph = build_wtpg(analysis)
-        print()
-        print(to_text(graph, title="wait-time profile (from trace)"))
-        ranking = analysis.bottlenecks(len(analysis.components))
-        print("\nbottleneck ranking:", ", ".join(ranking))
-        summary["bottlenecks"] = ranking
-        summary["edges"] = {f"{src}->{dst}": frac for (src, dst), frac
-                            in sorted(analysis.edge_wait_fraction.items())}
-        if args.dot:
-            save_dot(graph, args.dot, title="SplitSim WTPG (trace)")
-            print(f"wrote {args.dot}")
-    elif args.dot:
-        print("no component tracks in trace; skipping --dot", file=sys.stderr)
+    try:
+        rows = rundir.load_timeline(rundir.run_dir(args.trace)).rows
+    except rundir.RunDirError as exc:
+        print(f"\n{exc}")
+    else:
+        print("\nstall timeline (wall clock):")
+        print(stall_timeline(events, rows, buckets=args.buckets))
+        hists = edge_wait_histograms(rows)
+        print("\nper-edge wait histogram (cycle increments per epoch):")
+        for edge in sorted(hists):
+            h = hists[edge]
+            print(f"  {edge:<32} n={h.count:<6} mean={h.mean:,.0f} "
+                  f"p95={h.quantile(0.95):,.0f} max={h.max:,.0f}")
+        if not hists:
+            print("  (no channel ends recorded)")
+        summary.update(_wtpg_section(analyze(rows), args.dot))
 
     if args.json:
         write_json(args.json, summary)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from . import names
 from .recorder import Collector, JsonlDoc, LoadedDoc
@@ -141,25 +141,8 @@ def selected_counters(comp) -> Dict[str, float]:
     return out
 
 
-def counter_state(events: int, work: float, ends: Iterable[tuple],
-                  ctr: Optional[Dict[str, float]] = None) -> dict:
-    """One component's cumulative counters; ``ends`` yields ``(peer,
-    counters)`` per channel end, with the keys of
-    :meth:`~repro.channels.channel.ChannelEnd.counters`."""
-    wait = comm = 0.0
-    edges: Dict[str, Tuple[int, int, float]] = {}
-    for peer, c in ends:
-        wait += c["wait_cycles"]
-        comm += c["tx_cycles"] + c["rx_cycles"]
-        msgs, syncs, waited = edges.get(peer, (0, 0, 0))
-        edges[peer] = (msgs + c["tx_msgs"], syncs + c["tx_syncs"],
-                       waited + c["wait_cycles"])
-    return {"events": events, "work": work, "wait": wait, "comm": comm,
-            "edges": edges, "ctr": ctr or {}}
-
-
 def state_delta(prev: dict, cur: dict, commit_ps: int) -> dict:
-    """What changed between two :func:`counter_state` snapshots: one beat
+    """What changed between two :func:`_comp_state` snapshots: one beat
     payload, per peer ``[messages, syncs, wait cycles]``."""
     edges = {}
     for peer, (msgs, syncs, waited) in cur["edges"].items():
@@ -191,11 +174,20 @@ def epoch_row(comp: str, epoch: int, wall_s: float, payload: dict,
 
 
 def _comp_state(comp) -> dict:
-    """Snapshot of one live component's cumulative counters."""
-    return counter_state(
-        comp.events_processed, comp.work_cycles,
-        ((end.peer_comp_name or end.peer_name, end.counters())
-         for end in comp.ends), selected_counters(comp))
+    """Snapshot of one live component's cumulative counters, summed per
+    peer component."""
+    wait = comm = 0.0
+    edges: Dict[str, Tuple[int, int, float]] = {}
+    for end in comp.ends:
+        peer = end.peer_comp_name or end.peer_name
+        wait += end.wait_cycles
+        comm += end.tx_cycles + end.rx_cycles
+        msgs, syncs, waited = edges.get(peer, (0, 0, 0))
+        edges[peer] = (msgs + end.tx_msgs, syncs + end.tx_syncs,
+                       waited + end.wait_cycles)
+    return {"events": comp.events_processed, "work": comp.work_cycles,
+            "wait": wait, "comm": comm, "edges": edges,
+            "ctr": selected_counters(comp)}
 
 
 class EpochTracker:

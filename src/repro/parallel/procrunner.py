@@ -198,7 +198,6 @@ def _child_main(spec: ProcSpec,
     try:
         flows = active_recorder()  # the parent's, inherited through fork
         if trace_dir is not None:
-            from ..obs.install import sample_counter_tracks
             from ..obs.trace import Tracer
             tracer = Tracer(pid=index + 1, process_name=spec.name,
                             clock="wall")
@@ -229,8 +228,6 @@ def _child_main(spec: ProcSpec,
             run_start_us = tracer.wall_us()
             tracer.span(tracer.tid("lifecycle"), "proc", "setup",
                         0.0, run_start_us)
-            # baseline sample: last-minus-first covers exactly the run
-            sample_counter_tracks(tracer, comp, run_start_us)
         # probes beat on heartbeats, so only when someone receives them
         beating = probes if telemetry_q is not None else []
         if telemetry_q is not None or tracer is not None:
@@ -346,7 +343,6 @@ def _child_main(spec: ProcSpec,
                         run_start_us, end_us - run_start_us,
                         {"events": result.events,
                          "wait_seconds": result.wait_seconds})
-            sample_counter_tracks(tracer, comp, end_us)  # final sample
             tracer.save_jsonl(os.path.join(trace_dir,
                                            f"{spec.name}.trace.jsonl"))
     except Exception as exc:  # pragma: no cover - error path

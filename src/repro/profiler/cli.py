@@ -56,8 +56,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     for warning in timeline_warnings(timeline):
         print(f"warning: {warning}")
 
-    analysis = analyze(timeline.rows, drop_head=args.drop_head,
-                       drop_tail=args.drop_tail)
+    try:
+        analysis = analyze(timeline.rows, drop_head=args.drop_head,
+                           drop_tail=args.drop_tail)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(analysis.summary())
     print()
     graph = build_wtpg(analysis)

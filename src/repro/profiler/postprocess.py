@@ -90,8 +90,12 @@ def analyze(rows: Iterable[EpochRow], drop_head: int = 0,
     empty), as in the paper's dropping of warm-up and cool-down samples.
     Every component with rows is a WTPG node; its edges are its rows'
     per-peer waits.  Components keep the order of their first row, which
-    breaks ties in :meth:`ProfileAnalysis.bottlenecks`.
+    breaks ties in :meth:`ProfileAnalysis.bottlenecks`.  A negative
+    ``drop_head`` or ``drop_tail`` raises :class:`ValueError`.
     """
+    if drop_head < 0 or drop_tail < 0:
+        raise ValueError(f"epochs to drop must not be negative "
+                         f"(drop_head={drop_head}, drop_tail={drop_tail})")
     by_comp: Dict[str, List[EpochRow]] = {}
     for row in rows:
         by_comp.setdefault(row.comp, []).append(row)

@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="export a Chrome-trace/Perfetto JSON of the run "
                              "(open in ui.perfetto.dev; feed to "
-                             "splitsim-inspect)")
+                             "splitsim-inspect, whose wait sections and WTPG "
+                             "need --timeline next to it)")
     parser.add_argument("--flows", metavar="N", type=int, default=None,
                         help="causal flow tracing: keep 1-in-N flows "
                              "(1 = all); implies --trace; inspect with "

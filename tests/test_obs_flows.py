@@ -27,7 +27,6 @@ from repro.obs.flows import (FlowRecorder, flow_origin, flow_serial,
                              install_flow_recorder, uninstall_flow_recorder)
 from repro.obs.inspect.flows import (analyze_doc, extract_flows,
                                      render_flow_report)
-from repro.obs.inspect.summary import analysis_from_trace
 from repro.obs.trace import Tracer, chrome_doc, validate_chrome_doc
 from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.system import System
@@ -133,11 +132,9 @@ def test_bottleneck_agrees_with_profiler_ranking():
     exp, doc = traced_flow_run(timeline=True)
     rep = analyze_doc(doc)
     profiler_ranking = exp.profile_analysis().bottlenecks(3)
-    trace_ranking = analysis_from_trace(doc).bottlenecks(3)
     # pinned on this deterministic case study: the detailed host dominates
     assert rep.bottleneck() == "server.host"
     assert profiler_ranking[0] == rep.bottleneck()
-    assert trace_ranking[0] == rep.bottleneck()
 
 
 def test_sampled_run_is_a_subset():

@@ -1,22 +1,22 @@
-"""splitsim-inspect: trace-derived analysis agrees with the profiler.
+"""splitsim-inspect: the trace summary and the views over a run directory.
 
-The acceptance criterion for the observability layer: a strict traced run
-produces a Chrome-trace from which :func:`analysis_from_trace` reconstructs
-exactly the profiler's analysis of the very same run's epoch timeline.
+The summary's wait analysis reads the run's epoch timeline, the profiler's
+one counter record; the trace keeps spans, instants and flow hops.
 """
 
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.kernel.simtime import MS, US
 from repro.obs.inspect import main
-from repro.obs.inspect.summary import (analysis_from_trace,
-                                      edge_wait_histograms, stall_points,
+from repro.obs.inspect.summary import (edge_wait_histograms, stall_points,
                                       stall_timeline, top_spans)
 from repro.obs.inspect.timeline import timeline_warnings
+from repro.obs.timeline import EpochRow
 from repro.obs.trace import validate_chrome_doc
 from repro.orchestration.instantiate import Instantiation
-from repro.profiler.wtpg import build_wtpg
 
 from .test_obs_flows import kv_system
 
@@ -26,6 +26,7 @@ def traced_strict_run(tmp_path, duration=2 * MS):
     exp.run(duration)
     path = tmp_path / "trace.json"
     doc = exp.save("trace", str(path))
+    exp.save("timeline", str(tmp_path / "timeline.jsonl"))
     return exp, doc, path
 
 
@@ -36,20 +37,6 @@ def _view(analysis):
              for c, m in analysis.components.items()},
             {f"{a}->{b}": f for (a, b), f in
              analysis.edge_wait_fraction.items()})
-
-
-def test_trace_ranking_matches_profiler(tmp_path):
-    exp, doc, _ = traced_strict_run(tmp_path)
-    assert validate_chrome_doc(doc) == []
-
-    from_trace = analysis_from_trace(doc)
-    from_timeline = exp.profile_analysis(drop_head=0)
-    n = len(from_timeline.components)
-    assert n >= 3  # net + host + nic
-    # the headline guarantee: identical bottleneck ranking
-    assert from_trace.bottlenecks(n) == from_timeline.bottlenecks(n)
-    # both views difference the same counters at the same beats
-    assert _view(from_trace) == _view(from_timeline)
 
 
 def test_timeline_analysis_reproduces_parent_profiler(tmp_path):
@@ -65,35 +52,56 @@ def test_timeline_analysis_reproduces_parent_profiler(tmp_path):
         assert got == (want["components"], want["edges"]), head
 
 
+def _summary(path, tmp_path, *extra):
+    out = tmp_path / "summary.json"
+    assert main([str(path), "--json", str(out), *extra]) == 0
+    return json.loads(out.read_text())
+
+
 def test_profiler_and_trace_wtpg_have_the_same_graph(tmp_path):
-    """One WTPG node per simulator in both views, and the same edges."""
-    exp, doc, _ = traced_strict_run(tmp_path)
-    comps = {c.name for c in exp.sim.components}
-    profiled = build_wtpg(exp.profile_analysis())
-    traced = build_wtpg(analysis_from_trace(doc))
-    assert set(profiled.nodes) == comps == set(traced.nodes)
-    assert set(profiled.edges) == set(traced.edges)
+    """The summary's WTPG is the profiler's over every epoch."""
+    exp, _, path = traced_strict_run(tmp_path)
+    names = {c.name for c in exp.sim.components}
+    profiled = exp.profile_analysis(drop_head=0)
+    summary = _summary(path, tmp_path)
+    assert summary["bottlenecks"] == profiled.bottlenecks(len(names))
+    assert set(summary["bottlenecks"]) == names
+    assert summary["edges"] == _view(profiled)[1]
     # post-processing only: a second call analyzes the same rows
     assert exp.profile_analysis() == exp.profile_analysis()
 
 
 def test_trace_edges_name_components(tmp_path):
-    exp, doc, _ = traced_strict_run(tmp_path)
-    from_trace = analysis_from_trace(doc)
-    comp_names = set(from_trace.components)
-    assert from_trace.edge_wait_fraction  # strict runs always wait somewhere
-    for (src, dst), frac in from_trace.edge_wait_fraction.items():
-        # trace edges are component -> peer component (WTPG node names)
-        assert src in comp_names and dst in comp_names
+    summary = _summary(traced_strict_run(tmp_path)[2], tmp_path)
+    assert summary["edges"]  # strict runs always wait somewhere
+    for edge, frac in summary["edges"].items():
+        # edges are component -> peer component (WTPG node names)
+        assert set(edge.split("->")) <= set(summary["bottlenecks"])
         assert 0.0 <= frac <= 1.0
 
 
 def test_edge_wait_histograms_from_real_run(tmp_path):
-    _, doc, _ = traced_strict_run(tmp_path)
-    hists = edge_wait_histograms(doc)
+    exp, _, _ = traced_strict_run(tmp_path)
+    hists = edge_wait_histograms(exp.recorders["timeline"].rows)
     assert hists
     # at least one channel direction accumulated wait increments
     assert any(h.count > 0 for h in hists.values())
+
+
+def test_summary_without_timeline_prints_the_hint(tmp_path, capsys):
+    _, _, path = traced_strict_run(tmp_path)
+    (tmp_path / "timeline.jsonl").unlink()
+    assert _summary(path, tmp_path)["bottlenecks"] == []
+    out = capsys.readouterr().out
+    assert f"\nerror: {tmp_path} has no timeline.jsonl — rerun" in out
+    assert "stall timeline" not in out and "wait-time profile" not in out
+
+
+@pytest.mark.parametrize("arg", ["--buckets=0", "--top=-2"])
+def test_summary_rejects_counts_below_one(arg, capsys):
+    with pytest.raises(SystemExit, match="2"):
+        main(["trace.json", arg])
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 # -- span/stall summaries on synthetic events ---------------------------------
@@ -118,29 +126,30 @@ def test_top_spans_groups_by_base_name():
 
 
 def test_stall_points_reads_instants_and_wait_spans():
+    rows = [EpochRow(c, 0, 0, 1e-6, 1, 100.0, wait, 0.0, 0.0)  # 50.2%, 49.7%
+            for c, wait in (("net", 101.0), ("host", 99.0))]  # vs 50% stall
     events = [
-        _ev("i", "stall|net", 1.0, s="t"),
         _ev("X", "wait|server.nic", 2.0, dur=4.0),
         _ev("X", "drain|net", 3.0, dur=1.0),  # not a stall
     ]
-    assert stall_points(events) == [("net", 1.0), ("server.nic", 2.0)]
-    timeline = stall_timeline(events, buckets=8)
+    assert stall_points(events, rows) == [("net", 1.0), ("server.nic", 2.0)]
+    timeline = stall_timeline(events, rows, buckets=8)
     assert "net" in timeline and "server.nic" in timeline
-    assert stall_timeline([]) == "  (no stalls recorded)"
+    assert stall_timeline([], []) == "  (no stalls recorded)"
 
 
 # -- CLI end-to-end ------------------------------------------------------------
 
 def test_cli_summarizes_and_writes_artifacts(tmp_path, capsys):
-    _, _, path = traced_strict_run(tmp_path)
+    _, trace, path = traced_strict_run(tmp_path)
+    assert validate_chrome_doc(trace) == []
+    kinds = {(e["ph"], e["name"].split("|")[0]) for e in trace["traceEvents"]}
+    assert not kinds & {("C", "comp"), ("C", "chan"), ("i", "stall")}
     dot = tmp_path / "wtpg.dot"
-    summary = tmp_path / "summary.json"
-    rc = main([str(path), "--dot", str(dot), "--json", str(summary)])
-    assert rc == 0
+    doc = _summary(path, tmp_path, "--dot", str(dot))
     out = capsys.readouterr().out
     assert "top spans" in out and "bottleneck ranking:" in out
     assert dot.read_text().startswith("digraph wtpg {")
-    doc = json.loads(summary.read_text())
     assert doc["bottlenecks"] and doc["top_spans"]
 
 
@@ -433,9 +442,7 @@ def test_views_follow_run_report_references(tmp_path, capsys):
         {"schema": 4, "trace": "traces/trace.json",
          "timeline": "epochs.jsonl", "audit": "ledger.jsonl"}))
 
-    summary = tmp_path / "summary.json"
-    assert main([str(a), "--json", str(summary)]) == 0
-    assert json.loads(summary.read_text())["bottlenecks"]
+    assert _summary(a, tmp_path)["bottlenecks"]
     assert main(["flows", str(a)]) == 0
     assert main(["timeline", str(a)]) == 0
     assert main(["recommend", str(a)]) == 0

@@ -64,6 +64,8 @@ def test_analyze_trims_warmup_records():
     assert analyze(rows, drop_tail=2).components["c"].wait_cycles == 999.0
     # a window that would be empty falls back to every epoch
     assert analyze(rows, drop_head=3).components["c"].wait_cycles == 1001.0
+    with pytest.raises(ValueError, match="must not be negative"):
+        analyze(rows, drop_head=-1)
 
 
 def test_sampler_collects_from_live_components():

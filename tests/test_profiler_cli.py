@@ -55,3 +55,5 @@ def test_cli_empty_log_errors(tmp_path, capsys):
     no_rows = write_timeline(tmp_path / "timeline.jsonl", n=0)
     assert main([str(no_rows)]) == 1
     assert "no epoch rows" in capsys.readouterr().err
+    assert main([str(write_timeline(no_rows)), "--drop-tail", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: epochs to drop")
