@@ -18,8 +18,8 @@ import pytest
 
 from repro.kernel.simtime import MS, NS, US
 from repro.netsim.apps.bulk import BulkSender, BulkSink
-from repro.netsim.partition import assign_hosts_with_switch, instantiate_partitioned
-from repro.netsim.topology import dumbbell
+from repro.netsim.partition import assign_hosts_with_switch
+from repro.netsim.topology import dumbbell, instantiate
 from repro.parallel.model import (ParallelExecutionModel, WorkRecorder,
                                   model_channels)
 from repro.parallel.simulation import Simulation
@@ -50,7 +50,7 @@ def run_partitioned(use_trunk: bool, mode="strict", sampler=False,
         # cross the same partition pair, which is what trunking bundles
         for i in range(3):
             assignment[f"snd{i}"] = "SND"
-    pb = instantiate_partitioned(spec, assignment, use_trunk=use_trunk)
+    pb = instantiate(spec, assignment, use_trunk=use_trunk)
     sim = Simulation(mode=mode)
     for comp in pb.all_components():
         sim.add(comp)

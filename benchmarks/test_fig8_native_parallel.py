@@ -10,9 +10,9 @@ disciplines:
 * ``barrier``   — ns-3's native MPI grant-window (global barrier) scheme;
 * ``nullmsg``   — OMNeT++'s native MPI null-message protocol.
 
-The OMNeT++ engine flavor is modeled by scaling recorded work by the
-OMNeT/ns-3 per-event cost ratio (network-simulator work is proportional to
-event count, so the scaling is exact).
+OMNeT++ is modeled by scaling recorded work by the OMNeT/ns-3 per-event
+cost ratio (network-simulator work is proportional to event count, so the
+scaling is exact).
 
 Paper claim: SplitSim outperforms both native schemes, with up to ~57%
 lower simulation time.
@@ -23,8 +23,8 @@ import pytest
 from repro.kernel.simtime import MS, US
 from repro.kernel.rng import make_rng
 from repro.netsim.apps.kv import KVClientApp, KVServerApp  # noqa: F401
-from repro.netsim.partition import assign_hosts_with_switch, instantiate_partitioned
-from repro.netsim.topology import fat_tree
+from repro.netsim.partition import assign_hosts_with_switch
+from repro.netsim.topology import fat_tree, instantiate
 from repro.orchestration.strategies import partition_fat_tree
 from repro.parallel.costmodel import NS3_EVENT_CYCLES, OMNET_EVENT_CYCLES
 from repro.obs.recorder import ProbeDriver
@@ -92,7 +92,7 @@ def run_partitioning(k_parts: int):
     spec = fat_tree(K)
     traffic(spec)
     assignment = assign_hosts_with_switch(spec, partition_fat_tree(spec, k_parts))
-    pb = instantiate_partitioned(spec, assignment)
+    pb = instantiate(spec, assignment)
     sim = Simulation(mode="fast")
     for comp in pb.all_components():
         sim.add(comp)

@@ -1,14 +1,13 @@
 """The network simulator component: one partition of packet-level network.
 
 A :class:`NetworkSim` owns a set of nodes and links and executes their
-events.  An unpartitioned simulation has exactly one ``NetworkSim``; the
-partitioner (:mod:`repro.netsim.partition`) instead builds several, bridged
-by trunk channels.
+events.  An unpartitioned simulation has exactly one ``NetworkSim``; a
+partitioned one has several, bridged by trunk channels
+(:mod:`repro.netsim.partition`).
 
-Two engine flavors exist, ``"ns3"`` and ``"omnet"``.  They are functionally
-identical; the flavor sets the modeled per-event host cost (OMNeT++'s
-message/module machinery is heavier per event), which the virtual-time
-execution model uses for the native-parallelization comparison (Fig. 8).
+Each event is modeled at ns-3's per-event host cost; the Fig. 8
+comparison models OMNeT++'s heavier per-event cost by scaling the
+recorded work (:func:`repro.parallel.model.scale_recorder`).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 from ..channels.messages import EthMsg
 from ..kernel.component import Component
 from ..kernel.rng import make_rng
-from ..parallel.costmodel import NS3_EVENT_CYCLES, OMNET_EVENT_CYCLES
+from ..parallel.costmodel import NS3_EVENT_CYCLES
 from .link import ExternalLink, Link, Port
 from .node import NetHost, Node
 from .packet import Packet
@@ -63,14 +62,10 @@ class ExternalAttachment:
 class NetworkSim(Component):
     """A packet-level network simulator instance (one process/partition)."""
 
-    def __init__(self, name: str, flavor: str = "ns3", seed: int = 0) -> None:
+    cycles_per_event = NS3_EVENT_CYCLES
+
+    def __init__(self, name: str, seed: int = 0) -> None:
         super().__init__(name)
-        if flavor not in ("ns3", "omnet"):
-            raise ValueError(f"unknown engine flavor {flavor!r}")
-        self.flavor = flavor
-        self.cycles_per_event = (
-            NS3_EVENT_CYCLES if flavor == "ns3" else OMNET_EVENT_CYCLES
-        )
         #: Root seed: per-host RNG streams derive from it by host name, so
         #: results do not depend on how the network is partitioned.
         self.seed_root = seed

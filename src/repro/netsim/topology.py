@@ -1,11 +1,12 @@
 """Abstract topology specifications and their instantiation.
 
 A :class:`TopoSpec` describes hosts, switches, and links independent of how
-they will be simulated.  The same spec can be instantiated as one
-:class:`~repro.netsim.network.NetworkSim` (:func:`instantiate`) or split
-across several synchronized ones (:mod:`repro.netsim.partition`) — with
-identical timing, since routing is computed globally and cut links keep
-their latency/bandwidth through the channel plumbing.
+they will be simulated.  :func:`instantiate` builds a spec as one
+:class:`~repro.netsim.network.NetworkSim` or, given a partition
+assignment, as several synchronized ones (:mod:`repro.netsim.partition`
+wires their cut links) — with identical timing, since routing is computed
+globally and cut links keep their latency/bandwidth through the channel
+plumbing.
 
 Hosts marked ``external`` are *not* simulated here: their attachment point
 becomes an :class:`~repro.netsim.network.ExternalAttachment` to be bound to
@@ -137,91 +138,132 @@ class TopoSpec:
 
 @dataclass
 class NetBuild:
-    """Result of instantiating a topology into one NetworkSim."""
+    """A topology instantiated as one NetworkSim per partition."""
 
-    net: NetworkSim
+    #: partition label -> its network simulator
+    parts: Dict[str, NetworkSim]
     spec: TopoSpec
+    #: simulated node name -> partition label
+    assignment: Dict[str, str]
     #: external host name -> attachment (bind to a NIC channel end)
     attachments: Dict[str, ExternalAttachment]
+    #: channel end pairs carrying the cut links, for ``Simulation.connect``
+    channels: List[tuple]
+
+    @property
+    def net(self) -> NetworkSim:
+        """The network simulator of a one-partition build."""
+        (net,) = self.parts.values()
+        return net
 
     def host(self, name: str):
         """Look up an instantiated (protocol-level) host by name."""
-        return self.net.nodes[name]
+        return self.parts[self.assignment[name]].nodes[name]
 
     def all_components(self) -> List[NetworkSim]:
-        """The one network simulator, for Simulation.add."""
-        return [self.net]
+        """Every network simulator, for Simulation.add."""
+        return list(self.parts.values())
 
     def net_switches(self) -> Dict[str, List[str]]:
-        """Which topology switches the network simulator carries (all)."""
-        return {self.net.name: list(self.spec.switches)}
+        """Which topology switches each network simulator carries."""
+        return {net.name: [sw for sw in self.spec.switches
+                           if self.assignment[sw] == label]
+                for label, net in self.parts.items()}
 
 
-def instantiate(spec: TopoSpec, name: str = "net", flavor: str = "ns3",
-                seed: int = 0) -> NetBuild:
-    """Build the whole topology inside a single NetworkSim component."""
-    net = NetworkSim(name, flavor=flavor, seed=seed)
-    attachments: Dict[str, ExternalAttachment] = {}
+def instantiate(spec: TopoSpec, assignment: Optional[Dict[str, str]] = None,
+                *, seed: int = 0, use_trunk: bool = True) -> NetBuild:
+    """Build ``spec`` as one NetworkSim per partition of ``assignment``.
+
+    ``assignment`` maps every simulated (non-external) node to a partition
+    label; partition ``p`` becomes the component ``net.p``, and the links
+    it cuts are carried over channels (:mod:`repro.netsim.partition`;
+    ``use_trunk=False`` gives each cut link its own).  ``None`` is the
+    unpartitioned network: one component named ``net``.
+    """
+    internal = list(spec.switches) + [
+        h.name for h in spec.hosts.values() if not h.external]
+    if assignment is None:
+        assignment = dict.fromkeys(internal, "net")
+        parts = {"net": NetworkSim("net", seed=seed)}
+    else:
+        unknown = set(assignment) - set(spec.hosts) - set(spec.switches)
+        missing = set(internal) - set(assignment)
+        if unknown or missing:
+            raise ValueError(f"assignment: nodes not in the topology "
+                             f"{sorted(unknown)}, unassigned nodes "
+                             f"{sorted(missing)[:5]}")
+        parts = {p: NetworkSim(f"net.{p}", seed=seed)
+                 for p in sorted({assignment[n] for n in internal})}
 
     for sw in spec.switches.values():
-        switch = net.add_switch(sw.name, sw.proc_delay_ps)
+        switch = parts[assignment[sw.name]].add_switch(sw.name,
+                                                       sw.proc_delay_ps)
         if sw.pipeline_factory is not None:
             switch.pipeline = sw.pipeline_factory(switch)
     for hs in spec.hosts.values():
         if not hs.external:
-            net.add_host(hs.name, hs.addr, hs.rx_proc_delay_ps)
+            parts[assignment[hs.name]].add_host(hs.name, hs.addr,
+                                                hs.rx_proc_delay_ps)
 
+    attachments: Dict[str, ExternalAttachment] = {}
     port_map: Dict[Tuple[str, str], object] = {}
+    #: (part_a, part_b), part_a < part_b -> the links cut between them
+    cuts: Dict[Tuple[str, str], List[LinkSpec]] = {}
     for ls in spec.links:
-        ext_a = spec.hosts.get(ls.a) is not None and spec.hosts[ls.a].external
-        ext_b = spec.hosts.get(ls.b) is not None and spec.hosts[ls.b].external
+        ext_a = ls.a in spec.hosts and spec.hosts[ls.a].external
+        ext_b = ls.b in spec.hosts and spec.hosts[ls.b].external
         if ext_a and ext_b:
             raise ValueError(f"link {ls.a}-{ls.b}: both endpoints external")
         if ext_a or ext_b:
             inside, outside = (ls.b, ls.a) if ext_a else (ls.a, ls.b)
+            net = parts[assignment[inside]]
             att = net.add_external(
                 outside, net.nodes[inside], ls.bandwidth_bps,
                 ls.queue_capacity_bytes, ls.ecn_threshold_pkts)
             attachments[outside] = att
             port_map[(inside, outside)] = att.port
-        else:
-            link = net.add_link(
-                net.nodes[ls.a], net.nodes[ls.b], ls.bandwidth_bps,
-                ls.latency_ps, ls.queue_capacity_bytes, ls.ecn_threshold_pkts)
-            # ECN marking is a switch-egress feature; host egress queues
-            # (the a->b queue when a is a host) never mark, as on Linux.
-            if ls.a in spec.hosts:
-                link.dir_ab.queue.ecn_threshold_pkts = None
-            if ls.b in spec.hosts:
-                link.dir_ba.queue.ecn_threshold_pkts = None
-            port_map[(ls.a, ls.b)] = link.port_a
-            port_map[(ls.b, ls.a)] = link.port_b
-
-    _install_fib(spec, {n: net for n in spec.switches}, port_map)
-
-    for hs in spec.hosts.values():
-        if not hs.external:
-            host = net.nodes[hs.name]
-            for factory in hs.app_factories:
-                host.add_app(factory(host))
-    return NetBuild(net=net, spec=spec, attachments=attachments)
-
-
-def _install_fib(spec: TopoSpec, switch_net: Dict[str, NetworkSim],
-                 port_map: Dict[Tuple[str, str], object]) -> None:
-    """Install globally-computed routes into instantiated switches."""
-    fib = spec.fib()
-    for sw_name, routes in fib.items():
-        net = switch_net.get(sw_name)
-        if net is None:
             continue
-        switch = net.nodes[sw_name]
+        pa, pb = assignment[ls.a], assignment[ls.b]
+        if pa != pb:
+            cuts.setdefault((min(pa, pb), max(pa, pb)), []).append(ls)
+            continue
+        net = parts[pa]
+        link = net.add_link(
+            net.nodes[ls.a], net.nodes[ls.b], ls.bandwidth_bps,
+            ls.latency_ps, ls.queue_capacity_bytes, ls.ecn_threshold_pkts)
+        # ECN marking is a switch-egress feature; host egress queues
+        # (the a->b queue when a is a host) never mark, as on Linux.
+        if ls.a in spec.hosts:
+            link.dir_ab.queue.ecn_threshold_pkts = None
+        if ls.b in spec.hosts:
+            link.dir_ba.queue.ecn_threshold_pkts = None
+        port_map[(ls.a, ls.b)] = link.port_a
+        port_map[(ls.b, ls.a)] = link.port_b
+
+    channels = []
+    if cuts:
+        # the cut-link wiring (and the trunk channel) loads only for a cut
+        from .partition import wire_cuts
+        channels = wire_cuts(spec, parts, assignment, port_map, cuts,
+                             use_trunk)
+
+    # routes are computed globally, so every partition forwards alike
+    for sw_name, routes in spec.fib().items():
+        switch = parts[assignment[sw_name]].nodes[sw_name]
         for addr, next_hops in routes.items():
             for hop in sorted(next_hops):
                 port = port_map.get((sw_name, hop))
                 if port is None:
                     raise RuntimeError(f"no port for {sw_name} -> {hop}")
                 switch.add_route(addr, port)
+
+    for hs in spec.hosts.values():
+        if not hs.external:
+            host = parts[assignment[hs.name]].nodes[hs.name]
+            for factory in hs.app_factories:
+                host.add_app(factory(host))
+    return NetBuild(parts, spec, assignment, attachments, channels)
 
 
 # --------------------------------------------------------------------------

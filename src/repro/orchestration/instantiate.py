@@ -24,14 +24,13 @@ from ..channels.channel import ChannelEnd
 from ..kernel.rng import derive_seed
 from ..kernel.simtime import NS
 from ..netsim.network import NetworkSim
-from ..netsim.topology import NetBuild, instantiate as build_single
+from ..netsim.topology import NetBuild, instantiate
 from ..parallel.simulation import SimStats, Simulation
 from .system import System
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hostsim.host import HostSim
     from ..netsim.fidelity import FidelityConfig
-    from ..netsim.partition import PartitionedBuild
     from ..nicsim.i40e import I40eNic
     from ..parallel.model import ParallelExecutionModel
     from ..profiler.postprocess import ProfileAnalysis
@@ -57,7 +56,7 @@ class Experiment:
     """An assembled simulation, ready to run once."""
 
     def __init__(self, system: System, sim: Simulation,
-                 netbuild: Union[NetBuild, "PartitionedBuild"],
+                 netbuild: NetBuild,
                  hosts: Dict[str, "HostSim"],
                  nics: Dict[str, "I40eNic"]) -> None:
         self.system = system
@@ -238,9 +237,10 @@ class Instantiation:
 
     system: System
     mode: str = "fast"
-    network_flavor: str = "ns3"
-    #: None = single network process; or a mapping switch->partition label;
-    #: or a callable (TopoSpec) -> switch-level assignment.
+    #: None = single network process; or a mapping switch->partition label
+    #: (e.g. ``strategies.partition_from_file`` of an advisor
+    #: ``partition.json``); or a callable (TopoSpec) -> switch-level
+    #: assignment.
     network_partition: Optional[Union[Dict[str, str], Callable]] = None
     use_trunk: bool = True
     #: Record the execution model's input at this window granularity.
@@ -272,13 +272,12 @@ class Instantiation:
     #: Audit epoch width in simulated picoseconds (``None`` = the module
     #: default, :data:`repro.obs.audit.DEFAULT_WINDOW_PS`).
     audit_window_ps: Optional[int] = None
-    #: Apply a saved advisor recommendation (``partition.json`` from
-    #: ``splitsim-inspect recommend``) as the network partition.
-    #: Mutually exclusive with ``network_partition``.
-    partition_file: Optional[str] = None
 
     def build(self) -> Experiment:
-        """Assemble all component simulators and channels per the choices."""
+        """Assemble all component simulators and channels per the choices:
+        the network as one component ``net``, or one ``net.<label>`` per
+        partition of ``network_partition``, joined by its cut-link
+        channels."""
         trace = None
         if self.trace or self.flow_sample is not None:
             from ..obs.install import TraceRecorder
@@ -288,33 +287,20 @@ class Instantiation:
         mode = "strict" if self.timeline else self.mode
         sim = Simulation(mode=mode)
 
-        network_partition = self.network_partition
-        if self.partition_file is not None:
-            if network_partition is not None:
-                raise ValueError("partition_file and network_partition are "
-                                 "mutually exclusive")
-            from .strategies import partition_from_file
-            network_partition = partition_from_file(self.partition_file)
-
         # -- network ------------------------------------------------------
-        if network_partition is None:
-            nb = build_single(spec, name="net", flavor=self.network_flavor,
-                              seed=system.seed)
-            sim.add(nb.net)
-        else:
+        assignment = None
+        part = self.network_partition
+        if part is not None:
             # the partitioner loads only for a partitioned network
-            from ..netsim.partition import (assign_hosts_with_switch,
-                                            instantiate_partitioned)
-            part = network_partition
+            from ..netsim.partition import assign_hosts_with_switch
             switch_part = part(spec) if callable(part) else part
             assignment = assign_hosts_with_switch(spec, switch_part)
-            nb = instantiate_partitioned(
-                spec, assignment, flavor=self.network_flavor,
-                seed=system.seed, use_trunk=self.use_trunk)
-            for comp in nb.all_components():
-                sim.add(comp)
-            for end_a, end_b in nb.channels:
-                sim.connect(end_a, end_b)
+        nb = instantiate(spec, assignment, seed=system.seed,
+                         use_trunk=self.use_trunk)
+        for comp in nb.all_components():
+            sim.add(comp)
+        for end_a, end_b in nb.channels:
+            sim.connect(end_a, end_b)
         attachments = nb.attachments
 
         # -- fidelity tiers -------------------------------------------------

@@ -27,8 +27,9 @@ one process, i.e. no decomposition at all.
 
 The resulting :class:`PartitionPlan` serializes to ``partition.json``;
 ``splitsim-inspect recommend`` renders it, and
-``Instantiation(partition_file=...)`` / ``splitsim-run --partition-file``
-apply its switch-level assignment to the next run.
+``Instantiation(network_partition=partition_from_file(path))`` /
+``splitsim-run --partition-file`` apply its switch-level assignment to the
+next run.
 """
 
 from __future__ import annotations

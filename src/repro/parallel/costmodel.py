@@ -76,7 +76,8 @@ PAPER_MACHINE = Machine(cores=48, ghz=2.4)
 #: scheduling + packet bookkeeping.
 NS3_EVENT_CYCLES = 1_800.0
 
-#: OMNeT++ flavor: heavier module/message infrastructure per event.
+#: OMNeT++: heavier module/message infrastructure per event (Fig. 8 scales
+#: recorded network work by ``OMNET_EVENT_CYCLES / NS3_EVENT_CYCLES``).
 OMNET_EVENT_CYCLES = 2_600.0
 
 #: Behavioral NIC model event (descriptor processing, DMA issue).

@@ -413,8 +413,8 @@ def scale_recorder(recorder: WorkRecorder, factor: float,
                    only=None) -> WorkRecorder:
     """A copy of ``recorder`` with work scaled by ``factor``.
 
-    Used to model an engine flavor with a different per-event cost (e.g.
-    OMNeT++ vs ns-3), or to represent a heavier workload from a scaled-down
+    Used to model a network simulator with a different per-event cost
+    (e.g. OMNeT++ vs ns-3, as Fig. 8 does), or to represent a heavier workload from a scaled-down
     execution (network-simulator work is proportional to event count, so
     the scaling is exact).  ``only`` optionally restricts the scaling to
     components for which ``only(name)`` is true.

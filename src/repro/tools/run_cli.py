@@ -27,7 +27,7 @@ from typing import List, Optional
 from ..kernel.simtime import parse_time
 from ..obs.rundir import TIMELINE_FILE, TRACE_FILE, control_layout
 from ..orchestration.instantiate import Instantiation
-from ..orchestration.strategies import STRATEGIES
+from ..orchestration.strategies import STRATEGIES, partition_from_file
 from ..orchestration.system import System
 from ..profiler.wtpg import build_wtpg, save_dot, to_text
 
@@ -141,6 +141,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _cli_main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("duration", "audit_window"):  # before the config runs
+        text = getattr(args, flag)
+        try:
+            if text is not None and parse_time(text) <= 0:
+                raise ValueError(f"{text!r} is not a positive time")
+        except ValueError as exc:
+            print(f"error: --{flag.replace('_', '-')}: {exc}",
+                  file=sys.stderr)
+            return 1
     try:
         module = load_config(args.config)
     except (FileNotFoundError, AttributeError, SyntaxError) as exc:
@@ -165,7 +174,6 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
             print("error: --partition-file and --partition are mutually "
                   "exclusive", file=sys.stderr)
             return 1
-        inst_kwargs["partition_file"] = args.partition_file
     if args.control:  # an mp run writes into the run directory instead
         for flag, value, hint in (
                 ("--profile-out", args.profile_out, "--timeline writes "
@@ -183,19 +191,13 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
         args.profile = True
     if args.profile or args.timeline is not None:
         inst_kwargs["timeline"] = True
-    if args.audit_window is not None:
-        if args.audit is None:
-            print("error: --audit-window needs --audit", file=sys.stderr)
-            return 1
-        try:
-            args.audit_window = parse_time(args.audit_window)
-        except ValueError as exc:
-            print(f"error: --audit-window: {exc}", file=sys.stderr)
-            return 1
+    if args.audit_window is not None and args.audit is None:
+        print("error: --audit-window needs --audit", file=sys.stderr)
+        return 1
     if args.audit is not None:
         inst_kwargs["audit"] = True
         if args.audit_window is not None:
-            inst_kwargs["audit_window_ps"] = args.audit_window
+            inst_kwargs["audit_window_ps"] = parse_time(args.audit_window)
     if args.trace or args.profile_out:
         inst_kwargs.setdefault("trace", True)
     if args.flows is not None:
@@ -211,9 +213,13 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
     duration = parse_time(duration_text)
 
     try:
+        if args.partition_file:
+            inst_kwargs["network_partition"] = partition_from_file(
+                args.partition_file)
         exp = Instantiation(system, **inst_kwargs).build()
     except (OSError, ValueError) as exc:
-        # e.g. a missing/malformed --partition-file document
+        # e.g. a missing --partition-file, or one naming nodes the
+        # topology lacks
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # --timeline / --audit [PATH]: the given file, else the conventional

@@ -227,18 +227,11 @@ def test_recommend_beats_naive_and_agrees_with_profilers(tmp_path):
     path = tmp_path / "partition.json"
     write_partition(str(path), plan)
     assignment = partition_from_file(str(path))
-    re_exp = Instantiation(fig9_system(), partition_file=str(path)).build()
+    re_exp = Instantiation(fig9_system(),
+                           network_partition=assignment).build()
     assert {c.name for c in re_exp.sim.components} == \
         {c.name for c in exp.sim.components}
     assert set(assignment.values()) <= \
         {n.removeprefix("net.") for n in
          (c.name for c in re_exp.sim.components)}
 
-
-def test_partition_file_and_network_partition_are_exclusive(tmp_path):
-    plan = recommend_partition(balanced_timeline())
-    path = tmp_path / "partition.json"
-    write_partition(str(path), plan)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        Instantiation(fig9_system(), network_partition=strategy_rs,
-                      partition_file=str(path)).build()

@@ -150,14 +150,6 @@ def test_transparent_clock_accumulates_residence():
     assert got[0] >= sw.proc_delay_ps
 
 
-def test_flavor_sets_event_cost():
-    ns3 = NetworkSim("a", flavor="ns3")
-    omnet = NetworkSim("b", flavor="omnet")
-    assert omnet.cycles_per_event > ns3.cycles_per_event
-    with pytest.raises(ValueError):
-        NetworkSim("c", flavor="opnet")
-
-
 def test_duplicate_node_names_rejected():
     net = NetworkSim("n")
     net.add_host("x", addr=1)

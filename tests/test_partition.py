@@ -5,8 +5,7 @@ import pytest
 from repro.kernel.simtime import MS, NS, US
 from repro.netsim.apps.bulk import BulkSender, BulkSink
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
-from repro.netsim.partition import (assign_all, assign_hosts_with_switch,
-                                    instantiate_partitioned)
+from repro.netsim.partition import assign_all, assign_hosts_with_switch
 from repro.netsim.topology import (dumbbell, fat_tree, instantiate,
                                    single_switch_rack)
 from repro.orchestration.strategies import (STRATEGIES, partition_fat_tree,
@@ -26,19 +25,11 @@ def bulk_spec():
     return spec
 
 
-def run_monolithic(spec_fn, until):
-    spec = spec_fn()
-    build = instantiate(spec)
-    sim = Simulation(mode="fast")
-    sim.add(build.net)
-    sim.run(until)
-    return build
-
-
 def run_partitioned(spec_fn, switch_part, until, mode="fast", use_trunk=True):
+    """``switch_part=None`` runs the unpartitioned network."""
     spec = spec_fn()
-    assignment = assign_hosts_with_switch(spec, switch_part)
-    pb = instantiate_partitioned(spec, assignment, use_trunk=use_trunk)
+    assignment = switch_part and assign_hosts_with_switch(spec, switch_part)
+    pb = instantiate(spec, assignment, use_trunk=use_trunk)
     sim = Simulation(mode=mode)
     for comp in pb.all_components():
         sim.add(comp)
@@ -56,7 +47,7 @@ def sink_timelines(build):
 
 
 def test_partitioned_bulk_identical_to_monolithic():
-    mono = run_monolithic(bulk_spec, 15 * MS)
+    mono = run_partitioned(bulk_spec, None, 15 * MS)
     part = run_partitioned(bulk_spec, SPLIT, 15 * MS)
     assert sink_timelines(mono) == sink_timelines(part)
 
@@ -78,7 +69,7 @@ def test_partition_build_exposes_model_channels():
     from repro.parallel.model import model_channels
     spec = bulk_spec()
     assignment = assign_hosts_with_switch(spec, SPLIT)
-    pb = instantiate_partitioned(spec, assignment)
+    pb = instantiate(spec, assignment)
     (mc,) = model_channels(pb.channels)
     assert mc.latency_ps == 2 * US  # the dumbbell bottleneck latency
     assert pb.net_switches() == {"net.L": ["swL"], "net.R": ["swR"]}
@@ -87,7 +78,13 @@ def test_partition_build_exposes_model_channels():
 def test_unassigned_node_rejected():
     spec = bulk_spec()
     with pytest.raises(ValueError):
-        instantiate_partitioned(spec, {"swL": "L"})
+        instantiate(spec, {"swL": "L"})
+
+
+def test_unknown_node_in_assignment_rejected():
+    spec = dumbbell(pairs=2)
+    with pytest.raises(ValueError, match="ghost"):
+        instantiate(spec, {"swL": "p0", "swR": "p0", "ghost": "p1"})
 
 
 def test_assign_all_single_partition():
@@ -111,7 +108,7 @@ def test_kv_with_pipeline_survives_partitioning():
                 addrs, closed_loop_window=4, write_frac=0.2))
         return spec
 
-    mono = run_monolithic(spec_fn, 3 * MS)
+    mono = run_partitioned(spec_fn, None, 3 * MS)
     part = run_partitioned(spec_fn, {"tor": "only"}, 3 * MS)
     m = [mono.host(f"client{i}").apps[0].stats.completed for i in range(2)]
     p = [part.host(f"client{i}").apps[0].stats.completed for i in range(2)]
@@ -175,7 +172,7 @@ def test_partitioned_fat_tree_executes():
     got = []
     spec.on_host(dst, lambda h: None or _sink(h, got))
     assignment = assign_hosts_with_switch(spec, partition_fat_tree(spec, 4))
-    pb = instantiate_partitioned(spec, assignment)
+    pb = instantiate(spec, assignment)
     sim = Simulation(mode="fast")
     for comp in pb.all_components():
         sim.add(comp)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernel.rng import make_rng
 from repro.kernel.simtime import MS, NS, US
-from repro.netsim.partition import instantiate_partitioned
 from repro.netsim.topology import TopoSpec, instantiate
 from repro.parallel.simulation import Simulation
 
@@ -86,11 +85,8 @@ def run(spec_args, n_msgs, seed, partition_labels):
         spec.on_host(h, lambda host, s=sends_per_host[h]: Sender(s))
         spec.on_host(h, lambda host: Receiver(log))
 
-    sim = Simulation(mode="fast")
-    if partition_labels is None:
-        build = instantiate(spec)
-        sim.add(build.net)
-    else:
+    assignment = None
+    if partition_labels is not None:
         assignment = {}
         switches = sorted(spec.switches)
         for i, sw in enumerate(switches):
@@ -99,11 +95,12 @@ def run(spec_args, n_msgs, seed, partition_labels):
             # host joins its leaf switch's partition
             sw = h.split("_")[0].replace("h", "sw")
             assignment[h] = assignment[sw]
-        pb = instantiate_partitioned(spec, assignment)
-        for comp in pb.all_components():
-            sim.add(comp)
-        for ea, eb in pb.channels:
-            sim.connect(ea, eb)
+    build = instantiate(spec, assignment)
+    sim = Simulation(mode="fast")
+    for comp in build.all_components():
+        sim.add(comp)
+    for ea, eb in build.channels:
+        sim.connect(ea, eb)
     sim.run(2 * MS)
     return sorted(log)
 

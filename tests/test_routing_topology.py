@@ -102,10 +102,15 @@ def test_instantiate_routes_end_to_end():
     assert got == [spec.addr_of("p0e0h0")]
 
 
-def test_instantiate_both_external_endpoints_rejected():
+@pytest.mark.parametrize("assignment", [None, {"s0": "p0", "s1": "p1"}],
+                         ids=["unpartitioned", "two_partitions"])
+def test_instantiate_both_external_endpoints_rejected(assignment):
     spec = TopoSpec()
+    spec.add_switch("s0")
+    spec.add_switch("s1")
+    spec.add_link("s0", "s1", 1e9, 1000)
     spec.add_host("a", external=True)
     spec.add_host("b", external=True)
     spec.add_link("a", "b", 1e9, 1000)
-    with pytest.raises(ValueError):
-        instantiate(spec)
+    with pytest.raises(ValueError, match="both endpoints external"):
+        instantiate(spec, assignment)

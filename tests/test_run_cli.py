@@ -315,6 +315,26 @@ def test_cli_partition_file_missing_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_partition_file_unknown_node_errors(tmp_path, capsys):
+    # a plan recorded on a larger system must not half-apply to this one
+    from repro.parallel.advisor import PARTITION_KIND, PARTITION_SCHEMA
+    plan = tmp_path / "partition.json"
+    plan.write_text(json.dumps({
+        "kind": PARTITION_KIND, "schema": PARTITION_SCHEMA, "assignment": {},
+        "switch_assignment": {"tor": "p0", "ghost": "p1"}}))
+    assert main([write_config(tmp_path), "--partition-file", str(plan)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ghost" in err
+
+
+@pytest.mark.parametrize("flags", [["--duration", "foo"],
+                                   ["--duration=-1ms"],
+                                   ["--audit", "--audit-window=0us"]])
+def test_cli_rejects_bad_time_literals(tmp_path, capsys, flags):
+    assert main([write_config(tmp_path), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: --")
+
+
 # -- audit flags ---------------------------------------------------------------
 
 @pytest.mark.parametrize("extra", [[], ["--control", "rundir"]])
