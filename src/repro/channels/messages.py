@@ -10,8 +10,10 @@ protocol families:
 * **Memory** (`MemReadMsg`/`MemWriteMsg`/`MemRespMsg`): gem5-style packetized
   memory requests, used to decompose multi-core host simulations.
 * **Sync** (`SyncMsg`): pure synchronization, no payload.
-* **Trunk** (`TrunkMsg`): a tagged wrapper multiplexing several logical
-  sub-channels over one synchronized channel.
+
+A trunk channel (:mod:`repro.channels.trunk`) multiplexes several logical
+sub-channels over one synchronized channel by tagging each message it
+carries with ``sub``; it has no message class of its own.
 
 Every message carries ``stamp``: the simulated time at which it takes effect
 at the *receiver* (sender's send time plus channel latency).  Stamps on one
@@ -22,7 +24,7 @@ synchronization protocol relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 
 @dataclass
@@ -53,6 +55,10 @@ class Msg:
     #: ordering hint for the waterfall view).  Like ``flow``, purely
     #: observational.
     hop: int = 0
+    #: Trunk sub-channel this message travels on (set by
+    #: :meth:`~repro.channels.trunk.TrunkPort.send`, read by the receiving
+    #: trunk end's dispatch); ``0`` on plain channels.
+    sub: int = 0
 
     def wire_size(self) -> int:
         """Estimated serialized bytes (shm slot sizing + transfer cost)."""
@@ -122,9 +128,9 @@ class DmaWriteMsg(Msg):
     WIRE_SIZE = None  # payload-dependent
 
     addr: int = 0
-    data: Any = None
     length: int = 0
     req_id: int = 0
+    data: Any = None
 
     def wire_size(self) -> int:
         return 40 + self.length
@@ -136,9 +142,9 @@ class DmaCompletionMsg(Msg):
 
     WIRE_SIZE = None  # payload-dependent
 
-    data: Any = None
     length: int = 0
     req_id: int = 0
+    data: Any = None
 
     def wire_size(self) -> int:
         return 40 + self.length
@@ -175,8 +181,8 @@ class MemRespMsg(Msg):
     """Memory response, matched to the request by ``req_id``."""
 
     req_id: int = 0
-    data: Any = None
     is_write: bool = False
+    data: Any = None
 
 
 @dataclass
@@ -184,23 +190,6 @@ class MemInvalidateMsg(Msg):
     """Coherence invalidation pushed to a core that cached the line."""
 
     addr: int = 0
-
-
-@dataclass
-class TrunkMsg(Msg):
-    """Wrapper multiplexing sub-channel traffic over one synchronized channel.
-
-    ``subchannel`` identifies the logical link; ``inner`` is the payload
-    message (its own stamp field is ignored — the trunk stamp governs).
-    """
-
-    WIRE_SIZE = None  # payload-dependent
-
-    subchannel: int = 0
-    inner: Optional[Msg] = None
-
-    def wire_size(self) -> int:
-        return 16 + (self.inner.wire_size() if self.inner is not None else 0)
 
 
 @dataclass

@@ -4,7 +4,10 @@ When a decomposed simulator partition has several links crossing to the same
 peer partition, naively giving each link its own channel multiplies the
 synchronization cost.  A :class:`TrunkEnd` instead carries all of them over a
 single synchronized channel, tagging each message with a sub-channel id for
-demultiplexing at the receiver (paper §3.2.1, "trunk adapter").
+demultiplexing at the receiver (paper §3.2.1, "trunk adapter").  The tag is
+the message's own ``sub`` field: a trunked message crosses as itself, in its
+class's one wire layout, and the trunk end charges :data:`TAG_BYTES` per
+message on top of the message's wire size.
 
 Usage: create a ``TrunkEnd`` per side, :func:`~repro.channels.channel.connect`
 them, then allocate matching :meth:`TrunkEnd.port` objects (same ``sub_id`` on
@@ -17,8 +20,12 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from .channel import ChannelEnd
-from .messages import Msg, TrunkMsg
+from .messages import Msg
 from ..obs.flows import _ACTIVE as _FLOWS
+
+#: Bytes a trunk end counts in ``tx_bytes`` per message for its sub-channel
+#: tag (the cost a separate trunk header would have on a real wire).
+TAG_BYTES = 16
 
 
 class TrunkPort:
@@ -32,28 +39,25 @@ class TrunkPort:
         self.rx_msgs = 0
 
     def send(self, msg: Msg, now: int) -> None:
-        """Send ``msg`` over this logical link."""
+        """Send ``msg`` over this logical link, tagged with its id."""
         self.tx_msgs += 1
-        tm = TrunkMsg(subchannel=self.sub_id, inner=msg)
-        if msg.flow:
-            # mux: the wrapper inherits the inner provenance so trunk-level
-            # records (and the wire frame) stay attributable to the flow
-            tm.flow = msg.flow
-            tm.hop = msg.hop
-        self.trunk.send(tm, now)
+        msg.sub = self.sub_id
+        trunk = self.trunk
+        trunk.send(msg, now)
+        trunk.tx_bytes += TAG_BYTES
 
     def on_receive(self, handler: Callable[[Msg], None]) -> "TrunkPort":
-        """Register the callback invoked for each delivered inner message."""
+        """Register the callback invoked for each delivered message."""
         self.handler = handler
         return self
 
-    def _deliver(self, inner: Msg) -> None:
+    def _deliver(self, msg: Msg) -> None:
         self.rx_msgs += 1
         if self.handler is None:
             raise RuntimeError(
                 f"trunk {self.trunk.name} port {self.sub_id}: message but no handler"
             )
-        self.handler(inner)
+        self.handler(msg)
 
 
 class TrunkEnd(ChannelEnd):
@@ -79,20 +83,16 @@ class TrunkEnd(ChannelEnd):
         return len(self._ports)
 
     def dispatch(self, msg: Msg) -> None:
-        """Demultiplex a received :class:`TrunkMsg` to its port handler."""
-        if not isinstance(msg, TrunkMsg):
-            raise TypeError(f"trunk {self.name}: unexpected message {type(msg).__name__}")
-        port = self._ports.get(msg.subchannel)
+        """Route a received message to the port its ``sub`` tag names."""
+        port = self._ports.get(msg.sub)
         if port is None:
             raise RuntimeError(
-                f"trunk {self.name}: message for unknown sub-channel {msg.subchannel}"
+                f"trunk {self.name}: message for unknown sub-channel {msg.sub}"
             )
-        inner = msg.inner
-        inner.stamp = msg.stamp
         rec = _FLOWS[0]
-        if rec is not None and inner.flow:
+        if rec is not None and msg.flow:
             owner = self.owner
-            rec.hop(inner.flow, "demux",
+            rec.hop(msg.flow, "demux",
                     owner.name if owner is not None else "?", msg.stamp,
                     at=self.name)
-        port._deliver(inner)
+        port._deliver(msg)

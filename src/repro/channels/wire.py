@@ -1,21 +1,18 @@
 """Wire codecs for the multiprocess channel transport.
 
-Every fixed-layout :class:`~repro.channels.messages.Msg` subclass gets a
-``struct``-packed encoder/decoder registered under a one-byte type tag, so
-the shared-memory rings never pay ``pickle`` for protocol traffic — the
-same fixed-layout-frame property SimBricks gets from its C shared-memory
-queues.  Messages with variable payloads (``EthMsg`` packets, DMA data,
-``RawMsg``) carry a length-prefixed bytes tail; the KV case study's
-request/reply objects have a fixed tail layout of their own, any other
-payload object is pickled *inside* the tail, and message types without a
-registered codec (user-defined subclasses) fall back to pickling the whole
-message behind the distinct :data:`TAG_PICKLE` tag.  Both fallbacks are
-counted (:func:`stats`) so the observability layer can report how much of
-a run's traffic left the fast path.
+Every registered :class:`~repro.channels.messages.Msg` subclass has one row
+in :data:`_LAYOUT`: its one-byte type tag, the ``struct`` codes of its fixed
+fields, and at most one variable *tail* field.  One encoder/decoder pair is
+built from each row at import, so the shared-memory rings never pay
+``pickle`` for protocol traffic — the same fixed-layout-frame property
+SimBricks gets from its C shared-memory queues.  A trunked message crosses
+in its own class's layout: the trunk sub-channel is the ``sub`` field of
+the common prefix.
 
 Frame layout (everything little-endian)::
 
-    [u8 tag][u64 promise][body...]
+    [u8 tag][u64 promise][stamp u64, seq u64, flow u64, hop u16, sub u32]
+    [fixed fields...][tail]
 
 ``promise`` piggybacks the sender's sync horizon on every frame: the
 sender guarantees that no *future* frame on this queue will carry a
@@ -24,28 +21,33 @@ markers unnecessary while traffic flows — the receiver raises its input
 horizon to ``max(stamp, promise)`` per frame.  A promise of ``0`` carries
 no information beyond the stamp itself.
 
-Registered bodies start with the common ``stamp``/``seq`` prefix followed
-by the type-specific fields; see :data:`TAGS` for the tag table.  Encoding
-failures from out-of-range field values (negative addresses, huge ints)
-transparently fall back to the pickle frame, so the codec never restricts
-what a message may carry — it only accelerates the common case.
+A tail is one kind byte and a body (:func:`_pack_tail`): ``None``, raw
+``bytes``, the KV case study's request/reply objects and ``Packet`` have
+fixed layouts; any other payload object is pickled *inside* the tail.
+Message types without a row (user-defined subclasses) — and registered
+types whose field values don't fit their layout (negative addresses, huge
+ints) — fall back to pickling the whole message behind the distinct
+:data:`TAG_PICKLE` tag, so the codec never restricts what a message may
+carry.  Both fallbacks are counted (:func:`stats`) so the observability
+layer can report how much of a run's traffic left the fast path.
 
 The codec can be disabled globally (:func:`set_codec_enabled`), which
-forces every frame through the pickle tag; the determinism tests run the multiprocess transport both ways and
-pin identical event timelines.
+forces every frame through the pickle tag; the determinism tests run the
+multiprocess transport both ways and pin identical event timelines.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import struct
 from struct import Struct
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .messages import (DmaCompletionMsg, DmaReadMsg, DmaWriteMsg, EthMsg,
                        InterruptMsg, MemInvalidateMsg, MemReadMsg, MemRespMsg,
                        MemWriteMsg, MmioMsg, MmioRespMsg, Msg, RawMsg,
-                       SyncMsg, TrunkMsg)
+                       SyncMsg)
 from ..netsim.apps.kvproto import KvReply, KvRequest
 from ..netsim.packet import Packet
 
@@ -54,47 +56,40 @@ _PROTO = pickle.HIGHEST_PROTOCOL
 #: Whole-message pickle fallback tag (distinct from every registered tag).
 TAG_PICKLE = 0xFF
 
-#: One-byte tag per registered message class (the wire-format tag table).
-TAGS: Dict[type, int] = {
-    Msg: 0x01,
-    SyncMsg: 0x02,
-    EthMsg: 0x03,
-    MmioMsg: 0x04,
-    MmioRespMsg: 0x05,
-    DmaReadMsg: 0x06,
-    DmaWriteMsg: 0x07,
-    DmaCompletionMsg: 0x08,
-    InterruptMsg: 0x09,
-    MemReadMsg: 0x0A,
-    MemWriteMsg: 0x0B,
-    MemRespMsg: 0x0C,
-    MemInvalidateMsg: 0x0D,
-    TrunkMsg: 0x0E,
-    RawMsg: 0x0F,
-}
-
 #: Frame header: tag + piggybacked horizon promise.
 _HDR = Struct("<BQ")
 _HDR_SIZE = _HDR.size
 _LEN32 = Struct("<I")
 
-# Common body prefix (stamp, seq, flow, hop) and per-class field layouts.
-# ``flow``/``hop`` are the causal-provenance header fields (repro.obs.flows):
-# fixed-layout u64/u16 so flow-tagged traffic NEVER leaves the struct fast
-# path — tagging a message must not demote it to the pickle frame.
-_S_BASE = Struct("<QQQH")
-_S_MMIO = Struct("<QQQHQQBI")        # + addr, value, is_write, req_id
-_S_MMIO_RESP = Struct("<QQQHQI")     # + value, req_id
-_S_ADDR_LEN_REQ = Struct("<QQQHQII") # + addr, length, req_id
-_S_DMA_COMP = Struct("<QQQHII")      # + length, req_id
-_S_INTR = Struct("<QQQHI")           # + vector
-_S_MEM_RESP = Struct("<QQQHIB")      # + req_id, is_write
-_S_MEM_INV = Struct("<QQQHQ")        # + addr
-_S_TRUNK = Struct("<QQQHIB")         # + subchannel, has_inner
-# Packet fast path: src, dst, size_bytes, src_port, dst_port, seq, ack,
-# wnd, data_len, ecn bits, residence_ps, arrival_ts, create_ts, hops, uid,
-# flow
-_S_PACKET = Struct("<QQIHHQQIIBQQQHQQ")
+#: The fields every body starts with, and their codes.  ``flow``/``hop``
+#: are the causal-provenance fields (repro.obs.flows) and ``sub`` the trunk
+#: sub-channel: fixed-layout, so tagged traffic never leaves the struct
+#: fast path.
+_PREFIX = ("stamp", "seq", "flow", "hop", "sub")
+_PREFIX_CODES = "QQQHI"
+
+#: The wire-format table: class, tag (never renumber; 0x0E, the retired
+#: trunk wrapper, is never reused), the fixed fields after the prefix as
+#: ``name:code``, and the tail field (last in the class) or ``None``.
+_LAYOUT = (
+    (Msg, 0x01, "", None),
+    (SyncMsg, 0x02, "", None),
+    (EthMsg, 0x03, "", "packet"),
+    (MmioMsg, 0x04, "addr:Q value:Q is_write:? req_id:I", None),
+    (MmioRespMsg, 0x05, "value:Q req_id:I", None),
+    (DmaReadMsg, 0x06, "addr:Q length:I req_id:I", None),
+    (DmaWriteMsg, 0x07, "addr:Q length:I req_id:I", "data"),
+    (DmaCompletionMsg, 0x08, "length:I req_id:I", "data"),
+    (InterruptMsg, 0x09, "vector:I", None),
+    (MemReadMsg, 0x0A, "addr:Q length:I req_id:I", None),
+    (MemWriteMsg, 0x0B, "addr:Q length:I req_id:I", "data"),
+    (MemRespMsg, 0x0C, "req_id:I is_write:?", "data"),
+    (MemInvalidateMsg, 0x0D, "addr:Q", None),
+    (RawMsg, 0x0F, "", "payload"),
+)
+
+#: One-byte tag per registered message class (the wire-format tag table).
+TAGS: Dict[type, int] = {cls: tag for cls, tag, _, _ in _LAYOUT}
 
 #: Payload-tail kinds.
 _TAIL_NONE = b"\x00"
@@ -102,11 +97,16 @@ _TAIL_BYTES = b"\x01"
 _TAIL_PICKLE = b"\x02"
 _TAIL_KV_REQUEST = b"\x03"
 _TAIL_KV_REPLY = b"\x04"
+_TAIL_PACKET = b"\x05"
 # KV case-study payloads (repro.netsim.apps.kvproto), the one object
 # payload the packet workloads put on cut links in volume.  Both start
 # with op (one ASCII char), key, req_id.
 _S_KV_REQUEST = Struct("<cQQQQ")     # + client_addr, client_ts
 _S_KV_REPLY = Struct("<cQQqQ")       # + served_by (-1 = switch), value_bytes
+# Packet: src, dst, size_bytes, src_port, dst_port, seq, ack, wnd,
+# data_len, ecn bits, residence_ps, arrival_ts, create_ts, hops, uid, flow;
+# then proto and flags as length-prefixed ASCII and the payload as a tail
+_S_PACKET = Struct("<QQIHHQQIIBQQQHQQ")
 
 #: Codec switch, shared with forked children (mutate, don't rebind).
 _CODEC = [True]
@@ -142,7 +142,20 @@ def reset_stats() -> None:
     _payload_pickles = 0
 
 
-# -- tail / small-string helpers --------------------------------------------
+# -- tails ---------------------------------------------------------------------
+
+def _pack_str(s: str) -> bytes:
+    raw = s.encode("ascii")
+    if len(raw) > 255:
+        raise struct.error("string field too long for wire format")
+    return bytes((len(raw),)) + raw
+
+
+def _unpack_str(buf: bytes, off: int) -> Tuple[str, int]:
+    length = buf[off]
+    off += 1
+    return buf[off:off + length].decode("ascii"), off + length
+
 
 def _pack_kv_request(r: KvRequest) -> bytes:
     return _TAIL_KV_REQUEST + _S_KV_REQUEST.pack(
@@ -154,33 +167,43 @@ def _pack_kv_reply(r: KvReply) -> bytes:
         r.op.encode("ascii"), r.key, r.req_id, r.served_by, r.value_bytes)
 
 
-#: Object payloads with a fixed tail layout; anything else is pickled.
-_TAIL_PACKERS: Dict[type, Callable[[Any], bytes]] = {
+_KV_PACKERS: Dict[type, Callable[[Any], bytes]] = {
     KvRequest: _pack_kv_request, KvReply: _pack_kv_reply,
 }
 
 
-def _pack_tail(parts: list, obj: Any) -> None:
+def _pack_packet(pkt: Packet) -> bytes:
+    # a field outside the packet's layout raises: the whole message then
+    # takes the pickle frame
+    return b"".join((
+        _TAIL_PACKET,
+        _S_PACKET.pack(
+            pkt.src, pkt.dst, pkt.size_bytes, pkt.src_port, pkt.dst_port,
+            pkt.seq, pkt.ack, pkt.wnd, pkt.data_len,
+            pkt.ect | (pkt.ce << 1) | (pkt.ece << 2),
+            pkt.residence_ps, pkt.arrival_ts, pkt.create_ts, pkt.hops,
+            pkt.uid, pkt.flow),
+        _pack_str(pkt.proto), _pack_str(pkt.flags), _pack_tail(pkt.payload)))
+
+
+def _pack_tail(obj: Any) -> bytes:
     global _payload_pickles
     if obj is None:
-        parts.append(_TAIL_NONE)
-    elif type(obj) is bytes:
-        parts.append(_TAIL_BYTES)
-        parts.append(_LEN32.pack(len(obj)))
-        parts.append(obj)
-    else:
-        pack = _TAIL_PACKERS.get(type(obj))
-        if pack is not None:
-            try:
-                parts.append(pack(obj))
-                return
-            except (struct.error, OverflowError, UnicodeEncodeError):
-                pass  # a field outside its fixed layout: pickle this tail
-        _payload_pickles += 1
-        blob = pickle.dumps(obj, _PROTO)
-        parts.append(_TAIL_PICKLE)
-        parts.append(_LEN32.pack(len(blob)))
-        parts.append(blob)
+        return _TAIL_NONE
+    kind = type(obj)
+    if kind is bytes:
+        return _TAIL_BYTES + _LEN32.pack(len(obj)) + obj
+    if kind is Packet:
+        return _pack_packet(obj)
+    pack = _KV_PACKERS.get(kind)
+    if pack is not None:
+        try:
+            return pack(obj)
+        except (struct.error, OverflowError, UnicodeEncodeError):
+            pass  # a field outside its fixed layout: pickle this tail
+    _payload_pickles += 1
+    blob = pickle.dumps(obj, _PROTO)
+    return _TAIL_PICKLE + _LEN32.pack(len(blob)) + blob
 
 
 def _unpack_tail(buf: bytes, off: int) -> Tuple[Any, int]:
@@ -188,6 +211,17 @@ def _unpack_tail(buf: bytes, off: int) -> Tuple[Any, int]:
     off += 1
     if kind == 0:
         return None, off
+    if kind == 5:
+        (src, dst, size_bytes, src_port, dst_port, seq, ack, wnd, data_len,
+         ecn, residence_ps, arrival_ts, create_ts, hops,
+         uid, flow) = _S_PACKET.unpack_from(buf, off)
+        proto, off = _unpack_str(buf, off + _S_PACKET.size)
+        flags, off = _unpack_str(buf, off)
+        payload, off = _unpack_tail(buf, off)
+        return Packet(src, dst, size_bytes, proto, src_port, dst_port, seq,
+                      ack, flags, wnd, data_len, bool(ecn & 1),
+                      bool(ecn & 2), bool(ecn & 4), residence_ps, arrival_ts,
+                      payload, create_ts, hops, uid, flow), off
     if kind == 3:
         op, key, req_id, client_addr, client_ts = \
             _S_KV_REQUEST.unpack_from(buf, off)
@@ -205,254 +239,52 @@ def _unpack_tail(buf: bytes, off: int) -> Tuple[Any, int]:
     return (blob if kind == 1 else pickle.loads(blob)), off
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("ascii")
-    if len(raw) > 255:
-        raise struct.error("string field too long for wire format")
-    return bytes((len(raw),)) + raw
+# -- one codec pair per layout row ---------------------------------------------
 
+def _codec(cls: type, tag: int, fixed: str,
+           tail: Optional[str]) -> Tuple[Callable[[Any, int], bytes],
+                               Callable[[bytes, int], Msg]]:
+    """The encoder and decoder of one :data:`_LAYOUT` row.
 
-def _unpack_str(buf: bytes, off: int) -> Tuple[str, int]:
-    length = buf[off]
-    off += 1
-    return buf[off:off + length].decode("ascii"), off + length
-
-
-# -- per-class codecs --------------------------------------------------------
-# Decoders construct messages positionally (dataclass field order: the
-# stamp/seq base prefix, then subclass fields in declaration order).
-
-def _enc_msg(m: Msg, p: int) -> bytes:
-    return _HDR.pack(0x01, p) + _S_BASE.pack(m.stamp, m.seq, m.flow, m.hop)
-
-
-def _dec_msg(buf: bytes, off: int) -> Msg:
-    return Msg(*_S_BASE.unpack_from(buf, off))
-
-
-def _enc_sync(m: SyncMsg, p: int) -> bytes:
-    return _HDR.pack(0x02, p) + _S_BASE.pack(m.stamp, m.seq, m.flow, m.hop)
-
-
-def _dec_sync(buf: bytes, off: int) -> SyncMsg:
-    return SyncMsg(*_S_BASE.unpack_from(buf, off))
-
-
-def _enc_eth(m: EthMsg, p: int) -> bytes:
-    parts = [_HDR.pack(0x03, p), _S_BASE.pack(m.stamp, m.seq, m.flow, m.hop)]
-    pkt = m.packet
-    if pkt is None:
-        parts.append(_TAIL_NONE)
-    elif type(pkt) is Packet:
-        parts.append(_TAIL_BYTES)  # reused as "inline struct packet" marker
-        parts.append(_S_PACKET.pack(
-            pkt.src, pkt.dst, pkt.size_bytes, pkt.src_port, pkt.dst_port,
-            pkt.seq, pkt.ack, pkt.wnd, pkt.data_len,
-            pkt.ect | (pkt.ce << 1) | (pkt.ece << 2),
-            pkt.residence_ps, pkt.arrival_ts, pkt.create_ts, pkt.hops,
-            pkt.uid, pkt.flow))
-        parts.append(_pack_str(pkt.proto))
-        parts.append(_pack_str(pkt.flags))
-        _pack_tail(parts, pkt.payload)
+    The decoder constructs positionally, so the row must list the class's
+    dataclass fields in declaration order, the tail (if any) last.  The
+    encoder is compiled from the row, as :mod:`dataclasses` compiles
+    ``__init__``: it reads each field as an attribute and calls ``pack``
+    with them directly, which costs about half of packing a tuple gathered
+    with ``attrgetter``.
+    """
+    names = [*_PREFIX]
+    codes = _PREFIX_CODES
+    for spec in fixed.split():
+        name, code = spec.split(":")
+        names.append(name)
+        codes += code
+    listed = names + ([tail] if tail else [])
+    declared = [f.name for f in dataclasses.fields(cls)]
+    if declared != listed:
+        raise TypeError(f"wire layout of {cls.__name__} lists {listed}, "
+                        f"but its fields are {declared}")
+    src = (f"def enc(m, p):\n    return pack({tag}, p, "
+           + ", ".join(f"m.{name}" for name in names) + ")"
+           + (f" + pack_tail(m.{tail})" if tail else ""))
+    scope = {"pack": Struct("<BQ" + codes).pack, "pack_tail": _pack_tail}
+    exec(src, scope)
+    body = Struct("<" + codes)
+    unpack, size = body.unpack_from, body.size
+    if tail is None:
+        def dec(buf, off):
+            return cls(*unpack(buf, off))
     else:
-        global _payload_pickles
-        _payload_pickles += 1
-        blob = pickle.dumps(pkt, _PROTO)
-        parts.append(_TAIL_PICKLE)
-        parts.append(_LEN32.pack(len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+        def dec(buf, off):
+            return cls(*unpack(buf, off), _unpack_tail(buf, off + size)[0])
+    return scope["enc"], dec
 
 
-def _dec_eth(buf: bytes, off: int) -> EthMsg:
-    stamp, seq, flow, hop = _S_BASE.unpack_from(buf, off)
-    off += _S_BASE.size
-    kind = buf[off]
-    off += 1
-    if kind == 0:
-        return EthMsg(stamp, seq, flow, hop, None)
-    if kind == 2:
-        (length,) = _LEN32.unpack_from(buf, off)
-        off += 4
-        return EthMsg(stamp, seq, flow, hop,
-                      pickle.loads(buf[off:off + length]))
-    (src, dst, size_bytes, src_port, dst_port, pseq, ack, wnd, data_len,
-     ecn, residence_ps, arrival_ts, create_ts, hops,
-     uid, pflow) = _S_PACKET.unpack_from(buf, off)
-    off += _S_PACKET.size
-    proto, off = _unpack_str(buf, off)
-    flags, off = _unpack_str(buf, off)
-    payload, off = _unpack_tail(buf, off)
-    pkt = Packet(src, dst, size_bytes, proto, src_port, dst_port, pseq, ack,
-                 flags, wnd, data_len, bool(ecn & 1), bool(ecn & 2),
-                 bool(ecn & 4), residence_ps, arrival_ts, payload, create_ts,
-                 hops, uid, pflow)
-    return EthMsg(stamp, seq, flow, hop, pkt)
-
-
-def _enc_mmio(m: MmioMsg, p: int) -> bytes:
-    return _HDR.pack(0x04, p) + _S_MMIO.pack(
-        m.stamp, m.seq, m.flow, m.hop, m.addr, m.value,
-        1 if m.is_write else 0, m.req_id)
-
-
-def _dec_mmio(buf: bytes, off: int) -> MmioMsg:
-    (stamp, seq, flow, hop, addr, value, is_write,
-     req_id) = _S_MMIO.unpack_from(buf, off)
-    return MmioMsg(stamp, seq, flow, hop, addr, value, bool(is_write), req_id)
-
-
-def _enc_mmio_resp(m: MmioRespMsg, p: int) -> bytes:
-    return _HDR.pack(0x05, p) + _S_MMIO_RESP.pack(
-        m.stamp, m.seq, m.flow, m.hop, m.value, m.req_id)
-
-
-def _dec_mmio_resp(buf: bytes, off: int) -> MmioRespMsg:
-    return MmioRespMsg(*_S_MMIO_RESP.unpack_from(buf, off))
-
-
-def _enc_dma_read(m: DmaReadMsg, p: int) -> bytes:
-    return _HDR.pack(0x06, p) + _S_ADDR_LEN_REQ.pack(
-        m.stamp, m.seq, m.flow, m.hop, m.addr, m.length, m.req_id)
-
-
-def _dec_dma_read(buf: bytes, off: int) -> DmaReadMsg:
-    return DmaReadMsg(*_S_ADDR_LEN_REQ.unpack_from(buf, off))
-
-
-def _enc_dma_write(m: DmaWriteMsg, p: int) -> bytes:
-    parts = [_HDR.pack(0x07, p),
-             _S_ADDR_LEN_REQ.pack(m.stamp, m.seq, m.flow, m.hop, m.addr, m.length, m.req_id)]
-    _pack_tail(parts, m.data)
-    return b"".join(parts)
-
-
-def _dec_dma_write(buf: bytes, off: int) -> DmaWriteMsg:
-    (stamp, seq, flow, hop, addr, length,
-     req_id) = _S_ADDR_LEN_REQ.unpack_from(buf, off)
-    data, _ = _unpack_tail(buf, off + _S_ADDR_LEN_REQ.size)
-    return DmaWriteMsg(stamp, seq, flow, hop, addr, data, length, req_id)
-
-
-def _enc_dma_comp(m: DmaCompletionMsg, p: int) -> bytes:
-    parts = [_HDR.pack(0x08, p),
-             _S_DMA_COMP.pack(m.stamp, m.seq, m.flow, m.hop,
-                              m.length, m.req_id)]
-    _pack_tail(parts, m.data)
-    return b"".join(parts)
-
-
-def _dec_dma_comp(buf: bytes, off: int) -> DmaCompletionMsg:
-    stamp, seq, flow, hop, length, req_id = _S_DMA_COMP.unpack_from(buf, off)
-    data, _ = _unpack_tail(buf, off + _S_DMA_COMP.size)
-    return DmaCompletionMsg(stamp, seq, flow, hop, data, length, req_id)
-
-
-def _enc_intr(m: InterruptMsg, p: int) -> bytes:
-    return _HDR.pack(0x09, p) + _S_INTR.pack(
-        m.stamp, m.seq, m.flow, m.hop, m.vector)
-
-
-def _dec_intr(buf: bytes, off: int) -> InterruptMsg:
-    return InterruptMsg(*_S_INTR.unpack_from(buf, off))
-
-
-def _enc_mem_read(m: MemReadMsg, p: int) -> bytes:
-    return _HDR.pack(0x0A, p) + _S_ADDR_LEN_REQ.pack(
-        m.stamp, m.seq, m.flow, m.hop, m.addr, m.length, m.req_id)
-
-
-def _dec_mem_read(buf: bytes, off: int) -> MemReadMsg:
-    return MemReadMsg(*_S_ADDR_LEN_REQ.unpack_from(buf, off))
-
-
-def _enc_mem_write(m: MemWriteMsg, p: int) -> bytes:
-    parts = [_HDR.pack(0x0B, p),
-             _S_ADDR_LEN_REQ.pack(m.stamp, m.seq, m.flow, m.hop, m.addr, m.length, m.req_id)]
-    _pack_tail(parts, m.data)
-    return b"".join(parts)
-
-
-def _dec_mem_write(buf: bytes, off: int) -> MemWriteMsg:
-    (stamp, seq, flow, hop, addr, length,
-     req_id) = _S_ADDR_LEN_REQ.unpack_from(buf, off)
-    data, _ = _unpack_tail(buf, off + _S_ADDR_LEN_REQ.size)
-    return MemWriteMsg(stamp, seq, flow, hop, addr, length, req_id, data)
-
-
-def _enc_mem_resp(m: MemRespMsg, p: int) -> bytes:
-    parts = [_HDR.pack(0x0C, p),
-             _S_MEM_RESP.pack(m.stamp, m.seq, m.flow, m.hop, m.req_id,
-                              1 if m.is_write else 0)]
-    _pack_tail(parts, m.data)
-    return b"".join(parts)
-
-
-def _dec_mem_resp(buf: bytes, off: int) -> MemRespMsg:
-    stamp, seq, flow, hop, req_id, is_write = _S_MEM_RESP.unpack_from(buf, off)
-    data, _ = _unpack_tail(buf, off + _S_MEM_RESP.size)
-    return MemRespMsg(stamp, seq, flow, hop, req_id, data, bool(is_write))
-
-
-def _enc_mem_inv(m: MemInvalidateMsg, p: int) -> bytes:
-    return _HDR.pack(0x0D, p) + _S_MEM_INV.pack(
-        m.stamp, m.seq, m.flow, m.hop, m.addr)
-
-
-def _dec_mem_inv(buf: bytes, off: int) -> MemInvalidateMsg:
-    return MemInvalidateMsg(*_S_MEM_INV.unpack_from(buf, off))
-
-
-def _enc_trunk(m: TrunkMsg, p: int) -> bytes:
-    inner = m.inner
-    head = _HDR.pack(0x0E, p) + _S_TRUNK.pack(
-        m.stamp, m.seq, m.flow, m.hop, m.subchannel,
-        0 if inner is None else 1)
-    if inner is None:
-        return head
-    return head + encode(inner, 0)
-
-
-def _dec_trunk(buf: bytes, off: int) -> TrunkMsg:
-    stamp, seq, flow, hop, sub, has_inner = _S_TRUNK.unpack_from(buf, off)
-    inner = None
-    if has_inner:
-        inner, _promise = decode(buf[off + _S_TRUNK.size:])
-    return TrunkMsg(stamp, seq, flow, hop, sub, inner)
-
-
-def _enc_raw(m: RawMsg, p: int) -> bytes:
-    parts = [_HDR.pack(0x0F, p), _S_BASE.pack(m.stamp, m.seq, m.flow, m.hop)]
-    _pack_tail(parts, m.payload)
-    return b"".join(parts)
-
-
-def _dec_raw(buf: bytes, off: int) -> RawMsg:
-    stamp, seq, flow, hop = _S_BASE.unpack_from(buf, off)
-    payload, _ = _unpack_tail(buf, off + _S_BASE.size)
-    return RawMsg(stamp, seq, flow, hop, payload)
-
-
-_ENCODERS: Dict[type, Callable[[Any, int], bytes]] = {
-    Msg: _enc_msg, SyncMsg: _enc_sync, EthMsg: _enc_eth, MmioMsg: _enc_mmio,
-    MmioRespMsg: _enc_mmio_resp, DmaReadMsg: _enc_dma_read,
-    DmaWriteMsg: _enc_dma_write, DmaCompletionMsg: _enc_dma_comp,
-    InterruptMsg: _enc_intr, MemReadMsg: _enc_mem_read,
-    MemWriteMsg: _enc_mem_write, MemRespMsg: _enc_mem_resp,
-    MemInvalidateMsg: _enc_mem_inv, TrunkMsg: _enc_trunk, RawMsg: _enc_raw,
-}
-
-_DECODERS: Dict[int, Callable[[bytes, int], Msg]] = {
-    TAGS[cls]: dec for cls, dec in {
-        Msg: _dec_msg, SyncMsg: _dec_sync, EthMsg: _dec_eth,
-        MmioMsg: _dec_mmio, MmioRespMsg: _dec_mmio_resp,
-        DmaReadMsg: _dec_dma_read, DmaWriteMsg: _dec_dma_write,
-        DmaCompletionMsg: _dec_dma_comp, InterruptMsg: _dec_intr,
-        MemReadMsg: _dec_mem_read, MemWriteMsg: _dec_mem_write,
-        MemRespMsg: _dec_mem_resp, MemInvalidateMsg: _dec_mem_inv,
-        TrunkMsg: _dec_trunk, RawMsg: _dec_raw,
-    }.items()
-}
+_ENCODERS: Dict[type, Callable[[Any, int], bytes]] = {}
+_DECODERS: Dict[int, Callable[[bytes, int], Msg]] = {}
+for _row in _LAYOUT:
+    _ENCODERS[_row[0]], _DECODERS[_row[1]] = _codec(*_row)
+del _row
 
 
 # -- public API --------------------------------------------------------------

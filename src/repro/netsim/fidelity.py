@@ -34,12 +34,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..kernel.simtime import US
-
-#: Default fluid rate-update interval (well under the fig6 RTTs, so the
-#: discretization error stays small against the packet oracle).
-DEFAULT_FLUID_DT_PS = 20 * US
-
 
 @dataclass
 class FidelityConfig:
@@ -48,40 +42,26 @@ class FidelityConfig:
     Parameters
     ----------
     batching:
-        Enable the batched link drain on selected directions.
-    batch_links:
-        Direction-label predicate (``"a->b"``) selecting which directions
-        batch; ``None`` batches all of them.
+        Enable the batched link drain on every direction.
     fluid:
         Install the fluid flow-level tier on each network partition.
     fluid_links:
         Direction-label predicate restricting which links a fluid flow's
         path may traverse; a flow is only promoted when *every* hop on its
         path is eligible.  ``None`` allows all internal links.
-    fluid_dt_ps:
-        Rate-update tick interval for the fluid model.
-    promote_bytes:
-        A flow becomes promotion-eligible only after this many bytes have
-        been cumulatively acknowledged at packet level (so slow-start and
-        short RPCs stay packet-accurate).
-    demote_residual_bytes:
-        A fluid flow is handed back to the packet tier when no more than
-        this many bytes remain, so connection teardown (FIN exchange) is
-        always packet-level.
+
+    The fluid tier's tick and handoff thresholds are constants of
+    :mod:`repro.netsim.fluid`.
     """
 
     batching: bool = False
-    batch_links: Optional[Callable[[str], bool]] = None
     fluid: bool = False
     fluid_links: Optional[Callable[[str], bool]] = None
-    fluid_dt_ps: int = DEFAULT_FLUID_DT_PS
-    promote_bytes: int = 64 * 1024
-    demote_residual_bytes: int = 64 * 1024
 
     def apply(self, net) -> None:
         """Install the selected tiers on one network partition."""
         if self.batching:
-            net.enable_batching(self.batch_links)
+            net.enable_batching()
         if self.fluid:
             from .fluid import FluidDomain
             FluidDomain.install(net, self)

@@ -6,7 +6,7 @@ captured by a handful of slowly-varying quantities (window, RTT, bottleneck
 queue).  This module advances such flows *in rate space*: each
 :class:`FluidFlow` carries a continuous congestion window ``w`` and each
 :class:`FluidLink` a continuous queue occupancy ``q``; one discrete
-rate-update event per :attr:`~repro.netsim.fidelity.FidelityConfig.fluid_dt_ps`
+rate-update event per :data:`FLUID_DT_PS`
 advances every fluid flow at once, so the event cost is per *tick*, not per
 packet — the classic fluid-model decoupling (Misra/Gong/Towsley), here with
 the DCTCP mark-fraction estimator of Alizadeh et al.:
@@ -21,13 +21,13 @@ the DCTCP mark-fraction estimator of Alizadeh et al.:
 **Handoff** is the fidelity boundary.  A flow starts packet-level (connection
 setup, slow start, short flows never promote); once
 :meth:`FluidDomain.consider` finds it eligible — DCTCP, established, past
-``promote_bytes``, both endpoints protocol hosts in this partition, a
+:data:`PROMOTE_BYTES`, both endpoints protocol hosts in this partition, a
 single-path ECN-enabled route — the sender stops emitting segments and the
 flow's delivered edge advances analytically.  In-flight segments drain at
 packet level; the fluid edge starts at ``snd_nxt``, so every byte is counted
 exactly once (late packet-level deliveries land below the edge and are
 ignored by the receiver's cumulative logic).  When the remaining backlog
-drops to ``demote_residual_bytes`` the flow *demotes*: the sender's
+drops to :data:`DEMOTE_RESIDUAL_BYTES` the flow *demotes*: the sender's
 ``cwnd``/``ssthresh``/``alpha`` are restored from the fluid state and the
 ordinary packet path finishes the transfer (including FIN teardown), so
 connection semantics stay exact at the edges.
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..kernel.simtime import SEC
+from ..kernel.simtime import SEC, US
 from ..obs.flows import _ACTIVE as _FLOWS
 from ..parallel.costmodel import FLUID_FLOW_CYCLES, FLUID_UPDATE_CYCLES
 from .node import NetHost
@@ -58,6 +58,20 @@ ACK_WIRE_BYTES = HEADER_BYTES + 14
 
 #: Hop bound for path resolution (guards against FIB loops).
 MAX_PATH_HOPS = 64
+
+#: Rate-update tick interval (well under the fig6 RTTs, so the
+#: discretization error stays small against the packet oracle).
+FLUID_DT_PS = 20 * US
+
+#: A flow becomes promotion-eligible only after this many bytes have been
+#: cumulatively acknowledged at packet level (so slow start and short RPCs
+#: stay packet-accurate).
+PROMOTE_BYTES = 64 * 1024
+
+#: A fluid flow is handed back to the packet tier when no more than this
+#: many bytes remain, so connection teardown (FIN exchange) is always
+#: packet-level.
+DEMOTE_RESIDUAL_BYTES = 64 * 1024
 
 
 class FluidLink:
@@ -151,14 +165,13 @@ class FluidDomain:
         early; structural rejects (unresolvable path, off-partition peer)
         are memoized on the connection so the path walk runs once.
         """
-        cfg = self.cfg
         # fin_sent alone does not disqualify: a closed-after-send bulk
         # transfer still has its whole backlog ahead, and the backlog check
         # guarantees the FIN exchange itself happens after demotion.
         if (conn.variant != "dctcp" or conn.state != "established"
                 or conn.in_recovery or conn.srtt is None
-                or conn.snd_una < cfg.promote_bytes
-                or conn.app_limit - conn.snd_nxt <= cfg.demote_residual_bytes
+                or conn.snd_una < PROMOTE_BYTES
+                or conn.app_limit - conn.snd_nxt <= DEMOTE_RESIDUAL_BYTES
                 or getattr(conn, "_fluid_rejected", False)):
             return False
         tx_host = conn.stack.env
@@ -258,20 +271,19 @@ class FluidDomain:
                         at=f"{conn.stack.addr}->{conn.peer}")
         if not self._ticking:
             self._ticking = True
-            self.net.call_after(self.cfg.fluid_dt_ps, self._tick)
+            self.net.call_after(FLUID_DT_PS, self._tick)
 
     # ------------------------------------------------------------- dynamics
 
     def _tick(self) -> None:
-        """One rate-update: advance every fluid flow by ``fluid_dt_ps``."""
+        """One rate-update: advance every fluid flow by :data:`FLUID_DT_PS`."""
         flows = self.flows
         if not flows:
             self._ticking = False
             return
         net = self.net
-        cfg = self.cfg
         now = net.now
-        dt = cfg.fluid_dt_ps
+        dt = FLUID_DT_PS
         self.updates += 1
         net.add_work(FLUID_UPDATE_CYCLES + FLUID_FLOW_CYCLES * len(flows))
 
@@ -330,7 +342,7 @@ class FluidDomain:
                 flow.edge += whole
                 self.bytes_modeled += whole
                 self._apply_edge(flow)
-            if tx.app_limit - flow.edge <= cfg.demote_residual_bytes:
+            if tx.app_limit - flow.edge <= DEMOTE_RESIDUAL_BYTES:
                 finished.append(flow)
 
         for flow in finished:

@@ -160,16 +160,11 @@ class NetworkSim(Component):
         for att in self.externals.values():
             yield att.ext.direction, None
 
-    def enable_batching(self, link_filter: Optional[Callable[[str], bool]] = None) -> int:
-        """Switch link directions onto the batched drain fast path.
-
-        ``link_filter`` selects directions by label (``"a->b"``); ``None``
-        batches everything.  Returns the number of directions batched.
-        """
+    def enable_batching(self) -> int:
+        """Switch every link direction onto the batched drain fast path;
+        returns the number of directions batched."""
         n = 0
         for direction, _ in self._all_directions():
-            if link_filter is not None and not link_filter(direction.label):
-                continue
             direction.enable_batching()
             n += 1
         return n

@@ -321,15 +321,12 @@ class AuditCollector(Collector):
             self._rows[(comp, row.epoch)] = row
 
     def note_result(self, comp: str, payload: Optional[dict]) -> None:
-        """Consume one component's authoritative final state (``None``:
-        it never got there; its beat rows stay, the ledger is partial)."""
+        """Consume one component's authoritative final state (a component
+        that never gets here keeps its beat rows; the ledger is partial)."""
+        super().note_result(comp, payload)
         if payload is not None:
             self.note(comp, None, payload["rows"])
             self._results[comp] = payload
-
-    @property
-    def partial(self) -> bool:
-        return bool(set(self.components) - set(self._results))
 
     def _executed(self) -> Dict[str, dict]:
         """Results of the components that executed events: the guard's
@@ -360,7 +357,7 @@ class AuditCollector(Collector):
                  "events": sum(r.n for r in rows) if self.partial
                  else sum(p["events"] for p in self._results.values())}
         if self.partial:
-            final["partial"] = True
+            final["partial"] = self.partial
         header = {"kind": AUDIT_KIND, "schema": AUDIT_SCHEMA,
                   "mode": self.mode, "until_ps": self.until_ps,
                   "window_ps": self.window_ps,
@@ -398,8 +395,9 @@ class AuditLedger(LoadedDoc):
         return (self.final or {}).get("root")
 
     @property
-    def partial(self) -> bool:
-        return bool((self.final or {}).get("partial"))
+    def partial(self) -> List[str]:
+        """The components whose result never arrived (empty: complete)."""
+        return list((self.final or {}).get("partial", []))
 
     def component_digests(self) -> Dict[str, str]:
         return dict((self.final or {}).get("components", {}))

@@ -11,7 +11,9 @@ under the recorder's ``name`` (``Heartbeat.extras[name]`` per beat,
 * a **collector** (:class:`Collector`) assembles the artifact:
   ``probe(comp)`` (the probe factory, fork-inherited by mp children),
   ``begin``, ``note(comp, beat, payload)``, ``note_result(comp, payload)``
-  (``None`` = the component produced none), ``save``, ``report_field``.
+  (``None`` = the component produced none; never called for a component
+  that failed, which :attr:`Collector.partial` then names), ``save``,
+  ``report_field``.
 
 The runtimes never look inside the payloads.  In a multiprocess run the
 child's heartbeat pump beats the probes of ``ProcessRunner.recorders``
@@ -79,10 +81,12 @@ def deliver(hb: Heartbeat, collectors: Iterable) -> None:
 
 
 class Collector:
-    """What collectors share: where the artifact goes and what run it is of.
+    """What collectors share: where the artifact goes, what run it is of,
+    and which components delivered their result.
 
     Subclasses set ``name`` and ``probe`` and define ``note`` and
-    ``write(path)``; ``note_result`` when the probes' results matter.
+    ``write(path)``; ``note_result`` (calling this one) when the probes'
+    results matter.
     """
 
     name = ""
@@ -94,14 +98,24 @@ class Collector:
         self.components: List[str] = []
         self.until_ps = 0
         self.mode = "strict"
+        self._delivered: set = set()
 
     def begin(self, components: List[str], until_ps: int, mode: str) -> None:
         self.components = list(components)
         self.until_ps = until_ps
         self.mode = mode
+        self._delivered = set()
 
     def note_result(self, comp: str, payload) -> None:
-        pass
+        """``comp`` finished and delivered its probe's result (``None`` =
+        the probe has none); a failed component is never noted."""
+        self._delivered.add(comp)
+
+    @property
+    def partial(self) -> List[str]:
+        """The components that never delivered a result (a crashed mp
+        child), sorted; empty when the record is complete."""
+        return sorted(set(self.components) - self._delivered)
 
     def save(self, path: Optional[str] = None):
         """Write the artifact to ``path`` (default: the constructor's)."""

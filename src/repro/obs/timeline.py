@@ -239,17 +239,21 @@ class TimelineCollector(Collector):
         return save_timeline(path, list(self.rows), mode=self.mode,
                              until_ps=self.until_ps,
                              components=self.components,
-                             meta=self.meta, dropped=self.dropped)
+                             meta=self.meta, dropped=self.dropped,
+                             partial=self.partial)
 
 
 # -- persistence --------------------------------------------------------------
 
 def save_timeline(path: str, rows: List[EpochRow], *, mode: str,
                   until_ps: int, components: Optional[List[str]] = None,
-                  meta: Optional[dict] = None, dropped: int = 0) -> dict:
+                  meta: Optional[dict] = None, dropped: int = 0,
+                  partial: Optional[List[str]] = None) -> dict:
     """Write the columnar JSONL document; returns the header.
 
-    One header line, then one object per row.
+    One header line, then one object per row.  ``partial`` names the
+    components whose run never finished (the header's ``"partial"`` key,
+    present only then).
 
     The header indexes component and edge names so rows stay compact:
     ``{"c": comp_index, "r": [<ROW_COLUMNS values>], "e": {edge_index:
@@ -267,6 +271,8 @@ def save_timeline(path: str, rows: List[EpochRow], *, mode: str,
               "columns": list(ROW_COLUMNS), "components": comps,
               "edges": [list(pair) for pair in edge_pairs],
               "dropped": dropped, "meta": dict(meta or {})}
+    if partial:
+        header["partial"] = list(partial)
 
     def docs():
         for row in rows:
@@ -319,6 +325,11 @@ class Timeline(LoadedDoc):
     def __init__(self, header: dict, rows: List[EpochRow]) -> None:
         super().__init__(header, rows)
         self._by_comp: Optional[Dict[str, List[EpochRow]]] = None
+
+    @property
+    def partial(self) -> List[str]:
+        """The components whose run never finished (empty: complete)."""
+        return list(self.header.get("partial", []))
 
     def by_component(self) -> Dict[str, List[EpochRow]]:
         """Rows grouped per component, ordered by epoch."""

@@ -176,10 +176,12 @@ class Experiment:
                          drop_tail: int = 0) -> "ProfileAnalysis":
         """The profiler's analysis of the run's epoch timeline, leaving
         out ``drop_head`` warm-up and ``drop_tail`` cool-down epochs (after
-        :meth:`run` or :meth:`run_mp` alike)."""
+        :meth:`run` or :meth:`run_mp` alike).  Raises :class:`ValueError`
+        when a component never delivered its result (a crashed child)."""
         timeline = self.recorders.get("timeline")
         if timeline is None:
             raise RuntimeError("build the instantiation with timeline=True")
+        _refuse_partial(timeline)
         from ..profiler.postprocess import analyze
         return analyze(timeline.rows, drop_head=drop_head,
                        drop_tail=drop_tail)
@@ -217,16 +219,26 @@ class Experiment:
 
     def execution_model(self, sim_time_ps: int) -> "ParallelExecutionModel":
         """Virtual-time model over the work :meth:`run` or :meth:`run_mp`
-        recorded, on the simulation's channel graph."""
+        recorded, on the simulation's channel graph.  Raises
+        :class:`ValueError` when a component never delivered its work (a
+        crashed child)."""
         work = self.recorders.get("work")
         if work is None:
             raise RuntimeError("build the instantiation with work_window_ps")
+        _refuse_partial(work)
         from ..parallel.model import ParallelExecutionModel, model_channels
         return ParallelExecutionModel(
             work, sim_time_ps, model_channels(self.sim.channels),
             components=[c.name for c in self.sim.components],
             baselines={c.name: getattr(c, "baseline_cycles_per_ps", 0.0)
                        for c in self.sim.components})
+
+
+def _refuse_partial(collector) -> None:
+    """A record some component never finished cannot be analyzed."""
+    if collector.partial:
+        raise ValueError(f"the {collector.name!r} record is partial: no "
+                         f"result from {', '.join(collector.partial)}")
 
 
 @dataclass

@@ -22,7 +22,7 @@ work on scaled-down datacenter topologies (fewer aggs/racks/hosts).
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..netsim.topology import TopoSpec
 
@@ -127,60 +127,6 @@ def partition_from_file(path: str) -> Dict[str, str]:
         raise ValueError(f"{path}: partition document has no "
                          "switch_assignment to apply")
     return dict(switch_assignment)
-
-
-# -- fidelity presets ---------------------------------------------------------
-
-def backbone_links(spec: TopoSpec) -> Callable[[str], bool]:
-    """Predicate selecting switch-to-switch direction labels of ``spec``.
-
-    Backbone (inter-switch) links carry aggregated traffic and therefore
-    the longest back-to-back runs — the sweet spot for the batched drain —
-    while host edge links keep the plain per-packet path (and with it
-    per-packet PTP-style ``on_tx_start`` hooks, which disable batching
-    anyway).  Use as ``FidelityConfig(batching=True,
-    batch_links=backbone_links(spec))``.
-    """
-    switches = set(spec.switches)
-
-    def is_backbone(label: str) -> bool:
-        a, _, b = label.partition("->")
-        return a in switches and b in switches
-
-    return is_backbone
-
-
-def fidelity_preset(name: str, spec: Optional[TopoSpec] = None):
-    """Build a :class:`~repro.netsim.fidelity.FidelityConfig` by name.
-
-    ========================  ==================================================
-    ``packet``                pure per-packet simulation (the default tier);
-                              returns ``None`` so the instantiation takes the
-                              exact no-fidelity code path
-    ``batched``               batched link drain on every direction
-    ``batched-backbone``      batched drain on inter-switch links only
-                              (requires ``spec`` for the switch names)
-    ``fluid``                 batched drain everywhere plus the fluid
-                              flow-level tier for long-lived DCTCP flows
-    ========================  ==================================================
-    """
-    from ..netsim.fidelity import FidelityConfig
-
-    if name == "packet":
-        return None
-    if name == "batched":
-        return FidelityConfig(batching=True)
-    if name == "batched-backbone":
-        if spec is None:
-            raise ValueError("batched-backbone preset needs the TopoSpec")
-        return FidelityConfig(batching=True, batch_links=backbone_links(spec))
-    if name == "fluid":
-        return FidelityConfig(batching=True, fluid=True)
-    raise ValueError(f"unknown fidelity preset {name!r} "
-                     "(expected packet/batched/batched-backbone/fluid)")
-
-
-FIDELITY_PRESETS = ("packet", "batched", "batched-backbone", "fluid")
 
 
 _FT_AGG = re.compile(r"^p(\d+)agg(\d+)$")

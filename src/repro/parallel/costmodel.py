@@ -37,9 +37,9 @@ VM (DESIGN.md §7, "Measured cost"):
 ======================  =======================================  ============
 measured, not modelled  mechanism                                cost
 ======================  =======================================  ============
-``splitsim``, Python    ``send_batch`` + ``recv_batch`` round    ~9us/msg
-ring                    trip of a trunked 174-byte TCP-segment
-                        frame; encode ~2us, decode ~3us of it
+``splitsim``, Python    ``send_batch`` + ``recv_batch`` round    ~7us/msg
+ring                    trip of a trunked 138-byte TCP-segment
+                        frame; encode ~2us, decode ~2us of it
 ======================  =======================================  ============
 """
 

@@ -40,7 +40,9 @@ class WorkRecorder(Collector):
     """The model's input, the recorder-seam collector ``"work"``: modeled
     host cycles per (component, sim-time window) and message deliveries
     per (src, dst component, window).  Its probes beat nothing and ship
-    their buckets as results; it writes no artifact."""
+    their buckets as results, so a component in :attr:`partial` (it
+    never delivered them) recorded no work at all; it writes no
+    artifact."""
 
     name = "work"
 
@@ -59,6 +61,7 @@ class WorkRecorder(Collector):
 
     def note_result(self, comp: str, payload) -> None:
         """One component's buckets: ``(work, {src: msgs})``."""
+        super().note_result(comp, payload)
         work, msgs = payload or ({}, {})
         if work:
             self.work[comp] = work

@@ -508,9 +508,10 @@ class ProcessRunner:
                     monitor.note_done(res.name, res.error)
                 if control is not None:
                     control.note_done(res.name, res.error)
-                for collector in collectors:
-                    collector.note_result(res.name,
-                                          res.extras.get(collector.name))
+                if not res.error:  # a failed child stays missing
+                    for collector in collectors:
+                        collector.note_result(res.name,
+                                              res.extras.get(collector.name))
             self._drain_telemetry(telemetry_q, aggregator, monitor, progress,
                                   collectors)
             if progress:

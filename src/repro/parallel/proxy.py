@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..channels.channel import ChannelEnd
-from ..channels.messages import Msg, TrunkMsg, wire_size_of
+from ..channels.messages import Msg, wire_size_of
 from ..channels.trunk import TrunkEnd
 from ..kernel.component import Component
 from ..kernel.simtime import US, bits_time
@@ -106,7 +106,11 @@ class ProxyPair:
         With ``preserve_latency`` the original channel latency is split
         across the three hops so end-to-end delivery times are unchanged;
         this requires the channel latency to exceed the wire latency.
+        A trunk end cannot be spliced: the proxy's own trunk re-tags each
+        message it forwards, which would overwrite the sub-channel tag.
         """
+        if isinstance(end_a, TrunkEnd) or isinstance(end_b, TrunkEnd):
+            raise ValueError("a trunk end cannot be spliced through a proxy")
         if preserve_latency:
             total = end_a.latency
             if end_b.latency != total:

@@ -21,6 +21,7 @@ from repro.obs.audit import (AUDIT_KIND, AUDIT_SCHEMA, AuditCollector,
 from repro.obs.recorder import ProbeDriver
 from repro.obs.rundir import AUDIT_FILE, locate
 from repro.parallel import procrunner
+from repro.parallel.model import WorkRecorder
 from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Simulation
 
@@ -347,13 +348,17 @@ def test_mp_crash_leaves_partial_ledger(tmp_path, monkeypatch):
     specs, channels = pipeline_specs(2)
     specs[1].factory = make_crashing
     path = tmp_path / AUDIT_FILE
+    work = WorkRecorder(WINDOW)
     with pytest.raises((RuntimeError, TimeoutError)):
         runner = ProcessRunner(specs, channels)
-        runner.recorders.append(AuditCollector(str(path), WINDOW))
+        runner.recorders += [AuditCollector(str(path), WINDOW), work]
         runner.run(UNTIL_PS, timeout_s=3.0)
     led = load_audit(str(path))
-    assert led.partial
+    assert "s1" in led.partial
     assert led.root is None
+    # the work record names the same missing components: a crashed child
+    # does not read as an idle one
+    assert work.partial == led.partial
     assert {r.comp for r in led.rows} == {"s0", "s1"}
     # the surviving prefix still diffs against a clean run and localizes
     clean = _pipeline_recorder(n=2)

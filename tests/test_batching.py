@@ -135,7 +135,7 @@ def _two_host_net(batched=True):
     b = net.add_host("b", addr=2)
     net.add_link(a, b, bandwidth_bps=1e9, latency_ps=1 * US)
     if batched:
-        assert net.enable_batching(None) > 0
+        assert net.enable_batching() > 0
     return net, a, b
 
 
@@ -203,7 +203,7 @@ def _star_with_two_egresses():
 def test_invalidate_routes_flushes_batching_memo():
     """A mid-run route change must not forward a run out the stale port."""
     net, h1, h2, h3, sw, l2, l3 = _star_with_two_egresses()
-    net.enable_batching(None)
+    net.enable_batching()
     got2, got3 = [], []
     h2.stack.udp_socket(9, lambda pkt: got2.append(net.now))
     h3.stack.udp_socket(9, lambda pkt: got3.append(net.now))
@@ -229,7 +229,7 @@ def test_invalidate_routes_flushes_batching_memo():
 
 def test_add_route_flushes_route_cache():
     net, h1, h2, h3, sw, l2, l3 = _star_with_two_egresses()
-    net.enable_batching(None)
+    net.enable_batching()
     h2.stack.udp_socket(9, lambda pkt: None)
     sock = h1.stack.udp_socket(8)
     net.schedule(0, lambda: sock.sendto(2, 9, 500))

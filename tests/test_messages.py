@@ -6,7 +6,7 @@ from repro.channels.messages import (DmaCompletionMsg, DmaReadMsg,
                                      DmaWriteMsg, EthMsg, InterruptMsg,
                                      MemInvalidateMsg, MemReadMsg, MemRespMsg,
                                      MemWriteMsg, MmioMsg, MmioRespMsg, Msg,
-                                     RawMsg, SyncMsg, TrunkMsg)
+                                     RawMsg, SyncMsg)
 from repro.netsim.packet import Packet
 
 
@@ -32,13 +32,6 @@ def test_dma_write_size_includes_payload():
 def test_dma_completion_size_includes_payload():
     msg = DmaCompletionMsg(data=b"y" * 256, length=256)
     assert msg.wire_size() >= 256
-
-
-def test_trunk_wraps_inner_size():
-    inner = EthMsg(packet=Packet(src=1, dst=2, size_bytes=512))
-    tm = TrunkMsg(subchannel=3, inner=inner)
-    assert tm.wire_size() > inner.wire_size()
-    assert TrunkMsg(subchannel=0, inner=None).wire_size() > 0
 
 
 def test_default_stamps_are_zero():

@@ -254,9 +254,10 @@ def test_mp_child_crash_flushes_partial_timeline(tmp_path, monkeypatch):
     specs[1].factory = make_crashing
     tl_path = tmp_path / "timeline.jsonl"
     report_path = tmp_path / "run_report.json"
+    collector = TimelineCollector(str(tl_path))
     with pytest.raises((RuntimeError, TimeoutError)):
         runner = ProcessRunner(specs, channels)
-        runner.recorders.append(TimelineCollector(str(tl_path)))
+        runner.recorders.append(collector)
         runner.run(UNTIL_PS, timeout_s=3.0, report_path=str(report_path))
 
     report = json.loads(report_path.read_text())
@@ -268,6 +269,8 @@ def test_mp_child_crash_flushes_partial_timeline(tmp_path, monkeypatch):
     tl = load_timeline(str(tl_path))
     assert tl.rows  # partial rows survived the crash
     assert {r.comp for r in tl.rows} <= {"s0", "s1"}
+    # the document names the components that never finished
+    assert "s1" in tl.partial and tl.partial == collector.partial
 
     from repro.obs.inspect import main as inspect_main
     assert inspect_main(["timeline", str(tmp_path)]) == 0

@@ -107,7 +107,7 @@ def _star(batched):
     for h, link in zip(hosts, links):
         sw.add_route(h.addr, link.port_a)
     if batched:
-        net.enable_batching(None)
+        net.enable_batching()
     return net, hosts, sw, links
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.channels.channel import ChannelEnd
 from repro.channels.messages import RawMsg
+from repro.channels.trunk import TrunkEnd
 from repro.kernel.component import Component
 from repro.kernel.simtime import MS, NS, US
 from repro.parallel.proxy import ProxyPair
@@ -88,6 +89,9 @@ def test_proxy_rejects_asymmetric_channels():
     pair.register(sim)
     with pytest.raises(ValueError, match="asymmetric"):
         pair.splice(sim, a.end, b.end)
+    # the proxy's trunk tags what it forwards: a trunk end's tags would be lost
+    with pytest.raises(ValueError, match="trunk"):
+        pair.splice(sim, TrunkEnd("t", 25 * US), b.end)
 
 
 def test_proxy_validates_wire_latency():

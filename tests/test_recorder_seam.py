@@ -37,6 +37,36 @@ def pipeline_sim(n, mode):
     return sim
 
 
+# -- what every collector shares ----------------------------------------------
+
+def test_collector_partial_names_components_without_a_result(tmp_path):
+    # what an mp run with a crashed child leaves behind: every collector
+    # names the component whose result never arrived, the timeline document
+    # states it, and the experiment refuses to analyze the record
+    from repro.orchestration.instantiate import Instantiation
+
+    from .test_run_mp import kv_system
+
+    exp = Instantiation(kv_system(), timeline=True,
+                        work_window_ps=10 * US).build()
+    names = [c.name for c in exp.sim.components]
+    work, timeline = exp.recorders["work"], exp.recorders["timeline"]
+    for rec in (work, timeline):
+        rec.begin(names, UNTIL_PS, "mp")
+        for name in names[1:]:
+            rec.note_result(name, None)
+        assert rec.partial == [names[0]]
+    timeline.save(str(tmp_path / "timeline.jsonl"))
+    assert load_timeline(str(tmp_path / "timeline.jsonl")).partial == \
+        [names[0]]
+    with pytest.raises(ValueError, match=names[0]):
+        exp.execution_model(UNTIL_PS)
+    with pytest.raises(ValueError, match=names[0]):
+        exp.profile_analysis()
+    work.note_result(names[0], None)
+    assert work.partial == []
+
+
 # -- (a) a recorder the runtimes have never heard of --------------------------
 
 class CountProbe:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.channels.channel import connect
-from repro.channels.messages import RawMsg, TrunkMsg
+from repro.channels.messages import EthMsg, RawMsg
 from repro.channels.trunk import TrunkEnd
 from repro.kernel.simtime import NS
+from repro.netsim.packet import Packet
 
 
 def make_trunks():
@@ -68,12 +69,6 @@ def test_missing_handler_raises():
             b.dispatch(msg)
 
 
-def test_dispatch_rejects_non_trunk_messages():
-    a, _ = make_trunks()
-    with pytest.raises(TypeError):
-        a.dispatch(RawMsg())
-
-
 def test_port_reuse_and_counts():
     a, b = make_trunks()
     assert a.port(2) is a.port(2)
@@ -87,10 +82,13 @@ def test_port_reuse_and_counts():
     assert a.num_ports == 1 or a.num_ports >= 1  # port(2) only on this side
 
 
-def test_trunk_wire_size_includes_inner():
-    inner = RawMsg(payload="abc")
-    tm = TrunkMsg(subchannel=1, inner=inner)
-    assert tm.wire_size() >= inner.wire_size()
+def test_trunk_end_tx_bytes_count_the_tag():
+    # the message crosses as itself; the trunk end charges its 16-byte tag
+    a, _ = make_trunks()
+    msg = EthMsg(packet=Packet(src=1, dst=2, size_bytes=512))
+    a.port(1).send(msg, now=0)
+    assert msg.sub == 1
+    assert a.tx_bytes == msg.wire_size() + 16
 
 
 # -- trunk multiplexing over the real shm transport --------------------------

@@ -17,8 +17,7 @@ from repro.channels.messages import (DmaCompletionMsg, DmaReadMsg,
                                      DmaWriteMsg, EthMsg, InterruptMsg,
                                      MemInvalidateMsg, MemReadMsg,
                                      MemRespMsg, MemWriteMsg, MmioMsg,
-                                     MmioRespMsg, Msg, RawMsg, SyncMsg,
-                                     TrunkMsg)
+                                     MmioRespMsg, Msg, RawMsg, SyncMsg)
 from repro.netsim.apps.kvproto import KvReply, KvRequest
 from repro.netsim.packet import Packet
 
@@ -54,14 +53,13 @@ def msgs_equal(a, b):
     if type(a) is not type(b):
         return False
     if isinstance(a, EthMsg):
-        return ((a.stamp, a.seq, a.flow, a.hop)
-                == (b.stamp, b.seq, b.flow, b.hop)
+        return ((a.stamp, a.seq, a.flow, a.hop, a.sub)
+                == (b.stamp, b.seq, b.flow, b.hop, b.sub)
                 and packets_equal(a.packet, b.packet))
-    if isinstance(a, TrunkMsg):
-        return ((a.stamp, a.seq, a.flow, a.hop, a.subchannel)
-                == (b.stamp, b.seq, b.flow, b.hop, b.subchannel)
-                and (a.inner is b.inner is None
-                     or msgs_equal(a.inner, b.inner)))
+    if isinstance(a, DmaCompletionMsg) and isinstance(a.data, Packet):
+        return ((a.stamp, a.seq, a.flow, a.hop, a.sub, a.length, a.req_id)
+                == (b.stamp, b.seq, b.flow, b.hop, b.sub, b.length, b.req_id)
+                and packets_equal(a.data, b.data))
     return a == b
 
 
@@ -79,7 +77,7 @@ def packets():
 
 
 def messages():
-    base = {"stamp": u64, "seq": u64, "flow": u64, "hop": u16}
+    base = {"stamp": u64, "seq": u64, "flow": u64, "hop": u16, "sub": u32}
     return st.one_of(
         st.builds(Msg, **base),
         st.builds(SyncMsg, **base),
@@ -91,7 +89,8 @@ def messages():
         st.builds(DmaWriteMsg, addr=u64, data=st.one_of(st.none(),
                                                         small_bytes),
                   length=u32, req_id=u32, **base),
-        st.builds(DmaCompletionMsg, data=st.one_of(st.none(), small_bytes),
+        st.builds(DmaCompletionMsg, data=st.one_of(st.none(), small_bytes,
+                                                   packets()),
                   length=u32, req_id=u32, **base),
         st.builds(InterruptMsg, vector=u32, **base),
         st.builds(MemReadMsg, addr=u64, length=u32, req_id=u32, **base),
@@ -101,12 +100,6 @@ def messages():
                                                          small_bytes),
                   is_write=st.booleans(), **base),
         st.builds(MemInvalidateMsg, addr=u64, **base),
-        st.builds(TrunkMsg, subchannel=u32,
-                  inner=st.one_of(st.none(),
-                                  st.builds(MmioMsg, addr=u64, value=u64,
-                                            is_write=st.booleans(),
-                                            req_id=u32, **base)),
-                  **base),
         st.builds(RawMsg, payload=payloads, **base),
     )
 
@@ -173,6 +166,8 @@ def test_tag_table_is_injective_and_stable():
     assert wire.TAGS[SyncMsg] == 0x02
     assert wire.TAGS[EthMsg] == 0x03
     assert wire.TAGS[RawMsg] == 0x0F
+    # 0x0E was the trunk wrapper: retired, never reused
+    assert 0x0E not in tags
 
 
 def test_payload_pickle_counter():
@@ -231,21 +226,23 @@ def test_kv_fields_outside_the_layout_pickle_the_tail_only():
     assert s["msg_pickle_fallbacks"] == 0
 
 
-def test_nested_trunk_roundtrip():
-    inner = EthMsg(stamp=4, packet=Packet(src=7, dst=8, size_bytes=64))
-    msg = TrunkMsg(stamp=9, seq=2, subchannel=3, inner=inner)
-    out, promise = wire.decode(wire.encode(msg, 123))
+def test_trunk_tag_roundtrip():
+    # a trunked message crosses as itself: the sub-channel is a prefix field
+    msg = EthMsg(stamp=9, seq=2, sub=3,
+                 packet=Packet(src=7, dst=8, size_bytes=64))
+    buf = wire.encode(msg, 123)
+    assert buf[0] == wire.TAGS[EthMsg]
+    out, promise = wire.decode(buf)
     assert promise == 123
-    assert out.subchannel == 3
-    assert type(out.inner) is EthMsg
-    assert out.inner.packet.src == 7 and out.inner.packet.dst == 8
+    assert type(out) is EthMsg and out.sub == 3
+    assert out.packet.src == 7 and out.packet.dst == 8
 
 
 def test_sync_frame_is_compact():
     # a sync marker must stay far below pickle size:
-    # header + stamp + seq + flow + hop
+    # header + stamp + seq + flow + hop + sub
     frame = wire.encode(SyncMsg(stamp=10**12), promise=10**12)
-    assert len(frame) == 9 + 26
+    assert len(frame) == 9 + 30
     assert len(frame) < len(pickle.dumps(SyncMsg(stamp=10**12)))
 
 
