@@ -38,7 +38,6 @@ multiprocess transport both ways and pin identical event timelines.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import struct
 from struct import Struct
@@ -247,11 +246,10 @@ def _codec(cls: type, tag: int, fixed: str,
     """The encoder and decoder of one :data:`_LAYOUT` row.
 
     The decoder constructs positionally, so the row must list the class's
-    dataclass fields in declaration order, the tail (if any) last.  The
-    encoder is compiled from the row, as :mod:`dataclasses` compiles
-    ``__init__``: it reads each field as an attribute and calls ``pack``
-    with them directly, which costs about half of packing a tuple gathered
-    with ``attrgetter``.
+    ``FIELDS`` in constructor order, the tail (if any) last.  The encoder
+    is compiled from the row: it reads each field as an attribute and
+    calls ``pack`` with them directly, which costs about half of packing a
+    tuple gathered with ``attrgetter``.
     """
     names = [*_PREFIX]
     codes = _PREFIX_CODES
@@ -260,7 +258,7 @@ def _codec(cls: type, tag: int, fixed: str,
         names.append(name)
         codes += code
     listed = names + ([tail] if tail else [])
-    declared = [f.name for f in dataclasses.fields(cls)]
+    declared = list(cls.FIELDS)
     if declared != listed:
         raise TypeError(f"wire layout of {cls.__name__} lists {listed}, "
                         f"but its fields are {declared}")

@@ -12,13 +12,13 @@ identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 from ...kernel.rng import ZipfGenerator, exponential_ps
 from ...kernel.simtime import SEC, US
 from ...obs.flows import _ACTIVE as _FLOWS, env_track
+from ...record import Record
 from ..packet import Packet
 from .base import App
 from .kvproto import (DEFAULT_VALUE_BYTES, KV_PORT, OP_READ, OP_WRITE,
@@ -26,17 +26,23 @@ from .kvproto import (DEFAULT_VALUE_BYTES, KV_PORT, OP_READ, OP_WRITE,
                       home_server)
 
 
-@dataclass
-class KVStats:
+class KVStats(Record):
     """Completed-request bookkeeping shared by all client fidelities."""
 
-    completed: int = 0
-    completed_reads: int = 0
-    completed_writes: int = 0
-    sent: int = 0
-    #: (completion ts, latency ps, op) samples
-    latencies: List[Tuple[int, int, str]] = field(default_factory=list)
-    max_samples: int = 200_000
+    FIELDS = ("completed", "completed_reads", "completed_writes", "sent",
+              "latencies", "max_samples")
+
+    def __init__(self, completed: int = 0, completed_reads: int = 0,
+                 completed_writes: int = 0, sent: int = 0,
+                 latencies: Optional[List[Tuple[int, int, str]]] = None,
+                 max_samples: int = 200_000) -> None:
+        self.completed = completed
+        self.completed_reads = completed_reads
+        self.completed_writes = completed_writes
+        self.sent = sent
+        #: (completion ts, latency ps, op) samples
+        self.latencies = [] if latencies is None else latencies
+        self.max_samples = max_samples
 
     def record(self, now: int, latency_ps: int, op: str) -> None:
         """Register one completed request."""

@@ -10,7 +10,7 @@ the same protocol — a prerequisite for mixed-fidelity simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ...record import Record
 
 OP_READ = "r"
 OP_WRITE = "w"
@@ -25,28 +25,36 @@ DEFAULT_VALUE_BYTES = 128
 KV_PORT = 7000
 
 
-@dataclass(slots=True)
-class KvRequest:
+class KvRequest(Record):
     """A read or write request for one key."""
 
-    op: str
-    key: int
-    req_id: int
-    client_addr: int
-    client_ts: int = 0
+    __slots__ = ("op", "key", "req_id", "client_addr", "client_ts")
+    FIELDS = __slots__
+
+    def __init__(self, op: str, key: int, req_id: int, client_addr: int,
+                 client_ts: int = 0) -> None:
+        self.op = op
+        self.key = key
+        self.req_id = req_id
+        self.client_addr = client_addr
+        self.client_ts = client_ts
 
 
-@dataclass(slots=True)
-class KvReply:
+class KvReply(Record):
     """Reply to a request, matched by ``req_id``."""
 
-    op: str
-    key: int
-    req_id: int
-    #: address of the entity that served the request (server addr, or the
-    #: special value ``SERVED_BY_SWITCH`` for NetCache cache hits)
-    served_by: int = 0
-    value_bytes: int = DEFAULT_VALUE_BYTES
+    __slots__ = ("op", "key", "req_id", "served_by", "value_bytes")
+    FIELDS = __slots__
+
+    def __init__(self, op: str, key: int, req_id: int, served_by: int = 0,
+                 value_bytes: int = DEFAULT_VALUE_BYTES) -> None:
+        self.op = op
+        self.key = key
+        self.req_id = req_id
+        #: address of the entity that served the request (server addr, or
+        #: the special value ``SERVED_BY_SWITCH`` for NetCache cache hits)
+        self.served_by = served_by
+        self.value_bytes = value_bytes
 
 
 SERVED_BY_SWITCH = -1

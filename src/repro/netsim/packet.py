@@ -39,6 +39,14 @@ MAX_FRAME_BYTES = 1518
 PROTO_UDP = "udp"
 PROTO_TCP = "tcp"
 
+#: What :meth:`Packet.flow_key` holds in place of the protocol string: the
+#: string's hash under ``PYTHONHASHSEED=0``.  ``hash`` of an int this small
+#: is the int itself, so a key hashes the same under every hash seed, and
+#: to the same value as the string key did under seed 0 (the ECMP choices
+#: the pinned event counts were recorded with).  Any other protocol stays
+#: a string.
+_PROTO_KEY = {PROTO_TCP: 1824581668213777574, PROTO_UDP: -1393542221191858368}
+
 #: Free list of released packets; bounded so a release burst cannot pin
 #: an unbounded amount of memory.
 _pool: List["Packet"] = []
@@ -166,8 +174,11 @@ class Packet:
     # -- introspection -----------------------------------------------------
 
     def flow_key(self) -> tuple:
-        """5-tuple used for ECMP hashing and flow statistics."""
-        return (self.src, self.dst, self.src_port, self.dst_port, self.proto)
+        """5-tuple used for ECMP hashing, with the protocol as a fixed int
+        (:data:`_PROTO_KEY`): its hash does not depend on the hash seed."""
+        proto = self.proto
+        return (self.src, self.dst, self.src_port, self.dst_port,
+                _PROTO_KEY.get(proto, proto))
 
     def clone_for_reply(self, size_bytes: int, payload: Any = None) -> "Packet":
         """Build a reply packet with src/dst and ports swapped.

@@ -12,22 +12,27 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
+from ..record import Record
 from .packet import Packet
 
 
-@dataclass
-class QueueStats:
+class QueueStats(Record):
     """Counters every queue keeps; read by tests and experiments."""
 
-    enqueued: int = 0
-    dequeued: int = 0
-    dropped: int = 0
-    ecn_marked: int = 0
-    max_depth_pkts: int = 0
-    max_depth_bytes: int = 0
+    FIELDS = ("enqueued", "dequeued", "dropped", "ecn_marked",
+              "max_depth_pkts", "max_depth_bytes")
+
+    def __init__(self, enqueued: int = 0, dequeued: int = 0,
+                 dropped: int = 0, ecn_marked: int = 0,
+                 max_depth_pkts: int = 0, max_depth_bytes: int = 0) -> None:
+        self.enqueued = enqueued
+        self.dequeued = dequeued
+        self.dropped = dropped
+        self.ecn_marked = ecn_marked
+        self.max_depth_pkts = max_depth_pkts
+        self.max_depth_bytes = max_depth_bytes
 
 
 class DropTailQueue:

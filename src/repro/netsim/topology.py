@@ -20,11 +20,11 @@ comparison), and the 1200-host datacenter used by the clock-sync study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..kernel.simtime import US, NS
+from ..record import Record
 from .network import ExternalAttachment, NetworkSim
 from .routing import Graph, build_graph, compute_fib
 
@@ -32,38 +32,51 @@ GBPS = 1e9
 DEFAULT_QUEUE_BYTES = 512 * 1024
 
 
-@dataclass
-class HostSpec:
+class HostSpec(Record):
     """A host in the abstract topology (``external`` = detailed host)."""
 
-    name: str
-    addr: int
-    external: bool = False
-    rx_proc_delay_ps: int = 0
-    #: apps attached at instantiation time: callables (host) -> app
-    app_factories: List[Callable] = field(default_factory=list)
+    FIELDS = ("name", "addr", "external", "rx_proc_delay_ps",
+              "app_factories")
+
+    def __init__(self, name: str, addr: int, external: bool = False,
+                 rx_proc_delay_ps: int = 0,
+                 app_factories: Optional[List[Callable]] = None) -> None:
+        self.name = name
+        self.addr = addr
+        self.external = external
+        self.rx_proc_delay_ps = rx_proc_delay_ps
+        #: apps attached at instantiation time: callables (host) -> app
+        self.app_factories = [] if app_factories is None else app_factories
 
 
-@dataclass
-class SwitchSpec:
+class SwitchSpec(Record):
     """A switch in the abstract topology, with an optional pipeline."""
 
-    name: str
-    proc_delay_ps: Optional[int] = None
-    #: callable (switch) -> Pipeline instance, or None
-    pipeline_factory: Optional[Callable] = None
+    FIELDS = ("name", "proc_delay_ps", "pipeline_factory")
+
+    def __init__(self, name: str, proc_delay_ps: Optional[int] = None,
+                 pipeline_factory: Optional[Callable] = None) -> None:
+        self.name = name
+        self.proc_delay_ps = proc_delay_ps
+        #: callable (switch) -> Pipeline instance, or None
+        self.pipeline_factory = pipeline_factory
 
 
-@dataclass
-class LinkSpec:
+class LinkSpec(Record):
     """A bidirectional link with bandwidth, latency, and queue settings."""
 
-    a: str
-    b: str
-    bandwidth_bps: float
-    latency_ps: int
-    queue_capacity_bytes: int = DEFAULT_QUEUE_BYTES
-    ecn_threshold_pkts: Optional[int] = None
+    FIELDS = ("a", "b", "bandwidth_bps", "latency_ps",
+              "queue_capacity_bytes", "ecn_threshold_pkts")
+
+    def __init__(self, a: str, b: str, bandwidth_bps: float, latency_ps: int,
+                 queue_capacity_bytes: int = DEFAULT_QUEUE_BYTES,
+                 ecn_threshold_pkts: Optional[int] = None) -> None:
+        self.a = a
+        self.b = b
+        self.bandwidth_bps = bandwidth_bps
+        self.latency_ps = latency_ps
+        self.queue_capacity_bytes = queue_capacity_bytes
+        self.ecn_threshold_pkts = ecn_threshold_pkts
 
     def endpoints(self) -> Tuple[str, str]:
         """The two node names this link joins."""
@@ -136,19 +149,25 @@ class TopoSpec:
                            {h.name: h.addr for h in self.hosts.values()})
 
 
-@dataclass
-class NetBuild:
+class NetBuild(Record):
     """A topology instantiated as one NetworkSim per partition."""
 
-    #: partition label -> its network simulator
-    parts: Dict[str, NetworkSim]
-    spec: TopoSpec
-    #: simulated node name -> partition label
-    assignment: Dict[str, str]
-    #: external host name -> attachment (bind to a NIC channel end)
-    attachments: Dict[str, ExternalAttachment]
-    #: channel end pairs carrying the cut links, for ``Simulation.connect``
-    channels: List[tuple]
+    FIELDS = ("parts", "spec", "assignment", "attachments", "channels")
+
+    def __init__(self, parts: Dict[str, NetworkSim], spec: TopoSpec,
+                 assignment: Dict[str, str],
+                 attachments: Dict[str, ExternalAttachment],
+                 channels: List[tuple]) -> None:
+        #: partition label -> its network simulator
+        self.parts = parts
+        self.spec = spec
+        #: simulated node name -> partition label
+        self.assignment = assignment
+        #: external host name -> attachment (bind to a NIC channel end)
+        self.attachments = attachments
+        #: channel end pairs carrying the cut links, for
+        #: ``Simulation.connect``
+        self.channels = channels
 
     @property
     def net(self) -> NetworkSim:

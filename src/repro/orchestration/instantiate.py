@@ -17,7 +17,6 @@ speed, efficiency and wait-time profile graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from ..channels.channel import ChannelEnd
@@ -26,6 +25,7 @@ from ..kernel.simtime import NS
 from ..netsim.network import NetworkSim
 from ..netsim.topology import NetBuild, instantiate
 from ..parallel.simulation import SimStats, Simulation
+from ..record import Record
 from .system import System
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,12 +39,14 @@ DEFAULT_ETH_LATENCY_PS = 500 * NS
 DEFAULT_PCI_LATENCY_PS = 250 * NS
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(Record):
     """Everything a finished run reports."""
 
-    stats: SimStats
-    experiment: "Experiment"
+    FIELDS = ("stats", "experiment")
+
+    def __init__(self, stats: SimStats, experiment: "Experiment") -> None:
+        self.stats = stats
+        self.experiment = experiment
 
     @property
     def sim_time_ps(self) -> int:
@@ -241,49 +243,66 @@ def _refuse_partial(collector) -> None:
                          f"result from {', '.join(collector.partial)}")
 
 
-@dataclass
-class Instantiation:
+class Instantiation(Record):
     """Implementation choices for simulating a :class:`System` — the
     recorder flags included, for every runtime (see
     :meth:`Experiment.run_mp`)."""
 
-    system: System
-    mode: str = "fast"
-    #: None = single network process; or a mapping switch->partition label
-    #: (e.g. ``strategies.partition_from_file`` of an advisor
-    #: ``partition.json``); or a callable (TopoSpec) -> switch-level
-    #: assignment.
-    network_partition: Optional[Union[Dict[str, str], Callable]] = None
-    use_trunk: bool = True
-    #: Record the execution model's input at this window granularity.
-    work_window_ps: Optional[int] = None
-    eth_latency_ps: int = DEFAULT_ETH_LATENCY_PS
-    pci_latency_ps: int = DEFAULT_PCI_LATENCY_PS
-    transparent_clocks: bool = False
-    #: Enable the observability layer: a sim-domain tracer over the whole
-    #: simulation plus wall-domain build/run/teardown phase spans.
-    trace: bool = False
-    #: Causal flow tracing: keep 1-in-N flows (1 = every flow, ``None`` =
-    #: off).  Implies ``trace``.  See ``repro.obs.flows``.
-    flow_sample: Optional[int] = None
-    #: Network fidelity tiers (batched packet drain, fluid flow-level
-    #: model); ``None`` = pure packet-level, exactly as before.  See
-    #: :class:`~repro.netsim.fidelity.FidelityConfig`.
-    fidelity: Optional["FidelityConfig"] = None
-    #: Record the epoch-resolved metrics timeline: every component's
-    #: channel-adapter counters, sampled periodically — the paper's "add
-    #: the flag to enable profiling" (forces strict-sync execution).
-    #: Analyze with ``experiment.profile_analysis()``; export with
-    #: ``experiment.save("timeline", path)`` after the run.
-    timeline: bool = False
-    #: Record the per-epoch digest ledger (see :mod:`repro.obs.audit`).
-    #: Works in any execution mode — epochs are fixed simulated-time
-    #: windows, so ledgers from fast, strict, and multiprocess runs are
-    #: directly comparable.  Export with ``experiment.save("audit", path)``.
-    audit: bool = False
-    #: Audit epoch width in simulated picoseconds (``None`` = the module
-    #: default, :data:`repro.obs.audit.DEFAULT_WINDOW_PS`).
-    audit_window_ps: Optional[int] = None
+    FIELDS = ("system", "mode", "network_partition", "use_trunk",
+              "work_window_ps", "eth_latency_ps", "pci_latency_ps",
+              "transparent_clocks", "trace", "flow_sample", "fidelity",
+              "timeline", "audit", "audit_window_ps")
+
+    def __init__(self, system: System, mode: str = "fast",
+                 network_partition: Optional[
+                     Union[Dict[str, str], Callable]] = None,
+                 use_trunk: bool = True,
+                 work_window_ps: Optional[int] = None,
+                 eth_latency_ps: int = DEFAULT_ETH_LATENCY_PS,
+                 pci_latency_ps: int = DEFAULT_PCI_LATENCY_PS,
+                 transparent_clocks: bool = False, trace: bool = False,
+                 flow_sample: Optional[int] = None,
+                 fidelity: Optional["FidelityConfig"] = None,
+                 timeline: bool = False, audit: bool = False,
+                 audit_window_ps: Optional[int] = None) -> None:
+        self.system = system
+        self.mode = mode
+        #: None = single network process; or a mapping switch->partition
+        #: label (e.g. ``strategies.partition_from_file`` of an advisor
+        #: ``partition.json``); or a callable (TopoSpec) -> switch-level
+        #: assignment.
+        self.network_partition = network_partition
+        self.use_trunk = use_trunk
+        #: Record the execution model's input at this window granularity.
+        self.work_window_ps = work_window_ps
+        self.eth_latency_ps = eth_latency_ps
+        self.pci_latency_ps = pci_latency_ps
+        self.transparent_clocks = transparent_clocks
+        #: Enable the observability layer: a sim-domain tracer over the
+        #: whole simulation plus wall-domain build/run/teardown phase spans.
+        self.trace = trace
+        #: Causal flow tracing: keep 1-in-N flows (1 = every flow, ``None``
+        #: = off).  Implies ``trace``.  See ``repro.obs.flows``.
+        self.flow_sample = flow_sample
+        #: Network fidelity tiers (batched packet drain, fluid flow-level
+        #: model); ``None`` = pure packet-level, exactly as before.  See
+        #: :class:`~repro.netsim.fidelity.FidelityConfig`.
+        self.fidelity = fidelity
+        #: Record the epoch-resolved metrics timeline: every component's
+        #: channel-adapter counters, sampled periodically — the paper's "add
+        #: the flag to enable profiling" (forces strict-sync execution).
+        #: Analyze with ``experiment.profile_analysis()``; export with
+        #: ``experiment.save("timeline", path)`` after the run.
+        self.timeline = timeline
+        #: Record the per-epoch digest ledger (see :mod:`repro.obs.audit`).
+        #: Works in any execution mode — epochs are fixed simulated-time
+        #: windows, so ledgers from fast, strict, and multiprocess runs are
+        #: directly comparable.  Export with ``experiment.save("audit",
+        #: path)``.
+        self.audit = audit
+        #: Audit epoch width in simulated picoseconds (``None`` = the module
+        #: default, :data:`repro.obs.audit.DEFAULT_WINDOW_PS`).
+        self.audit_window_ps = audit_window_ps
 
     def build(self) -> Experiment:
         """Assemble all component simulators and channels per the choices:

@@ -14,25 +14,32 @@ same factory works for every fidelity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..netsim.topology import TopoSpec
+from ..record import Record
 
 VALID_HOST_SIMS = ("ns3", "qemu", "gem5")
 VALID_NICS = ("i40e", "direct")
 
 
-@dataclass
-class HostChoice:
+class HostChoice(Record):
     """Per-host simulator configuration."""
 
-    simulator: str = "ns3"
-    nic: str = "i40e"
-    freq_ghz: float = 4.0
-    clock_drift_ppm: Optional[float] = None
-    phc_drift_ppm: Optional[float] = None
-    app_factories: List[Callable] = field(default_factory=list)
+    FIELDS = ("simulator", "nic", "freq_ghz", "clock_drift_ppm",
+              "phc_drift_ppm", "app_factories")
+
+    def __init__(self, simulator: str = "ns3", nic: str = "i40e",
+                 freq_ghz: float = 4.0,
+                 clock_drift_ppm: Optional[float] = None,
+                 phc_drift_ppm: Optional[float] = None,
+                 app_factories: Optional[List[Callable]] = None) -> None:
+        self.simulator = simulator
+        self.nic = nic
+        self.freq_ghz = freq_ghz
+        self.clock_drift_ppm = clock_drift_ppm
+        self.phc_drift_ppm = phc_drift_ppm
+        self.app_factories = [] if app_factories is None else app_factories
 
     @property
     def detailed(self) -> bool:

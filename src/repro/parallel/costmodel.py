@@ -45,16 +45,36 @@ ring                    trip of a trunked 138-byte TCP-segment
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
+from ..record import Record
 
-@dataclass(frozen=True)
-class Machine:
+
+class _Frozen(Record):
+    """An immutable, hashable record: ``__init__`` stores its fields with
+    ``object.__setattr__``, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Machine(_Frozen):
     """The physical machine the parallel run is modeled on."""
 
-    cores: int = 48
-    ghz: float = 2.4  # Xeon Gold 6336Y base clock
+    FIELDS = ("cores", "ghz")
+
+    def __init__(self, cores: int = 48, ghz: float = 2.4) -> None:
+        object.__setattr__(self, "cores", cores)
+        # the default is the Xeon Gold 6336Y base clock
+        object.__setattr__(self, "ghz", ghz)
 
     @property
     def hz(self) -> float:
@@ -143,13 +163,16 @@ def barrier_cost_cycles(n_procs: int) -> float:
     return MPI_BARRIER_BASE_CYCLES * max(1.0, math.log2(n_procs))
 
 
-@dataclass(frozen=True)
-class CommCosts:
+class CommCosts(_Frozen):
     """Per-discipline communication cost set."""
 
-    msg_cycles: float
-    sync_cycles: float
-    uses_barrier: bool = False
+    FIELDS = ("msg_cycles", "sync_cycles", "uses_barrier")
+
+    def __init__(self, msg_cycles: float, sync_cycles: float,
+                 uses_barrier: bool = False) -> None:
+        object.__setattr__(self, "msg_cycles", msg_cycles)
+        object.__setattr__(self, "sync_cycles", sync_cycles)
+        object.__setattr__(self, "uses_barrier", uses_barrier)
 
     @staticmethod
     def for_discipline(discipline: str) -> "CommCosts":

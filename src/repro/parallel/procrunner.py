@@ -37,13 +37,13 @@ import multiprocessing as mp
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from queue import Empty
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..kernel.component import Component
 from ..obs.flows import (active_recorder, install_flow_recorder,
                          uninstall_flow_recorder)
+from ..record import Record
 from .shm_ring import ShmRing
 
 #: Child heartbeat period in seconds.  Heartbeats flow only when the run
@@ -64,19 +64,24 @@ _NAP_BASE_S = 5e-6
 _NAP_MAX_S = 200e-6
 
 
-@dataclass
-class ProcSpec:
+class ProcSpec(Record):
     """Description of one component process.
 
     Either a picklable ``factory`` (constructed inside the child) or a
     prebuilt ``component`` (inherited through fork; nothing is pickled).
     """
 
-    name: str
-    factory: Optional[Callable[..., Component]] = None
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    component: Optional[Component] = None
+    FIELDS = ("name", "factory", "args", "kwargs", "component")
+
+    def __init__(self, name: str,
+                 factory: Optional[Callable[..., Component]] = None,
+                 args: tuple = (), kwargs: Optional[dict] = None,
+                 component: Optional[Component] = None) -> None:
+        self.name = name
+        self.factory = factory
+        self.args = args
+        self.kwargs = {} if kwargs is None else kwargs
+        self.component = component
 
     def make(self) -> Component:
         """Obtain the component (prebuilt or via the factory)."""
@@ -87,36 +92,51 @@ class ProcSpec:
         return self.factory(*self.args, **self.kwargs)
 
 
-@dataclass
-class ProcChannel:
+class ProcChannel(Record):
     """A channel between named ends of two component processes.
 
     End names refer to ``ChannelEnd.name`` values created by the factories.
     """
 
-    comp_a: str
-    end_a: str
-    comp_b: str
-    end_b: str
+    FIELDS = ("comp_a", "end_a", "comp_b", "end_b")
+
+    def __init__(self, comp_a: str, end_a: str, comp_b: str,
+                 end_b: str) -> None:
+        self.comp_a = comp_a
+        self.end_a = end_a
+        self.comp_b = comp_b
+        self.end_b = end_b
 
 
-@dataclass
-class ProcResult:
+class ProcResult(Record):
     """What one component process reports back after finishing."""
 
-    name: str
-    events: int = 0
-    wall_seconds: float = 0.0
-    wait_seconds: float = 0.0
-    work_cycles: float = 0.0
-    end_counters: Dict[str, dict] = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    #: shm transport counters (frames/batches/bytes per direction, summed
-    #: over this component's rings) plus the wire codec's fallback counts
-    transport: dict = field(default_factory=dict)
-    #: the probes' final payloads, keyed by recorder name
-    extras: Dict[str, object] = field(default_factory=dict)
-    error: Optional[str] = None
+    FIELDS = ("name", "events", "wall_seconds", "wait_seconds",
+              "work_cycles", "end_counters", "outputs", "transport",
+              "extras", "error")
+
+    def __init__(self, name: str, events: int = 0,
+                 wall_seconds: float = 0.0, wait_seconds: float = 0.0,
+                 work_cycles: float = 0.0,
+                 end_counters: Optional[Dict[str, dict]] = None,
+                 outputs: Optional[dict] = None,
+                 transport: Optional[dict] = None,
+                 extras: Optional[Dict[str, object]] = None,
+                 error: Optional[str] = None) -> None:
+        self.name = name
+        self.events = events
+        self.wall_seconds = wall_seconds
+        self.wait_seconds = wait_seconds
+        self.work_cycles = work_cycles
+        self.end_counters = {} if end_counters is None else end_counters
+        self.outputs = {} if outputs is None else outputs
+        #: shm transport counters (frames/batches/bytes per direction,
+        #: summed over this component's rings) plus the wire codec's
+        #: fallback counts
+        self.transport = {} if transport is None else transport
+        #: the probes' final payloads, keyed by recorder name
+        self.extras = {} if extras is None else extras
+        self.error = error
 
 
 def _transport_stats(rings: List[ShmRing]) -> dict:

@@ -22,13 +22,13 @@ virtual-time performance model in :mod:`repro.parallel.model`.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..channels.channel import ChannelEnd, FifoQueue, connect
 from ..kernel.component import Component
 from ..kernel.events import EventQueue
 from ..kernel.simtime import TIME_INFINITY, US
+from ..record import Record
 
 #: Modeled host cycles burned per blocked poll iteration in strict mode.
 POLL_COST_CYCLES = 50.0
@@ -93,30 +93,44 @@ class _DirectQueue:
         return True
 
 
-@dataclass
-class SimStats:
+class SimStats(Record):
     """Summary of one simulation run."""
 
-    sim_time_ps: int = 0
-    wall_seconds: float = 0.0
-    events: int = 0
-    rounds: int = 0
-    mode: str = "fast"
-    per_component_events: Dict[str, int] = field(default_factory=dict)
-    per_component_work: Dict[str, float] = field(default_factory=dict)
-    # -- event-queue/engine health (aggregated over all queues of the run) --
-    #: largest heap length observed (live + lazily-cancelled entries)
-    peak_heap: int = 0
-    #: fraction of schedules that built no ``Event``: pool hits and, mostly,
-    #: posts (``EventQueue.post_at``)
-    pool_reuse_rate: float = 0.0
-    #: fraction of scheduled events cancelled before firing
-    cancelled_ratio: float = 0.0
-    #: fresh ``Event`` objects constructed across the run (posts build none)
-    event_allocations: int = 0
-    #: pending events re-armed in place (``EventQueue.postpone``); these are
-    #: not schedules and stay out of the two ratios above
-    postponed: int = 0
+    FIELDS = ("sim_time_ps", "wall_seconds", "events", "rounds", "mode",
+              "per_component_events", "per_component_work", "peak_heap",
+              "pool_reuse_rate", "cancelled_ratio", "event_allocations",
+              "postponed")
+
+    def __init__(self, sim_time_ps: int = 0, wall_seconds: float = 0.0,
+                 events: int = 0, rounds: int = 0, mode: str = "fast",
+                 per_component_events: Optional[Dict[str, int]] = None,
+                 per_component_work: Optional[Dict[str, float]] = None,
+                 peak_heap: int = 0, pool_reuse_rate: float = 0.0,
+                 cancelled_ratio: float = 0.0, event_allocations: int = 0,
+                 postponed: int = 0) -> None:
+        self.sim_time_ps = sim_time_ps
+        self.wall_seconds = wall_seconds
+        self.events = events
+        self.rounds = rounds
+        self.mode = mode
+        self.per_component_events = ({} if per_component_events is None
+                                     else per_component_events)
+        self.per_component_work = ({} if per_component_work is None
+                                   else per_component_work)
+        # -- event-queue/engine health (aggregated over all queues) --
+        #: largest heap length observed (live + lazily-cancelled entries)
+        self.peak_heap = peak_heap
+        #: fraction of schedules that built no ``Event``: pool hits and,
+        #: mostly, posts (``EventQueue.post_at``)
+        self.pool_reuse_rate = pool_reuse_rate
+        #: fraction of scheduled events cancelled before firing
+        self.cancelled_ratio = cancelled_ratio
+        #: fresh ``Event`` objects constructed across the run (posts build
+        #: none)
+        self.event_allocations = event_allocations
+        #: pending events re-armed in place (``EventQueue.postpone``); these
+        #: are not schedules and stay out of the two ratios above
+        self.postponed = postponed
 
     @property
     def events_per_second(self) -> float:

@@ -20,11 +20,17 @@ import repro
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: What no run loads, in process or multiprocess: the run path's records
+#: are plain classes, so nothing generates code at import.
+NOT_IN_ANY_RUN = ("dataclasses", "inspect")
+
 #: What an in-process run must not load: the multiprocess runtime and its
-#: codec, the control-plane socket, and recorders nobody declared.
+#: codec, the control-plane socket, recorders nobody declared, and
+#: :data:`NOT_IN_ANY_RUN`.
 NOT_IN_PROCESS = ("multiprocessing", "socket", "repro.parallel.procrunner",
                   "repro.parallel.shm_ring", "repro.channels.wire",
-                  "repro.obs.live", "repro.obs.audit", "repro.obs.timeline")
+                  "repro.obs.live", "repro.obs.audit",
+                  "repro.obs.timeline") + NOT_IN_ANY_RUN
 
 #: The package and every module in it (a ``__main__`` runs its CLI).
 MODULES = ["repro"] + sorted(
@@ -69,18 +75,21 @@ print(sorted(set(sys.argv[1:]) & set(sys.modules)))
 exp = Instantiation(build_mixed_system()).build()
 results = exp.run_mp(200 * US, timeout_s=120)
 print(sorted(results) == sorted(c.name for c in exp.sim.components))
-"""
+print(sorted(set(%r) & set(sys.modules)))
+""" % (NOT_IN_ANY_RUN,)
 
 
 def test_an_in_process_run_loads_the_core_only():
     """A fast and a strict run load neither the multiprocess runtime nor
-    the control plane nor an undeclared recorder; ``run_mp`` still works
-    in the same interpreter afterwards."""
+    the control plane nor an undeclared recorder nor :mod:`dataclasses`;
+    ``run_mp`` still works in the same interpreter afterwards, and loads
+    no :mod:`dataclasses` either."""
     proc = fresh(IN_PROCESS_RUNS, *NOT_IN_PROCESS)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    loaded, ran_mp = proc.stdout.splitlines()[-2:]
+    loaded, ran_mp, loaded_mp = proc.stdout.splitlines()[-3:]
     assert loaded == "[]", f"an in-process run loaded {loaded}"
     assert ran_mp == "True"
+    assert loaded_mp == "[]", f"run_mp loaded {loaded_mp}"
 
 
 #: What a build of a protocol-level network must not load: the layers it

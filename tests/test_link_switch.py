@@ -1,5 +1,10 @@
 """Tests for links (serialization/propagation) and switches (forwarding)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.kernel.simtime import NS, US
@@ -103,6 +108,45 @@ def test_ecmp_choice_is_deterministic_per_flow():
     # one flow -> one path: all ten packets on the same link
     counts = {la.dir_ab.tx_packets, lb.dir_ab.tx_packets}
     assert counts == {0, 10}
+
+
+ECMP_RUN = """
+from repro import US, Instantiation, System
+from repro.netsim.apps.bulk import BulkSender, BulkSink
+from repro.netsim.apps.kv import KVClientApp, KVServerApp
+from repro.netsim.topology import fat_tree
+
+system = System.from_topospec(fat_tree(k=4), seed=1)
+hosts = system.protocol_hosts()
+server, sender, sink = hosts[0], hosts[1], hosts[-1]
+addr = system.addr_of(server)
+system.app(server, lambda h: KVServerApp())
+for name in hosts[4:12]:
+    system.app(name, lambda h: KVClientApp([addr], closed_loop_window=4))
+system.app(sink, lambda h: BulkSink(port=5001))
+system.app(sender, lambda h, d=system.addr_of(sink): BulkSender(d, 5001))
+exp = Instantiation(system).build()
+exp.run(200 * US)
+(net,) = exp.network_components()
+print([(link.dir_ab.tx_packets, link.dir_ba.tx_packets) for link in net.links])
+"""
+
+
+def test_ecmp_choice_does_not_depend_on_the_hash_seed():
+    """UDP and TCP flows across a fat tree take the same equal-cost paths
+    under any hash seed: every link direction sends as many packets in two
+    interpreters with different ``PYTHONHASHSEED``s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    counts = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", ECMP_RUN], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        counts.append(proc.stdout)
+    assert counts[0] == counts[1]
 
 
 def test_pipeline_can_consume_packets():

@@ -1,9 +1,14 @@
 """Tests for packets and egress queue disciplines."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim.packet import (HEADER_BYTES, MIN_FRAME_BYTES, Packet)
+from repro.netsim.packet import (HEADER_BYTES, MIN_FRAME_BYTES, PROTO_TCP,
+                                 PROTO_UDP, _PROTO_KEY, Packet)
 from repro.netsim.queues import DropTailQueue
 
 
@@ -27,6 +32,20 @@ def test_flow_key_and_reply():
     assert r.src == 2 and r.dst == 1
     assert r.src_port == 20 and r.dst_port == 10
     assert p.flow_key() != r.flow_key()
+
+
+def test_flow_key_protocol_ints_are_the_seed_zero_hashes():
+    """``flow_key`` holds each protocol as the hash its string had under
+    ``PYTHONHASHSEED=0``, so ECMP keeps the choices recorded under that
+    seed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"print(hash({PROTO_TCP!r}), "
+                               f"hash({PROTO_UDP!r}))"],
+        env=dict(os.environ, PYTHONHASHSEED="0"), capture_output=True,
+        text=True, timeout=60)
+    assert proc.stdout.split() == [str(_PROTO_KEY[PROTO_TCP]),
+                                   str(_PROTO_KEY[PROTO_UDP])]
+    assert all(hash(v) == v for v in _PROTO_KEY.values())
 
 
 def test_queue_fifo():

@@ -5,7 +5,7 @@ message and the exact promise for *every* message class — via the struct
 fast path for in-range values and transparently via the pickle fallback
 otherwise.  ``Packet`` is a ``__slots__`` class without ``__eq__``, so
 equality is checked field by field (:func:`msgs_equal`); everything else
-uses dataclass equality, which covers every field.
+uses record equality (``Record.__eq__``), which covers every field.
 """
 
 import pickle
