@@ -28,16 +28,15 @@ from typing import Any
 from ..record import Record
 
 # Each class writes out its whole ``__init__`` and calls no base class: a
-# message is built per send, so its constructor stays one frame.  A
-# subclass's ``FIELDS`` is its base's plus its own slots, in constructor
-# order; :mod:`repro.channels.wire` checks its layout table against them.
+# message is built per send, so its constructor stays one frame.  The
+# ``__init__`` parameters are the message's ``FIELDS``, in order;
+# :mod:`repro.channels.wire` checks its layout table against them.
 
 
 class Msg(Record):
     """Base class for all channel messages."""
 
     __slots__ = ("stamp", "seq", "flow", "hop", "sub")
-    FIELDS = __slots__
 
     #: Cached :meth:`wire_size` for fixed-size message classes (the common
     #: case on the per-send hot path); ``None`` on classes whose size
@@ -97,7 +96,6 @@ class EthMsg(Msg):
     """An Ethernet frame, carrying an opaque packet object."""
 
     __slots__ = ("packet",)
-    FIELDS = Msg.FIELDS + __slots__
     WIRE_SIZE = None  # payload-dependent
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
@@ -118,7 +116,6 @@ class MmioMsg(Msg):
     """Host-initiated register read/write to the device (BAR access)."""
 
     __slots__ = ("addr", "value", "is_write", "req_id")
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, addr: int = 0, value: int = 0,
@@ -138,7 +135,6 @@ class MmioRespMsg(Msg):
     """Completion of an MMIO read."""
 
     __slots__ = ("value", "req_id")
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, value: int = 0,
@@ -156,7 +152,6 @@ class DmaReadMsg(Msg):
     """Device-initiated DMA read of host memory."""
 
     __slots__ = ("addr", "length", "req_id")
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, addr: int = 0, length: int = 0,
@@ -175,7 +170,6 @@ class DmaWriteMsg(Msg):
     """Device-initiated DMA write into host memory."""
 
     __slots__ = ("addr", "length", "req_id", "data")
-    FIELDS = Msg.FIELDS + __slots__
     WIRE_SIZE = None  # payload-dependent
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
@@ -199,7 +193,6 @@ class DmaCompletionMsg(Msg):
     """Host's completion of a device DMA read (carries the data)."""
 
     __slots__ = ("length", "req_id", "data")
-    FIELDS = Msg.FIELDS + __slots__
     WIRE_SIZE = None  # payload-dependent
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
@@ -222,7 +215,6 @@ class InterruptMsg(Msg):
     """Device raises an interrupt (MSI-X style, by vector)."""
 
     __slots__ = ("vector",)
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, vector: int = 0) -> None:
@@ -238,7 +230,6 @@ class MemReadMsg(Msg):
     """Packetized memory read request (gem5 port interface)."""
 
     __slots__ = ("addr", "length", "req_id")
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, addr: int = 0, length: int = 64,
@@ -257,7 +248,6 @@ class MemWriteMsg(Msg):
     """Packetized memory write request (gem5 port interface)."""
 
     __slots__ = ("addr", "length", "req_id", "data")
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, addr: int = 0, length: int = 64,
@@ -277,7 +267,6 @@ class MemRespMsg(Msg):
     """Memory response, matched to the request by ``req_id``."""
 
     __slots__ = ("req_id", "is_write", "data")
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, req_id: int = 0,
@@ -296,7 +285,6 @@ class MemInvalidateMsg(Msg):
     """Coherence invalidation pushed to a core that cached the line."""
 
     __slots__ = ("addr",)
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, addr: int = 0) -> None:
@@ -312,7 +300,6 @@ class RawMsg(Msg):
     """Arbitrary payload message for tests and generic tooling."""
 
     __slots__ = ("payload",)
-    FIELDS = Msg.FIELDS + __slots__
 
     def __init__(self, stamp: int = 0, seq: int = 0, flow: int = 0,
                  hop: int = 0, sub: int = 0, payload: Any = None) -> None:

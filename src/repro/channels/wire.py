@@ -246,7 +246,8 @@ def _codec(cls: type, tag: int, fixed: str,
     """The encoder and decoder of one :data:`_LAYOUT` row.
 
     The decoder constructs positionally, so the row must list the class's
-    ``FIELDS`` in constructor order, the tail (if any) last.  The encoder
+    ``FIELDS`` (its ``__init__`` parameters) in order, the tail (if any)
+    last.  The encoder
     is compiled from the row: it reads each field as an attribute and
     calls ``pack`` with them directly, which costs about half of packing a
     tuple gathered with ``attrgetter``.

@@ -29,9 +29,6 @@ from .kvproto import (DEFAULT_VALUE_BYTES, KV_PORT, OP_READ, OP_WRITE,
 class KVStats(Record):
     """Completed-request bookkeeping shared by all client fidelities."""
 
-    FIELDS = ("completed", "completed_reads", "completed_writes", "sent",
-              "latencies", "max_samples")
-
     def __init__(self, completed: int = 0, completed_reads: int = 0,
                  completed_writes: int = 0, sent: int = 0,
                  latencies: Optional[List[Tuple[int, int, str]]] = None,

@@ -29,7 +29,6 @@ class KvRequest(Record):
     """A read or write request for one key."""
 
     __slots__ = ("op", "key", "req_id", "client_addr", "client_ts")
-    FIELDS = __slots__
 
     def __init__(self, op: str, key: int, req_id: int, client_addr: int,
                  client_ts: int = 0) -> None:
@@ -44,7 +43,6 @@ class KvReply(Record):
     """Reply to a request, matched by ``req_id``."""
 
     __slots__ = ("op", "key", "req_id", "served_by", "value_bytes")
-    FIELDS = __slots__
 
     def __init__(self, op: str, key: int, req_id: int, served_by: int = 0,
                  value_bytes: int = DEFAULT_VALUE_BYTES) -> None:

@@ -40,11 +40,12 @@ PROTO_UDP = "udp"
 PROTO_TCP = "tcp"
 
 #: What :meth:`Packet.flow_key` holds in place of the protocol string: the
-#: string's hash under ``PYTHONHASHSEED=0``.  ``hash`` of an int this small
-#: is the int itself, so a key hashes the same under every hash seed, and
-#: to the same value as the string key did under seed 0 (the ECMP choices
-#: the pinned event counts were recorded with).  Any other protocol stays
-#: a string.
+#: string's hash under ``PYTHONHASHSEED=0`` with CPython 3.11+'s SipHash-1-3
+#: (3.10's SipHash-2-4 hashes strings differently).  ``hash`` of an int
+#: this small is the int itself, so a key hashes the same under every hash
+#: seed and interpreter, and to the same value as the string key did under
+#: seed 0 on 3.11+ (the ECMP choices the pinned event counts were recorded
+#: with).  Any other protocol stays a string.
 _PROTO_KEY = {PROTO_TCP: 1824581668213777574, PROTO_UDP: -1393542221191858368}
 
 #: Free list of released packets; bounded so a release burst cannot pin

@@ -21,9 +21,6 @@ from .packet import Packet
 class QueueStats(Record):
     """Counters every queue keeps; read by tests and experiments."""
 
-    FIELDS = ("enqueued", "dequeued", "dropped", "ecn_marked",
-              "max_depth_pkts", "max_depth_bytes")
-
     def __init__(self, enqueued: int = 0, dequeued: int = 0,
                  dropped: int = 0, ecn_marked: int = 0,
                  max_depth_pkts: int = 0, max_depth_bytes: int = 0) -> None:

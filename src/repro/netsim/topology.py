@@ -35,9 +35,6 @@ DEFAULT_QUEUE_BYTES = 512 * 1024
 class HostSpec(Record):
     """A host in the abstract topology (``external`` = detailed host)."""
 
-    FIELDS = ("name", "addr", "external", "rx_proc_delay_ps",
-              "app_factories")
-
     def __init__(self, name: str, addr: int, external: bool = False,
                  rx_proc_delay_ps: int = 0,
                  app_factories: Optional[List[Callable]] = None) -> None:
@@ -52,8 +49,6 @@ class HostSpec(Record):
 class SwitchSpec(Record):
     """A switch in the abstract topology, with an optional pipeline."""
 
-    FIELDS = ("name", "proc_delay_ps", "pipeline_factory")
-
     def __init__(self, name: str, proc_delay_ps: Optional[int] = None,
                  pipeline_factory: Optional[Callable] = None) -> None:
         self.name = name
@@ -64,9 +59,6 @@ class SwitchSpec(Record):
 
 class LinkSpec(Record):
     """A bidirectional link with bandwidth, latency, and queue settings."""
-
-    FIELDS = ("a", "b", "bandwidth_bps", "latency_ps",
-              "queue_capacity_bytes", "ecn_threshold_pkts")
 
     def __init__(self, a: str, b: str, bandwidth_bps: float, latency_ps: int,
                  queue_capacity_bytes: int = DEFAULT_QUEUE_BYTES,
@@ -151,8 +143,6 @@ class TopoSpec:
 
 class NetBuild(Record):
     """A topology instantiated as one NetworkSim per partition."""
-
-    FIELDS = ("parts", "spec", "assignment", "attachments", "channels")
 
     def __init__(self, parts: Dict[str, NetworkSim], spec: TopoSpec,
                  assignment: Dict[str, str],

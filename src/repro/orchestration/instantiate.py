@@ -42,8 +42,6 @@ DEFAULT_PCI_LATENCY_PS = 250 * NS
 class ExperimentResult(Record):
     """Everything a finished run reports."""
 
-    FIELDS = ("stats", "experiment")
-
     def __init__(self, stats: SimStats, experiment: "Experiment") -> None:
         self.stats = stats
         self.experiment = experiment
@@ -247,11 +245,6 @@ class Instantiation(Record):
     """Implementation choices for simulating a :class:`System` — the
     recorder flags included, for every runtime (see
     :meth:`Experiment.run_mp`)."""
-
-    FIELDS = ("system", "mode", "network_partition", "use_trunk",
-              "work_window_ps", "eth_latency_ps", "pci_latency_ps",
-              "transparent_clocks", "trace", "flow_sample", "fidelity",
-              "timeline", "audit", "audit_window_ps")
 
     def __init__(self, system: System, mode: str = "fast",
                  network_partition: Optional[

@@ -26,9 +26,6 @@ VALID_NICS = ("i40e", "direct")
 class HostChoice(Record):
     """Per-host simulator configuration."""
 
-    FIELDS = ("simulator", "nic", "freq_ghz", "clock_drift_ppm",
-              "phc_drift_ppm", "app_factories")
-
     def __init__(self, simulator: str = "ns3", nic: str = "i40e",
                  freq_ghz: float = 4.0,
                  clock_drift_ppm: Optional[float] = None,

@@ -69,8 +69,6 @@ class _Frozen(Record):
 class Machine(_Frozen):
     """The physical machine the parallel run is modeled on."""
 
-    FIELDS = ("cores", "ghz")
-
     def __init__(self, cores: int = 48, ghz: float = 2.4) -> None:
         object.__setattr__(self, "cores", cores)
         # the default is the Xeon Gold 6336Y base clock
@@ -165,8 +163,6 @@ def barrier_cost_cycles(n_procs: int) -> float:
 
 class CommCosts(_Frozen):
     """Per-discipline communication cost set."""
-
-    FIELDS = ("msg_cycles", "sync_cycles", "uses_barrier")
 
     def __init__(self, msg_cycles: float, sync_cycles: float,
                  uses_barrier: bool = False) -> None:

@@ -71,8 +71,6 @@ class ProcSpec(Record):
     prebuilt ``component`` (inherited through fork; nothing is pickled).
     """
 
-    FIELDS = ("name", "factory", "args", "kwargs", "component")
-
     def __init__(self, name: str,
                  factory: Optional[Callable[..., Component]] = None,
                  args: tuple = (), kwargs: Optional[dict] = None,
@@ -98,8 +96,6 @@ class ProcChannel(Record):
     End names refer to ``ChannelEnd.name`` values created by the factories.
     """
 
-    FIELDS = ("comp_a", "end_a", "comp_b", "end_b")
-
     def __init__(self, comp_a: str, end_a: str, comp_b: str,
                  end_b: str) -> None:
         self.comp_a = comp_a
@@ -110,10 +106,6 @@ class ProcChannel(Record):
 
 class ProcResult(Record):
     """What one component process reports back after finishing."""
-
-    FIELDS = ("name", "events", "wall_seconds", "wait_seconds",
-              "work_cycles", "end_counters", "outputs", "transport",
-              "extras", "error")
 
     def __init__(self, name: str, events: int = 0,
                  wall_seconds: float = 0.0, wait_seconds: float = 0.0,

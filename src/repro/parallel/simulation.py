@@ -96,11 +96,6 @@ class _DirectQueue:
 class SimStats(Record):
     """Summary of one simulation run."""
 
-    FIELDS = ("sim_time_ps", "wall_seconds", "events", "rounds", "mode",
-              "per_component_events", "per_component_work", "peak_heap",
-              "pool_reuse_rate", "cancelled_ratio", "event_allocations",
-              "postponed")
-
     def __init__(self, sim_time_ps: int = 0, wall_seconds: float = 0.0,
                  events: int = 0, rounds: int = 0, mode: str = "fast",
                  per_component_events: Optional[Dict[str, int]] = None,

@@ -8,6 +8,7 @@ from repro.channels.messages import (DmaCompletionMsg, DmaReadMsg,
                                      MemWriteMsg, MmioMsg, MmioRespMsg, Msg,
                                      RawMsg, SyncMsg)
 from repro.netsim.packet import Packet
+from repro.record import Record
 
 
 def test_sync_is_smallest():
@@ -55,3 +56,22 @@ def test_mmio_defaults():
     read = MmioMsg(addr=0x200, is_write=False, req_id=5)
     assert not read.is_write
     assert MmioRespMsg(value=9, req_id=5).req_id == read.req_id
+
+
+def test_record_fields_are_the_constructor_parameters():
+    """A record's ``FIELDS`` is read from its ``__init__``, so the field
+    order the wire decoders construct by has one source; a class without
+    its own ``__init__`` has its base's fields."""
+    assert Msg.FIELDS == ("stamp", "seq", "flow", "hop", "sub")
+    assert SyncMsg.FIELDS == Msg.FIELDS
+    assert MmioMsg.FIELDS == Msg.FIELDS + ("addr", "value", "is_write",
+                                           "req_id")
+    a, b = MmioMsg(1, addr=4, value=7), MmioMsg(1, addr=4, value=7)
+    assert a == b and a != MmioMsg(1, addr=4, value=8)
+    assert repr(a).startswith("MmioMsg(stamp=1, seq=0, flow=0, hop=0, "
+                              "sub=0, addr=4, value=7,")
+
+    with pytest.raises(TypeError, match="positional-or-keyword"):
+        class _KeywordOnly(Record):
+            def __init__(self, a, *, b=0):
+                self.a, self.b = a, b

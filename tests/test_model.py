@@ -166,3 +166,16 @@ def test_summary_renders():
     text = model.run("splitsim").summary()
     assert "discipline=splitsim" in text
     assert "a:" in text and "b:" in text
+
+
+def test_machine_and_comm_costs_are_immutable_and_hashable():
+    m = Machine(cores=8, ghz=3.0)
+    assert m == Machine(8, 3.0) and hash(m) == hash(Machine(8, 3.0))
+    assert len({m, Machine(8, 3.0), Machine(8, 2.0)}) == 2
+    costs = CommCosts.for_discipline("barrier")
+    assert hash(costs) == hash(CommCosts.for_discipline("barrier"))
+    with pytest.raises(AttributeError):
+        m.cores = 16
+    with pytest.raises(AttributeError):
+        del costs.msg_cycles
+    assert m.cores == 8 and costs.uses_barrier
