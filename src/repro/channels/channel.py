@@ -250,6 +250,8 @@ class ChannelEnd:
         while sent < len(batch):
             # ring full: let the consumer drain, then retry the remainder
             time.sleep(0)
+            if self.out_q.aborted():
+                raise RuntimeError(f"{self.name}: run aborted, a peer failed")
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeoutError(
                     f"{self.name}: peer not draining, flush stuck with "

@@ -138,7 +138,7 @@ def _owner_hook(prev):
 
 class _Payload(str):
     """A component payload that zlib-compresses itself when pickled, i.e.
-    only when it crosses a process boundary on the result queue."""
+    only when it crosses a process boundary on a child's pipe."""
 
     def __reduce__(self):
         return _unpack_payload, (zlib.compress(self.encode()),)

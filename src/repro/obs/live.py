@@ -126,9 +126,11 @@ def wait_for_control(rundir: str, timeout_s: float = 10.0,
 class ChildMailbox:
     """Per-child command mailbox, polled at sync-round boundaries.
 
-    ``poll`` costs one ``Queue.empty()`` pipe check when idle.  Commands
-    are executed at the quiescent horizon the child currently sits on;
-    replies go back over the shared reply queue as
+    ``cmd_q`` is the child's end of its command pipe (anything with a
+    non-blocking ``get_nowait`` that raises :class:`queue.Empty`), so
+    ``poll`` costs one zero-timeout ``select`` when idle.  Commands are
+    executed at the quiescent horizon the child currently sits on;
+    replies go up the child's pipe to the parent (``reply_q.put``) as
     ``(req_id, component, payload)`` tuples.  Returns ``True`` once a
     graceful ``stop`` has been requested.
     """
@@ -153,16 +155,10 @@ class ChildMailbox:
         """Drain pending commands; True when the child should stop."""
         if self.stop_requested:
             return True
-        q = self.cmd_q
-        try:
-            if q.empty():
-                return False
-        except OSError:  # pragma: no cover - queue torn down under us
-            return self.stop_requested
         while True:
             try:
-                req = q.get_nowait()
-            except (Empty, OSError):
+                req = self.cmd_q.get_nowait()
+            except Empty:
                 break
             try:
                 self._handle(req, commit)
@@ -227,7 +223,10 @@ class ControlPlane:
     entirely parent-side from the heartbeat aggregator and the watchdog;
     the other commands broadcast to every still-running child and gather
     replies with a timeout, so a wedged child degrades a reply (listed in
-    ``missing``) instead of hanging the control plane.
+    ``missing``) instead of hanging the control plane.  ``cmd_queues``
+    maps each child to the parent's end of its command pipe (``put``);
+    ``reply_q`` is a :class:`queue.Queue` that the runner's read loop
+    fills with the replies arriving on the children's pipes.
     """
 
     def __init__(self, rundir: str, components: List[str], until_ps: int,

@@ -3,7 +3,7 @@
 While a :class:`~repro.parallel.procrunner.ProcessRunner` simulation is
 alive, each child process periodically publishes a :class:`Heartbeat` —
 simulated time reached, events executed, instantaneous events/sec, and
-shared-memory ring occupancy — over a side-channel queue.  The parent
+shared-memory ring occupancy — up its pipe to the parent.  The parent
 renders a one-line status (``progress=True``), feeds a
 :class:`HealthMonitor` watchdog (stalled / stale / backpressured children),
 and, after the run, writes a versioned machine-readable

@@ -8,6 +8,7 @@ coordinator (:mod:`~repro.parallel.simulation`) and the cost constants
 builds it; it reads its channel graph off the simulation
 (:func:`~repro.parallel.model.model_channels`).  ``Experiment.run_mp``
 loads the multiprocess runtime (:mod:`~repro.parallel.procrunner`,
-:mod:`~repro.parallel.shm_ring`, and with them ``multiprocessing`` and
-the wire codec) when it runs.
+:mod:`~repro.parallel.shm_ring` and the wire codec) when it runs.  That
+runtime forks its children itself over anonymous shared mappings and
+pipes, so it loads no ``multiprocessing`` and starts no resource tracker.
 """

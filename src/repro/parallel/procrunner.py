@@ -16,13 +16,24 @@ With fewer cores than components (this sandbox has two) this runtime is
 *correct* but shows little wall-clock speedup; the virtual-time model
 (:mod:`repro.parallel.model`) covers the performance experiments.
 
+Lifecycle: the runner maps every ring, then forks one child per
+component, which inherits the rings' anonymous shared mappings: nothing is
+named, nothing needs unlinking.  A child writes pickled frames up one pipe
+(heartbeats, control replies, last its :class:`ProcResult`) and leaves
+with ``os._exit``; the parent waits on all pipes in one ``select`` and
+reaps each child at end of file.  An error result, or a pipe that ends
+without one (reported with the signal from ``waitpid``), makes the parent
+set every ring's abort word, so the blocked survivors leave within a spin
+batch.  At the parent's deadline, the children still running are killed
+and reaped.
+
 Recorders plug in through one list, ``ProcessRunner.recorders`` (see
 :mod:`repro.obs.recorder`): each child beats the recorders' probes on its
 telemetry heartbeats and ships their results; the parent fans both out to
 the recorders, saves them and references them from the run report —
 without knowing which recorders exist.
 
-Components are described by picklable factory callables so they can be
+Components are described by factory callables so they can be
 constructed inside the child process::
 
     spec = ProcSpec("a", make_pinger, ("a", True))
@@ -33,11 +44,12 @@ constructed inside the child process::
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
+import pickle
+import select
+import struct
 import sys
 import time
-from queue import Empty
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..kernel.component import Component
@@ -55,6 +67,10 @@ STALL_INTERVALS = 4
 #: Seconds without a heartbeat before the watchdog flags a component stale.
 STALE_AFTER_S = 2.0
 
+#: Seconds the parent waits past ``timeout_s`` (the children's own
+#: deadline) before it kills every child still running.
+_PARENT_GRACE_S = 10.0
+
 #: Spin iterations between backoff steps while blocked.
 _SPIN_BATCH = 200
 #: Pure sched-yield rounds before the blocked loop starts sleeping.
@@ -67,8 +83,8 @@ _NAP_MAX_S = 200e-6
 class ProcSpec(Record):
     """Description of one component process.
 
-    Either a picklable ``factory`` (constructed inside the child) or a
-    prebuilt ``component`` (inherited through fork; nothing is pickled).
+    Either a ``factory`` (called inside the child) or a prebuilt
+    ``component``; both are inherited through fork, nothing is pickled.
     """
 
     def __init__(self, name: str,
@@ -131,6 +147,49 @@ class ProcResult(Record):
         self.error = error
 
 
+_FRAME_LEN = struct.Struct("<I")
+
+
+class _Pipe:
+    """One end of a pipe that carries length-prefixed pickled frames.
+
+    Frames are written whole, so a reader blocks only while one is in
+    flight.  :meth:`get_nowait` is what a child's command mailbox calls.
+    """
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    def put(self, obj) -> None:
+        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(_FRAME_LEN.pack(len(data)) + data)
+        while view:
+            view = view[os.write(self.fd, view):]
+
+    def get(self):
+        """The next frame; ``None`` at end of file."""
+        head = self._read(_FRAME_LEN.size)
+        data = head and self._read(_FRAME_LEN.unpack(head)[0])
+        return data and pickle.loads(data)
+
+    def get_nowait(self):
+        obj = self.get() if select.select([self.fd], [], [], 0)[0] else None
+        if obj is None:  # nothing pending, or the parent is gone
+            from queue import Empty  # loaded with the control plane
+            raise Empty
+        return obj
+
+    def _read(self, size: int) -> Optional[bytearray]:
+        data = bytearray(size)
+        view = memoryview(data)
+        while view:
+            got = os.readv(self.fd, [view])
+            if not got:
+                return None
+            view = view[got:]
+        return data
+
+
 def _transport_stats(rings: List[ShmRing]) -> dict:
     """Aggregate shm-ring counters plus the wire codec's fallback counts."""
     from ..channels import wire
@@ -162,10 +221,10 @@ class _HeartbeatPump:
     carries one beat of each probe (``Heartbeat.extras``).
     """
 
-    def __init__(self, q, tracer, comp: Component, probes: list,
+    def __init__(self, up, tracer, comp: Component, probes: list,
                  in_rings: List[ShmRing], t_start: float) -> None:
         from ..obs.recorder import Beater
-        self._q = q
+        self._up = up
         self._tracer = tracer
         self._beater = Beater(comp, probes, t_start, in_rings)
         self._next = t_start + HB_INTERVAL_S
@@ -176,11 +235,8 @@ class _HeartbeatPump:
             return
         self._next = now + HB_INTERVAL_S
         hb = self._beater.beat(now, commit, waiting)
-        if self._q is not None:
-            try:
-                self._q.put_nowait(hb)
-            except Exception:  # pragma: no cover - queue full/closed
-                pass
+        if self._up is not None:
+            self._up.put(hb)
         tracer = self._tracer
         if tracer is not None:
             ts = tracer.wall_us()
@@ -196,12 +252,11 @@ class _HeartbeatPump:
         self.maybe(commit, waiting=False)
 
 
-def _child_main(spec: ProcSpec,
-                wiring: List[Tuple[str, str, str, str, str]],
-                until_ps: int, result_q, timeout_s: float,
-                telemetry_q=None, trace_dir: Optional[str] = None,
-                index: int = 0, cmd_q=None, reply_q=None,
-                probe_factories: Tuple[Callable, ...] = ()) -> None:
+def _child_main(up: _Pipe, cmds: Optional[_Pipe], spec: ProcSpec,
+                wiring: List[Tuple[str, ShmRing, ShmRing, str, str]],
+                until_ps: int, timeout_s: float, telemetry: bool,
+                trace_dir: Optional[str], index: int,
+                probe_factories: Tuple[Callable, ...]) -> None:
     result = ProcResult(name=spec.name)
     rings: List[ShmRing] = []
     tracer = None
@@ -223,11 +278,8 @@ def _child_main(spec: ProcSpec,
         comp = spec.make()
         in_rings: List[ShmRing] = []
         ends = []
-        for end_name, out_name, in_name, peer, peer_comp in wiring:
-            out_ring = ShmRing.attach(out_name)
-            rings.append(out_ring)  # appended one by one: a failed attach
-            in_ring = ShmRing.attach(in_name)  # must not orphan the first
-            rings.append(in_ring)
+        for end_name, out_ring, in_ring, peer, peer_comp in wiring:
+            rings += (out_ring, in_ring)
             in_rings.append(in_ring)
             end = _find_end(comp, end_name)
             end.wire(out_q=out_ring, in_q=in_ring, peer_name=peer)
@@ -241,18 +293,18 @@ def _child_main(spec: ProcSpec,
             tracer.span(tracer.tid("lifecycle"), "proc", "setup",
                         0.0, run_start_us)
         # probes beat on heartbeats, so only when someone receives them
-        beating = probes if telemetry_q is not None else []
-        if telemetry_q is not None or tracer is not None:
-            pump = _HeartbeatPump(telemetry_q, tracer, comp, beating,
-                                  in_rings, t_start)
+        beating = probes if telemetry else []
+        if telemetry or tracer is not None:
+            pump = _HeartbeatPump(up if telemetry else None, tracer, comp,
+                                  beating, in_rings, t_start)
         mailbox = None
-        if cmd_q is not None:
+        if cmds is not None:
             # Control-plane command mailbox, polled at sync-round
             # boundaries only: commands execute at a quiescent horizon and
             # can never interleave with event execution.
             from ..obs.live import ChildMailbox
             mailbox = ChildMailbox(
-                spec.name, cmd_q, reply_q, comp, tracer=tracer,
+                spec.name, cmds, up, comp, tracer=tracer,
                 trace_dir=trace_dir,
                 transport_stats=lambda: _transport_stats(rings))
         deadline = t_start + timeout_s
@@ -312,6 +364,10 @@ def _child_main(spec: ProcSpec,
                         if mailbox is not None and mailbox.poll(commit):
                             stopping = True  # commit is still quiescent here
                             break
+                        if blocking[0].in_q.aborted():
+                            raise RuntimeError(
+                                f"{spec.name} aborted at commit={commit}: "
+                                "a peer failed")
                         if time.perf_counter() > deadline:
                             raise TimeoutError(
                                 f"{spec.name} stuck at commit={commit}"
@@ -363,10 +419,42 @@ def _child_main(spec: ProcSpec,
             # one last beat ships what the probes closed before the
             # failure: recorders keep a partial document, not nothing
             pump.flush(commit)
+    up.put(result)
+
+
+def _fork(fds: List[int], control: bool, *args) -> tuple:
+    """Fork a child that runs ``_child_main(up, cmds, *args)``; return its
+    pid and the parent's ends of its pipes (added to ``fds``, which every
+    child closes first).  The child never returns: it flushes stdout and
+    stderr and leaves with ``os._exit``."""
+    up_r, up_w = os.pipe()
+    cmd_r, cmd_w = os.pipe() if control else (None, None)
+    fds += [fd for fd in (up_r, cmd_w) if fd is not None]
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                for fd in fds:
+                    os.close(fd)
+                _child_main(_Pipe(up_w),
+                            None if cmd_r is None else _Pipe(cmd_r), *args)
+                code = 0
+            except BaseException:  # pragma: no cover - the result is lost
+                import traceback
+                traceback.print_exc()
+                raise
+            finally:
+                try:
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
     finally:
-        for ring in rings:
-            ring.close()
-        result_q.put(result)
+        os.close(up_w)
+        if cmd_r is not None:
+            os.close(cmd_r)
+    return pid, _Pipe(up_r), None if cmd_w is None else _Pipe(cmd_w)
 
 
 class ProcessRunner:
@@ -415,10 +503,9 @@ class ProcessRunner:
             a command mailbox at sync-round boundaries, so commands never
             perturb event order (the determinism digest is unchanged).
         """
-        ctx = mp.get_context("fork")
         rings: List[ShmRing] = []
         # wiring[comp] = (end_name, out_ring, in_ring, peer_end, peer_comp)
-        wiring: Dict[str, List[Tuple[str, str, str, str, str]]] = {
+        wiring: Dict[str, List[Tuple[str, ShmRing, ShmRing, str, str]]] = {
             s.name: [] for s in self.specs
         }
         names = [s.name for s in self.specs]
@@ -427,10 +514,10 @@ class ProcessRunner:
                           or control_dir is not None or bool(collectors))
         aggregator = None
         monitor = None
-        telemetry_q = None
         parent_tracer = None
         control = None
         if want_telemetry:
+            from ..obs.recorder import deliver
             from ..obs.telemetry import TelemetryAggregator, HealthMonitor
             aggregator = TelemetryAggregator(names)
             monitor = HealthMonitor(names, hb_interval_s=HB_INTERVAL_S,
@@ -447,43 +534,33 @@ class ProcessRunner:
             from ..obs.trace import Tracer, merge_trace_jsonl
             parent_tracer = Tracer(pid=0, process_name="runner",
                                    clock="wall")
+        children: Dict[int, Tuple[str, int, _Pipe]] = {}  # by up-pipe fd
+        cmd_pipes: Dict[str, _Pipe] = {}
+        fds: List[int] = []  # the parent's pipe ends
         try:
             for ch in self.channels:
-                # append as soon as each ring exists: if the second create
-                # fails, the finally below still unlinks the first
                 r_ab = ShmRing.create(self.ring_bytes)
-                rings.append(r_ab)
                 r_ba = ShmRing.create(self.ring_bytes)
-                rings.append(r_ba)
+                rings += (r_ab, r_ba)
                 wiring[ch.comp_a].append(
-                    (ch.end_a, r_ab.name, r_ba.name, ch.end_b, ch.comp_b))
+                    (ch.end_a, r_ab, r_ba, ch.end_b, ch.comp_b))
                 wiring[ch.comp_b].append(
-                    (ch.end_b, r_ba.name, r_ab.name, ch.end_a, ch.comp_a))
-
-            result_q = ctx.Queue()
-            if want_telemetry:
-                telemetry_q = ctx.Queue()
-            cmd_queues: Dict[str, object] = {}
-            reply_q = None
+                    (ch.end_b, r_ba, r_ab, ch.end_a, ch.comp_a))
             if control_dir is not None:
                 os.makedirs(control_dir, exist_ok=True)
-                cmd_queues = {name: ctx.Queue() for name in names}
-                reply_q = ctx.Queue()
-            launch_us = 0.0
-            procs = [
-                ctx.Process(
-                    target=_child_main,
-                    args=(spec, wiring[spec.name], until_ps, result_q,
-                          timeout_s, telemetry_q, trace_dir, index,
-                          cmd_queues.get(spec.name), reply_q,
-                          probe_factories),
-                    name=f"splitsim-{spec.name}",
-                )
-                for index, spec in enumerate(self.specs)
-            ]
-            for p in procs:
-                p.start()
+            sys.stdout.flush()  # else each child repeats the buffered text
+            sys.stderr.flush()
+            for index, spec in enumerate(self.specs):
+                pid, up, cmds = _fork(
+                    fds, control_dir is not None, spec, wiring[spec.name],
+                    until_ps, timeout_s, want_telemetry, trace_dir, index,
+                    probe_factories)
+                children[up.fd] = (spec.name, pid, up)
+                if cmds is not None:
+                    cmd_pipes[spec.name] = cmds
+            replies = None
             if control_dir is not None:
+                from queue import Queue
                 from ..obs.live import ControlPlane
                 merge_partial = None
                 if trace_dir is not None:
@@ -491,48 +568,70 @@ class ProcessRunner:
                         trace_dir, names, PARTIAL_TRACE_FILE,
                         suffix=(".trace.partial.jsonl", ".trace.jsonl"),
                         parent_tracer=parent_tracer)
+                replies = Queue()
                 control = ControlPlane(
                     control_dir, names, until_ps, aggregator, monitor,
-                    cmd_queues, reply_q, merge_partial=merge_partial)
+                    cmd_pipes, replies, merge_partial=merge_partial)
                 control.start()
+            launch_us = 0.0
             if parent_tracer is not None:
                 launch_us = parent_tracer.wall_us()
                 parent_tracer.span(parent_tracer.tid("phases"), "phase",
                                    "launch", 0.0, launch_us,
-                                   {"processes": len(procs)})
+                                   {"processes": len(self.specs)})
             t_run0 = time.perf_counter()
             results: Dict[str, ProcResult] = {}
-            deadline = time.monotonic() + timeout_s + 10
-            timed_out = False
-            while len(results) < len(procs):
-                if time.monotonic() > deadline:
-                    timed_out = True
+            deadline = time.monotonic() + timeout_s + _PARENT_GRACE_S
+            while children:
+                wait = deadline - time.monotonic()
+                if wait <= 0:
                     break
-                self._drain_telemetry(telemetry_q, aggregator, monitor,
-                                      progress, collectors)
-                try:
-                    res: ProcResult = result_q.get(
-                        timeout=HB_INTERVAL_S if want_telemetry else 0.5)
-                except Empty:
-                    continue
-                results[res.name] = res
+                if monitor is not None:  # the watchdog's cadence
+                    wait = min(wait, max(HB_INTERVAL_S, 0.01))
+                noted = False
+                for fd in select.select(list(children), [], [], wait)[0]:
+                    name, pid, up = children[fd]
+                    obj = up.get()
+                    if isinstance(obj, ProcResult):
+                        results[name] = obj
+                    elif isinstance(obj, tuple):  # a control reply
+                        replies.put(obj)
+                    elif obj is not None:  # a heartbeat
+                        aggregator.note(obj)
+                        deliver(obj, collectors)
+                        noted = True
+                    if obj is not None:
+                        continue
+                    del children[fd]  # end of file: the child has exited
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if name not in results:
+                        import signal
+                        results[name] = ProcResult(name, error=(
+                            f"killed by {signal.Signals(-code).name}"
+                            if code < 0 else f"exited with code {code} "
+                            "before sending its result"))
+                    res = results[name]
+                    if monitor is not None:
+                        monitor.note_done(name, res.error)
+                    if control is not None:
+                        control.note_done(name, res.error)
+                    if res.error:  # a failed child stays missing, and
+                        for ring in rings:  # its blocked peers leave
+                            ring.abort()
+                    else:
+                        for collector in collectors:
+                            collector.note_result(
+                                name, res.extras.get(collector.name))
                 if monitor is not None:
-                    monitor.note_done(res.name, res.error)
-                if control is not None:
-                    control.note_done(res.name, res.error)
-                if not res.error:  # a failed child stays missing
-                    for collector in collectors:
-                        collector.note_result(res.name,
-                                              res.extras.get(collector.name))
-            self._drain_telemetry(telemetry_q, aggregator, monitor, progress,
-                                  collectors)
+                    monitor.observe(aggregator)
+                if progress and noted:
+                    line = aggregator.status_line(
+                        stale_after_s=monitor.stale_after_s)
+                    sys.stderr.write("\r\x1b[K" + line + monitor.badge())
+                    sys.stderr.flush()
             if progress:
                 sys.stderr.write("\n")
                 sys.stderr.flush()
-            for p in procs:
-                p.join(timeout=0.1 if timed_out else 10)
-                if p.is_alive():  # pragma: no cover - cleanup path
-                    p.terminate()
             wall_total = time.perf_counter() - t_run0
             fields = {}  # run report key -> artifact path
             if parent_tracer is not None:
@@ -543,11 +642,6 @@ class ProcessRunner:
                     merge_trace_jsonl(trace_dir, names, TRACE_FILE,
                                       parent_tracer=parent_tracer),
                     report_path)
-            if collectors:
-                # children are joined: their queue feeders have flushed, so
-                # one more drain picks up the forced final beats
-                self._drain_telemetry(telemetry_q, aggregator, monitor,
-                                      False, collectors)
             for collector in collectors:
                 key, path = collector.report_field()
                 if path is not None:
@@ -560,8 +654,8 @@ class ProcessRunner:
                     until_ps, wall_total, results, aggregator,
                     health=monitor.report() if monitor else None,
                     fields=fields))
-            if timed_out:
-                missing = sorted(set(names) - set(results))
+            if children:  # the parent's deadline passed
+                missing = sorted(name for name, _, _ in children.values())
                 raise TimeoutError(
                     "simulation processes did not finish: "
                     f"no result from {missing}")
@@ -570,16 +664,17 @@ class ProcessRunner:
                 raise RuntimeError(f"component failures: {errors}")
             return results
         finally:
+            if children:  # kill and reap what still runs
+                import signal
+                for _, pid, _ in children.values():
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
             if control is not None:
                 control.close()
+            for fd in fds:
+                os.close(fd)
             for ring in rings:
-                # close/unlink are idempotent and must not mask each other:
-                # every segment gets its unlink attempt even if an earlier
-                # ring's close misbehaves
-                try:
-                    ring.close()
-                finally:
-                    ring.unlink()
+                ring.close()
 
     @staticmethod
     def _report_rel(path: str, report_path: Optional[str]) -> str:
@@ -587,28 +682,3 @@ class ProcessRunner:
         if report_path is None:
             return path
         return os.path.relpath(path, os.path.dirname(report_path) or ".")
-
-    def _drain_telemetry(self, telemetry_q, aggregator, monitor,
-                         progress: bool, collectors=()) -> None:
-        """Consume pending heartbeats; watchdog pass; refresh status line."""
-        if telemetry_q is None:
-            return
-        from ..obs.recorder import deliver
-        noted = False
-        while True:
-            try:
-                hb = telemetry_q.get_nowait()
-            except Empty:
-                break
-            aggregator.note(hb)
-            deliver(hb, collectors)
-            noted = True
-        if monitor is not None:
-            monitor.observe(aggregator)
-        if progress and noted:
-            line = aggregator.status_line(
-                stale_after_s=monitor.stale_after_s if monitor else None)
-            if monitor is not None:
-                line += monitor.badge()
-            sys.stderr.write("\r\x1b[K" + line)
-            sys.stderr.flush()

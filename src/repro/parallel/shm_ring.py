@@ -19,23 +19,28 @@ it is the only API channel ends use.  The single-message
 Cursor updates are 8-byte aligned stores; on x86-64 these are atomic in
 practice, which is the same assumption SimBricks' C implementation makes.
 
-Lifecycle: the creator owns the ``/dev/shm`` segment and must
-:meth:`unlink` it; attachers only :meth:`close` their mapping.  Both are
-idempotent, and the ring is a context manager (close + unlink on exit) so
-a failed attach or a crashed child can never leak segments from the paths
-that use ``with``/``finally`` blocks.
+The header also holds an abort word next to the write cursor: the parent
+sets it in every ring when a child fails, and a blocked child reads it
+once per spin batch.
+
+Lifecycle: a ring is an anonymous ``MAP_SHARED`` mapping that the parent
+creates before it forks and every child inherits.  Nothing is named, so
+nothing needs unlinking and no ``/dev/shm`` entry ever exists; the memory
+goes with the last process that maps it.  :meth:`close` drops this
+process's mapping early (idempotent; the ring is also a context manager).
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
-from multiprocessing import shared_memory
 from typing import List, Optional, Sequence, Tuple
 
 from ..channels.messages import Msg
 from ..channels.wire import decode, encode
 
 _HEADER = 128  # two cache-line-separated cursors
+_ABORT = 8  # abort word, in the write cursor's cache line
 _WRAP = 0xFFFFFFFF
 _LEN = struct.Struct("<I")
 _LEN_SIZE = _LEN.size
@@ -44,20 +49,18 @@ _LEN_SIZE = _LEN.size
 class ShmRing:
     """One directed message queue in shared memory.
 
-    Create with :meth:`create` in the parent, then :meth:`attach` by name in
-    each child process (producer side and consumer side).
+    Create with :meth:`create` in the parent, then fork: the producer and
+    the consumer child each use their inherited copy of the object.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, owns: bool) -> None:
-        self._shm = shm
-        self._owns = owns
-        self._unlinked = False
-        self._buf = shm.buf
-        self._capacity = len(shm.buf) - _HEADER
+    def __init__(self, mm: mmap.mmap) -> None:
+        self._mm = mm
+        self._buf = memoryview(mm)
+        self._capacity = len(mm) - _HEADER
         # local cursor caches (avoid re-reading shared memory when possible)
         self._local_head = self._read_u64(0)
         self._local_tail = self._read_u64(64)
-        # transport counters (per attached side; monotonic)
+        # transport counters (per process side; monotonic)
         self.frames_out = 0
         self.batches_out = 0
         self.bytes_out = 0
@@ -65,38 +68,10 @@ class ShmRing:
         self.batches_in = 0
         self.bytes_in = 0
 
-    # -- construction -------------------------------------------------------
-
     @classmethod
     def create(cls, size_bytes: int = 1 << 20) -> "ShmRing":
-        """Allocate a new shared-memory ring (parent side)."""
-        shm = shared_memory.SharedMemory(create=True, size=_HEADER + size_bytes)
-        try:
-            shm.buf[:_HEADER] = b"\x00" * _HEADER
-            return cls(shm, owns=True)
-        except BaseException:  # pragma: no cover - init failure path
-            shm.close()
-            shm.unlink()
-            raise
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmRing":
-        """Open an existing ring by its shared-memory name (child side).
-
-        On failure nothing is left mapped in this process; the creator
-        still owns (and must unlink) the segment.
-        """
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            return cls(shm, owns=False)
-        except BaseException:  # pragma: no cover - init failure path
-            shm.close()
-            raise
-
-    @property
-    def name(self) -> str:
-        """Shared-memory segment name to pass to :meth:`attach`."""
-        return self._shm.name
+        """Map a new zeroed ring that children forked later will share."""
+        return cls(mmap.mmap(-1, _HEADER + size_bytes))
 
     # -- cursor helpers ------------------------------------------------------
 
@@ -235,27 +210,28 @@ class ShmRing:
             "bytes_in": self.bytes_in,
         }
 
+    # -- abort word ------------------------------------------------------------
+
+    def abort(self) -> None:
+        """Tell both sides that the run is over (parent, on a failure)."""
+        self._write_u64(_ABORT, 1)
+
+    def aborted(self) -> bool:
+        """True once :meth:`abort` was called in any process."""
+        return self._read_u64(_ABORT) != 0
+
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Release this process's mapping of the ring (idempotent)."""
         if self._buf is None:
             return
-        self._buf = None  # release exported memoryview before closing
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the underlying segment (creator side; idempotent)."""
-        if self._owns and not self._unlinked:
-            self._unlinked = True
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        self._buf.release()  # the mapping cannot close while exported
+        self._buf = None
+        self._mm.close()
 
     def __enter__(self) -> "ShmRing":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-        self.unlink()

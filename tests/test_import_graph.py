@@ -24,6 +24,12 @@ ROOT = Path(__file__).resolve().parent.parent
 #: are plain classes, so nothing generates code at import.
 NOT_IN_ANY_RUN = ("dataclasses", "inspect")
 
+#: What ``run_mp`` without a control plane must not load: it forks its
+#: children itself over anonymous shared mappings and pipes, so neither
+#: the ``multiprocessing`` stack nor its resource tracker nor a socket.
+NOT_IN_MP_RUN = ("multiprocessing", "multiprocessing.resource_tracker",
+                 "socket") + NOT_IN_ANY_RUN
+
 #: What an in-process run must not load: the multiprocess runtime and its
 #: codec, the control-plane socket, recorders nobody declared, and
 #: :data:`NOT_IN_ANY_RUN`.
@@ -76,14 +82,15 @@ exp = Instantiation(build_mixed_system()).build()
 results = exp.run_mp(200 * US, timeout_s=120)
 print(sorted(results) == sorted(c.name for c in exp.sim.components))
 print(sorted(set(%r) & set(sys.modules)))
-""" % (NOT_IN_ANY_RUN,)
+""" % (NOT_IN_MP_RUN,)
 
 
 def test_an_in_process_run_loads_the_core_only():
     """A fast and a strict run load neither the multiprocess runtime nor
     the control plane nor an undeclared recorder nor :mod:`dataclasses`;
     ``run_mp`` still works in the same interpreter afterwards, and loads
-    no :mod:`dataclasses` either."""
+    neither :mod:`dataclasses` nor :mod:`multiprocessing` nor
+    :mod:`socket`."""
     proc = fresh(IN_PROCESS_RUNS, *NOT_IN_PROCESS)
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded, ran_mp, loaded_mp = proc.stdout.splitlines()[-3:]

@@ -43,7 +43,6 @@ def test_shm_ring_reports_fill_fraction():
         assert ring.fill_fraction() == 0.0
     finally:
         ring.close()
-        ring.unlink()
 
 
 def test_aggregator_tracks_latest_heartbeat_per_component():

@@ -1,11 +1,17 @@
 """Integration tests for the real multi-process runtime."""
 
+import json
+import os
+import signal
+import time
+
 import pytest
 
 from repro.channels.channel import ChannelEnd
 from repro.channels.messages import RawMsg
 from repro.kernel.component import Component
 from repro.kernel.simtime import MS, NS, US
+from repro.obs.telemetry import HEALTH_FAILED
 from repro.parallel.procrunner import ProcChannel, ProcSpec, ProcessRunner
 from repro.parallel.simulation import Simulation
 
@@ -174,3 +180,138 @@ def test_run_shorter_than_one_interval():
     results = runner.run(until_ps=1, timeout_s=30)
     assert results["a"].events == 1 and results["b"].events == 0
     assert results["a"].end_counters["a.e"]["tx_msgs"] == 1
+
+
+# -- process hygiene ---------------------------------------------------------
+
+class SelfKiller(Pinger):
+    """Kills its own process with ``SIGKILL`` at its tenth message."""
+
+    def on_msg(self, msg):
+        if msg.payload >= 10:
+            os.kill(os.getpid(), signal.SIGKILL)
+        super().on_msg(msg)
+
+
+def make_self_killer(name):
+    return SelfKiller(name, limit=10 ** 9)
+
+
+def test_child_killed_by_a_signal_is_reported_at_once(tmp_path):
+    """A child that dies without a result is named with the signal that
+    killed it as soon as its pipe closes; the parent aborts the rings, so
+    its blocked peer leaves at once instead of at ``timeout_s``."""
+    runner = ProcessRunner(
+        [ProcSpec("a", make_pinger, ("a", True)),
+         ProcSpec("killer", make_self_killer, ("killer",))],
+        [ProcChannel("a", "a.e", "killer", "killer.e")])
+    report_path = tmp_path / "run_report.json"
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="component failures") as err:
+        runner.run(until_ps=1000 * MS, timeout_s=30,
+                   report_path=str(report_path))
+    assert time.monotonic() - t0 < 10
+    message = str(err.value)
+    assert "'killer': 'killed by SIGKILL'" in message
+    assert "a aborted" in message  # the peer left through its error path
+    states = json.loads(report_path.read_text())["health"]["components"]
+    assert states == {"a": HEALTH_FAILED, "killer": HEALTH_FAILED}
+
+
+class Talker(Ticker):
+    def start(self):
+        print(f"hello from {self.name}")
+        super().start()
+
+
+def make_talker(name):
+    return Talker(name)
+
+
+def test_print_in_a_child_reaches_the_terminal(capfd):
+    print("parent line, buffered before the fork", end="")
+    ProcessRunner([ProcSpec("t", make_talker, ("t",))], []).run(
+        until_ps=1 * US, timeout_s=30)
+    out = capfd.readouterr().out
+    assert "hello from t" in out
+    # a child flushes only its own text, never the parent's inherited buffer
+    assert out.count("parent line") == 1
+
+
+class Hang(Component):
+    """Writes its pid to ``path``, then sleeps past every deadline."""
+
+    def __init__(self, name, path):
+        super().__init__(name)
+        self.path = path
+
+    def start(self):
+        with open(self.path, "w") as fh:
+            fh.write(str(os.getpid()))
+        time.sleep(60)
+
+
+def make_hang(name, path):
+    return Hang(name, path)
+
+
+def test_parent_deadline_kills_and_reaps_every_child(tmp_path, monkeypatch):
+    from repro.parallel import procrunner
+    monkeypatch.setattr(procrunner, "_PARENT_GRACE_S", 0.5)
+    paths = [str(tmp_path / f"h{i}.pid") for i in range(2)]
+    runner = ProcessRunner(
+        [ProcSpec("h0", make_hang, ("h0", paths[0])),
+         ProcSpec("h1", make_hang, ("h1", paths[1])),
+         ProcSpec("t", make_ticker, ("t",))], [])
+    t0 = time.monotonic()
+    with pytest.raises(TimeoutError, match=r"no result from \['h0', 'h1'\]"):
+        runner.run(until_ps=1 * US, timeout_s=0.5)
+    assert time.monotonic() - t0 < 10
+    for path in paths:
+        with open(path) as fh:
+            pid = int(fh.read())
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(pid, 0)
+
+
+class Flooder(Component):
+    """Sends far more than a ring holds within one latency window; as
+    ``crash_at`` is set, it instead raises at that time."""
+
+    def __init__(self, name, crash_at=None):
+        super().__init__(name)
+        self.crash_at = crash_at
+        self.end = self.attach_end(
+            ChannelEnd(f"{name}.e", latency=1 * MS, sync_interval=1 * US),
+            lambda msg: None)
+
+    def start(self):
+        if self.crash_at is None:
+            self.call_after(0, self.fire)
+        else:
+            self.call_after(self.crash_at, self.crash)
+
+    def fire(self):
+        self.end.send(RawMsg(payload=b"x" * 10_000), self.now)
+        self.call_after(100 * NS, self.fire)
+
+    def crash(self):
+        raise RuntimeError("gave up")
+
+
+def make_flooder(name, crash_at=None):
+    return Flooder(name, crash_at)
+
+
+def test_flush_stuck_on_a_dead_peer_leaves_at_once():
+    """The peer dies a millisecond before the flooder's horizon, so the
+    flooder fills the ring and waits in its flush; it sees the abort word
+    there and leaves long before its deadline."""
+    runner = ProcessRunner(
+        [ProcSpec("flood", make_flooder, ("flood",)),
+         ProcSpec("peer", make_flooder, ("peer", 50 * US))],
+        [ProcChannel("flood", "flood.e", "peer", "peer.e")])
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="run aborted, a peer failed"):
+        runner.run(until_ps=10 * MS, timeout_s=30)
+    assert time.monotonic() - t0 < 10

@@ -1,4 +1,8 @@
-"""Tests for the shared-memory SPSC ring (single-process functional tests)."""
+"""Tests for the shared-memory SPSC ring: single-process functional tests,
+then its lifecycle across a fork."""
+
+import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +16,6 @@ def ring():
     r = ShmRing.create(size_bytes=4096)
     yield r
     r.close()
-    r.unlink()
 
 
 def test_fifo_order(ring):
@@ -53,19 +56,6 @@ def test_full_ring_rejects_push(ring):
     assert ring.push(RawMsg(payload=big))
 
 
-def test_attach_sees_messages():
-    r1 = ShmRing.create(size_bytes=4096)
-    try:
-        r2 = ShmRing.attach(r1.name)
-        r1.push(RawMsg(payload="hello"))
-        msg = r2.pop()
-        assert msg.payload == "hello"
-        r2.close()
-    finally:
-        r1.close()
-        r1.unlink()
-
-
 def test_interleaved_batches(ring):
     for batch in range(20):
         for i in range(7):
@@ -90,7 +80,6 @@ def test_roundtrip_property(blobs):
         assert out == blobs
     finally:
         ring.close()
-        ring.unlink()
 
 
 # -- batched API -------------------------------------------------------------
@@ -176,63 +165,56 @@ def test_transport_counters(ring):
 
 # -- lifecycle ---------------------------------------------------------------
 
-def _shm_segments():
-    import os
-    path = "/dev/shm"
-    if not os.path.isdir(path):  # pragma: no cover - non-Linux
-        pytest.skip("no /dev/shm on this platform")
-    return {n for n in os.listdir(path) if n.startswith("psm_")}
+def _pop_within(ring, seconds):
+    deadline = time.monotonic() + seconds
+    while ring.empty():
+        assert time.monotonic() < deadline, "nothing arrived"
+        time.sleep(0.001)
+    return ring.pop()
 
 
-def test_context_manager_unlinks_segment():
-    before = _shm_segments()
-    with ShmRing.create(size_bytes=4096) as ring:
-        ring.push(RawMsg(payload=1))
-        assert _shm_segments() - before  # segment exists while open
-    assert _shm_segments() <= before
-
-
-def test_close_and_unlink_idempotent():
-    ring = ShmRing.create(size_bytes=4096)
-    ring.close()
-    ring.close()
-    ring.unlink()
-    ring.unlink()
-
-
-def test_attacher_never_unlinks():
-    creator = ShmRing.create(size_bytes=4096)
-    try:
-        attacher = ShmRing.attach(creator.name)
-        attacher.unlink()  # no-op: only the creator owns the segment
-        attacher.close()
-        # creator still works
-        creator.push(RawMsg(payload="still here"))
-        assert creator.pop().payload == "still here"
-    finally:
-        creator.close()
-        creator.unlink()
-
-
-def test_attach_missing_segment_raises_cleanly():
-    before = _shm_segments()
-    with pytest.raises(FileNotFoundError):
-        ShmRing.attach("psm_does_not_exist_splitsim")
-    assert _shm_segments() <= before
+def test_ring_created_before_fork_is_shared_both_ways():
+    down = ShmRing.create(size_bytes=4096)
+    up = ShmRing.create(size_bytes=4096)
+    pid = os.fork()
+    if pid == 0:  # the child echoes what it reads, doubled
+        code = 1
+        try:
+            up.push(RawMsg(payload=_pop_within(down, 10).payload * 2))
+            code = 0
+        finally:
+            os._exit(code)
+    down.push(RawMsg(payload="ping"))
+    assert _pop_within(up, 10).payload == "pingping"
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    for ring in (down, up):
+        ring.close()
+        ring.close()  # idempotent
 
 
 def _crashing_factory(name):
     raise RuntimeError("child construction failed")
 
 
-def test_runner_unlinks_segments_when_child_crashes():
-    """Regression: a failed child must not leak /dev/shm segments."""
+def test_run_mp_never_creates_a_dev_shm_entry(monkeypatch):
+    """The rings are anonymous mappings: a run, even one whose children
+    crash, opens no named segment and leaves nothing in /dev/shm."""
     from repro.parallel.procrunner import (ProcChannel, ProcSpec,
                                            ProcessRunner)
-    before = _shm_segments()
+    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
+        pytest.skip("no /dev/shm on this platform")
+    posixshmem = pytest.importorskip("_posixshmem")
+
+    def no_named_segment(*args, **kwargs):
+        raise AssertionError("shm_open called")
+
+    # the children inherit the patch through fork
+    monkeypatch.setattr(posixshmem, "shm_open", no_named_segment)
+    before = set(os.listdir("/dev/shm"))
     specs = [ProcSpec("a", _crashing_factory, ("a",)),
              ProcSpec("b", _crashing_factory, ("b",))]
     runner = ProcessRunner(specs, [ProcChannel("a", "a.e", "b", "b.e")])
-    with pytest.raises(RuntimeError, match="component failures"):
+    with pytest.raises(RuntimeError, match="component failures") as err:
         runner.run(until_ps=1000, timeout_s=30)
-    assert _shm_segments() <= before
+    assert "child construction failed" in str(err.value)
+    assert set(os.listdir("/dev/shm")) <= before
