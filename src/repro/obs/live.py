@@ -128,7 +128,7 @@ class ChildMailbox:
 
     ``cmd_q`` is the child's end of its command pipe (anything with a
     non-blocking ``get_nowait`` that raises :class:`queue.Empty`), so
-    ``poll`` costs one zero-timeout ``select`` when idle.  Commands are
+    ``poll`` costs one zero-timeout pipe ``poll`` when idle.  Commands are
     executed at the quiescent horizon the child currently sits on;
     replies go up the child's pipe to the parent (``reply_q.put``) as
     ``(req_id, component, payload)`` tuples.  Returns ``True`` once a

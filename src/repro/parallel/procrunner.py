@@ -20,7 +20,7 @@ Lifecycle: the runner maps every ring, then forks one child per
 component, which inherits the rings' anonymous shared mappings: nothing is
 named, nothing needs unlinking.  A child writes pickled frames up one pipe
 (heartbeats, control replies, last its :class:`ProcResult`) and leaves
-with ``os._exit``; the parent waits on all pipes in one ``select`` and
+with ``os._exit``; the parent waits on all pipes in one ``poll`` and
 reaps each child at end of file.  An error result, or a pipe that ends
 without one (reported with the signal from ``waitpid``), makes the parent
 set every ring's abort word, so the blocked survivors leave within a spin
@@ -173,7 +173,9 @@ class _Pipe:
         return data and pickle.loads(data)
 
     def get_nowait(self):
-        obj = self.get() if select.select([self.fd], [], [], 0)[0] else None
+        ready = select.poll()  # no FD_SETSIZE cap, unlike select()
+        ready.register(self.fd, select.POLLIN)
+        obj = self.get() if ready.poll(0) else None
         if obj is None:  # nothing pending, or the parent is gone
             from queue import Empty  # loaded with the control plane
             raise Empty
@@ -582,6 +584,9 @@ class ProcessRunner:
             t_run0 = time.perf_counter()
             results: Dict[str, ProcResult] = {}
             deadline = time.monotonic() + timeout_s + _PARENT_GRACE_S
+            ready = select.poll()
+            for fd in children:
+                ready.register(fd, select.POLLIN)
             while children:
                 wait = deadline - time.monotonic()
                 if wait <= 0:
@@ -589,7 +594,7 @@ class ProcessRunner:
                 if monitor is not None:  # the watchdog's cadence
                     wait = min(wait, max(HB_INTERVAL_S, 0.01))
                 noted = False
-                for fd in select.select(list(children), [], [], wait)[0]:
+                for fd, _ in ready.poll(wait * 1e3):
                     name, pid, up = children[fd]
                     obj = up.get()
                     if isinstance(obj, ProcResult):
@@ -603,6 +608,7 @@ class ProcessRunner:
                     if obj is not None:
                         continue
                     del children[fd]  # end of file: the child has exited
+                    ready.unregister(fd)
                     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     if name not in results:
                         import signal
