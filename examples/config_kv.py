@@ -8,7 +8,7 @@ and execution is fully automatic:
     splitsim-run examples/config_kv.py --duration 10ms
     splitsim-run examples/config_kv.py --profile             # + WTPG
     splitsim-run examples/config_kv.py --profile-out prof    # a run dir
-    splitsim-profile prof --dot wtpg.dot                     # re-analyze
+    splitsim-inspect profile prof --dot wtpg.dot             # re-analyze
     splitsim-run examples/config_kv.py --control run --profile   # mp
 """
 

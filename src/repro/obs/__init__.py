@@ -7,10 +7,11 @@ measures against.  Its modules:
   flight-recorder :class:`Tracer` with span/instant/counter records and
   Chrome-trace/Perfetto + JSONL export.  Compiled out to a ``None``-check
   when disabled.
-* :mod:`repro.obs.metrics` — :class:`Counter`/:class:`Gauge`/
-  :class:`Histogram` and the :class:`MetricsRegistry` that unifies the
-  simulator's scattered counters behind one snapshot API
-  (``subsystem.component.metric`` naming).
+* :mod:`repro.obs.metrics` — the one walk over the simulator's
+  scattered counters (:func:`~repro.obs.metrics.component_counters`), the
+  flat ``subsystem.component.metric`` snapshot built from it (the
+  ``--stats-json`` document, an mp child's live ``metrics`` reply), and
+  the :class:`~repro.obs.metrics.Histogram` of ``splitsim-inspect``.
 * :mod:`repro.obs.install` — attaches a tracer to the instrumentation
   points threaded through kernel, channels, netsim, parallel, and
   orchestration.
@@ -32,7 +33,8 @@ measures against.  Its modules:
   reader/writer.
 * :mod:`repro.obs.timeline` — the epoch-resolved metrics timeline:
   per-sync-epoch compute/wait/comm cycles, per-edge message and sync
-  counts, and selected registry counters, recorded at round boundaries
+  counts, and a fixed selection of the network counters of the metrics
+  walk, recorded at round boundaries
   (in-process strict) or piggybacked on heartbeats (multiprocess) into a
   columnar ``timeline.jsonl``.  Input to the partition advisor
   (:mod:`repro.parallel.advisor`).
@@ -51,9 +53,10 @@ measures against.  Its modules:
   ``timeline.jsonl``, ``audit.jsonl``, ``partition.json``), follows the
   run report's references, and raises one error type whose message is
   the CLI hint.
-* :mod:`repro.obs.inspect` — the ``splitsim-inspect`` CLI: one view per
-  subcommand (trace summary, flows, timeline + recommend, diff, attach),
-  each reading through the loader.
+* :mod:`repro.obs.inspect` — the ``splitsim-inspect`` CLI, the one
+  run-analysis tool: one view per subcommand (trace summary, ``profile``,
+  flows, timeline + recommend, diff, attach), each reading through the
+  loader.
 
 The package itself imports none of them: import a name from the module
 that defines it.  A simulation loads :mod:`~repro.obs.flows` (the
@@ -62,6 +65,6 @@ Every other module loads when a recorder is observed or a tool runs:
 :mod:`~repro.obs.recorder` (the collector contract, with the
 :mod:`~repro.obs.telemetry` heartbeat and :mod:`~repro.obs.schema` it
 builds on) with the first collector, so a simulation without one never
-loads it, the tracer, the metrics registry, the control plane, the
+loads it, the tracer, the metrics walk, the control plane, the
 timeline, the auditor, the run-directory loader or the CLI.
 """

@@ -6,6 +6,7 @@ or the run directory holding it::
 
     splitsim-inspect RUN                           # spans + wait analysis
     splitsim-inspect RUN --dot wtpg.dot --json summary.json
+    splitsim-inspect profile RUN --drop-head 2     # profiler post-processing
     splitsim-inspect flows RUN --top 5             # causal flow waterfalls
     splitsim-inspect timeline RUN                  # per-epoch view
     splitsim-inspect recommend RUN                 # partition advisor
@@ -19,8 +20,9 @@ wait histograms and WTPG from the run's epoch timeline, the one record of
 channel and component counters; without a timeline it prints the
 loader's hint in their place and still exits 0.
 
-Views: :mod:`.summary`, :mod:`.flows`, :mod:`.timeline` (``timeline`` and
-``recommend``), :mod:`.diff`, :mod:`.attach`.  A view whose input is
+Views: :mod:`.summary` (the summary and ``profile``), :mod:`.flows`,
+:mod:`.timeline` (``timeline`` and ``recommend``), :mod:`.diff`,
+:mod:`.attach`.  A view whose input is
 missing raises :class:`~repro.obs.rundir.RunDirError`; :func:`main` prints
 its hint and exits with that view's status for a missing input.
 """
@@ -36,6 +38,7 @@ from . import attach, diff, flows, summary, timeline
 #: subcommand -> (view, exit status when its input is missing); arguments
 #: without a subcommand go to the trace summary
 VIEWS = {
+    "profile": (summary.profile_main, 1),
     "flows": (flows.main, 1),
     "timeline": (timeline.main, 1),
     "recommend": (timeline.recommend_main, 1),

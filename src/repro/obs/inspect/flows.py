@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from .. import rundir
 from ..flows import flow_origin
-from .render import write_json
+from .render import count, write_json
 
 #: Latency categories of the per-flow breakdown (simulated-time domain).
 CATEGORIES = ("host", "nic", "queue", "serialization", "propagation")
@@ -297,7 +297,7 @@ def main(argv: List[str]) -> int:
         description="Per-flow latency waterfalls, attribution histogram, "
                     "and flow-derived bottleneck from causal hop records.")
     parser.add_argument("trace", help="Chrome-trace JSON file or run dir")
-    parser.add_argument("--top", type=int, default=5,
+    parser.add_argument("--top", type=count, default=5,
                         help="slowest flows to show (default 5)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the machine-readable flow report")

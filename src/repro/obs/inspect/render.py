@@ -1,13 +1,23 @@
-"""What the ``splitsim-inspect`` views share: the intensity bar and the
-``--json PATH`` output."""
+"""What the ``splitsim-inspect`` views share: the count argument type,
+the intensity bar and the ``--json PATH`` output."""
 
 from __future__ import annotations
 
+import argparse
 import json
 from typing import Sequence
 
 #: Intensity glyphs, blank (zero) to full (the peak).
 GLYPHS = " .:*#"
+
+
+def count(text: str) -> int:
+    """The argparse type of every count argument: an integer of at
+    least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def intensity_bar(values: Sequence[float], peak: float) -> str:

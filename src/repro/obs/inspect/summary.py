@@ -17,22 +17,27 @@ counter record:
 * **per-edge wait histogram** — distribution of per-epoch wait increments
   per channel direction (exponential buckets);
 * **WTPG** — the profiler's ``analyze`` over every epoch, the same
-  analysis as ``splitsim-profile --drop-head 0``.
+  analysis as ``splitsim-inspect profile RUN --drop-head 0``.
 
 Without a timeline those sections print the loader's hint instead.
+``splitsim-inspect profile RUN`` (:func:`profile_main`) prints the same
+WTPG section after the profiler's speed and efficiency over a window of
+epochs.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Any, Dict, List, Tuple
+import sys
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...profiler.postprocess import ProfileAnalysis, analyze
 from ...profiler.wtpg import build_wtpg, save_dot, to_text
 from .. import rundir
 from ..metrics import Histogram
 from ..timeline import STALL_FRACTION, EpochRow
-from .render import intensity_bar, write_json
+from .render import count, intensity_bar, write_json
+from .timeline import timeline_warnings
 
 
 def top_spans(events: List[dict], top: int = 10) -> List[dict]:
@@ -120,17 +125,20 @@ def fidelity_summary(events: List[dict]) -> Dict[str, Any]:
     return {"batch": batch, "fluid": fluid}
 
 
-def _wtpg_section(analysis: ProfileAnalysis, dot: str) -> dict:
-    """Print the WTPG and bottleneck ranking (and write ``dot``); returns
-    the summary's ``bottlenecks`` and ``edges``."""
+def _wtpg_section(analysis: ProfileAnalysis, dot: Optional[str],
+                  top: Optional[int] = None,
+                  label: str = "bottleneck ranking") -> dict:
+    """Print the WTPG and the ``top`` bottlenecks (all by default) under
+    ``label`` (and write ``dot``); returns the summary's ``bottlenecks``
+    and ``edges``."""
     if not analysis.components:
         print("\n(no epoch rows recorded)")
         return {}
     graph = build_wtpg(analysis)
     print()
     print(to_text(graph, title="wait-time profile"))
-    ranking = analysis.bottlenecks(len(analysis.components))
-    print("\nbottleneck ranking:", ", ".join(ranking))
+    ranking = analysis.bottlenecks(top or len(analysis.components))
+    print(f"\n{label}:", ", ".join(ranking))
     if dot:
         save_dot(graph, dot, title="SplitSim WTPG")
         print(f"wrote {dot}")
@@ -139,30 +147,24 @@ def _wtpg_section(analysis: ProfileAnalysis, dot: str) -> dict:
                       in sorted(analysis.edge_wait_fraction.items())}}
 
 
-def _count(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
-
-
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="splitsim-inspect",
         description="Summarize a SplitSim run: top spans from its trace; "
                     "stall timeline, per-edge wait histograms and the WTPG "
                     "from its epoch timeline. "
-                    "Use the 'flows' subcommand for causal flow analysis, "
+                    "Use the 'profile' subcommand for the profiler's "
+                    "analysis of a window of epochs, "
+                    "'flows' for causal flow analysis, "
                     "'attach' to inspect a running simulation live, "
                     "'timeline' for the epoch-resolved metrics view, "
                     "'recommend' for the partition advisor, "
                     "'diff' to localize a divergence between two audited "
                     "runs.")
     parser.add_argument("trace", help="Chrome-trace JSON file or run dir")
-    parser.add_argument("--top", type=_count, default=10,
+    parser.add_argument("--top", type=count, default=10,
                         help="span groups to list (default 10)")
-    parser.add_argument("--buckets", type=_count, default=48,
+    parser.add_argument("--buckets", type=count, default=48,
                         help="stall-timeline width in buckets")
     parser.add_argument("--dot", metavar="PATH",
                         help="write the WTPG as Graphviz DOT")
@@ -220,4 +222,40 @@ def main(argv: List[str]) -> int:
 
     if args.json:
         write_json(args.json, summary)
+    return 0
+
+
+def profile_main(argv: List[str]) -> int:
+    """``splitsim-inspect profile RUN``: the profiler's analysis of a
+    window of each component's epochs, its WTPG and the likeliest
+    bottlenecks — the paper's post-processing script."""
+    parser = argparse.ArgumentParser(
+        prog="splitsim-inspect profile",
+        description="Post-process a SplitSim run's epoch timeline into "
+                    "profiler metrics and a wait-time profile graph.")
+    parser.add_argument("timeline",
+                        help="timeline.jsonl file or run directory")
+    parser.add_argument("--drop-head", type=int, default=1,
+                        help="warm-up epochs to drop per component")
+    parser.add_argument("--drop-tail", type=int, default=0,
+                        help="cool-down epochs to drop per component")
+    parser.add_argument("--dot", metavar="PATH",
+                        help="write the WTPG as Graphviz DOT to PATH")
+    parser.add_argument("--bottlenecks", type=count, default=3,
+                        help="how many bottleneck candidates to list")
+    args = parser.parse_args(argv)
+    timeline = rundir.load_timeline(args.timeline)
+    if not timeline.rows:
+        print(f"{args.timeline}: no epoch rows", file=sys.stderr)
+        return 1
+    for warning in timeline_warnings(timeline):
+        print(f"warning: {warning}")
+    try:
+        analysis = analyze(timeline.rows, drop_head=args.drop_head,
+                           drop_tail=args.drop_tail)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(analysis.summary())
+    _wtpg_section(analysis, args.dot, args.bottlenecks, "likely bottlenecks")
     return 0

@@ -18,7 +18,7 @@ from ...kernel.simtime import fmt_time
 from ...parallel.advisor import recommend_partition, write_partition
 from .. import rundir
 from ..timeline import BACKPRESSURE_FILL, STALL_FRACTION
-from .render import intensity_bar, write_json
+from .render import count, intensity_bar, write_json
 
 
 def _sparkline(values: List[float], width: int = 48,
@@ -118,7 +118,7 @@ def main(argv: List[str]) -> int:
                     "overlay.")
     parser.add_argument("timeline",
                         help="timeline.jsonl file or run directory")
-    parser.add_argument("--width", type=int, default=48,
+    parser.add_argument("--width", type=count, default=48,
                         help="activity bar width in buckets (default 48)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the machine-readable summary as JSON")

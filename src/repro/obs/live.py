@@ -23,9 +23,10 @@ Commands
     stream: per-component sim-time/horizon progress, events/sec, ring
     fill, wait state, heartbeat age, and the watchdog's health verdict.
 ``metrics``
-    On-demand metrics-registry snapshot: children reply with their
-    counters at the current horizon; the parent folds them into one
-    versioned :class:`~repro.obs.metrics.MetricsRegistry` document.
+    On-demand metrics snapshot: each child replies with its component's
+    :func:`~repro.obs.metrics.component_counters` at the current horizon
+    plus its ``transport.<comp>.*`` counters; the parent merges the flat
+    dicts into one versioned snapshot document.
 ``dump-trace``
     Children flush their tracer rings to ``<name>.trace.partial.jsonl``
     and the parent merges them (plus its own phase spans) into
@@ -178,15 +179,11 @@ class ChildMailbox:
             self.stop_requested = True
             self._reply(req, {"stopping_at_ps": commit})
         elif cmd == "metrics":
-            comp = self.comp
-            payload = {
-                "commit_ps": commit,
-                "events": comp.events_processed,
-                "work_cycles": comp.work_cycles,
-                "ends": {e.name: e.counters() for e in comp.ends},
-            }
+            from .metrics import component_counters, transport_counters
+            payload = component_counters(self.comp)
             if self.transport_stats is not None:
-                payload["transport"] = self.transport_stats()
+                payload.update(transport_counters(self.name,
+                                                  self.transport_stats()))
             self._reply(req, payload)
         elif cmd == "dump-trace":
             tracer = self.tracer
@@ -346,10 +343,12 @@ class ControlPlane:
 
     def _metrics_reply(self, req: dict) -> dict:
         replies, missing = self._broadcast({"cmd": "metrics"})
-        from .metrics import collect_live_children
+        from .metrics import snapshot
         ok = {n: p for n, p in replies.items() if "error" not in p}
-        reg = collect_live_children(ok)
-        return {"ok": True, "cmd": "metrics", "snapshot": reg.snapshot(),
+        merged: Dict[str, float] = {}
+        for payload in ok.values():
+            merged.update(payload)
+        return {"ok": True, "cmd": "metrics", "snapshot": snapshot(merged),
                 "components": sorted(ok), "missing": missing,
                 "errors": {n: p["error"] for n, p in replies.items()
                            if "error" in p}}

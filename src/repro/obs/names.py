@@ -1,9 +1,9 @@
-"""Canonical metric names: the single source of the registry namespace.
+"""Canonical metric names: the single source of the metrics namespace.
 
-Every metric emitted into a :class:`~repro.obs.metrics.MetricsRegistry`
-follows ``subsystem.component.metric``.  The string literals used to be
-scattered over the emitters (``collect_simulation``/``collect_*``), the
-epoch timeline, and ``splitsim-inspect``; a typo in any one of them would
+Every metric of a :mod:`repro.obs.metrics` snapshot follows
+``subsystem.component.metric``.  The string literals used to be scattered
+over the emitters (``collect_simulation``/``collect_*``), the epoch
+timeline, and ``splitsim-inspect``; a typo in any one of them would
 silently fork the namespace.  This module centralizes the prefixes, the
 per-subsystem key tuples, and tiny name-builder helpers — emitters and
 consumers alike import from here, so names cannot drift.
@@ -30,8 +30,7 @@ APP_PREFIX = "app"
 KERNEL_QUEUE_KEYS = ("peak_heap", "allocations", "pool_reuse",
                      "cancelled_total", "postponed_total", "executed")
 
-#: Per-component progress counters (plus the ``sim_ps`` gauge).
-COMPONENT_COUNTER_KEYS = ("events", "work_cycles")
+#: Per-component clock (next to the ``events``/``work_cycles`` counters).
 COMPONENT_SIM_PS = "sim_ps"
 
 #: Batched-drain tier counters / gauges (``netsim.<net>.batch.*``).
@@ -43,16 +42,15 @@ FLUID_COUNTER_KEYS = ("promoted", "demoted", "rejected", "updates",
                       "bytes_modeled")
 FLUID_GAUGE_KEYS = ("active",)
 
-#: Per-link-direction counters / gauges (``netsim.<net>.link.<label>.*``,
+#: Per-link-direction stats (``netsim.<net>.link.<label>.*``,
 #: ``netsim.<net>.ext.<label>.*``).
-LINK_COUNTER_KEYS = ("tx_packets", "tx_bytes", "drops", "ecn_marked")
-LINK_GAUGE_KEYS = ("max_depth_pkts", "max_depth_bytes")
+LINK_KEYS = ("tx_packets", "tx_bytes", "drops", "ecn_marked",
+             "max_depth_pkts", "max_depth_bytes")
 
-#: Shm-transport counters copied verbatim from ring stats
-#: (``transport.<comp>.*``); ``frames_per_batch`` is the derived gauge.
-TRANSPORT_COUNTER_KEYS = ("frames_out", "batches_out", "bytes_out",
-                          "frames_in", "batches_in", "bytes_in")
-TRANSPORT_FRAMES_PER_BATCH = "frames_per_batch"
+#: Shm-transport stats (``transport.<comp>.*``): ring totals and the
+#: derived ``frames_per_batch``.
+TRANSPORT_KEYS = ("frames_out", "batches_out", "bytes_out", "frames_in",
+                  "batches_in", "bytes_in", "frames_per_batch")
 
 #: Wire-codec fallback counters nested under the transport stats.
 WIRE_FALLBACK_KEYS = ("msg_pickle_fallbacks", "payload_pickles")
@@ -78,21 +76,6 @@ def channel(comp: str, end: str, key: str) -> str:
 def netsim(net: str, key: str) -> str:
     """``netsim.<net>.<key>``"""
     return f"{NETSIM_PREFIX}.{net}.{key}"
-
-
-def netsim_batch(net: str, key: str) -> str:
-    """``netsim.<net>.batch.<key>``"""
-    return f"{NETSIM_PREFIX}.{net}.batch.{key}"
-
-
-def netsim_fluid(net: str, key: str) -> str:
-    """``netsim.<net>.fluid.<key>``"""
-    return f"{NETSIM_PREFIX}.{net}.fluid.{key}"
-
-
-def netsim_ext(net: str, label: str, key: str) -> str:
-    """``netsim.<net>.ext.<label>.<key>``"""
-    return f"{NETSIM_PREFIX}.{net}.ext.{label}.{key}"
 
 
 def run(key: str) -> str:

@@ -1,13 +1,13 @@
 """Epoch-resolved metrics timeline: how a run's costs evolve over time.
 
-End-of-run aggregates (registry snapshot, WTPG, profiler counters) say
+End-of-run aggregates (metrics snapshot, WTPG, profiler counters) say
 *which* simulator bottlenecked a run; they cannot say *when* — whether the
 imbalance is a warmup artifact, a steady-state property, or a drain tail.
 This module records a per-sync-epoch time series instead: at every sampling
 boundary each component contributes one row of *deltas* since its previous
 row — events executed, work/wait/comm cycles, per-edge message, sync and
-wait counts, and selected registry counters (batched-drain and fluid-tier
-activity for network partitions).
+wait counts, and a fixed selection of the metrics walk's network counters
+(:data:`EPOCH_COUNTER_KEYS`: batched-drain and fluid-tier activity).
 
 The row is also the profiler's record: the profiler's ``analyze``
 (:mod:`repro.profiler.postprocess`) sums a window of each component's
@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from . import names
+from .metrics import network_totals
 from .recorder import Collector, JsonlDoc, LoadedDoc
 
 #: Schema version of the timeline document (header ``schema`` field;
@@ -103,7 +104,7 @@ class EpochRow:
     ring_fill: Optional[float] = None  # mp only: max input-ring occupancy
     #: per-peer (messages, syncs) sent this epoch
     edges: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: selected registry counter deltas (``batch.*`` / ``fluid.*`` / ...)
+    #: :data:`EPOCH_COUNTER_KEYS` deltas (``batch.*`` / ``fluid.*`` / ...)
     counters: Dict[str, float] = field(default_factory=dict)
     #: per-peer sync-wait cycles this epoch (the WTPG's edges)
     edge_wait: Dict[str, float] = field(default_factory=dict)
@@ -117,28 +118,15 @@ class EpochRow:
 
 # -- cumulative component state & deltas --------------------------------------
 
-def selected_counters(comp) -> Dict[str, float]:
-    """Cumulative monotonic registry counters worth tracking per epoch.
-
-    Mirrors the ``netsim.*`` counter subset of
-    :func:`repro.obs.metrics.collect_simulation` for network partitions
-    (batched-drain runs/packets, fluid-tier counters, total tx packets);
-    keys are the suffixes relative to ``netsim.<net>.``.  Non-network
-    components contribute nothing — their progress already lives in the
-    row's fixed columns.
-    """
-    if getattr(comp, "links", None) is None:
-        return {}
-    out: Dict[str, float] = {"tx_packets": float(comp.total_tx_packets())}
-    bstats = comp.batch_stats()
-    if bstats["runs"]:
-        for key in names.BATCH_COUNTER_KEYS:
-            out[f"batch.{key}"] = float(bstats[key])
-    if comp.fluid is not None:
-        fstats = comp.fluid.stats()
-        for key in names.FLUID_COUNTER_KEYS:
-            out[f"fluid.{key}"] = float(fstats[key])
-    return out
+#: The network counters a beat tracks per epoch, relative to
+#: ``netsim.<net>.`` in :func:`~repro.obs.metrics.network_totals` (the
+#: metrics walk's per-network part): total tx packets, batched-drain
+#: runs/packets and the fluid tier's counters (not its gauges).
+#: Non-network components have none; their progress lives in the fixed
+#: columns.
+EPOCH_COUNTER_KEYS = (("tx_packets",)
+                      + tuple(f"batch.{k}" for k in names.BATCH_COUNTER_KEYS)
+                      + tuple(f"fluid.{k}" for k in names.FLUID_COUNTER_KEYS))
 
 
 def state_delta(prev: dict, cur: dict, commit_ps: int) -> dict:
@@ -185,9 +173,14 @@ def _comp_state(comp) -> dict:
         msgs, syncs, waited = edges.get(peer, (0, 0, 0))
         edges[peer] = (msgs + end.tx_msgs, syncs + end.tx_syncs,
                        waited + end.wait_cycles)
+    ctr: Dict[str, float] = {}
+    if getattr(comp, "links", None) is not None:
+        totals = network_totals(comp)
+        prefix = names.netsim(comp.name, "")
+        ctr = {key: totals[prefix + key] for key in EPOCH_COUNTER_KEYS
+               if prefix + key in totals}
     return {"events": comp.events_processed, "work": comp.work_cycles,
-            "wait": wait, "comm": comm, "edges": edges,
-            "ctr": selected_counters(comp)}
+            "wait": wait, "comm": comm, "edges": edges, "ctr": ctr}
 
 
 class EpochTracker:

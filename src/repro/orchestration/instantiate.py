@@ -156,7 +156,8 @@ class Experiment:
             trace.flows = None
 
     def metrics(self, stats: Optional[SimStats] = None):
-        """Unified metrics snapshot registry for this experiment."""
+        """This experiment's flat metrics dict
+        (:func:`~repro.obs.metrics.collect_experiment`)."""
         from ..obs.metrics import collect_experiment
         return collect_experiment(self, stats=stats)
 

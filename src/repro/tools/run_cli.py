@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the epoch timeline (timeline.jsonl), "
                              "the WTPG (wtpg.dot) and the trace "
                              "(trace.json) into DIR, a run directory for "
-                             "splitsim-profile and splitsim-inspect; "
+                             "'splitsim-inspect profile' and the other "
+                             "splitsim-inspect views; "
                              "implies --profile; in-process runs only")
     parser.add_argument("--control", metavar="DIR", default=None,
                         help="run multiprocess (one OS process per "
@@ -177,7 +178,7 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
     if args.control:  # an mp run writes into the run directory instead
         for flag, value, hint in (
                 ("--profile-out", args.profile_out, "--timeline writes "
-                 "DIR/timeline.jsonl for splitsim-profile"),
+                 "DIR/timeline.jsonl for 'splitsim-inspect profile'"),
                 ("--json", args.json, "per-component outputs are in "
                  "DIR/run_report.json"),
                 ("--stats-json", args.stats_json, "transport counters are "
@@ -295,7 +296,7 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
     if args.profile:
         analysis = _print_profile(exp)
     if args.profile_out:
-        # a run directory: splitsim-profile and splitsim-inspect open it
+        # a run directory: every splitsim-inspect view opens it
         outdir = Path(args.profile_out)
         outdir.mkdir(parents=True, exist_ok=True)
         exp.save("timeline", str(outdir / TIMELINE_FILE))
@@ -313,9 +314,10 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
             print(f"wrote {path}")
 
     if args.stats_json:
-        snapshot = exp.metrics(stats).snapshot()
+        from ..obs.metrics import snapshot
         with open(args.stats_json, "w") as fh:
-            json.dump(snapshot, fh, indent=2, default=str)
+            json.dump(snapshot(exp.metrics(stats)), fh, indent=2,
+                      default=str)
         print(f"wrote {args.stats_json}")
 
     if args.json:

@@ -121,10 +121,9 @@ def test_batch_metrics_in_registry():
     exp = Instantiation(build_burst_flood(), mode="fast",
                         fidelity=BATCHED).build()
     exp.run(1 * MS)
-    reg = collect_simulation(exp.sim)
-    names = reg.names()
-    assert any(n.endswith(".batch.runs") for n in names)
-    assert any(n.endswith(".batch.pkts_per_run") for n in names)
+    metrics = collect_simulation(exp.sim)
+    assert any(n.endswith(".batch.runs") for n in metrics)
+    assert any(n.endswith(".batch.pkts_per_run") for n in metrics)
 
 
 # -- building blocks -----------------------------------------------------------

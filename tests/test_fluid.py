@@ -177,10 +177,10 @@ def test_fluid_links_predicate_restricts_paths():
 def test_fluid_metrics_in_registry():
     from repro.obs.metrics import collect_simulation
     exp, _ = run_longflows(10 * MS, FidelityConfig(fluid=True))
-    reg = collect_simulation(exp.sim)
-    assert reg.value("netsim.net.fluid.promoted") == 2.0
-    assert reg.value("netsim.net.fluid.updates") > 0
-    assert any(n.endswith(".fluid.active") for n in reg.names())
+    metrics = collect_simulation(exp.sim)
+    assert metrics["netsim.net.fluid.promoted"] == 2.0
+    assert metrics["netsim.net.fluid.updates"] > 0
+    assert any(n.endswith(".fluid.active") for n in metrics)
 
 
 # -- multiprocess identity -----------------------------------------------------

@@ -172,8 +172,7 @@ def test_public_names_resolve():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("script", ["splitsim-run", "splitsim-inspect",
-                                    "splitsim-profile"])
+@pytest.mark.parametrize("script", ["splitsim-run", "splitsim-inspect"])
 def test_entry_point_help_exits_zero(script):
     """Each console script of pyproject.toml imports and prints its help."""
     module, function = re.search(

@@ -97,10 +97,17 @@ def test_summary_without_timeline_prints_the_hint(tmp_path, capsys):
     assert "stall timeline" not in out and "wait-time profile" not in out
 
 
-@pytest.mark.parametrize("arg", ["--buckets=0", "--top=-2"])
-def test_summary_rejects_counts_below_one(arg, capsys):
+@pytest.mark.parametrize("args", [
+    "--buckets=0", "--top=-2",
+    "timeline --width=-5", "timeline --width=0",
+    "flows --top=-1", "flows --top=0",
+    "profile --bottlenecks=-1", "profile --bottlenecks=0"])
+def test_summary_rejects_counts_below_one(args, capsys):
+    """Every view's count argument is a usage error below 1: the summary's
+    and each subcommand's."""
+    *view, arg = args.split()
     with pytest.raises(SystemExit, match="2"):
-        main(["trace.json", arg])
+        main([*view, "RUN", arg])
     assert "must be at least 1" in capsys.readouterr().err
 
 

@@ -295,8 +295,10 @@ class FakeEnd:
 
 
 class FakeComp:
+    name = "x"
     events_processed = 99
     work_cycles = 123.0
+    now = 5 * US  # advance() leaves a component's clock at its commit
     ends = (FakeEnd("x.e"),)
 
 
@@ -320,10 +322,12 @@ def test_mailbox_metrics_snapshot_at_commit_horizon():
     assert box.poll(5 * US) is False
     req, comp, payload = reply_q.get_nowait()
     assert (req, comp) == (7, "x")
-    assert payload["commit_ps"] == 5 * US
-    assert payload["events"] == 99
-    assert payload["ends"]["x.e"]["tx_msgs"] == 7
-    assert payload["transport"] == {"frames_out": 3}
+    assert payload == {"component.x.events": 99.0,
+                       "component.x.work_cycles": 123.0,
+                       "component.x.sim_ps": float(5 * US),
+                       "channel.x.x.e.tx_msgs": 7.0,
+                       "channel.x.x.e.rx_msgs": 5.0,
+                       "transport.x.frames_out": 3.0}
 
 
 def test_mailbox_stop_acks_then_reports_stop():

@@ -1,19 +1,19 @@
-"""Metrics primitives and the unified collection API."""
+"""The histogram primitive and the one flat metrics walk."""
 
 import pytest
 
 from repro.kernel.simtime import MS, US
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
-from repro.obs.metrics import (Counter, Gauge, Histogram, METRICS_SCHEMA,
-                               MetricsRegistry, collect_experiment,
-                               collect_simulation)
+from repro.obs.metrics import (Histogram, METRICS_SCHEMA,
+                               collect_experiment, collect_simulation,
+                               snapshot)
 from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.system import System
 
 GBPS = 1e9
 
 
-def kv_experiment():
+def kv_experiment(mode="fast"):
     system = System(seed=3)
     system.switch("tor")
     system.host("server", simulator="qemu")
@@ -23,26 +23,10 @@ def kv_experiment():
     system.app("server", lambda h: KVServerApp())
     addr = system.addr_of("server")
     system.app("client", lambda h: KVClientApp([addr], closed_loop_window=4))
-    return Instantiation(system).build()
+    return Instantiation(system, mode=mode).build()
 
 
 # -- primitives ---------------------------------------------------------------
-
-def test_counter_is_monotonic():
-    c = Counter("c")
-    c.inc()
-    c.inc(4.0)
-    assert c.value == 5.0
-    with pytest.raises(ValueError):
-        c.inc(-1.0)
-
-
-def test_gauge_sets_freely():
-    g = Gauge("g")
-    g.set(7.0)
-    g.set(2.5)
-    assert g.value == 2.5
-
 
 def test_histogram_exponential_buckets():
     h = Histogram("h", start=1.0, factor=2.0, buckets=4)
@@ -77,32 +61,13 @@ def test_histogram_rejects_bad_shape():
         Histogram("h", buckets=0)
 
 
-# -- registry -----------------------------------------------------------------
-
-def test_registry_get_or_create_returns_same_object():
-    reg = MetricsRegistry()
-    assert reg.counter("a.b.c") is reg.counter("a.b.c")
-    assert len(reg) == 1
-    assert "a.b.c" in reg
-
-
-def test_registry_rejects_kind_conflicts():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
-
+# -- snapshot -----------------------------------------------------------------
 
 def test_snapshot_key_order_is_deterministic():
     # snapshots feed JSON artifacts that get diffed across runs: key
     # order must depend only on the names, never on insertion order
-    reg_a = MetricsRegistry()
-    for name in ("z.last", "a.first", "m.middle"):
-        reg_a.counter(name).inc()
-    reg_b = MetricsRegistry()
-    for name in ("m.middle", "z.last", "a.first"):
-        reg_b.counter(name).inc()
-    snap_a, snap_b = reg_a.snapshot(), reg_b.snapshot()
+    snap_a = snapshot({"z.last": 1.0, "a.first": 1.0, "m.middle": 1.0})
+    snap_b = snapshot({"m.middle": 1.0, "z.last": 1.0, "a.first": 1.0})
     assert list(snap_a["metrics"]) == list(snap_b["metrics"]) == \
         ["a.first", "m.middle", "z.last"]
     import json
@@ -110,15 +75,11 @@ def test_snapshot_key_order_is_deterministic():
 
 
 def test_snapshot_is_versioned_and_flat():
-    reg = MetricsRegistry()
-    reg.counter("kernel.queue.executed").inc(10)
-    reg.gauge("run.events_per_sec").set(1e6)
-    reg.histogram("lat", buckets=4).observe(3.0)
-    snap = reg.snapshot()
-    assert snap["schema"] == METRICS_SCHEMA
-    assert snap["metrics"]["kernel.queue.executed"] == 10.0
-    assert snap["metrics"]["run.events_per_sec"] == 1e6
-    assert snap["metrics"]["lat"]["count"] == 1
+    snap = snapshot({"kernel.queue.executed": 10.0,
+                     "run.events_per_sec": 1e6})
+    assert snap == {"schema": METRICS_SCHEMA,
+                    "metrics": {"kernel.queue.executed": 10.0,
+                                "run.events_per_sec": 1e6}}
 
 
 # -- collection ---------------------------------------------------------------
@@ -126,43 +87,42 @@ def test_snapshot_is_versioned_and_flat():
 def test_collect_simulation_unifies_all_layers():
     exp = kv_experiment()
     result = exp.run(2 * MS)
-    reg = collect_simulation(exp.sim, stats=result.stats)
-    names = reg.names()
+    metrics = collect_simulation(exp.sim, stats=result.stats)
+    assert all(type(v) is float for v in metrics.values())
     # kernel.*: event-queue health aggregates
-    assert reg.value("kernel.queue.executed") == float(result.stats.events)
+    assert metrics["kernel.queue.executed"] == float(result.stats.events)
     # component.*: per-component progress
-    assert reg.value("component.net.events") > 0
-    assert reg.value("component.server.host.work_cycles") > 0
+    assert metrics["component.net.events"] > 0
+    assert metrics["component.server.host.work_cycles"] > 0
     # channel.*: per-end counters under subsystem.component.metric naming
     assert any(n.startswith("channel.server.nic.") and n.endswith(".tx_msgs")
-               for n in names)
+               for n in metrics)
     # netsim.*: per-link-direction counters including the node names
-    assert reg.value("netsim.net.tx_packets") > 0
-    assert any(".link.tor->" in n for n in names)
+    assert metrics["netsim.net.tx_packets"] > 0
+    assert any(".link.tor->" in n for n in metrics)
     # run.*: run-level throughput from SimStats
-    assert reg.value("run.events") == float(result.stats.events)
+    assert metrics["run.events"] == float(result.stats.events)
 
 
 def test_collect_experiment_adds_app_metrics():
     exp = kv_experiment()
     exp.run(2 * MS)
-    reg = collect_experiment(exp)
-    assert reg.value("app.client.app0.completed") > 0
-    snap = reg.snapshot()
-    assert snap["metrics"]["app.client.app0.completed"] == \
-        reg.value("app.client.app0.completed")
+    metrics = collect_experiment(exp)
+    assert metrics["app.client.app0.completed"] > 0
+    assert snapshot(metrics)["metrics"]["app.client.app0.completed"] == \
+        metrics["app.client.app0.completed"]
 
 
 def test_experiment_metrics_convenience():
     exp = kv_experiment()
     result = exp.run(1 * MS)
-    reg = exp.metrics(result.stats)
-    assert "run.events" in reg
-    assert reg.value("run.sim_ps") == float(1 * MS)
+    metrics = exp.metrics(result.stats)
+    assert "run.events" in metrics
+    assert metrics["run.sim_ps"] == float(1 * MS)
 
 
-def test_collect_live_children_maps_transport_counters():
-    from repro.obs.metrics import collect_live_children
+def test_transport_counters_flatten_under_the_component():
+    from repro.obs.metrics import transport_counters
 
     transport = {
         "frames_out": 100, "batches_out": 10, "bytes_out": 5000,
@@ -170,13 +130,36 @@ def test_collect_live_children_maps_transport_counters():
         "frames_per_batch": 10.0,
         "wire": {"msg_pickle_fallbacks": 3, "payload_pickles": 7},
     }
-    reg = collect_live_children({"nic": {"events": 4,
-                                         "transport": transport}})
-    assert reg.value("component.nic.events") == 4.0
-    assert reg.value("transport.nic.frames_out") == 100.0
-    assert reg.value("transport.nic.frames_per_batch") == 10.0
-    assert reg.value("transport.nic.msg_pickle_fallbacks") == 3.0
-    assert reg.value("transport.nic.payload_pickles") == 7.0
+    metrics = transport_counters("nic", transport)
+    assert metrics["transport.nic.frames_out"] == 100.0
+    assert metrics["transport.nic.frames_per_batch"] == 10.0
+    assert metrics["transport.nic.msg_pickle_fallbacks"] == 3.0
+    assert metrics["transport.nic.payload_pickles"] == 7.0
+    assert len(metrics) == 9
+
+
+def test_live_metrics_reply_reads_like_the_snapshot():
+    """An mp child's live ``metrics`` reply on a real network component
+    has exactly that component's ``component.*``/``channel.*``/
+    ``netsim.*`` entries of the post-hoc snapshot."""
+    import queue
+
+    from repro.obs.live import ChildMailbox
+
+    exp = kv_experiment(mode="strict")
+    exp.run(1 * MS)
+    net = next(c for c in exp.sim.components if c.name == "net")
+    assert net.ends, "the network component must have channel ends"
+    cmd_q, reply_q = queue.Queue(), queue.Queue()
+    cmd_q.put({"cmd": "metrics", "req": 1})
+    ChildMailbox("net", cmd_q, reply_q, net).poll(net.now)
+    _, _, payload = reply_q.get_nowait()
+    post_hoc = {k: v for k, v in collect_simulation(exp.sim).items()
+                if k.startswith(("component.net.", "channel.net.",
+                                 "netsim.net."))}
+    assert any(k.startswith("netsim.net.link.") for k in post_hoc)
+    assert sorted(payload) == sorted(post_hoc)
+    assert payload == post_hoc
 
 
 # -- histogram edge cases -----------------------------------------------------

@@ -323,8 +323,8 @@ def _inspect_timeline(path):
 
 
 def _profile(path):
-    from repro.profiler.cli import main
-    return main([path])
+    from repro.obs.inspect import main
+    return main(["profile", path])
 
 
 def _inspect_diff(path):

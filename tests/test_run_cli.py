@@ -116,7 +116,6 @@ def test_cli_profile_out_writes_bundle(tmp_path, capsys):
     from repro.obs.inspect import main as inspect_main
     from repro.obs.rundir import load_timeline
     from repro.obs.trace import load_trace, validate_chrome_doc
-    from repro.profiler.cli import main as profile_main
 
     path = write_config(tmp_path)
     outdir = tmp_path / "profile"
@@ -132,7 +131,7 @@ def test_cli_profile_out_writes_bundle(tmp_path, capsys):
     doc = load_trace(str(outdir / "trace.json"))
     assert validate_chrome_doc(doc) == []
     # and every post-processor opens the directory
-    assert profile_main([str(outdir)]) == 0
+    assert inspect_main(["profile", str(outdir)]) == 0
     assert inspect_main(["timeline", str(outdir)]) == 0
     assert inspect_main(["recommend", str(outdir)]) == 0
     assert (outdir / "partition.json").exists()
