@@ -3,9 +3,9 @@
 This module is the one place the event timeline is hashed.  A run's
 *root* is one SHA-256 over the *entire* event timeline (per-component
 ``name:ts,ts,...;`` payloads folded in sorted-name order); every
-fast == strict == mp and recorder-on == off check compares roots, and
-``tests/test_determinism_guard.py`` pins the golden workload's root to
-``GOLDEN_DIGEST``.  The root proves *that* two runs diverged; the ledger
+fast == strict == mp and recorder-on == off check compares roots, and the
+pin ``golden_digest`` (``tests/pins.py``) is the golden workload's
+fast-mode root, ``GOLDEN_DIGEST``.  The root proves *that* two runs diverged; the ledger
 records *where*: a streaming ledger of per-component, per-epoch
 subdigests that ``splitsim-inspect diff`` walks to the first divergent
 ``(epoch, component)``.

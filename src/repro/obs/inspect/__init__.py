@@ -29,14 +29,15 @@ its hint and exits with that view's status for a missing input.
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import List, Optional
 
 from ..rundir import RunDirError
 from . import attach, diff, flows, summary, timeline
 
-#: subcommand -> (view, exit status when its input is missing); arguments
-#: without a subcommand go to the trace summary
+#: subcommand -> (view, exit status when its input is missing); other
+#: arguments, or a lone existing path, go to the trace summary
 VIEWS = {
     "profile": (summary.profile_main, 1),
     "flows": (flows.main, 1),
@@ -50,7 +51,8 @@ VIEWS = {
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in VIEWS:
+    lone_path = len(argv) == 1 and os.path.exists(argv[0])
+    if argv and argv[0] in VIEWS and not lone_path:
         (view, missing), argv = VIEWS[argv[0]], argv[1:]
     else:
         view, missing = summary.main, 1

@@ -225,6 +225,13 @@ def main(argv: List[str]) -> int:
     return 0
 
 
+def print_profile(analysis: ProfileAnalysis, dot=None, top=3) -> None:
+    """The report of ``splitsim-inspect profile`` and ``splitsim-run
+    --profile``: speed, efficiency, WTPG and ``top`` likely bottlenecks."""
+    print(analysis.summary())
+    _wtpg_section(analysis, dot, top, "likely bottlenecks")
+
+
 def profile_main(argv: List[str]) -> int:
     """``splitsim-inspect profile RUN``: the profiler's analysis of a
     window of each component's epochs, its WTPG and the likeliest
@@ -256,6 +263,5 @@ def profile_main(argv: List[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(analysis.summary())
-    _wtpg_section(analysis, args.dot, args.bottlenecks, "likely bottlenecks")
+    print_profile(analysis, args.dot, args.bottlenecks)
     return 0

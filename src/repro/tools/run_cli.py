@@ -29,7 +29,6 @@ from ..obs.rundir import TIMELINE_FILE, TRACE_FILE, control_layout
 from ..orchestration.instantiate import Instantiation
 from ..orchestration.strategies import STRATEGIES, partition_from_file
 from ..orchestration.system import System
-from ..profiler.wtpg import build_wtpg, save_dot, to_text
 
 
 def load_config(path: str):
@@ -233,13 +232,23 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
             exp.recorders[name].path = layout[name] if flag is True else flag
     try:
         if args.control:
-            return _run_mp(args, exp, duration, duration_text, layout)
-        return _run(args, exp, duration, duration_text)
+            _run_mp(args, exp, duration, duration_text, layout)
+        else:
+            _run(args, exp, duration, duration_text)
     finally:
         exp.disable_flow_tracing()
+    if args.profile:
+        # as 'splitsim-inspect profile' prints it (DIR with --profile-out)
+        from ..obs.inspect.summary import print_profile, profile_main
+        print()
+        if args.profile_out:
+            return profile_main([args.profile_out, "--dot", str(
+                Path(args.profile_out) / "wtpg.dot")])
+        print_profile(exp.profile_analysis())
+    return 0
 
 
-def _run_mp(args, exp, duration: int, duration_text: str, layout) -> int:
+def _run_mp(args, exp, duration: int, duration_text: str, layout) -> None:
     """Multiprocess run serving the live control plane from a run dir."""
     rundir = args.control
     components = [c.name for c in exp.sim.components]
@@ -257,22 +266,10 @@ def _run_mp(args, exp, duration: int, duration_text: str, layout) -> int:
               f"({res.wait_seconds:.2f}s blocked)")
         for key, value in sorted(res.outputs.items()):
             print(f"    {key}: {value}")
-    if args.profile:
-        _print_profile(exp)
     print(f"wrote {layout['report']}")
-    return 0
 
 
-def _print_profile(exp):
-    """Print the profiler's analysis and WTPG of the run's timeline."""
-    analysis = exp.profile_analysis()
-    print()
-    print(analysis.summary())
-    print(to_text(build_wtpg(analysis), title="wait-time profile"))
-    return analysis
-
-
-def _run(args, exp, duration: int, duration_text: str) -> int:
+def _run(args, exp, duration: int, duration_text: str) -> None:
     components = [c.name for c in exp.sim.components]
     print(f"running {len(components)} component simulators for "
           f"{duration_text}: {', '.join(components)}")
@@ -293,16 +290,12 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
     # the --timeline/--audit paths, before --profile-out saves the timeline
     artifacts = [(name, exp.recorders[name].path)
                  for name in ("timeline", "audit") if name in exp.recorders]
-    if args.profile:
-        analysis = _print_profile(exp)
     if args.profile_out:
         # a run directory: every splitsim-inspect view opens it
         outdir = Path(args.profile_out)
         outdir.mkdir(parents=True, exist_ok=True)
         exp.save("timeline", str(outdir / TIMELINE_FILE))
-        save_dot(build_wtpg(analysis), str(outdir / "wtpg.dot"),
-                 title="SplitSim WTPG")
-        written = [TIMELINE_FILE, "wtpg.dot"]
+        written = [TIMELINE_FILE]
         if "trace" in exp.recorders:
             exp.save("trace", str(outdir / TRACE_FILE))
             written.append(TRACE_FILE)
@@ -336,7 +329,6 @@ def _run(args, exp, duration: int, duration_text: str) -> int:
                 "apps": app_stats,
             }, fh, indent=2, default=str)
         print(f"wrote {args.json}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,8 +25,10 @@ from repro.parallel.model import WorkRecorder
 from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Simulation
 
-from .test_determinism_guard import (GOLDEN_DIGEST, assert_same_timeline,
-                                     audited)
+from .pins import pinned
+from .test_determinism_guard import assert_same_timeline, audited
+
+GOLDEN_DIGEST = pinned("golden_digest")["root"]
 
 UNTIL_PS = 50 * US
 WINDOW = AUDIT_WINDOW_PS  # 5 us: the 50 us pipeline run spans ten windows

@@ -2,12 +2,15 @@
 
 Every run here records the audit ledger (:mod:`repro.obs.audit`) of a
 mixed workload (UDP KV + TCP bulk + one detailed host) and pins its root —
-one SHA-256 over the full per-component timestamp timeline — to a golden
-digest captured before the tuple-heap/pooling kernel rework, by a hook
-independent of the auditor.  Any hot-path change that reorders or retimes
-even one event — in either execution mode, with any recorder on — fails
-here.  ``assert_same_timeline`` is the same check between two runs; every
-fast == strict == mp and recorder-on == off pin goes through it.
+one SHA-256 over the full per-component timestamp timeline — to
+``GOLDEN_DIGEST``, the pin ``golden_digest`` of :mod:`tests.pins`
+(``tests/data/golden_digest.json``), whose producer is the fast-mode root
+(:func:`golden_root`).  It was first captured before the tuple-heap/pooling
+kernel rework, by a hook independent of the auditor.  Any hot-path change
+that reorders or retimes even one event — in either execution mode, with
+any recorder on — fails here.  ``assert_same_timeline`` is the same check
+between two runs; every fast == strict == mp and recorder-on == off pin
+goes through it.
 
 On a mismatch neither check just fails: the ledgers localize *where* the
 timeline moved — the first divergent (epoch, component) when the runs
@@ -22,9 +25,11 @@ from repro.obs.audit import diff_ledgers
 from repro.obs.inspect.diff import render_audit_diff
 from repro.orchestration.instantiate import Instantiation
 
-#: SHA-256 over "name:ts,ts,...;" per component (sorted by name), captured
-#: on the pre-optimization kernel for build_mixed_system() run to 2 ms.
-GOLDEN_DIGEST = "141c2979831836787e308a6a0b00dcb51ecee797f2c31a3e79de4fffe58e413b"
+from .pins import pinned
+
+#: SHA-256 over "name:ts,ts,...;" per component (sorted by name) of
+#: build_mixed_system() run to 2 ms
+GOLDEN_DIGEST = pinned("golden_digest")["root"]
 DURATION = 2 * MS
 
 
@@ -50,6 +55,11 @@ def audited(mode: str, **options):
     finally:
         exp.disable_flow_tracing()
     return exp
+
+
+def golden_root() -> dict:
+    """The pin ``golden_digest``: the fast-mode audit root."""
+    return {"root": audited("fast").recorders["audit"].root_digest()}
 
 
 def assert_golden(exp) -> None:

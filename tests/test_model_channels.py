@@ -4,12 +4,9 @@ Each build below is one shape of channel list: a partitioned network on
 trunks and on per-link channels, detailed hosts behind an i40e NIC or a
 direct Ethernet driver, and the decomposed gem5 multi-core system.  The
 model's channels, derived from ``sim.channels``, must equal the list the
-builders used to keep by hand (``tests/data/parent_model_channels.json``),
-order included.
+builders used to keep by hand (the pin ``parent_model_channels`` of
+:mod:`tests.pins`, produced by :func:`derived_channels`), order included.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -22,9 +19,9 @@ from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.strategies import partition_fat_tree, strategy_rs
 from repro.orchestration.system import System
 
-GBPS = 1e9
+from .pins import pinned
 
-PARENT = Path(__file__).parent / "data" / "parent_model_channels.json"
+GBPS = 1e9
 
 
 def _datacenter_rs():
@@ -66,16 +63,25 @@ BUILDS = {
 }
 
 
+def channels(name) -> list:
+    """One build's model channels: ``[comp_a, comp_b, latency_ps]``."""
+    from repro.parallel.model import model_channels
+    return [[c.comp_a, c.comp_b, c.latency_ps]
+            for c in model_channels(BUILDS[name]().sim.channels)]
+
+
+def derived_channels() -> dict:
+    """The pin ``parent_model_channels``."""
+    return {name: channels(name) for name in BUILDS}
+
+
 @pytest.mark.parametrize("name", sorted(BUILDS))
 def test_model_channels_are_the_simulation_channels(name):
-    from repro.parallel.model import model_channels
-    derived = [[c.comp_a, c.comp_b, c.latency_ps]
-               for c in model_channels(BUILDS[name]().sim.channels)]
-    assert derived == json.loads(PARENT.read_text())[name]
+    assert channels(name) == pinned("parent_model_channels")[name]
 
 
 def test_parent_lists_cover_every_channel_shape():
-    recorded = json.loads(PARENT.read_text())
+    recorded = pinned("parent_model_channels")
     assert sorted(recorded) == sorted(BUILDS)
     assert len(recorded["dc_rs_strict"]) == 20
     # per-link channels outnumber the one trunk between the two halves

@@ -5,7 +5,6 @@ one counter record; the trace keeps spans, instants and flow hops.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -18,12 +17,18 @@ from repro.obs.timeline import EpochRow
 from repro.obs.trace import validate_chrome_doc
 from repro.orchestration.instantiate import Instantiation
 
+from .pins import pinned
 from .test_obs_flows import kv_system
 
 
-def traced_strict_run(tmp_path, duration=2 * MS):
+def strict_run(duration=2 * MS):
     exp = Instantiation(kv_system(), timeline=True, trace=True).build()
     exp.run(duration)
+    return exp
+
+
+def traced_strict_run(tmp_path, duration=2 * MS):
+    exp = strict_run(duration)
     path = tmp_path / "trace.json"
     doc = exp.save("trace", str(path))
     exp.save("timeline", str(tmp_path / "timeline.jsonl"))
@@ -39,17 +44,20 @@ def _view(analysis):
              analysis.edge_wait_fraction.items()})
 
 
-def test_timeline_analysis_reproduces_parent_profiler(tmp_path):
+def profile_views() -> dict:
+    """The pin ``parent_profile_analysis``: the views of the strict run's
+    analysis at ``drop_head=h + 1``, keyed by ``h``."""
+    exp = strict_run()
+    return {str(head): dict(zip(("components", "edges"), _view(
+        exp.profile_analysis(drop_head=head + 1)))) for head in (0, 1)}
+
+
+def test_timeline_analysis_reproduces_parent_profiler():
     """The analysis of the profiler's former per-adapter records (sampled
     every 64 rounds on this run, before the timeline row replaced them) at
     ``drop_head=h`` equals the timeline's at ``h + 1``: those records had
     no sample at t=0."""
-    data = Path(__file__).parent / "data" / "parent_profile_analysis.json"
-    parent = json.loads(data.read_text())
-    exp, _, _ = traced_strict_run(tmp_path)
-    for head, want in parent.items():
-        got = _view(exp.profile_analysis(drop_head=int(head) + 1))
-        assert got == (want["components"], want["edges"]), head
+    assert profile_views() == pinned("parent_profile_analysis")
 
 
 def _summary(path, tmp_path, *extra):
@@ -69,6 +77,17 @@ def test_profiler_and_trace_wtpg_have_the_same_graph(tmp_path):
     assert summary["edges"] == _view(profiled)[1]
     # post-processing only: a second call analyzes the same rows
     assert exp.profile_analysis() == exp.profile_analysis()
+
+
+def test_a_run_dir_named_like_a_subcommand_is_summarized(tmp_path, capsys,
+                                                        monkeypatch):
+    # splitsim-run --profile-out profile: the lone existing path is a RUN
+    (tmp_path / "profile").mkdir()
+    traced_strict_run(tmp_path / "profile", duration=200 * US)
+    monkeypatch.chdir(tmp_path)
+    assert main(["profile"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("profile: ") and "\nbottleneck ranking: " in out
 
 
 def test_trace_edges_name_components(tmp_path):

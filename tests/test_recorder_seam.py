@@ -8,7 +8,9 @@ come out of the same collector class.
 """
 
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,8 +27,13 @@ from repro.parallel.simulation import Observer, Simulation
 from repro.profiler.postprocess import analyze
 from repro.profiler.wtpg import build_wtpg
 
+from .pins import as_pinned, path as pin_path, pinned
+
 UNTIL_PS = 50 * US
-DATA = Path(__file__).parent / "data"
+#: a timeline in the format before the per-edge wait: a fixture the
+#: readers must still load (its simulated columns are the pin
+#: ``pipeline_timeline``)
+PARENT_TIMELINE = Path(__file__).parent / "data" / "parent_timeline.jsonl"
 
 
 def pipeline_sim(n, mode):
@@ -263,16 +270,45 @@ def _strict_pipeline(*collectors, interval_rounds=16):
     sim.run(UNTIL_PS)
 
 
+def pipeline_audit() -> str:
+    """The pin ``parent_audit``: the 3-stage strict pipeline's ledger."""
+    collector = AuditCollector(window_ps=AUDIT_WINDOW_PS)
+    _strict_pipeline(collector)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "audit.jsonl")
+        collector.save(path)
+        return Path(path).read_text()
+
+
+def pipeline_timeline() -> TimelineCollector:
+    collector = TimelineCollector(meta={"net_switches": {}})
+    _strict_pipeline(collector)
+    return collector
+
+
+def simulated(rows) -> list:
+    """Every column but the two wall-clock ones, which make a timeline
+    impossible to reproduce byte for byte."""
+    return as_pinned([(row.comp, row.epoch, row.sim_ps, row.events,
+                       row.work_cycles, row.wait_cycles, row.comm_cycles,
+                       row.ring_fill, row.edges, row.counters)
+                      for row in rows])
+
+
+def pipeline_columns() -> list:
+    """The pin ``pipeline_timeline``: the simulated columns of the
+    pipeline's timeline."""
+    return simulated(pipeline_timeline().rows)
+
+
 def test_parent_audit_ledger_loads_and_is_reproduced(tmp_path):
-    old = load_audit(str(DATA / "parent_audit.jsonl"))
+    old = load_audit(str(pin_path("parent_audit")))
     assert (old.mode, old.until_ps, old.window_ps) == \
         ("strict", UNTIL_PS, AUDIT_WINDOW_PS)
     assert old.components == ["s0", "s1", "s2"] and old.rows and old.root
 
-    collector = AuditCollector(window_ps=AUDIT_WINDOW_PS)
-    _strict_pipeline(collector)
     path = tmp_path / "audit.jsonl"
-    collector.save(str(path))
+    path.write_text(pipeline_audit())
     new = load_audit(str(path))
     assert new.header == old.header
     assert new.rows == old.rows
@@ -280,34 +316,27 @@ def test_parent_audit_ledger_loads_and_is_reproduced(tmp_path):
     assert new.component_digests() == old.component_digests()
     assert new.final == old.final
     # the ledger is deterministic, so the file itself has not changed
-    assert path.read_text() == (DATA / "parent_audit.jsonl").read_text()
+    assert path.read_text() == pin_path("parent_audit").read_text()
 
 
 def test_parent_timeline_loads_and_is_reproduced(tmp_path):
-    old = load_timeline(str(DATA / "parent_timeline.jsonl"))
+    old = load_timeline(str(PARENT_TIMELINE))
     assert old.mode == "strict" and old.components == ["s0", "s1", "s2"]
     assert old.meta == {"net_switches": {}}
 
-    collector = TimelineCollector(meta={"net_switches": {}})
-    _strict_pipeline(collector)
+    collector = pipeline_timeline()
     path = tmp_path / "timeline.jsonl"
     header = collector.save(str(path))
     new = load_timeline(str(path))
     assert new.header == header == old.header
-
-    def simulated(row):  # every column but the two wall-clock ones
-        return (row.comp, row.epoch, row.sim_ps, row.events,
-                row.work_cycles, row.wait_cycles, row.comm_cycles,
-                row.ring_fill, row.edges, row.counters)
-
-    assert [simulated(r) for r in new.rows] == \
-        [simulated(r) for r in old.rows]
+    assert simulated(new.rows) == simulated(collector.rows) == \
+        pinned("pipeline_timeline")
     # rows written before the per-edge wait existed read as none
     assert all(r.edge_wait == {} for r in old.rows)
     assert all(r.edge_wait for r in new.rows)
     # same keys per line, in the same order; the per-edge wait ("w") comes
     # after them, where the parent's reader skips it
-    old_lines = (DATA / "parent_timeline.jsonl").read_text().splitlines()
+    old_lines = PARENT_TIMELINE.read_text().splitlines()
     new_lines = path.read_text().splitlines()
     assert len(new_lines) == len(old_lines)
     for new_line, old_line in zip(new_lines, old_lines):
@@ -335,9 +364,9 @@ def _inspect_diff(path):
 #: noun -> (loader, the parent's document, the CLIs that open one with
 #: their exit status for a broken input: ``diff``'s is "not comparable")
 DOCS = {
-    "timeline": (load_timeline, "parent_timeline.jsonl",
+    "timeline": (load_timeline, PARENT_TIMELINE,
                  ((_inspect_timeline, 1), (_profile, 1))),
-    "audit": (load_audit, "parent_audit.jsonl", ((_inspect_diff, 2),)),
+    "audit": (load_audit, pin_path("parent_audit"), ((_inspect_diff, 2),)),
 }
 
 
@@ -351,7 +380,7 @@ DOCS = {
 def test_a_line_that_is_not_an_object_is_a_clean_error(tmp_path, capsys,
                                                        noun, lines, error):
     load, parent, clis = DOCS[noun]
-    header = (DATA / parent).read_text().splitlines()[0]
+    header = parent.read_text().splitlines()[0]
     path = str(tmp_path / f"{noun}.jsonl")
     Path(path).write_text(
         "\n".join(header if line is None else line for line in lines) + "\n")

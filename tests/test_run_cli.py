@@ -137,6 +137,21 @@ def test_cli_profile_out_writes_bundle(tmp_path, capsys):
     assert (outdir / "partition.json").exists()
 
 
+def test_cli_profile_out_prints_the_inspect_profile_report(tmp_path, capsys):
+    # one rendering of the profiler's analysis: the run prints exactly what
+    # 'splitsim-inspect profile DIR' prints for its bundle
+    from repro.obs.inspect import main as inspect_main
+
+    outdir = tmp_path / "profile"
+    assert main([write_config(tmp_path), "--duration", "1ms",
+                 "--profile-out", str(outdir)]) == 0
+    run = capsys.readouterr().out
+    assert inspect_main(["profile", str(outdir)]) == 0
+    report = capsys.readouterr().out
+    assert "\nlikely bottlenecks: " in report
+    assert report in run
+
+
 def test_cli_profile_out_needs_in_process_run(tmp_path, capsys,
                                               monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -5,12 +5,9 @@ profiler counters (the Fig 10 / WTPG input), the round count and the
 per-component event counts of two fixed workloads are pinned against
 ``golden_strict_coordinator.json``, recorded before the in-process sync
 promise moved out of the message deque.  Regenerate (only when the protocol
-itself is meant to change) with ``PYTHONPATH=src python -m
-tests.test_strict_coordinator``.
+itself is meant to change) with ``PYTHONPATH=src python -m tests.pins
+--write golden_strict_coordinator``; its producer is :func:`golden`.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -27,8 +24,8 @@ from repro.orchestration.strategies import strategy_rs
 from repro.orchestration.system import System
 from repro.parallel.simulation import DeadlockError, Simulation
 
+from .pins import pinned
 
-GOLDEN = Path(__file__).with_name("golden_strict_coordinator.json")
 GBPS = 1e9
 
 
@@ -72,9 +69,14 @@ def coordinator_snapshot(name: str) -> dict:
                      for c in exp.sim.components for e in c.ends}}
 
 
+def golden() -> dict:
+    """The pin ``golden_strict_coordinator``."""
+    return {name: coordinator_snapshot(name) for name in sorted(WORKLOADS)}
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_counters_rounds_and_events_match_golden(name):
-    golden = json.loads(GOLDEN.read_text())[name]
+    golden = pinned("golden_strict_coordinator")[name]
     got = coordinator_snapshot(name)
     assert got["rounds"] == golden["rounds"]
     assert got["per_component_events"] == golden["per_component_events"]
@@ -160,9 +162,3 @@ def test_deadlock_error_names_every_component_commit_and_horizon():
                               "stuck@0 hz=10000, waiter@0 hz=0")
     assert ew.wait_polls == 2 and ew.wait_cycles == 100.0
 
-
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {name: coordinator_snapshot(name) for name in sorted(WORKLOADS)},
-        indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")

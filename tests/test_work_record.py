@@ -5,20 +5,18 @@ one probe per component — a ``queue.trace`` hook, an ``add_work`` shadow
 and wrapped end handlers, all removed again by the probe's result:
 
 * the buckets equal the parent commit's, recorded by the runtime itself
-  (``tests/data/parent_work.json``), in process and under ``run_mp``;
+  (the pin ``parent_work`` of :mod:`tests.pins`, produced by
+  :func:`recorded_buckets`), in process and under ``run_mp``;
 * the work and audit probes compose in either attach order, on a shared
   (fast) and on private (strict) queues, and leave every component as
   they found it.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.bench.workloads import build_fluid_longflows, build_mixed_system
 from repro.gem5split.build import build_multicore
-from repro.kernel.simtime import US
+from repro.kernel.simtime import MS, NS, US
 from repro.netsim.fidelity import FidelityConfig
 from repro.obs.audit import AuditCollector
 from repro.obs.recorder import ProbeDriver
@@ -26,10 +24,10 @@ from repro.orchestration.instantiate import Instantiation
 from repro.parallel.model import WorkRecorder
 from repro.parallel.simulation import Simulation
 
+from .pins import as_pinned, pinned
 from .test_strict_coordinator import fig9_ci_experiment
 
-PARENT = json.loads(
-    (Path(__file__).parent / "data" / "parent_work.json").read_text())
+PARENT = pinned("parent_work")
 
 
 def _mixed(mode, window):
@@ -48,17 +46,40 @@ def _multicore(mode, window):
     return sim
 
 
-#: the systems of the pin: each builds an experiment (or a bare simulation
-#: with the collector appended) for a window
+#: the systems of the pin: name -> (a build of an experiment, or a bare
+#: simulation with the collector appended, for a window; window; run
+#: length)
 SYSTEMS = {
-    "mixed_fast": lambda w: _mixed("fast", w),
-    "mixed_strict": lambda w: _mixed("strict", w),
-    "fig9_ci": lambda w: fig9_ci_experiment(work_window_ps=w),
-    "multicore_fast": lambda w: _multicore("fast", w),
-    "multicore_strict": lambda w: _multicore("strict", w),
-    "fluid": lambda w: _fluid(FidelityConfig(fluid=True), w),
-    "batched": lambda w: _fluid(FidelityConfig(batching=True), w),
+    "mixed_fast": (lambda w: _mixed("fast", w), 10 * US, 1 * MS),
+    "mixed_strict": (lambda w: _mixed("strict", w), 10 * US, 1 * MS),
+    "fig9_ci": (lambda w: fig9_ci_experiment(work_window_ps=w), 10 * US,
+                200 * US),
+    "multicore_fast": (lambda w: _multicore("fast", w), 100 * NS, 20 * US),
+    "multicore_strict": (lambda w: _multicore("strict", w), 100 * NS,
+                         20 * US),
+    "fluid": (lambda w: _fluid(FidelityConfig(fluid=True), w), 100 * US,
+              3 * MS),
+    "batched": (lambda w: _fluid(FidelityConfig(batching=True), w),
+                100 * US, 3 * MS),
 }
+
+
+def buckets(name) -> dict:
+    """One system's recorded work and message buckets, as pinned."""
+    build, window, until = SYSTEMS[name]
+    run = build(window)
+    run.run(until)
+    rec = _recorded(run)
+    return as_pinned({
+        "window_ps": window, "until_ps": until,
+        "work": {comp: list(b.items()) for comp, b in rec.work.items()},
+        "msgs": [[src, dst, list(b.items())]
+                 for (src, dst), b in sorted(rec.msgs.items())]})
+
+
+def recorded_buckets() -> dict:
+    """The pin ``parent_work``."""
+    return {name: buckets(name) for name in SYSTEMS}
 
 
 def _parent(name):
@@ -82,12 +103,7 @@ def test_the_pin_covers_every_system():
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_buckets_equal_the_parent_recording(name):
-    window, until, work, msgs = _parent(name)
-    run = SYSTEMS[name](window)
-    run.run(until)
-    rec = _recorded(run)
-    assert rec.work == work
-    assert rec.msgs == msgs
+    assert buckets(name) == PARENT[name]
 
 
 @pytest.mark.slow
