@@ -5,11 +5,10 @@ This is the paper's orchestration workflow: configurations are plain
 Python — loops, functions, and modules generate the simulated system —
 and execution is fully automatic:
 
-    splitsim-run examples/config_kv.py --duration 10ms
-    splitsim-run examples/config_kv.py --profile             # + WTPG
-    splitsim-run examples/config_kv.py --profile-out prof    # a run dir
-    splitsim-inspect profile prof --dot wtpg.dot             # re-analyze
-    splitsim-run examples/config_kv.py --control run --profile   # mp
+    splitsim-run examples/config_kv.py --duration 10ms --out run
+    splitsim-run examples/config_kv.py --profile --out prof  # + WTPG
+    splitsim-inspect profile prof --drop-head 2              # re-analyze
+    splitsim-run examples/config_kv.py --control --profile --out mp  # mp
 """
 
 from repro import System

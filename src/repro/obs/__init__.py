@@ -10,7 +10,8 @@ measures against.  Its modules:
 * :mod:`repro.obs.metrics` — the one walk over the simulator's
   scattered counters (:func:`~repro.obs.metrics.component_counters`), the
   flat ``subsystem.component.metric`` snapshot built from it (the
-  ``--stats-json`` document, an mp child's live ``metrics`` reply), and
+  ``stats.json`` of a run directory, an mp child's live ``metrics``
+  reply), and
   the :class:`~repro.obs.metrics.Histogram` of ``splitsim-inspect``.
 * :mod:`repro.obs.install` — attaches a tracer to the instrumentation
   points threaded through kernel, channels, netsim, parallel, and
@@ -48,11 +49,12 @@ measures against.  Its modules:
   ``audit.jsonl``, traces, metric snapshots, control, partition).
 * :mod:`repro.obs.names` — the single source of metric-name literals
   shared by emitters, collectors, and the inspect CLI.
-* :mod:`repro.obs.rundir` — the run-directory loader: the one module that
-  knows the layout (``run_report.json``, ``traces/``, ``trace.json``,
-  ``timeline.jsonl``, ``audit.jsonl``, ``partition.json``), follows the
-  run report's references, and raises one error type whose message is
-  the CLI hint.
+* :mod:`repro.obs.rundir` — the run directory: the one module that knows
+  the layout (``run_report.json``, ``stats.json``, ``trace.json``,
+  ``timeline.jsonl``, ``audit.jsonl``, ``traces/``, ``partition.json``),
+  writes a finished run of either runtime into it, follows the run
+  report's references, and raises one error type whose message is the
+  CLI hint.
 * :mod:`repro.obs.inspect` — the ``splitsim-inspect`` CLI, the one
   run-analysis tool: one view per subcommand (trace summary, ``profile``,
   flows, timeline + recommend, diff, attach), each reading through the

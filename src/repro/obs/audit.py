@@ -299,10 +299,9 @@ class AuditCollector(Collector):
 
     name = "audit"
 
-    def __init__(self, path: Optional[str] = None,
-                 window_ps: Optional[int] = None,
+    def __init__(self, window_ps: Optional[int] = None,
                  meta: Optional[dict] = None) -> None:
-        super().__init__(path, meta)
+        super().__init__(meta)
         self.window_ps = DEFAULT_WINDOW_PS if window_ps is None else window_ps
         self._rows: Dict[Tuple[str, int], AuditRow] = {}
         self._results: Dict[str, dict] = {}  # final probe payloads
@@ -365,7 +364,7 @@ class AuditCollector(Collector):
                   "meta": dict(self.meta)}
         return AuditLedger(header, rows, final)
 
-    def write(self, path: str) -> dict:
+    def save(self, path: str) -> dict:
         """Persist as columnar JSONL — header, one row per non-empty
         (component, window), the final trailer; returns the header."""
         ledger = self.to_ledger()

@@ -2,7 +2,8 @@
 
 One view per subcommand, every one reading its input through the run-dir
 loader (:mod:`repro.obs.rundir`), so an argument may be an artifact file
-or the run directory holding it::
+or the run directory holding it — in-process and multiprocess run
+directories alike (``splitsim-run --out RUN``)::
 
     splitsim-inspect RUN                           # spans + wait analysis
     splitsim-inspect RUN --dot wtpg.dot --json summary.json

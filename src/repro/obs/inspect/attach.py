@@ -1,7 +1,8 @@
 """``splitsim-inspect attach RUN``: the live control-plane client.
 
 Connects to a *running* multiprocess simulation's control plane
-(``splitsim-run --control DIR`` / ``run_mp(control_dir=...)``; see
+(``splitsim-run --control --out DIR`` / ``run_mp(rundir=DIR,
+control=True)``; see
 :mod:`repro.obs.live`): a refreshing live status view by default,
 ``--json`` for a one-shot machine-readable snapshot, or positional
 commands (``status``, ``metrics``, ``dump-trace``, ``set-flow-sample N``,
@@ -83,8 +84,8 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="splitsim-inspect attach",
         description="Attach to a running multiprocess simulation's control "
-                    "plane (a run started with splitsim-run --control DIR "
-                    "or run_mp(control_dir=...)).")
+                    "plane (a run started with splitsim-run --control "
+                    "--out DIR or run_mp(rundir=DIR, control=True)).")
     parser.add_argument("rundir",
                         help="run directory containing control.json")
     parser.add_argument("command", nargs="*",

@@ -1,14 +1,15 @@
 """``splitsim-inspect RUN``: summarize a run's trace and epoch timeline.
 
-Works on the structured traces written by ``splitsim-run --trace`` (or the
-multiprocess runner's ``trace_dir``).  From the trace it reports:
+Works on the structured trace of a run directory (``splitsim-run --trace``
+in process or ``--control``, ``Instantiation(trace=True)``).  From the
+trace it reports:
 
 * **top spans** — where simulated/wall time went (kernel drains, link busy
   periods, waits), ranked by total duration;
 * **fidelity tiers** — batched-drain runs and fluid-tier counters.
 
 The wait analysis reads the epoch timeline in the trace's run directory
-(``splitsim-run --timeline`` / ``--profile-out DIR``), the profiler's one
+(``splitsim-run --timeline`` / ``--profile``), the profiler's one
 counter record:
 
 * **stall timeline** — when each simulator was blocked on synchronization

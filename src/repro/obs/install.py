@@ -10,6 +10,8 @@ pays at most one pointer test.
 (``Instantiation(trace=True)``): sim tracer, wall-clock phase spans,
 optional flow recorder, ``save``.  It finishes the wiring when the run
 starts (queues are swapped in fast mode, externals are bound late).
+Under ``run_mp`` every child traces itself on the wall clock and ships
+its tracer back, so the recorder saves every child's records.
 Channel and component counters are not sampled here: the epoch timeline
 (``Instantiation(timeline=True)``) is their one record.
 """
@@ -17,9 +19,10 @@ Channel and component counters are not sampled here: the epoch timeline
 from __future__ import annotations
 
 import json
-from typing import Optional
+import os
+from typing import Dict, List, Optional
 
-from .trace import ORCH_PID, Tracer, chrome_doc
+from .trace import ORCH_PID, Tracer, chrome_doc, load_trace
 
 
 class TraceRecorder:
@@ -34,6 +37,11 @@ class TraceRecorder:
     * strict mode: one kernel-drain track per component queue;
     * fast mode: all components share one queue, hence one ``kernel`` track;
     * network partitions additionally get per-link-direction busy tracks.
+
+    A multiprocess run (:class:`~repro.parallel.procrunner.ProcessRunner`
+    with this recorder in its ``recorders``) calls the collector half
+    instead: :meth:`begin`, then :meth:`note_result` with each finished
+    child's own wall-clock tracer (pid = the child's index + 1).
     """
 
     name = "trace"
@@ -48,9 +56,12 @@ class TraceRecorder:
                                    clock="wall")
         self._phases = self.phase_tracer.tid("phases")
         self._run_start_us = 0.0
-        self._sim = None
         #: the causal :class:`~repro.obs.flows.FlowRecorder`, if any
         self.flows = None
+        #: ``fast``/``strict`` in process, ``mp`` (``None`` before a run)
+        self.mode: Optional[str] = None
+        #: an mp run's child tracers, by component
+        self.children: Dict[str, Tracer] = {}
 
     def trace_flows(self, sample_n: int) -> None:
         """Record causal per-message flow hops into this trace, keeping one
@@ -66,8 +77,18 @@ class TraceRecorder:
         tr.span(self._phases, "phase", name, start_us,
                 tr.wall_us() - start_us, args)
 
+    def begin(self, components: List[str], until_ps: int, mode: str) -> None:
+        """A multiprocess run starts: its children trace themselves."""
+        self.mode = mode
+        self._run_start_us = self.phase_tracer.wall_us()
+
+    def note_result(self, comp: str, tracer: Optional[Tracer]) -> None:
+        """One finished child's tracer (``None``: it traced nothing)."""
+        if tracer is not None:
+            self.children[comp] = tracer
+
     def start(self, sim, until_ps: int) -> None:
-        self._sim = sim
+        self.mode = sim.mode
         tracer = self.tracer
         for comp in sim.components:
             tid_name = comp.name if sim.mode == "strict" else "kernel"
@@ -82,15 +103,43 @@ class TraceRecorder:
     def finish(self) -> None:
         self.phase("run", self._run_start_us)
 
+    def document(self) -> dict:
+        """The merged Chrome-trace document: the phase spans plus the sim
+        tracer in process, every finished child's tracer under mp."""
+        tracers = [self.tracer] if self.mode != "mp" else []
+        tracers += [self.phase_tracer, *list(self.children.values())]
+        meta = {"mode": self.mode} if self.mode is not None else {}
+        return chrome_doc(tracers, extra_meta=meta)
+
     def save(self, path: str) -> dict:
         """Write the merged Chrome-trace document; returns the document."""
         tr = self.phase_tracer
         tr.instant(self._phases, "phase", "teardown", tr.wall_us())
-        meta = {"mode": self._sim.mode} if self._sim is not None else {}
-        doc = chrome_doc([self.tracer, tr], extra_meta=meta)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
+        doc = self.document()
+        _write_json(path, doc)
         return doc
+
+    def save_partial(self, rundir: str, components: List[str]) -> str:
+        """The control plane's ``dump-trace``: :meth:`document` plus the
+        rings the still-running children flushed into ``rundir``, as
+        ``rundir``'s partial trace; returns its path."""
+        from .rundir import partial_trace
+        doc = self.document()
+        for index, comp in enumerate(components):
+            flushed = partial_trace(rundir, comp)
+            if comp not in self.children and os.path.exists(flushed):
+                doc["traceEvents"] += load_trace(flushed)["traceEvents"]
+                doc["otherData"]["clock_domains"][str(index + 1)] = "wall"
+        path = partial_trace(rundir)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _write_json(path + ".tmp", doc)
+        os.replace(path + ".tmp", path)  # never seen half-written
+        return path
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, separators=(",", ":"))
 
 
 def install_network_tracer(net, tracer: Tracer) -> None:

@@ -29,9 +29,10 @@ Commands
     dicts into one versioned snapshot document.
 ``dump-trace``
     Children flush their tracer rings to ``<name>.trace.partial.jsonl``
-    and the parent merges them (plus its own phase spans) into
-    ``trace_dir/trace.partial.json`` — a valid Chrome-trace document of
-    the run *so far*, without stopping anything.
+    under the run directory's ``traces/`` and the parent merges them (plus
+    the finished children's traces and its own phase spans) into
+    ``traces/trace.partial.json`` — a valid Chrome-trace document of the
+    run *so far*, without stopping anything.
 ``set-flow-sample``
     Retune origin-side 1-in-N flow sampling mid-run (``{"n": N}``).
 ``stop``
@@ -117,8 +118,8 @@ def wait_for_control(rundir: str, timeout_s: float = 10.0,
                 raise ControlError(
                     f"no control endpoint in {rundir} after "
                     f"{timeout_s:.0f}s — is the run alive and started "
-                    "with a control dir (splitsim-run --control / "
-                    "run_mp(control_dir=...))?") from None
+                    "with the control plane (splitsim-run --control / "
+                    "run_mp(rundir=..., control=True))?") from None
             time.sleep(poll_s)
 
 
@@ -136,11 +137,11 @@ class ChildMailbox:
     graceful ``stop`` has been requested.
     """
 
-    __slots__ = ("name", "cmd_q", "reply_q", "comp", "tracer", "trace_dir",
+    __slots__ = ("name", "cmd_q", "reply_q", "comp", "tracer", "rundir",
                  "transport_stats", "stop_requested")
 
     def __init__(self, name: str, cmd_q, reply_q, comp, tracer=None,
-                 trace_dir: Optional[str] = None,
+                 rundir: Optional[str] = None,
                  transport_stats: Optional[Callable[[], dict]] = None
                  ) -> None:
         self.name = name
@@ -148,7 +149,7 @@ class ChildMailbox:
         self.reply_q = reply_q
         self.comp = comp
         self.tracer = tracer
-        self.trace_dir = trace_dir
+        self.rundir = rundir
         self.transport_stats = transport_stats
         self.stop_requested = False
 
@@ -187,11 +188,13 @@ class ChildMailbox:
             self._reply(req, payload)
         elif cmd == "dump-trace":
             tracer = self.tracer
-            if tracer is None or self.trace_dir is None:
-                self._reply(req, {"error": "tracing off (no trace_dir)"})
+            if tracer is None or self.rundir is None:
+                self._reply(req, {"error": "tracing off (no trace "
+                                           "recorder)"})
                 return
-            path = os.path.join(self.trace_dir,
-                                f"{self.name}.trace.partial.jsonl")
+            from .rundir import partial_trace
+            path = partial_trace(self.rundir, self.name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             tracer.save_jsonl(path)
             self._reply(req, {"path": path, "records": len(tracer),
                               "dropped": tracer.dropped})
@@ -356,9 +359,9 @@ class ControlPlane:
     def _dump_trace_reply(self, req: dict) -> dict:
         if self.merge_partial is None:
             return {"ok": False, "cmd": "dump-trace",
-                    "error": "run has no trace_dir — start with tracing on "
-                             "(splitsim-run --control DIR traces into "
-                             "DIR/traces, or run_mp(trace_dir=...))"}
+                    "error": "run has no trace recorder — start with "
+                             "tracing on (splitsim-run --control --trace, "
+                             "or Instantiation(trace=True))"}
         replies, missing = self._broadcast({"cmd": "dump-trace"})
         errors = {n: p["error"] for n, p in replies.items() if "error" in p}
         path = self.merge_partial()

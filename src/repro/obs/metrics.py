@@ -12,9 +12,10 @@ one naming convention (the literals live in :mod:`repro.obs.names`)::
 :func:`component_counters` is the only reader of a component's cumulative
 counters.  :func:`collect_simulation` / :func:`collect_experiment` add the
 run-wide ``kernel.*``, ``run.*`` and ``app.*`` values to it and
-:func:`snapshot` wraps the result as the versioned document of
-``splitsim-run --stats-json``; an mp child's live ``metrics`` reply
-(:mod:`repro.obs.live`) is the same walk plus :func:`transport_counters`;
+:func:`snapshot` wraps the result as the versioned ``stats.json`` of a
+run directory; an mp child's live ``metrics`` reply
+(:mod:`repro.obs.live`) and its share of an mp run's ``stats.json`` are
+the same walk plus :func:`transport_counters`;
 an epoch-timeline beat (:mod:`repro.obs.timeline`) keeps a fixed
 ``netsim.*`` subset of it.  :class:`Histogram` backs ``splitsim-inspect``'s
 per-edge wait histograms.

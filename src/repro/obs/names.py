@@ -9,7 +9,8 @@ per-subsystem key tuples, and tiny name-builder helpers — emitters and
 consumers alike import from here, so names cannot drift.
 
 The concrete names are a stable interface (pinned by tests and consumed by
-``--stats-json`` users); do not rename existing keys, only add.
+readers of a run directory's ``stats.json``); do not rename existing keys,
+only add.
 """
 
 from __future__ import annotations

@@ -12,8 +12,12 @@ under the recorder's ``name`` (``Heartbeat.extras[name]`` per beat,
   ``probe(comp)`` (the probe factory, fork-inherited by mp children),
   ``begin``, ``note(comp, beat, payload)``, ``note_result(comp, payload)``
   (``None`` = the component produced none; never called for a component
-  that failed, which :attr:`Collector.partial` then names), ``save``,
-  ``report_field``.
+  that failed, which :attr:`Collector.partial` then names),
+  ``save(path)``.
+
+Recorders say *what* a run records; the run directory says *where*:
+given one, the runtime saves each recorder's artifact under the one name
+:mod:`repro.obs.rundir` gives it.
 
 The runtimes never look inside the payloads.  In a multiprocess run the
 child's heartbeat pump beats the probes of ``ProcessRunner.recorders``
@@ -81,19 +85,17 @@ def deliver(hb: Heartbeat, collectors: Iterable) -> None:
 
 
 class Collector:
-    """What collectors share: where the artifact goes, what run it is of,
-    and which components delivered their result.
+    """What collectors share: what run they are of and which components
+    delivered their result.
 
     Subclasses set ``name`` and ``probe`` and define ``note`` and
-    ``write(path)``; ``note_result`` (calling this one) when the probes'
+    ``save(path)``; ``note_result`` (calling this one) when the probes'
     results matter.
     """
 
     name = ""
 
-    def __init__(self, path: Optional[str] = None,
-                 meta: Optional[dict] = None) -> None:
-        self.path = path
+    def __init__(self, meta: Optional[dict] = None) -> None:
         self.meta = dict(meta or {})
         self.components: List[str] = []
         self.until_ps = 0
@@ -116,15 +118,6 @@ class Collector:
         """The components that never delivered a result (a crashed mp
         child), sorted; empty when the record is complete."""
         return sorted(set(self.components) - self._delivered)
-
-    def save(self, path: Optional[str] = None):
-        """Write the artifact to ``path`` (default: the constructor's)."""
-        self.path = path or self.path
-        return self.write(self.path)
-
-    def report_field(self) -> Tuple[str, Optional[str]]:
-        """``(run_report.json key, saved path)``."""
-        return self.name, self.path
 
 
 class ProbeDriver:

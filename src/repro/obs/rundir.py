@@ -1,57 +1,58 @@
 """The run directory: where a run's artifacts live and how to find them.
 
-A run directory (``splitsim-run --control DIR``, ``--profile-out DIR``,
-or any directory a run saved its artifacts into) holds some of::
+A run directory (``splitsim-run --out DIR``, ``Experiment.run(...,
+rundir=DIR)``, ``run_mp(..., rundir=DIR)``) holds, for either runtime::
 
-    run_report.json     the versioned run report (multiprocess runs)
-    traces/             per-child traces; trace.json is the merged one
-    trace.json          an in-process run's Chrome trace
+    run_report.json     the versioned run report
+    stats.json          the flat metrics snapshot
+    trace.json          the trace recorder's Chrome trace
     timeline.jsonl      the epoch-resolved metrics timeline
     audit.jsonl         the per-epoch digest ledger
-    partition.json      the partition advisor's recommendation
 
-This module is the only place that knows those names.  ``run_report.json``
-names the artifacts its run wrote, relative to itself, so :func:`locate`
-follows that reference first and falls back to the conventional names; a
-plain file path passes through unchanged.  Every ``load_*`` failure is one
-:class:`RunDirError` whose message is the hint ``splitsim-inspect`` prints.
+with one file per recorder the run declared; later tools add
+``wtpg.dot`` (``splitsim-inspect profile --dot``) and ``partition.json``
+(``splitsim-inspect recommend``), and a live multiprocess run's control
+plane its ``control.json`` and the partial traces under ``traces/``.
+
+This module is the only place that knows those names: :func:`write_run`
+writes a finished run, the ``load_*`` functions read one.
+``run_report.json`` names the artifacts its run wrote, relative to
+itself, so :func:`locate` follows that reference first (run dirs that
+kept the merged trace at ``traces/trace.json`` still load) and falls back
+to the artifact's name; a plain file path passes through unchanged.
+Every ``load_*`` failure is one :class:`RunDirError` whose message is the
+hint ``splitsim-inspect`` prints.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, List, Optional,
+                    Sequence)
 
-from . import audit, timeline, trace
+if TYPE_CHECKING:  # pragma: no cover - the readers load with their loader
+    from .audit import AuditLedger
+    from .timeline import Timeline
 
 REPORT_FILE = "run_report.json"
-TRACES_DIR = "traces"
+STATS_FILE = "stats.json"
 TRACE_FILE = "trace.json"
-PARTIAL_TRACE_FILE = "trace.partial.json"
 TIMELINE_FILE = "timeline.jsonl"
 AUDIT_FILE = "audit.jsonl"
+WTPG_FILE = "wtpg.dot"
 PARTITION_FILE = "partition.json"
+TRACES_DIR = "traces"
+PARTIAL_TRACE_FILE = "trace.partial.json"
 
-#: artifact -> conventional names inside a run directory, in lookup order
-_CONVENTIONAL = {
-    "trace": (TRACE_FILE, os.path.join(TRACES_DIR, TRACE_FILE)),
-    "timeline": (TIMELINE_FILE,),
-    "audit": (AUDIT_FILE,),
-}
+#: recorder name -> the one file its artifact is saved as (a recorder
+#: not named here, like ``work``, writes none)
+ARTIFACTS = {"trace": TRACE_FILE, "timeline": TIMELINE_FILE,
+             "audit": AUDIT_FILE}
 
 
 class RunDirError(Exception):
     """A run's artifact is missing or unreadable; the message is the hint."""
-
-
-def control_layout(rundir: str) -> Dict[str, str]:
-    """Where a ``splitsim-run --control DIR`` run writes its artifacts
-    (``rundir=""``: where an in-process ``splitsim-run`` writes them)."""
-    return {"report": os.path.join(rundir, REPORT_FILE),
-            "trace_dir": os.path.join(rundir, TRACES_DIR),
-            "timeline": os.path.join(rundir, TIMELINE_FILE),
-            "audit": os.path.join(rundir, AUDIT_FILE)}
 
 
 def run_dir(path: str) -> str:
@@ -64,8 +65,7 @@ def locate(path: str, artifact: str) -> str:
     ``"audit"``) of the run at ``path``.
 
     A file passes through.  In a directory: the run report's reference if
-    that file exists, else the first conventional name that exists, else
-    the first conventional name (which does not exist).
+    that file exists, else the artifact's own name (which may not exist).
     """
     if not os.path.isdir(path):
         return path
@@ -73,10 +73,36 @@ def locate(path: str, artifact: str) -> str:
         ref = load_report(path).get(artifact)
     except RunDirError:
         ref = None
-    names = ((ref,) if isinstance(ref, str) else ()) + _CONVENTIONAL[artifact]
-    candidates = [os.path.join(path, name) for name in names]
-    return next((c for c in candidates if os.path.isfile(c)),
-                os.path.join(path, _CONVENTIONAL[artifact][0]))
+    if isinstance(ref, str) and os.path.isfile(os.path.join(path, ref)):
+        return os.path.join(path, ref)
+    return os.path.join(path, ARTIFACTS[artifact])
+
+
+def partial_trace(path: str, comp: Optional[str] = None) -> str:
+    """Where a live multiprocess run's control plane dumps its trace so
+    far: one child's flushed ring, or (``comp=None``) the merged one."""
+    name = PARTIAL_TRACE_FILE if comp is None else \
+        f"{comp}.trace.partial.jsonl"
+    return os.path.join(path, TRACES_DIR, name)
+
+
+def write_run(path: str, recorders: Iterable, report: dict,
+              metrics: dict) -> None:
+    """Write a finished run into the run directory ``path``: each
+    recorder's artifact under its one name (referenced from the report),
+    the flat ``metrics`` as ``stats.json``, and ``report`` (see
+    :func:`~repro.obs.telemetry.build_run_report`)."""
+    from .metrics import snapshot
+    from .telemetry import write_run_report
+    os.makedirs(path, exist_ok=True)
+    for recorder in recorders:
+        name = ARTIFACTS.get(recorder.name)
+        if name is not None:
+            recorder.save(os.path.join(path, name))
+            report[recorder.name] = name
+    with open(os.path.join(path, STATS_FILE), "w") as fh:
+        json.dump(snapshot(metrics), fh, indent=2, default=str)
+    write_run_report(os.path.join(path, REPORT_FILE), report)
 
 
 def partition_path(path: str) -> str:
@@ -100,13 +126,14 @@ def load_report(path: str) -> dict:
 
 def load_trace(path: str) -> dict:
     """The validated Chrome-trace document of a trace file or run dir."""
+    from . import trace
     found = locate(path, "trace")
     if os.path.isdir(path) and not os.path.isfile(found):
         if os.path.isfile(os.path.join(path, REPORT_FILE)):
             raise RunDirError(
                 f"error: {path} has {REPORT_FILE} but no {TRACE_FILE} — "
                 "rerun with tracing on (splitsim-run --trace, or "
-                "run_mp(trace_dir=...)) to collect one")
+                "Instantiation(trace=True)) to collect one")
         raise RunDirError(
             f"error: {path} is a directory without {TRACE_FILE} or "
             f"{REPORT_FILE} — pass a Chrome-trace JSON file or a SplitSim "
@@ -145,15 +172,17 @@ def _load_jsonl(path: str, artifact: str, read: Callable[[str], Any],
         raise RunDirError(f"error: {exc}") from None
 
 
-def load_timeline(path: str) -> timeline.Timeline:
+def load_timeline(path: str) -> "Timeline":
     """The epoch timeline of a ``timeline.jsonl`` file or run dir."""
-    return _load_jsonl(path, "timeline", timeline.load_timeline,
+    from .timeline import load_timeline as read
+    return _load_jsonl(path, "timeline", read,
                        "the timeline")
 
 
-def load_audit(path: str) -> audit.AuditLedger:
+def load_audit(path: str) -> "AuditLedger":
     """The audit ledger of an ``audit.jsonl`` file or run dir."""
-    return _load_jsonl(path, "audit", audit.load_audit, "auditing")
+    from .audit import load_audit as read
+    return _load_jsonl(path, "audit", read, "auditing")
 
 
 def load_all(load: Callable[[str], Any], paths: Sequence[str]) -> List[Any]:

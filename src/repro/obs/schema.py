@@ -18,9 +18,9 @@ parallel, tools, tests — can depend on it without cycles.
 """
 
 #: ``run_report.json`` (writer: :mod:`repro.obs.telemetry`).
-#: v4 adds the ``audit`` ledger reference; see the telemetry docstring
-#: for the full version history.
-RUN_REPORT_SCHEMA = 4
+#: v5 adds ``mode`` (in-process runs write one too); see the telemetry
+#: docstring for the full version history.
+RUN_REPORT_SCHEMA = 5
 
 #: ``timeline.jsonl`` (writer: :mod:`repro.obs.timeline`).
 TIMELINE_SCHEMA = 1

@@ -6,8 +6,9 @@ simulated time reached, events executed, instantaneous events/sec, and
 shared-memory ring occupancy — up its pipe to the parent.  The parent
 renders a one-line status (``progress=True``), feeds a
 :class:`HealthMonitor` watchdog (stalled / stale / backpressured children),
-and, after the run, writes a versioned machine-readable
-``run_report.json``.
+and, after the run, reports both in the versioned machine-readable
+``run_report.json`` (:func:`build_run_report`) that every run given a run
+directory writes, in process too.
 
 The report schema is versioned by :data:`RUN_REPORT_SCHEMA`; consumers must
 check it.  Version history:
@@ -26,6 +27,10 @@ check it.  Version history:
 * ``4`` — adds ``audit``: the relative path of the per-epoch digest
   ledger (``audit.jsonl``, see :mod:`repro.obs.audit`), or ``null`` when
   the run was not audited.  All v3 fields are unchanged.
+* ``5`` — adds ``mode`` (``fast``, ``strict`` or ``mp``): in-process runs
+  write a report too.  Their ``components`` carry ``events``,
+  ``work_cycles`` and ``outputs`` only, their ``heartbeats`` are empty
+  and their ``health`` is ``null``.  All v4 fields are unchanged.
 """
 
 from __future__ import annotations
@@ -297,43 +302,29 @@ class HealthMonitor:
         }
 
 
-def build_run_report(until_ps: int, wall_seconds: float, results: dict,
+def build_run_report(mode: str, until_ps: int, wall_seconds: float,
+                     components: Dict[str, dict],
                      aggregator: Optional[TelemetryAggregator] = None,
-                     trace: Optional[str] = None,
-                     health: Optional[dict] = None,
-                     fields: Optional[Dict[str, str]] = None) -> dict:
+                     health: Optional[dict] = None) -> dict:
     """Assemble the versioned ``run_report.json`` document.
 
-    ``fields`` are the run's artifact references, relative to the report:
-    the merged ``trace`` and the collectors' ``report_field()`` entries
-    (the schema-3/4 ``timeline`` / ``audit``); ``null`` when the run did
-    not record them.
+    ``components`` maps each component to its entry (see the schema
+    history); the artifact references (``trace``, ``timeline``, ``audit``)
+    stay ``null`` until :func:`~repro.obs.rundir.write_run` saves them.
     """
-    components = {}
-    for name, res in sorted(results.items()):
-        components[name] = {
-            "events": res.events,
-            "wall_seconds": res.wall_seconds,
-            "wait_seconds": res.wait_seconds,
-            "work_cycles": res.work_cycles,
-            "error": res.error,
-            "outputs": res.outputs,
-            "transport": getattr(res, "transport", {}),
-        }
-    report = {
+    return {
         "schema": RUN_REPORT_SCHEMA,
+        "mode": mode,
         "until_ps": until_ps,
         "wall_seconds": wall_seconds,
-        "components": components,
+        "components": dict(sorted(components.items())),
         "heartbeats": list(aggregator.history) if aggregator is not None
         else [],
-        "trace": trace,
+        "trace": None,
         "health": health,
         "timeline": None,
         "audit": None,
     }
-    report.update(fields or {})
-    return report
 
 
 def write_run_report(path: str, report: dict) -> None:

@@ -207,10 +207,9 @@ class TimelineCollector(Collector):
     name = "timeline"
     probe = EpochTracker
 
-    def __init__(self, path: Optional[str] = None,
-                 max_rows: int = MAX_EPOCH_ROWS,
+    def __init__(self, max_rows: int = MAX_EPOCH_ROWS,
                  meta: Optional[dict] = None) -> None:
-        super().__init__(path, meta)
+        super().__init__(meta)
         #: bounded: the oldest rows are dropped first
         self.rows: Deque[EpochRow] = deque(maxlen=max_rows)
         self._epochs: Dict[str, int] = {}
@@ -227,7 +226,7 @@ class TimelineCollector(Collector):
         self.rows.append(epoch_row(comp, epoch, beat.wall_s, payload,
                                    beat.events_per_sec, beat.ring_fill))
 
-    def write(self, path: str) -> dict:
+    def save(self, path: str) -> dict:
         """Persist as columnar JSONL (see :func:`save_timeline`)."""
         return save_timeline(path, list(self.rows), mode=self.mode,
                              until_ps=self.until_ps,

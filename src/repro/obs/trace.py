@@ -37,7 +37,6 @@ clock is always wall time (documented in DESIGN.md §6).
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Any, Dict, List, Optional
 
@@ -235,42 +234,6 @@ def chrome_doc(tracers, extra_meta: Optional[dict] = None) -> dict:
                             "dropped_records": dropped, **(extra_meta or {})}
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": meta}
-
-
-def merge_trace_jsonl(trace_dir: str, names, out_name: str,
-                      suffix=".trace.jsonl",
-                      parent_tracer: Optional[Tracer] = None) -> str:
-    """Merge per-process JSONL traces into one Chrome-trace document.
-
-    Reads ``<name><suffix>`` for every name in ``names``; ``suffix`` may
-    be a sequence tried in order (the control plane's partial dump
-    prefers a child's ``.trace.partial.jsonl`` flush but falls back to
-    the final ``.trace.jsonl`` of an already-finished child).  Missing
-    files are skipped: a child may have died — or, for a live partial
-    dump, not have flushed yet.  Prepends ``parent_tracer``'s phase
-    spans and writes ``trace_dir/<out_name>``.  Used both for the final
-    merged trace and for the control plane's on-demand partial flush of
-    a still-running simulation (the names are
-    :mod:`repro.obs.rundir`'s); the output is a complete, valid document
-    either way.
-    """
-    suffixes = [suffix] if isinstance(suffix, str) else list(suffix)
-    doc = chrome_doc([parent_tracer] if parent_tracer is not None else [])
-    for index, name in enumerate(names):
-        for suf in suffixes:
-            child = os.path.join(trace_dir, f"{name}{suf}")
-            if os.path.exists(child):
-                break
-        else:
-            continue
-        doc["traceEvents"].extend(load_trace(child)["traceEvents"])
-        doc["otherData"]["clock_domains"][str(index + 1)] = "wall"
-    path = os.path.join(trace_dir, out_name)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-    os.replace(tmp, path)  # readers never see a half-written document
-    return path
 
 
 def load_trace(path: str) -> dict:

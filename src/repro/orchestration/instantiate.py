@@ -167,11 +167,27 @@ class Experiment:
             raise RuntimeError("simulation already ran; build a fresh one")
         self.ran = True
 
-    def run(self, duration_ps: int) -> ExperimentResult:
-        """Run the assembled simulation to ``duration_ps``."""
+    def run(self, duration_ps: int,
+            rundir: Optional[str] = None) -> ExperimentResult:
+        """Run the assembled simulation to ``duration_ps``; given a
+        ``rundir``, write the run into it as :meth:`run_mp` does (see
+        :func:`repro.obs.rundir.write_run`)."""
         self._claim_run()
-        return ExperimentResult(stats=self.sim.run(duration_ps),
-                                experiment=self)
+        stats = self.sim.run(duration_ps)
+        if rundir is not None:
+            from ..obs.rundir import write_run
+            from ..obs.telemetry import build_run_report
+            components = {}
+            for comp in self.sim.components:
+                collect = getattr(comp, "collect_outputs", None)
+                components[comp.name] = {
+                    "events": comp.events_processed,
+                    "work_cycles": comp.work_cycles,
+                    "outputs": collect() if collect is not None else {}}
+            write_run(rundir, self.recorders.values(), build_run_report(
+                self.sim.mode, duration_ps, stats.wall_seconds, components),
+                self.metrics(stats))
+        return ExperimentResult(stats=stats, experiment=self)
 
     def profile_analysis(self, drop_head: int = 1,
                          drop_tail: int = 0) -> "ProfileAnalysis":
@@ -187,8 +203,9 @@ class Experiment:
         return analyze(timeline.rows, drop_head=drop_head,
                        drop_tail=drop_tail)
 
-    def run_mp(self, duration_ps: int, timeout_s: float = 300.0,
-               **run_options):
+    def run_mp(self, duration_ps: int, timeout_s: float = 300.0, *,
+               rundir: Optional[str] = None, progress: bool = False,
+               control: bool = False):
         """Run this experiment with one OS process per component simulator.
 
         This is the paper's actual deployment (shared-memory channels,
@@ -196,13 +213,12 @@ class Experiment:
         an experiment runs once, here or in process.  Returns the
         per-process results of :class:`~repro.parallel.procrunner`.
 
-        The children run this experiment's own collectors (work,
+        The children run this experiment's own recorders (trace, work,
         timeline, audit: whatever ``Instantiation`` or :meth:`observe`
         attached), so :meth:`save` and :meth:`execution_model` afterwards
-        read what this run collected, and a collector given a ``path`` is
-        saved there and referenced from the run report.  The keywords (``progress``,
-        ``report_path``, ``trace_dir``, ``control_dir``) are where the run
-        is deployed and reported: options of
+        read what this run recorded — the trace holds every child's
+        records.  The keywords (``rundir``, ``progress``, ``control``) are
+        where the run is deployed and where it writes: options of
         :meth:`ProcessRunner.run <repro.parallel.procrunner.ProcessRunner.run>`.
         """
         # the multiprocess runtime loads only for a multiprocess run
@@ -214,9 +230,9 @@ class Experiment:
             for ea, eb in self.sim.channels
         ]
         runner = ProcessRunner(specs, channels)
-        runner.recorders = [r for r in self.recorders.values()
-                            if hasattr(r, "probe")]
-        return runner.run(duration_ps, timeout_s=timeout_s, **run_options)
+        runner.recorders = list(self.recorders.values())
+        return runner.run(duration_ps, timeout_s=timeout_s, rundir=rundir,
+                          progress=progress, control=control)
 
     def execution_model(self, sim_time_ps: int) -> "ParallelExecutionModel":
         """Virtual-time model over the work :meth:`run` or :meth:`run_mp`

@@ -30,8 +30,11 @@ and reaped.
 Recorders plug in through one list, ``ProcessRunner.recorders`` (see
 :mod:`repro.obs.recorder`): each child beats the recorders' probes on its
 telemetry heartbeats and ships their results; the parent fans both out to
-the recorders, saves them and references them from the run report —
-without knowing which recorders exist.
+the recorders — without knowing which recorders exist.  The trace
+recorder is the one the runtime itself feeds: with it, every child
+traces its lifecycle, waits and heartbeats and ships its tracer back.
+Given a run directory, the parent writes the run into it
+(:func:`repro.obs.rundir.write_run`).
 
 Components are described by factory callables so they can be
 constructed inside the child process::
@@ -59,7 +62,7 @@ from ..record import Record
 from .shm_ring import ShmRing
 
 #: Child heartbeat period in seconds.  Heartbeats flow only when the run
-#: collects them (progress, a run report, the control plane or a recorder).
+#: collects them (progress, a run directory or a recorder's probes).
 #: Children read this and the two watchdog knobs below at fork.
 HB_INTERVAL_S = 0.25
 #: Heartbeats without sim-time progress before the watchdog flags a stall.
@@ -130,6 +133,7 @@ class ProcResult(Record):
                  outputs: Optional[dict] = None,
                  transport: Optional[dict] = None,
                  extras: Optional[Dict[str, object]] = None,
+                 counters: Optional[Dict[str, float]] = None,
                  error: Optional[str] = None) -> None:
         self.name = name
         self.events = events
@@ -142,8 +146,12 @@ class ProcResult(Record):
         #: summed over this component's rings) plus the wire codec's
         #: fallback counts
         self.transport = {} if transport is None else transport
-        #: the probes' final payloads, keyed by recorder name
+        #: the probes' final payloads (and the child's tracer), keyed by
+        #: recorder name
         self.extras = {} if extras is None else extras
+        #: the component's :func:`~repro.obs.metrics.component_counters`
+        #: at the end (only when the run has a run directory)
+        self.counters = {} if counters is None else counters
         self.error = error
 
 
@@ -257,7 +265,7 @@ class _HeartbeatPump:
 def _child_main(up: _Pipe, cmds: Optional[_Pipe], spec: ProcSpec,
                 wiring: List[Tuple[str, ShmRing, ShmRing, str, str]],
                 until_ps: int, timeout_s: float, telemetry: bool,
-                trace_dir: Optional[str], index: int,
+                rundir: Optional[str], traced: bool, index: int,
                 probe_factories: Tuple[Callable, ...]) -> None:
     result = ProcResult(name=spec.name)
     rings: List[ShmRing] = []
@@ -266,7 +274,7 @@ def _child_main(up: _Pipe, cmds: Optional[_Pipe], spec: ProcSpec,
     commit = 0
     try:
         flows = active_recorder()  # the parent's, inherited through fork
-        if trace_dir is not None:
+        if traced:
             from ..obs.trace import Tracer
             tracer = Tracer(pid=index + 1, process_name=spec.name,
                             clock="wall")
@@ -306,8 +314,7 @@ def _child_main(up: _Pipe, cmds: Optional[_Pipe], spec: ProcSpec,
             # can never interleave with event execution.
             from ..obs.live import ChildMailbox
             mailbox = ChildMailbox(
-                spec.name, cmds, up, comp, tracer=tracer,
-                trace_dir=trace_dir,
+                spec.name, cmds, up, comp, tracer=tracer, rundir=rundir,
                 transport_stats=lambda: _transport_stats(rings))
         deadline = t_start + timeout_s
         # One sync round = one step of simulated progress, then a flush:
@@ -407,14 +414,16 @@ def _child_main(up: _Pipe, cmds: Optional[_Pipe], spec: ProcSpec,
         collect = getattr(comp, "collect_outputs", None)
         if collect is not None:
             result.outputs = collect()
+        if rundir is not None:
+            from ..obs.metrics import component_counters
+            result.counters = component_counters(comp)
         if tracer is not None:
             end_us = tracer.wall_us()
             tracer.span(tracer.tid("lifecycle"), "proc", "run",
                         run_start_us, end_us - run_start_us,
                         {"events": result.events,
                          "wait_seconds": result.wait_seconds})
-            tracer.save_jsonl(os.path.join(trace_dir,
-                                           f"{spec.name}.trace.jsonl"))
+            result.extras["trace"] = tracer
     except Exception as exc:  # pragma: no cover - error path
         result.error = f"{type(exc).__name__}: {exc}"
         if pump is not None:
@@ -470,41 +479,43 @@ class ProcessRunner:
         self.specs = specs
         self.channels = channels
         self.ring_bytes = ring_bytes
-        #: recorders (collectors, see :mod:`repro.obs.recorder`) of the
-        #: next :meth:`run`: children run their probes, the parent feeds,
-        #: saves (to each recorder's own ``path``) and reports them
+        #: recorders of the next :meth:`run` (collectors, see
+        #: :mod:`repro.obs.recorder`, and the trace recorder): children
+        #: run their probes, the parent feeds them
         self.recorders: list = []
 
     def run(self, until_ps: int, timeout_s: float = 120.0, *,
-            progress: bool = False, report_path: Optional[str] = None,
-            trace_dir: Optional[str] = None,
-            control_dir: Optional[str] = None) -> Dict[str, ProcResult]:
+            rundir: Optional[str] = None, progress: bool = False,
+            control: bool = False) -> Dict[str, ProcResult]:
         """Run all components to ``until_ps``; returns per-component results.
 
         What the run records is :attr:`recorders`; the keywords are where
-        it is deployed and reported.
+        it is deployed and where it writes.
 
         Parameters
         ----------
+        rundir:
+            Write the run into this run directory
+            (:func:`repro.obs.rundir.write_run`): ``run_report.json``,
+            ``stats.json`` (the children's counters plus the transport's)
+            and each recorder's artifact — also when a component fails or
+            the parent times out, before raising.  With the trace
+            recorder, a flow recorder installed in this process
+            (``Instantiation(flow_sample=N)``) writes each child's causal
+            flow hops into that child's trace at the same 1-in-N; without
+            it children detach it.
         progress:
             Render a live one-line status (stderr) from child heartbeats.
-        report_path:
-            Write the versioned ``run_report.json`` here after the run
-            (written even when a component fails or the parent times out,
-            before raising).
-        trace_dir:
-            Directory for per-child wall-clock traces (JSONL) and the
-            merged ``trace.json`` Chrome-trace document.  A flow recorder
-            installed in this process (``Instantiation(flow_sample=N)``)
-            writes each child's causal flow hops into that child's trace,
-            at the same 1-in-N; without ``trace_dir`` children detach it.
-        control_dir:
-            Serve the live control plane from this run directory: a
+        control:
+            Serve the live control plane from ``rundir``: a
             ``control.json`` discovery file plus a unix-socket endpoint
             that ``splitsim-inspect attach`` connects to.  Children poll
             a command mailbox at sync-round boundaries, so commands never
             perturb event order (the determinism digest is unchanged).
         """
+        if control and rundir is None:
+            raise ValueError("the control plane is served from a run "
+                             "directory: pass rundir")
         rings: List[ShmRing] = []
         # wiring[comp] = (end_name, out_ring, in_ring, peer_end, peer_comp)
         wiring: Dict[str, List[Tuple[str, ShmRing, ShmRing, str, str]]] = {
@@ -512,12 +523,13 @@ class ProcessRunner:
         }
         names = [s.name for s in self.specs]
         collectors = list(self.recorders)
-        want_telemetry = (progress or report_path is not None
-                          or control_dir is not None or bool(collectors))
+        trace = next((c for c in collectors if c.name == "trace"), None)
+        # one probe per recorder name per child (fork-inherited factories)
+        probes = {c.name: c.probe for c in collectors if hasattr(c, "probe")}
+        want_telemetry = progress or rundir is not None or bool(probes)
         aggregator = None
         monitor = None
-        parent_tracer = None
-        control = None
+        plane = None
         if want_telemetry:
             from ..obs.recorder import deliver
             from ..obs.telemetry import TelemetryAggregator, HealthMonitor
@@ -525,17 +537,9 @@ class ProcessRunner:
             monitor = HealthMonitor(names, hb_interval_s=HB_INTERVAL_S,
                                     stall_intervals=STALL_INTERVALS,
                                     stale_after_s=STALE_AFTER_S)
-        # one probe per recorder name per child (fork-inherited factories)
-        probes = {c.name: c.probe for c in collectors}
         for collector in collectors:
             collector.begin(names, until_ps, "mp")
         probe_factories = tuple(probes.values())
-        if trace_dir is not None:
-            os.makedirs(trace_dir, exist_ok=True)
-            from ..obs.rundir import PARTIAL_TRACE_FILE, TRACE_FILE
-            from ..obs.trace import Tracer, merge_trace_jsonl
-            parent_tracer = Tracer(pid=0, process_name="runner",
-                                   clock="wall")
         children: Dict[int, Tuple[str, int, _Pipe]] = {}  # by up-pipe fd
         cmd_pipes: Dict[str, _Pipe] = {}
         fds: List[int] = []  # the parent's pipe ends
@@ -548,39 +552,32 @@ class ProcessRunner:
                     (ch.end_a, r_ab, r_ba, ch.end_b, ch.comp_b))
                 wiring[ch.comp_b].append(
                     (ch.end_b, r_ba, r_ab, ch.end_a, ch.comp_a))
-            if control_dir is not None:
-                os.makedirs(control_dir, exist_ok=True)
+            launch_us = trace.phase_tracer.wall_us() if trace else 0.0
             sys.stdout.flush()  # else each child repeats the buffered text
             sys.stderr.flush()
             for index, spec in enumerate(self.specs):
                 pid, up, cmds = _fork(
-                    fds, control_dir is not None, spec, wiring[spec.name],
-                    until_ps, timeout_s, want_telemetry, trace_dir, index,
-                    probe_factories)
+                    fds, control, spec, wiring[spec.name], until_ps,
+                    timeout_s, want_telemetry, rundir, trace is not None,
+                    index, probe_factories)
                 children[up.fd] = (spec.name, pid, up)
                 if cmds is not None:
                     cmd_pipes[spec.name] = cmds
             replies = None
-            if control_dir is not None:
+            if control:
                 from queue import Queue
                 from ..obs.live import ControlPlane
                 merge_partial = None
-                if trace_dir is not None:
-                    merge_partial = lambda: merge_trace_jsonl(
-                        trace_dir, names, PARTIAL_TRACE_FILE,
-                        suffix=(".trace.partial.jsonl", ".trace.jsonl"),
-                        parent_tracer=parent_tracer)
+                if trace is not None:
+                    merge_partial = lambda: trace.save_partial(rundir, names)
                 replies = Queue()
-                control = ControlPlane(
-                    control_dir, names, until_ps, aggregator, monitor,
+                plane = ControlPlane(
+                    rundir, names, until_ps, aggregator, monitor,
                     cmd_pipes, replies, merge_partial=merge_partial)
-                control.start()
-            launch_us = 0.0
-            if parent_tracer is not None:
-                launch_us = parent_tracer.wall_us()
-                parent_tracer.span(parent_tracer.tid("phases"), "phase",
-                                   "launch", 0.0, launch_us,
-                                   {"processes": len(self.specs)})
+                plane.start()
+            if trace is not None:
+                trace.phase("launch", launch_us,
+                            {"processes": len(self.specs)})
             t_run0 = time.perf_counter()
             results: Dict[str, ProcResult] = {}
             deadline = time.monotonic() + timeout_s + _PARENT_GRACE_S
@@ -619,8 +616,8 @@ class ProcessRunner:
                     res = results[name]
                     if monitor is not None:
                         monitor.note_done(name, res.error)
-                    if control is not None:
-                        control.note_done(name, res.error)
+                    if plane is not None:
+                        plane.note_done(name, res.error)
                     if res.error:  # a failed child stays missing, and
                         for ring in rings:  # its blocked peers leave
                             ring.abort()
@@ -639,27 +636,11 @@ class ProcessRunner:
                 sys.stderr.write("\n")
                 sys.stderr.flush()
             wall_total = time.perf_counter() - t_run0
-            fields = {}  # run report key -> artifact path
-            if parent_tracer is not None:
-                parent_tracer.span(parent_tracer.tid("phases"), "phase",
-                                   "run", launch_us,
-                                   parent_tracer.wall_us() - launch_us)
-                fields["trace"] = self._report_rel(
-                    merge_trace_jsonl(trace_dir, names, TRACE_FILE,
-                                      parent_tracer=parent_tracer),
-                    report_path)
-            for collector in collectors:
-                key, path = collector.report_field()
-                if path is not None:
-                    collector.save()
-                    fields[key] = self._report_rel(path, report_path)
-            if report_path is not None:
-                from ..obs.telemetry import (build_run_report,
-                                             write_run_report)
-                write_run_report(report_path, build_run_report(
-                    until_ps, wall_total, results, aggregator,
-                    health=monitor.report() if monitor else None,
-                    fields=fields))
+            if trace is not None:
+                trace.finish()  # the run phase
+            if rundir is not None:
+                self._write_run(rundir, until_ps, wall_total, results,
+                                aggregator, monitor.report())
             if children:  # the parent's deadline passed
                 missing = sorted(name for name, _, _ in children.values())
                 raise TimeoutError(
@@ -675,16 +656,32 @@ class ProcessRunner:
                 for _, pid, _ in children.values():
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-            if control is not None:
-                control.close()
+            if plane is not None:
+                plane.close()
             for fd in fds:
                 os.close(fd)
             for ring in rings:
                 ring.close()
 
-    @staticmethod
-    def _report_rel(path: str, report_path: Optional[str]) -> str:
-        """Path as referenced from the run report (relative when possible)."""
-        if report_path is None:
-            return path
-        return os.path.relpath(path, os.path.dirname(report_path) or ".")
+    def _write_run(self, rundir: str, until_ps: int, wall_seconds: float,
+                   results: Dict[str, ProcResult], aggregator,
+                   health: dict) -> None:
+        """The run directory of this run: the children's counters plus
+        their transport's as ``stats.json``, next to the report and the
+        recorders' artifacts."""
+        from ..obs.metrics import transport_counters
+        from ..obs.rundir import write_run
+        from ..obs.telemetry import build_run_report
+        metrics: Dict[str, float] = {}
+        components = {}
+        for name, res in results.items():
+            metrics.update(res.counters)
+            metrics.update(transport_counters(name, res.transport))
+            components[name] = {
+                "events": res.events, "wall_seconds": res.wall_seconds,
+                "wait_seconds": res.wait_seconds,
+                "work_cycles": res.work_cycles, "error": res.error,
+                "outputs": res.outputs, "transport": res.transport}
+        write_run(rundir, self.recorders, build_run_report(
+            "mp", until_ps, wall_seconds, components, aggregator, health),
+            metrics)

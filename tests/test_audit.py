@@ -353,8 +353,8 @@ def test_mp_crash_leaves_partial_ledger(tmp_path, monkeypatch):
     work = WorkRecorder(WINDOW)
     with pytest.raises((RuntimeError, TimeoutError)):
         runner = ProcessRunner(specs, channels)
-        runner.recorders += [AuditCollector(str(path), WINDOW), work]
-        runner.run(UNTIL_PS, timeout_s=3.0)
+        runner.recorders += [AuditCollector(window_ps=WINDOW), work]
+        runner.run(UNTIL_PS, timeout_s=3.0, rundir=str(tmp_path))
     led = load_audit(str(path))
     assert "s1" in led.partial
     assert led.root is None

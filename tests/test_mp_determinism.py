@@ -19,6 +19,7 @@ from repro.channels import wire
 from repro.kernel.simtime import US
 from repro.obs.audit import AuditCollector
 from repro.obs.flows import install_flow_recorder, uninstall_flow_recorder
+from repro.obs.install import TraceRecorder
 from repro.obs.trace import Tracer
 from repro.parallel.procrunner import ProcessRunner
 
@@ -49,7 +50,7 @@ def test_mp_matches_inproc_strict(codec, inproc):
     assert_same_timeline(inproc, mp_audit_ledger(N_PROCS, DURATION))
 
 
-def test_mp_matches_inproc_strict_with_flow_recorder(inproc, tmp_path):
+def test_mp_matches_inproc_strict_with_flow_recorder(inproc):
     """Flow tracing active in every child: the 4-proc timelines still pin.
 
     Children re-point the flow recorder installed here (1-in-1, as
@@ -59,15 +60,15 @@ def test_mp_matches_inproc_strict_with_flow_recorder(inproc, tmp_path):
     """
     specs, channels = pipeline_specs(N_PROCS)
     runner = ProcessRunner(specs, channels)
-    audit = AuditCollector(window_ps=AUDIT_WINDOW_PS)
-    runner.recorders.append(audit)
+    audit, trace = AuditCollector(window_ps=AUDIT_WINDOW_PS), TraceRecorder()
+    runner.recorders += [audit, trace]
     install_flow_recorder(Tracer(), sample_n=1)
     try:
-        results = runner.run(DURATION, timeout_s=120,
-                             trace_dir=str(tmp_path / "traces"))
+        results = runner.run(DURATION, timeout_s=120)
     finally:
         uninstall_flow_recorder()
     assert_same_timeline(inproc, audit.to_ledger())
+    assert set(trace.children) == set(results)
     # the rings really batch: more than one frame per cursor publish
     assert all(r.transport["frames_per_batch"] > 1.0
                for r in results.values())

@@ -81,7 +81,7 @@ def test_profiler_and_trace_wtpg_have_the_same_graph(tmp_path):
 
 def test_a_run_dir_named_like_a_subcommand_is_summarized(tmp_path, capsys,
                                                         monkeypatch):
-    # splitsim-run --profile-out profile: the lone existing path is a RUN
+    # splitsim-run --out profile: the lone existing path is a RUN
     (tmp_path / "profile").mkdir()
     traced_strict_run(tmp_path / "profile", duration=200 * US)
     monkeypatch.chdir(tmp_path)
@@ -443,12 +443,44 @@ def test_diff_subcommand_fails_gracefully(tmp_path, capsys):
     assert "window_ps differs" in capsys.readouterr().out
 
 
-# -- a run directory laid out like splitsim-run --control DIR -----------------
+# -- run directories ------------------------------------------------------------
+
+@pytest.mark.slow
+def test_inproc_and_mp_run_dirs_hold_the_same_files(tmp_path, capsys):
+    """One configuration in process (strict) and under mp, trace, timeline
+    and audit on: both run directories hold the same file names, their
+    ledgers diff identical, and every view opens both."""
+    dirs = [tmp_path / "inproc", tmp_path / "mp"]
+    for path in dirs:
+        exp = Instantiation(kv_system(), mode="strict", trace=True,
+                            flow_sample=1, timeline=True, audit=True).build()
+        try:
+            if path.name == "mp":
+                exp.run_mp(1 * MS, timeout_s=120, rundir=str(path))
+            else:
+                exp.run(1 * MS, rundir=str(path))
+        finally:
+            exp.disable_flow_tracing()
+    files = [sorted(p.name for p in path.iterdir()) for path in dirs]
+    assert files[0] == files[1] == ["audit.jsonl", "run_report.json",
+                                    "stats.json", "timeline.jsonl",
+                                    "trace.json"]
+    assert [json.loads((path / "run_report.json").read_text())["mode"]
+            for path in dirs] == ["strict", "mp"]
+    assert main(["diff", *map(str, dirs)]) == 0
+    for view in ([], ["profile"], ["timeline"], ["recommend"], ["flows"]):
+        for path in dirs:
+            assert main([*view, str(path)]) == 0, (view, path.name)
+
+
+# -- a run directory that names its artifacts elsewhere -------------------------
 
 def test_views_follow_run_report_references(tmp_path, capsys):
     """Every view finds its input through ``run_report.json``: the trace
-    under ``traces/``, the timeline and ledger at non-default names.
-    Built from one in-process run, so no process is spawned."""
+    under ``traces/`` (where multiprocess runs kept it before the run
+    directory had one name per artifact), the timeline and ledger at
+    non-default names.  Built from one in-process run, so no process is
+    spawned."""
     import shutil
 
     from repro.obs.flows import uninstall_flow_recorder

@@ -33,9 +33,10 @@ from repro.obs.telemetry import (HEALTH_DONE, HEALTH_FAILED, HEALTH_OK,
                                  RUN_REPORT_SCHEMA, TelemetryAggregator,
                                  build_run_report, write_run_report)
 from repro.obs.flows import install_flow_recorder, uninstall_flow_recorder
+from repro.obs.install import TraceRecorder
 from repro.obs.trace import Tracer, load_trace, validate_chrome_doc
 from repro.parallel import procrunner
-from repro.parallel.procrunner import ProcResult, ProcessRunner
+from repro.parallel.procrunner import ProcessRunner
 
 from .test_determinism_guard import assert_same_timeline
 
@@ -244,27 +245,33 @@ def test_schema_registry_is_single_source():
 
 
 def test_run_report_v4_roundtrip(tmp_path):
-    results = {
-        "good": ProcResult(name="good", events=42, wall_seconds=1.5,
-                           wait_seconds=0.5, work_cycles=9.0,
-                           outputs={"log": [1, 2]}),
-        "bad": ProcResult(name="bad", error="RuntimeError: boom"),
+    """Every v4 field keeps its meaning in a v5 report, and it round-trips
+    through the file."""
+    components = {
+        "good": {"events": 42, "wall_seconds": 1.5, "wait_seconds": 0.5,
+                 "work_cycles": 9.0, "error": None,
+                 "outputs": {"log": [1, 2]}, "transport": {}},
+        "bad": {"events": 0, "wall_seconds": 0.0, "wait_seconds": 0.0,
+                "work_cycles": 0.0, "error": "RuntimeError: boom",
+                "outputs": {}, "transport": {}},
     }
     agg = TelemetryAggregator(["good", "bad"])
     agg.note(hb("good", sim_ps=3 * US))
     mon = HealthMonitor(["good", "bad"])
     mon.note_done("good")
     mon.note_done("bad", error="RuntimeError: boom")
-    report = build_run_report(10 * US, 2.0, results, agg, trace="t.json",
+    report = build_run_report("mp", 10 * US, 2.0, components, agg,
                               health=mon.report())
-    assert report["schema"] == RUN_REPORT_SCHEMA == 4
+    assert report["schema"] == RUN_REPORT_SCHEMA == 5
+    assert report["mode"] == "mp"      # v5 field; prior fields unchanged
     assert report["timeline"] is None  # v3 field; v2 fields unchanged
     assert report["audit"] is None     # v4 field; prior fields unchanged
+    assert list(report["components"]) == ["bad", "good"]
     assert report["components"]["good"]["events"] == 42
     assert report["components"]["good"]["outputs"] == {"log": [1, 2]}
     assert report["components"]["good"]["error"] is None
     assert report["components"]["bad"]["error"] == "RuntimeError: boom"
-    assert report["trace"] == "t.json"
+    assert report["trace"] is None  # references come with write_run
     assert report["health"]["components"]["bad"] == HEALTH_FAILED
     assert report["heartbeats"][0]["comp"] == "good"
 
@@ -272,13 +279,13 @@ def test_run_report_v4_roundtrip(tmp_path):
     write_run_report(str(path), report)
     loaded = json.loads(path.read_text())
     assert loaded == json.loads(json.dumps(report, default=str))
-    assert loaded["schema"] == 4
+    assert loaded["schema"] == 5
     assert loaded["health"]["degraded"] is True
 
 
 def test_run_report_health_defaults_to_null():
-    report = build_run_report(1 * US, 0.1, {})
-    assert report["schema"] == 4
+    report = build_run_report("fast", 1 * US, 0.1, {})
+    assert report["schema"] == 5
     assert report["health"] is None
     assert report["audit"] is None
     assert report["heartbeats"] == []
@@ -439,7 +446,7 @@ def test_control_unknown_command_and_bad_json(plane, tmp_path):
 def test_control_dump_trace_without_tracing_fails_clean(plane, tmp_path):
     with ControlClient.attach(str(tmp_path)) as client:
         reply = client.dump_trace()
-    assert reply["ok"] is False and "trace_dir" in reply["error"]
+    assert reply["ok"] is False and "no trace recorder" in reply["error"]
 
 
 def test_control_set_flow_sample_validates_n(plane, tmp_path):
@@ -500,15 +507,13 @@ def test_attach_status_dump_trace_and_graceful_stop(tmp_path, monkeypatch):
     monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.05)
     specs, channels = pipeline_specs(4)
     runner = ProcessRunner(specs, channels)
+    runner.recorders.append(TraceRecorder())
     rundir = tmp_path / "run"
-    trace_dir = rundir / "traces"
-    report_path = rundir / "run_report.json"
     out: dict = {}
 
     def drive():
-        out["results"] = runner.run(
-            1 * SEC, timeout_s=120, control_dir=str(rundir),
-            trace_dir=str(trace_dir), report_path=str(report_path))
+        out["results"] = runner.run(1 * SEC, timeout_s=120,
+                                    rundir=str(rundir), control=True)
 
     t = threading.Thread(target=drive)
     t.start()
@@ -534,6 +539,8 @@ def test_attach_status_dump_trace_and_graceful_stop(tmp_path, monkeypatch):
             # partial trace dump of the run so far, without stopping
             dreply = client.dump_trace()
             assert dreply["ok"] and not dreply["errors"]
+            assert dreply["path"] == str(rundir / "traces" /
+                                         "trace.partial.json")
             doc = load_trace(dreply["path"])
             assert validate_chrome_doc(doc) == []
             assert doc["traceEvents"]
@@ -548,9 +555,10 @@ def test_attach_status_dump_trace_and_graceful_stop(tmp_path, monkeypatch):
     assert all(r.error is None for r in results.values())
     assert all(r.events > 0 for r in results.values())
     # the run stopped early: nobody reached the 1s horizon
-    report = json.loads(report_path.read_text())
+    report = json.loads((rundir / "run_report.json").read_text())
     assert report["schema"] == RUN_REPORT_SCHEMA
     assert report["health"] is not None
+    assert report["trace"] == "trace.json"
     # control endpoint is gone after the run
     assert not (rundir / CONTROL_FILE).exists()
 
@@ -564,7 +572,6 @@ def test_control_commands_do_not_perturb_digest(tmp_path, monkeypatch):
     base = mp_audit_ledger(4, 2 * MS)
 
     rundir = tmp_path / "run"
-    trace_dir = rundir / "traces"
     issued = {"n": 0}
     stop_poking = threading.Event()
 
@@ -588,15 +595,14 @@ def test_control_commands_do_not_perturb_digest(tmp_path, monkeypatch):
     specs, channels = pipeline_specs(4)
     runner = ProcessRunner(specs, channels)
     audit = AuditCollector(window_ps=AUDIT_WINDOW_PS)
-    runner.recorders.append(audit)
+    runner.recorders += [audit, TraceRecorder()]
     t = threading.Thread(target=poke)
     # every child traces every flow, so set-flow-sample has a recorder
     # to retune
     install_flow_recorder(Tracer(), sample_n=1)
     t.start()
     try:
-        runner.run(2 * MS, timeout_s=120, control_dir=str(rundir),
-                   trace_dir=str(trace_dir))
+        runner.run(2 * MS, timeout_s=120, rundir=str(rundir), control=True)
     finally:
         uninstall_flow_recorder()
         stop_poking.set()
@@ -662,10 +668,9 @@ def test_wedged_child_detected_and_reported_in_health(tmp_path, monkeypatch):
         [ProcSpec("wedge", make_wedge, ("wedge", 1.5)),
          ProcSpec("chatter", make_chatter, ("chatter",))],
         [ProcChannel("wedge", "wedge.e", "chatter", "chatter.e")])
-    report_path = tmp_path / "run_report.json"
-    results = runner.run(50 * US, timeout_s=60, report_path=str(report_path))
+    results = runner.run(50 * US, timeout_s=60, rundir=str(tmp_path))
     assert all(r.error is None for r in results.values())
-    report = json.loads(report_path.read_text())
+    report = json.loads((tmp_path / "run_report.json").read_text())
     assert report["schema"] == RUN_REPORT_SCHEMA
     health = report["health"]
     kinds = {(a["comp"], a["kind"]) for a in health["alerts"]}

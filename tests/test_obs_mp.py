@@ -57,18 +57,15 @@ def test_aggregator_tracks_latest_heartbeat_per_component():
 
 @pytest.mark.slow
 def test_run_mp_emits_report_and_merged_trace(tmp_path):
-    exp = Instantiation(kv_system()).build()
-    report_path = tmp_path / "run_report.json"
-    trace_dir = tmp_path / "traces"
-    results = exp.run_mp(2 * MS, timeout_s=120,
-                         report_path=str(report_path),
-                         trace_dir=str(trace_dir))
+    exp = Instantiation(kv_system(), trace=True).build()
+    results = exp.run_mp(2 * MS, timeout_s=120, rundir=str(tmp_path))
     assert set(results) == {"net", "server.host", "server.nic"}
 
-    report = json.loads(report_path.read_text())
+    report = json.loads((tmp_path / "run_report.json").read_text())
     assert report["schema"] == RUN_REPORT_SCHEMA
+    assert report["mode"] == "mp"
     # artifact references are relative to the report, like timeline/audit
-    assert report["trace"] == "traces/trace.json"
+    assert report["trace"] == "trace.json"
     comps = report["components"]
     assert set(comps) == set(results)
     for name, entry in comps.items():
@@ -77,11 +74,11 @@ def test_run_mp_emits_report_and_merged_trace(tmp_path):
     # children measure their own work cycles now
     assert any(r.work_cycles > 0 for r in results.values())
 
-    # merged Chrome trace: parent runner + one pid per child, wall clock
-    doc = load_trace(str(trace_dir / "trace.json"))
+    # merged Chrome trace: orchestration + one pid per child, wall clock
+    doc = load_trace(str(tmp_path / "trace.json"))
     assert validate_chrome_doc(doc) == []
     pids = {e["pid"] for e in doc["traceEvents"]}
-    assert len(pids) == 4  # runner + 3 children
+    assert len(pids) == 4  # orchestration + 3 children
     clocks = doc["otherData"]["clock_domains"]
     assert set(clocks.values()) == {"wall"}
     names = [e.get("name", "") for e in doc["traceEvents"]]
@@ -90,6 +87,41 @@ def test_run_mp_emits_report_and_merged_trace(tmp_path):
     assert any(n.startswith("wait|") for n in names)
     # channel and component counters live in the timeline, not the trace
     assert not any(n.startswith(("comp|", "chan|", "stall|")) for n in names)
+
+    # stats.json: the in-process snapshot's per-component keys plus the
+    # transport's, from the children's own counter walks
+    metrics = json.loads((tmp_path / "stats.json").read_text())["metrics"]
+    for name, res in results.items():
+        assert metrics[f"component.{name}.events"] == res.events
+        assert f"transport.{name}.frames_out" in metrics
+    assert any(k.startswith("channel.server.nic.") for k in metrics)
+    assert any(k.startswith("netsim.net.link.") for k in metrics)
+
+
+def _tracks(doc):
+    """Each process's name and the names of its thread tracks."""
+    procs, tracks = {}, {}
+    for ev in doc["traceEvents"]:
+        if ev["ph"] == "M" and ev["name"] == "process_name":
+            procs[ev["pid"]] = ev["args"]["name"]
+        elif ev["ph"] == "M" and ev["name"] == "thread_name":
+            tracks.setdefault(ev["pid"], set()).add(ev["args"]["name"])
+    return {procs[pid]: tracks.get(pid, set()) for pid in procs}
+
+
+@pytest.mark.slow
+def test_traced_run_mp_saves_every_childs_records(tmp_path):
+    # the trace recorder is what turns child tracing on: without a run
+    # directory, exp.save("trace") still holds every child's records
+    exp = Instantiation(kv_system(), trace=True).build()
+    results = exp.run_mp(2 * MS, timeout_s=120)
+    doc = exp.save("trace", str(tmp_path / "trace.json"))
+    assert validate_chrome_doc(doc) == []
+    tracks = _tracks(load_trace(str(tmp_path / "trace.json")))
+    for name in results:
+        assert {"lifecycle", "sync"} <= tracks.get(name, set()), name
+    assert "phases" in tracks["orchestration"]
+    assert doc["otherData"]["mode"] == "mp"
 
 
 @pytest.mark.slow
@@ -108,15 +140,14 @@ def test_run_mp_flow_records_stitch_across_processes(tmp_path):
     base = Instantiation(kv_system(), audit=True).build()
     base.run_mp(2 * MS, timeout_s=120)
     exp = Instantiation(kv_system(), audit=True, flow_sample=1).build()
-    trace_dir = tmp_path / "traces"
     try:
-        exp.run_mp(2 * MS, timeout_s=120, trace_dir=str(trace_dir))
+        exp.run_mp(2 * MS, timeout_s=120, rundir=str(tmp_path))
     finally:
         exp.disable_flow_tracing()
     assert_same_timeline(base.recorders["audit"].to_ledger(),
                          exp.recorders["audit"].to_ledger())
 
-    doc = load_trace(str(trace_dir / "trace.json"))
+    doc = load_trace(str(tmp_path / "trace.json"))
     assert validate_chrome_doc(doc) == []
     hop_pids = {e["pid"] for e in doc["traceEvents"]
                 if e.get("ph") == "i" and e["name"].startswith("fhop|")}

@@ -206,8 +206,8 @@ def test_mp_digest_identical_with_timeline_on_and_off(tmp_path):
     specs, channels = pipeline_specs(3)
     runner = ProcessRunner(specs, channels)
     audit = AuditCollector(window_ps=AUDIT_WINDOW_PS)
-    runner.recorders += [TimelineCollector(str(path)), audit]
-    timed = runner.run(UNTIL_PS, timeout_s=120)
+    runner.recorders += [TimelineCollector(), audit]
+    timed = runner.run(UNTIL_PS, timeout_s=120, rundir=str(tmp_path))
     assert_same_timeline(base, audit.to_ledger())
 
     tl = load_timeline(str(path))
@@ -223,12 +223,9 @@ def test_run_mp_report_references_timeline(tmp_path):
     from repro.obs.telemetry import RUN_REPORT_SCHEMA
 
     exp = Instantiation(kv_system(), timeline=True).build()
-    # a collector given a path is saved there and referenced
-    exp.recorders["timeline"].path = str(tmp_path / "timeline.jsonl")
-    report_path = tmp_path / "run_report.json"
-    results = exp.run_mp(2 * MS, timeout_s=120,
-                         report_path=str(report_path))
-    report = json.loads(report_path.read_text())
+    # the run directory saves the timeline under its name and references it
+    results = exp.run_mp(2 * MS, timeout_s=120, rundir=str(tmp_path))
+    report = json.loads((tmp_path / "run_report.json").read_text())
     assert report["schema"] == RUN_REPORT_SCHEMA
     assert report["timeline"] == "timeline.jsonl"
 
@@ -253,14 +250,13 @@ def test_mp_child_crash_flushes_partial_timeline(tmp_path, monkeypatch):
     specs, channels = pipeline_specs(2)
     specs[1].factory = make_crashing
     tl_path = tmp_path / "timeline.jsonl"
-    report_path = tmp_path / "run_report.json"
-    collector = TimelineCollector(str(tl_path))
+    collector = TimelineCollector()
     with pytest.raises((RuntimeError, TimeoutError)):
         runner = ProcessRunner(specs, channels)
         runner.recorders.append(collector)
-        runner.run(UNTIL_PS, timeout_s=3.0, report_path=str(report_path))
+        runner.run(UNTIL_PS, timeout_s=3.0, rundir=str(tmp_path))
 
-    report = json.loads(report_path.read_text())
+    report = json.loads((tmp_path / "run_report.json").read_text())
     states = report["health"]["components"]
     assert HEALTH_FAILED in states.values()
     assert report["health"]["degraded"]

@@ -205,16 +205,15 @@ def test_child_killed_by_a_signal_is_reported_at_once(tmp_path):
         [ProcSpec("a", make_pinger, ("a", True)),
          ProcSpec("killer", make_self_killer, ("killer",))],
         [ProcChannel("a", "a.e", "killer", "killer.e")])
-    report_path = tmp_path / "run_report.json"
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="component failures") as err:
-        runner.run(until_ps=1000 * MS, timeout_s=30,
-                   report_path=str(report_path))
+        runner.run(until_ps=1000 * MS, timeout_s=30, rundir=str(tmp_path))
     assert time.monotonic() - t0 < 10
     message = str(err.value)
     assert "'killer': 'killed by SIGKILL'" in message
     assert "a aborted" in message  # the peer left through its error path
-    states = json.loads(report_path.read_text())["health"]["components"]
+    report = json.loads((tmp_path / "run_report.json").read_text())
+    states = report["health"]["components"]
     assert states == {"a": HEALTH_FAILED, "killer": HEALTH_FAILED}
 
 

@@ -97,7 +97,6 @@ class CountProbe:
 class CountCollector:
     name = "count"
     probe = CountProbe
-    path = None
 
     def begin(self, components, until_ps, mode):
         self.mode = mode
@@ -110,11 +109,8 @@ class CountCollector:
     def note_result(self, comp, payload):
         self.results[comp] = payload["events"]
 
-    def save(self, path=None):
-        raise AssertionError("no path, nothing to save")
-
-    def report_field(self):
-        return self.name, self.path
+    def save(self, path):
+        raise AssertionError("a run directory names no artifact for it")
 
 
 @pytest.mark.parametrize("mode", ["fast", "strict"])
@@ -222,8 +218,6 @@ def _timeline_view(timeline, stats):
         stats.per_component_events
     assert view[1] == set(stats.per_component_events)
     assert view[2] == {("s0", "s1"), ("s1", "s0")}
-    if timeline.path is not None:
-        assert _totals(load_timeline(timeline.path).rows) == view
     return view
 
 
@@ -234,10 +228,10 @@ def _work_view(work, stats):
     return work.work, work.msgs
 
 
-#: name -> (collector for an artifact path, its comparable view)
+#: name -> (collector factory, its comparable view)
 AGREEING = {
     "timeline": (TimelineCollector, _timeline_view),
-    "work": (lambda path=None: WorkRecorder(AUDIT_WINDOW_PS), _work_view),
+    "work": (lambda: WorkRecorder(AUDIT_WINDOW_PS), _work_view),
 }
 
 
@@ -253,12 +247,17 @@ def test_inproc_and_mp_timelines_agree(tmp_path, monkeypatch, name):
 
     specs, channels = pipeline_specs(2)
     runner = ProcessRunner(specs, channels)
-    mp = make(str(tmp_path / f"{name}.jsonl"))
+    mp = make()
     runner.recorders.append(mp)
-    runner.run(UNTIL_PS, timeout_s=120)
+    runner.run(UNTIL_PS, timeout_s=120, rundir=str(tmp_path))
 
     assert (inproc.mode, mp.mode) == ("strict", "mp")
     assert view(mp, stats) == view(inproc, stats)
+    # the run directory holds the timeline's artifact; work writes none
+    saved = tmp_path / "timeline.jsonl"
+    assert saved.exists() == (name == "timeline")
+    if saved.exists():
+        assert _totals(load_timeline(str(saved)).rows) == view(mp, stats)
 
 
 # -- artifacts written by the parent commit still load, and are still written --
@@ -334,14 +333,20 @@ def test_parent_timeline_loads_and_is_reproduced(tmp_path):
     # rows written before the per-edge wait existed read as none
     assert all(r.edge_wait == {} for r in old.rows)
     assert all(r.edge_wait for r in new.rows)
-    # same keys per line, in the same order; the per-edge wait ("w") comes
-    # after them, where the parent's reader skips it
-    old_lines = PARENT_TIMELINE.read_text().splitlines()
-    new_lines = path.read_text().splitlines()
-    assert len(new_lines) == len(old_lines)
-    for new_line, old_line in zip(new_lines, old_lines):
-        old_keys = list(json.loads(old_line))
-        assert list(json.loads(new_line)) in (old_keys, old_keys + ["w"])
+    # same keys per line kind, in the same order; the per-edge wait ("w")
+    # comes after a row's keys, where the parent's reader skips it (the
+    # row count is the pin's)
+    old_header, old_rows = _line_keys(PARENT_TIMELINE)
+    new_header, new_rows = _line_keys(path)
+    assert new_header == old_header
+    assert {keys[:-1] if keys[-1] == "w" else keys
+            for keys in new_rows} == old_rows
+
+
+def _line_keys(path):
+    """A JSONL document's header keys and the set of its rows' keys."""
+    header, *rows = path.read_text().splitlines()
+    return list(json.loads(header)), {tuple(json.loads(r)) for r in rows}
 
 
 # -- the shared JSONL reader: every line must be a JSON object ---------------

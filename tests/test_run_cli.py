@@ -1,4 +1,8 @@
-"""Tests for the splitsim-run configuration-script CLI."""
+"""Tests for the splitsim-run configuration-script CLI.
+
+Every run writes a run directory (``--out``, default the working
+directory), so every test here runs inside its ``tmp_path``.
+"""
 
 import json
 
@@ -27,6 +31,11 @@ def build():
     system.app("client", lambda h: KVClientApp([addr], closed_loop_window=4))
     return system
 '''
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
 
 
 def write_config(tmp_path, text=CONFIG):
@@ -58,8 +67,11 @@ def test_cli_runs_config(tmp_path, capsys):
     assert main([path]) == 0
     out = capsys.readouterr().out
     assert "running 3 component simulators" in out
+    # per-component lines from the run report: events, collect_outputs()
+    assert "\n  net: " in out and " events\n" in out
     assert "client.app0" in out
     assert "'completed':" in out
+    assert "wrote .: run_report.json, stats.json\n" in out
 
 
 def test_cli_duration_override(tmp_path, capsys):
@@ -77,21 +89,28 @@ def test_cli_profile_flag(tmp_path, capsys):
 
 
 def test_cli_json_output(tmp_path):
+    # the run's JSON output is its run report
+    from repro.obs.telemetry import RUN_REPORT_SCHEMA
+
     path = write_config(tmp_path)
-    out_json = tmp_path / "out.json"
-    assert main([path, "--json", str(out_json)]) == 0
-    data = json.loads(out_json.read_text())
-    assert data["events"] > 0
-    assert data["apps"]["client.app0"]["completed"] > 0
+    assert main([path, "--out", "run"]) == 0
+    data = json.loads((tmp_path / "run" / "run_report.json").read_text())
+    assert (data["schema"], data["mode"]) == (RUN_REPORT_SCHEMA, "fast")
+    assert data["health"] is None and data["heartbeats"] == []
+    net = data["components"]["net"]
+    assert net["events"] > 0 and net["work_cycles"] > 0
+    assert net["outputs"]["client.app0"]["completed"] > 0
+    assert data["components"]["server.host"]["outputs"]["instructions"] > 0
 
 
 def test_cli_trace_writes_valid_chrome_doc(tmp_path, capsys):
     from repro.obs.trace import load_trace, validate_chrome_doc
 
     path = write_config(tmp_path)
-    trace = tmp_path / "trace.json"
-    assert main([path, "--duration", "1ms", "--trace", str(trace)]) == 0
-    doc = load_trace(str(trace))
+    assert main([path, "--duration", "1ms", "--trace"]) == 0
+    report = json.loads((tmp_path / "run_report.json").read_text())
+    assert report["trace"] == "trace.json"
+    doc = load_trace(str(tmp_path / "trace.json"))
     assert validate_chrome_doc(doc) == []
     assert doc["otherData"]["mode"] == "fast"
     assert any(e["ph"] == "X" for e in doc["traceEvents"])
@@ -99,9 +118,8 @@ def test_cli_trace_writes_valid_chrome_doc(tmp_path, capsys):
 
 def test_cli_stats_json_snapshot(tmp_path):
     path = write_config(tmp_path)
-    stats = tmp_path / "stats.json"
-    assert main([path, "--duration", "1ms", "--stats-json", str(stats)]) == 0
-    snap = json.loads(stats.read_text())
+    assert main([path, "--duration", "1ms", "--out", "run"]) == 0
+    snap = json.loads((tmp_path / "run" / "stats.json").read_text())
     assert snap["schema"] == 1
     metrics = snap["metrics"]
     assert metrics["kernel.queue.executed"] > 0
@@ -119,13 +137,13 @@ def test_cli_profile_out_writes_bundle(tmp_path, capsys):
 
     path = write_config(tmp_path)
     outdir = tmp_path / "profile"
-    assert main([path, "--duration", "1ms",
-                 "--profile-out", str(outdir)]) == 0
+    assert main([path, "--duration", "1ms", "--profile", "--trace",
+                 "--out", str(outdir)]) == 0
     assert "wait-time profile" in capsys.readouterr().out
     # the bundle is a run directory: its timeline has every component
     tl = load_timeline(str(outdir))
     assert {r.comp for r in tl.rows} == {"net", "server.host", "server.nic"}
-    # WTPG DOT and the trace ride along
+    # WTPG DOT and the trace ride along (--profile, --trace)
     dot = (outdir / "wtpg.dot").read_text()
     assert dot.startswith("digraph wtpg {")
     doc = load_trace(str(outdir / "trace.json"))
@@ -139,12 +157,12 @@ def test_cli_profile_out_writes_bundle(tmp_path, capsys):
 
 def test_cli_profile_out_prints_the_inspect_profile_report(tmp_path, capsys):
     # one rendering of the profiler's analysis: the run prints exactly what
-    # 'splitsim-inspect profile DIR' prints for its bundle
+    # 'splitsim-inspect profile DIR' prints for its run directory
     from repro.obs.inspect import main as inspect_main
 
     outdir = tmp_path / "profile"
-    assert main([write_config(tmp_path), "--duration", "1ms",
-                 "--profile-out", str(outdir)]) == 0
+    assert main([write_config(tmp_path), "--duration", "1ms", "--profile",
+                 "--out", str(outdir)]) == 0
     run = capsys.readouterr().out
     assert inspect_main(["profile", str(outdir)]) == 0
     report = capsys.readouterr().out
@@ -152,43 +170,22 @@ def test_cli_profile_out_prints_the_inspect_profile_report(tmp_path, capsys):
     assert report in run
 
 
-def test_cli_profile_out_needs_in_process_run(tmp_path, capsys,
-                                              monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main([write_config(tmp_path), "--control", "rundir",
-                 "--profile-out", "prof"]) == 1
-    assert "--timeline writes DIR/timeline.jsonl" in capsys.readouterr().err
-    assert not (tmp_path / "rundir").exists()
-    assert not (tmp_path / "prof").exists()
-
-
-@pytest.mark.parametrize("flag,hint", [
-    ("--json", "per-component outputs are in DIR/run_report.json"),
-    ("--stats-json", "transport counters are in DIR/run_report.json"),
-    ("--trace", "the trace is DIR/traces/trace.json"),
-], ids=["json", "stats-json", "trace"])
-def test_cli_in_process_outputs_are_rejected_with_control(
-        tmp_path, capsys, monkeypatch, flag, hint):
-    # used to exit 0 without writing the file
-    monkeypatch.chdir(tmp_path)
-    assert main([write_config(tmp_path), "--duration", "1ms",
-                 "--control", "rundir", flag, "out.json"]) == 1
-    err = capsys.readouterr().err
-    assert f"error: {flag} is for in-process runs" in err and hint in err
-    assert not (tmp_path / "rundir").exists()
-    assert not (tmp_path / "out.json").exists()
-
-
 @pytest.mark.slow
-def test_cli_control_with_flows_writes_the_run_dir_trace(tmp_path, capsys,
-                                                          monkeypatch):
-    # --flows sets the trace itself: it is not a user --trace
-    monkeypatch.chdir(tmp_path)
+def test_cli_control_with_flows_writes_the_run_dir_trace(tmp_path, capsys):
+    # --flows turns the trace recorder on, so the children trace: the run
+    # directory holds the merged trace under the same name as in process
+    from repro.obs.inspect.flows import analyze_doc
+    from repro.obs.rundir import load_trace
+
     assert main([write_config(tmp_path), "--duration", "1ms",
-                 "--control", "rundir", "--flows", "1"]) == 0
+                 "--control", "--out", "rundir", "--flows", "1"]) == 0
     report = json.loads((tmp_path / "rundir" / "run_report.json").read_text())
-    assert report["trace"] == "traces/trace.json"
-    assert (tmp_path / "rundir" / "traces" / "trace.json").exists()
+    assert (report["mode"], report["trace"]) == ("mp", "trace.json")
+    assert not (tmp_path / "rundir" / "traces").exists()
+    assert analyze_doc(load_trace(str(tmp_path / "rundir"))).complete
+    out = capsys.readouterr().out
+    # the per-component lines come from the run report, as in process
+    assert "s blocked)\n" in out and "client.app0" in out
 
 
 def test_cli_missing_config_errors(tmp_path, capsys):
@@ -214,28 +211,26 @@ def test_cli_unknown_partition_errors(tmp_path, capsys):
     assert "unknown partition" in capsys.readouterr().err
 
 
-def test_cli_flows_flag_records_and_cleans_up(tmp_path, capsys, monkeypatch):
+def test_cli_flows_flag_records_and_cleans_up(tmp_path, capsys):
     from repro.obs.flows import active_recorder
     from repro.obs.inspect.flows import analyze_doc
-    from repro.obs.trace import load_trace
+    from repro.obs.rundir import load_trace
 
-    monkeypatch.chdir(tmp_path)
-    trace = tmp_path / "kv_trace.json"
     rc = main([write_config(tmp_path), "--mode", "strict",
-               "--flows", "1", "--trace", str(trace)])
+               "--flows", "1", "--trace", "--out", "kv"])
     assert rc == 0
     assert active_recorder() is None  # the CLI uninstalls its recorder
-    rep = analyze_doc(load_trace(str(trace)))
+    rep = analyze_doc(load_trace(str(tmp_path / "kv")))
     assert len(rep.complete) > 0
     assert rep.bottleneck() == "server.host"
 
 
-def test_cli_flows_implies_trace(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_flows_implies_trace(tmp_path, capsys):
     rc = main([write_config(tmp_path), "--mode", "strict", "--flows", "4"])
     assert rc == 0
-    assert (tmp_path / "trace.json").exists()  # default artifact path
-    assert "wrote trace.json" in capsys.readouterr().out
+    assert (tmp_path / "trace.json").exists()  # the default run directory
+    assert "wrote .: run_report.json, stats.json, trace.json\n" in \
+        capsys.readouterr().out
 
 
 def test_cli_flows_rejects_bad_divisor(tmp_path, capsys):
@@ -245,24 +240,25 @@ def test_cli_flows_rejects_bad_divisor(tmp_path, capsys):
 
 # -- timeline & partition-file flags ------------------------------------------
 
-def test_cli_timeline_writes_document(tmp_path, capsys, monkeypatch):
+def test_cli_timeline_writes_document(tmp_path, capsys):
     from repro.obs.timeline import load_timeline
 
     path = write_config(tmp_path)
-    monkeypatch.chdir(tmp_path)
     assert main([path, "--timeline"]) == 0
-    assert "wrote timeline.jsonl" in capsys.readouterr().out
+    assert "wrote .: run_report.json, stats.json, timeline.jsonl\n" in \
+        capsys.readouterr().out
     tl = load_timeline(str(tmp_path / "timeline.jsonl"))
     assert tl.mode == "strict" and tl.rows
 
 
 def test_cli_timeline_explicit_path(tmp_path, capsys):
-    from repro.obs.timeline import load_timeline
+    # --out is the one option that takes a path; it is created if missing
+    from repro.obs.rundir import load_timeline
 
     path = write_config(tmp_path)
-    out_path = tmp_path / "tl.jsonl"
-    assert main([path, "--timeline", str(out_path)]) == 0
-    assert load_timeline(str(out_path)).rows
+    assert main([path, "--timeline", "--out", "a/b"]) == 0
+    assert load_timeline(str(tmp_path / "a" / "b")).rows
+    assert not (tmp_path / "timeline.jsonl").exists()
 
 
 DC_CONFIG = '''
@@ -295,7 +291,7 @@ def test_cli_mp_timeline_drives_the_advisor_loop(tmp_path, capsys):
     config = write_config(tmp_path, DC_CONFIG)
     rundir = tmp_path / "runM"
     assert main([config, "--duration", "500us", "--partition", "ac",
-                 "--control", str(rundir), "--timeline", "--audit",
+                 "--control", "--out", str(rundir), "--timeline", "--audit",
                  "--profile"]) == 0
     report = json.loads((rundir / "run_report.json").read_text())
     assert (report["timeline"], report["audit"]) == \
@@ -304,6 +300,7 @@ def test_cli_mp_timeline_drives_the_advisor_loop(tmp_path, capsys):
     assert "sim speed" in out and "wait-time profile" in out
     for comp in load_timeline(str(rundir)).components:
         assert f"  {comp}: efficiency=" in out
+    assert (rundir / "wtpg.dot").read_text().startswith("digraph wtpg {")
 
     assert inspect_main(["recommend", str(rundir)]) == 0
     doc = load_partition(str(rundir / "partition.json"))
@@ -351,20 +348,18 @@ def test_cli_rejects_bad_time_literals(tmp_path, capsys, flags):
 
 # -- audit flags ---------------------------------------------------------------
 
-@pytest.mark.parametrize("extra", [[], ["--control", "rundir"]])
-def test_cli_audit_window_needs_audit(tmp_path, capsys, monkeypatch, extra):
+@pytest.mark.parametrize("extra", [[], ["--control"]])
+def test_cli_audit_window_needs_audit(tmp_path, capsys, extra):
     # used to be silently ignored, in process and with --control alike
-    monkeypatch.chdir(tmp_path)
     assert main([write_config(tmp_path), "--audit-window", "5us",
-                 *extra]) == 1
+                 "--out", "rundir", *extra]) == 1
     assert "error: --audit-window needs --audit" in capsys.readouterr().err
     assert not (tmp_path / "rundir").exists()
 
 
 def test_cli_audit_window_sets_ledger_width(tmp_path, capsys):
-    from repro.obs.audit import load_audit
+    from repro.obs.rundir import load_audit
 
-    out_path = tmp_path / "audit.jsonl"
-    assert main([write_config(tmp_path), "--audit", str(out_path),
+    assert main([write_config(tmp_path), "--audit", "--out", "run",
                  "--audit-window", "5us"]) == 0
-    assert load_audit(str(out_path)).window_ps == 5 * US
+    assert load_audit(str(tmp_path / "run")).window_ps == 5 * US
