@@ -31,8 +31,8 @@ GBPS = 1e9
 class TimerWheelComponent(Component):
     """``n_timers`` self-rescheduling timers with coprime-ish periods.
 
-    Pure event-queue churn: every event costs one schedule + one pop +
-    one dispatch, with nothing else on the path.
+    Pure event-queue churn: every event costs one post + one pop + one
+    dispatch, with nothing else on the path; a run builds no ``Event``.
     """
 
     def __init__(self, name: str, n_timers: int, base_period_ps: int) -> None:
@@ -54,7 +54,8 @@ class CancelChurnComponent(Component):
     """RTO-style pattern: every tick cancels a pending guard and re-arms it.
 
     Half of all scheduled events are cancelled before they fire, exercising
-    the lazy-deletion path and the live-count bookkeeping.
+    the lazy-deletion path and the live-count bookkeeping: the guards are
+    the rung's handles (:meth:`Component.timer`), the ticks are posts.
     """
 
     def __init__(self, name: str, n_streams: int, period_ps: int) -> None:
@@ -77,7 +78,7 @@ class CancelChurnComponent(Component):
         if guard is not None:
             self.cancel(guard)
         # guard far enough out that the next tick always cancels it
-        self._guards[i] = self.call_after(self.period_ps * 8, self._noop, i)
+        self._guards[i] = self.timer(self.period_ps * 8, self._noop, i)
         self.call_after(self.period_ps + (i % 13), self._tick, i)
 
 

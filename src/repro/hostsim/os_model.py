@@ -1,7 +1,8 @@
 """The simulated operating system of a detailed host.
 
 ``SimOS`` presents the *same* environment interface that protocol-level
-hosts give their applications (``stack``, ``now``, ``call_after``,
+hosts give their applications (``stack``, ``now``, ``call_after``, which
+posts, ``timer``, which returns a handle for ``cancel`` / ``postpone``,
 ``charge``, ``rng``, ``clock_ps``), so unmodified application classes run
 on either fidelity — the reproduction's analogue of "the end-to-end
 simulation runs the unmodified Linux applications".
@@ -61,9 +62,13 @@ class SimOS:
         """Current simulated time (stack environment interface)."""
         return self.host.now
 
-    def call_after(self, delay: int, fn: Callable, *args):
-        """Schedule a callback (stack environment interface)."""
-        return self.host.call_after(delay, fn, *args)
+    def call_after(self, delay: int, fn: Callable, *args) -> None:
+        """Post a callback (stack environment interface)."""
+        self.host.call_after(delay, fn, *args)
+
+    def timer(self, delay: int, fn: Callable, *args):
+        """Schedule a callback; return its handle."""
+        return self.host.timer(delay, fn, *args)
 
     def cancel(self, ev) -> None:
         """Cancel a scheduled callback."""

@@ -49,9 +49,9 @@ _delivery_order = itemgetter(0, 1, 2)
 class Component:
     """Base class for all simulator instances.
 
-    Subclasses implement behaviour by scheduling events (:meth:`schedule`,
-    :meth:`call_after`) and by registering per-end message handlers with
-    :meth:`attach_end`.
+    Subclasses implement behaviour by scheduling events (:meth:`call_after`,
+    and :meth:`schedule` / :meth:`timer` for a handle) and by registering
+    per-end message handlers with :meth:`attach_end`.
     """
 
     #: Default modeled host cycles consumed per executed event.  Calibrated
@@ -80,15 +80,18 @@ class Component:
     def bind_queue(self, queue: EventQueue) -> None:
         """Make ``queue`` this component's event queue.
 
-        Besides ``self.queue`` this refreshes the two callables the hot
-        paths bind to the queue: ``_schedule_at`` (``queue.post_at``, for
-        events nobody cancels) and the per-instance :meth:`call_after`.
-        Whoever replaces a component's queue (the fast-mode coordinator
-        does) must come through here.
+        Besides ``self.queue`` this refreshes the callables bound to the
+        queue: the posts (no handle, for events nobody cancels)
+        ``_schedule_at`` (``queue.post_at``) and the per-instance
+        :meth:`call_after` (``partial(queue.post_after, self)``), and the
+        per-instance :meth:`timer` (``partial(queue.schedule_after,
+        self)``).  Whoever replaces a component's queue (the fast-mode
+        coordinator does) must come through here.
         """
         self.queue = queue
         self._schedule_at = queue.post_at
-        self.call_after = partial(queue.schedule_after, self)
+        self.call_after = partial(queue.post_after, self)
+        self.timer = partial(queue.schedule_after, self)
 
     @property
     def work_cycles(self) -> float:
@@ -122,14 +125,24 @@ class Component:
             )
         return self.queue.schedule_at(self, ts, fn, *args)
 
-    def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` ``delay`` picoseconds from now.
+    def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
+        """Post ``fn(*args)`` ``delay`` picoseconds from now; no handle.
 
         The hottest scheduling entry point in the simulator, so every
-        instance shadows this method with ``partial(queue.schedule_after,
+        instance shadows this method with ``partial(queue.post_after,
         self)`` (:meth:`bind_queue`): a call runs one Python frame, the
-        queue's.  This body is the same call, for calls through the class.
+        queue's, and builds no :class:`Event`.  This body is the same call,
+        for calls through the class.  A timer that may be cancelled or
+        re-armed is a :meth:`timer`.
         """
+        self.queue.post_after(self, delay, fn, *args)
+
+    def timer(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` ``delay`` picoseconds from now and return
+        its handle, for :meth:`cancel` and :meth:`postpone`.  It draws the
+        ``(ts, seq)`` :meth:`call_after` would.  Every instance shadows
+        this method with ``partial(queue.schedule_after, self)``
+        (:meth:`bind_queue`), as it does :meth:`call_after`."""
         return self.queue.schedule_after(self, delay, fn, *args)
 
     def cancel(self, ev: Event) -> None:

@@ -24,11 +24,12 @@ Hot-path design (this loop bounds overall simulator throughput):
   (``Component.work_cycles``); per-window work reaches the execution
   model's work probe through the :attr:`EventQueue.trace` hook, installed
   only when a run records it.
-* :meth:`EventQueue.schedule_after` is what ``Component.call_after`` is
-  bound to (a per-instance ``functools.partial``), so scheduling relative
-  to now costs one Python frame.  It draws the same ``seq`` at the same
-  moment ``schedule_at(owner, now + delay)`` would, so ``(ts, seq)`` order
-  is unchanged.
+* :meth:`EventQueue.post_after` is what ``Component.call_after`` is bound
+  to (a per-instance ``functools.partial``), so scheduling relative to now
+  costs one Python frame and builds no handle.  It draws the same ``seq``
+  at the same moment ``schedule_at(owner, now + delay)`` would, so ``(ts,
+  seq)`` order is unchanged; ``Component.timer`` is its handle twin,
+  :meth:`EventQueue.schedule_after`.
 * :meth:`EventQueue.postpone` re-arms a pending event for a later time in
   place: the event takes the fresh ``(ts, seq)`` a ``cancel`` + ``schedule``
   pair would have given its replacement, so execution order — ties included
@@ -37,15 +38,17 @@ Hot-path design (this loop bounds overall simulator throughput):
   it surfaces, on the branch the drain already takes for cancelled entries.
 
 **Pooled-event lifetime rule:** handles come only from ``schedule``,
-``schedule_at`` and ``schedule_after`` (``post_at`` returns none).  A handle
-is only valid until the event fires or its cancellation is collected; it
-stays valid across any number of :meth:`EventQueue.postpone` calls and
-across :meth:`EventQueue.adopt` (the fast-mode queue swap).  Do not
-retain handles after the callback has run; clear stored handles inside the
-callback (see ``TcpConnection._on_rto`` for the canonical pattern).
-Cancelling or postponing an already-fired handle is a safe no-op *only*
-until the pooled object is reused, so stale handles must not escape their
-callback's turn.
+``schedule_at`` and ``schedule_after`` — on a component, ``schedule`` and
+``timer``; ``post_at``, ``post_after`` and so ``call_after`` return none.
+A handle exists only for a timer that is cancelled or re-armed.  It is
+only valid until the event fires (or is popped) or its cancellation is
+collected; it stays valid across any number of :meth:`EventQueue.postpone`
+calls and across :meth:`EventQueue.adopt` (the fast-mode queue swap).  Do
+not retain handles after the callback has run; clear stored handles inside
+the callback (see ``TcpConnection._on_rto`` for the canonical pattern).
+Cancelling or postponing an already-fired or popped handle is a safe no-op
+*only* until the pooled object is reused, so stale handles must not escape
+their callback's turn.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class Event:
     than removing from the queue; cancelled events are skipped lazily.
 
     ``cancelled`` has three states: ``False`` (pending, the heap entry
-    carries this event's key), ``True`` (dead: cancelled, fired or pooled)
+    carries this event's key), ``True`` (dead: cancelled, fired, popped or
+    pooled)
     and the truthy marker ``_MOVED`` (pending, but postponed: the heap entry
     is stale and ``ts`` / ``seq`` hold the key it is re-pushed under).
     """
@@ -183,11 +187,11 @@ class EventQueue:
 
     def schedule_after(self, owner: Any, delay: int, fn: Callable[..., None],
                        *args: Any) -> Event:
-        """Insert ``fn(*args)`` ``delay`` picoseconds after ``owner.now``.
+        """Insert ``fn(*args)`` ``delay`` picoseconds after ``owner.now``
+        and return its handle (``Component.timer``).
 
         :meth:`schedule_at` at ``owner.now + delay``, written out rather
-        than delegated: every ``Component.call_after`` is a partial of this
-        method, so the hottest scheduling entry point runs one Python frame.
+        than delegated, as :meth:`post_after` is.
         """
         if delay < 0:
             raise ValueError(
@@ -214,6 +218,26 @@ class EventQueue:
         if not seq & 255 and len(heap) > self.peak_heap:
             self.peak_heap = len(heap)
         return ev
+
+    def post_after(self, owner: Any, delay: int, fn: Callable[..., None],
+                   *args: Any) -> None:
+        """:meth:`schedule_after` without a handle: the entry is ``(ts,
+        seq, owner, fn, args)`` at ``owner.now + delay``, under the ``seq``
+        ``schedule_after`` would draw.  Every ``Component.call_after`` is a
+        partial of this method, so the hottest scheduling entry point runs
+        one Python frame and builds no :class:`Event`.
+        """
+        if delay < 0:
+            raise ValueError(
+                f"{owner.name}: scheduling into the past (delay {delay})")
+        ts = owner.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heap = self._heap
+        heapq.heappush(heap, (ts, seq, owner, fn, args))
+        if not seq & 255 and len(heap) > self.peak_heap:
+            self.peak_heap = len(heap)
 
     def post_at(self, owner: Any, ts: int, fn: Callable[..., None],
                 *args: Any) -> None:
@@ -335,17 +359,21 @@ class EventQueue:
 
         The caller owns the returned event until it hands it back via
         :meth:`release` (optional — unreleased events are simply collected
-        by the garbage collector, forgoing reuse).  A post has no
-        :class:`Event`; popping one builds it.
+        by the garbage collector, forgoing reuse).  It is no longer
+        pending, so :meth:`cancel` and :meth:`postpone` on it change
+        nothing.  A post has no :class:`Event`; popping one builds it.
         """
         if self.peek_ts() is None:
             return None
         self._live -= 1
         ts, seq, owner, fn, args = heapq.heappop(self._heap)
         if args is None:
+            fn.cancelled = True
             return fn
         self.allocations += 1
-        return Event(ts, seq, fn, args, owner=owner, queue=self)
+        ev = Event(ts, seq, fn, args, owner=owner, queue=self)
+        ev.cancelled = True
+        return ev
 
     def run_until(self, until_ps: int) -> int:
         """Execute every live event with ``ts <= until_ps``; return the count.

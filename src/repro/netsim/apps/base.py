@@ -42,10 +42,10 @@ class App:
         assert self.host is not None
         return self.host.now
 
-    def call_after(self, delay: int, fn, *args):
-        """Schedule a callback relative to now."""
+    def call_after(self, delay: int, fn, *args) -> None:
+        """Post a callback relative to now."""
         assert self.host is not None
-        return self.host.call_after(delay, fn, *args)
+        self.host.call_after(delay, fn, *args)
 
     @property
     def rng(self):

@@ -54,8 +54,10 @@ class NetHost(Node):
     """Protocol-level end host with a transport stack and applications.
 
     Implements the stack environment interface (``now``, ``call_after``,
-    ``cancel``, ``postpone``, ``tx``, ``charge``, ``rng``); ``charge`` is a
-    no-op because protocol-level host software is free, by definition.
+    ``timer``, ``cancel``, ``postpone``, ``tx``, ``charge``, ``rng``):
+    ``call_after`` posts and returns nothing, ``timer`` returns the handle
+    ``cancel`` and ``postpone`` take; ``charge`` is a no-op because
+    protocol-level host software is free, by definition.
     """
 
     def __init__(self, net: "NetworkSim", name: str, addr: int,
@@ -79,9 +81,13 @@ class NetHost(Node):
         """Current simulated time (stack environment interface)."""
         return self.net.now
 
-    def call_after(self, delay: int, fn, *args):
-        """Schedule a callback relative to now (stack environment interface)."""
-        return self.net.call_after(delay, fn, *args)
+    def call_after(self, delay: int, fn, *args) -> None:
+        """Post a callback relative to now (stack environment interface)."""
+        self.net.call_after(delay, fn, *args)
+
+    def timer(self, delay: int, fn, *args):
+        """Schedule a callback relative to now; return its handle."""
+        return self.net.timer(delay, fn, *args)
 
     def cancel(self, ev) -> None:
         """Cancel a previously scheduled callback."""

@@ -3,8 +3,10 @@
 The stack is deliberately environment-agnostic.  Its ``env`` must provide:
 
 ``now``             current simulated time (picoseconds)
-``call_after``      schedule a callback, returning a cancellable handle
+``call_after``      post a callback (returns nothing)
+``timer``           schedule a callback, returning a handle
 ``cancel``          cancel such a handle
+``postpone``        re-arm such a handle in place
 ``tx(pkt)``         hand a packet to the interface for transmission
 ``charge(instr)``   account simulated CPU instructions (no-op on
                     protocol-level hosts)

@@ -364,7 +364,7 @@ class TcpConnection:
         timer = self._rto_timer
         if timer is None or not self.env.postpone(timer, self.rto):
             self._cancel_rto()
-            self._rto_timer = self.env.call_after(self.rto, self._on_rto)
+            self._rto_timer = self.env.timer(self.rto, self._on_rto)
 
     def _cancel_rto(self) -> None:
         if self._rto_timer is not None:

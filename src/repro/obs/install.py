@@ -56,6 +56,8 @@ class TraceRecorder:
                                    clock="wall")
         self._phases = self.phase_tracer.tid("phases")
         self._run_start_us = 0.0
+        #: the ``teardown`` instant is recorded (at the first :meth:`save`)
+        self._torn_down = False
         #: the causal :class:`~repro.obs.flows.FlowRecorder`, if any
         self.flows = None
         #: ``fast``/``strict`` in process, ``mp`` (``None`` before a run)
@@ -112,9 +114,14 @@ class TraceRecorder:
         return chrome_doc(tracers, extra_meta=meta)
 
     def save(self, path: str) -> dict:
-        """Write the merged Chrome-trace document; returns the document."""
-        tr = self.phase_tracer
-        tr.instant(self._phases, "phase", "teardown", tr.wall_us())
+        """Write the merged Chrome-trace document; returns the document.
+        The first save records the ``teardown`` phase instant; a later one
+        (``exp.save`` after a run that wrote a run directory) writes the
+        same phases again."""
+        if not self._torn_down:
+            self._torn_down = True
+            tr = self.phase_tracer
+            tr.instant(self._phases, "phase", "teardown", tr.wall_us())
         doc = self.document()
         _write_json(path, doc)
         return doc

@@ -168,6 +168,27 @@ class Tracer:
         start = idx & self._mask
         return self._buf[start:] + self._buf[:start]
 
+    # -- pickling ----------------------------------------------------------
+
+    def __getstate__(self) -> tuple:
+        """The recorded slots only, not the ring's empty ones: an mp child
+        ships its tracer up its pipe, and the pickle grows with the
+        records, not with ``capacity``."""
+        return (self.pid, self.process_name, self.clock, self.capacity,
+                self._idx, self._tids, self._t0, self.records())
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.pid, self.process_name, self.clock, cap, idx, self._tids,
+         self._t0, records) = state
+        self.capacity = cap
+        self._mask = mask = cap - 1
+        self._idx = idx
+        buf: List[Optional[tuple]] = [None] * cap
+        first = idx - len(records)
+        for i, rec in enumerate(records, first):
+            buf[i & mask] = rec
+        self._buf = buf
+
     # -- export ------------------------------------------------------------
 
     def events(self) -> List[dict]:

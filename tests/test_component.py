@@ -19,7 +19,7 @@ def test_schedule_into_past_rejected():
 def test_call_after_and_cancel():
     c = Component("c")
     fired = []
-    ev = c.call_after(10, fired.append, 1)
+    ev = c.timer(10, fired.append, 1)
     c.call_after(20, fired.append, 2)
     c.cancel(ev)
     c.advance(100)

@@ -238,6 +238,67 @@ def test_property_identical_timelines_vs_reference(ops, bound):
     assert len(opt) == sum(1 for *_, e in ref._heap if not e["cancelled"])
 
 
+@given(st.lists(st.tuples(
+           st.lists(st.tuples(st.sampled_from(["post", "post", "timer",
+                                               "cancel", "postpone"]),
+                              st.integers(min_value=0, max_value=40)),
+                    max_size=30),
+           st.integers(min_value=0, max_value=40)),
+       min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_property_call_after_posts_and_timers_vs_reference(rounds):
+    """A component's ``call_after`` posts interleaved with ``timer``
+    handles that are cancelled or postponed execute in the reference's
+    ``(ts, seq)`` order, a postpone taking the key of the reference's
+    cancel + schedule.  Each round arms relative to the component's clock,
+    then drains ``step`` past it."""
+    comp, ref = Component("c"), ReferenceQueue()
+    queue = comp.queue
+    executed, ref_exec = [], []
+    timers = {}  # token -> (reference entry, handle) of a pending timer
+
+    def fire(tok):
+        _, ev = timers.pop(tok)
+        executed.append((ev.ts, ev.seq))
+
+    for tok, (ops, step) in enumerate(rounds):
+        for i, (op, n) in enumerate(ops):
+            if op == "post":
+                key = (comp.now + n, ref.schedule(comp.now + n, _nop)["seq"])
+                assert comp.call_after(n, executed.append, key) is None
+            elif op == "timer":
+                r = ref.schedule(comp.now + n, _nop)
+                timers[tok, i] = (r, comp.timer(n, fire, (tok, i)))
+                assert (timers[tok, i][1].ts, queue._seq) == (r["ts"],
+                                                              ref._seq)
+            elif timers:
+                victim = sorted(timers)[n % len(timers)]
+                r, ev = timers[victim]
+                ref.cancel(r)
+                if op == "cancel":
+                    del timers[victim]
+                    comp.cancel(ev)
+                else:
+                    r = ref.schedule(ev.ts + n, _nop)
+                    assert comp.postpone(ev, ev.ts + n - comp.now)
+                    assert (ev.ts, ev.seq) == (r["ts"], r["seq"])
+                    timers[victim] = (r, ev)
+        bound = comp.now + step
+        ref_exec += ref.run_until(bound)
+        queue.run_until(bound)
+        comp.now = bound  # as ``advance`` leaves it
+        assert executed == ref_exec
+        assert len(queue) == sum(1 for *_, e in ref._heap
+                                 if not e["cancelled"])
+    # posts build no Event: only timers allocate
+    armed = sum(op == "timer" for ops, _ in rounds for op, _ in ops)
+    assert queue._seq == ref._seq and queue.allocations <= armed
+
+
+def _nop():
+    pass
+
+
 # -- postpone ---------------------------------------------------------------
 
 def test_postponed_event_fires_once_at_the_new_time():
@@ -309,8 +370,29 @@ def test_postponed_head_through_peek_and_pop():
     assert q.peek_ts() == 15
     assert q.pop() is other
     assert q.peek_ts() == 20
-    assert q.pop() is ev and ev.ts == 20 and not ev.cancelled
+    # re-keyed under its postponed time, and popped: no longer pending
+    assert q.pop() is ev and ev.ts == 20 and ev.cancelled is True
     assert q.pop() is None and len(q) == 0
+
+
+def test_a_popped_event_is_no_longer_pending():
+    """Cancelling or postponing a popped event leaves the books alone:
+    ``len()`` counts the one still pending, no cancel is counted."""
+    q = EventQueue()
+    q.schedule(10, lambda: None)
+    q.schedule(20, lambda: None)
+    ev = q.pop()
+    q.cancel(ev)
+    ev.cancel()
+    assert q.postpone(ev, 30) is False
+    assert len(q) == 1 and q.cancelled_total == 0 and q.postponed_total == 0
+    assert q.peek_ts() == 20
+    q.post_at(_Owner(), 5, lambda: None)
+    posted = q.pop()
+    q.cancel(posted)
+    assert q.postpone(posted, 40) is False
+    assert len(q) == 1 and q.cancelled_total == 0
+    assert q.run_until(100) == 1 and len(q) == 0
 
 
 def test_fast_mode_migration_keeps_a_postponed_pre_run_event():

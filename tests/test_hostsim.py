@@ -150,8 +150,8 @@ def test_apps_share_env_interface():
     """The same app code must see the NetHost-compatible surface."""
     host = make_host()
     os = host.os
-    for attr in ("stack", "now", "call_after", "cancel", "charge", "rng",
-                 "addr", "clock_ps", "add_app"):
+    for attr in ("stack", "now", "call_after", "timer", "cancel", "charge",
+                 "rng", "addr", "clock_ps", "add_app"):
         assert hasattr(os, attr)
 
 

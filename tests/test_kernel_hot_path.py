@@ -1,11 +1,14 @@
 """One-frame scheduling and derived work: order and accounting unchanged.
 
 ``Component.call_after`` is a per-instance partial of
-``EventQueue.schedule_after`` and the drain keeps no modeled work; these
-tests pin that neither moves an event or a cycle:
+``EventQueue.post_after`` (a post: no handle), ``Component.timer`` its
+handle twin, and the drain keeps no modeled work; these tests pin that
+none of it moves an event or a cycle:
 
-* ``call_after`` draws the same ``(ts, seq)`` as ``schedule_at(owner, now +
+* ``timer`` draws the same ``(ts, seq)`` as ``schedule_at(owner, now +
   delay)`` would, also across the fast-mode queue swap;
+* ``call_after`` returns nothing and builds no ``Event``, and no module of
+  the package keeps what it returns;
 * handles taken before the run still control their events in fast mode
   (the swap moves events instead of copying them);
 * ``work_cycles`` and the work collector's windows equal the running sums
@@ -13,10 +16,14 @@ tests pin that neither moves an event or a cycle:
 * a protocol host's delayed receive path follows the swap too.
 """
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.workloads import build_mixed_system
+import repro
+from repro.bench.workloads import TimerWheelComponent, build_mixed_system
 from repro.kernel.component import Component
 from repro.kernel.simtime import MS, US
 from repro.netsim.network import NetworkSim
@@ -45,7 +52,7 @@ class _Program(Component):
     def _arm(self, delay):
         tok = len(self.handles)
         if self.via_call_after:
-            ev = self.call_after(delay, self._fire, tok)
+            ev = self.timer(delay, self._fire, tok)
         else:
             ev = self.queue.schedule_at(self, self.now + delay, self._fire, tok)
         self.handles[tok] = ev
@@ -86,6 +93,58 @@ def test_call_after_rejects_a_negative_delay():
     assert len(c.queue) == 0 and c.queue._seq == 0
 
 
+def test_a_timer_wheel_run_builds_no_event():
+    """Every timer of a wheel is a ``call_after`` post: a run of two wheels
+    allocates no :class:`Event`, in either mode."""
+    for mode in ("fast", "strict"):
+        sim = Simulation(mode=mode)
+        for k in range(2):
+            sim.add(TimerWheelComponent(f"wheel{k}", 16, 2_000 + k))
+        stats = sim.run(200_000)
+        assert stats.events > 2_000, mode
+        assert stats.event_allocations == 0, mode
+    c = Component("c")
+    assert c.call_after(5, lambda: None) is None
+    assert len(c.queue) == 1 and c.queue.allocations == 0
+
+
+def _kept_call_after_results(source, filename="<src>"):
+    """``file:line`` of every ``call_after(...)`` whose result is assigned
+    or returned in ``source``."""
+    def is_call_after(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Attribute, ast.Name))
+                and getattr(node.func, "attr",
+                            getattr(node.func, "id", None)) == "call_after")
+
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign,
+                             ast.NamedExpr, ast.Return)):
+            if node.value is not None and is_call_after(node.value):
+                found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_no_module_keeps_a_call_after_result():
+    """``call_after`` posts and returns ``None``: a site that needs the
+    handle calls ``timer``.  The scan itself flags each way of keeping it."""
+    assert len(_kept_call_after_results(
+        "a = c.call_after(1, f)\n"
+        "b: object = call_after(1, f)\n"
+        "d += c.call_after(1, f)\n"
+        "if (e := c.call_after(1, f)):\n    pass\n"
+        "def g():\n    return c.call_after(1, f)\n"
+        "c.call_after(1, f)\n"
+        "h = c.timer(1, f)\n")) == 5
+    root = pathlib.Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        found += _kept_call_after_results(path.read_text(),
+                                          str(path.relative_to(root)))
+    assert found == []
+
+
 # -- handles taken before the run ---------------------------------------------
 
 class _PreRun(Component):
@@ -95,8 +154,8 @@ class _PreRun(Component):
     def __init__(self, name):
         super().__init__(name)
         self.fired = []
-        self.doomed = self.call_after(10, self.fired.append, "doomed")
-        self.moved = self.call_after(20, self._note, "moved")
+        self.doomed = self.timer(10, self.fired.append, "doomed")
+        self.moved = self.timer(20, self._note, "moved")
         self.call_after(30, self._note, "kept")
 
     def _note(self, tag):

@@ -1,6 +1,7 @@
 """Tracer core: ring semantics, export shapes, validation, clocks."""
 
 import json
+import pickle
 
 import pytest
 
@@ -142,6 +143,63 @@ def test_trace_recorder_phases_emit_wall_spans():
     assert len(evs) == 1
     assert evs[0]["ph"] == "X" and evs[0]["name"] == "build"
     assert evs[0]["dur"] >= 0.0
+
+
+def test_teardown_is_recorded_once_across_saves(tmp_path):
+    """A run that writes a run directory saves the trace; a later
+    ``exp.save("trace", p)`` writes the same phases, one teardown."""
+    from repro.bench.workloads import build_netsim_flood
+    from repro.kernel.simtime import US
+    from repro.orchestration.instantiate import Instantiation
+
+    exp = Instantiation(build_netsim_flood(n_clients=1), trace=True).build()
+    exp.run(20 * US, rundir=str(tmp_path / "run"))
+    doc = exp.save("trace", str(tmp_path / "again.json"))
+    for trace in (load_trace(str(tmp_path / "run" / "trace.json")), doc,
+                  load_trace(str(tmp_path / "again.json"))):
+        assert [e["name"] for e in trace["traceEvents"]
+                if e["ph"] == "i"].count("teardown") == 1
+
+
+def _pickled_result_bytes(tracer):
+    """Size of an mp child's result frame that carries ``tracer``."""
+    from repro.parallel.procrunner import ProcResult
+
+    return len(pickle.dumps(ProcResult("c", extras={"trace": tracer})))
+
+
+def _filled(capacity, n):
+    tr = Tracer(capacity=capacity, pid=2, process_name="c", clock="wall")
+    for i in range(n):
+        tr.span(tr.tid(f"t{i % 3}"), "c", f"e{i}", float(i), 1.0, {"i": i})
+    return tr
+
+
+def test_a_pickled_tracer_grows_with_its_records_not_its_ring():
+    empty = _pickled_result_bytes(_filled(1 << 16, 0))
+    assert empty < 1024  # not one slot per empty ring entry
+    for n in (10, 200):
+        # the same records in a 256 times larger ring: the capacity's own
+        # int is the only difference
+        assert abs(_pickled_result_bytes(_filled(1 << 16, n))
+                   - _pickled_result_bytes(_filled(1 << 8, n))) <= 8
+    assert (empty < _pickled_result_bytes(_filled(1 << 16, 10))
+            < _pickled_result_bytes(_filled(1 << 16, 200)))
+
+
+@pytest.mark.parametrize("n", [0, 5, 16, 37])
+def test_an_unpickled_tracer_keeps_its_records_and_ring(n):
+    """Full, empty and wrapped rings (capacity 16) come back whole: the
+    same records, drops and document, and later records go where the
+    original's would."""
+    tr = _filled(16, n)
+    back = pickle.loads(pickle.dumps(tr))
+    assert back.records() == tr.records()
+    assert (len(back), back.dropped, back.capacity) == (len(tr), tr.dropped, 16)
+    assert back.chrome_doc() == tr.chrome_doc()
+    for t in (tr, back):
+        t.instant(t.tid("late"), "c", "late", 99.0)
+    assert back.records() == tr.records()
 
 
 # -- flow events (ph s/t/f) ---------------------------------------------------

@@ -103,7 +103,7 @@ class Scripted(Component):
     def _arm(self, delay, op, arg):
         tok = self.tokens
         self.tokens += 1
-        self.handles[tok] = self.call_after(delay, self._fire, tok, op, arg)
+        self.handles[tok] = self.timer(delay, self._fire, tok, op, arg)
 
     def _meddle(self, op, arg):
         if self.handles:

@@ -3,7 +3,7 @@ in-order case: both must be pure cost changes.
 
 Count-based (no wall clock): the re-armed RTO keeps the event heap at the
 size of the live system, and the outcome of a run — event total and every
-delivery sample — equals a run with the old ``cancel`` + ``call_after`` arm
+delivery sample — equals a run with the old ``cancel`` + ``timer`` arm
 patched back in.  ``_on_data`` is compared with its old body, kept here as
 the reference, over generated arrival orders.
 """
@@ -28,7 +28,7 @@ from repro.orchestration.system import System
 def _old_arm_rto(self):
     """``_arm_rto`` as it was before ``postpone`` (reference)."""
     self._cancel_rto()
-    self._rto_timer = self.env.call_after(self.rto, self._on_rto)
+    self._rto_timer = self.env.timer(self.rto, self._on_rto)
 
 
 def run_dctcp_dumbbell(until, detailed=()):
