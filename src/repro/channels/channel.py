@@ -30,7 +30,6 @@ spent waiting / sending / receiving); see :mod:`repro.profiler`.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from itertools import count
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
@@ -226,37 +225,31 @@ class ChannelEnd:
         msg.seq = 0
         self.out_batch.append(msg)
 
-    def flush(self, blocked: bool = False,
-              deadline: Optional[float] = None) -> None:
-        """Publish batched frames (and any deferred promise) to the ring.
+    def flush(self, blocked: bool = False) -> bool:
+        """Publish batched frames (and any deferred promise) to the ring;
+        return whether a full ring kept some.
 
-        Called by the per-process runner after every advance round; a no-op
-        in process, where :meth:`send` and :meth:`maybe_sync` act on the
-        queue directly.  ``blocked=True`` means the owner is about to
+        A no-op in process, where :meth:`send` and :meth:`maybe_sync` act
+        on the queue directly.  ``blocked=True`` means the owner is about to
         block (or has finished): any deferred promise is force-published so
         the peer can keep advancing — this is what keeps the conservative
-        protocol deadlock-free under sync coalescing.
+        protocol deadlock-free under sync coalescing.  One ``send_batch``
+        attempt: the unsent tail stays in :attr:`out_batch`, with the
+        promise it carries, for the next flush.
         """
         batch = self.out_batch
         if batch is None:
-            return
+            return False
         if not batch:
             if blocked and self._out_last_stamp > self._promise_published:
                 self._emit_sync(self._out_last_stamp)
             else:
-                return
+                return False
         promise = self._flush_promise
         sent = self.out_q.send_batch(batch, promise)
-        while sent < len(batch):
-            # ring full: let the consumer drain, then retry the remainder
-            time.sleep(0)
-            if self.out_q.aborted():
-                raise RuntimeError(f"{self.name}: run aborted, a peer failed")
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeoutError(
-                    f"{self.name}: peer not draining, flush stuck with "
-                    f"{len(batch) - sent} frames pending")
-            sent += self.out_q.send_batch(batch[sent:], promise)
+        if sent < len(batch):
+            del batch[:sent]  # ring full: the tail waits for the next flush
+            return True
         published = batch[-1].stamp
         if promise > published:
             published = promise
@@ -264,6 +257,7 @@ class ChannelEnd:
             self._promise_published = published
         batch.clear()
         self._flush_promise = 0
+        return False
 
     # -- receiving --------------------------------------------------------
 

@@ -20,10 +20,10 @@ given one, the runtime saves each recorder's artifact under the one name
 :mod:`repro.obs.rundir` gives it.
 
 The runtimes never look inside the payloads.  In a multiprocess run the
-child's heartbeat pump beats the probes of ``ProcessRunner.recorders``
+child's stepper beats the probes of ``ProcessRunner.recorders``
 through a :class:`Beater` and the parent hands heartbeats to
 :func:`deliver`; in process a :class:`ProbeDriver` (one of
-``Simulation.observers``) stands in for the pump and calls the same two,
+``Simulation.observers``) stands in for the stepper and calls the same two,
 so an experiment's collectors serve ``Experiment.run`` and ``run_mp``
 alike.  Recorders with no per-component half (tracer sampling) are plain
 :class:`~repro.parallel.simulation.Observer` s.
@@ -121,7 +121,7 @@ class Collector:
 
 
 class ProbeDriver:
-    """In-process stand-in for the mp heartbeat pump, for one collector
+    """In-process stand-in for the mp stepper's heartbeats, for one collector
     (a run observer, see :class:`~repro.parallel.simulation.Observer`).
 
     Beats the collector's probes every ``interval_rounds`` strict sync

@@ -215,221 +215,236 @@ def _transport_stats(rings: List[ShmRing]) -> dict:
     return totals
 
 
-def _find_end(comp: Component, end_name: str):
-    for end in comp.ends:
-        if end.name == end_name:
-            return end
-    raise KeyError(f"{comp.name}: no channel end named {end_name!r}")
+#: one component's rings: (end, out ring, in ring, peer end, peer component)
+_Wiring = List[Tuple[str, ShmRing, ShmRing, str, str]]
 
 
-class _HeartbeatPump:
-    """Rate-limited child telemetry: heartbeats plus progress counters.
+def _ring_pairs(channels: List[ProcChannel], names: List[str],
+                ring_bytes: int, rings: List[ShmRing]) -> Dict[str, _Wiring]:
+    """Each component's wiring; two new rings per channel join ``rings``."""
+    wiring: Dict[str, _Wiring] = {name: [] for name in names}
+    for ch in channels:
+        r_ab = ShmRing.create(ring_bytes)
+        r_ba = ShmRing.create(ring_bytes)
+        rings += (r_ab, r_ba)
+        wiring[ch.comp_a].append((ch.end_a, r_ab, r_ba, ch.end_b, ch.comp_b))
+        wiring[ch.comp_b].append((ch.end_b, r_ba, r_ab, ch.end_a, ch.comp_a))
+    return wiring
 
-    One :meth:`maybe` call costs a single ``perf_counter`` read unless the
-    heartbeat interval has elapsed; the advance loop calls it once per sync
-    round, the blocked spin loop once per spin batch.  Every heartbeat
-    carries one beat of each probe (``Heartbeat.extras``).
-    """
 
-    def __init__(self, up, tracer, comp: Component, probes: list,
-                 in_rings: List[ShmRing], t_start: float) -> None:
-        from ..obs.recorder import Beater
-        self._up = up
-        self._tracer = tracer
-        self._beater = Beater(comp, probes, t_start, in_rings)
-        self._next = t_start + HB_INTERVAL_S
+def _wire(comp: Component, wiring: _Wiring) -> List[ShmRing]:
+    """Attach ``comp``'s ends to their rings; return the rings it uses."""
+    ends = {end.name: end for end in comp.ends}
+    for end_name, out_ring, in_ring, peer, peer_comp in wiring:
+        if end_name not in ends:
+            raise KeyError(f"{comp.name}: no channel end named {end_name!r}")
+        ends[end_name].wire(out_q=out_ring, in_q=in_ring, peer_name=peer)
+        ends[end_name].peer_comp_name = peer_comp
+    return [ring for wired in wiring for ring in wired[1:3]]
 
-    def maybe(self, commit: int, waiting: bool) -> None:
-        now = time.perf_counter()
-        if now < self._next:
+
+class Stepper:
+    """One component's λ-step loop over its ring-wired ends, in an mp
+    child or, over the same rings, beside other steppers in one process.
+    ``probes`` are recorder probe factories; with ``beats`` (a heartbeat
+    sink) or a ``tracer``, both loops beat every ``HB_INTERVAL_S``."""
+
+    def __init__(self, comp: Component, until_ps: int,
+                 timeout_s: float = 120.0, beats=None, tracer=None,
+                 probes: Tuple[Callable, ...] = (), mailbox=None) -> None:
+        self.comp = comp
+        self.until_ps = until_ps
+        self.tracer = tracer
+        self.mailbox = mailbox
+        self._beats = beats
+        ends = [e for e in comp.ends if e.out_batch is not None]
+        self.interval = min((e.sync_interval for e in ends), default=until_ps)
+        self._outs = [(e, e.out_batch) for e in ends]
+        self.probes = [make(comp) for make in probes]
+        self.commit = 0
+        self.wait_ns = 0  # wall time spent in :meth:`wait`
+        self.t_start = time.perf_counter()
+        self.deadline = self.t_start + timeout_s
+        self._next_beat = self.t_start + HB_INTERVAL_S
+        self._beater = None
+        if beats is not None or tracer is not None:
+            from ..obs.recorder import Beater
+            # probes beat on heartbeats, so only when someone receives them
+            self._beater = Beater(comp, [] if beats is None else self.probes,
+                                  self.t_start, [e.in_q for e in ends])
+
+    def step(self) -> str:
+        """Advance to ``commit + interval`` and flush, without blocking:
+        ``"done"`` (at ``until_ps``, or a mailbox stop), ``"blocked"`` (on
+        the input horizon or a full ring; :meth:`wait` next) or
+        ``"progressed"``."""
+        target = min(self.until_ps, self.commit + self.interval)
+        commit = self.commit = self.comp.advance(target)
+        done = commit >= self.until_ps
+        blocked = commit < target  # the input horizon is in the way
+        # Publish this round's frames (the peers run this input window
+        # concurrently); when finished or about to block, also any deferred
+        # promise, so the peer never stalls on one we coalesced.
+        force = done or blocked
+        full = False
+        for e, batch in self._outs:
+            if (batch or force) and e.flush(force):
+                # a full ring keeps the tail, which holds nothing a peer
+                # at until_ps (by its promise) executes once we are done
+                if not done or e.horizon() < self.until_ps + e.latency:
+                    full = True
+        self.beat(False, self._next_beat)
+        if self.mailbox is not None and self.mailbox.poll(commit):
+            return "done"  # graceful stop at this quiescent horizon
+        if full or blocked:
+            return "blocked"
+        return "done" if done else "progressed"
+
+    def wait(self) -> bool:
+        """The one wait: for room in a full ring, else for input on an end
+        limiting the horizon.  Spin (inputs only), yield, nap; each backoff
+        step beats, polls the mailbox (False: a stop ends the run), reads
+        the abort word and checks the deadline."""
+        ends = [e for e, batch in self._outs if batch]
+        waiting, spin = [e.flush for e in ends], 1  # true while frames remain
+        if not ends:
+            ends = self.comp.blocking_ends()
+            waiting, spin = [e.in_q.empty for e in ends], _SPIN_BATCH
+        ring = ends[0].in_q  # the parent sets every ring's abort word
+        t0 = time.perf_counter_ns()
+        spins = naps = 0
+        stop = False
+        while True:
+            for still in waiting:
+                if not still():
+                    break  # input arrived, or the frames are out
+            else:
+                spins += 1
+                if spins % spin:
+                    continue
+                if naps < _YIELD_ROUNDS:
+                    time.sleep(0)
+                else:
+                    step = min(naps - _YIELD_ROUNDS, 6)
+                    time.sleep(min(_NAP_MAX_S, _NAP_BASE_S * (1 << step)))
+                naps += 1
+                self.beat(True, self._next_beat)
+                if self.mailbox is not None and self.mailbox.poll(self.commit):
+                    stop = True  # commit is still quiescent here
+                    break
+                if ring.aborted():
+                    raise RuntimeError(
+                        f"{self.comp.name} aborted at commit={self.commit}:"
+                        " run aborted, a peer failed")
+                if time.perf_counter() > self.deadline:
+                    raise TimeoutError(
+                        f"{self.comp.name} stuck at commit={self.commit}")
+                continue
+            break
+        dt = time.perf_counter_ns() - t0
+        self.wait_ns += dt
+        for e in ends:
+            e.note_wait(dt / len(ends))
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.span(tracer.tid("sync"), "sync",
+                        f"wait|{'+'.join(e.name for e in ends)}",
+                        tracer.wall_us() - dt / 1e3, dt / 1e3,
+                        {"commit": self.commit, "on": [
+                            e.peer_comp_name or e.peer_name for e in ends]})
+        return not stop
+
+    def beat(self, waiting: bool = False, due: float = 0.0) -> None:
+        """Heartbeat and telemetry counters, once ``due`` has passed."""
+        if self._beater is None or (now := time.perf_counter()) < due:
             return
-        self._next = now + HB_INTERVAL_S
-        hb = self._beater.beat(now, commit, waiting)
-        if self._up is not None:
-            self._up.put(hb)
-        tracer = self._tracer
+        self._next_beat = now + HB_INTERVAL_S
+        hb = self._beater.beat(now, self.commit, waiting)
+        if self._beats is not None:
+            self._beats.put(hb)
+        tracer = self.tracer
         if tracer is not None:
             ts = tracer.wall_us()
             tracer.counter(tracer.tid("telemetry"), "telemetry", "progress",
-                           ts, {"sim_ps": commit, "events": hb.events})
+                           ts, {"sim_ps": self.commit, "events": hb.events})
             tracer.counter(tracer.tid("telemetry"), "telemetry", "ring_fill",
                            ts, {"in_fill": hb.ring_fill})
 
-    def flush(self, commit: int) -> None:
-        """Force one final beat at run end: short runs still contribute at
-        least one beat, and the probes' totals cover exactly the run."""
-        self._next = 0.0
-        self.maybe(commit, waiting=False)
+    def finish(self) -> dict:
+        """The probes' results by recorder name, after a last beat (if they
+        beat) so that their totals cover exactly the run."""
+        if self._beater is not None and self._beater.probes:
+            self.beat()
+        extras = {}
+        for probe in reversed(self.probes):
+            payload = probe.result()
+            if payload is not None:
+                extras[probe.name] = payload
+        return extras
 
 
 def _child_main(up: _Pipe, cmds: Optional[_Pipe], spec: ProcSpec,
-                wiring: List[Tuple[str, ShmRing, ShmRing, str, str]],
-                until_ps: int, timeout_s: float, telemetry: bool,
-                rundir: Optional[str], traced: bool, index: int,
-                probe_factories: Tuple[Callable, ...]) -> None:
+                wiring: _Wiring, until_ps: int, timeout_s: float,
+                telemetry: bool, rundir: Optional[str],
+                tracer_pid: Optional[int],
+                probes: Tuple[Callable, ...]) -> None:
+    """An mp child: set up its component and a :class:`Stepper`, run the
+    stepper to the end, and send the :class:`ProcResult` up ``up``."""
     result = ProcResult(name=spec.name)
-    rings: List[ShmRing] = []
-    tracer = None
-    pump = None
-    commit = 0
+    tracer = stepper = None
     try:
         flows = active_recorder()  # the parent's, inherited through fork
-        if traced:
+        if tracer_pid is not None:
             from ..obs.trace import Tracer
-            tracer = Tracer(pid=index + 1, process_name=spec.name,
+            tracer = Tracer(pid=tracer_pid, process_name=spec.name,
                             clock="wall")
-            # Causal flow tracing: hop records land in this child's ring
-            # (args carry exact sim-ps), stitched across processes by the
-            # merged-trace analysis.
+            # causal flow hops land in this child's trace (exact sim-ps),
+            # stitched across processes by the merged-trace analysis
             if flows is not None:
                 install_flow_recorder(tracer, sample_n=flows.sample_n)
         elif flows is not None:
             uninstall_flow_recorder()  # no trace here to hold the hops
         comp = spec.make()
-        in_rings: List[ShmRing] = []
-        ends = []
-        for end_name, out_ring, in_ring, peer, peer_comp in wiring:
-            rings += (out_ring, in_ring)
-            in_rings.append(in_ring)
-            end = _find_end(comp, end_name)
-            end.wire(out_q=out_ring, in_q=in_ring, peer_name=peer)
-            end.peer_comp_name = peer_comp
-            ends.append(end)
-        probes = [make(comp) for make in probe_factories]
-        t_start = time.perf_counter()
-        run_start_us = 0.0
-        if tracer is not None:
-            run_start_us = tracer.wall_us()
-            tracer.span(tracer.tid("lifecycle"), "proc", "setup",
-                        0.0, run_start_us)
-        # probes beat on heartbeats, so only when someone receives them
-        beating = probes if telemetry else []
-        if telemetry or tracer is not None:
-            pump = _HeartbeatPump(up if telemetry else None, tracer, comp,
-                                  beating, in_rings, t_start)
+        rings = _wire(comp, wiring)
         mailbox = None
-        if cmds is not None:
-            # Control-plane command mailbox, polled at sync-round
-            # boundaries only: commands execute at a quiescent horizon and
-            # can never interleave with event execution.
+        if cmds is not None:  # the control plane's commands (DESIGN §8)
             from ..obs.live import ChildMailbox
             mailbox = ChildMailbox(
                 spec.name, cmds, up, comp, tracer=tracer, rundir=rundir,
                 transport_stats=lambda: _transport_stats(rings))
-        deadline = t_start + timeout_s
-        # One sync round = one step of simulated progress, then a flush:
-        # the peers get this round's frames and promise while the rest of
-        # the input window still executes here, so both sides of a cut run
-        # the same window concurrently.  Running to the input horizon
-        # before publishing would make two symmetric peers take turns.
-        interval = min((e.sync_interval for e in ends), default=until_ps)
-        outs = [(e, e.out_batch) for e in ends if e.out_batch is not None]
-        wait_ns = 0
-        while True:
-            target = min(until_ps, commit + interval)
-            commit = comp.advance(target)
-            done = commit >= until_ps
-            # short of the target: the input horizon is in the way
-            blocked = commit < target
-            # Publish this round's frames; when finished or about to block,
-            # also force out any deferred sync promise so the peer never
-            # stalls on a promise we computed but coalesced.
-            force = done or blocked
-            for e, batch in outs:
-                if batch or force:
-                    e.flush(force, deadline)
-            if pump is not None:
-                pump.maybe(commit, waiting=False)
-            if mailbox is not None and mailbox.poll(commit):
-                break  # graceful stop at this quiescent horizon
-            if done:
-                break
-            if blocked:
-                # Blocked: poll inputs with spin -> yield -> sleep
-                # escalation, measuring real wait time.
-                blocking = comp.blocking_ends()
-                empties = [e.in_q.empty for e in blocking]
-                t0 = time.perf_counter_ns()
-                spins = 0
-                naps = 0
-                stopping = False
-                while True:
-                    for empty in empties:
-                        if not empty():
-                            break  # input arrived
-                    else:
-                        spins += 1
-                        if spins % _SPIN_BATCH:
-                            continue
-                        if naps < _YIELD_ROUNDS:
-                            time.sleep(0)
-                        else:
-                            step = min(naps - _YIELD_ROUNDS, 6)
-                            time.sleep(min(_NAP_MAX_S,
-                                           _NAP_BASE_S * (1 << step)))
-                        naps += 1
-                        if pump is not None:
-                            pump.maybe(commit, waiting=True)
-                        if mailbox is not None and mailbox.poll(commit):
-                            stopping = True  # commit is still quiescent here
-                            break
-                        if blocking[0].in_q.aborted():
-                            raise RuntimeError(
-                                f"{spec.name} aborted at commit={commit}: "
-                                "a peer failed")
-                        if time.perf_counter() > deadline:
-                            raise TimeoutError(
-                                f"{spec.name} stuck at commit={commit}"
-                            )
-                        continue
-                    break
-                dt = time.perf_counter_ns() - t0
-                wait_ns += dt
-                share = dt / max(1, len(blocking))
-                for e in blocking:
-                    e.note_wait(share)
-                if tracer is not None:
-                    dur_us = dt / 1e3
-                    tracer.span(
-                        tracer.tid("sync"), "sync",
-                        f"wait|{'+'.join(e.name for e in blocking)}",
-                        tracer.wall_us() - dur_us, dur_us,
-                        {"commit": commit,
-                         "on": [e.peer_comp_name or e.peer_name
-                                for e in blocking]})
-                if stopping:
-                    break
-        if beating:
-            pump.flush(commit)
-        for probe in reversed(probes):  # what they installed unwinds
-            payload = probe.result()
-            if payload is not None:
-                result.extras[probe.name] = payload
-        result.events = comp.events_processed
-        result.wall_seconds = time.perf_counter() - t_start
-        result.wait_seconds = wait_ns / 1e9
-        result.work_cycles = comp.work_cycles
-        result.end_counters = {e.name: e.counters() for e in comp.ends}
-        result.transport = _transport_stats(rings)
+        stepper = Stepper(comp, until_ps, timeout_s, up if telemetry else None,
+                          tracer, probes, mailbox)
+        if tracer is not None:
+            run_start_us = tracer.wall_us()
+            tracer.span(tracer.tid("lifecycle"), "proc", "setup",
+                        0.0, run_start_us)
+        while (state := stepper.step()) != "done":
+            if state == "blocked" and not stepper.wait():
+                break  # a mailbox stop
         collect = getattr(comp, "collect_outputs", None)
-        if collect is not None:
-            result.outputs = collect()
+        result = ProcResult(
+            spec.name, events=comp.events_processed,
+            extras=stepper.finish(),
+            wall_seconds=time.perf_counter() - stepper.t_start,
+            wait_seconds=stepper.wait_ns / 1e9, work_cycles=comp.work_cycles,
+            end_counters={e.name: e.counters() for e in comp.ends},
+            outputs=None if collect is None else collect(),
+            transport=_transport_stats(rings))
         if rundir is not None:
             from ..obs.metrics import component_counters
             result.counters = component_counters(comp)
         if tracer is not None:
-            end_us = tracer.wall_us()
-            tracer.span(tracer.tid("lifecycle"), "proc", "run",
-                        run_start_us, end_us - run_start_us,
+            tracer.span(tracer.tid("lifecycle"), "proc", "run", run_start_us,
+                        tracer.wall_us() - run_start_us,
                         {"events": result.events,
                          "wait_seconds": result.wait_seconds})
             result.extras["trace"] = tracer
     except Exception as exc:  # pragma: no cover - error path
         result.error = f"{type(exc).__name__}: {exc}"
-        if pump is not None:
+        if stepper is not None:
             # one last beat ships what the probes closed before the
             # failure: recorders keep a partial document, not nothing
-            pump.flush(commit)
+            stepper.beat()
     up.put(result)
 
 
@@ -517,10 +532,6 @@ class ProcessRunner:
             raise ValueError("the control plane is served from a run "
                              "directory: pass rundir")
         rings: List[ShmRing] = []
-        # wiring[comp] = (end_name, out_ring, in_ring, peer_end, peer_comp)
-        wiring: Dict[str, List[Tuple[str, ShmRing, ShmRing, str, str]]] = {
-            s.name: [] for s in self.specs
-        }
         names = [s.name for s in self.specs]
         collectors = list(self.recorders)
         trace = next((c for c in collectors if c.name == "trace"), None)
@@ -539,27 +550,21 @@ class ProcessRunner:
                                     stale_after_s=STALE_AFTER_S)
         for collector in collectors:
             collector.begin(names, until_ps, "mp")
-        probe_factories = tuple(probes.values())
         children: Dict[int, Tuple[str, int, _Pipe]] = {}  # by up-pipe fd
         cmd_pipes: Dict[str, _Pipe] = {}
         fds: List[int] = []  # the parent's pipe ends
         try:
-            for ch in self.channels:
-                r_ab = ShmRing.create(self.ring_bytes)
-                r_ba = ShmRing.create(self.ring_bytes)
-                rings += (r_ab, r_ba)
-                wiring[ch.comp_a].append(
-                    (ch.end_a, r_ab, r_ba, ch.end_b, ch.comp_b))
-                wiring[ch.comp_b].append(
-                    (ch.end_b, r_ba, r_ab, ch.end_a, ch.comp_a))
+            wiring = _ring_pairs(self.channels, names, self.ring_bytes,
+                                 rings)
             launch_us = trace.phase_tracer.wall_us() if trace else 0.0
             sys.stdout.flush()  # else each child repeats the buffered text
             sys.stderr.flush()
             for index, spec in enumerate(self.specs):
                 pid, up, cmds = _fork(
                     fds, control, spec, wiring[spec.name], until_ps,
-                    timeout_s, want_telemetry, rundir, trace is not None,
-                    index, probe_factories)
+                    timeout_s, want_telemetry, rundir,
+                    index + 1 if trace is not None else None,
+                    tuple(probes.values()))
                 children[up.fd] = (spec.name, pid, up)
                 if cmds is not None:
                     cmd_pipes[spec.name] = cmds

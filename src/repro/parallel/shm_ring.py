@@ -20,8 +20,8 @@ Cursor updates are 8-byte aligned stores; on x86-64 these are atomic in
 practice, which is the same assumption SimBricks' C implementation makes.
 
 The header also holds an abort word next to the write cursor: the parent
-sets it in every ring when a child fails, and a blocked child reads it
-once per spin batch.
+sets it in every ring when a child fails, and a waiting child reads it
+at each backoff step of its wait loop.
 
 Lifecycle: a ring is an anonymous ``MAP_SHARED`` mapping that the parent
 creates before it forks and every child inherits.  Nothing is named, so
