@@ -138,8 +138,6 @@ class ChannelEnd:
         self.tx_bytes = 0
         self.wait_polls = 0  # polls made while blocked on this end
         self.wait_cycles = 0  # host cycles (real or modeled) blocked
-        self.tx_cycles = 0
-        self.rx_cycles = 0
 
     # -- wiring -----------------------------------------------------------
 
@@ -329,8 +327,6 @@ class ChannelEnd:
             "tx_bytes": self.tx_bytes,
             "wait_polls": self.wait_polls,
             "wait_cycles": self.wait_cycles,
-            "tx_cycles": self.tx_cycles,
-            "rx_cycles": self.rx_cycles,
         }
 
 

@@ -8,11 +8,14 @@ on either fidelity — the reproduction's analogue of "the end-to-end
 simulation runs the unmodified Linux applications".
 
 What differs is cost: ``charge(instructions)`` advances a single-core CPU
-occupancy ledger (``cpu_free_at``).  Transmissions wait for the CPU to
-drain, and received packets are delivered to the stack only when the CPU is
-free — so a saturated server builds a software queue and its clients see
-hundreds of microseconds of latency, exactly the effect protocol-level
-simulation cannot show (paper Fig. 4/5).
+occupancy ledger (``cpu_free_at``), and ``models_cost = True`` tells the
+stack, TCP and the KV server to compute and charge every cost (a
+protocol-level host declares ``False`` and is never charged).
+Transmissions wait for the CPU to drain, and received packets are
+delivered to the stack only when the CPU is free — so a saturated server
+builds a software queue and its clients see hundreds of microseconds of
+latency, exactly the effect protocol-level simulation cannot show (paper
+Fig. 4/5).
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class SimOS:
     """Single-core OS model: sockets, timers, CPU accounting, clock."""
+
+    models_cost = True
 
     def __init__(self, host: "HostSim", addr: int, driver: NicDriver,
                  clock: Optional[DriftingClock] = None, seed: int = 0) -> None:

@@ -100,12 +100,14 @@ class KVServerApp(App):
     def start(self) -> None:
         """Bind the server's UDP port."""
         self.sock = self.stack.udp_socket(self.port, self._on_request)
+        self._models_cost = self.stack.models_cost
 
     def _on_request(self, pkt: Packet) -> None:
         req = pkt.payload
         if not isinstance(req, KvRequest):
             return
-        self.host.charge(self.service_instr)
+        if self._models_cost:
+            self.host.charge(self.service_instr)
         if req.op == OP_WRITE:
             self.store[req.key] = self.store.get(req.key, 0) + 1
             self.served_writes += 1

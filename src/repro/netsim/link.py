@@ -7,6 +7,11 @@ serialization at the configured bandwidth followed by propagation latency.
 Per packet that is one event at serialization end (``_tx_done``), which
 schedules the receiving node's ``receive(pkt, rx_port)`` itself as the
 delivery event, then starts the next queued packet or marks the line idle.
+A packet that finds its line idle never waits in the queue:
+:meth:`LinkDirection.transmit` does the empty queue's enqueue + dequeue
+accounting in one :meth:`~repro.netsim.queues.DropTailQueue.pass_through`
+call and starts serialization at once.  Only a packet that finds the line
+busy is queued, to be started by ``_tx_next`` when the line frees.
 
 External links (:class:`ExternalLink`) carry packets out of this network
 partition — to another partition or to a detailed NIC simulator — via a
@@ -155,34 +160,54 @@ class LinkDirection:
             self._rx_host = node
 
     def transmit(self, pkt: Packet) -> None:
-        """Entry point: queue the packet and start the line if idle."""
+        """Entry point: start the packet on an idle line, or queue it."""
         if self._run:
             self._settle(self.net.now)
-        if not self.queue.enqueue(pkt):
-            obs = self.obs
-            if obs is not None:
-                tracer, tid = obs
-                tracer.instant(tid, "netsim", f"drop|{self.label}",
-                               self.net.now / 1_000_000,
-                               {"dropped": self.queue.stats.dropped})
+        batched = self.batched and self.on_tx_start is None
+        if not (self.busy or batched):
+            # idle line: straight onto the wire.  One queue call does the
+            # empty queue's enqueue + dequeue accounting; what follows is
+            # ``_tx_next`` for a head that never waited.
+            if not self.queue.pass_through(pkt):
+                self._drop(pkt)
+                return
+            net = self.net
+            now = net.now
+            self.busy = True
+            if self.obs is not None:
+                self._busy_since = now
+                self._busy_pkts = self.tx_packets
             rec = _FLOWS[0]
             if rec is not None and pkt.flow:
-                rec.hop(pkt.flow, "drop", self.net.name, self.net.now,
-                        at=self.label)
-            return  # dropped (counted by the queue)
+                rec.hop(pkt.flow, "enq", net.name, now, at=self.label)
+                rec.hop(pkt.flow, "deq", net.name, now, at=self.label)
+            if self.on_tx_start is not None:
+                self.on_tx_start(pkt, now)
+            net._schedule_at(net, now + -(-pkt.size_bits * SEC // self._bw_int),
+                             self._tx_done, pkt)
+            return
+        if not self.queue.enqueue(pkt):
+            self._drop(pkt)
+            return
         rec = _FLOWS[0]
         if rec is not None and pkt.flow:
             rec.hop(pkt.flow, "enq", self.net.name, self.net.now,
                     at=self.label)
-        if self.batched and self.on_tx_start is None:
+        if batched:
             self._assign(pkt, rec)
-            return
-        if not self.busy:
-            obs = self.obs
-            if obs is not None:
-                self._busy_since = self.net.now
-                self._busy_pkts = self.tx_packets
-            self._tx_next()
+
+    def _drop(self, pkt: Packet) -> None:
+        """Record a packet the egress queue refused (it counted the drop)."""
+        obs = self.obs
+        if obs is not None:
+            tracer, tid = obs
+            tracer.instant(tid, "netsim", f"drop|{self.label}",
+                           self.net.now / 1_000_000,
+                           {"dropped": self.queue.stats.dropped})
+        rec = _FLOWS[0]
+        if rec is not None and pkt.flow:
+            rec.hop(pkt.flow, "drop", self.net.name, self.net.now,
+                    at=self.label)
 
     def _tx_next(self) -> None:
         """Start serializing the head of the (non-empty) egress queue."""

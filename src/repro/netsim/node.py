@@ -57,8 +57,12 @@ class NetHost(Node):
     ``timer``, ``cancel``, ``postpone``, ``tx``, ``charge``, ``rng``):
     ``call_after`` posts and returns nothing, ``timer`` returns the handle
     ``cancel`` and ``postpone`` take; ``charge`` is a no-op because
-    protocol-level host software is free, by definition.
+    protocol-level host software is free, by definition, and
+    ``models_cost = False`` says so once, so the stack, TCP and the KV
+    server never compute what they would charge.
     """
+
+    models_cost = False
 
     def __init__(self, net: "NetworkSim", name: str, addr: int,
                  rx_proc_delay_ps: int = 0) -> None:

@@ -71,16 +71,44 @@ class DropTailQueue:
             stats.dropped += 1
             return False
         q = self._q
+        depth = len(q)
         if (self.ecn_threshold_pkts is not None and pkt.ect
-                and len(q) >= self.ecn_threshold_pkts):
+                and depth >= self.ecn_threshold_pkts):
             pkt.ce = True
             stats.ecn_marked += 1
         q.append(pkt)
         self._bytes = nbytes
         stats.enqueued += 1
-        depth = len(q)
+        depth += 1
         if depth > stats.max_depth_pkts:
             stats.max_depth_pkts = depth
+        if nbytes > stats.max_depth_bytes:
+            stats.max_depth_bytes = nbytes
+        return True
+
+    def pass_through(self, pkt: Packet) -> bool:
+        """:meth:`enqueue` then :meth:`dequeue` of ``pkt`` on an *empty*
+        queue, in one call: the packet of an idle line.
+
+        Same verdict and same :class:`QueueStats` as the pair: a drop when
+        the packet alone exceeds the capacity, ECN marking against depth 0,
+        one enqueued and one dequeued, max depths of at least one packet
+        and its bytes.  A subclass whose :meth:`enqueue` does more
+        overrides this with the pair (as :class:`RedQueue` does).
+        """
+        stats = self.stats
+        nbytes = pkt.size_bytes
+        if nbytes > self.capacity_bytes:
+            stats.dropped += 1
+            return False
+        threshold = self.ecn_threshold_pkts
+        if threshold is not None and threshold <= 0 and pkt.ect:
+            pkt.ce = True
+            stats.ecn_marked += 1
+        stats.enqueued += 1
+        stats.dequeued += 1
+        if not stats.max_depth_pkts:
+            stats.max_depth_pkts = 1
         if nbytes > stats.max_depth_bytes:
             stats.max_depth_bytes = nbytes
         return True
@@ -146,3 +174,10 @@ class RedQueue(DropTailQueue):
                 self.stats.dropped += 1
                 return False
         return super().enqueue(pkt)
+
+    def pass_through(self, pkt: Packet) -> bool:
+        """The generic pair: every arrival moves the EWMA and may draw."""
+        if not self.enqueue(pkt):
+            return False
+        self.dequeue()
+        return True

@@ -110,15 +110,15 @@ class Switch(Node):
             if not ports:
                 self.no_route_drops += 1
                 return
-            if len(ports) > 1:
-                # ECMP: the per-packet flow hash must run; never cached
-                self.tx_packets += 1
-                ports[hash(pkt.flow_key()) % len(ports)].send(pkt)
-                return
-            egress = ports[0].egress
+            n = len(ports)
+            # ECMP: the per-packet flow hash must run, so only a single
+            # next hop is cached
+            port = ports[hash(pkt.flow_key()) % n] if n > 1 else ports[0]
+            egress = port.egress
             if egress is None:
-                ports[0].send(pkt)  # raises: not linked
-            self._route_cache[pkt.dst] = egress
+                port.send(pkt)  # raises: not linked
+            if n == 1:
+                self._route_cache[pkt.dst] = egress
         self.tx_packets += 1
         egress.transmit(pkt)
 

@@ -8,8 +8,10 @@ The stack is deliberately environment-agnostic.  Its ``env`` must provide:
 ``cancel``          cancel such a handle
 ``postpone``        re-arm such a handle in place
 ``tx(pkt)``         hand a packet to the interface for transmission
-``charge(instr)``   account simulated CPU instructions (no-op on
-                    protocol-level hosts)
+``charge(instr)``   account simulated CPU instructions
+``models_cost``     optional, ``False`` when ``charge`` is a no-op (as on
+                    protocol-level hosts): the stack, TCP and the KV server
+                    then skip the call and its argument's arithmetic
 ``rng``             a seeded ``random.Random``
 
 Protocol-level hosts (:class:`repro.netsim.node.NetHost`) and detailed hosts
@@ -56,8 +58,9 @@ class UdpSocket:
         """
         stack = self.stack
         env = stack.env
-        env.charge(costs.UDP_TX_INSTR
-                   + int(costs.COPY_INSTR_PER_BYTE * nbytes))
+        if stack.models_cost:
+            env.charge(costs.UDP_TX_INSTR
+                       + int(costs.COPY_INSTR_PER_BYTE * nbytes))
         pkt = Packet.alloc(
             stack.addr, dst, nbytes + HEADER_BYTES,
             "udp", self.port, dst_port,
@@ -91,11 +94,11 @@ class UdpSocket:
 
     def _deliver(self, pkt: Packet) -> None:
         self.rx_dgrams += 1
-        payload_bytes = pkt.size_bytes - HEADER_BYTES
-        if payload_bytes < 0:
-            payload_bytes = 0
-        self.stack.env.charge(costs.UDP_RX_INSTR
-                              + int(costs.COPY_INSTR_PER_BYTE * payload_bytes))
+        stack = self.stack
+        if stack.models_cost:
+            payload_bytes = max(pkt.size_bytes - HEADER_BYTES, 0)
+            stack.env.charge(costs.UDP_RX_INSTR
+                             + int(costs.COPY_INSTR_PER_BYTE * payload_bytes))
         if self.on_dgram is not None:
             self.on_dgram(pkt)
 
@@ -106,6 +109,10 @@ class Stack:
     def __init__(self, env, addr: int) -> None:
         self.env = env
         self.addr = addr
+        #: whether ``env.charge`` advances anything, read once for every
+        #: socket and connection of this stack; an env that declares
+        #: nothing is charged
+        self.models_cost = getattr(env, "models_cost", True)
         self._udp: Dict[int, UdpSocket] = {}
         self._tcp_listeners: Dict[int, Tuple[Callable, str]] = {}
         self._tcp: Dict[Tuple[int, int, int], TcpConnection] = {}

@@ -49,6 +49,9 @@ class TcpConnection:
         self.peer = peer
         self.peer_port = peer_port
         self.variant = variant
+        #: whether data segments are sent ECN-capable (fixed by the variant)
+        self.ect = variant == "dctcp"
+        self._models_cost = stack.models_cost
         self.is_client = is_client
         self.on_connected = on_connected
         #: receiver-side callback: fn(total_in_order_bytes)
@@ -102,11 +105,6 @@ class TcpConnection:
 
     # ---------------------------------------------------------------- utils
 
-    @property
-    def ect(self) -> bool:
-        """Whether data segments are sent ECN-capable."""
-        return self.variant == "dctcp"
-
     def _emit(self, flags: str, seq: int = 0, ack: int = 0,
               length: int = 0, ece: bool = False) -> None:
         # positional: src dst size proto sport dport seq ack flags wnd
@@ -155,7 +153,7 @@ class TcpConnection:
         if self.state != "established" or self.fluid_mode:
             return
         while (self.snd_nxt < self.app_limit
-               and self._flight() + MSS <= self.cwnd):
+               and self.snd_nxt - self.snd_una + MSS <= self.cwnd):
             length = min(MSS, self.app_limit - self.snd_nxt)
             self._send_segment(self.snd_nxt, length)
             self.snd_nxt += length
@@ -165,8 +163,9 @@ class TcpConnection:
             self._emit("FA", seq=self.snd_nxt, ack=self.rcv_nxt)
 
     def _send_segment(self, seq: int, length: int, retransmit: bool = False) -> None:
-        self.env.charge(costs.TCP_TX_INSTR
-                        + int(costs.COPY_INSTR_PER_BYTE * length))
+        if self._models_cost:
+            self.env.charge(costs.TCP_TX_INSTR
+                            + int(costs.COPY_INSTR_PER_BYTE * length))
         self._emit("A", seq=seq, ack=self.rcv_nxt, length=length)
         if retransmit:
             self.retransmits += 1
@@ -228,8 +227,9 @@ class TcpConnection:
             self.state = "established"
             self._cancel_rto()
             self._try_send()
-        self.env.charge(costs.TCP_RX_INSTR
-                        + int(costs.COPY_INSTR_PER_BYTE * length))
+        if self._models_cost:
+            self.env.charge(costs.TCP_RX_INSTR
+                            + int(costs.COPY_INSTR_PER_BYTE * length))
         self._last_pkt_ce = pkt.ce
         seq = pkt.seq
         if seq == self.rcv_nxt and not self._ooo:
@@ -273,7 +273,8 @@ class TcpConnection:
             self._try_send()  # flush data queued while mid-handshake
             return
         ack = pkt.ack
-        self.env.charge(costs.TCP_ACK_INSTR)
+        if self._models_cost:
+            self.env.charge(costs.TCP_ACK_INSTR)
         if ack > self.snd_una:
             acked = ack - self.snd_una
             self.snd_una = ack
@@ -300,7 +301,7 @@ class TcpConnection:
             ctl = self.stack.fluid_ctl
             if ctl is not None and not self.fluid_mode:
                 ctl.consider(self)
-        elif ack == self.snd_una and self._flight() > 0:
+        elif ack == self.snd_una and self.snd_nxt > self.snd_una:
             self.dup_acks += 1
             if self.dup_acks == 3 and not self.in_recovery:
                 self._enter_fast_recovery()

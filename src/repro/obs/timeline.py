@@ -99,7 +99,7 @@ class EpochRow:
     events: int            # events executed this epoch
     work_cycles: float     # modeled work cycles this epoch
     wait_cycles: float     # sync-wait cycles this epoch (summed over ends)
-    comm_cycles: float     # tx+rx cycles this epoch (summed over ends)
+    comm_cycles: float     # always 0: no transport measures comm cycles
     events_per_sec: float  # instantaneous rate over the epoch
     ring_fill: Optional[float] = None  # mp only: max input-ring occupancy
     #: per-peer (messages, syncs) sent this epoch
@@ -142,7 +142,9 @@ def state_delta(prev: dict, cur: dict, commit_ps: int) -> dict:
             "ev": cur["events"] - prev["events"],
             "wk": cur["work"] - prev["work"],
             "wt": cur["wait"] - prev["wait"],
-            "cm": cur["comm"] - prev["comm"],
+            # schema 1 keeps the comm column, but no transport measures
+            # communication cycles: it is always 0
+            "cm": 0.0,
             "edges": edges, "ctr": counters}
 
 
@@ -164,12 +166,11 @@ def epoch_row(comp: str, epoch: int, wall_s: float, payload: dict,
 def _comp_state(comp) -> dict:
     """Snapshot of one live component's cumulative counters, summed per
     peer component."""
-    wait = comm = 0.0
+    wait = 0.0
     edges: Dict[str, Tuple[int, int, float]] = {}
     for end in comp.ends:
         peer = end.peer_comp_name or end.peer_name
         wait += end.wait_cycles
-        comm += end.tx_cycles + end.rx_cycles
         msgs, syncs, waited = edges.get(peer, (0, 0, 0))
         edges[peer] = (msgs + end.tx_msgs, syncs + end.tx_syncs,
                        waited + end.wait_cycles)
@@ -180,7 +181,7 @@ def _comp_state(comp) -> dict:
         ctr = {key: totals[prefix + key] for key in EPOCH_COUNTER_KEYS
                if prefix + key in totals}
     return {"events": comp.events_processed, "work": comp.work_cycles,
-            "wait": wait, "comm": comm, "edges": edges, "ctr": ctr}
+            "wait": wait, "edges": edges, "ctr": ctr}
 
 
 class EpochTracker:

@@ -1,10 +1,15 @@
-"""The per-packet hop: its kernel events, the route cache, late pipelines.
+"""The per-packet hop: its kernel events, its calls, the route cache, late
+pipelines.
 
 A speed-up of the packet path must keep every packet's kernel events, at
 the same timestamps.  The first test pins them for one switch hop, so a
 change that drops or adds one fails here by name, not only as a digest
-mismatch further up.
+mismatch further up.  The call budget pins what the hop costs in between:
+the Python frames and calls one datagram takes over idle lines.
 """
+
+import sys
+from collections import Counter
 
 import pytest
 
@@ -65,6 +70,59 @@ def test_one_switch_hop_costs_six_events(mode):
         == HOP_EVENTS
     assert net.events_processed == len(HOP_EVENTS)
     assert arrivals == [3_173_600]
+
+
+#: What one 500 B UDP datagram costs over host -> switch -> host on idle
+#: lines, as ``sys.setprofile`` sees it: its Python frames by name, and
+#: every call (frames and C functions).  An idle line takes the packet
+#: straight onto the wire (one ``pass_through``, no enqueue / ``_tx_next``
+#: / dequeue) and a protocol host computes no cost (no ``charge``).  Lower
+#: the pin when a change takes a frame out; never raise it for a frame.
+HOP_FRAMES = {
+    "sendto": 1, "alloc": 1, "__init__": 1, "now": 1, "tx": 1,
+    "transmit": 2, "pass_through": 2, "post_at": 5, "peek_ts": 1,
+    "_tx_done": 2, "receive": 2, "forward": 1, "handle_packet": 1,
+    "_deliver": 1, "<lambda>": 1,
+}
+HOP_CALLS = 40
+
+
+def _hop_calls(datagrams):
+    """Frames by name and total calls of a run of ``datagrams`` datagrams,
+    10 us apart, so every line is idle when each one arrives."""
+    net, h1, h2, sw = _line()
+    h2.stack.udp_socket(9, lambda pkt: None)
+    sock = h1.stack.udp_socket(8)
+    for i in range(datagrams):
+        net.schedule(i * 10 * US, sock.sendto, 2, 9, 500)
+    sim = Simulation(mode="fast")
+    sim.add(net)
+    frames = Counter()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            frames[frame.f_code.co_name] += 1
+            calls += 1
+        elif event == "c_call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        sim.run(100 * US)
+    finally:
+        sys.setprofile(None)
+    assert sw.tx_packets == datagrams
+    return frames, calls
+
+
+def test_an_idle_hop_stays_inside_its_call_budget():
+    (frames1, calls1), (frames2, calls2) = _hop_calls(1), _hop_calls(2)
+    frames = frames2 - frames1
+    assert not {"enqueue", "_tx_next", "dequeue", "charge"} & set(frames)
+    assert dict(frames) == HOP_FRAMES
+    assert calls2 - calls1 == HOP_CALLS
 
 
 def _event_objects(mode, datagrams):

@@ -97,7 +97,8 @@ class _Env(Component):
 
 
 def _connection(env, **kwargs):
-    stack = SimpleNamespace(env=env, addr=1, fluid_ctl=None)
+    stack = SimpleNamespace(env=env, addr=1, fluid_ctl=None,
+                            models_cost=True)
     conn = TcpConnection(stack, local_port=5001, peer=2, peer_port=5002,
                          **kwargs)
     conn.state = "established"
