@@ -17,8 +17,10 @@ measures against.  Its modules:
   points threaded through kernel, channels, netsim, parallel, and
   orchestration.
 * :mod:`repro.obs.telemetry` — live multiprocess heartbeats, the
-  :class:`HealthMonitor` watchdog (stalled/stale/backpressured children),
-  and the versioned ``run_report.json``.
+  parent's one :class:`~repro.obs.telemetry.RunWatch` over them (latest
+  beat, finished children, stalled/stale/backpressured health) that the
+  status line, the control plane and the run report read, and the
+  versioned ``run_report.json``.
 * :mod:`repro.obs.live` — the live inspection & control plane: a unix
   socket endpoint on the parent (discoverable via ``control.json``),
   per-child command mailboxes polled at sync-round boundaries, and the

@@ -17,7 +17,8 @@ from typing import Dict, List, Optional
 from ...kernel.simtime import fmt_time
 from ...parallel.advisor import recommend_partition, write_partition
 from .. import rundir
-from ..timeline import BACKPRESSURE_FILL, STALL_FRACTION
+from ..telemetry import BACKPRESSURE_FILL
+from ..timeline import STALL_FRACTION
 from .render import count, intensity_bar, write_json
 
 

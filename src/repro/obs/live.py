@@ -19,9 +19,10 @@ and steerable:
 Commands
 --------
 ``status``
-    Structured live snapshot assembled parent-side from the heartbeat
-    stream: per-component sim-time/horizon progress, events/sec, ring
-    fill, wait state, heartbeat age, and the watchdog's health verdict.
+    Structured live snapshot assembled parent-side from the run's
+    :class:`~repro.obs.telemetry.RunWatch`: per-component sim-time/horizon
+    progress, events/sec, ring fill, wait state, heartbeat age, and the
+    health verdict.
 ``metrics``
     On-demand metrics snapshot: each child replies with its component's
     :func:`~repro.obs.metrics.component_counters` at the current horizon
@@ -220,24 +221,24 @@ class ControlPlane:
 
     Owns the unix socket, the ``control.json`` discovery file, and the
     command fan-out to the per-child mailboxes.  ``status`` is answered
-    entirely parent-side from the heartbeat aggregator and the watchdog;
-    the other commands broadcast to every still-running child and gather
-    replies with a timeout, so a wedged child degrades a reply (listed in
-    ``missing``) instead of hanging the control plane.  ``cmd_queues``
+    entirely parent-side from ``watch``, the run's
+    :class:`~repro.obs.telemetry.RunWatch`, which also knows which
+    children finished; the other commands broadcast to every still-running
+    child and gather replies with a timeout, so a wedged child degrades a
+    reply (listed in ``missing``) instead of hanging the control plane.  ``cmd_queues``
     maps each child to the parent's end of its command pipe (``put``);
     ``reply_q`` is a :class:`queue.Queue` that the runner's read loop
     fills with the replies arriving on the children's pipes.
     """
 
-    def __init__(self, rundir: str, components: List[str], until_ps: int,
-                 aggregator, health, cmd_queues: Dict[str, Any], reply_q,
+    def __init__(self, rundir: str, until_ps: int, watch,
+                 cmd_queues: Dict[str, Any], reply_q,
                  merge_partial: Optional[Callable[[], str]] = None,
                  reply_timeout_s: float = 5.0) -> None:
         self.rundir = os.path.abspath(rundir)
-        self.components = list(components)
+        self.components = watch.components
         self.until_ps = until_ps
-        self.aggregator = aggregator
-        self.health = health
+        self.watch = watch
         self.cmd_queues = cmd_queues
         self.reply_q = reply_q
         self.merge_partial = merge_partial
@@ -245,7 +246,6 @@ class ControlPlane:
         self.socket_path = socket_path_for(rundir)
         self.control_path = os.path.join(self.rundir, CONTROL_FILE)
         self.stop_requested = False
-        self._done: Dict[str, Optional[str]] = {}
         self._req = 0
         self._t0 = time.monotonic()
         self._server: Optional[_ControlServer] = None
@@ -282,10 +282,6 @@ class ControlPlane:
             except OSError:
                 pass
 
-    def note_done(self, name: str, error: Optional[str] = None) -> None:
-        """A child's result arrived; stop broadcasting to it."""
-        self._done[name] = error
-
     # -- command handling (runs on the server thread) ----------------------
 
     def handle(self, req: dict) -> dict:
@@ -308,41 +304,19 @@ class ControlPlane:
 
     def status_reply(self) -> dict:
         """The parent-side live snapshot (no child round-trip)."""
-        until = self.until_ps
-        components: Dict[str, dict] = {}
-        states = self.health.states() if self.health is not None else {}
-        for name in self.components:
-            entry: Dict[str, Any] = {
-                "state": states.get(name, "unknown"),
-            }
-            error = self._done.get(name)
-            if name in self._done and error:
-                entry["error"] = error
-            hb = self.aggregator.latest.get(name) \
-                if self.aggregator is not None else None
-            if hb is not None:
-                entry.update(hb.to_dict())
-                entry["progress"] = min(1.0, hb.sim_ps / until) if until \
-                    else 1.0
-                age = self.aggregator.age_s(name)
-                if age is not None:
-                    entry["age_s"] = round(age, 3)
-            components[name] = entry
-        done = sorted(n for n in self._done)
-        reply = {
+        done = self.watch.done
+        return {
             "ok": True,
             "cmd": "status",
             "schema": CONTROL_SCHEMA,
-            "until_ps": until,
+            "until_ps": self.until_ps,
             "elapsed_s": round(time.monotonic() - self._t0, 3),
             "stop_requested": self.stop_requested,
-            "components": components,
-            "done": done,
-            "running": [n for n in self.components if n not in self._done],
+            "components": self.watch.status(self.until_ps),
+            "done": sorted(done),
+            "running": [n for n in self.components if n not in done],
+            "health": self.watch.report(),
         }
-        if self.health is not None:
-            reply["health"] = self.health.report()
-        return reply
 
     def _metrics_reply(self, req: dict) -> dict:
         replies, missing = self._broadcast({"cmd": "metrics"})
@@ -391,7 +365,7 @@ class ControlPlane:
                                            timeout_s=2.0)
         return {"ok": True, "cmd": "stop",
                 "acked": sorted(replies),
-                "already_done": sorted(self._done),
+                "already_done": sorted(self.watch.done),
                 "missing": missing}
 
     # -- fan-out -----------------------------------------------------------
@@ -408,7 +382,8 @@ class ControlPlane:
         self._req += 1
         req = self._req
         message = dict(payload, req=req)
-        targets = [n for n in self.components if n not in self._done]
+        done = self.watch.done
+        targets = [n for n in self.components if n not in done]
         for name in targets:
             try:
                 self.cmd_queues[name].put(message)
@@ -426,7 +401,7 @@ class ControlPlane:
                     timeout=min(0.1, remaining))
             except Empty:
                 # children that finished meanwhile will never reply
-                targets = [n for n in targets if n not in self._done
+                targets = [n for n in targets if n not in done
                            or n in replies]
                 continue
             if rq != req:

@@ -71,9 +71,6 @@ ROW_COLUMNS = ("epoch", "sim_ps", "wall_s", "events", "work_cycles",
 #: Epoch wait fraction above which the CLI overlays a stall marker.
 STALL_FRACTION = 0.5
 
-#: Ring occupancy at/above which the CLI overlays a backpressure marker.
-BACKPRESSURE_FILL = 0.9
-
 
 def wait_fraction(work_cycles: float, wait_cycles: float,
                   comm_cycles: float) -> float:

@@ -24,8 +24,9 @@ with ``os._exit``; the parent waits on all pipes in one ``poll`` and
 reaps each child at end of file.  An error result, or a pipe that ends
 without one (reported with the signal from ``waitpid``), makes the parent
 set every ring's abort word, so the blocked survivors leave within a spin
-batch.  At the parent's deadline, the children still running are killed
-and reaped.
+batch.  At the parent's deadline, the children still running are killed,
+reaped and reported failed.  With telemetry on, the parent's one view of
+the children is a :class:`~repro.obs.telemetry.RunWatch`.
 
 Recorders plug in through one list, ``ProcessRunner.recorders`` (see
 :mod:`repro.obs.recorder`): each child beats the recorders' probes on its
@@ -63,12 +64,9 @@ from .shm_ring import ShmRing
 
 #: Child heartbeat period in seconds.  Heartbeats flow only when the run
 #: collects them (progress, a run directory or a recorder's probes).
-#: Children read this and the two watchdog knobs below at fork.
+#: Children read it at fork; the parent's watch derives its staleness
+#: threshold from it (:class:`~repro.obs.telemetry.RunWatch`).
 HB_INTERVAL_S = 0.25
-#: Heartbeats without sim-time progress before the watchdog flags a stall.
-STALL_INTERVALS = 4
-#: Seconds without a heartbeat before the watchdog flags a component stale.
-STALE_AFTER_S = 2.0
 
 #: Seconds the parent waits past ``timeout_s`` (the children's own
 #: deadline) before it kills every child still running.
@@ -538,16 +536,11 @@ class ProcessRunner:
         # one probe per recorder name per child (fork-inherited factories)
         probes = {c.name: c.probe for c in collectors if hasattr(c, "probe")}
         want_telemetry = progress or rundir is not None or bool(probes)
-        aggregator = None
-        monitor = None
-        plane = None
+        watch = plane = None
         if want_telemetry:
             from ..obs.recorder import deliver
-            from ..obs.telemetry import TelemetryAggregator, HealthMonitor
-            aggregator = TelemetryAggregator(names)
-            monitor = HealthMonitor(names, hb_interval_s=HB_INTERVAL_S,
-                                    stall_intervals=STALL_INTERVALS,
-                                    stale_after_s=STALE_AFTER_S)
+            from ..obs.telemetry import RunWatch
+            watch = RunWatch(names, HB_INTERVAL_S)
         for collector in collectors:
             collector.begin(names, until_ps, "mp")
         children: Dict[int, Tuple[str, int, _Pipe]] = {}  # by up-pipe fd
@@ -576,9 +569,8 @@ class ProcessRunner:
                 if trace is not None:
                     merge_partial = lambda: trace.save_partial(rundir, names)
                 replies = Queue()
-                plane = ControlPlane(
-                    rundir, names, until_ps, aggregator, monitor,
-                    cmd_pipes, replies, merge_partial=merge_partial)
+                plane = ControlPlane(rundir, until_ps, watch, cmd_pipes,
+                                     replies, merge_partial=merge_partial)
                 plane.start()
             if trace is not None:
                 trace.phase("launch", launch_us,
@@ -593,7 +585,7 @@ class ProcessRunner:
                 wait = deadline - time.monotonic()
                 if wait <= 0:
                     break
-                if monitor is not None:  # the watchdog's cadence
+                if watch is not None:  # the watch's cadence
                     wait = min(wait, max(HB_INTERVAL_S, 0.01))
                 noted = False
                 for fd, _ in ready.poll(wait * 1e3):
@@ -604,7 +596,7 @@ class ProcessRunner:
                     elif isinstance(obj, tuple):  # a control reply
                         replies.put(obj)
                     elif obj is not None:  # a heartbeat
-                        aggregator.note(obj)
+                        watch.note(obj)
                         deliver(obj, collectors)
                         noted = True
                     if obj is not None:
@@ -619,10 +611,8 @@ class ProcessRunner:
                             if code < 0 else f"exited with code {code} "
                             "before sending its result"))
                     res = results[name]
-                    if monitor is not None:
-                        monitor.note_done(name, res.error)
-                    if plane is not None:
-                        plane.note_done(name, res.error)
+                    if watch is not None:
+                        watch.note_done(name, res.error)
                     if res.error:  # a failed child stays missing, and
                         for ring in rings:  # its blocked peers leave
                             ring.abort()
@@ -630,27 +620,29 @@ class ProcessRunner:
                         for collector in collectors:
                             collector.note_result(
                                 name, res.extras.get(collector.name))
-                if monitor is not None:
-                    monitor.observe(aggregator)
+                if watch is not None:
+                    watch.tick()
                 if progress and noted:
-                    line = aggregator.status_line(
-                        stale_after_s=monitor.stale_after_s)
-                    sys.stderr.write("\r\x1b[K" + line + monitor.badge())
+                    sys.stderr.write("\r\x1b[K" + watch.status_line())
                     sys.stderr.flush()
             if progress:
                 sys.stderr.write("\n")
                 sys.stderr.flush()
             wall_total = time.perf_counter() - t_run0
+            hung = sorted(name for name, _, _ in children.values())
+            for name in hung:  # the parent's deadline passed
+                results[name] = ProcResult(name, error=(
+                    "no result by the parent's deadline "
+                    f"({timeout_s + _PARENT_GRACE_S:g}s after launch)"))
+                if watch is not None:
+                    watch.note_done(name, results[name].error)
             if trace is not None:
                 trace.finish()  # the run phase
             if rundir is not None:
-                self._write_run(rundir, until_ps, wall_total, results,
-                                aggregator, monitor.report())
-            if children:  # the parent's deadline passed
-                missing = sorted(name for name, _, _ in children.values())
-                raise TimeoutError(
-                    "simulation processes did not finish: "
-                    f"no result from {missing}")
+                self._write_run(rundir, until_ps, wall_total, results, watch)
+            if hung:
+                raise TimeoutError("simulation processes did not finish: "
+                                   f"no result from {hung}")
             errors = {n: r.error for n, r in results.items() if r.error}
             if errors:
                 raise RuntimeError(f"component failures: {errors}")
@@ -669,8 +661,7 @@ class ProcessRunner:
                 ring.close()
 
     def _write_run(self, rundir: str, until_ps: int, wall_seconds: float,
-                   results: Dict[str, ProcResult], aggregator,
-                   health: dict) -> None:
+                   results: Dict[str, ProcResult], watch) -> None:
         """The run directory of this run: the children's counters plus
         their transport's as ``stats.json``, next to the report and the
         recorders' artifacts."""
@@ -688,5 +679,5 @@ class ProcessRunner:
                 "work_cycles": res.work_cycles, "error": res.error,
                 "outputs": res.outputs, "transport": res.transport}
         write_run(rundir, self.recorders, build_run_report(
-            "mp", until_ps, wall_seconds, components, aggregator, health),
+            "mp", until_ps, wall_seconds, components, watch),
             metrics)

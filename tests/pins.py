@@ -123,6 +123,8 @@ PINS = {
                               _in("test_model_channels", "derived_channels")),
     "parent_profile_analysis": ("tests/data/parent_profile_analysis.json",
                                 _in("test_obs_inspect", "profile_views")),
+    "parent_run_watch": ("tests/data/parent_run_watch.json",
+                         _in("test_obs_live", "watch_shapes")),
     "ladder_expected": ("benchmarks/ladder/expected.json", ladder_expected),
     "ladder_counts": ("tests/data/ladder_counts.json", ladder_counts),
     **{stem: (f"results/{stem}.json", partial(model_result, stem))

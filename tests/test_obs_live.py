@@ -1,16 +1,17 @@
 """Live inspection & control plane: watchdog, mailbox, attach, reports.
 
 Covers the :mod:`repro.obs.live` control plane (unix-socket endpoint,
-``control.json`` discovery, child command mailboxes), the
-:class:`~repro.obs.telemetry.HealthMonitor` watchdog, the bounded
-heartbeat history and staleness rendering of the aggregator, and the
-``run_report.json`` v2 builder — plus end-to-end tests that attach to a
+``control.json`` discovery, child command mailboxes), the parent's
+:class:`~repro.obs.telemetry.RunWatch` (health states and alerts, the
+bounded heartbeat history, staleness rendering, the shapes it reports),
+and the ``run_report.json`` builder — plus end-to-end tests that attach to a
 real running multiprocess simulation, dump a partial trace, stop it
 gracefully, and pin that control commands never perturb the determinism
 digest.
 """
 
 import json
+import tempfile
 import threading
 import time
 
@@ -29,15 +30,17 @@ from repro.obs.live import (CONTROL_FILE, CONTROL_SCHEMA, ChildMailbox,
                             wait_for_control)
 from repro.obs.telemetry import (HEALTH_DONE, HEALTH_FAILED, HEALTH_OK,
                                  HEALTH_STALE, HEALTH_STALLED,
-                                 HEALTH_STARTING, Heartbeat, HealthMonitor,
-                                 RUN_REPORT_SCHEMA, TelemetryAggregator,
-                                 build_run_report, write_run_report)
+                                 HEALTH_STARTING, MAX_HEARTBEATS,
+                                 RUN_REPORT_SCHEMA, STALL_INTERVALS,
+                                 Heartbeat, RunWatch, build_run_report,
+                                 write_run_report)
 from repro.obs.flows import install_flow_recorder, uninstall_flow_recorder
 from repro.obs.install import TraceRecorder
 from repro.obs.trace import Tracer, load_trace, validate_chrome_doc
 from repro.parallel import procrunner
 from repro.parallel.procrunner import ProcessRunner
 
+from .pins import as_pinned, pinned
 from .test_determinism_guard import assert_same_timeline
 
 
@@ -55,7 +58,7 @@ class FakeClock:
         return self.t
 
 
-# -- aggregator: bounded history + staleness ---------------------------------
+# -- the watch: bounded history + staleness ----------------------------------
 
 def test_history_is_bounded_ring_drops_oldest():
     """The cap drops the *oldest* beat, not the newest (regression).
@@ -64,153 +67,146 @@ def test_history_is_bounded_ring_drops_oldest():
     discarding every new beat — the report then showed only the start of
     the run while claiming to be recent history.
     """
-    agg = TelemetryAggregator(["a"], max_history=4)
-    for i in range(10):
-        agg.note(hb("a", sim_ps=i))
-    assert len(agg.history) == 4
-    assert [h["sim_ps"] for h in agg.history] == [6, 7, 8, 9]
+    watch = RunWatch(["a"])
+    for i in range(MAX_HEARTBEATS + 6):
+        watch.note(hb("a", sim_ps=i))
+    assert len(watch.history) == MAX_HEARTBEATS
+    assert [h["sim_ps"] for h in watch.history][:4] == [6, 7, 8, 9]
+    assert watch.history[-1]["sim_ps"] == MAX_HEARTBEATS + 5
 
 
 def test_history_unbounded_below_cap():
-    agg = TelemetryAggregator(["a"], max_history=100)
+    watch = RunWatch(["a"])
     for i in range(5):
-        agg.note(hb("a", sim_ps=i))
-    assert [h["sim_ps"] for h in agg.history] == [0, 1, 2, 3, 4]
+        watch.note(hb("a", sim_ps=i))
+    assert [h["sim_ps"] for h in watch.history] == [0, 1, 2, 3, 4]
 
 
 def test_status_line_marks_stale_components():
     clock = FakeClock()
-    agg = TelemetryAggregator(["a", "b"], clock=clock)
-    agg.note(hb("a", sim_ps=5 * US, eps=1234.0))
-    agg.note(hb("b", sim_ps=5 * US))
+    watch = RunWatch(["a", "b"], clock=clock)
+    watch.note(hb("a", sim_ps=5 * US, eps=1234.0))
+    watch.note(hb("b", sim_ps=5 * US))
     clock.t += 10.0
-    agg.note(hb("b", sim_ps=6 * US))  # b beats again; a goes silent
-    line = agg.status_line(stale_after_s=5.0)
+    watch.note(hb("b", sim_ps=6 * US))  # b beats again; a goes silent
+    watch.tick()
+    line, badge = watch.status_line().split("  [!] ")
     assert "a: stale(10.0s)" in line
     assert "stale" not in line.split("|")[1]  # b renders normally
     assert "ev/s" in line
+    assert badge == "a:stale"
 
 
 def test_status_line_fresh_component_shows_rate():
-    agg = TelemetryAggregator(["a"])
-    agg.note(hb("a", sim_ps=5 * US, eps=1234.0))
-    line = agg.status_line()
+    watch = RunWatch(["a"])
+    watch.note(hb("a", sim_ps=5 * US, eps=1234.0))
+    line = watch.status_line()
     assert "1,234" in line and "stale" not in line
 
 
 def test_age_s_none_before_first_beat():
-    agg = TelemetryAggregator(["a"])
-    assert agg.age_s("a") is None
+    assert RunWatch(["a"]).status(US)["a"] == {"state": HEALTH_STARTING}
 
 
-# -- health monitor -----------------------------------------------------------
+# -- the watch: health states and alerts --------------------------------------
 
-def make_monitor(clock, **kw):
-    kw.setdefault("hb_interval_s", 0.1)
-    kw.setdefault("stall_intervals", 3)
-    kw.setdefault("stale_after_s", 1.0)
-    return HealthMonitor(["a", "b"], clock=clock, **kw)
+def make_monitor(clock):
+    return RunWatch(["a", "b"], hb_interval_s=0.1, clock=clock)
 
 
 def test_monitor_starting_then_ok():
     clock = FakeClock()
-    agg = TelemetryAggregator(["a", "b"], clock=clock)
     mon = make_monitor(clock)
-    assert mon.states() == {"a": HEALTH_STARTING, "b": HEALTH_STARTING}
-    agg.note(hb("a", sim_ps=1 * US, wall_s=0.1))
-    mon.observe(agg)
-    assert mon.state("a") == HEALTH_OK
-    assert mon.state("b") == HEALTH_STARTING
-    assert not mon.degraded and mon.badge() == ""
+    assert mon.states == {"a": HEALTH_STARTING, "b": HEALTH_STARTING}
+    mon.note(hb("a", sim_ps=1 * US, wall_s=0.1))
+    mon.tick()
+    assert mon.states["a"] == HEALTH_OK
+    assert mon.states["b"] == HEALTH_STARTING
+    assert not mon.report()["degraded"] and "[!]" not in mon.status_line()
 
 
 def test_monitor_flags_stall_and_recovery():
     clock = FakeClock()
-    agg = TelemetryAggregator(["a", "b"], clock=clock)
     mon = make_monitor(clock)
     sim_ps = 5 * US
-    for i in range(5):  # beats keep arriving, sim time frozen
+    for i in range(STALL_INTERVALS + 1):  # beats arrive, sim time frozen
         clock.t += 0.1
-        agg.note(hb("a", sim_ps=sim_ps, wall_s=0.1 * (i + 1), waiting=True))
-        mon.observe(agg)
-    assert mon.state("a") == HEALTH_STALLED
-    assert mon.degraded
-    assert "a:stalled" in mon.badge()
+        mon.note(hb("a", sim_ps=sim_ps, wall_s=0.1 * (i + 1), waiting=True))
+        mon.tick()
+    assert mon.states["a"] == HEALTH_STALLED
+    assert mon.report()["degraded"]
+    assert "a:stalled" in mon.status_line()
     stall_alerts = [al for al in mon.alerts if al["kind"] == "stalled"]
     assert len(stall_alerts) == 1  # rising edge only, not once per beat
     assert stall_alerts[0]["comp"] == "a"
     # progress resumes -> ok + a recovery alert
     clock.t += 0.1
-    agg.note(hb("a", sim_ps=sim_ps + US, wall_s=0.7))
-    mon.observe(agg)
-    assert mon.state("a") == HEALTH_OK
+    mon.note(hb("a", sim_ps=sim_ps + US, wall_s=0.7))
+    mon.tick()
+    assert mon.states["a"] == HEALTH_OK
     assert any(al["kind"] == "recovered" for al in mon.alerts)
 
 
 def test_monitor_flags_stale_after_silence():
     clock = FakeClock()
-    agg = TelemetryAggregator(["a", "b"], clock=clock)
     mon = make_monitor(clock)
-    agg.note(hb("a", sim_ps=1 * US, wall_s=0.1))
-    mon.observe(agg)
-    clock.t += 2.0  # silence beyond stale_after_s
-    mon.observe(agg)
-    assert mon.state("a") == HEALTH_STALE
+    mon.note(hb("a", sim_ps=1 * US, wall_s=0.1))
+    mon.tick()
+    clock.t += mon.stale_after_s + 1.0  # silence beyond the threshold
+    mon.tick()
+    assert mon.states["a"] == HEALTH_STALE
     assert any(al["kind"] == "stale" and al["comp"] == "a"
                for al in mon.alerts)
 
 
 def test_monitor_flags_never_beating_child_after_grace():
     clock = FakeClock()
-    agg = TelemetryAggregator(["a", "b"], clock=clock)
     mon = make_monitor(clock)
-    clock.t += 2.0
-    mon.observe(agg)
-    assert mon.state("a") == HEALTH_STALE
-    assert mon.state("b") == HEALTH_STALE
+    clock.t += mon.stale_after_s + 1.0
+    mon.tick()
+    assert mon.states["a"] == HEALTH_STALE
+    assert mon.states["b"] == HEALTH_STALE
 
 
 def test_monitor_backpressure_alert_on_rising_edge():
     clock = FakeClock()
-    agg = TelemetryAggregator(["a", "b"], clock=clock)
-    mon = make_monitor(clock, ring_alert_fill=0.9)
+    mon = make_monitor(clock)
     for i in range(3):  # full ring across several beats: one alert
         clock.t += 0.1
-        agg.note(hb("a", sim_ps=US * (i + 1), wall_s=0.1 * (i + 1),
+        mon.note(hb("a", sim_ps=US * (i + 1), wall_s=0.1 * (i + 1),
                     fill=0.95))
-        mon.observe(agg)
+        mon.tick()
     assert [al["kind"] for al in mon.alerts] == ["backpressure"]
     # drains, then fills again -> second episode, second alert
     clock.t += 0.1
-    agg.note(hb("a", sim_ps=5 * US, wall_s=0.4, fill=0.2))
-    mon.observe(agg)
+    mon.note(hb("a", sim_ps=5 * US, wall_s=0.4, fill=0.2))
+    mon.tick()
     clock.t += 0.1
-    agg.note(hb("a", sim_ps=6 * US, wall_s=0.5, fill=0.95))
-    mon.observe(agg)
+    mon.note(hb("a", sim_ps=6 * US, wall_s=0.5, fill=0.95))
+    mon.tick()
     assert [al["kind"] for al in mon.alerts] == ["backpressure",
                                                  "backpressure"]
 
 
 def test_monitor_done_and_failed_are_terminal():
     clock = FakeClock()
-    agg = TelemetryAggregator(["a", "b"], clock=clock)
     mon = make_monitor(clock)
     mon.note_done("a")
     mon.note_done("b", error="RuntimeError: boom")
-    assert mon.state("a") == HEALTH_DONE
-    assert mon.state("b") == HEALTH_FAILED
-    assert mon.degraded and "b:failed" in mon.badge()
+    assert mon.states["a"] == HEALTH_DONE
+    assert mon.states["b"] == HEALTH_FAILED
+    assert mon.report()["degraded"] and "b:failed" in mon.status_line()
     clock.t += 10.0
-    mon.observe(agg)  # terminal states never regress to stale
-    assert mon.state("a") == HEALTH_DONE
+    mon.tick()  # terminal states never regress to stale
+    assert mon.states["a"] == HEALTH_DONE
 
 
 def test_monitor_report_shape():
     clock = FakeClock()
     mon = make_monitor(clock)
     rep = mon.report()
-    assert rep["watchdog"]["stall_intervals"] == 3
-    assert rep["watchdog"]["stale_after_s"] == 1.0
+    assert rep["watchdog"]["stall_intervals"] == STALL_INTERVALS == 4
+    assert rep["watchdog"]["stale_after_s"] == 2.0
     assert rep["components"] == {"a": HEALTH_STARTING, "b": HEALTH_STARTING}
     assert rep["degraded"] is False
     assert rep["alerts"] == []
@@ -218,8 +214,45 @@ def test_monitor_report_shape():
 
 
 def test_monitor_default_stale_threshold_scales_with_interval():
-    assert HealthMonitor(["a"], hb_interval_s=0.25).stale_after_s == 2.0
-    assert HealthMonitor(["a"], hb_interval_s=1.0).stale_after_s == 8.0
+    assert RunWatch(["a"], hb_interval_s=0.25).stale_after_s == 2.0
+    assert RunWatch(["a"], hb_interval_s=1.0).stale_after_s == 8.0
+
+
+def watch_shapes() -> dict:
+    """The pin ``parent_run_watch``: one fixed beat sequence through a
+    watch on a fake clock — ``a`` progresses and fills its ring once,
+    ``b`` stalls, ``c`` goes silent (stale), ``d`` fails — and what the
+    control ``status`` reply (all but the wall-clock ``elapsed_s``), the
+    ``health`` report, the heartbeat history and the status line read at
+    the end."""
+    clock = FakeClock()
+    watch = RunWatch(["a", "b", "c", "d"], hb_interval_s=0.25, clock=clock)
+    for i in range(1, 13):
+        clock.t = 100.0 + 0.25 * i
+        watch.note(Heartbeat("a", 0.25 * i, i * US, 10 * i, 1000.0 * i,
+                             0.95 if i in (3, 4) else 0.5))
+        watch.note(Heartbeat("b", 0.25 * i, min(i, 2) * US, 10 * min(i, 2),
+                             1000.0 if i <= 2 else 0.0, 0.1, waiting=i > 2))
+        if i <= 2:
+            watch.note(Heartbeat("c", 0.25 * i, i * US, 5 * i, 500.0, 0.0))
+        if i <= 4:
+            watch.note(Heartbeat("d", 0.25 * i, i * US, 7 * i, 700.0, 0.3))
+        watch.tick()
+        if i == 4:
+            watch.note_done("d", "RuntimeError: boom")
+    with tempfile.TemporaryDirectory() as rundir:
+        reply = ControlPlane(rundir, 20 * US, watch, cmd_queues={},
+                             reply_q=None).status_reply()
+    assert reply.pop("elapsed_s") >= 0
+    return as_pinned({"status": reply, "report": watch.report(),
+                      "history": list(watch.history),
+                      "status_line": watch.status_line()})
+
+
+def test_watch_shapes_match_the_parent():
+    """The status reply, its per-component entries, the health report and
+    the heartbeat rows keep every key and value for the same beats."""
+    assert watch_shapes() == pinned("parent_run_watch")
 
 
 # -- run report schema --------------------------------------------------------
@@ -255,13 +288,11 @@ def test_run_report_v4_roundtrip(tmp_path):
                 "work_cycles": 0.0, "error": "RuntimeError: boom",
                 "outputs": {}, "transport": {}},
     }
-    agg = TelemetryAggregator(["good", "bad"])
-    agg.note(hb("good", sim_ps=3 * US))
-    mon = HealthMonitor(["good", "bad"])
-    mon.note_done("good")
-    mon.note_done("bad", error="RuntimeError: boom")
-    report = build_run_report("mp", 10 * US, 2.0, components, agg,
-                              health=mon.report())
+    watch = RunWatch(["good", "bad"])
+    watch.note(hb("good", sim_ps=3 * US))
+    watch.note_done("good")
+    watch.note_done("bad", error="RuntimeError: boom")
+    report = build_run_report("mp", 10 * US, 2.0, components, watch)
     assert report["schema"] == RUN_REPORT_SCHEMA == 5
     assert report["mode"] == "mp"      # v5 field; prior fields unchanged
     assert report["timeline"] is None  # v3 field; v2 fields unchanged
@@ -395,10 +426,9 @@ def test_wait_for_control_times_out_with_hint(tmp_path):
 
 @pytest.fixture
 def plane(tmp_path):
-    agg = TelemetryAggregator(["a", "b"])
-    mon = HealthMonitor(["a", "b"], hb_interval_s=0.05)
-    plane = ControlPlane(str(tmp_path), ["a", "b"], 10 * US, agg, mon,
-                         cmd_queues={}, reply_q=None, reply_timeout_s=0.2)
+    watch = RunWatch(["a", "b"], hb_interval_s=0.05)
+    plane = ControlPlane(str(tmp_path), 10 * US, watch, cmd_queues={},
+                         reply_q=None, reply_timeout_s=0.2)
     plane.start()
     yield plane
     plane.close()
@@ -414,10 +444,9 @@ def test_control_discovery_file_and_ping(plane, tmp_path):
 
 
 def test_control_status_reply_structure(plane, tmp_path):
-    plane.aggregator.note(hb("a", sim_ps=5 * US, eps=50.0, waiting=True))
-    plane.health.observe(plane.aggregator)
-    plane.note_done("b", None)
-    plane.health.note_done("b")
+    plane.watch.note(hb("a", sim_ps=5 * US, eps=50.0, waiting=True))
+    plane.watch.tick()
+    plane.watch.note_done("b")
     with ControlClient.attach(str(tmp_path)) as client:
         reply = client.status()
     assert reply["ok"] and reply["schema"] == CONTROL_SCHEMA
@@ -456,9 +485,8 @@ def test_control_set_flow_sample_validates_n(plane, tmp_path):
 
 
 def test_control_close_removes_discovery_and_socket(tmp_path):
-    agg = TelemetryAggregator(["a"])
-    plane = ControlPlane(str(tmp_path), ["a"], US, agg, None,
-                         cmd_queues={}, reply_q=None)
+    plane = ControlPlane(str(tmp_path), US, RunWatch(["a"]), cmd_queues={},
+                         reply_q=None)
     plane.start()
     assert (tmp_path / CONTROL_FILE).exists()
     plane.close()
@@ -659,13 +687,12 @@ def test_wedged_child_detected_and_reported_in_health(tmp_path, monkeypatch):
     """Stalled-worker injection: a deliberately wedged child turns up in
     the ``health`` section of ``run_report.json`` within the watchdog
     window — the silent child as *stale*, its blocked partner as
-    *stalled* — and the run still completes once the wedge clears."""
+    *stalled* — and the run still completes once the wedge clears.  The
+    wedge outlasts the staleness threshold (2 s at a 50 ms beat) by 1 s."""
     from repro.parallel.procrunner import ProcChannel, ProcSpec
     monkeypatch.setattr(procrunner, "HB_INTERVAL_S", 0.05)
-    monkeypatch.setattr(procrunner, "STALL_INTERVALS", 3)
-    monkeypatch.setattr(procrunner, "STALE_AFTER_S", 0.4)
     runner = ProcessRunner(
-        [ProcSpec("wedge", make_wedge, ("wedge", 1.5)),
+        [ProcSpec("wedge", make_wedge, ("wedge", 3.0)),
          ProcSpec("chatter", make_chatter, ("chatter",))],
         [ProcChannel("wedge", "wedge.e", "chatter", "chatter.e")])
     results = runner.run(50 * US, timeout_s=60, rundir=str(tmp_path))

@@ -6,8 +6,7 @@ import pytest
 
 from repro.kernel.simtime import MS, US
 from repro.netsim.apps.kv import KVClientApp, KVServerApp
-from repro.obs.telemetry import (Heartbeat, RUN_REPORT_SCHEMA,
-                                 TelemetryAggregator)
+from repro.obs.telemetry import Heartbeat, RUN_REPORT_SCHEMA, RunWatch
 from repro.obs.trace import load_trace, validate_chrome_doc
 from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.system import System
@@ -46,12 +45,12 @@ def test_shm_ring_reports_fill_fraction():
 
 
 def test_aggregator_tracks_latest_heartbeat_per_component():
-    agg = TelemetryAggregator(["a", "b"])
-    agg.note(Heartbeat(comp="a", wall_s=1.0, sim_ps=500, events=10,
-                       events_per_sec=10.0, ring_fill=0.5))
-    agg.note(Heartbeat(comp="a", wall_s=2.0, sim_ps=900, events=30,
-                       events_per_sec=20.0, ring_fill=0.1, waiting=True))
-    line = agg.status_line()
+    watch = RunWatch(["a", "b"])
+    watch.note(Heartbeat(comp="a", wall_s=1.0, sim_ps=500, events=10,
+                         events_per_sec=10.0, ring_fill=0.5))
+    watch.note(Heartbeat(comp="a", wall_s=2.0, sim_ps=900, events=30,
+                         events_per_sec=20.0, ring_fill=0.1, waiting=True))
+    line = watch.status_line()
     assert "a" in line and "b" in line
 
 

@@ -17,6 +17,7 @@ from repro.kernel.simtime import NS, US
 from repro.netsim.network import NetworkSim
 from repro.netsim.packet import Packet
 from repro.netsim.topology import instantiate, single_switch_rack
+from repro.obs.audit import ComponentAuditor
 from repro.parallel.simulation import Observer, Simulation
 
 #: One 500 B UDP datagram (546 B frame, 436.8 ns at 10 Gb/s) from h1 over
@@ -32,14 +33,17 @@ HOP_EVENTS = [
 
 
 class _EventTimes(Observer):
-    """Records the timestamp of every executed event of the run."""
-
-    def __init__(self):
-        self.times = []
+    """Records the timestamp of every executed event of the network,
+    through its audit probe."""
 
     def start(self, sim, until_ps):
-        for comp in sim.components:
-            comp.queue.trace = lambda owner, ts: self.times.append(ts)
+        (net,) = sim.components
+        self.probe = ComponentAuditor.attach(net)
+
+    def finish(self):
+        self.probe.result()  # closes the last window and unhooks
+        stamps = self.probe.payload().partition(":")[2].rstrip(";")
+        self.times = [int(ts) for ts in stamps.split(",")]
 
 
 def _line(latency=1 * US):

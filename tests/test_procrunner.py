@@ -11,7 +11,7 @@ from repro.channels.channel import ChannelEnd
 from repro.channels.messages import RawMsg
 from repro.kernel.component import Component
 from repro.kernel.simtime import MS, NS, US
-from repro.obs.telemetry import HEALTH_FAILED
+from repro.obs.telemetry import HEALTH_DONE, HEALTH_FAILED
 from repro.parallel.procrunner import ProcChannel, ProcSpec, ProcessRunner
 from repro.parallel.simulation import Simulation
 
@@ -255,6 +255,9 @@ def make_hang(name, path):
 
 
 def test_parent_deadline_kills_and_reaps_every_child(tmp_path, monkeypatch):
+    """The children still running at the parent's deadline are killed and
+    reaped, and the run report names each as failed, with the deadline in
+    its error."""
     from repro.parallel import procrunner
     monkeypatch.setattr(procrunner, "_PARENT_GRACE_S", 0.5)
     paths = [str(tmp_path / f"h{i}.pid") for i in range(2)]
@@ -262,15 +265,30 @@ def test_parent_deadline_kills_and_reaps_every_child(tmp_path, monkeypatch):
         [ProcSpec("h0", make_hang, ("h0", paths[0])),
          ProcSpec("h1", make_hang, ("h1", paths[1])),
          ProcSpec("t", make_ticker, ("t",))], [])
+    rundir = tmp_path / "run"
     t0 = time.monotonic()
     with pytest.raises(TimeoutError, match=r"no result from \['h0', 'h1'\]"):
-        runner.run(until_ps=1 * US, timeout_s=0.5)
+        runner.run(until_ps=1 * US, timeout_s=0.5, rundir=str(rundir))
     assert time.monotonic() - t0 < 10
     for path in paths:
         with open(path) as fh:
             pid = int(fh.read())
         with pytest.raises(ProcessLookupError):  # killed and reaped
             os.kill(pid, 0)
+    report = json.loads((rundir / "run_report.json").read_text())
+    components = report["components"]
+    assert sorted(components) == ["h0", "h1", "t"]
+    assert components["t"]["error"] is None
+    for name in ("h0", "h1"):
+        assert "parent's deadline" in components[name]["error"]
+    health = report["health"]
+    assert health["components"] == {"h0": HEALTH_FAILED, "h1": HEALTH_FAILED,
+                                    "t": HEALTH_DONE}
+    assert health["degraded"]
+    failed = [(a["comp"], a["detail"]) for a in health["alerts"]
+              if a["kind"] == "failed"]
+    assert [comp for comp, _ in failed] == ["h0", "h1"]
+    assert all("parent's deadline" in detail for _, detail in failed)
 
 
 class Flooder(Component):
