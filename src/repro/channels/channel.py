@@ -13,26 +13,32 @@ The synchronization protocol is SimBricks-style conservative lookahead:
   latency on every channel guarantees deadlock freedom: each sync round
   grows horizons by at least the channel latency.
 
-Two transports implement the directed queues:
+The protocol is written once, in the owner's step
+(``Component.advance``): it reads every end's :attr:`ChannelEnd.inbox`
+and records every new promise in its :attr:`ChannelEnd.outbox`, both
+with :class:`FifoQueue`'s shape.  The transports only move them:
 
 * :class:`FifoQueue` — an in-process deque, used by the cooperative
-  coordinator's strict mode.  The promise travels as an integer field of
-  the queue; no message object is built for it.
+  coordinator's strict mode.  It is the receiver's inbox and the sender's
+  outbox at once, so a promise travels as an integer field of the queue,
+  visible at the receiver's next step; no message object is built for it.
 * the shared-memory ring in :mod:`repro.parallel.shm_ring` — used when each
-  component runs as a real OS process.  Sends collect in a batch that
+  component runs as a real OS process.  :meth:`ChannelEnd.receive` drains
+  the ring into a private inbox.  Sends collect in a batch that
   :meth:`ChannelEnd.flush` publishes with one cursor store; the promise
-  rides every frame header, and an idle sender emits pooled
+  rides the batch's last frame, and an idle sender emits pooled
   :class:`~repro.channels.messages.SyncMsg` marker frames.
 
-Channel ends also maintain the profiler's raw counters (messages and cycles
-spent waiting / sending / receiving); see :mod:`repro.profiler`.
+Channel ends also maintain the profiler's raw counters (messages and syncs
+sent and received, bytes sent, and cycles spent waiting); see
+:mod:`repro.profiler`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import count
-from typing import Callable, Iterable, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from .messages import Msg, SyncMsg, wire_size_of
 from ..kernel.simtime import TIME_INFINITY
@@ -43,27 +49,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Process-global send order for data messages on synchronized ends.  A
 #: receiver with several input channels can see equal delivery stamps from
-#: different channels in one poll round; ``Msg.seq`` lets it dispatch them in
+#: different channels in one step; ``Msg.seq`` lets it dispatch them in
 #: send order — the order the fast-mode shared queue would have used — instead
 #: of channel attach order.
 _send_seq = count(1)
 
 class FifoQueue:
-    """In-process directed message queue (single producer, single consumer).
+    """In-process directed message queue (single producer, single consumer),
+    and the shape of every end's inbox and outbox.
 
-    Besides data messages it carries the sender's latest sync ``promise``
-    and the number of promises published since the receiver last polled
-    (``syncs``) — the in-process mirror of the promise field in the shm
-    ring's frame header.  The receiver folds both in at its next poll:
-    its owner's step (``Component.advance``), which reads and writes these
-    fields inline, or :meth:`ChannelEnd.poll`.
+    Besides data messages it carries ``promise``, the largest stamp its
+    receiver may rely on (the sender's latest sync promise or, once the
+    receiver has read it, a later data stamp), and ``syncs``, how many
+    promises have been published on it: the in-process mirror of the shm
+    ring's frame header and marker frames.  The receiver folds both in at
+    its owner's step (``Component.advance``).
     """
 
     __slots__ = ("_q", "promise", "syncs")
 
-    def __init__(self) -> None:
+    def __init__(self, promise: int = 0) -> None:
         self._q: deque[Msg] = deque()
-        self.promise = 0
+        self.promise = promise
         self.syncs = 0
 
     def push(self, msg: Msg) -> bool:
@@ -72,17 +79,19 @@ class FifoQueue:
         return True
 
 
+#: The inbox an unwired or unsynchronized end reads: empty, promising
+#: everything.  Never written: a step writes only an inbox that held data.
+NO_INPUT = FifoQueue(TIME_INFINITY)
+
+
 class ChannelEnd:
     """One endpoint of a SplitSim channel, owned by a component simulator.
 
-    The owning component calls :meth:`send` from its event handlers,
-    :meth:`poll` to drain incoming messages, :meth:`horizon` to bound how far
-    it may advance, and :meth:`maybe_sync` after advancing to keep its peer
-    unblocked.  For a synchronized end wired to a :class:`FifoQueue` the
-    owner's step (``Component.advance``) does the in-process branches of
-    :meth:`poll` and :meth:`maybe_sync` inline, without the calls; ring and
-    unwired ends go through the methods.  ``tests/test_sync_step.py`` and
-    ``tests/test_properties_sync.py`` hold the inline copy equal to them.
+    The owning component calls :meth:`send` from its event handlers; its
+    step (``Component.advance``) reads :attr:`inbox` and records promises
+    in :attr:`outbox`, whatever the transport.  Over a shared-memory ring
+    the runner calls :meth:`receive` just before the step and
+    :meth:`flush` just after it.
     """
 
     def __init__(self, name: str, latency: int, sync_interval: Optional[int] = None) -> None:
@@ -108,13 +117,16 @@ class ChannelEnd:
         #: message latency semantics.
         self.synchronized = True
 
-        # Sync state.
+        #: what the owner's step reads: the peer's queue in process, a
+        #: private queue :meth:`receive` fills over a ring, :data:`NO_INPUT`
+        #: while unwired
+        self.inbox = NO_INPUT
+        #: where the step records each new promise: the queue to the peer in
+        #: process, else a private record (a ring's :meth:`flush` works from
+        #: ``_out_last_stamp``)
+        self.outbox = FifoQueue()
+        #: largest stamp sent or promised
         self._out_last_stamp = -1
-        self._in_horizon = 0
-
-        #: the in-process transport queues, ``None`` over any other transport
-        self._out_fifo: Optional[FifoQueue] = None
-        self._in_fifo: Optional[FifoQueue] = None
 
         # Ring-transport state (active only over the shm rings, the one
         # transport with ``send_batch``; see :meth:`wire`).
@@ -122,10 +134,10 @@ class ChannelEnd:
         #: list for as long as the end stays wired, so the runner can see
         #: that an end has nothing pending without a call
         self.out_batch: Optional[list] = None
-        #: promise to piggyback on the next flushed data frame
-        self._flush_promise = 0
         #: largest promise the peer has definitely received
         self._promise_published = -1
+        #: marker frames sent (a ring's ``tx_syncs``)
+        self._markers = 0
         #: pooled SyncMsg reused for every emitted marker on ring ends
         #: (the ring encodes at flush time, so mutating it later is safe)
         self._pool_sync: Optional[SyncMsg] = None
@@ -133,11 +145,17 @@ class ChannelEnd:
         # Profiler raw counters (monotonic totals).
         self.tx_msgs = 0
         self.rx_msgs = 0
-        self.tx_syncs = 0
         self.rx_syncs = 0
         self.tx_bytes = 0
         self.wait_polls = 0  # polls made while blocked on this end
         self.wait_cycles = 0  # host cycles (real or modeled) blocked
+
+    @property
+    def tx_syncs(self) -> int:
+        """Sync promises sent: in process every one the step stored on the
+        peer's queue, over a ring every marker frame."""
+        box = self.outbox
+        return box.syncs if box is self.out_q else self._markers
 
     # -- wiring -----------------------------------------------------------
 
@@ -146,8 +164,8 @@ class ChannelEnd:
         self.out_q = out_q
         self.in_q = in_q
         self.peer_name = peer_name
-        self._out_fifo = out_q if isinstance(out_q, FifoQueue) else None
-        self._in_fifo = in_q if isinstance(in_q, FifoQueue) else None
+        self.inbox = in_q if isinstance(in_q, FifoQueue) else FifoQueue()
+        self.outbox = out_q if isinstance(out_q, FifoQueue) else FifoQueue()
         self.out_batch = [] if hasattr(out_q, "send_batch") else None
 
     # -- sending ----------------------------------------------------------
@@ -182,133 +200,62 @@ class ChannelEnd:
         else:
             batch.append(msg)
 
-    def maybe_sync(self, commit: int) -> None:
-        """Publish a sync promise if the outgoing one has gone stale.
-
-        ``commit`` is the sender's guaranteed lower bound on any future send
-        time; the promise covers delivery stamps ``>= commit + latency``.
-        In process the stamp is stored on the queue, visible to the peer at
-        its next poll.  Over a ring the promise piggybacks on pending data
-        frames when there are any; when the sender is idle, the promise is
-        deferred until it is a full ``sync_interval`` ahead of the published
-        one or the owner is about to block (:meth:`flush` with
-        ``blocked=True``).
-        """
-        if not self.synchronized or self.out_q is None:
-            return
-        stamp = commit + self.latency
-        if stamp <= self._out_last_stamp:
-            return
-        self._out_last_stamp = stamp
-        fifo = self._out_fifo
-        if fifo is not None:
-            self.tx_syncs += 1
-            fifo.promise = stamp
-            fifo.syncs += 1
-            return
-        if self.out_batch:
-            self._flush_promise = stamp  # rides the data frames for free
-            return
-        if stamp - self._promise_published < self.sync_interval:
-            return  # deferred; _out_last_stamp remembers the pending promise
-        self._emit_sync(stamp)
-
-    def _emit_sync(self, stamp: int) -> None:
-        """Queue a pooled sync marker."""
-        self.tx_syncs += 1
-        msg = self._pool_sync
-        if msg is None:
-            msg = self._pool_sync = SyncMsg()
-        msg.stamp = stamp
-        msg.seq = 0
-        self.out_batch.append(msg)
-
     def flush(self, blocked: bool = False) -> bool:
-        """Publish batched frames (and any deferred promise) to the ring;
-        return whether a full ring kept some.
+        """Publish batched frames and the step's promise to the ring; return
+        whether a full ring kept some.
 
-        A no-op in process, where :meth:`send` and :meth:`maybe_sync` act
-        on the queue directly.  ``blocked=True`` means the owner is about to
-        block (or has finished): any deferred promise is force-published so
-        the peer can keep advancing — this is what keeps the conservative
-        protocol deadlock-free under sync coalescing.  One ``send_batch``
-        attempt: the unsent tail stays in :attr:`out_batch`, with the
-        promise it carries, for the next flush.
+        The ring's publish rule.  The promise (the largest stamp sent or
+        promised) rides the batch's last frame.  An idle end defers it
+        until it is a full ``sync_interval`` past the published one, then
+        sends a marker frame; ``blocked=True`` means the owner is about to
+        block (or has finished), and any deferred promise goes out at once
+        so the peer can keep advancing — this is what keeps the
+        conservative protocol deadlock-free under sync coalescing.  A
+        no-op in process, where the step stored the promise on the queue.
+        One ``send_batch`` attempt: the unsent tail stays in
+        :attr:`out_batch` for the next flush, which sends the promise.
         """
         batch = self.out_batch
         if batch is None:
             return False
+        promise = self._out_last_stamp
         if not batch:
-            if blocked and self._out_last_stamp > self._promise_published:
-                self._emit_sync(self._out_last_stamp)
-            else:
+            ahead = promise - self._promise_published
+            if ahead < self.sync_interval and not (blocked and ahead > 0):
                 return False
-        promise = self._flush_promise
+            self._markers += 1
+            msg = self._pool_sync
+            if msg is None:
+                msg = self._pool_sync = SyncMsg()
+            msg.stamp = promise
+            batch.append(msg)
         sent = self.out_q.send_batch(batch, promise)
         if sent < len(batch):
             del batch[:sent]  # ring full: the tail waits for the next flush
             return True
-        published = batch[-1].stamp
-        if promise > published:
-            published = promise
-        if published > self._promise_published:
-            self._promise_published = published
+        self._promise_published = promise
         batch.clear()
-        self._flush_promise = 0
         return False
 
     # -- receiving --------------------------------------------------------
 
-    def poll(self) -> Iterable[Msg]:
-        """Drain the input queue, returning data messages in stamp order.
-
-        Sync markers and promises only raise the input horizon and are
-        consumed here.
-        """
-        fifo = self._in_fifo
-        if fifo is not None:
-            out = ()
-            if fifo._q:
-                out = list(fifo._q)
-                fifo._q.clear()
-                self.rx_msgs += len(out)
-                if out[-1].stamp > self._in_horizon:
-                    self._in_horizon = out[-1].stamp
-            # after the data: a promise becomes visible at this poll, never
-            # between two polls
-            if fifo.syncs:
-                self.rx_syncs += fifo.syncs
-                fifo.syncs = 0
-                if fifo.promise > self._in_horizon:
-                    self._in_horizon = fifo.promise
-            return out
-        if self.in_q is None:
-            return ()  # not wired (yet): no input
-        # one cursor read/store covers the whole drain; piggybacked promises
-        # raise the horizon exactly like sync markers do
-        out = []
-        hz = self._in_horizon
+    def receive(self) -> None:
+        """Drain the ring into :attr:`inbox` (ring ends only): data onto
+        its deque, one ``syncs`` per marker frame, and every stamp and
+        piggybacked promise raises its ``promise``.  One cursor read/store
+        covers the whole drain."""
+        box = self.inbox
+        hz = box.promise
         for msg, promise in self.in_q.recv_batch():
             if msg.stamp > hz:
                 hz = msg.stamp
             if promise > hz:
                 hz = promise
             if isinstance(msg, SyncMsg):
-                self.rx_syncs += 1
+                box.syncs += 1
             else:
-                self.rx_msgs += 1
-                out.append(msg)
-        self._in_horizon = hz
-        return out
-
-    def horizon(self) -> int:
-        """Largest simulated time this end permits its owner to advance *to*.
-
-        The owner may execute events strictly before this value.
-        """
-        if not self.synchronized or self.in_q is None:
-            return TIME_INFINITY
-        return self._in_horizon
+                box._q.append(msg)
+        box.promise = hz
 
     # -- profiler ---------------------------------------------------------
 

@@ -36,12 +36,12 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .events import Event, EventQueue
 from .simtime import TIME_INFINITY
-from ..channels.channel import ChannelEnd
+from ..channels.channel import NO_INPUT, ChannelEnd
 from ..channels.messages import Msg
 from ..obs.flows import _ACTIVE as _FLOWS
 
 
-#: Sort key for one poll round's deliveries: (stamp, send time, send order).
+#: Sort key for one step's deliveries: (stamp, send time, send order).
 #: Keyed on the leading ints only — ends/messages are never compared.
 _delivery_order = itemgetter(0, 1, 2)
 
@@ -67,7 +67,7 @@ class Component:
         #: :meth:`add_work` total (the per-event part of the work is derived)
         self._extra_work = 0.0
         self._started = False
-        #: input horizon and the ends limiting it, as of the last poll
+        #: input horizon and the ends limiting it, as of the last step
         self._horizon = TIME_INFINITY
         self._limiting: List[ChannelEnd] = []
         #: last commitment published to the output ends
@@ -183,27 +183,30 @@ class Component:
         commitment is the simulated time below which this component is
         guaranteed to send no further messages (given current inputs).
 
-        The step is one Python frame:
+        The step is one Python frame, and the protocol's only copy; every
+        end presents the same :attr:`~ChannelEnd.inbox` and
+        :attr:`~ChannelEnd.outbox` whatever its transport:
 
-        * *receive* — one pass over the ends.  A synchronized in-process
-          end (``FifoQueue``) is read inline: the deque only when it holds
-          data, then the peer's ``syncs`` and ``promise`` folded in *after*
-          the data, as :meth:`ChannelEnd.poll` does.  Ring and unwired ends
-          go through ``poll()`` and ``horizon()``.  The pass records the
-          input horizon and the ends limiting it (:meth:`input_horizon`,
-          :meth:`blocking_ends`).  The step's messages are dispatched in
-          ``(stamp, send time, send order)`` order, not channel attach
-          order: two channels can carry equal delivery stamps, and the
-          fast-mode oracle executes those deliveries in send order.  Send
-          time is ``stamp - latency`` (per-channel latency is fixed), so
-          only ``msg.seq`` travels on the wire.
+        * *receive* — one pass over the ends.  An end's inbox deque is read
+          only when it holds data, and its ``syncs`` and ``promise`` after
+          the data: a promise becomes visible at a step, never between two.
+          An unsynchronized end reads :data:`~repro.channels.channel.NO_INPUT`.
+          The pass records the input horizon and the ends limiting it
+          (:meth:`input_horizon`, :meth:`blocking_ends`).  The step's
+          messages are dispatched in ``(stamp, send time, send order)``
+          order, not channel attach order: two channels can carry equal
+          delivery stamps, and the fast-mode oracle executes those
+          deliveries in send order.  Send time is ``stamp - latency``
+          (per-channel latency is fixed), so only ``msg.seq`` travels on
+          the wire.
         * *drain* — ``EventQueue.run_until`` is entered only when something
           may be due: a post or live handle at the heap head beyond the
           bound means nothing is, while a dead or postponed head is left to
           ``run_until`` to settle.
-        * *publish* — an in-process end's promise is stored on its
-          ``FifoQueue`` inline (:meth:`ChannelEnd.maybe_sync`'s in-process
-          branch); other ends call ``maybe_sync``.
+        * *publish* — each synchronized end's new promise is recorded in its
+          outbox and nothing more: an in-process queue shows it to the peer
+          at once, a ring end's :meth:`~ChannelEnd.flush` decides what to
+          send.
         """
         if not self._started:
             self._started = True
@@ -214,13 +217,8 @@ class Component:
         limiting = []
         batch = None
         for end in ends:
-            fifo = end._in_fifo if end.synchronized else None
-            if fifo is None:
-                msgs = end.poll()
-                hz = end.horizon()
-            else:
-                msgs = fifo._q
-                hz = end._in_horizon
+            inbox = end.inbox if end.synchronized else NO_INPUT
+            msgs = inbox._q
             if msgs:
                 if batch is None:
                     batch = []
@@ -233,22 +231,14 @@ class Component:
                             f"{self.name}: stale message stamp {stamp} < now {now}"
                         )
                     batch.append((stamp, stamp - latency, msg.seq, end, msg))
-                if fifo is not None:
-                    end.rx_msgs += len(msgs)
-                    msgs.clear()
-                    # a directed queue's stamps never fall below anything
-                    # its sender sent or promised before, so the newest one
-                    # is the horizon
-                    hz = end._in_horizon = stamp
-            if fifo is not None:
-                # after the data: a promise becomes visible at this step,
-                # never between two steps
-                syncs = fifo.syncs
-                if syncs:
-                    end.rx_syncs += syncs
-                    fifo.syncs = 0
-                    if fifo.promise > hz:
-                        hz = end._in_horizon = fifo.promise
+                end.rx_msgs += len(msgs)
+                msgs.clear()
+                # the newest stamp is never below what its sender sent or
+                # promised before it, but a promise made since may be above
+                if stamp > inbox.promise:
+                    inbox.promise = stamp
+            end.rx_syncs = inbox.syncs
+            hz = inbox.promise
             if hz < horizon:
                 horizon = hz
                 limiting = [end]
@@ -266,7 +256,8 @@ class Component:
         # Events may run at ts <= target and strictly below the horizon.
         # Every event left lies beyond the bound, so the commitment is the
         # bound's own limit.  (Inputs arriving meanwhile only matter in
-        # multi-process mode, where the runner re-polls between steps.)
+        # multi-process mode, where the runner drains the rings before each
+        # step.)
         if target < horizon:
             commit = bound = target
         else:
@@ -284,16 +275,13 @@ class Component:
         if commit > self._synced_commit:
             self._synced_commit = commit
             for end in ends:
-                fifo = end._out_fifo
-                if fifo is not None and end.synchronized:
+                if end.synchronized:
                     stamp = commit + end.latency
                     if stamp > end._out_last_stamp:
                         end._out_last_stamp = stamp
-                        end.tx_syncs += 1
-                        fifo.promise = stamp
-                        fifo.syncs += 1
-                else:
-                    end.maybe_sync(commit)
+                        outbox = end.outbox
+                        outbox.promise = stamp
+                        outbox.syncs += 1
         return commit
 
     def _dispatch(self, end: ChannelEnd, msg: Msg) -> None:

@@ -258,6 +258,7 @@ class Stepper:
         ends = [e for e in comp.ends if e.out_batch is not None]
         self.interval = min((e.sync_interval for e in ends), default=until_ps)
         self._outs = [(e, e.out_batch) for e in ends]
+        self._receives = [e.receive for e in ends]
         self.probes = [make(comp) for make in probes]
         self.commit = 0
         self.wait_ns = 0  # wall time spent in :meth:`wait`
@@ -272,11 +273,14 @@ class Stepper:
                                   self.t_start, [e.in_q for e in ends])
 
     def step(self) -> str:
-        """Advance to ``commit + interval`` and flush, without blocking:
+        """Drain the rings into the inboxes, advance to ``commit +
+        interval`` and flush, without blocking:
         ``"done"`` (at ``until_ps``, or a mailbox stop), ``"blocked"`` (on
         the input horizon or a full ring; :meth:`wait` next) or
         ``"progressed"``."""
         target = min(self.until_ps, self.commit + self.interval)
+        for receive in self._receives:
+            receive()
         commit = self.commit = self.comp.advance(target)
         done = commit >= self.until_ps
         blocked = commit < target  # the input horizon is in the way
@@ -285,11 +289,11 @@ class Stepper:
         # promise, so the peer never stalls on one we coalesced.
         force = done or blocked
         full = False
-        for e, batch in self._outs:
-            if (batch or force) and e.flush(force):
+        for e, _batch in self._outs:
+            if e.flush(force):
                 # a full ring keeps the tail, which holds nothing a peer
                 # at until_ps (by its promise) executes once we are done
-                if not done or e.horizon() < self.until_ps + e.latency:
+                if not done or e.inbox.promise < self.until_ps + e.latency:
                     full = True
         self.beat(False, self._next_beat)
         if self.mailbox is not None and self.mailbox.poll(commit):

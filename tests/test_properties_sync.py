@@ -21,13 +21,15 @@ from itertools import groupby
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.channels.channel import ChannelEnd, connect
-from repro.channels.messages import RawMsg
+from repro.channels.channel import ChannelEnd, FifoQueue, connect
+from repro.channels.messages import RawMsg, SyncMsg
 from repro.kernel.component import Component
 from repro.kernel.rng import make_rng
 from repro.kernel.simtime import NS, TIME_INFINITY, US
 from repro.parallel.shm_ring import ShmRing
 from repro.parallel.simulation import Simulation
+
+from .test_channel import horizon, publish, receive
 
 
 class RandomTalker(Component):
@@ -168,18 +170,25 @@ def test_strict_sync_stamps_monotonic(wl):
         ends.extend((ea, eb))
     sim.run(100 * US)
     for end in ends:
-        # everything sent was received by the peer (sync + data)
-        assert end.tx_msgs >= 0
         assert end._out_last_stamp >= 0  # at least one sync went out
     # Messages whose delivery stamp is >= the end horizon are legitimately
     # still in flight when the run stops (events strictly before the
-    # horizon execute; the rest stay queued).  Drain them so the assertion
-    # is the real conservation law: nothing sent is ever *lost*.
+    # horizon execute; the rest stay queued), and so are the promises
+    # published after the receiver's last step.  Drain each receiver's
+    # inbox as a step would, so the assertion is the real conservation
+    # law: every end received exactly what its peer sent, data and syncs.
     until = 100 * US
     for end in ends:
-        for msg in end.poll():
+        inbox = end.inbox
+        for msg in inbox._q:
             assert msg.stamp >= until, \
                 f"{end.name}: undelivered message inside the horizon"
+        end.rx_msgs += len(inbox._q)
+        inbox._q.clear()
+        end.rx_syncs = inbox.syncs
+    for ea, eb in zip(ends[::2], ends[1::2]):
+        assert (ea.rx_msgs, ea.rx_syncs) == (eb.tx_msgs, eb.tx_syncs)
+        assert (eb.rx_msgs, eb.rx_syncs) == (ea.tx_msgs, ea.tx_syncs)
     total_tx = sum(e.tx_msgs for e in ends)
     total_rx = sum(e.rx_msgs for e in ends)
     assert total_tx == total_rx
@@ -218,13 +227,30 @@ def wired_pair(transport, latency):
 def test_any_interleaving_of_send_sync_poll_keeps_the_contract(
         transport, ops, latency):
     """Whatever the transport does with a promise (queue field, frame
-    header, marker frame, deferral), after a final poll the receiver has
-    every data message in send order, a horizon equal to the largest stamp
-    the sender produced, and as many syncs counted as the sender emitted.
-    Over a small ring a flush may leave a tail, which the next one sends."""
+    header, marker frame, deferral), the receiver's step reads it the same
+    way.  The sender sends, publishes by stepping (``sync``) and flushes;
+    at a ``poll`` the receiver steps.  After every receiving step its
+    horizon has not fallen nor passed the largest stamp the sender
+    produced, and its counters have not passed the sender's; in process,
+    where a promise is visible at once, it has both.  After a blocked
+    flush and a last step the receiver has executed every data message at
+    its stamp in send order, has a horizon equal to that largest stamp, and
+    has counted as many syncs as the sender emitted.  Over a small ring a
+    flush may leave a tail, which the next one sends."""
     with wired_pair(transport, latency) as (a, b):
         now = 0
-        sent, got, top = [], [], 0
+        sent, got, top, last = [], [], 0, 0
+
+        def poll():
+            nonlocal last
+            got.extend(receive(b))
+            assert last <= horizon(b) <= top
+            last = horizon(b)
+            assert b.rx_msgs == len(got) <= a.tx_msgs
+            assert b.rx_syncs <= a.tx_syncs
+            if transport == "fifo":
+                assert (horizon(b), b.rx_syncs) == (top, a.tx_syncs)
+
         for op, gap in ops:
             now += gap
             if op == "send":
@@ -232,22 +258,51 @@ def test_any_interleaving_of_send_sync_poll_keeps_the_contract(
                 sent.append(now + latency)
                 top = now + latency
             elif op == "sync":
-                a.maybe_sync(commit=now)
+                publish(a, now)
                 top = max(top, now + latency)
             else:
                 a.flush()
-                before = b.horizon()
-                got.extend(b.poll())
-                assert before <= b.horizon() <= top
+                poll()
         # batched transports may defer idle promises
         while a.flush(blocked=True):  # a full ring takes the rest later
-            got.extend(b.poll())
-        got.extend(b.poll())
-        assert b.horizon() == top
+            poll()
+        poll()
+        assert horizon(b) == top
         assert b.rx_syncs == a.tx_syncs
         assert [m.payload for m in got] == list(range(len(sent)))
         assert [m.stamp for m in got] == sent
         assert (a.tx_msgs, b.rx_msgs) == (len(sent), len(sent))
+
+
+def poll_as_before(end):
+    """``ChannelEnd.poll`` and ``horizon`` as they were, written out: drain
+    the end's input queue, count what it held and return its data and the
+    end's input horizon.  In process the data is read first and the
+    promises published since the last poll after it; over a ring every
+    frame's stamp and piggybacked promise raise the horizon, and a marker
+    frame counts as one sync."""
+    q = end.in_q
+    hz = getattr(end, "ref_horizon", 0)
+    if isinstance(q, FifoQueue):
+        out = list(q._q)
+        q._q.clear()
+        end.rx_msgs += len(out)
+        if out:
+            hz = max(hz, out[-1].stamp)
+        if q.syncs > end.rx_syncs:
+            end.rx_syncs = q.syncs
+            hz = max(hz, q.promise)
+    else:
+        out = []
+        for msg, promise in q.recv_batch():
+            hz = max(hz, msg.stamp, promise)
+            if isinstance(msg, SyncMsg):
+                end.rx_syncs += 1
+            else:
+                end.rx_msgs += 1
+                out.append(msg)
+    end.ref_horizon = hz
+    return out, hz
 
 
 @pytest.mark.parametrize("transport", ["fifo", "shm-batched"])
@@ -257,11 +312,13 @@ def test_any_interleaving_of_send_sync_poll_keeps_the_contract(
        latency=st.integers(min_value=1, max_value=2_000))
 @settings(max_examples=40, deadline=None)
 def test_the_step_reads_an_interleaving_like_poll(transport, ops, latency):
-    """``Component.advance`` reads an in-process end inline (and a ring end
-    through ``poll()``).  Two twin channels see the same interleaving; one
-    receiver calls ``ChannelEnd.poll``, the other is stepped by its owner.
-    After every poll both have the same horizon and counters, and the data
-    the step scheduled executes in the order ``poll`` returned it."""
+    """``Component.advance`` reads every end through its inbox, which a
+    ring end's :meth:`~ChannelEnd.receive` fills just before the step.  Two
+    twin channels see the same interleaving; one receiver is read by the
+    old ``ChannelEnd.poll`` (:func:`poll_as_before`), the other is stepped
+    by its owner.  After every poll both have the same horizon and
+    counters, and the data the step scheduled executes in the order
+    ``poll`` returned it."""
     with wired_pair(transport, latency) as (a, b), \
             wired_pair(transport, latency) as (a2, b2):
         rx = Component("rx")
@@ -271,9 +328,12 @@ def test_the_step_reads_an_interleaving_like_poll(transport, ops, latency):
         now = sent = 0
 
         def poll_both():
-            polled.extend(b.poll())
+            msgs, hz = poll_as_before(b)
+            polled.extend(msgs)
+            if b2.out_batch is not None:
+                b2.receive()
             rx.advance(0)  # receive only: every stamp is >= latency > 0
-            assert rx.input_horizon() == b2.horizon() == b.horizon()
+            assert rx.input_horizon() == hz
             assert (b2.rx_msgs, b2.rx_syncs) == (b.rx_msgs, b.rx_syncs)
 
         for op, gap in ops:
@@ -282,7 +342,7 @@ def test_the_step_reads_an_interleaving_like_poll(transport, ops, latency):
                 if op == "send":
                     sender.send(RawMsg(payload=sent), now=now)
                 elif op == "sync":
-                    sender.maybe_sync(commit=now)
+                    publish(sender, now)
                 else:
                     sender.flush()
             sent += op == "send"

@@ -9,7 +9,9 @@ drains) is reached by construction, not by timing luck.
 """
 
 import queue
+import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -18,13 +20,16 @@ from hypothesis import example, given, settings, strategies as st
 from repro.bench.mp import (AUDIT_WINDOW_PS, inproc_audit_ledger,
                             pipeline_specs)
 from repro.channels.channel import ChannelEnd
+from repro.kernel.component import Component
 from repro.kernel.simtime import MS, US
 from repro.obs.audit import AuditCollector
 from repro.obs.live import ChildMailbox
 from repro.parallel import procrunner
-from repro.parallel.procrunner import Stepper, _ring_pairs, _wire
+from repro.parallel.procrunner import (ProcChannel, Stepper, _ring_pairs,
+                                      _wire)
 from repro.parallel.shm_ring import ShmRing
 
+from .test_channel import publish
 from .test_determinism_guard import assert_same_timeline
 from .test_procrunner import Flooder, Pinger
 
@@ -115,6 +120,60 @@ def test_a_small_ring_makes_a_flush_late(strict_ledger):
     assert_same_timeline(strict_ledger, ledger)
 
 
+#: What one idle step of a one-end component over a ring costs, in the
+#: steady state where every step drains the peer's marker frame and sends
+#: its own, as ``sys.setprofile`` sees it: its Python frames by name, and
+#: every call (frames and C functions).  The protocol is the component's
+#: step (``advance``) alone; the ring adds its drain (``receive``) and
+#: ``flush``.  Lower the pin when a change takes a frame out; never raise
+#: it for a frame.
+IDLE_STEP_FRAMES = {
+    "step": 1, "receive": 1, "recv_batch": 1, "_read_u64": 2, "decode": 1,
+    "dec": 1, "__init__": 1, "_write_u64": 2, "advance": 1, "flush": 1,
+    "send_batch": 1, "encode": 1, "enc": 1, "beat": 1,
+}
+IDLE_STEP_CALLS = 37
+
+
+def test_an_idle_ring_step_stays_inside_its_call_budget():
+    comps = [Component(name) for name in ("a", "b")]
+    for comp in comps:
+        comp.attach_end(ChannelEnd(f"{comp.name}.e", latency=1 * US))
+    rings = []
+    try:
+        wiring = _ring_pairs([ProcChannel("a", "a.e", "b", "b.e")],
+                             ["a", "b"], 1 << 16, rings)
+        steppers = []
+        for comp in comps:
+            _wire(comp, wiring[comp.name])
+            steppers.append(Stepper(comp, 1 * MS))
+        for _ in range(3):
+            for stepper in steppers:
+                stepper.step()
+        frames = Counter()
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                frames[frame.f_code.co_name] += 1
+                calls += 1
+            elif event == "c_call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            state = steppers[0].step()
+        finally:
+            sys.setprofile(None)
+    finally:
+        for ring in rings:
+            ring.close()
+    assert state == "progressed" and steppers[0].commit == 3 * US
+    assert dict(frames) == IDLE_STEP_FRAMES
+    assert calls == IDLE_STEP_CALLS
+
+
 # -- waiting, in one process -------------------------------------------------
 
 class Beats:
@@ -143,7 +202,7 @@ def mute_peer(end, promise=None):
         end.peer_comp_name = "peer"
         peer.wire(out_q=back, in_q=out, peer_name=end.name)
         if promise is not None:
-            peer.maybe_sync(commit=promise)
+            publish(peer, promise)
             peer.flush(blocked=True)
         yield out, back
 

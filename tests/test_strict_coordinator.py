@@ -25,6 +25,7 @@ from repro.orchestration.system import System
 from repro.parallel.simulation import DeadlockError, Simulation
 
 from .pins import pinned
+from .test_channel import horizon, publish, receive
 
 GBPS = 1e9
 
@@ -115,15 +116,16 @@ def test_promise_after_data_is_invisible_until_the_receiver_polls():
     a = ChannelEnd("a", latency=10 * NS)
     b = ChannelEnd("b", latency=10 * NS)
     connect(a, b)
+    assert receive(b) == []
     a.send(RawMsg(payload="x"), now=0)
-    a.maybe_sync(commit=50 * NS)
-    assert b.horizon() == 0 and b.rx_syncs == 0
-    assert [m.payload for m in b.poll()] == ["x"]
-    assert b.horizon() == 60 * NS and b.rx_syncs == 1
-    a.maybe_sync(commit=70 * NS)
-    assert b.horizon() == 60 * NS
-    assert list(b.poll()) == []
-    assert b.horizon() == 80 * NS and b.rx_syncs == 2
+    publish(a, 50 * NS)
+    assert horizon(b) == 0 and b.rx_syncs == 0
+    assert [m.payload for m in receive(b)] == ["x"]
+    assert horizon(b) == 60 * NS and b.rx_syncs == 1
+    publish(a, 70 * NS)
+    assert horizon(b) == 60 * NS
+    assert receive(b) == []
+    assert horizon(b) == 80 * NS and b.rx_syncs == 2
 
 
 # -- assembly and deadlock report ---------------------------------------------

@@ -1,11 +1,13 @@
 """The one-frame sync step against the step it replaced.
 
 ``Component.advance`` receives, drains and publishes in one frame: it reads
-an in-process end's deque, ``syncs`` and ``promise`` inline, skips
+every end's inbox deque, ``syncs`` and ``promise`` inline, skips
 ``EventQueue.run_until`` when a live heap head lies beyond the bound, and
-stores promises on the peer's ``FifoQueue`` inline.  :func:`reference_step`
-is the step as it was before, call by call: ``poll()`` and ``horizon()``
-per end, ``run_until`` on every step, ``maybe_sync`` per end.
+records promises in every end's outbox inline.  :func:`reference_step` is
+the step as it was before, call by call, with the in-process read and
+publish that ``ChannelEnd.poll``, ``horizon`` and ``maybe_sync`` used to do
+written out here (:func:`read`, :func:`publish`): a horizon kept per end,
+``run_until`` on every step.
 
 Random small strict systems — 2 to 5 components, equal latencies included,
 sends, timers, cancels and postpones, one unwired end, sometimes one
@@ -28,6 +30,38 @@ from repro.parallel.simulation import DeadlockError, Simulation
 UNTIL = 12 * US
 
 
+def read(end):
+    """An end's data and input horizon: the queue drained, then the
+    promises published since the last read folded in after the data.  An
+    unwired or unsynchronized end has no input and an infinite horizon."""
+    fifo = end.in_q
+    if fifo is None or not end.synchronized:
+        return (), TIME_INFINITY
+    hz = getattr(end, "ref_horizon", 0)
+    msgs = list(fifo._q)
+    fifo._q.clear()
+    end.rx_msgs += len(msgs)
+    if msgs:
+        hz = max(hz, msgs[-1].stamp)
+    if fifo.syncs > end.rx_syncs:
+        end.rx_syncs = fifo.syncs
+        hz = max(hz, fifo.promise)
+    end.ref_horizon = hz
+    return msgs, hz
+
+
+def publish(end, commit):
+    """A promise newer than everything the end sent or promised goes on
+    the queue, counted; an unwired or unsynchronized end sends none."""
+    if end.out_q is None or not end.synchronized:
+        return
+    stamp = commit + end.latency
+    if stamp > end._out_last_stamp:
+        end._out_last_stamp = stamp
+        end.out_q.promise = stamp
+        end.out_q.syncs += 1
+
+
 def reference_step(comp, target):
     """``Component.advance`` before the one-frame step, for the oracle."""
     if not comp._started:
@@ -38,10 +72,10 @@ def reference_step(comp, target):
     horizon = TIME_INFINITY
     limiting = []
     for end in comp.ends:
-        for msg in end.poll():
+        msgs, hz = read(end)
+        for msg in msgs:
             assert msg.stamp >= now
             batch.append((msg.stamp, msg.stamp - end.latency, msg.seq, end, msg))
-        hz = end.horizon()
         if hz < horizon:
             horizon = hz
             limiting = [end]
@@ -63,7 +97,7 @@ def reference_step(comp, target):
     if commit > comp._synced_commit:
         comp._synced_commit = commit
         for end in comp.ends:
-            end.maybe_sync(commit)
+            publish(end, commit)
     return commit
 
 

@@ -8,6 +8,8 @@ from repro.channels.trunk import TrunkEnd
 from repro.kernel.simtime import NS
 from repro.netsim.packet import Packet
 
+from .test_channel import horizon, publish, receive
+
 
 def make_trunks():
     a = TrunkEnd("ta", latency=10 * NS)
@@ -26,7 +28,7 @@ def test_mux_demux_roundtrip():
     pa0.send(RawMsg(payload="x"), now=0)
     pa1.send(RawMsg(payload="y"), now=5)
     pa0.send(RawMsg(payload="z"), now=7)
-    for msg in b.poll():
+    for msg in receive(b):
         b.dispatch(msg)
     assert got == {0: ["x", "z"], 1: ["y"]}
 
@@ -36,7 +38,7 @@ def test_inner_stamp_follows_trunk_stamp():
     seen = []
     b.port(3).on_receive(lambda m: seen.append(m.stamp))
     a.port(3).send(RawMsg(), now=100 * NS)
-    for msg in b.poll():
+    for msg in receive(b):
         b.dispatch(msg)
     assert seen == [110 * NS]
 
@@ -46,17 +48,17 @@ def test_single_sync_covers_all_ports():
     a, b = make_trunks()
     for i in range(8):
         a.port(i)
-    a.maybe_sync(commit=50 * NS)
+    publish(a, 50 * NS)
     assert a.tx_syncs == 1
-    list(b.poll())
-    assert b.horizon() == 60 * NS
+    receive(b)
+    assert horizon(b) == 60 * NS
 
 
 def test_unknown_subchannel_raises():
     a, b = make_trunks()
     a.port(0).send(RawMsg(), now=0)
     with pytest.raises(RuntimeError):
-        for msg in b.poll():
+        for msg in receive(b):
             b.dispatch(msg)
 
 
@@ -65,7 +67,7 @@ def test_missing_handler_raises():
     b.port(0)  # allocated but no handler
     a.port(0).send(RawMsg(), now=0)
     with pytest.raises(RuntimeError):
-        for msg in b.poll():
+        for msg in receive(b):
             b.dispatch(msg)
 
 
@@ -75,7 +77,7 @@ def test_port_reuse_and_counts():
     b.port(2).on_receive(lambda m: None)
     a.port(2).send(RawMsg(), now=0)
     a.port(2).send(RawMsg(), now=1)
-    for msg in b.poll():
+    for msg in receive(b):
         b.dispatch(msg)
     assert a.port(2).tx_msgs == 2
     assert b.port(2).rx_msgs == 2
@@ -118,7 +120,7 @@ def test_shm_mux_demux_roundtrip(shm_trunks):
     a.port(1).send(RawMsg(payload=b"y"), now=5)
     a.port(0).send(RawMsg(payload=b"z"), now=7)
     a.flush()
-    for msg in b.poll():
+    for msg in receive(b):
         b.dispatch(msg)
     assert got == {0: [b"x", b"z"], 1: [b"y"]}
     # trunk frames (and their nested RawMsg) stayed on the struct fast path
@@ -131,7 +133,7 @@ def test_shm_inner_stamp_follows_trunk_stamp(shm_trunks):
     b.port(3).on_receive(lambda m: seen.append(m.stamp))
     a.port(3).send(RawMsg(), now=100 * NS)
     a.flush()
-    for msg in b.poll():
+    for msg in receive(b):
         b.dispatch(msg)
     assert seen == [110 * NS]
 
@@ -141,39 +143,39 @@ def test_shm_promise_piggybacks_on_data(shm_trunks):
     a, b = shm_trunks
     b.port(0).on_receive(lambda m: None)
     a.port(0).send(RawMsg(), now=0)
-    a.maybe_sync(commit=50 * NS)
+    publish(a, 50 * NS)
     a.flush()
     assert a.tx_syncs == 0  # coalesced away entirely
-    for msg in b.poll():
+    for msg in receive(b):
         b.dispatch(msg)
-    assert b.horizon() == 60 * NS
+    assert horizon(b) == 60 * NS
     assert b.rx_syncs == 0
 
 
 def test_shm_idle_sync_forced_on_block(shm_trunks):
     """An idle sender's deferred promise is force-published when blocking."""
     a, b = shm_trunks
-    a.maybe_sync(commit=0)  # first promise: always past the threshold
+    publish(a, 0)  # first promise: always past the threshold
     a.flush()
     assert a.tx_syncs == 1
-    list(b.poll())
-    assert b.horizon() == 10 * NS
-    a.maybe_sync(commit=2 * NS)  # small increment: deferred
+    receive(b)
+    assert horizon(b) == 10 * NS
+    publish(a, 2 * NS)  # small increment: deferred
     a.flush(blocked=False)
-    list(b.poll())
-    assert a.tx_syncs == 1 and b.horizon() == 10 * NS  # nothing published
+    receive(b)
+    assert a.tx_syncs == 1 and horizon(b) == 10 * NS  # nothing published
     a.flush(blocked=True)  # about to block: promise must go out
     assert a.tx_syncs == 2
-    list(b.poll())
-    assert b.horizon() == 12 * NS
+    receive(b)
+    assert horizon(b) == 12 * NS
 
 
 def test_shm_single_sync_covers_all_ports(shm_trunks):
     a, b = shm_trunks
     for i in range(8):
         a.port(i)
-    a.maybe_sync(commit=50 * NS)
+    publish(a, 50 * NS)
     a.flush(blocked=True)
     assert a.tx_syncs == 1
-    list(b.poll())
-    assert b.horizon() == 60 * NS
+    receive(b)
+    assert horizon(b) == 60 * NS
